@@ -64,7 +64,7 @@ func TestDoMixedTargetsLocalAndRemote(t *testing.T) {
 
 	local := run(arch)
 	hs := serveArchive(t, arch, "ge")
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge")
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDoCancelRemoteMidIteration(t *testing.T) {
 
 	br := newBatchRecorder()
 	st := newMemArchiveServer(t, arch, "ge", br.middleware)
-	rarch, err := OpenRemote(context.Background(), st.URL, "ge")
+	rarch, err := Open(context.Background(), st.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDoProgressStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := serveArchive(t, arch, "ge")
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge")
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}

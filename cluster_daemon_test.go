@@ -133,7 +133,7 @@ func TestClusterDaemonE2E(t *testing.T) {
 
 			// Peer discovery: the client is told one node and must learn
 			// the rest from the daemon's -peers/-advertise topology.
-			rarch, err := OpenRemote(context.Background(), nodes[0].url, "ge", WithPeerDiscovery())
+			rarch, err := Open(context.Background(), nodes[0].url+"/ge", WithPeerDiscovery())
 			if err != nil {
 				t.Fatal(err)
 			}

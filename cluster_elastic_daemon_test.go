@@ -113,7 +113,7 @@ func TestElasticDaemonRollingRestart(t *testing.T) {
 		})
 	}
 
-	rarch, err := OpenRemote(context.Background(), nodes[0].url, "ge",
+	rarch, err := Open(context.Background(), nodes[0].url+"/ge",
 		WithEndpoints(nodes[1].url, nodes[2].url),
 		WithReplication(2), WithTopologyRefresh(25*time.Millisecond))
 	if err != nil {
@@ -212,7 +212,7 @@ func TestElasticDaemonDrain(t *testing.T) {
 		nodes[i] = startElasticDaemon(t, bin, dir, addr, "sesame", seeds)
 		seeds = append(seeds, nodes[i].url)
 	}
-	rarch, err := OpenRemote(context.Background(), nodes[0].url, "ge",
+	rarch, err := Open(context.Background(), nodes[0].url+"/ge",
 		WithEndpoints(nodes[1].url, nodes[2].url),
 		WithReplication(2), WithTopologyRefresh(25*time.Millisecond))
 	if err != nil {

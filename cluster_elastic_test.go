@@ -251,7 +251,7 @@ func TestElasticRollingRestartZeroDowntime(t *testing.T) {
 
 	nodes, st := startElasticCluster(t, arch, "ge", 3, "")
 
-	rarch, err := OpenRemote(context.Background(), nodes[0].URL(), "ge",
+	rarch, err := Open(context.Background(), nodes[0].URL()+"/ge",
 		WithEndpoints(nodes[1].URL(), nodes[2].URL()),
 		WithReplication(2), WithTopologyRefresh(25*time.Millisecond))
 	if err != nil {
@@ -362,7 +362,7 @@ func TestElasticJoinWhileRetrieving(t *testing.T) {
 	local := doSequence(t, arch, ds.FieldNames, nil)
 
 	nodes, st := startElasticCluster(t, arch, "ge", 2, "")
-	rarch, err := OpenRemote(context.Background(), nodes[0].URL(), "ge",
+	rarch, err := Open(context.Background(), nodes[0].URL()+"/ge",
 		WithEndpoints(nodes[1].URL()),
 		WithReplication(2), WithTopologyRefresh(25*time.Millisecond))
 	if err != nil {
@@ -412,7 +412,7 @@ func TestElasticDrainUnderLoad(t *testing.T) {
 	local := doSequence(t, arch, ds.FieldNames, nil)
 
 	nodes, _ := startElasticCluster(t, arch, "ge", 3, "sesame")
-	rarch, err := OpenRemote(context.Background(), nodes[0].URL(), "ge",
+	rarch, err := Open(context.Background(), nodes[0].URL()+"/ge",
 		WithEndpoints(nodes[1].URL(), nodes[2].URL()),
 		WithReplication(2), WithTopologyRefresh(25*time.Millisecond))
 	if err != nil {
@@ -557,7 +557,7 @@ func TestElasticHeartbeatPartition(t *testing.T) {
 		}
 	}
 
-	rarch, err := OpenRemote(context.Background(), nodes[0].URL(), "ge",
+	rarch, err := Open(context.Background(), nodes[0].URL()+"/ge",
 		WithEndpoints(nodes[1].URL(), nodes[2].URL()),
 		WithReplication(2), WithTopologyRefresh(25*time.Millisecond))
 	if err != nil {
@@ -662,11 +662,11 @@ func TestElasticSplitMembershipView(t *testing.T) {
 	// Client A discovers the cluster through a suspecting node, client B
 	// through the victim: genuinely split views (no refresh — each keeps
 	// the view it bootstrapped).
-	archA, err := OpenRemote(context.Background(), nodes[0].URL(), "ge", WithPeerDiscovery(), WithReplication(2))
+	archA, err := Open(context.Background(), nodes[0].URL()+"/ge", WithPeerDiscovery(), WithReplication(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	archB, err := OpenRemote(context.Background(), victim.URL(), "ge", WithPeerDiscovery(), WithReplication(2))
+	archB, err := Open(context.Background(), victim.URL()+"/ge", WithPeerDiscovery(), WithReplication(2))
 	if err != nil {
 		t.Fatal(err)
 	}

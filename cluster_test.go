@@ -90,7 +90,7 @@ func TestClusterRetrieveMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rarch, err := OpenRemote(context.Background(), nodes[0].URL, "ge",
+	rarch, err := Open(context.Background(), nodes[0].URL+"/ge",
 		WithEndpoints(nodes[1].URL, nodes[2].URL))
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestClusterFailoverMidDoMatchesLocal(t *testing.T) {
 	for victim := 0; victim < 3; victim++ {
 		t.Run(fmt.Sprintf("kill-node-%d", victim), func(t *testing.T) {
 			nodes := startCluster(t, arch, "ge", 3)
-			rarch, err := OpenRemote(context.Background(), nodes[0].URL, "ge",
+			rarch, err := Open(context.Background(), nodes[0].URL+"/ge",
 				WithEndpoints(nodes[1].URL, nodes[2].URL), WithReplication(2))
 			if err != nil {
 				t.Fatal(err)

@@ -9,8 +9,8 @@
 // in-process on a loopback port, or a base URL of a progqoid already
 // hosting datasets block0..block<N-1>. The table then shows the simulated
 // wire bytes next to the fragment payload bytes the real client fetched
-// over HTTP (the same unit netsim accounts; transport gzip savings are
-// not deducted) — identical on the first pass, and smaller for the real
+// over HTTP (the same unit netsim accounts: fragments cross the wire as
+// stored) — identical on the first pass, and smaller for the real
 // client afterwards because its fragment cache makes repeated requests
 // free.
 //

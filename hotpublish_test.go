@@ -110,7 +110,7 @@ func TestHotPublishEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
 	// A session opened against the pre-publish catalog.
-	remAlpha, err := OpenRemote(ctx, hs.URL, "alpha")
+	remAlpha, err := Open(ctx, hs.URL+"/alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestHotPublishEndToEnd(t *testing.T) {
 	sameData(t, doVTot(t, lsessAlpha, dsAlpha, 1e-2), doVTot(t, sessAlpha, dsAlpha, 1e-2))
 
 	// beta is not yet publishable: pack it live, then reload.
-	if _, err := OpenRemote(ctx, hs.URL, "beta"); err == nil {
+	if _, err := Open(ctx, hs.URL+"/beta"); err == nil {
 		t.Fatal("beta retrievable before publish")
 	}
 	localBeta, dsBeta := packInto(t, st, "beta", 22)
@@ -148,7 +148,7 @@ func TestHotPublishEndToEnd(t *testing.T) {
 
 	// The new dataset is retrievable over the wire without a restart, and
 	// matches a local session bit for bit.
-	remBeta, err := OpenRemote(ctx, hs.URL, "beta")
+	remBeta, err := Open(ctx, hs.URL+"/beta")
 	if err != nil {
 		t.Fatal(err)
 	}

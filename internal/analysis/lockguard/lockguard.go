@@ -9,7 +9,7 @@
 // maxConcurrent. The fix moved the reads under the same critical
 // section; this analyzer makes the rule survive the next refactor, for
 // every annotated field in internal/server, internal/client,
-// internal/obs and internal/storage.
+// internal/lru, internal/obs and internal/storage.
 //
 // # Annotation
 //
@@ -84,7 +84,7 @@ var pkgs string
 func init() {
 	Analyzer.Flags.Init("lockguard", flag.ContinueOnError)
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"progqoi/internal/server,progqoi/internal/client,progqoi/internal/obs,progqoi/internal/storage",
+		"progqoi/internal/server,progqoi/internal/client,progqoi/internal/lru,progqoi/internal/obs,progqoi/internal/storage",
 		"comma-separated package paths the check applies to (empty: all)")
 }
 

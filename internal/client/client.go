@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"progqoi/internal/encoding"
+	"progqoi/internal/lru"
 	"progqoi/internal/obs"
 	"progqoi/internal/server"
 )
@@ -96,14 +97,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.HTTPClient == nil {
-		// Bound how long the server may take to start answering, but not
-		// the body read: a whole-response deadline would kill large batch
-		// downloads on slow links no matter how healthy the transfer.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.ResponseHeaderTimeout = 30 * time.Second
-		o.HTTPClient = &http.Client{Transport: tr}
-	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 3
 	} else if o.MaxRetries < 0 {
@@ -131,8 +124,8 @@ type Stats struct {
 	// WireBytes is fragment payload bytes fetched over HTTP — the same
 	// unit as a session's RetrievedBytes and netsim's recorder, so the
 	// three are directly comparable. Cache hits and coalesced waits
-	// contribute nothing. Transport-level gzip savings are not deducted:
-	// this counts payloads, not socket bytes.
+	// contribute nothing. Fragments cross the wire as stored, so this is
+	// also what the sockets carried for them, less HTTP framing.
 	WireBytes int64
 	// WireRequests counts HTTP requests issued, including retries.
 	WireRequests int64
@@ -196,7 +189,12 @@ type call struct {
 type Client struct {
 	hc    *http.Client
 	opts  Options
-	cache *lruCache
+	cache *lru.Cache
+
+	// ownTransport is the transport New built because Options.HTTPClient
+	// was nil; Close drops its idle connections. Nil for a caller-supplied
+	// client, whose connections are the caller's to manage.
+	ownTransport *http.Transport
 
 	// topo is the current epoch-numbered topology view (see view.go),
 	// swapped whole on membership changes — the client-side mirror of
@@ -225,7 +223,6 @@ type Client struct {
 	wireBytes    atomic.Int64
 	wireRequests atomic.Int64
 	fragsFetched atomic.Int64
-	cacheHits    atomic.Int64
 	coalesced    atomic.Int64
 	speculated   atomic.Int64
 	failovers    atomic.Int64
@@ -243,11 +240,19 @@ func New(baseURL string, opt Options) (*Client, error) {
 	c := &Client{
 		hc:          opt.HTTPClient,
 		opts:        opt,
-		cache:       newLRUCache(opt.CacheBytes),
+		cache:       lru.New(opt.CacheBytes),
 		inflight:    map[string]*call{},
 		indexes:     map[string]*server.Index{},
 		epByURL:     map[string]*endpoint{},
 		refreshStop: make(chan struct{}),
+	}
+	if c.hc == nil {
+		// Bound how long the server may take to start answering, but not
+		// the body read: a whole-response deadline would kill large batch
+		// downloads on slow links no matter how healthy the transfer.
+		c.ownTransport = http.DefaultTransport.(*http.Transport).Clone()
+		c.ownTransport.ResponseHeaderTimeout = 30 * time.Second
+		c.hc = &http.Client{Transport: c.ownTransport}
 	}
 	bases := make([]string, 0, 1+len(opt.Endpoints))
 	for _, u := range append([]string{baseURL}, opt.Endpoints...) {
@@ -283,7 +288,7 @@ func (c *Client) Endpoints() []string {
 
 // Stats snapshots the wire accounting.
 func (c *Client) Stats() Stats {
-	cb, ce, ev := c.cache.stats()
+	cs := c.cache.Stats()
 	v := c.view()
 	st := Stats{
 		TopologyEpoch:    v.epoch,
@@ -291,15 +296,15 @@ func (c *Client) Stats() Stats {
 		WireBytes:        c.wireBytes.Load(),
 		WireRequests:     c.wireRequests.Load(),
 		FragmentsFetched: c.fragsFetched.Load(),
-		CacheHits:        c.cacheHits.Load(),
+		CacheHits:        cs.Hits,
 		Coalesced:        c.coalesced.Load(),
 		Speculated:       c.speculated.Load(),
 		Failovers:        c.failovers.Load(),
 		RetryPasses:      c.retryPasses.Load(),
 		RateLimited:      c.rateLimited.Load(),
-		CacheBytes:       cb,
-		CacheEntries:     ce,
-		CacheEvictions:   ev,
+		CacheBytes:       cs.Bytes,
+		CacheEntries:     cs.Entries,
+		CacheEvictions:   cs.Evictions,
 	}
 	for _, ep := range v.eps {
 		st.Routable = append(st.Routable, ep.base)
@@ -440,8 +445,7 @@ func fragKey(dataset, vr string, fi int) string {
 // single-fragment GET endpoint, routed to the fragment's shard.
 func (c *Client) Fragment(ctx context.Context, dataset, vr string, fi int) ([]byte, error) {
 	key := fragKey(dataset, vr, fi)
-	if v, ok := c.cache.get(key); ok {
-		c.cacheHits.Add(1)
+	if v, ok := c.cache.Get(key); ok {
 		return v, nil
 	}
 	if ctx == nil {
@@ -470,7 +474,7 @@ func (c *Client) Fragment(ctx context.Context, dataset, vr string, fi int) ([]by
 	c.wireBytes.Add(int64(len(b)))
 	mf.EndBytes(int64(len(b)))
 	c.fragsFetched.Add(1)
-	c.cache.add(key, b)
+	c.cache.Add(key, b)
 	return b, nil
 }
 
@@ -521,8 +525,7 @@ func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map
 				continue
 			}
 			seen[key] = true
-			if v, ok := c.cache.get(key); ok {
-				c.cacheHits.Add(1)
+			if v, ok := c.cache.Get(key); ok {
 				put(vr, fi, v)
 				continue
 			}
@@ -579,7 +582,7 @@ func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map
 				// reference would pin the full blob in memory long after
 				// eviction shrank the accounted cache size.
 				p.cl.val = bytes.Clone(got[p.key])
-				c.cache.add(p.key, p.cl.val)
+				c.cache.Add(p.key, p.cl.val)
 				c.wireBytes.Add(int64(len(p.cl.val)))
 				fetched += int64(len(p.cl.val))
 				c.fragsFetched.Add(1)

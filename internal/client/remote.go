@@ -121,12 +121,18 @@ func Open(ctx context.Context, baseURL, dataset string, opt Options) (*Remote, e
 		if info, err := seed.ClusterInfo(ctx); err == nil {
 			opt.Endpoints = append(append([]string(nil), opt.Endpoints...), routableFrom(info, baseURL)...)
 		}
+		seed.Close()
 	}
 	c, err := New(baseURL, opt)
 	if err != nil {
 		return nil, err
 	}
-	return c.OpenDataset(ctx, dataset)
+	rem, err := c.OpenDataset(ctx, dataset)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	return rem, nil
 }
 
 // OpenDataset fetches the dataset's index and metadata blob and returns a
@@ -202,63 +208,45 @@ func (r *Remote) StoredBytes() int64 { return r.stored }
 // speculative payloads land in the client's shared cache; iteration N+1
 // either hits the cache or coalesces onto the still-in-flight fetch.
 func (r *Remote) NewSession(fetch progressive.FetchFunc, cfg core.Config) (*core.Retriever, error) {
-	// Each session owns its fragment payload slots; metadata (blocks,
-	// bounds, schedules, masks) is immutable and shared across sessions.
-	vars := make([]*core.Variable, len(r.vars))
-	for i, v := range r.vars {
-		ref := *v.Ref
-		ref.Fragments = make([][]byte, len(v.Ref.Fragments))
-		cv := *v
-		cv.Ref = &ref
-		vars[i] = &cv
-	}
 	// The session's Workers budget bounds the concurrent per-shard
 	// sub-batches too, so wire fan-out never exceeds compute fan-out.
 	workers := cfg.Workers
-	cfg.Prefetch = func(ctx context.Context, need [][]int) error {
+	cfg.WireBytes = r.c.wireBytes.Load
+	return core.NewLazyRetriever(r.vars, cfg, fetch, func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error {
 		wants := map[string][]int{}
-		for vi, idxs := range need {
-			for _, fi := range idxs {
-				if fi < 0 || fi >= len(vars[vi].Ref.Fragments) {
-					return fmt.Errorf("client: plan wants fragment %s/%d of %d", vars[vi].Name, fi, len(vars[vi].Ref.Fragments))
-				}
-				if len(vars[vi].Ref.Fragments[fi]) == 0 {
-					wants[vars[vi].Name] = append(wants[vars[vi].Name], fi)
-				}
+		for vi, idxs := range want {
+			if len(idxs) > 0 {
+				wants[r.vars[vi].Name] = idxs
 			}
-		}
-		if len(wants) == 0 {
-			return nil
 		}
 		got, err := r.c.FragmentsWorkers(ctx, r.dataset, wants, workers)
 		if err != nil {
 			return err
 		}
-		for vi := range vars {
-			for fi, payload := range got[vars[vi].Name] {
-				vars[vi].Ref.Fragments[fi] = payload
+		for vi, v := range r.vars {
+			for fi, payload := range got[v.Name] {
+				install(vi, fi, payload)
 			}
 		}
-		r.readAhead(ctx, need, vars)
+		r.readAhead(ctx, want)
 		return nil
-	}
-	cfg.WireBytes = func() int64 { return r.c.wireBytes.Load() }
-	return core.NewRetriever(vars, cfg, fetch)
+	})
 }
 
-// readAhead launches the speculative fetch of the fragments just past each
-// variable's current plan (the contiguous-prefix representations always
-// request next fragments in order, so the prediction is exact for PMGARD
-// and PSZ3-Delta). It returns immediately; errors are swallowed — a failed
+// readAhead launches the speculative fetch of the fragments just past the
+// ones each variable's plan just fetched (the contiguous-prefix
+// representations always request next fragments in order, so the
+// prediction is exact for PMGARD and PSZ3-Delta, and nothing past the plan
+// is held yet). It returns immediately; errors are swallowed — a failed
 // speculation costs nothing but the attempt.
-func (r *Remote) readAhead(ctx context.Context, need [][]int, vars []*core.Variable) {
+func (r *Remote) readAhead(ctx context.Context, want [][]int) {
 	ra := r.c.opts.ReadAhead
 	if ra <= 0 {
 		return
 	}
 	spec := map[string][]int{}
 	var count int64
-	for vi, idxs := range need {
+	for vi, idxs := range want {
 		if len(idxs) == 0 {
 			continue
 		}
@@ -268,12 +256,10 @@ func (r *Remote) readAhead(ctx context.Context, need [][]int, vars []*core.Varia
 				last = fi
 			}
 		}
-		frags := vars[vi].Ref.Fragments
-		for fi := last + 1; fi <= last+ra && fi < len(frags); fi++ {
-			if len(frags[fi]) == 0 {
-				spec[vars[vi].Name] = append(spec[vars[vi].Name], fi)
-				count++
-			}
+		v := r.vars[vi]
+		for fi := last + 1; fi <= last+ra && fi < len(v.Ref.Fragments); fi++ {
+			spec[v.Name] = append(spec[v.Name], fi)
+			count++
 		}
 	}
 	if len(spec) == 0 {

@@ -218,13 +218,17 @@ func (c *Client) refresher() {
 	}
 }
 
-// Close stops the background topology refresher and waits for it. A
-// client without one closes trivially; Close is idempotent and the
-// client remains usable for requests afterwards (the view just stops
-// following the cluster).
+// Close stops the background topology refresher, waits for it, and
+// drops the idle connections of a transport the client built itself
+// (never a caller-supplied one's). Close is idempotent and the client
+// remains usable for requests afterwards: the view just stops following
+// the cluster, and the next request dials afresh.
 func (c *Client) Close() {
 	c.closeOnce.Do(func() { close(c.refreshStop) })
 	c.refreshWG.Wait()
+	if c.ownTransport != nil {
+		c.ownTransport.CloseIdleConnections()
+	}
 }
 
 // epSnapshot copies the registry in first-seen order (configured

@@ -317,6 +317,54 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 	return rt, nil
 }
 
+// LazyFetch is the transport of a lazy session. want[v] lists the fragment
+// indices of variable v that the iteration's plan needs and the session
+// does not hold yet — at least one overall. The transport hands each
+// payload it obtains to install and returns its first error; whatever it
+// installed before failing stays installed, so the retry asks only for
+// the rest. It must abandon in-flight work when ctx is cancelled.
+type LazyFetch func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error
+
+// NewLazyRetriever opens a retrieval session over meta-only variables —
+// fragment payloads absent, everything else resident — whose payloads
+// arrive through fetch, once per retrieval iteration, as the certify loop
+// plans them. Each session owns its payload slots; the metadata (blocks,
+// bounds, schedules, masks) is immutable and shared with meta, so one
+// opened dataset serves any number of concurrent sessions. Any Prefetch
+// already set in cfg is replaced.
+func NewLazyRetriever(meta []*Variable, cfg Config, observe progressive.FetchFunc, fetch LazyFetch) (*Retriever, error) {
+	vars := make([]*Variable, len(meta))
+	for i, v := range meta {
+		ref := *v.Ref
+		ref.Fragments = make([][]byte, len(v.Ref.Fragments))
+		cv := *v
+		cv.Ref = &ref
+		vars[i] = &cv
+	}
+	install := func(v, frag int, payload []byte) { vars[v].Ref.Fragments[frag] = payload }
+	cfg.Prefetch = func(ctx context.Context, need [][]int) error {
+		want := make([][]int, len(vars))
+		missing := false
+		for v, idxs := range need {
+			frags := vars[v].Ref.Fragments
+			for _, fi := range idxs {
+				if fi < 0 || fi >= len(frags) {
+					return fmt.Errorf("core: plan wants fragment %s/%d of %d", vars[v].Name, fi, len(frags))
+				}
+				if len(frags[fi]) == 0 {
+					want[v] = append(want[v], fi)
+					missing = true
+				}
+			}
+		}
+		if !missing {
+			return nil
+		}
+		return fetch(ctx, want, install)
+	}
+	return NewRetriever(vars, cfg, observe)
+}
+
 // RetrievedBytes returns cumulative fragment bytes fetched this session.
 func (rt *Retriever) RetrievedBytes() int64 {
 	var n int64

@@ -23,7 +23,14 @@ import (
 
 func packDataset(t *testing.T, st storage.Store, name string, seed int64) []*core.Variable {
 	t.Helper()
-	ds := datagen.GE("GE-"+name, 3, 96, seed)
+	return packDatasetSized(t, st, name, 96, seed)
+}
+
+// packDatasetSized packs 3 blocks of blockSize nodes; a few thousand
+// nodes per block yields fragments of several hundred bytes and more.
+func packDatasetSized(t *testing.T, st storage.Store, name string, blockSize int, seed int64) []*core.Variable {
+	t.Helper()
+	ds := datagen.GE("GE-"+name, 3, blockSize, seed)
 	vars, err := core.RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, core.RefactorOptions{
 		Progressive: progressive.Options{Method: progressive.PMGARDHB, LosslessTail: true},
 		MaskZeros:   true,

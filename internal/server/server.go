@@ -22,12 +22,14 @@
 //
 // Fragments are immutable once refactored, so single-fragment responses
 // carry strong ETags with far-future cache headers and honor
-// If-None-Match. All responses gzip when the client accepts it. A
-// semaphore bounds in-flight requests; the high-water mark is visible in
-// /healthz. Handlers respect the request context: a request cancelled
-// while queued on the semaphore returns 503 without consuming a slot, and
-// a batch abandoned mid-assembly stops with 499 instead of encoding bytes
-// nobody will read.
+// If-None-Match. Fragments are entropy-coded at refactor time, so every
+// response is identity-encoded with its Content-Length; only the index
+// and the metadata blob negotiate gzip, from bytes compressed once per
+// catalog load. A semaphore bounds in-flight requests; the high-water
+// mark is visible in /healthz. Handlers respect the request context: a
+// request cancelled while queued on the semaphore returns 503 without
+// consuming a slot, and a batch abandoned mid-assembly stops with 499
+// instead of encoding bytes nobody will read.
 //
 // # Live publishing
 //
@@ -72,6 +74,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,6 +83,7 @@ import (
 	"time"
 
 	"progqoi/internal/core"
+	"progqoi/internal/lru"
 	"progqoi/internal/obs"
 	"progqoi/internal/storage"
 )
@@ -91,9 +95,6 @@ const DefaultMaxInflight = 64
 // DefaultHotCacheBytes bounds the hot-fragment cache when
 // Options.HotCacheBytes is zero.
 const DefaultHotCacheBytes = 256 << 20
-
-// gzipMin is the smallest payload worth compressing.
-const gzipMin = 512
 
 // Options configures a Server.
 type Options struct {
@@ -171,10 +172,8 @@ type dataset struct {
 	fingerprint string
 	vars        []*core.Variable // metadata only: fragment payloads dropped
 	varIdx      map[string]int
-	index       []byte // JSON Index
-	indexTag    string
-	meta        []byte // EncodeMeta blob
-	metaTag     string
+	index       negotiated // JSON Index
+	meta        negotiated // EncodeMeta blob
 	fragTags    [][]string
 	varKeys     []string
 	fragLocs    [][]storage.FragmentRange
@@ -264,7 +263,7 @@ type Server struct {
 	cat   atomic.Pointer[catalog]
 	gen   atomic.Int64 // dataset load generations (hot-cache key prefix)
 	start time.Time
-	hot   *hotCache
+	hot   *lru.Cache
 
 	// tenants holds per-tenant limiter/accounting state, sorted by name;
 	// empty on an anonymous server. The slice is immutable after New.
@@ -306,7 +305,7 @@ type Server struct {
 	// histograms (fixed buckets, stdlib only).
 	routeHist   [10]*obs.Histogram // request latency, indexed like routeLabels
 	fragsReqHB  *obs.Histogram     // frags request body bytes
-	fragsRespHB *obs.Histogram     // frags response bytes (post-compression)
+	fragsRespHB *obs.Histogram     // frags response bytes
 }
 
 // New scans st for archives (keys ending in ".manifest", as written by
@@ -344,7 +343,7 @@ func New(ctx context.Context, st storage.Store, opt Options) (*Server, error) {
 		opts:     opt,
 		adm:      newAdmitter(opt.MaxInflight, opt.MaxQueue*opt.MaxInflight),
 		start:    time.Now(),
-		hot:      newHotCache(opt.HotCacheBytes),
+		hot:      lru.New(opt.HotCacheBytes),
 		memb:     newMembership(opt),
 		membStop: make(chan struct{}),
 	}
@@ -438,9 +437,8 @@ func (s *Server) loadDataset(ctx context.Context, name string, prev *dataset) (*
 	if err != nil {
 		return nil, err
 	}
-	ds.index, ds.indexTag = idx, etag(idx)
-	ds.meta = EncodeMeta(vars)
-	ds.metaTag = etag(ds.meta)
+	ds.index = newNegotiated(idx)
+	ds.meta = newNegotiated(EncodeMeta(vars))
 	ds.fragTags = make([][]string, len(vars))
 	ds.varKeys = make([]string, len(vars))
 	ds.fragLocs = make([][]storage.FragmentRange, len(vars))
@@ -622,7 +620,7 @@ func (s *Server) Stats() Stats {
 	s.limMu.Lock()
 	requests, inflight, maxSeen := s.requests, s.inflight, s.maxSeen
 	s.limMu.Unlock()
-	hc := s.hot.stats()
+	hc := s.hot.Stats()
 	depths := s.adm.depths()
 	mm := s.memb.metrics()
 	var tstats []TenantStats
@@ -644,11 +642,11 @@ func (s *Server) Stats() Stats {
 		Inflight:          inflight,
 		MaxConcurrent:     maxSeen,
 		FragmentBytes:     s.fragBytes.Load(),
-		HotCacheBytes:     hc.bytes,
-		HotCacheEntries:   hc.entries,
-		HotCacheHits:      hc.hits,
-		HotCacheMisses:    hc.misses,
-		HotCacheEvictions: hc.evictions,
+		HotCacheBytes:     hc.Bytes,
+		HotCacheEntries:   hc.Entries,
+		HotCacheHits:      hc.Hits,
+		HotCacheMisses:    hc.Misses,
+		HotCacheEvictions: hc.Evictions,
 		Reloads:           s.reloads.Load(),
 		ReloadFailures:    s.reloadFailures.Load(),
 		DatasetsLoaded:    s.datasetsLoaded.Load(),
@@ -791,7 +789,7 @@ func (s *Server) reject429(w http.ResponseWriter, retryAfter time.Duration) {
 // entries age out of the LRU).
 func (s *Server) fragment(ctx context.Context, ds *dataset, vi, fi int) ([]byte, error) {
 	key := strconv.FormatInt(ds.gen, 10) + "\x00" + ds.vars[vi].Name + "\x00" + strconv.Itoa(fi)
-	if b, ok := s.hot.get(key); ok {
+	if b, ok := s.hot.Get(key); ok {
 		return b, nil
 	}
 	loc := ds.fragLocs[vi][fi]
@@ -823,7 +821,7 @@ func (s *Server) fragment(ctx context.Context, ds *dataset, vi, fi int) ([]byte,
 		return nil, fmt.Errorf("server: fragment %s/%s/%d corrupt at rest: etag %s, recorded %s",
 			ds.name, ds.vars[vi].Name, fi, got, ds.fragTags[vi][fi])
 	}
-	s.hot.add(key, b)
+	s.hot.Add(key, b)
 	return b, nil
 }
 
@@ -838,7 +836,7 @@ func (s *Server) dataset(w http.ResponseWriter, r *http.Request) *dataset {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	b, _ := json.Marshal(s.Stats())
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, b, "application/json")
 }
 
 // handleMetrics renders the Prometheus text exposition format (version
@@ -862,7 +860,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	metric("progqoid_inflight_requests", "gauge", "Requests currently holding a concurrency slot.", st.Inflight)
 	metric("progqoid_max_concurrent_requests", "gauge", "High-water mark of concurrent requests.", st.MaxConcurrent)
-	metric("progqoid_fragment_bytes_total", "counter", "Fragment payload bytes served (before transport compression).", st.FragmentBytes)
+	metric("progqoid_fragment_bytes_total", "counter", "Fragment payload bytes served.", st.FragmentBytes)
 	metric("progqoid_fragments_served_total", "counter", "Fragments served across single and batched fetches.", s.fragsServed.Load())
 	metric("progqoid_batch_requests_total", "counter", "Batched fragment POSTs answered.", s.batchReqs.Load())
 	metric("progqoid_batch_fragments_total", "counter", "Fragments shipped inside batched responses (divide by batch_requests for mean batch size).", s.batchFrags.Load())
@@ -949,7 +947,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.WriteFamilyHeader(&b, "progqoid_frags_request_bytes", "histogram", "Batched fragment POST request body sizes.")
 	obs.WriteHistogramSeries(&b, "progqoid_frags_request_bytes", "", s.fragsReqHB.Snapshot())
-	obs.WriteFamilyHeader(&b, "progqoid_frags_response_bytes", "histogram", "Batched fragment response sizes as written to the wire (after compression).")
+	obs.WriteFamilyHeader(&b, "progqoid_frags_response_bytes", "histogram", "Batched fragment response sizes as written to the wire.")
 	obs.WriteHistogramSeries(&b, "progqoid_frags_response_bytes", "", s.fragsRespHB.Snapshot())
 
 	// Go runtime gauges, so a scrape sees resource pressure without pprof.
@@ -971,14 +969,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // for one-shot discovery.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	b, _ := json.Marshal(s.memb.info(s.opts.Peers))
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, b, "application/json")
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	b, _ := json.Marshal(struct {
 		Datasets []string `json:"datasets"`
 	}{s.cat.Load().names})
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, b, "application/json")
 }
 
 // handleReload is the hot-publish entry point: admin-gated by
@@ -1007,7 +1005,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			slog.Any("removed", res.Removed))
 	}
 	b, _ := json.Marshal(res)
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, b, "application/json")
 }
 
 // rejectDraining sheds a session-opening request on a draining node.
@@ -1028,7 +1026,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ds := s.dataset(w, r); ds != nil {
-		writeBlob(w, r, ds.index, ds.indexTag, "application/json", true)
+		ds.index.write(w, r, "application/json")
 	}
 }
 
@@ -1037,7 +1035,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ds := s.dataset(w, r); ds != nil {
-		writeBlob(w, r, ds.meta, ds.metaTag, "application/octet-stream", true)
+		ds.meta.write(w, r, "application/octet-stream")
 	}
 }
 
@@ -1061,10 +1059,12 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if writeBlob(w, r, frag, ds.fragTags[vi][fi], "application/octet-stream", true) {
-		s.fragBytes.Add(int64(len(frag)))
-		s.fragsServed.Add(1)
+	if revalidated(w, r, ds.fragTags[vi][fi]) {
+		return
 	}
+	writeBlob(w, frag, "application/octet-stream")
+	s.fragBytes.Add(int64(len(frag)))
+	s.fragsServed.Add(1)
 }
 
 // maxBatchBody bounds the batched request JSON.
@@ -1131,7 +1131,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchReqs.Add(1)
 	s.batchFrags.Add(int64(len(frags)))
-	writeBlob(w, r, EncodeBatch(frags), "", "application/octet-stream", false)
+	writeBlob(w, EncodeBatch(frags), "application/octet-stream")
 }
 
 func (s *Server) handleStoreKeys(w http.ResponseWriter, r *http.Request) {
@@ -1143,7 +1143,7 @@ func (s *Server) handleStoreKeys(w http.ResponseWriter, r *http.Request) {
 	b, _ := json.Marshal(struct {
 		Keys []string `json:"keys"`
 	}{keys})
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, b, "application/json")
 }
 
 func (s *Server) handleStoreBlob(w http.ResponseWriter, r *http.Request) {
@@ -1156,7 +1156,9 @@ func (s *Server) handleStoreBlob(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	writeBlob(w, r, blob, etag(blob), "application/octet-stream", true)
+	if !revalidated(w, r, etag(blob)) {
+		writeBlob(w, blob, "application/octet-stream")
+	}
 }
 
 // etag builds a strong validator from content checksum + length.
@@ -1164,45 +1166,64 @@ func etag(b []byte) string {
 	return fmt.Sprintf("\"%08x-%x\"", crc32.Checksum(b, crcTable), len(b))
 }
 
-// writeBlob sends one in-memory payload with conditional-request and
-// compression handling, reporting whether payload bytes were sent (false
-// for a 304 revalidation). Immutable payloads get far-future cache
-// headers; the gzip variant of a strong ETag is suffixed so validators
-// stay unique per representation.
-func writeBlob(w http.ResponseWriter, r *http.Request, blob []byte, tag, contentType string, immutable bool) bool {
+// negotiated is a catalog payload that is not already entropy-coded (the
+// index JSON, the metadata blob) in both encodings the transport offers.
+// It is immutable per catalog load, like its ETags, so the gzip bytes are
+// built once there: no request constructs a compressor.
+type negotiated struct {
+	body, gz   []byte
+	tag, gzTag string // strong validators, unique per representation
+}
+
+func newNegotiated(body []byte) negotiated {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(body) //nolint:errcheck // bytes.Buffer writes cannot fail
+	zw.Close()     //nolint:errcheck
+	tag := etag(body)
+	return negotiated{body: body, gz: buf.Bytes(), tag: tag, gzTag: strings.TrimSuffix(tag, "\"") + "-gz\""}
+}
+
+// write serves the representation the request accepts; a conditional
+// request may name either representation's tag.
+func (p *negotiated) write(w http.ResponseWriter, r *http.Request, contentType string) {
+	w.Header().Set("Vary", "Accept-Encoding")
+	if !acceptsGzip(r) {
+		if !revalidated(w, r, p.tag, p.gzTag) {
+			writeBlob(w, p.body, contentType)
+		}
+		return
+	}
+	if !revalidated(w, r, p.gzTag, p.tag) {
+		w.Header().Set("Content-Encoding", "gzip")
+		writeBlob(w, p.gz, contentType)
+	}
+}
+
+// revalidated handles the conditional-request half of an immutable
+// payload: it sets far-future cache headers and tags[0] as the ETag, and
+// answers 304 — reporting true, nothing more to send — when If-None-Match
+// names any of tags.
+func revalidated(w http.ResponseWriter, r *http.Request, tags ...string) bool {
+	h := w.Header()
+	h.Set("Cache-Control", "public, max-age=31536000, immutable")
+	h.Set("ETag", tags[0])
+	for _, cand := range strings.Split(r.Header.Get("If-None-Match"), ",") {
+		cand = strings.TrimSpace(cand)
+		if cand == "*" || slices.Contains(tags, cand) {
+			w.WriteHeader(http.StatusNotModified)
+			return true
+		}
+	}
+	return false
+}
+
+// writeBlob sends one in-memory payload as is, with its Content-Length.
+func writeBlob(w http.ResponseWriter, blob []byte, contentType string) {
 	h := w.Header()
 	h.Set("Content-Type", contentType)
-	if tag != "" {
-		h.Set("Vary", "Accept-Encoding")
-		if immutable {
-			h.Set("Cache-Control", "public, max-age=31536000, immutable")
-		}
-		gzTag := strings.TrimSuffix(tag, "\"") + "-gz\""
-		if match := r.Header.Get("If-None-Match"); match != "" {
-			for _, cand := range strings.Split(match, ",") {
-				cand = strings.TrimSpace(cand)
-				if cand == tag || cand == gzTag || cand == "*" {
-					h.Set("ETag", tag)
-					w.WriteHeader(http.StatusNotModified)
-					return false
-				}
-			}
-		}
-		h.Set("ETag", tag)
-	}
-	if len(blob) >= gzipMin && acceptsGzip(r) {
-		if tag != "" {
-			h.Set("ETag", strings.TrimSuffix(tag, "\"")+"-gz\"")
-		}
-		h.Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		gz.Write(blob) //nolint:errcheck // client disconnects surface in Close
-		gz.Close()     //nolint:errcheck
-		return true
-	}
 	h.Set("Content-Length", strconv.Itoa(len(blob)))
-	w.Write(blob) //nolint:errcheck
-	return true
+	w.Write(blob) //nolint:errcheck // a client disconnect has no one to report to
 }
 
 func acceptsGzip(r *http.Request) bool {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -237,48 +238,161 @@ func TestBatchFetch(t *testing.T) {
 	}
 }
 
-func TestGzipResponses(t *testing.T) {
-	hs, _, _ := testServer(t, Options{})
-	_, plain := get(t, hs.URL+"/v1/d/ge/meta")
-
+// rawDo issues one request through a transport that neither asks for nor
+// decodes gzip on its own, so the test sees exactly the encoding the
+// server chose for the headers given (name, value pairs).
+func rawDo(t *testing.T, method, url string, body []byte, hdr ...string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
 	tr := &http.Transport{DisableCompression: true}
-	req, _ := http.NewRequest("GET", hs.URL+"/v1/d/ge/meta", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
+	defer tr.CloseIdleConnections()
 	resp, err := (&http.Client{Transport: tr}).Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
-		t.Fatalf("Content-Encoding = %q, want gzip", enc)
-	}
-	gr, err := gzip.NewReader(resp.Body)
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	unzipped, err := io.ReadAll(gr)
+	return resp, b
+}
+
+func gunzip(t *testing.T, b []byte) []byte {
+	t.Helper()
+	gr, err := gzip.NewReader(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(unzipped, plain) {
-		t.Fatal("gzip round trip does not match identity response")
+	out, err := io.ReadAll(gr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCompressOnceContract pins which payloads the transport compresses:
+// fragments are entropy-coded at refactor time, so every route that
+// carries them answers identity whatever the client accepts; only the
+// index and the meta blob negotiate gzip, from bytes built with the
+// catalog — and rebuilt with it on a hot publish.
+func TestCompressOnceContract(t *testing.T) {
+	st := storage.NewMemStore()
+	vars := packDatasetSized(t, st, "ds", 4096, 1)
+	srv, err := New(context.Background(), st, Options{AdminToken: "tok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	// The largest fragment, and a batch of all of them: payloads the
+	// per-request size test this contract replaced would have compressed.
+	name, frags := vars[0].Name, vars[0].Ref.Fragments
+	big, all := 0, make([]int, len(frags))
+	for i, f := range frags {
+		all[i] = i
+		if len(f) > len(frags[big]) {
+			big = i
+		}
+	}
+	batch, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: name, Indices: all}}})
+
+	for _, rt := range []struct {
+		route, method, path string
+		body                []byte
+	}{
+		{"frag", "GET", fmt.Sprintf("/v1/d/ds/frag/%s/%d", name, big), nil},
+		{"frags", "POST", "/v1/d/ds/frags", batch},
+		{"store/blob", "GET", "/v1/store/blob/" + storage.VarKey("ds", name), nil},
+	} {
+		t.Run("identity "+rt.route, func(t *testing.T) {
+			_, plain := rawDo(t, rt.method, hs.URL+rt.path, rt.body)
+			resp, got := rawDo(t, rt.method, hs.URL+rt.path, rt.body, "Accept-Encoding", "gzip")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %s", resp.Status)
+			}
+			if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+				t.Fatalf("Content-Encoding = %q on an already entropy-coded payload", enc)
+			}
+			if v := resp.Header.Get("Vary"); v != "" {
+				t.Fatalf("Vary = %q on a route with one representation", v)
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(plain)) {
+				t.Fatalf("Content-Length = %q, want %d", cl, len(plain))
+			}
+			if len(plain) < 512 || !bytes.Equal(got, plain) {
+				t.Fatalf("%d bytes with Accept-Encoding: gzip differ from the %d identity bytes", len(got), len(plain))
+			}
+		})
 	}
 
-	// An explicit q=0 refusal must get the identity encoding.
-	req2, _ := http.NewRequest("GET", hs.URL+"/v1/d/ge/meta", nil)
-	req2.Header.Set("Accept-Encoding", "gzip;q=0")
-	resp2, err := (&http.Client{Transport: tr}).Do(req2)
-	if err != nil {
-		t.Fatal(err)
+	first := map[string][]byte{} // identity bytes of the first incarnation
+	for _, what := range []string{"index", "meta"} {
+		t.Run("negotiated "+what, func(t *testing.T) {
+			url := hs.URL + "/v1/d/ds/" + what
+			ident, plain := rawDo(t, "GET", url, nil)
+			first[what] = plain
+			tag := ident.Header.Get("ETag")
+			if ident.Header.Get("Content-Encoding") != "" || tag == "" || strings.HasSuffix(tag, "-gz\"") {
+				t.Fatalf("identity request: Content-Encoding %q, ETag %q", ident.Header.Get("Content-Encoding"), tag)
+			}
+			resp, gz := rawDo(t, "GET", url, nil, "Accept-Encoding", "gzip")
+			gzTag := strings.TrimSuffix(tag, "\"") + "-gz\""
+			if resp.Header.Get("Content-Encoding") != "gzip" || resp.Header.Get("ETag") != gzTag {
+				t.Fatalf("gzip request: Content-Encoding %q, ETag %q, want gzip, %s",
+					resp.Header.Get("Content-Encoding"), resp.Header.Get("ETag"), gzTag)
+			}
+			for _, r := range []*http.Response{ident, resp} {
+				if v := r.Header.Get("Vary"); v != "Accept-Encoding" {
+					t.Fatalf("Vary = %q, want Accept-Encoding", v)
+				}
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(gz)) {
+				t.Fatalf("Content-Length = %q, want %d", cl, len(gz))
+			}
+			if len(gz) >= len(plain) || !bytes.Equal(gunzip(t, gz), plain) {
+				t.Fatalf("%d gzip bytes do not round-trip to the %d identity bytes", len(gz), len(plain))
+			}
+			// An explicit q=0 refusal gets the identity representation.
+			resp, got := rawDo(t, "GET", url, nil, "Accept-Encoding", "gzip;q=0")
+			if resp.Header.Get("Content-Encoding") != "" || resp.Header.Get("ETag") != tag || !bytes.Equal(got, plain) {
+				t.Fatalf("gzip;q=0: Content-Encoding %q, ETag %q", resp.Header.Get("Content-Encoding"), resp.Header.Get("ETag"))
+			}
+			// Either representation's validator revalidates, whichever
+			// encoding the conditional request accepts.
+			for _, inm := range []string{tag, gzTag} {
+				for _, ae := range []string{"identity", "gzip"} {
+					resp, body := rawDo(t, "GET", url, nil, "If-None-Match", inm, "Accept-Encoding", ae)
+					if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+						t.Fatalf("If-None-Match %s, Accept-Encoding %s: %s with %d bytes, want 304 empty", inm, ae, resp.Status, len(body))
+					}
+				}
+			}
+		})
 	}
-	defer resp2.Body.Close()
-	if enc := resp2.Header.Get("Content-Encoding"); enc != "" {
-		t.Fatalf("gzip;q=0 got Content-Encoding %q, want identity", enc)
-	}
-	body2, _ := io.ReadAll(resp2.Body)
-	if !bytes.Equal(body2, plain) {
-		t.Fatal("identity response after q=0 does not match")
-	}
+
+	t.Run("republish rebuilds the gzip bytes", func(t *testing.T) {
+		packDatasetSized(t, st, "ds", 4096, 99)
+		if resp, body := postReload(t, hs.URL, "tok"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("reload: %s: %s", resp.Status, body)
+		}
+		for _, what := range []string{"index", "meta"} {
+			url := hs.URL + "/v1/d/ds/" + what
+			_, plain := rawDo(t, "GET", url, nil)
+			if bytes.Equal(plain, first[what]) {
+				t.Fatalf("republished %s identical to its predecessor — test is vacuous", what)
+			}
+			if _, gz := rawDo(t, "GET", url, nil, "Accept-Encoding", "gzip"); !bytes.Equal(gunzip(t, gz), plain) {
+				t.Fatalf("%s: gzip bytes after reload do not decode to the republished payload (stale pre-compressed copy)", what)
+			}
+		}
+	})
 }
 
 // gateStore blocks Get calls (after construction) until released, so the

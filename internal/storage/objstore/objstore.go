@@ -51,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"progqoi/internal/lru"
 	"progqoi/internal/obs"
 	"progqoi/internal/storage"
 )
@@ -137,7 +138,7 @@ type Store struct {
 	mu    sync.Mutex
 	etags map[string]string // guarded by mu; object key -> ETag recorded at first read
 
-	cache *byteCache
+	cache *lru.Cache
 
 	coldFetches atomic.Int64
 	coldBytes   atomic.Int64
@@ -188,7 +189,7 @@ func New(opts Options) (*Store, error) {
 		hc:    hc,
 		creds: opts.AccessKey != "",
 		etags: map[string]string{},
-		cache: newByteCache(opts.CacheBytes),
+		cache: lru.New(opts.CacheBytes),
 	}, nil
 }
 
@@ -211,7 +212,8 @@ func (s *Store) FetchStats() storage.FetchStats {
 
 // CacheStats reports the read-through cache counters.
 func (s *Store) CacheStats() (bytes int64, entries int, hits, misses, evictions int64) {
-	return s.cache.stats()
+	cs := s.cache.Stats()
+	return cs.Bytes, cs.Entries, cs.Hits, cs.Misses, cs.Evictions
 }
 
 // Get implements storage.Store: one full-object GET through the
@@ -221,14 +223,14 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 		ctx = context.Background()
 	}
 	ck := "g\x00" + key
-	if b, ok := s.cache.get(ck); ok {
+	if b, ok := s.cache.Get(ck); ok {
 		return b, nil
 	}
 	b, err := s.fetch(ctx, "get", key, -1, -1)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.add(ck, b)
+	s.cache.Add(ck, b)
 	return b, nil
 }
 
@@ -245,20 +247,20 @@ func (s *Store) GetRange(ctx context.Context, key string, off, length int64) ([]
 		return []byte{}, nil
 	}
 	ck := "r\x00" + key + "\x00" + strconv.FormatInt(off, 10) + "\x00" + strconv.FormatInt(length, 10)
-	if b, ok := s.cache.get(ck); ok {
+	if b, ok := s.cache.Get(ck); ok {
 		return b, nil
 	}
 	// A cached full object covers every range of itself: slice instead of
 	// re-fetching bytes already resident (objects are immutable once read —
 	// the ETag pin guarantees it — so the shared backing array is safe).
-	if full, ok := s.cache.get("g\x00" + key); ok && off+length <= int64(len(full)) {
+	if full, ok := s.cache.Get("g\x00" + key); ok && off+length <= int64(len(full)) {
 		return full[off : off+length], nil
 	}
 	b, err := s.fetch(ctx, "range", key, off, length)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.add(ck, b)
+	s.cache.Add(ck, b)
 	return b, nil
 }
 
@@ -488,7 +490,10 @@ func (s *Store) Put(ctx context.Context, key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	s.cache.drop("g\x00"+key, "r\x00"+key+"\x00")
+	// Both cached shapes of the object go: the full read ("g\x00<key>") and
+	// every ranged read ("r\x00<key>\x00<off>\x00<len>").
+	full, ranged := "g\x00"+key, "r\x00"+key+"\x00"
+	s.cache.DropFunc(func(ck string) bool { return ck == full || strings.HasPrefix(ck, ranged) })
 	return nil
 }
 

@@ -56,7 +56,7 @@ func TestTraceReconcilesWireBytesEndToEnd(t *testing.T) {
 	// ReadAhead makes the reconciliation interesting: speculative fetches
 	// increment WireBytes from a background goroutine, so the trace must
 	// capture their spans too or the books would not balance.
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge", WithReadAhead(2))
+	rarch, err := Open(context.Background(), hs.URL+"/ge", WithReadAhead(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTraceSharedAcrossSequentialSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := serveArchive(t, arch, "ge")
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge")
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestObsClusterMetricsE2E(t *testing.T) {
 		return fams
 	}
 
-	rarch, err := OpenRemote(context.Background(), nodes[0].URL, "ge",
+	rarch, err := Open(context.Background(), nodes[0].URL+"/ge",
 		WithEndpoints(nodes[1].URL, nodes[2].URL))
 	if err != nil {
 		t.Fatal(err)

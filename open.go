@@ -23,8 +23,7 @@ import (
 //	s3://bucket/prefix/ge       object-store bucket, ranged fragment reads
 //
 // The last path segment is always the dataset name; everything before it
-// locates the store. OpenRemote remains as a deprecated wrapper over the
-// http(s) case.
+// locates the store.
 
 // ErrBadRef reports an Open reference that cannot be resolved: an
 // unsupported scheme, a missing dataset segment, or an s3 reference
@@ -51,10 +50,9 @@ type StoreFetchStats = storage.FetchStats
 //     stale bytes.
 //
 //   - "http://…" / "https://…" opens a dataset served by a progqoid
-//     fragment service, exactly like OpenRemote: the base URL is the
-//     reference minus its last path segment. All cluster options
-//     (WithEndpoints, WithReplication, WithPeerDiscovery, WithReadAhead)
-//     apply.
+//     fragment service: the base URL is the reference minus its last
+//     path segment. All cluster options (WithEndpoints, WithReplication,
+//     WithPeerDiscovery, WithReadAhead) apply.
 //
 //   - "file:///dir/dataset", "file://dir/dataset" and bare paths open a
 //     local archive directory; fragments are resident in memory like an
@@ -178,8 +176,7 @@ func openDirArchive(ctx context.Context, p string) (*Archive, error) {
 	return archiveFromVars(vars), nil
 }
 
-// openRemoteArchive is the shared body of Open's http(s) case and the
-// deprecated OpenRemote wrapper.
+// openRemoteArchive is Open's http(s) case.
 func openRemoteArchive(ctx context.Context, baseURL, dataset string, ro remoteOptions) (*Archive, error) {
 	rem, err := client.Open(ctx, baseURL, dataset, client.Options{
 		CacheBytes:      ro.cacheBytes,
@@ -217,32 +214,36 @@ func archiveFromVars(vars []*core.Variable) *Archive {
 	return &Archive{vars: vars, names: names, dims: dims, fields: len(vars)}
 }
 
+// rangeStore is what a store-backed archive reads: whole blobs for the
+// one metadata pass at open, byte ranges for fragments afterwards.
+type rangeStore interface {
+	storage.Store
+	storage.RangeReader
+}
+
 // storeArchive is an archive opened directly from a storage.Store (the
 // s3:// case): retrieval metadata held locally, fragment payloads
 // re-read on demand at their recorded byte ranges. One storeArchive can
 // serve many concurrent sessions; the store's read-through cache is the
 // shared layer between them.
 type storeArchive struct {
-	st      storage.Store
-	rr      storage.RangeReader // nil when the store cannot read ranges
-	dataset string
-	vars    []*core.Variable          // meta-only: fragment payloads stripped
-	ranges  [][]storage.FragmentRange // ranges[vi][fi] within keys[vi]'s blob
-	keys    []string                  // store key of each variable's blob
-	stored  int64                     // total fragment payload bytes at rest
-	wire    atomic.Int64              // fragment payload bytes fetched
+	st     rangeStore
+	vars   []*core.Variable          // meta-only: fragment payloads stripped
+	ranges [][]storage.FragmentRange // ranges[vi][fi] within keys[vi]'s blob
+	keys   []string                  // store key of each variable's blob
+	stored int64                     // total fragment payload bytes at rest
+	wire   atomic.Int64              // fragment payload bytes fetched
 }
 
 // openStoreArchive reads the archive's metadata (one pass over each
 // variable blob) and returns a session factory whose fragment reads are
 // ranged GETs against st.
-func openStoreArchive(ctx context.Context, st storage.Store, dataset string) (*Archive, error) {
+func openStoreArchive(ctx context.Context, st rangeStore, dataset string) (*Archive, error) {
 	vars, ranges, err := storage.ReadArchiveRanged(ctx, st, dataset)
 	if err != nil {
 		return nil, err
 	}
-	sa := &storeArchive{st: st, dataset: dataset, vars: vars, ranges: ranges}
-	sa.rr, _ = st.(storage.RangeReader)
+	sa := &storeArchive{st: st, vars: vars, ranges: ranges}
 	sa.keys = make([]string, len(vars))
 	for i, v := range vars {
 		sa.keys[i] = storage.VarKey(dataset, v.Name)
@@ -255,60 +256,25 @@ func openStoreArchive(ctx context.Context, st storage.Store, dataset string) (*A
 	return a, nil
 }
 
-// newSession mirrors the remote session factory: each session owns its
-// fragment payload slots; metadata is immutable and shared. The Prefetch
-// hook fetches exactly the byte range of every fragment the certify loop
-// plans, through the store's cache, retry and ETag-pinning layers.
+// newSession opens a lazy session that fetches exactly the byte range of
+// every fragment the certify loop plans, through the store's cache, retry
+// and ETag-pinning layers.
 func (sa *storeArchive) newSession(fetch FetchObserver, cfg SessionConfig) (*core.Retriever, error) {
-	vars := make([]*core.Variable, len(sa.vars))
-	for i, v := range sa.vars {
-		ref := *v.Ref
-		ref.Fragments = make([][]byte, len(v.Ref.Fragments))
-		cv := *v
-		cv.Ref = &ref
-		vars[i] = &cv
-	}
-	cfg.Prefetch = func(ctx context.Context, need [][]int) error {
-		for vi, idxs := range need {
+	cfg.WireBytes = sa.wire.Load
+	return core.NewLazyRetriever(sa.vars, cfg, fetch, func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error {
+		for vi, idxs := range want {
 			for _, fi := range idxs {
-				if fi < 0 || fi >= len(vars[vi].Ref.Fragments) {
-					return fmt.Errorf("progqoi: plan wants fragment %s/%d of %d",
-						vars[vi].Name, fi, len(vars[vi].Ref.Fragments))
-				}
-				if len(vars[vi].Ref.Fragments[fi]) != 0 {
-					continue
-				}
-				b, err := sa.fetchFragment(ctx, vi, fi)
+				r := sa.ranges[vi][fi]
+				b, err := sa.st.GetRange(ctx, sa.keys[vi], r.Off, r.Len)
 				if err != nil {
 					return err
 				}
-				vars[vi].Ref.Fragments[fi] = b
+				install(vi, fi, b)
 				sa.wire.Add(int64(len(b)))
 			}
 		}
 		return nil
-	}
-	cfg.WireBytes = func() int64 { return sa.wire.Load() }
-	return core.NewRetriever(vars, cfg, fetch)
-}
-
-// fetchFragment reads one fragment payload at its recorded range — a
-// ranged GET when the store supports it, a full blob read (cached by the
-// store) otherwise.
-func (sa *storeArchive) fetchFragment(ctx context.Context, vi, fi int) ([]byte, error) {
-	r := sa.ranges[vi][fi]
-	if sa.rr != nil {
-		return sa.rr.GetRange(ctx, sa.keys[vi], r.Off, r.Len)
-	}
-	raw, err := sa.st.Get(ctx, sa.keys[vi])
-	if err != nil {
-		return nil, err
-	}
-	if r.Off+r.Len > int64(len(raw)) {
-		return nil, fmt.Errorf("progqoi: %s: fragment %d range [%d,%d) outside %d-byte blob",
-			sa.keys[vi], fi, r.Off, r.Off+r.Len, len(raw))
-	}
-	return raw[r.Off : r.Off+r.Len], nil
+	})
 }
 
 // StoreBacked reports whether the archive reads fragments from an object

@@ -208,7 +208,7 @@ type Archive struct {
 	store  *storeArchive
 }
 
-// RemoteOption configures OpenRemote, in the same functional-options idiom
+// RemoteOption configures Open, in the same functional-options idiom
 // Refactor and Archive.Open use. With no options the remote client's
 // defaults apply: 30 s response-header timeout, 3 retries with exponential
 // backoff, 64 MiB fragment cache.
@@ -267,7 +267,7 @@ func WithReplication(n int) RemoteOption {
 	return func(o *remoteOptions) { o.replication = n }
 }
 
-// WithPeerDiscovery asks OpenRemote to fetch the seed node's static
+// WithPeerDiscovery asks Open to fetch the seed node's static
 // topology (/v1/cluster, populated by progqoid -peers) and fold the
 // advertised peers into the endpoint set — point a client at one node of
 // a static cluster and it finds the rest. Best-effort: a node without
@@ -346,29 +346,11 @@ func WithReadAhead(n int) RemoteOption {
 }
 
 // RemoteStats snapshots a remote archive's wire accounting: fragment
-// payload bytes fetched over HTTP (the same unit as RetrievedBytes;
-// transport compression not deducted), cache hits (free), and coalesced
+// payload bytes fetched over HTTP (the same unit as RetrievedBytes:
+// fragments cross the wire as stored), cache hits (free), and coalesced
 // fetches shared between concurrent sessions. Compare WireBytes with a
 // session's RetrievedBytes to see what the cache saved.
 type RemoteStats = client.Stats
-
-// OpenRemote opens a dataset hosted by a progqoid fragment service (see
-// cmd/progqoid). Only retrieval metadata crosses the wire up front —
-// scoped by ctx — and sessions opened with Archive.Open then pull exactly
-// the fragments each tolerance needs, batched into one request per
-// retrieval iteration under each Do call's own context.
-//
-// Deprecated: use Open with an "http(s)://host[/base]/dataset" reference;
-// OpenRemote(ctx, base, ds, opts...) is Open(ctx, base+"/"+ds, opts...).
-func OpenRemote(ctx context.Context, baseURL, dataset string, opts ...RemoteOption) (*Archive, error) {
-	var ro remoteOptions
-	for _, fn := range opts {
-		if fn != nil {
-			fn(&ro)
-		}
-	}
-	return openRemoteArchive(ctx, baseURL, dataset, ro)
-}
 
 // Remote reports whether the archive retrieves from a progqoid fragment
 // service (see StoreBacked for archives reading an object store directly).
@@ -464,7 +446,7 @@ type FetchObserver = progressive.FetchFunc
 type SessionConfig = core.Config
 
 // OpenOption configures Archive.Open, in the same functional-options idiom
-// Refactor and OpenRemote use.
+// Refactor and Open use.
 type OpenOption func(*openOptions)
 
 type openOptions struct {

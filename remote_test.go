@@ -12,7 +12,9 @@ import (
 	"context"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 
 	"progqoi/internal/datagen"
 	"progqoi/internal/netsim"
@@ -70,7 +72,7 @@ func TestRemoteRetrieveMatchesLocalEndToEnd(t *testing.T) {
 	}
 	hs := serveArchive(t, arch, "ge")
 
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge")
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +193,62 @@ func TestRemoteRetrieveMatchesLocalEndToEnd(t *testing.T) {
 	}
 }
 
-func TestOpenRemoteUnknownDataset(t *testing.T) {
+func TestOpenUnknownRemoteDataset(t *testing.T) {
 	ds := datagen.GE("GE-remote-404", 4, 64, 3)
 	arch, err := Refactor(ds.FieldNames, ds.Fields, ds.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := serveArchive(t, arch, "ge")
-	if _, err := OpenRemote(context.Background(), hs.URL, "missing"); err == nil {
+	if _, err := Open(context.Background(), hs.URL+"/missing"); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+// TestOpenCloseReleasesConnections: an archive opened without
+// WithHTTPClient dials through a transport of its own — and, with peer
+// discovery, so does the throw-away client that asks the seed node for its
+// topology. Close must drop their idle connections: each one left behind
+// pins a read and a write goroutine here and a serving goroutine on the
+// node, so a consumer that opens archives in a loop would grow without
+// bound.
+func TestOpenCloseReleasesConnections(t *testing.T) {
+	ds := datagen.GE("GE-open-close", 2, 64, 3)
+	arch, err := Refactor(ds.FieldNames, ds.Fields, ds.Dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := serveArchive(t, arch, "ge")
+	for _, tc := range []struct {
+		name string
+		opts []RemoteOption
+	}{
+		{"default client", nil},
+		{"peer discovery", []RemoteOption{WithPeerDiscovery()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cycle := func() {
+				rarch, err := Open(context.Background(), hs.URL+"/ge", tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rarch.Close()
+			}
+			cycle() // whatever the first request starts for good is in the baseline
+			const cycles, slack = 50, 5
+			before := runtime.NumGoroutine()
+			for i := 0; i < cycles; i++ {
+				cycle()
+			}
+			// The node's side of a closed connection exits when it reads the
+			// EOF, not when Close returns: give it a moment.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before+slack && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before+slack {
+				t.Fatalf("%d goroutines before %d open/close cycles, %d after", before, cycles, after)
+			}
+		})
 	}
 }
