@@ -433,8 +433,8 @@ func TestDoProgressStreaming(t *testing.T) {
 	}
 }
 
-// TestErrBadRequest exercises the typed validation sentinel across Do and
-// the legacy wrappers.
+// TestErrBadRequest exercises the typed validation sentinel across every
+// malformed request Do rejects.
 func TestErrBadRequest(t *testing.T) {
 	names, fields, dims := demoFields(500)
 	arch, err := Refactor(names, fields, dims)
@@ -474,16 +474,12 @@ func TestErrBadRequest(t *testing.T) {
 				{QoI: vtot, Tolerance: 1e-3, Region: Region{Lo: 0, Hi: 501}}}})
 			return err
 		},
-		"legacy Retrieve length mismatch": func() error {
-			_, err := sess.Retrieve([]QoI{vtot}, []float64{1, 2})
+		"nil QoI expression": func() error {
+			_, err := sess.Do(ctx, Request{Targets: []Target{{Tolerance: 1e-3}}})
 			return err
 		},
-		"legacy RetrieveRegions length mismatch": func() error {
-			_, err := sess.RetrieveRegions([]QoI{vtot}, []float64{1}, []Region{{}, {}})
-			return err
-		},
-		"legacy RetrieveRelative length mismatch": func() error {
-			_, err := sess.RetrieveRelative([]QoI{vtot}, []float64{1e-3, 1}, []float64{1})
+		"negative variable index": func() error {
+			_, err := sess.Do(ctx, Request{Targets: []Target{{QoI: TotalVelocity(-1, 1, 2), Tolerance: 1e-3}}})
 			return err
 		},
 	}
@@ -491,47 +487,5 @@ func TestErrBadRequest(t *testing.T) {
 		if err := fn(); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: want ErrBadRequest, got %v", name, err)
 		}
-	}
-
-	// The pre-v2 contract accepted nil regions as "whole domain"; the
-	// deprecated wrapper must keep doing so.
-	if res, err := sess.RetrieveRegions([]QoI{vtot}, []float64{1e-2}, nil); err != nil || !res.ToleranceMet {
-		t.Errorf("RetrieveRegions with nil regions regressed: %v", err)
-	}
-}
-
-// TestLegacyWrappersMatchDo pins the compatibility contract: the deprecated
-// Retrieve* methods are exactly Do under the equivalent targets.
-func TestLegacyWrappersMatchDo(t *testing.T) {
-	names, fields, dims := demoFields(1500)
-	vtot := TotalVelocity(0, 1, 2)
-	ranges := QoIRanges([]QoI{vtot}, fields)
-
-	open := func() *Session {
-		t.Helper()
-		arch, err := Refactor(names, fields, dims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := arch.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-
-	oldRes, err := open().RetrieveRelative([]QoI{vtot}, []float64{1e-4}, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := open().Do(context.Background(), Request{Targets: []Target{
-		{QoI: vtot, Tolerance: 1e-4, Relative: true, Range: ranges[0]},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldRes.RetrievedBytes != newRes.RetrievedBytes || oldRes.EstErrors[0] != newRes.EstErrors[0] {
-		t.Fatalf("legacy RetrieveRelative diverged from Do: %d/%g vs %d/%g",
-			oldRes.RetrievedBytes, oldRes.EstErrors[0], newRes.RetrievedBytes, newRes.EstErrors[0])
 	}
 }

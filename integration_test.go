@@ -42,7 +42,8 @@ func TestConcurrentSessionsOverOneArchive(t *testing.T) {
 				return
 			}
 			rel := math.Pow(10, -float64(2+s%4))
-			res, err := sess.RetrieveRelative([]QoI{vtot}, []float64{rel}, ranges)
+			res, err := sess.Do(context.Background(), Request{Targets: []Target{
+				{QoI: vtot, Tolerance: rel, Relative: true, Range: ranges[0]}}})
 			if err != nil {
 				errs[s] = err
 				return
@@ -174,7 +175,7 @@ func TestMethodsAgreeOnReconstruction(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess, _ := arch.Open()
-		res, err := sess.Retrieve([]QoI{vtot}, []float64{tol})
+		res, err := sess.Do(context.Background(), Request{Targets: []Target{{QoI: vtot, Tolerance: tol}}})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -201,13 +202,15 @@ func TestSessionIsolation(t *testing.T) {
 	ranges := QoIRanges([]QoI{vtot}, ds.Fields)
 	s1, _ := arch.Open()
 	s2, _ := arch.Open()
-	if _, err := s1.RetrieveRelative([]QoI{vtot}, []float64{1e-8}, ranges); err != nil {
+	if _, err := s1.Do(context.Background(), Request{Targets: []Target{
+		{QoI: vtot, Tolerance: 1e-8, Relative: true, Range: ranges[0]}}}); err != nil {
 		t.Fatal(err)
 	}
 	if s2.RetrievedBytes() != 0 {
 		t.Fatal("second session saw first session's bytes")
 	}
-	res2, err := s2.RetrieveRelative([]QoI{vtot}, []float64{1e-2}, ranges)
+	res2, err := s2.Do(context.Background(), Request{Targets: []Target{
+		{QoI: vtot, Tolerance: 1e-2, Relative: true, Range: ranges[0]}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 // a nil trace is free — as long as the arguments are free too. A span
 // name built by concatenation ("frag "+vr+"/"+strconv.Itoa(fi)) or any
 // function call allocates before the nil receiver is ever consulted,
-// which is exactly the regression TestTraceDisabledZeroAlloc and the
-// BenchmarkDoTraceOff gate catch at runtime. This analyzer catches it
+// which is exactly the regression TestTraceDisabledZeroAlloc catches
+// at runtime. This analyzer catches it
 // at vet time: a Begin/BeginIter call whose arguments require
 // computation must sit inside an if statement that proves the trace
 // non-nil, the way every existing call site does:

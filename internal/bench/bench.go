@@ -1,26 +1,21 @@
-// Package bench is the synthetic load harness behind cmd/progqoibench and
-// the slo-gate CI job: it drives N concurrent retrieval sessions with
-// mixed QoI targets and tenant identities against a live progqoid cluster
-// — in-process (started by this package) or remote (endpoints supplied) —
+// Package bench is the mixed-tenant fixture behind TestTenantQoSEndToEnd:
+// it starts an in-process progqoid cluster, drives N concurrent retrieval
+// sessions with mixed QoI targets and tenant identities against it,
 // and reports per-tenant throughput, latency quantiles (p50/p95/p99),
 // and error counts as a machine-readable Summary.
 //
 // Every session runs the real public API end to end: progqoi.Open with
 // WithToken against the full endpoint set, then repeated Session.Do
 // calls. The client cache is disabled so each Do exercises the wire, and
-// in in-process mode every result is compared bit for bit against a
+// every result is compared, bit for bit and request by request, against a
 // local reference retrieval — a throttled tenant is expected to slow
 // down, never to diverge.
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -33,8 +28,7 @@ import (
 // envelope plus the client-side load shape driven under that identity.
 type TenantLoad struct {
 	// Tenant is the server-side tenant definition (name, token, rate
-	// limit, in-flight cap, priority class). In remote mode the serving
-	// cluster must already know a tenant with this token.
+	// limit, in-flight cap, priority class).
 	Tenant server.Tenant `json:"tenant"`
 	// Sessions is how many concurrent sessions run under this identity.
 	Sessions int `json:"sessions"`
@@ -51,27 +45,21 @@ type Scenario struct {
 	Name string `json:"name"`
 	// Dataset is the dataset name served and retrieved.
 	Dataset string `json:"dataset"`
-	// Blocks/BlockSize/Seed parameterize the synthetic GE dataset of the
-	// in-process cluster (ignored in remote mode, where the cluster
-	// already serves Dataset).
+	// Blocks/BlockSize/Seed parameterize the synthetic GE dataset.
 	Blocks    int   `json:"blocks"`
 	BlockSize int   `json:"blockSize"`
 	Seed      int64 `json:"seed"`
-	// Nodes is the in-process cluster size (ignored in remote mode).
+	// Nodes is the in-process cluster size.
 	Nodes int `json:"nodes"`
 	// MaxInflight and MaxQueue configure each in-process node's serving
 	// slots and admission queue (zero keeps the server defaults).
 	MaxInflight int `json:"maxInflight,omitempty"`
 	MaxQueue    int `json:"maxQueue,omitempty"`
-	// Endpoints switches to remote mode: drive these base URLs instead
-	// of starting an in-process cluster. Result bit-identity is not
-	// checked remotely (the harness has no local reference).
-	Endpoints []string `json:"endpoints,omitempty"`
 	// Tenants is the mixed-tenant load.
 	Tenants []TenantLoad `json:"tenants"`
 }
 
-// DefaultScenario is the pinned mixed-tenant scenario the slo-gate CI job
+// DefaultScenario is the pinned mixed-tenant scenario the tenant e2e test
 // runs: a 3-node cluster, one bulk tenant flooding wide-open sessions and
 // one interactive tenant probing with small bursts, plus a deliberately
 // over-limit tenant whose sessions must survive throttling via 429 +
@@ -118,23 +106,6 @@ func DefaultScenario() Scenario {
 	}
 }
 
-// LoadScenario reads a Scenario from a JSON file, rejecting unknown
-// fields so a typoed knob fails loudly instead of silently benchmarking
-// the default.
-func LoadScenario(path string) (Scenario, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Scenario{}, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var sc Scenario
-	if err := dec.Decode(&sc); err != nil {
-		return Scenario{}, fmt.Errorf("bench: scenario %s: %w", path, err)
-	}
-	return sc, nil
-}
-
 // TenantSummary is one tenant's measured outcome.
 type TenantSummary struct {
 	Name  string `json:"name"`
@@ -160,11 +131,9 @@ type TenantSummary struct {
 	Throughput float64 `json:"throughputPerSecond"`
 }
 
-// Summary is the machine-readable result the slo-gate job evaluates.
+// Summary is the scenario's measured outcome.
 type Summary struct {
 	Scenario        string          `json:"scenario"`
-	Go              string          `json:"go"`
-	CPUs            int             `json:"cpus"`
 	Nodes           int             `json:"nodes"`
 	DurationSeconds float64         `json:"durationSeconds"`
 	Tenants         []TenantSummary `json:"tenants"`
@@ -251,40 +220,16 @@ func targetsFor(si int, tol float64, fields []string) ([]progqoi.Target, error) 
 	}
 }
 
-// Run executes the scenario and returns its Summary. In in-process mode
-// (no Endpoints) it starts the cluster, computes local reference results,
-// and fails any session whose remote result is not bit-identical; pass a
-// non-nil *Cluster via RunAgainst to keep the cluster alive for metric
-// scraping after the run.
-func Run(ctx context.Context, sc Scenario) (*Summary, error) {
-	var cl *Cluster
-	if len(sc.Endpoints) == 0 {
-		var err error
-		if cl, err = StartCluster(ctx, sc); err != nil {
-			return nil, err
-		}
-		defer cl.Close()
-	}
-	return RunAgainst(ctx, sc, cl)
-}
-
-// RunAgainst executes the scenario against an already-started in-process
-// cluster (or, with cl nil, against sc.Endpoints). The caller keeps
-// ownership of cl.
+// RunAgainst executes the scenario against cl, failing any session whose
+// result is not bit-identical to a local reference. The caller owns cl.
 func RunAgainst(ctx context.Context, sc Scenario, cl *Cluster) (*Summary, error) {
 	if len(sc.Tenants) == 0 {
 		return nil, fmt.Errorf("bench: scenario %q has no tenants", sc.Name)
 	}
-	endpoints := sc.Endpoints
-	if cl != nil {
-		endpoints = cl.Endpoints
-	}
-	if len(endpoints) == 0 {
-		return nil, fmt.Errorf("bench: scenario %q has neither endpoints nor an in-process cluster", sc.Name)
-	}
+	endpoints := cl.Endpoints
 
-	// Local references for bit-identity checks, only available when we
-	// own the archive. A session's request sequence is stateful — each
+	// Local references for bit-identity checks, one per request a remote
+	// session will issue. A session's request sequence is stateful — each
 	// request tightens the tolerance, so later requests retrieve only the
 	// residual bytes — which means every (tenant, target-mix, request)
 	// needs its own reference, replayed on a fresh local session exactly
@@ -293,29 +238,26 @@ func RunAgainst(ctx context.Context, sc Scenario, cl *Cluster) (*Summary, error)
 		tenant, mix, req int
 	}
 	refs := map[refKey]*progqoi.Result{}
-	if cl != nil {
-		for ti, tl := range sc.Tenants {
-			for mix := 0; mix < 3; mix++ {
-				lsess, err := cl.Archive.Open()
+	for ti, tl := range sc.Tenants {
+		for mix := 0; mix < 3; mix++ {
+			lsess, err := cl.Archive.Open()
+			if err != nil {
+				return nil, err
+			}
+			for r := 0; r < tl.Requests; r++ {
+				targets, err := targetsFor(mix, toleranceAt(r, tl.Tolerance), cl.Fields)
 				if err != nil {
 					return nil, err
 				}
-				for r := 0; r < tl.Requests; r++ {
-					targets, err := targetsFor(mix, toleranceAt(r, tl.Tolerance), cl.Fields)
-					if err != nil {
-						return nil, err
-					}
-					res, err := lsess.Do(ctx, progqoi.Request{Targets: targets})
-					if err != nil {
-						return nil, fmt.Errorf("bench: reference retrieval: %w", err)
-					}
-					refs[refKey{ti, mix, r}] = res
+				res, err := lsess.Do(ctx, progqoi.Request{Targets: targets})
+				if err != nil {
+					return nil, fmt.Errorf("bench: reference retrieval: %w", err)
 				}
+				refs[refKey{ti, mix, r}] = res
 			}
 		}
 	}
 
-	fields := sc.fieldNames(cl)
 	recs := make([]*recorder, len(sc.Tenants))
 	for i := range recs {
 		recs[i] = &recorder{}
@@ -347,7 +289,7 @@ func RunAgainst(ctx context.Context, sc Scenario, cl *Cluster) (*Summary, error)
 					return
 				}
 				for r := 0; r < tl.Requests; r++ {
-					targets, err := targetsFor(si, toleranceAt(r, tl.Tolerance), fields)
+					targets, err := targetsFor(si, toleranceAt(r, tl.Tolerance), cl.Fields)
 					if err != nil {
 						rec.fail(err)
 						return
@@ -374,8 +316,6 @@ func RunAgainst(ctx context.Context, sc Scenario, cl *Cluster) (*Summary, error)
 
 	sum := &Summary{
 		Scenario:        sc.Name,
-		Go:              runtime.Version(),
-		CPUs:            runtime.NumCPU(),
 		Nodes:           len(endpoints),
 		DurationSeconds: elapsed.Seconds(),
 	}
@@ -409,16 +349,6 @@ func RunAgainst(ctx context.Context, sc Scenario, cl *Cluster) (*Summary, error)
 		sum.Tenants = append(sum.Tenants, ts)
 	}
 	return sum, nil
-}
-
-// fieldNames resolves the dataset's variable names: from the in-process
-// archive when we own it, from the synthetic generator's fixed schema
-// otherwise (remote GE-shaped datasets).
-func (sc Scenario) fieldNames(cl *Cluster) []string {
-	if cl != nil {
-		return cl.Fields
-	}
-	return []string{"VelocityX", "VelocityY", "VelocityZ", "Pressure", "Density"}
 }
 
 // sameResult compares two retrieval results bit for bit, mirroring the

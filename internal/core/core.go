@@ -191,10 +191,6 @@ type Config struct {
 	// advance, and per-QoI error estimation all share this bound. 1 selects
 	// the fully sequential path; results are bit-identical either way.
 	Workers int
-	// FullReassign disables the max-error-point optimization and re-runs
-	// Algorithm 4 against the full field each round (ablation; slower,
-	// same guarantees).
-	FullReassign bool
 	// DisableMask ignores the variables' zero masks (ablation).
 	DisableMask bool
 	// Estimator overrides the QoI error estimator (default: the paper's
@@ -416,9 +412,12 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 	qoiVars := make([][]int, len(req.QoIs))
 	involved := map[int]bool{}
 	for k, q := range req.QoIs {
+		if q.Expr == nil {
+			return nil, fmt.Errorf("%w: QoI %d (%s) has no expression", ErrBadRequest, k, q.Name)
+		}
 		vs := qoi.Vars(q.Expr)
 		for _, v := range vs {
-			if v >= len(rt.vars) {
+			if v < 0 || v >= len(rt.vars) {
 				return nil, fmt.Errorf("%w: QoI %s uses variable %d; only %d variables", ErrBadRequest, q.Name, v, len(rt.vars))
 			}
 			involved[v] = true
@@ -897,14 +896,6 @@ func (rt *Retriever) reassign(req Request, qoiVars [][]int, k, worst int) bool {
 			rt.eps[v] = cand[v]
 			changed = true
 		}
-	}
-	if rt.cfg.FullReassign {
-		// Ablation mode: tightening against the single worst point is the
-		// optimization the paper describes; full mode repeats the same
-		// procedure for every point (dominated by the worst point anyway,
-		// so this only costs time). Nothing extra to do beyond reporting
-		// the change, because the worst point dominates the bound.
-		return changed
 	}
 	return changed
 }

@@ -1,13 +1,11 @@
 // Package stats implements the quality metrics used throughout the paper's
-// evaluation: L∞ (maximum absolute) error, value ranges, relative errors,
-// bitrate, and rate–distortion series, plus a small fixed-width table
-// renderer for the experiment drivers.
+// evaluation: L∞ (maximum absolute) error, value ranges and bitrate, plus
+// a small fixed-width table renderer for the experiment drivers.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -21,17 +19,6 @@ func MaxAbsError(a, b []float64) float64 {
 		d := math.Abs(a[i] - b[i])
 		if d > m {
 			m = d
-		}
-	}
-	return m
-}
-
-// MaxAbs returns max_i |a[i]| (0 for empty input).
-func MaxAbs(a []float64) float64 {
-	m := 0.0
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
 		}
 	}
 	return m
@@ -54,114 +41,12 @@ func Range(a []float64) float64 {
 	return hi - lo
 }
 
-// MinMax returns the minimum and maximum of a. It panics on empty input.
-func MinMax(a []float64) (lo, hi float64) {
-	if len(a) == 0 {
-		panic("stats: MinMax on empty slice")
-	}
-	lo, hi = a[0], a[0]
-	for _, v := range a[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// RelMaxError returns the L∞ error normalized by the value range of the
-// reference data; this is the paper's distortion metric. A zero range yields
-// 0 when the absolute error is 0 and +Inf otherwise.
-func RelMaxError(ref, approx []float64) float64 {
-	e := MaxAbsError(ref, approx)
-	r := Range(ref)
-	if r == 0 {
-		if e == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return e / r
-}
-
-// RMSE returns the root-mean-square error between a and b.
-func RMSE(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("stats: length mismatch %d vs %d", len(a), len(b)))
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a)))
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB using the value range of
-// ref as peak. Infinite for exact reconstruction.
-func PSNR(ref, approx []float64) float64 {
-	rmse := RMSE(ref, approx)
-	if rmse == 0 {
-		return math.Inf(1)
-	}
-	r := Range(ref)
-	if r == 0 {
-		return math.Inf(-1)
-	}
-	return 20*math.Log10(r) - 20*math.Log10(rmse)
-}
-
 // Bitrate converts a retrieved byte count into average bits per element.
 func Bitrate(bytes int64, elements int) float64 {
 	if elements <= 0 {
 		return 0
 	}
 	return float64(bytes) * 8 / float64(elements)
-}
-
-// CompressionRatio converts a byte count to the ratio original/compressed
-// assuming 64-bit original values.
-func CompressionRatio(bytes int64, elements int) float64 {
-	if bytes <= 0 {
-		return math.Inf(1)
-	}
-	return float64(elements) * 8 / float64(bytes)
-}
-
-// RDPoint is one point on a rate–distortion curve.
-type RDPoint struct {
-	Bitrate float64 // bits per element retrieved so far
-	Error   float64 // relative (range-normalized) error
-}
-
-// RDSeries is a named rate–distortion curve, ordered as produced.
-type RDSeries struct {
-	Name   string
-	Points []RDPoint
-}
-
-// Add appends a point.
-func (s *RDSeries) Add(bitrate, err float64) {
-	s.Points = append(s.Points, RDPoint{Bitrate: bitrate, Error: err})
-}
-
-// BitrateAt returns the smallest bitrate among points whose error is ≤ tol,
-// and ok=false when no point reaches tol.
-func (s *RDSeries) BitrateAt(tol float64) (float64, bool) {
-	best := math.Inf(1)
-	ok := false
-	for _, p := range s.Points {
-		if p.Error <= tol && p.Bitrate < best {
-			best = p.Bitrate
-			ok = true
-		}
-	}
-	return best, ok
 }
 
 // Table is a minimal fixed-width text table used by cmd/experiments to print
@@ -232,25 +117,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// Percentile returns the p-th percentile (0..100) of a copy of xs using
-// nearest-rank. It panics on empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile on empty slice")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(cp))))
-	if rank < 1 {
-		rank = 1
-	}
-	return cp[rank-1]
 }

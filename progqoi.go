@@ -131,9 +131,9 @@ type Iteration = core.Iteration
 var ErrExhausted = core.ErrExhausted
 
 // ErrBadRequest is the sentinel wrapped by every argument-validation
-// failure of Session.Do and the legacy Retrieve wrappers: length
-// mismatches, non-positive tolerances, relative targets without a range,
-// malformed regions, QoIs referencing unknown variables. Test with
+// failure of Session.Do: empty requests, non-positive tolerances,
+// relative targets without a range, malformed regions, QoIs without an
+// expression or referencing unknown variables. Test with
 // errors.Is(err, ErrBadRequest).
 var ErrBadRequest = core.ErrBadRequest
 
@@ -645,62 +645,6 @@ func (s *Session) Do(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	return s.rt.Retrieve(ctx, creq)
-}
-
-// Retrieve certifies every QoI within its absolute tolerance over the
-// whole domain.
-//
-// Deprecated: use Do, which composes tolerances, regions and relative
-// targets in one request and adds context cancellation and progress
-// streaming. Retrieve is Do with one absolute whole-domain Target per QoI
-// under context.Background().
-func (s *Session) Retrieve(qois []QoI, tolerances []float64) (*Result, error) {
-	if len(tolerances) != len(qois) {
-		return nil, fmt.Errorf("%w: %d tolerances for %d QoIs", ErrBadRequest, len(tolerances), len(qois))
-	}
-	targets := make([]Target, len(qois))
-	for k := range qois {
-		targets[k] = Target{QoI: qois[k], Tolerance: tolerances[k]}
-	}
-	//progqoivet:allow ctxflow -- deprecated v1 wrapper documented to run under a root context
-	return s.Do(context.Background(), Request{Targets: targets})
-}
-
-// RetrieveRegions is Retrieve with per-QoI regions of interest: QoI k is
-// certified only over regions[k]. A nil regions slice means the whole
-// domain for every QoI, as before.
-//
-// Deprecated: use Do with per-Target Regions.
-func (s *Session) RetrieveRegions(qois []QoI, tolerances []float64, regions []Region) (*Result, error) {
-	if regions == nil {
-		regions = make([]Region, len(qois))
-	}
-	if len(tolerances) != len(qois) || len(regions) != len(qois) {
-		return nil, fmt.Errorf("%w: %d tolerances / %d regions for %d QoIs",
-			ErrBadRequest, len(tolerances), len(regions), len(qois))
-	}
-	targets := make([]Target, len(qois))
-	for k := range qois {
-		targets[k] = Target{QoI: qois[k], Tolerance: tolerances[k], Region: regions[k]}
-	}
-	//progqoivet:allow ctxflow -- deprecated v1 wrapper documented to run under a root context
-	return s.Do(context.Background(), Request{Targets: targets})
-}
-
-// RetrieveRelative is Retrieve with tolerances relative to the given QoI
-// ranges (the paper's evaluation convention): absolute τ = rel × range.
-//
-// Deprecated: use Do with Relative Targets.
-func (s *Session) RetrieveRelative(qois []QoI, rel []float64, qoiRanges []float64) (*Result, error) {
-	if len(rel) != len(qois) || len(qoiRanges) != len(qois) {
-		return nil, fmt.Errorf("%w: rel/range length mismatch", ErrBadRequest)
-	}
-	targets := make([]Target, len(qois))
-	for k := range qois {
-		targets[k] = Target{QoI: qois[k], Tolerance: rel[k], Relative: true, Range: qoiRanges[k]}
-	}
-	//progqoivet:allow ctxflow -- deprecated v1 wrapper documented to run under a root context
-	return s.Do(context.Background(), Request{Targets: targets})
 }
 
 // RetrievedBytes returns the session's cumulative fetched bytes.

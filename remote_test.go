@@ -51,11 +51,11 @@ func retrieveSequence(t *testing.T, sess *Session, qois []QoI, ranges []float64)
 	t.Helper()
 	var out []*Result
 	for _, rel := range []float64{1e-2, 1e-3, 1e-4} {
-		rels := make([]float64, len(qois))
-		for i := range rels {
-			rels[i] = rel
+		targets := make([]Target, len(qois))
+		for i, q := range qois {
+			targets[i] = Target{QoI: q, Tolerance: rel, Relative: true, Range: ranges[i]}
 		}
-		res, err := sess.RetrieveRelative(qois, rels, ranges)
+		res, err := sess.Do(context.Background(), Request{Targets: targets})
 		if err != nil {
 			t.Fatalf("rel %g: %v", rel, err)
 		}

@@ -6,8 +6,8 @@ package progqoi_test
 // in-flight ledger, and the two-class admission queue — everything
 // ServeHTTP adds in front of the handler. The benchmark drives a
 // cheap route directly (no network), so the number is dominated by the
-// admission path itself; CI pins it against BENCH_pr9_baseline.json via
-// cmd/benchgate.
+// admission path itself. No repository-benchmark workload configures
+// tenants, so this is the only timing of the front door.
 
 import (
 	"context"

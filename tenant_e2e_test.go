@@ -1,9 +1,8 @@
 package progqoi_test
 
 // tenant_e2e_test.go proves the multi-tenant QoS envelope end to end
-// against a real 3-node in-process cluster, using the same pinned
-// mixed-tenant scenario the slo-gate CI job drives through
-// cmd/progqoibench:
+// against a real 3-node in-process cluster, using the pinned
+// mixed-tenant scenario of internal/bench:
 //
 //   - a bulk tenant floods every serving slot while an interactive
 //     tenant probes: the interactive p99 must stay within a small
@@ -83,8 +82,8 @@ func TestTenantQoSEndToEnd(t *testing.T) {
 
 	// The interactive tenant probes while bulk saturates every slot; the
 	// priority queue must keep its tail latency in the bulk tenant's
-	// neighborhood. The armed SLO gate pins the precise ceilings; here a
-	// generous factor keeps tier-1 robust on slow shared runners.
+	// neighborhood; a generous factor keeps tier-1 robust on slow shared
+	// runners.
 	bulkP99, interP99 := byName["bulk-flood"].P99, byName["interactive"].P99
 	if ceiling := max(2*bulkP99, 0.75); interP99 > ceiling {
 		t.Fatalf("interactive p99 %.3fs over bulk-saturated ceiling %.3fs (bulk p99 %.3fs): bulk load is starving interactive",
