@@ -53,12 +53,13 @@ func Encode(vals []float64, numPlanes int) (*Block, error) {
 	return blocks[0], nil
 }
 
-// EncodeAll encodes several coefficient groups at once, scheduling the
-// per-plane slicing and compression of every group over one bounded pool
-// of workers goroutines (≤ 1 selects the sequential path). Each fragment
-// is sliced and compressed independently, so the output blocks are
-// bit-identical to calling Encode per group — only the schedule changes.
-// This is the encode-side mirror of the Reader's decode pool.
+// EncodeAll encodes several coefficient groups at once in three stages over
+// one bounded pool of workers goroutines (≤ 1 selects the sequential path):
+// prepare each group, slice all planes of each coefficient chunk in one
+// pass, compress each fragment. Every task writes only bytes no other task
+// touches, so the output blocks are bit-identical to calling Encode per
+// group — only the schedule changes. This is the encode-side mirror of the
+// Reader's decode pool.
 func EncodeAll(groups [][]float64, numPlanes, workers int) ([]*Block, error) {
 	if numPlanes <= 0 || numPlanes > 62 {
 		return nil, fmt.Errorf("bitplane: numPlanes %d outside (0,62]", numPlanes)
@@ -77,30 +78,55 @@ func EncodeAll(groups [][]float64, numPlanes, workers int) ([]*Block, error) {
 			return nil, err
 		}
 	}
-	// Stage 2: one task per stored fragment — the sign bitmap and every
-	// magnitude plane of every non-zero group — over the same pool. Each
-	// task writes only its own slot, so the merge is deterministic.
+	// Stage 2: the raw bitmaps of every plane of every non-zero group, one
+	// task per sliceChunk coefficients so the finest group (7/8 of a
+	// decomposition) spreads over the pool. Chunks start on a multiple of 8
+	// coefficients and therefore write disjoint bytes of every plane.
+	// Stage 3: one task per stored fragment — the sign bitmap and every
+	// magnitude plane — compressed into its own slot, so the merge is
+	// deterministic.
+	type chunk struct{ gi, lo, hi int }
 	type task struct{ gi, p int } // p == -1 is the sign fragment
+	var chunks []chunk
 	var tasks []task
+	raws := make([][][]byte, len(groups))
 	for gi, blk := range blocks {
 		if blk.Exp == math.MinInt32 {
 			continue // all-zero block: no fragments at all
 		}
 		blk.Planes = make([][]byte, numPlanes)
+		nb := (blk.N + 7) / 8
+		// slicePlanes writes byte j of all planes in turn. Spacing the
+		// planes an odd number of cache lines apart puts those bytes in
+		// different L1 sets; at a power-of-two distance (nb = 28 KiB for
+		// the finest group of a 64³ field) they would evict each other.
+		stride := (nb+63)&^63 | 64
+		slab := make([]byte, numPlanes*stride)
+		raws[gi] = make([][]byte, numPlanes)
+		for p := range raws[gi] {
+			raws[gi][p] = slab[p*stride : p*stride+nb : p*stride+nb]
+		}
+		for lo := 0; lo < blk.N; lo += sliceChunk {
+			chunks = append(chunks, chunk{gi, lo, min(lo+sliceChunk, blk.N)})
+		}
 		tasks = append(tasks, task{gi, -1})
 		for p := 0; p < numPlanes; p++ {
 			tasks = append(tasks, task{gi, p})
 		}
 	}
+	runTasks(workers, len(chunks), func(ci int) {
+		c := chunks[ci]
+		slicePlanes(mags[c.gi], raws[c.gi], c.lo, c.hi)
+	})
 	terrs := make([]error, len(tasks))
 	runTasks(workers, len(tasks), func(ti int) {
 		t := tasks[ti]
 		blk := blocks[t.gi]
 		if t.p < 0 {
-			blk.Signs, terrs[ti] = compressFragment(signs[t.gi])
+			blk.Signs, terrs[ti] = encoding.PutTagged(signs[t.gi])
 			return
 		}
-		blk.Planes[t.p], terrs[ti] = slicePlane(mags[t.gi], blk.N, numPlanes, t.p)
+		blk.Planes[t.p], terrs[ti] = encoding.PutTagged(raws[t.gi][t.p])
 	})
 	for _, err := range terrs {
 		if err != nil {
@@ -150,18 +176,60 @@ func prepare(vals []float64, numPlanes int) (*Block, []uint64, []byte, error) {
 	return b, mags, signBits, nil
 }
 
-// slicePlane extracts plane p (MSB-first) of the fixed-point magnitudes as
-// a bitmap and compresses it. Pure function of its arguments, so plane
-// tasks can run on any goroutine in any order.
-func slicePlane(mags []uint64, n, numPlanes, p int) ([]byte, error) {
-	bit := uint(numPlanes - 1 - p)
-	raw := make([]byte, (n+7)/8)
-	for i, m := range mags {
-		if m>>bit&1 == 1 {
-			raw[i/8] |= 1 << uint(i%8)
+// sliceChunk is the number of coefficients one slicing task covers: 1 KiB
+// of every plane, and a multiple of 8.
+const sliceChunk = 8192
+
+// slicePlanes writes coefficients [lo, hi) of every bit plane of mags into
+// planes (planes[p] is the MSB-first plane p, zero on entry) in one pass
+// over the magnitudes, 8 at a time: an 8×8 byte transpose packs byte k of
+// each into one word, and an 8×8 bit transpose of that word yields one
+// output byte for each of planes 8k..8k+7 (counted from the least
+// significant). lo must be a multiple of 8. Pure function of its arguments,
+// so chunk tasks can run on any goroutine in any order.
+func slicePlanes(mags []uint64, planes [][]byte, lo, hi int) {
+	top := len(planes) - 1 // the plane of bit 0
+	for i := lo; i < hi; i += 8 {
+		var m [8]uint64
+		copy(m[:], mags[i:min(i+8, hi)])
+		// Byte transpose, m[k] byte r ← m[r] byte k: swap the off-diagonal
+		// 1×1 blocks of every 2×2, then 2×2 of 4×4, then 4×4 of the 8×8.
+		// Rows, bytes and bits all count from the least significant end.
+		for q := 0; q < 8; q += 2 {
+			t := (m[q]>>8 ^ m[q+1]) & 0x00ff00ff00ff00ff
+			m[q+1] ^= t
+			m[q] ^= t << 8
+		}
+		for _, q := range [4]int{0, 1, 4, 5} {
+			t := (m[q]>>16 ^ m[q+2]) & 0x0000ffff0000ffff
+			m[q+2] ^= t
+			m[q] ^= t << 16
+		}
+		for q := 0; q < 4; q++ {
+			t := (m[q]>>32 ^ m[q+4]) & 0x00000000ffffffff
+			m[q+4] ^= t
+			m[q] ^= t << 32
+		}
+		j := i >> 3
+		for k := 0; 8*k <= top; k++ {
+			x := m[k]
+			if x == 0 {
+				continue
+			}
+			// The same three steps on bits (Hacker's Delight §7-3): byte c
+			// of x becomes bit 8k+c of the 8 magnitudes.
+			t := (x ^ x>>7) & 0x00aa00aa00aa00aa
+			x ^= t ^ t<<7
+			t = (x ^ x>>14) & 0x0000cccc0000cccc
+			x ^= t ^ t<<14
+			t = (x ^ x>>28) & 0x00000000f0f0f0f0
+			x ^= t ^ t<<28
+			p := top - 8*k // the plane of bit 8k
+			for c := 0; c < 8 && c <= p; c++ {
+				planes[p-c][j] = byte(x >> uint(8*c))
+			}
 		}
 	}
-	return compressFragment(raw)
 }
 
 // runTasks runs fn(0..n-1) on up to workers goroutines, handing out indices
@@ -259,23 +327,18 @@ func (d *Decoder) Advance(k int) error {
 		return nil
 	}
 	if d.applied == 0 && k > 0 {
-		raw, err := decompressFragment(d.blk.Signs, (d.blk.N+7)/8)
+		raw, err := d.blk.RawBitmap(d.blk.Signs)
 		if err != nil {
 			return fmt.Errorf("bitplane: signs: %w", err)
 		}
 		d.signs = raw
 	}
 	for p := d.applied; p < k; p++ {
-		raw, err := decompressFragment(d.blk.Planes[p], (d.blk.N+7)/8)
+		raw, err := d.blk.RawBitmap(d.blk.Planes[p])
 		if err != nil {
 			return fmt.Errorf("bitplane: plane %d: %w", p, err)
 		}
-		bit := uint(d.blk.B - 1 - p)
-		for i := 0; i < d.blk.N; i++ {
-			if raw[i/8]>>uint(i%8)&1 == 1 {
-				d.mags[i] |= 1 << bit
-			}
-		}
+		d.OrPlane(p, raw, 0, d.blk.N)
 	}
 	if k > d.applied {
 		d.applied = k
@@ -317,7 +380,7 @@ func (d *Decoder) Bound() float64 { return d.blk.Bound(d.applied) }
 // ceil(N/8) bytes. It does not touch decoder state and is safe to call
 // concurrently.
 func (b *Block) RawBitmap(frag []byte) ([]byte, error) {
-	return decompressFragment(frag, (b.N+7)/8)
+	return encoding.GetTagged(frag, (b.N+7)/8)
 }
 
 // OrPlane ORs the raw bitmap of plane p into the decoder's magnitudes for
@@ -326,10 +389,27 @@ func (b *Block) RawBitmap(frag []byte) ([]byte, error) {
 // order. Applied() is unchanged until CommitPlanes.
 func (d *Decoder) OrPlane(p int, raw []byte, lo, hi int) {
 	bit := uint(d.blk.B - 1 - p)
-	for i := lo; i < hi; i++ {
-		if raw[i/8]>>uint(i%8)&1 == 1 {
-			d.mags[i] |= 1 << bit
+	i := lo
+	for ; i < hi && i&7 != 0; i++ { // unaligned head, a bit at a time
+		d.mags[i] |= uint64(raw[i>>3]>>uint(i&7)&1) << bit
+	}
+	for ; i+8 <= hi; i += 8 { // a byte of bitmap at a time, branch-free
+		b := uint64(raw[i>>3])
+		if b == 0 {
+			continue
 		}
+		m := d.mags[i : i+8 : i+8]
+		m[0] |= b & 1 << bit
+		m[1] |= b >> 1 & 1 << bit
+		m[2] |= b >> 2 & 1 << bit
+		m[3] |= b >> 3 & 1 << bit
+		m[4] |= b >> 4 & 1 << bit
+		m[5] |= b >> 5 & 1 << bit
+		m[6] |= b >> 6 & 1 << bit
+		m[7] |= b >> 7 << bit
+	}
+	for ; i < hi; i++ { // unaligned tail
+		d.mags[i] |= uint64(raw[i>>3]>>uint(i&7)&1) << bit
 	}
 }
 
@@ -347,42 +427,6 @@ func (d *Decoder) CommitPlanes(k int) {
 	if k > d.applied {
 		d.applied = k
 	}
-}
-
-// fragment framing: tag byte 0 = raw, 1 = deflate(payload).
-
-func compressFragment(raw []byte) ([]byte, error) {
-	c, err := encoding.Deflate(raw, 6)
-	if err != nil {
-		return nil, err
-	}
-	if len(c)+1 < len(raw)+1 {
-		return append([]byte{1}, c...), nil
-	}
-	return append([]byte{0}, raw...), nil
-}
-
-func decompressFragment(frag []byte, wantLen int) ([]byte, error) {
-	if len(frag) == 0 {
-		return nil, fmt.Errorf("%w: empty fragment", encoding.ErrCorrupt)
-	}
-	var raw []byte
-	switch frag[0] {
-	case 0:
-		raw = frag[1:]
-	case 1:
-		var err error
-		raw, err = encoding.Inflate(frag[1:], int64(wantLen))
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown fragment tag %d", encoding.ErrCorrupt, frag[0])
-	}
-	if len(raw) != wantLen {
-		return nil, fmt.Errorf("%w: fragment size %d, want %d", encoding.ErrCorrupt, len(raw), wantLen)
-	}
-	return raw, nil
 }
 
 // Marshal serializes the block (metadata + all fragments).

@@ -1,11 +1,8 @@
 package encoding
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -54,45 +51,6 @@ func GetUvarints(data []byte) ([]uint64, int, error) {
 		off += m
 	}
 	return out, off, nil
-}
-
-// Deflate compresses data with DEFLATE at the given level (1..9; 0 means
-// flate.DefaultCompression).
-func Deflate(data []byte, level int) ([]byte, error) {
-	if level == 0 {
-		level = flate.DefaultCompression
-	}
-	var b bytes.Buffer
-	w, err := flate.NewWriter(&b, level)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(data); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// Inflate reverses Deflate. maxSize bounds the decoded size to guard against
-// decompression bombs from corrupted fragments (0 = 1 GiB default).
-func Inflate(data []byte, maxSize int64) ([]byte, error) {
-	if maxSize <= 0 {
-		maxSize = 1 << 30
-	}
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	var b bytes.Buffer
-	n, err := io.Copy(&b, io.LimitReader(r, maxSize+1))
-	if err != nil {
-		return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
-	}
-	if n > maxSize {
-		return nil, fmt.Errorf("%w: inflated size exceeds limit %d", ErrCorrupt, maxSize)
-	}
-	return b.Bytes(), nil
 }
 
 // PutFloat64s encodes a float64 slice little-endian with a length prefix.

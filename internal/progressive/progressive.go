@@ -90,11 +90,12 @@ type Options struct {
 	// so any tolerance can be met (default true).
 	LosslessTail bool
 	// Workers bounds the encode worker pool (default GOMAXPROCS): PMGARD
-	// methods pool-schedule the per-(group, plane) slicing and compression,
-	// and PSZ3 compresses its independent snapshots concurrently. 1 selects
-	// the fully sequential path; the refactored output is bit-identical
-	// either way. PSZ3-Delta stays sequential regardless — each snapshot
-	// compresses the residual of the previous reconstruction.
+	// methods pool-schedule the chunked plane slicing and the per-(group,
+	// plane) compression, and PSZ3 compresses its independent snapshots
+	// concurrently. 1 selects the fully sequential path; the refactored
+	// output is bit-identical either way. PSZ3-Delta stays sequential
+	// regardless — each snapshot compresses the residual of the previous
+	// reconstruction.
 	Workers int
 }
 
@@ -237,7 +238,7 @@ func refactorSnapshots(data []float64, g *grid.Grid, opt Options) (*Refactored, 
 		errs := make([]error, nfrag)
 		runPool(opt.Workers, nfrag, func(i int) bool {
 			if i == len(opt.SnapshotEBs) {
-				frags[i] = encodeLossless(data)
+				frags[i], errs[i] = encodeLossless(data)
 				return true
 			}
 			frags[i], errs[i] = sz.Compress(data, g, opt.SnapshotEBs[i])
@@ -282,36 +283,24 @@ func refactorSnapshots(data []float64, g *grid.Grid, opt Options) (*Refactored, 
 		for i := range residual {
 			residual[i] = data[i] - recon[i]
 		}
-		r.Fragments = append(r.Fragments, encodeLossless(residual))
+		tail, err := encodeLossless(residual)
+		if err != nil {
+			return nil, err
+		}
+		r.Fragments = append(r.Fragments, tail)
 		r.PrefixBounds = append(r.PrefixBounds, 0)
 	}
 	return r, nil
 }
 
-func encodeLossless(data []float64) []byte {
-	raw := encoding.PutFloat64s(data)
-	c, err := encoding.Deflate(raw, 6)
-	if err != nil {
-		// Deflate on a bytes.Buffer cannot fail in practice; fall back raw.
-		return append([]byte{0}, raw...)
-	}
-	if len(c) < len(raw) {
-		return append([]byte{1}, c...)
-	}
-	return append([]byte{0}, raw...)
+func encodeLossless(data []float64) ([]byte, error) {
+	return encoding.PutTagged(encoding.PutFloat64s(data))
 }
 
 func decodeLossless(buf []byte, want int) ([]float64, error) {
-	if len(buf) == 0 {
-		return nil, fmt.Errorf("%w: empty lossless fragment", encoding.ErrCorrupt)
-	}
-	raw := buf[1:]
-	if buf[0] == 1 {
-		var err error
-		raw, err = encoding.Inflate(raw, int64(want)*8+16)
-		if err != nil {
-			return nil, err
-		}
+	raw, err := encoding.GetTagged(buf, 4+8*want) // PutFloat64s: u32 count, then the values
+	if err != nil {
+		return nil, fmt.Errorf("lossless fragment: %w", err)
 	}
 	vals, _, err := encoding.GetFloat64s(raw)
 	if err != nil {
