@@ -230,7 +230,7 @@ func doSequence(t *testing.T, arch *Archive, fields []string, progress func(step
 		if err != nil {
 			t.Fatalf("Do step %d: %v", i, err)
 		}
-		out[i] = res
+		out[i] = keepData(res)
 	}
 	return out
 }

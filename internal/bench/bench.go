@@ -253,6 +253,12 @@ func RunAgainst(ctx context.Context, sc Scenario, cl *Cluster) (*Summary, error)
 				if err != nil {
 					return nil, fmt.Errorf("bench: reference retrieval: %w", err)
 				}
+				// The session overwrites Data on its next request.
+				data := make([][]float64, len(res.Data))
+				for v, d := range res.Data {
+					data[v] = append([]float64(nil), d...)
+				}
+				res.Data = data
 				refs[refKey{ti, mix, r}] = res
 			}
 		}

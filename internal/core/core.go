@@ -193,9 +193,13 @@ type Config struct {
 	Workers int
 	// DisableMask ignores the variables' zero masks (ablation).
 	DisableMask bool
-	// Estimator overrides the QoI error estimator (default: the paper's
-	// theorem-based qoi.TheoremBound; qoi.IntervalBound is the
-	// interval-arithmetic ablation).
+	// Estimator overrides the QoI error estimator. Nil, the default, is the
+	// paper's per-operator theorems (qoi.TheoremBound), compiled once per
+	// request into a qoi.Program that shares common subexpressions across
+	// the targets and is evaluated over blocks of points; a request holding
+	// an Expr type from outside package qoi walks its trees instead, with
+	// bit-identical results. A non-nil override, such as the
+	// interval-arithmetic ablation qoi.IntervalBound, is called per point.
 	Estimator qoi.BoundFunc
 	// Prefetch, when set, is invoked once per retrieval iteration before the
 	// readers advance: need[v] lists the fragment indices variable v will
@@ -228,9 +232,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Estimator == nil {
-		c.Estimator = qoi.TheoremBound
-	}
 	return c
 }
 
@@ -246,8 +247,8 @@ type Result struct {
 	// VarBounds is the final achieved L∞ bound per variable.
 	VarBounds []float64
 	// Data is the reconstructed field per variable, with the zero mask
-	// applied. Slices are owned by the Retriever and remain valid until the
-	// next request.
+	// applied. Slices are owned by the Retriever: they remain valid until
+	// the next request, which overwrites them. Copy what must outlive it.
 	Data [][]float64
 }
 
@@ -262,6 +263,7 @@ type Retriever struct {
 	eps      []float64 // requested per-variable bounds (assigner state)
 	achieved []float64 // bounds achieved by the readers
 	masked   [][]float64
+	est      []*estScratch // one per estimateAll worker slot
 }
 
 // ErrExhausted reports that full fidelity was reached without certifying
@@ -424,6 +426,20 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 		}
 		qoiVars[k] = vs
 	}
+	var used []int
+	for v := range rt.vars {
+		if involved[v] {
+			used = append(used, v)
+		}
+	}
+	var prog *qoi.Program
+	if rt.cfg.Estimator == nil {
+		exprs := make([]qoi.Expr, len(req.QoIs))
+		for k, q := range req.QoIs {
+			exprs[k] = q.Expr
+		}
+		prog, _ = qoi.Compile(exprs) // nil: a foreign Expr type, walk the trees
+	}
 
 	if tr := rt.cfg.Trace; tr != nil {
 		// Stamp the trace and its request ID into the context so the
@@ -480,11 +496,8 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 
 		// QoI error estimation over the full field (Algorithm 2 lines 13–24).
 		mEst := rt.cfg.Trace.BeginIter(obs.CatEstimate, "estimate", res.Iterations)
-		maxEst, argmax, err := rt.estimateAll(req, qoiVars, ne)
+		maxEst, argmax := rt.estimateAll(req, prog, used, ne)
 		mEst.End()
-		if err != nil {
-			return nil, err
-		}
 		copy(res.EstErrors, maxEst)
 
 		met := true
@@ -679,13 +692,18 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 }
 
 // applyMask returns the reconstruction with exact-zero points restored. The
-// reader's buffer is never mutated (delta methods accumulate into it).
+// reader's buffer is never mutated (delta methods accumulate into it); the
+// masked copy reuses the variable's buffer from the previous iteration.
 func (rt *Retriever) applyMask(v int, data []float64) []float64 {
 	mask := rt.vars[v].ZeroMask
 	if mask == nil || rt.cfg.DisableMask {
 		return data
 	}
-	out := append([]float64(nil), data...)
+	out := rt.masked[v]
+	if len(out) != len(data) {
+		out = make([]float64, len(data))
+	}
+	copy(out, data)
 	for i, m := range mask {
 		if m {
 			out[i] = 0
@@ -710,21 +728,85 @@ func (rt *Retriever) pointBounds(j int, ebs []float64) {
 	}
 }
 
+// pointEstimator is the estimator for one point at a time: the override,
+// or else the scalar path of the paper's theorems, which the compiled
+// program reproduces bit for bit.
+func (rt *Retriever) pointEstimator() qoi.BoundFunc {
+	if rt.cfg.Estimator != nil {
+		return rt.cfg.Estimator
+	}
+	return qoi.TheoremBound
+}
+
+// estScratch is the working memory of one estimateAll worker slot. It lives
+// on the Retriever, so iterations and requests reuse it.
+type estScratch struct {
+	prog   qoi.Scratch
+	x, eb  [][]float64 // per variable: the block's values (a view) and bounds
+	active []bool      // per target: its region meets the block
+	// The tree walk's per-point gather and per-target bound columns. Slots
+	// of variables the request does not use are never read.
+	vals, ebs []float64
+	bnd       [][]float64
+}
+
+func newEstScratch(nv int) *estScratch {
+	s := &estScratch{x: make([][]float64, nv), eb: make([][]float64, nv), vals: make([]float64, nv), ebs: make([]float64, nv)}
+	for v := range s.eb {
+		s.eb[v] = make([]float64, qoi.BlockSize)
+	}
+	return s
+}
+
+// load points the block [blo, bhi) of every used variable into s: its
+// reconstructed values in place, and its bounds, which are the achieved
+// bound everywhere except at masked points, where they are zero.
+func (s *estScratch) load(rt *Retriever, used []int, blo, bhi int) {
+	for _, v := range used {
+		s.x[v] = rt.masked[v][blo:bhi]
+		eb := s.eb[v][:bhi-blo]
+		b := rt.achieved[v]
+		for i := range eb {
+			eb[i] = b
+		}
+		if mask := rt.vars[v].ZeroMask; mask != nil && !rt.cfg.DisableMask {
+			for i, z := range mask[blo:bhi] {
+				if z {
+					eb[i] = 0
+				}
+			}
+		}
+	}
+}
+
+// walk fills s.bnd with the bounds of the loaded block, one Estimator call
+// per point and active target.
+func (s *estScratch) walk(est qoi.BoundFunc, req Request, used, rlo, rhi []int, blo, bhi int) {
+	for len(s.bnd) < len(req.QoIs) {
+		s.bnd = append(s.bnd, make([]float64, qoi.BlockSize))
+	}
+	for j := blo; j < bhi; j++ {
+		i := j - blo
+		for _, v := range used {
+			s.vals[v], s.ebs[v] = s.x[v][i], s.eb[v][i]
+		}
+		for k, q := range req.QoIs {
+			if s.active[k] && j >= rlo[k] && j < rhi[k] {
+				_, s.bnd[k][i] = est(q.Expr, s.vals, s.ebs)
+			}
+		}
+	}
+}
+
 // estimateAll evaluates every QoI bound at every point, returning per-QoI
-// max estimates and their argmax locations. Work is sharded as
-// (QoI, point-chunk) tasks over one bounded pool, so the Targets of a
-// mixed-QoI request estimate concurrently and a region-restricted QoI only
-// walks its own region. Partials merge in fixed chunk order per QoI, so
-// the result is independent of scheduling.
-func (rt *Retriever) estimateAll(req Request, qoiVars [][]int, ne int) ([]float64, []int, error) {
+// max estimates and their argmax locations. prog, when non-nil, is the
+// request's compiled theorem estimator; otherwise the point estimator
+// walks each expression per point. used lists the variables the request
+// reads. Work is sharded as point-chunk tasks over one bounded pool, and
+// a region-restricted QoI only evaluates its own region. Partials merge in
+// fixed chunk order per QoI, so the result is independent of scheduling.
+func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne int) ([]float64, []int) {
 	nq := len(req.QoIs)
-	workers := rt.cfg.Workers
-	if workers > ne {
-		workers = ne
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	// Per-QoI regions of interest: certification is restricted to [rlo, rhi).
 	rlo := make([]int, nq)
 	rhi := make([]int, nq)
@@ -738,67 +820,70 @@ func (rt *Retriever) estimateAll(req Request, qoiVars [][]int, ne int) ([]float6
 	// worker count: the tasks and their merge order are then identical for
 	// every Workers setting, so argmax tie-breaks (and the byte-fetch
 	// sequence that hangs off them via reassign) cannot vary with
-	// parallelism. Each chunk evaluates every QoI whose region covers it,
-	// sharing one pointBounds/vals gather per point across the QoIs.
+	// parallelism. Each chunk walks its points in blocks of qoi.BlockSize,
+	// in increasing order, and evaluates every QoI whose region meets the
+	// block.
 	const size = 4096
 	nchunks := (ne + size - 1) / size
-	type partial struct {
-		max    []float64
-		argmax []int
-	}
-	parts := make([]partial, nchunks)
-	run := func(c int) {
-		lo, hi := c*size, (c+1)*size
-		if hi > ne {
-			hi = ne
-		}
-		p := partial{max: make([]float64, nq), argmax: make([]int, nq)}
-		for k := range p.argmax {
-			p.argmax[k] = rlo[k]
-		}
-		active := make([]int, 0, nq)
-		for k := 0; k < nq; k++ {
-			if rlo[k] < hi && rhi[k] > lo {
-				active = append(active, k)
+	// Chunk c's partial max and argmax of QoI k sit at c*nq+k.
+	pmax := make([]float64, nchunks*nq)
+	parg := make([]int, nchunks*nq)
+	run := func(s *estScratch, c int) {
+		lo, hi := c*size, min((c+1)*size, ne)
+		cmax, carg := pmax[c*nq:(c+1)*nq], parg[c*nq:(c+1)*nq]
+		copy(carg, rlo)
+		for blo := lo; blo < hi; blo += qoi.BlockSize {
+			bhi := min(blo+qoi.BlockSize, hi)
+			some := false
+			for k := range s.active {
+				s.active[k] = rlo[k] < bhi && rhi[k] > blo
+				some = some || s.active[k]
 			}
-		}
-		parts[c] = p
-		if len(active) == 0 {
-			return
-		}
-		vals := make([]float64, len(rt.vars))
-		ebs := make([]float64, len(rt.vars))
-		for j := lo; j < hi; j++ {
-			rt.pointBounds(j, ebs)
-			for v := range rt.vars {
-				if rt.masked[v] != nil {
-					vals[v] = rt.masked[v][j]
-				}
+			if !some {
+				continue
 			}
-			for _, k := range active {
-				if j < rlo[k] || j >= rhi[k] {
+			s.load(rt, used, blo, bhi)
+			if prog != nil {
+				prog.Eval(&s.prog, s.active, s.x, s.eb, bhi-blo)
+			} else {
+				s.walk(rt.pointEstimator(), req, used, rlo, rhi, blo, bhi)
+			}
+			for k, on := range s.active {
+				if !on {
 					continue
 				}
-				_, b := rt.cfg.Estimator(req.QoIs[k].Expr, vals, ebs)
-				if b > p.max[k] || math.IsNaN(b) {
-					if math.IsNaN(b) {
-						b = math.Inf(1)
+				var col []float64
+				if prog != nil {
+					col = prog.Bound(&s.prog, k)
+				} else {
+					col = s.bnd[k]
+				}
+				for j := max(blo, rlo[k]); j < min(bhi, rhi[k]); j++ {
+					b := col[j-blo]
+					if b > cmax[k] || math.IsNaN(b) {
+						if math.IsNaN(b) {
+							b = math.Inf(1)
+						}
+						cmax[k], carg[k] = b, j
 					}
-					p.max[k] = b
-					p.argmax[k] = j
 				}
 			}
 		}
-		parts[c] = p
 	}
-	if workers > 1 && nchunks > 1 {
+	nw := min(rt.cfg.Workers, nchunks)
+	for len(rt.est) < nw {
+		rt.est = append(rt.est, newEstScratch(len(rt.vars)))
+	}
+	for _, s := range rt.est[:nw] {
+		if cap(s.active) < nq {
+			s.active = make([]bool, nq)
+		}
+		s.active = s.active[:nq]
+	}
+	if nw > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		nw := workers
-		if nw > nchunks {
-			nw = nchunks
-		}
-		for w := 0; w < nw; w++ {
+		for _, s := range rt.est[:nw] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -807,32 +892,32 @@ func (rt *Retriever) estimateAll(req Request, qoiVars [][]int, ne int) ([]float6
 					if c >= nchunks {
 						return
 					}
-					run(c)
+					run(s, c)
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
 		for c := 0; c < nchunks; c++ {
-			run(c)
+			run(rt.est[0], c)
 		}
 	}
-	max := make([]float64, nq)
+	est := make([]float64, nq)
 	argmax := make([]int, nq)
 	for k := 0; k < nq; k++ {
 		argmax[k] = rlo[k]
 		for c := 0; c < nchunks; c++ {
-			if parts[c].max[k] >= max[k] {
-				max[k] = parts[c].max[k]
-				argmax[k] = parts[c].argmax[k]
+			if pmax[c*nq+k] >= est[k] {
+				est[k] = pmax[c*nq+k]
+				argmax[k] = parg[c*nq+k]
 			}
 		}
 		// Guard the estimate against the few ulp the estimator itself
 		// spends: report a hair above the raw bound so downstream
 		// comparisons of actual ≤ estimated are airtight.
-		max[k] *= 1 + 1e-12
+		est[k] *= 1 + 1e-12
 	}
-	return max, argmax, nil
+	return est, argmax
 }
 
 // reassign implements Algorithm 4 for QoI k: tighten the bounds of the
@@ -841,6 +926,7 @@ func (rt *Retriever) estimateAll(req Request, qoiVars [][]int, ne int) ([]float6
 func (rt *Retriever) reassign(req Request, qoiVars [][]int, k, worst int) bool {
 	c := rt.cfg.TightenFactor
 	tol := req.Tolerances[k]
+	bound := rt.pointEstimator()
 	vals := make([]float64, len(rt.vars))
 	ebs := make([]float64, len(rt.vars))
 	for v := range rt.vars {
@@ -874,7 +960,7 @@ func (rt *Retriever) reassign(req Request, qoiVars [][]int, k, worst int) bool {
 				ebs[v] = 0
 			}
 		}
-		_, b := rt.cfg.Estimator(req.QoIs[k].Expr, vals, ebs)
+		_, b := bound(req.QoIs[k].Expr, vals, ebs)
 		if b <= tol && !math.IsNaN(b) {
 			break
 		}

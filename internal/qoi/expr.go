@@ -109,10 +109,15 @@ func (s Sum) Bound(vals, ebs []float64) (float64, float64) {
 	acc, d := 0.0, 0.0
 	for i, t := range s.Terms {
 		v, dv := t.Bound(vals, ebs)
-		acc += s.Weights[i] * v
-		d += math.Abs(s.Weights[i]) * dv
+		acc, d = sumTerm(acc, d, s.Weights[i], v, dv)
 	}
 	return acc, d
+}
+
+// sumTerm adds one weighted term to a running (value, bound) pair of
+// Theorems 4, 7 and 8, starting from (0, 0).
+func sumTerm(acc, d, w, v, dv float64) (float64, float64) {
+	return acc + w*v, d + math.Abs(w)*dv
 }
 
 // MaxVar implements Expr.
@@ -178,6 +183,10 @@ func (m Mul) Eval(vals []float64) float64 { return m.A.Eval(vals) * m.B.Eval(val
 func (m Mul) Bound(vals, ebs []float64) (float64, float64) {
 	va, da := m.A.Bound(vals, ebs)
 	vb, db := m.B.Bound(vals, ebs)
+	return mulBound(va, da, vb, db)
+}
+
+func mulBound(va, da, vb, db float64) (float64, float64) {
 	return va * vb, math.Abs(va)*db + math.Abs(vb)*da + da*db
 }
 
@@ -198,6 +207,10 @@ func (d Div) Eval(vals []float64) float64 { return d.Num.Eval(vals) / d.Den.Eval
 func (d Div) Bound(vals, ebs []float64) (float64, float64) {
 	vn, dn := d.Num.Bound(vals, ebs)
 	vd, dd := d.Den.Bound(vals, ebs)
+	return divBound(vn, dn, vd, dd)
+}
+
+func divBound(vn, dn, vd, dd float64) (float64, float64) {
 	val := vn / vd
 	if dn == 0 && dd == 0 {
 		return val, 0
@@ -230,6 +243,9 @@ func (p Pow) Bound(vals, ebs []float64) (float64, float64) {
 	return intPow(v, p.N), powBound(v, d, p.N)
 }
 
+// powTable is the largest exponent powBound tabulates.
+const powTable = 16
+
 func powBound(v, d float64, n int) float64 {
 	if d == 0 {
 		return 0
@@ -237,9 +253,26 @@ func powBound(v, d float64, n int) float64 {
 	av := math.Abs(v)
 	bound := 0.0
 	c := 1.0 // C(n,i) built incrementally
+	if n > powTable {
+		for i := 1; i <= n; i++ {
+			c = c * float64(n-i+1) / float64(i)
+			bound += c * intPow(av, n-i) * intPow(d, i)
+		}
+		return bound
+	}
+	// The same terms, summed in the same order, in O(n) instead of O(n²):
+	// |x|ᵏ is tabulated and εⁱ built as i grows, by the products intPow
+	// makes.
+	var pa [powTable]float64
+	pa[0] = 1
+	for k := 1; k < n; k++ {
+		pa[k] = pa[k-1] * av
+	}
+	di := 1.0
 	for i := 1; i <= n; i++ {
 		c = c * float64(n-i+1) / float64(i)
-		bound += c * intPow(av, n-i) * intPow(d, i)
+		di *= d
+		bound += c * pa[n-i] * di
 	}
 	return bound
 }
@@ -278,12 +311,16 @@ func (p Poly) Eval(vals []float64) float64 {
 // Bound implements Expr: Δ(Σaᵢxⁱ) ≤ Σ|aᵢ|·Δ(xⁱ).
 func (p Poly) Bound(vals, ebs []float64) (float64, float64) {
 	x, d := p.X.Bound(vals, ebs)
+	return polyBound(p.Coeffs, x, d)
+}
+
+func polyBound(coeffs []float64, x, d float64) (float64, float64) {
 	acc := 0.0
-	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		acc = acc*x + p.Coeffs[i]
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = acc*x + coeffs[i]
 	}
 	bound := 0.0
-	for i, a := range p.Coeffs {
+	for i, a := range coeffs {
 		if i == 0 || a == 0 {
 			continue
 		}
@@ -327,6 +364,10 @@ func (s Sqrt) Eval(vals []float64) float64 { return math.Sqrt(s.X.Eval(vals)) }
 // up as x→0 with ε>0 — the behaviour the paper's outlier mask exists for.
 func (s Sqrt) Bound(vals, ebs []float64) (float64, float64) {
 	v, d := s.X.Bound(vals, ebs)
+	return sqrtBound(v, d)
+}
+
+func sqrtBound(v, d float64) (float64, float64) {
 	if v < 0 {
 		// Reconstructed radicand negative: the true value cannot be
 		// certified until the bound shrinks.
@@ -362,7 +403,11 @@ func (r Radical) Eval(vals []float64) float64 { return 1 / (r.X.Eval(vals) + r.C
 // valid only while ε < |x+c|.
 func (r Radical) Bound(vals, ebs []float64) (float64, float64) {
 	v, d := r.X.Bound(vals, ebs)
-	u := v + r.C
+	return radicalBound(r.C, v, d)
+}
+
+func radicalBound(c, v, d float64) (float64, float64) {
+	u := v + c
 	val := 1 / u
 	if d == 0 {
 		return val, 0

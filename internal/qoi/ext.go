@@ -25,8 +25,10 @@ func (a Abs) Eval(vals []float64) float64 { return math.Abs(a.X.Eval(vals)) }
 // Bound implements Expr.
 func (a Abs) Bound(vals, ebs []float64) (float64, float64) {
 	v, d := a.X.Bound(vals, ebs)
-	return math.Abs(v), d
+	return absBound(v, d)
 }
+
+func absBound(v, d float64) (float64, float64) { return math.Abs(v), d }
 
 // MaxVar implements Expr.
 func (a Abs) MaxVar() int { return a.X.MaxVar() }
@@ -47,6 +49,10 @@ func (e Exp) Eval(vals []float64) float64 { return math.Exp(e.X.Eval(vals)) }
 // Bound implements Expr.
 func (e Exp) Bound(vals, ebs []float64) (float64, float64) {
 	v, d := e.X.Bound(vals, ebs)
+	return expBound(v, d)
+}
+
+func expBound(v, d float64) (float64, float64) {
 	val := math.Exp(v)
 	if d == 0 {
 		return val, 0
@@ -75,6 +81,10 @@ func (l Log) Eval(vals []float64) float64 { return math.Log(l.X.Eval(vals)) }
 // Bound implements Expr.
 func (l Log) Bound(vals, ebs []float64) (float64, float64) {
 	v, d := l.X.Bound(vals, ebs)
+	return logBound(v, d)
+}
+
+func logBound(v, d float64) (float64, float64) {
 	if v <= 0 {
 		return math.NaN(), math.Inf(1)
 	}

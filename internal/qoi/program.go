@@ -1,0 +1,286 @@
+package qoi
+
+import (
+	"encoding/binary"
+	"math"
+)
+
+// program.go is the compiled form of the theorem estimator. Compile lowers
+// the target expressions of one request into a single flat, post-order node
+// table, sharing every common subexpression; Program.Eval then runs one
+// pass per node over a block of points held as columns, with no per-point
+// interface dispatch. Every node calls the same scalar theorem helper as
+// the matching Expr.Bound, so value and bound are bit-identical to the
+// tree walk at every point.
+
+// BlockSize is the most points one Program.Eval call evaluates. A block's
+// scratch, a value and a bound column per node that is not a Var, then
+// stays in L2: the six GE QoIs compile to 25 nodes, 20 of them with
+// columns, 20 × 2 × 512 × 8 B = 160 KiB.
+const BlockSize = 512
+
+type opcode uint8
+
+const (
+	opVar opcode = iota
+	opConst
+	opSum
+	opMul
+	opDiv
+	opPow
+	opPoly
+	opSqrt
+	opRadical
+	opAbs
+	opExp
+	opLog
+)
+
+// node is one program instruction. Its children precede it in the table.
+type node struct {
+	op   opcode
+	n    int       // Var index, Pow exponent
+	c    float64   // Const value, Radical offset
+	w    []float64 // Sum weights, Poly coefficients
+	args []int     // children: the Sum terms, Mul's A and B, Div's Num and Den, or the operand
+}
+
+// Program is a set of target expressions compiled for block evaluation.
+// It is immutable; any number of goroutines may evaluate it, each with its
+// own Scratch.
+type Program struct {
+	nodes []node
+	roots []int // node of each target
+	cols  int   // nodes that need scratch columns: all but the Vars
+}
+
+// Compile lowers targets into one Program. Structurally equal subtrees,
+// down to the bits of every constant, weight and coefficient, become one
+// node. ok is false when an expression holds a node type this package does
+// not define; such a request must be estimated by walking its trees.
+func Compile(targets []Expr) (p *Program, ok bool) {
+	c := compiler{ids: map[string]int{}}
+	roots := make([]int, len(targets))
+	for k, e := range targets {
+		if roots[k], ok = c.lower(e); !ok {
+			return nil, false
+		}
+	}
+	p = &Program{nodes: c.nodes, roots: roots}
+	for _, nd := range p.nodes {
+		if nd.op != opVar {
+			p.cols++
+		}
+	}
+	return p, true
+}
+
+type compiler struct {
+	nodes []node
+	ids   map[string]int // hash-cons key → node
+	key   []byte
+}
+
+func (c *compiler) lower(e Expr) (int, bool) {
+	var nd node
+	var kids []Expr
+	switch x := e.(type) {
+	case Var:
+		nd = node{op: opVar, n: x.Index}
+	case Const:
+		nd = node{op: opConst, c: x.C}
+	case Sum:
+		nd, kids = node{op: opSum, w: x.Weights}, x.Terms
+	case Mul:
+		nd, kids = node{op: opMul}, []Expr{x.A, x.B}
+	case Div:
+		nd, kids = node{op: opDiv}, []Expr{x.Num, x.Den}
+	case Pow:
+		nd, kids = node{op: opPow, n: x.N}, []Expr{x.X}
+	case Poly:
+		nd, kids = node{op: opPoly, w: x.Coeffs}, []Expr{x.X}
+	case Sqrt:
+		nd, kids = node{op: opSqrt}, []Expr{x.X}
+	case Radical:
+		nd, kids = node{op: opRadical, c: x.C}, []Expr{x.X}
+	case Abs:
+		nd, kids = node{op: opAbs}, []Expr{x.X}
+	case Exp:
+		nd, kids = node{op: opExp}, []Expr{x.X}
+	case Log:
+		nd, kids = node{op: opLog}, []Expr{x.X}
+	default:
+		return 0, false
+	}
+	for _, k := range kids {
+		id, ok := c.lower(k)
+		if !ok {
+			return 0, false
+		}
+		nd.args = append(nd.args, id)
+	}
+	return c.intern(nd), true
+}
+
+// intern returns the id of the node equal to nd, adding nd if there is
+// none. The key holds every field Eval reads, floats by their exact bits:
+// String() would not do, since it drops zero Poly coefficients that Horner
+// still multiplies through.
+func (c *compiler) intern(nd node) int {
+	k := append(c.key[:0], byte(nd.op))
+	k = binary.LittleEndian.AppendUint64(k, uint64(nd.n))
+	k = binary.LittleEndian.AppendUint64(k, math.Float64bits(nd.c))
+	k = binary.LittleEndian.AppendUint64(k, uint64(len(nd.w)))
+	for _, w := range nd.w {
+		k = binary.LittleEndian.AppendUint64(k, math.Float64bits(w))
+	}
+	for _, a := range nd.args {
+		k = binary.LittleEndian.AppendUint64(k, uint64(a))
+	}
+	c.key = k
+	if id, ok := c.ids[string(k)]; ok {
+		return id
+	}
+	c.nodes = append(c.nodes, nd)
+	c.ids[string(k)] = len(c.nodes) - 1
+	return len(c.nodes) - 1
+}
+
+// Scratch is one goroutine's working memory for Program.Eval: a value and
+// a bound column per node, except the Vars, which Eval points at its
+// inputs. A Scratch serves any sequence of programs and allocates only when
+// a program is larger than any before it.
+type Scratch struct {
+	val, bnd [][]float64
+	need     []bool
+	buf      []float64
+	m        int // points in the current block
+}
+
+func (s *Scratch) bind(p *Program) {
+	n := len(p.nodes)
+	if cap(s.need) < n {
+		s.val, s.bnd, s.need = make([][]float64, n), make([][]float64, n), make([]bool, n)
+	}
+	if len(s.buf) < 2*p.cols*BlockSize {
+		s.buf = make([]float64, 2*p.cols*BlockSize)
+	}
+	s.val, s.bnd, s.need = s.val[:n], s.bnd[:n], s.need[:n]
+	off := 0
+	for i := range p.nodes {
+		if p.nodes[i].op != opVar {
+			s.val[i], s.bnd[i] = s.buf[off:off+BlockSize], s.buf[off+BlockSize:off+2*BlockSize]
+			off += 2 * BlockSize
+		}
+	}
+}
+
+// Eval evaluates, over the first m ≤ BlockSize points of a block, every
+// node that a target k with active[k] depends on. x[v] and eb[v] hold
+// variable v's reconstructed values and L∞ bounds at those points; only
+// the variables the targets use are read, and their columns are read in
+// place. Bound then returns each active target's bounds.
+func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
+	s.bind(p)
+	need := s.need
+	clear(need)
+	for k, r := range p.roots {
+		need[r] = need[r] || active[k]
+	}
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		if need[i] {
+			for _, a := range p.nodes[i].args {
+				need[a] = true
+			}
+		}
+	}
+	s.m = m
+	for i := range p.nodes {
+		if !need[i] {
+			continue
+		}
+		nd := &p.nodes[i]
+		if nd.op == opVar {
+			s.val[i], s.bnd[i] = x[nd.n][:m], eb[nd.n][:m]
+			continue
+		}
+		val, bnd := s.col(i)
+		switch nd.op {
+		case opConst:
+			c := nd.c
+			for j := range val {
+				val[j], bnd[j] = c, 0
+			}
+		case opSum:
+			clear(val)
+			clear(bnd)
+			for t, a := range nd.args {
+				w := nd.w[t]
+				av, ad := s.col(a)
+				for j := range val {
+					val[j], bnd[j] = sumTerm(val[j], bnd[j], w, av[j], ad[j])
+				}
+			}
+		case opMul:
+			av, ad := s.col(nd.args[0])
+			bv, bd := s.col(nd.args[1])
+			for j := range val {
+				val[j], bnd[j] = mulBound(av[j], ad[j], bv[j], bd[j])
+			}
+		case opDiv:
+			av, ad := s.col(nd.args[0])
+			bv, bd := s.col(nd.args[1])
+			for j := range val {
+				val[j], bnd[j] = divBound(av[j], ad[j], bv[j], bd[j])
+			}
+		case opPow:
+			n := nd.n
+			xv, xd := s.col(nd.args[0])
+			for j := range val {
+				val[j], bnd[j] = intPow(xv[j], n), powBound(xv[j], xd[j], n)
+			}
+		case opPoly:
+			coeffs := nd.w
+			xv, xd := s.col(nd.args[0])
+			for j := range val {
+				val[j], bnd[j] = polyBound(coeffs, xv[j], xd[j])
+			}
+		case opSqrt:
+			xv, xd := s.col(nd.args[0])
+			for j := range val {
+				val[j], bnd[j] = sqrtBound(xv[j], xd[j])
+			}
+		case opRadical:
+			c := nd.c
+			xv, xd := s.col(nd.args[0])
+			for j := range val {
+				val[j], bnd[j] = radicalBound(c, xv[j], xd[j])
+			}
+		case opAbs:
+			xv, xd := s.col(nd.args[0])
+			for j := range val {
+				val[j], bnd[j] = absBound(xv[j], xd[j])
+			}
+		case opExp:
+			xv, xd := s.col(nd.args[0])
+			for j := range val {
+				val[j], bnd[j] = expBound(xv[j], xd[j])
+			}
+		case opLog:
+			xv, xd := s.col(nd.args[0])
+			for j := range val {
+				val[j], bnd[j] = logBound(xv[j], xd[j])
+			}
+		}
+	}
+}
+
+// col returns node i's value and bound columns over the current block.
+func (s *Scratch) col(i int) (val, bnd []float64) { return s.val[i][:s.m], s.bnd[i][:s.m] }
+
+// Bound returns target k's bounds from the last Eval that had it active,
+// one per point of the block. The column is overwritten by the next Eval.
+func (p *Program) Bound(s *Scratch, k int) []float64 {
+	_, bnd := s.col(p.roots[k])
+	return bnd
+}

@@ -1,0 +1,225 @@
+package qoi
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sameBits reports bit-identical floats, any NaN matching any NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// differentialTargets is every expression the program must reproduce: the
+// paper's QoIs, parsed formulas over the extensions and constants, Pow up
+// to the exponent past powBound's tables, and Poly with zero coefficients.
+func differentialTargets(t *testing.T) []Expr {
+	t.Helper()
+	var out []Expr
+	for _, q := range GEQoIs() {
+		out = append(out, q.Expr)
+	}
+	for _, q := range S3DProducts() {
+		out = append(out, q.Expr)
+	}
+	fields := []string{"a", "b", "c", "d", "e", "f"}
+	for _, src := range []string{
+		"abs(a - b) + exp(c) * 0.5",
+		"log(a) - log(abs(b) + 2)",
+		"exp(-a^2) / (b - 3)",
+		"sqrt(a*b) + 7 - 2*c",
+		"a^4 - b^5 + c^6",
+		"a^7*b + (c/d)^8",
+		"(a + b)^9 - e^9",
+		"c^17 * f",
+		"a^2.5 + log(exp(f))",
+		"-f / (a*a + b*b)",
+	} {
+		e, err := Parse(src, fields)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		out = append(out, e)
+	}
+	return append(out,
+		Poly{Coeffs: []float64{0, 0, 3, 0}, X: Var{0}},
+		Poly{Coeffs: []float64{1, -2, 0, 0.25}, X: Div{Num: Var{1}, Den: Var{2}}},
+		Poly{Coeffs: []float64{0}, X: Sqrt{X: Var{3}}},
+		Radical{C: -1, X: Abs{X: Var{5}}},
+		Const{C: math.Pi},
+		Var{Index: 4},
+	)
+}
+
+// differentialInputs draws m points for nv variables, mixing ordinary
+// values with the cases where the theorems refuse or degenerate: ε = 0,
+// ε ≥ |x|, negative and zero values (radicands, denominators, logarithm
+// arguments), and +Inf bounds.
+func differentialInputs(rng *rand.Rand, nv, m int) (x, eb [][]float64) {
+	x, eb = make([][]float64, nv), make([][]float64, nv)
+	for v := range x {
+		x[v], eb[v] = make([]float64, m), make([]float64, m)
+		for j := range x[v] {
+			switch rng.Intn(6) {
+			case 0:
+				x[v][j] = 0
+			case 1:
+				x[v][j] = -rng.Float64()
+			case 2:
+				x[v][j] = 3
+			default:
+				x[v][j] = rng.NormFloat64() * 4
+			}
+			switch rng.Intn(6) {
+			case 0:
+				eb[v][j] = 0
+			case 1:
+				eb[v][j] = math.Abs(x[v][j]) * (1 + rng.Float64())
+			case 2:
+				eb[v][j] = math.Inf(1)
+			default:
+				eb[v][j] = rng.Float64() * 1e-2
+			}
+		}
+	}
+	return x, eb
+}
+
+func TestProgramMatchesTreeWalk(t *testing.T) {
+	all := differentialTargets(t)
+	const nv = 8
+	rng := rand.New(rand.NewSource(31))
+	var s Scratch
+	// A full block, a partial one, and a pass with only every third target
+	// active: a target's bounds must not depend on which others run. The
+	// Scratch then serves a smaller program and a full block again, as a
+	// Retriever's does across requests.
+	for _, pass := range []struct {
+		targets []Expr
+		m       int
+		active  func(k int) bool
+	}{
+		{all, BlockSize, func(int) bool { return true }},
+		{all, 37, func(int) bool { return true }},
+		{all, BlockSize, func(k int) bool { return k%3 == 1 }},
+		{all[len(all)-3:], 64, func(int) bool { return true }},
+		{all, BlockSize, func(int) bool { return true }},
+	} {
+		targets := pass.targets
+		p, ok := Compile(targets)
+		if !ok {
+			t.Fatal("Compile refused the package's own node types")
+		}
+		x, eb := differentialInputs(rng, nv, pass.m)
+		active := make([]bool, len(targets))
+		for k := range active {
+			active[k] = pass.active(k)
+		}
+		p.Eval(&s, active, x, eb, pass.m)
+		vals, ebs := make([]float64, nv), make([]float64, nv)
+		for k, e := range targets {
+			if !active[k] {
+				continue
+			}
+			gotB := p.Bound(&s, k)
+			gotV, _ := s.col(p.roots[k])
+			if len(gotB) != pass.m {
+				t.Fatalf("target %d: %d bounds for %d points", k, len(gotB), pass.m)
+			}
+			for j := 0; j < pass.m; j++ {
+				for v := range vals {
+					vals[v], ebs[v] = x[v][j], eb[v][j]
+				}
+				wantV, wantB := e.Bound(vals, ebs)
+				if !sameBits(gotV[j], wantV) || !sameBits(gotB[j], wantB) {
+					t.Fatalf("%s at vals=%v ebs=%v: program (%v, %v), tree walk (%v, %v)",
+						e, vals, ebs, gotV[j], gotB[j], wantV, wantB)
+				}
+			}
+		}
+	}
+}
+
+// TestPowBoundTablesMatchIntPow pins powBound's tabulated path to the
+// O(n²) sum it replaces, term for term, bit for bit.
+func TestPowBoundTablesMatchIntPow(t *testing.T) {
+	ref := func(v, d float64, n int) float64 {
+		if d == 0 {
+			return 0
+		}
+		av := math.Abs(v)
+		bound, c := 0.0, 1.0
+		for i := 1; i <= n; i++ {
+			c = c * float64(n-i+1) / float64(i)
+			bound += c * intPow(av, n-i) * intPow(d, i)
+		}
+		return bound
+	}
+	x, eb := differentialInputs(rand.New(rand.NewSource(33)), 1, 2000)
+	for n := 0; n <= powTable+2; n++ {
+		for j := range x[0] {
+			if got, want := powBound(x[0][j], eb[0][j], n), ref(x[0][j], eb[0][j], n); !sameBits(got, want) {
+				t.Fatalf("powBound(%v, %v, %d) = %v, want %v", x[0][j], eb[0][j], n, got, want)
+			}
+		}
+	}
+}
+
+func TestCompileSharesSubexpressions(t *testing.T) {
+	var ge []Expr
+	for _, q := range GEQoIs() {
+		ge = append(ge, q.Expr)
+	}
+	p, ok := Compile(ge)
+	if !ok {
+		t.Fatal("GEQoIs did not compile")
+	}
+	// 67 tree nodes; the five variables, Temperature, total velocity and
+	// the Mach number are each built once.
+	if len(p.nodes) > 25 {
+		t.Fatalf("GEQoIs compile to %d nodes, want at most 25", len(p.nodes))
+	}
+	// The key is the exact bits: a Poly with a trailing zero coefficient
+	// (which Horner multiplies through), one with another coefficient, and
+	// a −0 constant are nodes of their own, while a repeated target shares
+	// its root.
+	p, _ = Compile([]Expr{
+		Poly{Coeffs: []float64{1, 2}, X: Var{0}},
+		Poly{Coeffs: []float64{1, 2, 0}, X: Var{0}},
+		Poly{Coeffs: []float64{1, 3}, X: Var{0}},
+		Const{C: 0},
+		Const{C: math.Copysign(0, -1)},
+		Poly{Coeffs: []float64{1, 2}, X: Var{0}},
+	})
+	if len(p.nodes) != 6 {
+		t.Fatalf("%d nodes, want 6 (x0, three polynomials, +0, −0)", len(p.nodes))
+	}
+	if p.roots[0] != p.roots[5] {
+		t.Fatal("equal targets compiled to different nodes")
+	}
+}
+
+// foreign is an Expr type defined outside the node set Compile knows.
+type foreign struct{ Expr }
+
+func TestCompileRefusesForeignNodes(t *testing.T) {
+	if _, ok := Compile([]Expr{Temperature().Expr, Sqrt{X: foreign{Var{0}}}}); ok {
+		t.Fatal("Compile accepted an Expr type it cannot lower")
+	}
+}
+
+func TestScratchReuseDoesNotAllocate(t *testing.T) {
+	var ge []Expr
+	for _, q := range GEQoIs() {
+		ge = append(ge, q.Expr)
+	}
+	p, _ := Compile(ge)
+	x, eb := differentialInputs(rand.New(rand.NewSource(32)), GENumFields, BlockSize)
+	active := []bool{true, true, true, true, true, true}
+	var s Scratch
+	p.Eval(&s, active, x, eb, BlockSize)
+	if n := testing.AllocsPerRun(10, func() { p.Eval(&s, active, x, eb, BlockSize) }); n != 0 {
+		t.Fatalf("Eval on a warm Scratch allocates %v times", n)
+	}
+}

@@ -59,9 +59,20 @@ func retrieveSequence(t *testing.T, sess *Session, qois []QoI, ranges []float64)
 		if err != nil {
 			t.Fatalf("rel %g: %v", rel, err)
 		}
-		out = append(out, res)
+		out = append(out, keepData(res))
 	}
 	return out
+}
+
+// keepData copies res.Data out of the session, which overwrites it on its
+// next request, and returns res.
+func keepData(res *Result) *Result {
+	data := make([][]float64, len(res.Data))
+	for v, d := range res.Data {
+		data[v] = append([]float64(nil), d...)
+	}
+	res.Data = data
+	return res
 }
 
 func TestRemoteRetrieveMatchesLocalEndToEnd(t *testing.T) {
