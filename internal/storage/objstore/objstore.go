@@ -9,8 +9,9 @@
 // The read path is built around three invariants:
 //
 //   - Partial reads are real ranged GETs (`Range: bytes=off-end`): a
-//     fragment fetch moves exactly the fragment's bytes, never the
-//     variable blob around it.
+//     ranged read moves exactly the requested bytes, never the variable
+//     blob around them, and a response whose Content-Range or body
+//     length differs from the request is a transport fault, not data.
 //
 //   - No stale bytes, ever: the first read of an object records its
 //     ETag; every later read sends it as If-Match and re-verifies the
@@ -140,6 +141,8 @@ type Store struct {
 
 	cache *lru.Cache
 
+	sigKey atomic.Pointer[signingKey] // last derived SigV4 key; see signingKeyFor
+
 	coldFetches atomic.Int64
 	coldBytes   atomic.Int64
 	coldNanos   atomic.Int64
@@ -208,12 +211,6 @@ func (s *Store) FetchStats() storage.FetchStats {
 		ColdFetchBytes:   s.coldBytes.Load(),
 		ColdFetchSeconds: float64(s.coldNanos.Load()) / 1e9,
 	}
-}
-
-// CacheStats reports the read-through cache counters.
-func (s *Store) CacheStats() (bytes int64, entries int, hits, misses, evictions int64) {
-	cs := s.cache.Stats()
-	return cs.Bytes, cs.Entries, cs.Hits, cs.Misses, cs.Evictions
 }
 
 // Get implements storage.Store: one full-object GET through the
@@ -331,14 +328,48 @@ func (s *Store) getOnce(ctx context.Context, op, key string, off, length int64) 
 	if err := s.pinETag(okey, resp.Header.Get("ETag"), pinned); err != nil {
 		return nil, err
 	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("objstore: %s %q: read body: %w", op, key, err)
+	if !ranged {
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return nil, fmt.Errorf("objstore: %s %q: read body: %w", op, key, err)
+		}
+		return b, nil
 	}
-	if ranged && int64(len(b)) != length {
-		return nil, fmt.Errorf("objstore: %s %q: truncated response: %d bytes, want %d", op, key, len(b), length)
+	// A 206 of the right length is not enough: a server or proxy that
+	// ignores Range can answer with another slice of the object.
+	if cr := resp.Header.Get("Content-Range"); !contentRangeIs(cr, off, off+length-1) {
+		return nil, fmt.Errorf("objstore: %s %q: Content-Range %q, want bytes %d-%d", op, key, cr, off, off+length-1)
 	}
-	return b, nil
+	// One spare byte detects a body longer than the range asked for.
+	b := make([]byte, length+1)
+	n, err := io.ReadFull(resp.Body, b)
+	switch {
+	case int64(n) > length:
+		return nil, fmt.Errorf("objstore: %s %q: response body longer than %d bytes", op, key, length)
+	case int64(n) < length:
+		return nil, fmt.Errorf("objstore: %s %q: truncated response: %d bytes, want %d: %w", op, key, n, length, err)
+	}
+	return b[:length:length], nil
+}
+
+// contentRangeIs reports whether a Content-Range header reads
+// "bytes first-last/size" for exactly the given first and last bytes.
+func contentRangeIs(h string, first, last int64) bool {
+	spec, ok := strings.CutPrefix(h, "bytes ")
+	if !ok {
+		return false
+	}
+	span, _, ok := strings.Cut(spec, "/")
+	if !ok {
+		return false
+	}
+	a, b, ok := strings.Cut(span, "-")
+	if !ok {
+		return false
+	}
+	x, err1 := strconv.ParseInt(a, 10, 64)
+	y, err2 := strconv.ParseInt(b, 10, 64)
+	return err1 == nil && err2 == nil && x == first && y == last
 }
 
 // pinETag records an object's ETag at first read and verifies every
@@ -502,7 +533,7 @@ func (s *Store) sign(req *http.Request, payloadHash string) {
 	if !s.creds {
 		return
 	}
-	signRequest(req, s.opts.AccessKey, s.opts.SecretKey, s.opts.Region, payloadHash, time.Now())
+	s.signAt(req, payloadHash, time.Now())
 }
 
 // retrying runs one attempt-able operation under the store's retry

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +162,92 @@ func TestGetRangeExact(t *testing.T) {
 	}
 }
 
+// TestGetRangeRejectsMismatchedResponses serves ranged GETs from a plain
+// handler that answers 206 but with another slice of the object, without
+// Content-Range, or with a body longer than the range: none of them may
+// come back as data.
+func TestGetRangeRejectsMismatchedResponses(t *testing.T) {
+	data := []byte("0123456789abcdefghij")
+	const off, length = 5, 4
+	cases := []struct {
+		name         string
+		contentRange string
+		body         []byte
+		ok           bool
+	}{
+		{"exact", "bytes 5-8/20", data[5:9], true},
+		{"exact, unknown size", "bytes 5-8/*", data[5:9], true},
+		{"another slice of the same length", "bytes 6-9/20", data[6:10], false},
+		{"no Content-Range", "", data[5:9], false},
+		{"body longer than the range", "bytes 5-8/20", data[5:10], false},
+		{"body shorter than the range", "bytes 5-8/20", data[5:8], false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.contentRange != "" {
+					w.Header().Set("Content-Range", tc.contentRange)
+				}
+				w.WriteHeader(http.StatusPartialContent)
+				w.Write(tc.body) //nolint:errcheck // test handler
+			}))
+			defer hs.Close()
+			st, err := New(Options{Endpoint: hs.URL, Bucket: testBucket, MaxRetries: -1, CacheBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := st.GetRange(context.Background(), "k", off, length)
+			if tc.ok {
+				if err != nil || !bytes.Equal(got, data[off:off+length]) {
+					t.Fatalf("GetRange = %q, %v; want %q", got, err, data[off:off+length])
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("GetRange accepted %q as the range [%d,%d)", got, off, off+length)
+			}
+		})
+	}
+}
+
+// TestSigningKeyRollsOverAtUTCMidnight signs requests on both sides of a
+// UTC day boundary. The cached signing key must follow the credential
+// scope's date, or miniobj's independent re-derivation rejects the
+// request signed after midnight.
+func TestSigningKeyRollsOverAtUTCMidnight(t *testing.T) {
+	srv, st := newPair(t, nil)
+	srv.Put("k", []byte("v"))
+	midnight := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
+	tokyo := time.FixedZone("UTC+9", 9*3600)
+	for _, now := range []time.Time{
+		midnight.Add(-time.Second),
+		midnight.Add(-time.Millisecond).In(tokyo), // 08:59:59.999 local, still Feb 28 in UTC
+		midnight,
+		midnight.Add(time.Second),
+	} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL()+"/"+testBucket+"/k", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.signAt(req, emptyPayloadSHA256, now)
+		date := now.UTC().Format("20060102")
+		if auth := req.Header.Get("Authorization"); !strings.Contains(auth, "/"+date+"/") {
+			t.Fatalf("signed at %v: credential scope %q lacks date %s", now, auth, date)
+		}
+		resp, err := st.hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck // status-only
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("signed at %v: http %d", now, resp.StatusCode)
+		}
+		if k := st.sigKey.Load(); k == nil || k.date != date {
+			t.Fatalf("signed at %v: cached key scope %+v, want date %s", now, k, date)
+		}
+	}
+}
+
 func TestRetryTransient(t *testing.T) {
 	srv, st := newPair(t, nil)
 	srv.Put("k", []byte("value"))
@@ -256,7 +344,7 @@ func TestCacheServesRepeatsAndSlicesFullObjects(t *testing.T) {
 	if gets != 1 {
 		t.Fatalf("3 reads cost %d wire GETs, want 1", gets)
 	}
-	if _, _, hits, _, _ := st.CacheStats(); hits < 1 {
+	if hits := st.cache.Stats().Hits; hits < 1 {
 		t.Fatalf("cache hits = %d, want >= 1", hits)
 	}
 	st2 := st.FetchStats()
@@ -285,19 +373,19 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	size, entries, _, _, evictions := st.CacheStats()
-	if size > 2048 || entries > 2 {
-		t.Fatalf("cache over budget: %d bytes in %d entries", size, entries)
+	cs := st.cache.Stats()
+	if cs.Bytes > 2048 || cs.Entries > 2 {
+		t.Fatalf("cache over budget: %d bytes in %d entries", cs.Bytes, cs.Entries)
 	}
-	if evictions < 2 {
-		t.Fatalf("evictions = %d, want >= 2", evictions)
+	if cs.Evictions < 2 {
+		t.Fatalf("evictions = %d, want >= 2", cs.Evictions)
 	}
 	// Oversized values bypass the cache entirely.
 	srv.Put("big", bytes.Repeat([]byte("b"), 4096))
 	if _, err := st.Get(ctx, "big"); err != nil {
 		t.Fatal(err)
 	}
-	if size, _, _, _, _ := st.CacheStats(); size > 2048 {
+	if size := st.cache.Stats().Bytes; size > 2048 {
 		t.Fatalf("oversized value cached: %d bytes", size)
 	}
 }

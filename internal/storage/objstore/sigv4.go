@@ -26,67 +26,109 @@ const amzDateFormat = "20060102T150405Z"
 const emptyPayloadSHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 // signedHeaderSet is the allowlist of headers the signer binds into the
-// signature when present. host, x-amz-content-sha256 and x-amz-date are
-// always present; the conditional headers protect the ranged-read
+// signature when present, in canonical (sorted) order: name as signed,
+// key as stored in http.Header. host, x-amz-content-sha256 and x-amz-date
+// are always present; the conditional headers protect the ranged-read
 // staleness contract — a proxy cannot strip If-Match without breaking
 // the signature.
-var signedHeaderSet = []string{
-	"host",
-	"if-match",
-	"if-none-match",
-	"range",
-	"x-amz-content-sha256",
-	"x-amz-date",
+var signedHeaderSet = [...]struct{ name, key string }{
+	{"host", ""},
+	{"if-match", "If-Match"},
+	{"if-none-match", "If-None-Match"},
+	{"range", "Range"},
+	{"x-amz-content-sha256", "X-Amz-Content-Sha256"},
+	{"x-amz-date", "X-Amz-Date"},
 }
 
-// signRequest signs req in place: sets x-amz-date and
+// signingKey is a derived SigV4 key with the (date, region) scope it
+// signs for.
+type signingKey struct {
+	date, region string
+	key          []byte
+}
+
+// signAt signs req in place as of now: sets x-amz-date and
 // x-amz-content-sha256 (payloadHash, emptyPayloadSHA256 for bodyless
-// requests) and the Authorization header. now is injectable for tests.
-func signRequest(req *http.Request, accessKey, secretKey, region string, payloadHash string, now time.Time) {
+// requests) and the Authorization header.
+func (s *Store) signAt(req *http.Request, payloadHash string, now time.Time) {
 	amzDate := now.UTC().Format(amzDateFormat)
-	date := amzDate[:8]
-	req.Header.Set("x-amz-date", amzDate)
-	req.Header.Set("x-amz-content-sha256", payloadHash)
+	date, region := amzDate[:8], s.opts.Region
+	req.Header.Set("X-Amz-Date", amzDate)
+	req.Header.Set("X-Amz-Content-Sha256", payloadHash)
 
 	canonical, signedHeaders := canonicalRequest(req, payloadHash)
 	scope := date + "/" + region + "/s3/aws4_request"
 	toSign := "AWS4-HMAC-SHA256\n" + amzDate + "\n" + scope + "\n" + hexSHA256([]byte(canonical))
-	sig := hex.EncodeToString(hmacSHA256(signingKey(secretKey, date, region), []byte(toSign)))
+	sig := hex.EncodeToString(hmacSHA256(s.signingKeyFor(date, region), []byte(toSign)))
 	req.Header.Set("Authorization",
-		"AWS4-HMAC-SHA256 Credential="+accessKey+"/"+scope+
+		"AWS4-HMAC-SHA256 Credential="+s.opts.AccessKey+"/"+scope+
 			", SignedHeaders="+signedHeaders+
 			", Signature="+sig)
 }
 
-// canonicalRequest builds the SigV4 canonical request string and the
-// semicolon-joined signed-header list for req.
+// signingKeyFor returns the SigV4 key for (date, region), re-running the
+// four-HMAC derivation only when that scope changes — once per UTC day
+// for a store's fixed region.
+func (s *Store) signingKeyFor(date, region string) []byte {
+	if k := s.sigKey.Load(); k != nil && k.date == date && k.region == region {
+		return k.key
+	}
+	key := hmacSHA256([]byte("AWS4"+s.opts.SecretKey), []byte(date))
+	key = hmacSHA256(key, []byte(region))
+	key = hmacSHA256(key, []byte("s3"))
+	key = hmacSHA256(key, []byte("aws4_request"))
+	s.sigKey.Store(&signingKey{date: date, region: region, key: key})
+	return key
+}
+
+// canonicalRequest builds the SigV4 canonical request string in one
+// buffer and returns it with the semicolon-joined signed-header list,
+// which is a substring of it.
 func canonicalRequest(req *http.Request, payloadHash string) (canonical, signedHeaders string) {
-	var names []string
-	var lines []string
-	for _, h := range signedHeaderSet {
+	var b strings.Builder
+	b.Grow(512)
+	b.WriteString(req.Method)
+	b.WriteByte('\n')
+	b.WriteString(canonicalURI(req.URL))
+	b.WriteByte('\n')
+	b.WriteString(canonicalQuery(req.URL))
+	b.WriteByte('\n')
+	var signed [len(signedHeaderSet)]bool
+	for i, h := range signedHeaderSet {
 		var v string
-		if h == "host" {
+		if h.name == "host" { // Go keeps Host out of req.Header
 			v = req.Host
 			if v == "" {
 				v = req.URL.Host
 			}
 		} else {
-			v = req.Header.Get(h)
+			v = req.Header.Get(h.key)
 		}
 		if v == "" {
 			continue
 		}
-		names = append(names, h)
-		lines = append(lines, h+":"+strings.TrimSpace(v))
+		signed[i] = true
+		b.WriteString(h.name)
+		b.WriteByte(':')
+		b.WriteString(strings.TrimSpace(v))
+		b.WriteByte('\n')
 	}
-	signedHeaders = strings.Join(names, ";")
-	canonical = req.Method + "\n" +
-		canonicalURI(req.URL) + "\n" +
-		canonicalQuery(req.URL) + "\n" +
-		strings.Join(lines, "\n") + "\n\n" +
-		signedHeaders + "\n" +
-		payloadHash
-	return canonical, signedHeaders
+	b.WriteByte('\n')
+	start := b.Len()
+	for i, h := range signedHeaderSet {
+		if !signed[i] {
+			continue
+		}
+		if b.Len() > start {
+			b.WriteByte(';')
+		}
+		b.WriteString(h.name)
+	}
+	end := b.Len()
+	b.WriteByte('\n')
+	b.WriteString(payloadHash)
+	canonical = b.String()
+	return canonical, canonical[start:end]
 }
 
 // canonicalURI is the aws-encoded path, slashes preserved.
@@ -142,14 +184,6 @@ func awsEncode(s string, encodeSlash bool) string {
 		}
 	}
 	return b.String()
-}
-
-// signingKey derives the per-day SigV4 key via the HMAC chain.
-func signingKey(secretKey, date, region string) []byte {
-	k := hmacSHA256([]byte("AWS4"+secretKey), []byte(date))
-	k = hmacSHA256(k, []byte(region))
-	k = hmacSHA256(k, []byte("s3"))
-	return hmacSHA256(k, []byte("aws4_request"))
 }
 
 func hmacSHA256(key, msg []byte) []byte {

@@ -2,13 +2,16 @@ package progqoi
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 
 	"progqoi/internal/client"
 	"progqoi/internal/core"
+	"progqoi/internal/encoding"
 	"progqoi/internal/storage"
 	"progqoi/internal/storage/objstore"
 )
@@ -32,18 +35,23 @@ import (
 var ErrBadRef = objstore.ErrBadStoreURL
 
 // StoreFetchStats snapshots an object-store archive's cold-fetch
-// accounting: how many reads actually reached the bucket, their payload
-// bytes, and the wall time they spent on the wire. Reads served by the
-// store's byte-bounded cache appear nowhere here — compare ColdFetchBytes
-// with a session's RetrievedBytes to see what the cache saved.
+// accounting: how many reads actually reached the bucket, their bytes,
+// and the wall time they spent on the wire. Reads served by the store's
+// byte-bounded cache appear nowhere here — compare ColdFetchBytes with a
+// session's RetrievedBytes to see what the cache saved. Besides the
+// metadata reads at open, a cold fragment read carries each fragment's
+// 4-byte section-length prefix, so the fragment share of ColdFetchBytes
+// exceeds RetrievedBytes by 4 B per fetched fragment.
 type StoreFetchStats = storage.FetchStats
 
 // Open resolves an archive reference and opens it, dispatching on scheme:
 //
 //   - "s3://bucket[/prefix]/dataset" opens the dataset directly from an
 //     S3-compatible object store: retrieval metadata is read once up
-//     front, and sessions then fetch exactly the fragment byte ranges
-//     each tolerance needs with authenticated ranged GETs. The endpoint
+//     front, and sessions then fetch the fragments each tolerance needs
+//     with one authenticated ranged GET per contiguous run of a
+//     variable's fragments, every section-length prefix in the run
+//     checked against the recorded fragment length. The endpoint
 //     and credentials come from WithS3Endpoint / WithS3Credentials or the
 //     PROGQOI_S3_* environment variables; every read is ETag-pinned, so
 //     a bucket republished mid-session surfaces as an error, never as
@@ -232,7 +240,7 @@ type storeArchive struct {
 	ranges [][]storage.FragmentRange // ranges[vi][fi] within keys[vi]'s blob
 	keys   []string                  // store key of each variable's blob
 	stored int64                     // total fragment payload bytes at rest
-	wire   atomic.Int64              // fragment payload bytes fetched
+	wire   atomic.Int64              // bytes fetched, section-length prefixes included
 }
 
 // openStoreArchive reads the archive's metadata (one pass over each
@@ -256,25 +264,56 @@ func openStoreArchive(ctx context.Context, st rangeStore, dataset string) (*Arch
 	return a, nil
 }
 
-// newSession opens a lazy session that fetches exactly the byte range of
-// every fragment the certify loop plans, through the store's cache, retry
-// and ETag-pinning layers.
+// newSession opens a lazy session that fetches the fragments the certify
+// loop plans with one ranged GET per run of consecutive fragment indices
+// of a variable, through the store's cache, retry and ETag-pinning layers.
 func (sa *storeArchive) newSession(fetch FetchObserver, cfg SessionConfig) (*core.Retriever, error) {
 	cfg.WireBytes = sa.wire.Load
 	return core.NewLazyRetriever(sa.vars, cfg, fetch, func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error {
 		for vi, idxs := range want {
-			for _, fi := range idxs {
-				r := sa.ranges[vi][fi]
-				b, err := sa.st.GetRange(ctx, sa.keys[vi], r.Off, r.Len)
-				if err != nil {
+			slices.Sort(idxs)
+			for len(idxs) > 0 {
+				n := 1
+				for n < len(idxs) && idxs[n] == idxs[n-1]+1 {
+					n++
+				}
+				if err := sa.fetchRun(ctx, vi, idxs[:n], install); err != nil {
 					return err
 				}
-				install(vi, fi, b)
-				sa.wire.Add(int64(len(b)))
+				idxs = idxs[n:]
 			}
 		}
 		return nil
 	})
+}
+
+// fetchRun reads fragments run, ascending consecutive indices of variable
+// vi, with one ranged GET. The read starts at the first fragment's 4-byte
+// section-length prefix, so every fragment's prefix lies inside the
+// buffer; each must equal the fragment's recorded length before any
+// payload of the run is installed. A variable's fragment sections are
+// contiguous in its blob (FORMATS.md), so the over-read is exactly those
+// prefixes.
+func (sa *storeArchive) fetchRun(ctx context.Context, vi int, run []int, install func(v, frag int, payload []byte)) error {
+	key, ranges := sa.keys[vi], sa.ranges[vi]
+	base, last := ranges[run[0]].Off-4, ranges[run[len(run)-1]]
+	b, err := sa.st.GetRange(ctx, key, base, last.Off+last.Len-base)
+	if err != nil {
+		return err
+	}
+	sa.wire.Add(int64(len(b)))
+	for _, fi := range run {
+		r := ranges[fi]
+		if got := binary.LittleEndian.Uint32(b[r.Off-base-4:]); int64(got) != r.Len {
+			return fmt.Errorf("%w: %s fragment %d: section length %d, recorded %d", encoding.ErrCorrupt, key, fi, got, r.Len)
+		}
+	}
+	for _, fi := range run {
+		lo := ranges[fi].Off - base
+		hi := lo + ranges[fi].Len
+		install(vi, fi, b[lo:hi:hi]) // capped: no payload can grow into the next
+	}
+	return nil
 }
 
 // StoreBacked reports whether the archive reads fragments from an object
