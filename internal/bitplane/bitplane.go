@@ -20,10 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"progqoi/internal/encoding"
+	"progqoi/internal/par"
 )
 
 // DefaultPlanes is the default fixed-point width: enough for full double
@@ -53,14 +52,19 @@ func Encode(vals []float64, numPlanes int) (*Block, error) {
 	return blocks[0], nil
 }
 
-// EncodeAll encodes several coefficient groups at once in three stages over
-// one bounded pool of workers goroutines (≤ 1 selects the sequential path):
-// prepare each group, slice all planes of each coefficient chunk in one
-// pass, compress each fragment. Every task writes only bytes no other task
-// touches, so the output blocks are bit-identical to calling Encode per
-// group — only the schedule changes. This is the encode-side mirror of the
-// Reader's decode pool.
+// EncodeAll is EncodeAllOn over a budget of its own of workers goroutines
+// (≤ 1 selects the sequential path).
 func EncodeAll(groups [][]float64, numPlanes, workers int) ([]*Block, error) {
+	return EncodeAllOn(par.New(max(workers, 1)), groups, numPlanes)
+}
+
+// EncodeAllOn encodes several coefficient groups at once in three stages
+// on budget b: prepare each group, slice all planes of each coefficient
+// chunk in one pass, compress each fragment. Every task writes only bytes
+// no other task touches, so the output blocks are bit-identical to calling
+// Encode per group — only the schedule changes. This is the encode-side
+// mirror of the Reader's decode path.
+func EncodeAllOn(b *par.Budget, groups [][]float64, numPlanes int) ([]*Block, error) {
 	if numPlanes <= 0 || numPlanes > 62 {
 		return nil, fmt.Errorf("bitplane: numPlanes %d outside (0,62]", numPlanes)
 	}
@@ -70,8 +74,9 @@ func EncodeAll(groups [][]float64, numPlanes, workers int) ([]*Block, error) {
 	errs := make([]error, len(groups))
 	// Stage 1: per-group fixed-point conversion (exponent, magnitudes,
 	// sign bitmap).
-	runTasks(workers, len(groups), func(gi int) {
+	b.For(len(groups), func(_, gi int) bool {
 		blocks[gi], mags[gi], signs[gi], errs[gi] = prepare(groups[gi], numPlanes)
+		return true
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -114,19 +119,21 @@ func EncodeAll(groups [][]float64, numPlanes, workers int) ([]*Block, error) {
 			tasks = append(tasks, task{gi, p})
 		}
 	}
-	runTasks(workers, len(chunks), func(ci int) {
+	b.For(len(chunks), func(_, ci int) bool {
 		c := chunks[ci]
 		slicePlanes(mags[c.gi], raws[c.gi], c.lo, c.hi)
+		return true
 	})
 	terrs := make([]error, len(tasks))
-	runTasks(workers, len(tasks), func(ti int) {
+	b.For(len(tasks), func(_, ti int) bool {
 		t := tasks[ti]
 		blk := blocks[t.gi]
 		if t.p < 0 {
 			blk.Signs, terrs[ti] = encoding.PutTagged(signs[t.gi])
-			return
+		} else {
+			blk.Planes[t.p], terrs[ti] = encoding.PutTagged(raws[t.gi][t.p])
 		}
-		blk.Planes[t.p], terrs[ti] = encoding.PutTagged(raws[t.gi][t.p])
+		return true
 	})
 	for _, err := range terrs {
 		if err != nil {
@@ -230,36 +237,6 @@ func slicePlanes(mags []uint64, planes [][]byte, lo, hi int) {
 			}
 		}
 	}
-}
-
-// runTasks runs fn(0..n-1) on up to workers goroutines, handing out indices
-// from an atomic counter. workers ≤ 1 (or a single task) runs inline.
-func runTasks(workers, n int, fn func(int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Bound returns the guaranteed L∞ reconstruction error after applying the

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -542,9 +541,6 @@ func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map
 	c.mu.Unlock()
 
 	if len(owned) > 0 {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		// Bytes mirror the per-fragment wireBytes increments in the install
 		// loop below, keeping traced fetch bytes equal to Stats.WireBytes.
 		var mf obs.SpanMark

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"progqoi/internal/obs"
+	"progqoi/internal/par"
 	"progqoi/internal/server"
 )
 
@@ -441,7 +442,9 @@ type shardItem struct {
 // routes to the first available endpoint of its rendezvous order, the
 // per-endpoint sub-batches travel as concurrent POSTs bounded by workers,
 // and a sub-batch that fails with a retryable error is re-sharded onto
-// the next replica of each of its fragments. Routing state is per pass:
+// the next replica of each of its fragments. Sub-batch outcomes are
+// handled in endpoint order, so which error a failed call returns does
+// not depend on which POST finished first. Routing state is per pass:
 // every iteration loads the current topology view and re-ranks the
 // remaining fragments against it, so a view swap mid-call redirects only
 // the fragments not yet fetched. Backoff and the MaxRetries budget apply
@@ -458,9 +461,6 @@ func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[stri
 		for _, fi := range wants[vr] {
 			items = append(items, shardItem{vr: vr, fi: fi, key: fragKey(dataset, vr, fi)})
 		}
-	}
-	if workers <= 0 {
-		workers = 1
 	}
 	got := map[string][]byte{}
 	remaining := items
@@ -540,59 +540,50 @@ func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[stri
 			continue
 		}
 
+		eps := make([]*endpoint, 0, len(groups))
+		for ep := range groups {
+			eps = append(eps, ep)
+		}
+		sort.Slice(eps, func(i, j int) bool { return eps[i].base < eps[j].base })
 		type groupResult struct {
-			ep         *endpoint
-			as         *assignment
 			frags      []server.BatchFragment
 			err        error
 			retryable  bool
 			retryAfter time.Duration
 		}
-		results := make([]groupResult, 0, len(groups))
-		var (
-			resMu sync.Mutex
-			wg    sync.WaitGroup
-		)
-		sem := make(chan struct{}, workers)
-		for ep, as := range groups {
-			wg.Add(1)
-			go func(ep *endpoint, as *assignment) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				byVar := map[string][]int{}
-				for _, it := range as.items {
-					byVar[it.vr] = append(byVar[it.vr], it.fi)
-				}
-				req := server.BatchRequest{}
-				for _, vr := range sortedKeys(byVar) {
-					req.Wants = append(req.Wants, server.BatchWant{Var: vr, Indices: byVar[vr]})
-				}
-				body, _ := json.Marshal(req)
-				blob, err, retryable, ra := c.attempt(ctx, ep, "POST", "/v1/d/"+dataset+"/frags", body, "application/json")
-				res := groupResult{ep: ep, as: as, err: err, retryable: retryable, retryAfter: ra}
-				if err == nil {
-					res.frags, res.err = server.DecodeBatch(blob)
-					// A batch that decodes wrong is corruption, not an
-					// unhealthy endpoint: fail the call like the
-					// single-endpoint client did.
-				}
-				resMu.Lock()
-				results = append(results, res)
-				resMu.Unlock()
-			}(ep, as)
-		}
-		wg.Wait()
+		results := make([]groupResult, len(eps))
+		par.New(workers).For(len(eps), func(_, gi int) bool {
+			byVar := map[string][]int{}
+			for _, it := range groups[eps[gi]].items {
+				byVar[it.vr] = append(byVar[it.vr], it.fi)
+			}
+			req := server.BatchRequest{}
+			for _, vr := range sortedKeys(byVar) {
+				req.Wants = append(req.Wants, server.BatchWant{Var: vr, Indices: byVar[vr]})
+			}
+			body, _ := json.Marshal(req)
+			blob, err, retryable, ra := c.attempt(ctx, eps[gi], "POST", "/v1/d/"+dataset+"/frags", body, "application/json")
+			res := groupResult{err: err, retryable: retryable, retryAfter: ra}
+			if err == nil {
+				res.frags, res.err = server.DecodeBatch(blob)
+				// A batch that decodes wrong is corruption, not an
+				// unhealthy endpoint: fail the call like the
+				// single-endpoint client did.
+			}
+			results[gi] = res
+			return true
+		})
 
 		remaining = remaining[:0]
-		for _, res := range results {
+		for gi, res := range results {
+			as := groups[eps[gi]]
 			switch {
 			case res.err == nil:
 				for _, f := range res.frags {
 					got[fragKey(dataset, f.Var, f.Index)] = f.Payload
 				}
-				for i := range res.as.items {
-					if !res.as.primary[i] {
+				for i := range as.items {
+					if !as.primary[i] {
 						c.failovers.Add(1)
 					}
 				}
@@ -604,8 +595,8 @@ func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[stri
 				if res.retryAfter > retryAfter {
 					retryAfter = res.retryAfter
 				}
-				excluded[res.ep] = true
-				remaining = append(remaining, res.as.items...)
+				excluded[eps[gi]] = true
+				remaining = append(remaining, as.items...)
 			default:
 				return nil, res.err
 			}

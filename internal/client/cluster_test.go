@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -174,6 +175,55 @@ func TestShardedBatchSplitsAcrossNodes(t *testing.T) {
 	}
 	if st := c.Stats(); st.Failovers != 0 {
 		t.Fatalf("healthy cluster recorded %d failovers", st.Failovers)
+	}
+}
+
+// TestShardErrorIndependentOfCompletionOrder: two shards fail with
+// different non-retryable errors, and each call answers them in a
+// different order. The call must return the error of the endpoint first in
+// base order every time, not the one whose POST finished first.
+func TestShardErrorIndependentOfCompletionOrder(t *testing.T) {
+	vars := testVars(t)
+	var call atomic.Int64
+	node := func(id int64, status int) *httptest.Server {
+		return serviceFor(t, vars, func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !strings.HasSuffix(r.URL.Path, "/frags") {
+					next.ServeHTTP(w, r)
+					return
+				}
+				if call.Load()%2 == id {
+					time.Sleep(20 * time.Millisecond)
+				}
+				http.Error(w, http.StatusText(status), status)
+			})
+		})
+	}
+	a, b := node(0, http.StatusForbidden), node(1, http.StatusNotFound)
+	c, err := New(a.URL, Options{Endpoints: []string{b.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := http.StatusForbidden
+	if b.URL < a.URL {
+		want = http.StatusNotFound
+	}
+	var first string
+	for i := int64(0); i < 20; i++ {
+		call.Store(i)
+		_, err := c.FragmentsWorkers(context.Background(), "ge", allWants(vars), 2)
+		var he *HTTPError
+		if !errors.As(err, &he) {
+			t.Fatalf("call %d: want an HTTPError, got %v", i, err)
+		}
+		if he.Status != want {
+			t.Fatalf("call %d: HTTP %d, want %d from the first endpoint in base order", i, he.Status, want)
+		}
+		if i == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("call %d: error %q differs from the first call's %q", i, err, first)
+		}
 	}
 }
 

@@ -20,11 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"progqoi/internal/obs"
+	"progqoi/internal/par"
 	"progqoi/internal/progressive"
 	"progqoi/internal/qoi"
 	"progqoi/internal/stats"
@@ -56,12 +55,11 @@ type RefactorOptions struct {
 	Progressive progressive.Options
 	// MaskZeros enables the outlier mask for points that are exactly zero.
 	MaskZeros bool
-	// Workers bounds the refactor compute pool (default GOMAXPROCS), the
+	// Workers bounds the refactor compute (default GOMAXPROCS), the
 	// ingest-side mirror of Config.Workers: variables refactor concurrently
-	// and the per-bitplane encode stages within each variable share the
-	// same budget (Progressive.Workers is derived from it; set it only to
-	// override the split). 1 selects the fully sequential path; the
-	// refactored output is bit-identical for every setting.
+	// and the encode tasks within each variable run on the same budget;
+	// Progressive.Workers is ignored. 1 selects the fully sequential path;
+	// the refactored output is bit-identical for every setting.
 	Workers int
 }
 
@@ -71,56 +69,33 @@ func RefactorVariables(names []string, fields [][]float64, dims []int, opt Refac
 	if len(names) != len(fields) {
 		return nil, fmt.Errorf("core: %d names for %d fields", len(names), len(fields))
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Progressive.Workers == 0 {
-		// Split the one Workers budget between the concurrently refactoring
-		// variables so the per-variable encode pools don't multiply into
-		// Workers² goroutines — the same split Retriever.advance applies on
-		// the decode side. The split changes nothing observable: encode
-		// output is schedule-independent.
-		share := workers
-		if n := len(fields); n > 1 {
-			share = (workers + n - 1) / n
-		}
-		opt.Progressive.Workers = share
-	}
+	b := par.New(opt.Workers)
 	vars := make([]*Variable, len(fields))
 	errs := make([]error, len(fields))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range fields {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			data := fields[i]
-			var mask []bool
-			if opt.MaskZeros {
-				any := false
-				mask = make([]bool, len(data))
-				for j, v := range data {
-					if v == 0 {
-						mask[j] = true
-						any = true
-					}
-				}
-				if !any {
-					mask = nil
+	b.For(len(fields), func(_, i int) bool {
+		data := fields[i]
+		var mask []bool
+		if opt.MaskZeros {
+			any := false
+			mask = make([]bool, len(data))
+			for j, v := range data {
+				if v == 0 {
+					mask[j] = true
+					any = true
 				}
 			}
-			ref, err := progressive.Refactor(data, dims, opt.Progressive)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: refactor %s: %w", names[i], err)
-				return
+			if !any {
+				mask = nil
 			}
-			vars[i] = &Variable{Name: names[i], Ref: ref, Range: stats.Range(data), ZeroMask: mask}
-		}(i)
-	}
-	wg.Wait()
+		}
+		ref, err := progressive.RefactorOn(b, data, dims, opt.Progressive)
+		if err != nil {
+			errs[i] = fmt.Errorf("core: refactor %s: %w", names[i], err)
+			return true
+		}
+		vars[i] = &Variable{Name: names[i], Ref: ref, Range: stats.Range(data), ZeroMask: mask}
+		return true
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -186,10 +161,11 @@ type Config struct {
 	TightenFactor float64
 	// MaxIters caps outer loop iterations (default 500).
 	MaxIters int
-	// Workers bounds the retrieval compute pool (default GOMAXPROCS): the
-	// per-variable fragment-decode pools, the concurrent per-variable
-	// advance, and per-QoI error estimation all share this bound. 1 selects
-	// the fully sequential path; results are bit-identical either way.
+	// Workers bounds the retrieval compute (default GOMAXPROCS): the
+	// concurrent per-variable advance, each variable's fragment decode, and
+	// the error estimation all run on one budget of this many workers. 1
+	// selects the fully sequential path; results are bit-identical either
+	// way.
 	Workers int
 	// DisableMask ignores the variables' zero masks (ablation).
 	DisableMask bool
@@ -229,9 +205,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxIters <= 0 {
 		c.MaxIters = 500
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -259,6 +232,7 @@ type Retriever struct {
 	vars    []*Variable
 	readers []*progressive.Reader
 	cfg     Config
+	budget  *par.Budget // Config.Workers, shared by every reader
 
 	eps      []float64 // requested per-variable bounds (assigner state)
 	achieved []float64 // bounds achieved by the readers
@@ -273,8 +247,8 @@ var ErrExhausted = errors.New("core: representation exhausted before tolerance m
 // NewRetriever opens a retrieval session. fetch (optional) observes every
 // fragment fetch for byte accounting or transfer simulation.
 func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*Retriever, error) {
-	rt := &Retriever{vars: vars, cfg: cfg.withDefaults()}
-	if fetch != nil && rt.cfg.Workers > 1 && len(vars) > 1 {
+	rt := &Retriever{vars: vars, cfg: cfg.withDefaults(), budget: par.New(cfg.Workers)}
+	if fetch != nil && rt.budget.Workers() > 1 && len(vars) > 1 {
 		// Variables advance concurrently, but the observer contract predates
 		// that: serialize callbacks so observers (netsim.Recorder and
 		// friends) never see concurrent calls.
@@ -292,7 +266,7 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 		if err != nil {
 			return nil, fmt.Errorf("core: open %s: %w", v.Name, err)
 		}
-		rd.SetWorkers(rt.cfg.Workers)
+		rd.SetBudget(rt.budget)
 		rd.SetTrace(rt.cfg.Trace, v.Name)
 		rt.readers = append(rt.readers, rd)
 		n := v.Ref.NumElements()
@@ -584,8 +558,8 @@ func (rt *Retriever) assignInitial(req Request, qoiVars [][]int) {
 
 // advance asks every involved reader for its assigned bound and refreshes
 // the masked data views. It reports whether any reader fetched new bytes.
-// Variables advance concurrently (each with its own decode pool) when
-// Workers > 1; per-variable state is independent and results merge by
+// Variables advance as tasks on the session's budget, which their decode
+// tasks share; per-variable state is independent and results merge by
 // index, so the outcome is identical to the sequential order.
 func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter int) (bool, error) {
 	if rt.cfg.Prefetch != nil {
@@ -627,13 +601,13 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 	}
 	moved := make([]bool, len(todo))
 	errs := make([]error, len(todo))
-	one := func(i int) {
+	rt.budget.For(len(todo), func(_, i int) bool {
 		v := todo[i]
 		before := rt.readers[v].RetrievedBytes()
 		b, err := rt.readers[v].Advance(ctx, rt.eps[v])
 		if err != nil {
 			errs[i] = fmt.Errorf("core: advance %s: %w", rt.vars[v].Name, err)
-			return
+			return true
 		}
 		if rt.readers[v].RetrievedBytes() != before || b != rt.achieved[v] {
 			moved[i] = true
@@ -646,39 +620,11 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 		mCom.End()
 		if err != nil {
 			errs[i] = fmt.Errorf("core: data %s: %w", rt.vars[v].Name, err)
-			return
+			return true
 		}
 		rt.masked[v] = rt.applyMask(v, data)
-	}
-	if rt.cfg.Workers > 1 && len(todo) > 1 {
-		// Split the one Workers budget between the concurrently advancing
-		// variables so the per-reader decode pools don't multiply into
-		// Workers² goroutines; the split changes nothing observable because
-		// reader output is chunking-independent.
-		share := (rt.cfg.Workers + len(todo) - 1) / len(todo)
-		for _, v := range todo {
-			rt.readers[v].SetWorkers(share)
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, rt.cfg.Workers)
-		for i := range todo {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				one(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for _, v := range todo {
-			rt.readers[v].SetWorkers(rt.cfg.Workers)
-		}
-		for i := range todo {
-			one(i)
-		}
-	}
+		return true
+	})
 	progressed := false
 	for i := range todo {
 		if errs[i] != nil {
@@ -802,7 +748,7 @@ func (s *estScratch) walk(est qoi.BoundFunc, req Request, used, rlo, rhi []int, 
 // max estimates and their argmax locations. prog, when non-nil, is the
 // request's compiled theorem estimator; otherwise the point estimator
 // walks each expression per point. used lists the variables the request
-// reads. Work is sharded as point-chunk tasks over one bounded pool, and
+// reads. Work is sharded as point-chunk tasks on the session's budget, and
 // a region-restricted QoI only evaluates its own region. Partials merge in
 // fixed chunk order per QoI, so the result is independent of scheduling.
 func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne int) ([]float64, []int) {
@@ -870,7 +816,7 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 			}
 		}
 	}
-	nw := min(rt.cfg.Workers, nchunks)
+	nw := min(rt.budget.Workers(), nchunks)
 	for len(rt.est) < nw {
 		rt.est = append(rt.est, newEstScratch(len(rt.vars)))
 	}
@@ -880,28 +826,10 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 		}
 		s.active = s.active[:nq]
 	}
-	if nw > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for _, s := range rt.est[:nw] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= nchunks {
-						return
-					}
-					run(s, c)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for c := 0; c < nchunks; c++ {
-			run(rt.est[0], c)
-		}
-	}
+	rt.budget.For(nchunks, func(w, c int) bool {
+		run(rt.est[w], c)
+		return true
+	})
 	est := make([]float64, nq)
 	argmax := make([]int, nq)
 	for k := 0; k < nq; k++ {

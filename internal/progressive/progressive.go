@@ -25,12 +25,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"progqoi/internal/bitplane"
 	"progqoi/internal/encoding"
 	"progqoi/internal/grid"
 	"progqoi/internal/mgard"
+	"progqoi/internal/par"
 	"progqoi/internal/sz"
 )
 
@@ -89,22 +89,20 @@ type Options struct {
 	// LosslessTail appends a bit-exact final fragment to snapshot methods
 	// so any tolerance can be met (default true).
 	LosslessTail bool
-	// Workers bounds the encode worker pool (default GOMAXPROCS): PMGARD
-	// methods pool-schedule the chunked plane slicing and the per-(group,
-	// plane) compression, and PSZ3 compresses its independent snapshots
+	// Workers bounds Refactor's encode workers (default GOMAXPROCS): PMGARD
+	// methods spread the chunked plane slicing and the per-(group, plane)
+	// compression over them, and PSZ3 compresses its independent snapshots
 	// concurrently. 1 selects the fully sequential path; the refactored
 	// output is bit-identical either way. PSZ3-Delta stays sequential
 	// regardless — each snapshot compresses the residual of the previous
-	// reconstruction.
+	// reconstruction. RefactorOn ignores it and runs on the budget it is
+	// given, so only direct Refactor callers set it.
 	Workers int
 }
 
 func (o Options) withDefaults(dataRange float64) Options {
 	if o.Planes == 0 {
 		o.Planes = bitplane.DefaultPlanes
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if len(o.SnapshotEBs) == 0 {
 		base := dataRange
@@ -174,6 +172,13 @@ func (r *Refactored) NumElements() int {
 // Refactor produces the progressive representation of data (row-major on
 // dims) under the given options.
 func Refactor(data []float64, dims []int, opt Options) (*Refactored, error) {
+	return RefactorOn(par.New(opt.Workers), data, dims, opt)
+}
+
+// RefactorOn is Refactor with its encode tasks run on budget b instead of
+// one sized by opt.Workers, so refactors running concurrently under one
+// budget share it.
+func RefactorOn(b *par.Budget, data []float64, dims []int, opt Options) (*Refactored, error) {
 	g, err := grid.New(dims...)
 	if err != nil {
 		return nil, err
@@ -185,9 +190,9 @@ func Refactor(data []float64, dims []int, opt Options) (*Refactored, error) {
 	opt = opt.withDefaults(rng)
 	switch opt.Method {
 	case PSZ3, PSZ3Delta:
-		return refactorSnapshots(data, g, opt)
+		return refactorSnapshots(b, data, g, opt)
 	case PMGARD, PMGARDHB:
-		return refactorMultilevel(data, g, opt)
+		return refactorMultilevel(b, data, g, opt)
 	default:
 		return nil, fmt.Errorf("progressive: unknown method %d", opt.Method)
 	}
@@ -209,7 +214,7 @@ func valueRange(data []float64) float64 {
 	return hi - lo
 }
 
-func refactorSnapshots(data []float64, g *grid.Grid, opt Options) (*Refactored, error) {
+func refactorSnapshots(b *par.Budget, data []float64, g *grid.Grid, opt Options) (*Refactored, error) {
 	for i := 1; i < len(opt.SnapshotEBs); i++ {
 		if !(opt.SnapshotEBs[i] < opt.SnapshotEBs[i-1]) {
 			return nil, fmt.Errorf("progressive: snapshot bounds must strictly decrease, got %v", opt.SnapshotEBs)
@@ -227,7 +232,7 @@ func refactorSnapshots(data []float64, g *grid.Grid, opt Options) (*Refactored, 
 	delta := opt.Method == PSZ3Delta
 	if !delta {
 		// PSZ3 snapshots are independent compressions of the same data, so
-		// they (and the lossless tail) schedule onto one bounded pool. Each
+		// they (and the lossless tail) run as tasks on the budget. Each
 		// task writes only its own slot; assembly below is in preset order,
 		// so the fragment stream is bit-identical to the sequential path.
 		nfrag := len(opt.SnapshotEBs)
@@ -236,7 +241,7 @@ func refactorSnapshots(data []float64, g *grid.Grid, opt Options) (*Refactored, 
 		}
 		frags := make([][]byte, nfrag)
 		errs := make([]error, nfrag)
-		runPool(opt.Workers, nfrag, func(i int) bool {
+		b.For(nfrag, func(_, i int) bool {
 			if i == len(opt.SnapshotEBs) {
 				frags[i], errs[i] = encodeLossless(data)
 				return true
@@ -312,7 +317,7 @@ func decodeLossless(buf []byte, want int) ([]float64, error) {
 	return vals, nil
 }
 
-func refactorMultilevel(data []float64, g *grid.Grid, opt Options) (*Refactored, error) {
+func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options) (*Refactored, error) {
 	basis := mgard.Hierarchical
 	if opt.Method == PMGARD {
 		basis = mgard.Orthogonal
@@ -335,16 +340,16 @@ func refactorMultilevel(data []float64, g *grid.Grid, opt Options) (*Refactored,
 		size    int
 		benefit float64 // weighted bound reduction
 	}
-	// Encode each group, pool-scheduling every (group, plane) compression
-	// over the Workers budget; the greedy schedule below then walks the
-	// finished blocks sequentially, so fragment order — and every byte —
-	// matches the sequential encode.
+	// Encode each group, every (group, plane) compression a task on the
+	// budget; the greedy schedule below then walks the finished blocks
+	// sequentially, so fragment order — and every byte — matches the
+	// sequential encode.
 	perGroupNext := make([]int, nGroups)
 	groups := make([][]float64, nGroups)
 	for gi := 0; gi < nGroups; gi++ {
 		groups[gi] = dec.Group(gi)
 	}
-	blocks, err := bitplane.EncodeAll(groups, opt.Planes, opt.Workers)
+	blocks, err := bitplane.EncodeAllOn(b, groups, opt.Planes)
 	if err != nil {
 		return nil, err
 	}

@@ -5,15 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"progqoi/internal/bitplane"
 	"progqoi/internal/encoding"
 	"progqoi/internal/grid"
 	"progqoi/internal/mgard"
 	"progqoi/internal/obs"
+	"progqoi/internal/par"
 	"progqoi/internal/sz"
 )
 
@@ -38,9 +36,10 @@ type Reader struct {
 	src   *Refactored
 	fetch FetchFunc
 
-	// workers bounds the decode pool used by Advance; 1 selects the plain
-	// sequential path. Parallel and sequential decode are bit-identical.
-	workers int
+	// budget runs Advance's decode tasks; a budget of one worker selects
+	// the plain sequential path. Parallel and sequential decode are
+	// bit-identical.
+	budget *par.Budget
 
 	// trace, when non-nil, records one decode span per Advance that
 	// ingests fragments; traceName labels it (the variable name) and
@@ -71,7 +70,7 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd := &Reader{src: r, fetch: fetch, grd: g, bound: math.Inf(1), dirty: true, workers: runtime.GOMAXPROCS(0)}
+	rd := &Reader{src: r, fetch: fetch, grd: g, bound: math.Inf(1), dirty: true, budget: par.New(0)}
 	switch r.Method {
 	case PSZ3, PSZ3Delta:
 		rd.data = make([]float64, g.Size())
@@ -103,20 +102,19 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 	return rd, nil
 }
 
-// SetWorkers bounds the fragment-decode worker pool Advance uses. n ≤ 1
-// selects the sequential path; n > 1 decodes independent fragments and
-// bit planes on up to n goroutines with a deterministic merge, so the
+// SetWorkers gives the reader a decode budget of its own of n workers.
+// n ≤ 1 selects the sequential path; n > 1 decodes independent fragments
+// and bit planes on up to n goroutines with a deterministic merge, so the
 // reconstruction stays bit-identical to the sequential path. The default
 // is GOMAXPROCS.
-func (rd *Reader) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	rd.workers = n
-}
+func (rd *Reader) SetWorkers(n int) { rd.budget = par.New(max(n, 1)) }
 
-// Workers returns the current decode-pool bound.
-func (rd *Reader) Workers() int { return rd.workers }
+// SetBudget makes Advance run its decode tasks on b, which readers
+// advancing concurrently can share.
+func (rd *Reader) SetBudget(b *par.Budget) { rd.budget = b }
+
+// Workers returns the decode budget's bound.
+func (rd *Reader) Workers() int { return rd.budget.Workers() }
 
 // SetTrace attaches a span recorder labelled with the variable name this
 // reader serves. A nil trace (the default) records nothing and leaves
@@ -210,7 +208,7 @@ func (rd *Reader) Advance(ctx context.Context, target float64) (float64, error) 
 		defer m.End()
 	}
 	var err error
-	if rd.workers > 1 && len(plan) > 1 {
+	if rd.Workers() > 1 && len(plan) > 1 {
 		switch rd.src.Method {
 		case PSZ3Delta:
 			err = rd.advanceSnapshotsParallel(ctx, plan)
@@ -285,43 +283,6 @@ func (rd *Reader) account(i int, size int) {
 	rd.nextFrag = i + 1
 }
 
-// runPool executes tasks 0..n-1 on at most workers goroutines. A task
-// returning false stops the issue of new tasks; tasks already started run
-// to completion. It returns when every issued task has finished.
-func runPool(workers, n int, task func(int) bool) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if !task(i) {
-				return
-			}
-		}
-		return
-	}
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() {
-					return
-				}
-				if !task(i) {
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // decodedFrag is the stage-1 output of the parallel paths: one fragment's
 // payload decoded off the hot path, plus everything the deterministic
 // commit stage needs to reattach it.
@@ -351,7 +312,7 @@ func truncateOK(ctx context.Context, tasks []decodedFrag) ([]decodedFrag, error)
 			return tasks[:i], tasks[i].err
 		}
 		if tasks[i].frag < 0 {
-			// Task never ran: the pool stopped early. A worker that observed
+			// Task never ran: decoding stopped early. A worker that observed
 			// the stop flag may have skipped this slot even though the
 			// failure lives at a later index — surface that real error, not
 			// a generic one, so the caller sees why decoding stopped.
@@ -383,7 +344,7 @@ func (rd *Reader) advancePlanesParallel(ctx context.Context, plan []int) error {
 	for t := range tasks {
 		tasks[t].frag = -1 // marks "not run" for truncateOK
 	}
-	runPool(rd.workers, len(plan), func(t int) bool {
+	rd.budget.For(len(plan), func(_, t int) bool {
 		if err := ctx.Err(); err != nil {
 			tasks[t] = decodedFrag{frag: plan[t], err: err}
 			return false
@@ -397,57 +358,48 @@ func (rd *Reader) advancePlanesParallel(ctx context.Context, plan []int) error {
 	// skips a plane poisons everything after it, and the sequential path
 	// rejects such a fragment without touching the decoder — the parallel
 	// path must leave the same state behind.
-	expected := map[int]int{}
+	expected := make([]int, len(rd.decs)) // per group: next plane, or -1 before its first
+	for g := range expected {
+		expected[g] = -1
+	}
+	var groups []int // groups with committed planes, in order of first appearance
 	for i := range ok {
-		g := ok[i].ref.Group
-		if _, seen := expected[g]; !seen {
+		g, p := ok[i].ref.Group, ok[i].ref.Plane
+		first := expected[g] < 0
+		if first {
 			expected[g] = rd.decs[g].Applied()
 		}
-		if p := ok[i].ref.Plane; p > expected[g] {
+		if p > expected[g] {
 			ok = ok[:i]
 			ferr = fmt.Errorf("%w: fragment %d skips to plane %d/%d (have %d)",
 				ErrShortFragment, tasks[i].frag, g, p, expected[g])
 			break
-		} else if p+1 > expected[g] {
-			expected[g] = p + 1
 		}
+		if first {
+			groups = append(groups, g)
+		}
+		expected[g] = max(expected[g], p+1)
 	}
 
-	// Stage 2: group the committed planes and OR them into each group's
-	// decoder over disjoint coefficient chunks.
-	type chunk struct {
-		group, lo, hi int
-		planes        []*decodedFrag
-	}
-	byGroup := map[int][]*decodedFrag{}
-	order := []int{}
-	for i := range ok {
-		g := ok[i].ref.Group
-		if byGroup[g] == nil {
-			order = append(order, g)
-		}
-		byGroup[g] = append(byGroup[g], &ok[i])
-	}
+	// Stage 2: OR the committed planes into each group's decoder over
+	// disjoint coefficient chunks; a chunk applies its group's planes in
+	// plan order.
+	type chunk struct{ group, lo, hi int }
 	var chunks []chunk
-	for _, g := range order {
+	for _, g := range groups {
 		n := rd.blocks[g].N
-		size := (n + rd.workers - 1) / rd.workers
-		if size < 2048 {
-			size = 2048
-		}
+		size := max((n+rd.Workers()-1)/rd.Workers(), 2048)
 		for lo := 0; lo < n; lo += size {
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			chunks = append(chunks, chunk{group: g, lo: lo, hi: hi, planes: byGroup[g]})
+			chunks = append(chunks, chunk{group: g, lo: lo, hi: min(lo+size, n)})
 		}
 	}
-	runPool(rd.workers, len(chunks), func(c int) bool {
+	rd.budget.For(len(chunks), func(_, c int) bool {
 		ch := chunks[c]
 		dec := rd.decs[ch.group]
-		for _, p := range ch.planes {
-			dec.OrPlane(p.ref.Plane, p.rawPlane, ch.lo, ch.hi)
+		for i := range ok {
+			if p := &ok[i]; p.ref.Group == ch.group {
+				dec.OrPlane(p.ref.Plane, p.rawPlane, ch.lo, ch.hi)
+			}
 		}
 		return true
 	})
@@ -532,7 +484,7 @@ func (rd *Reader) advanceSnapshotsParallel(ctx context.Context, plan []int) erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	window := 2 * rd.workers
+	window := 2 * rd.Workers()
 	if window < 2 {
 		window = 2
 	}
@@ -546,7 +498,7 @@ func (rd *Reader) advanceSnapshotsParallel(ctx context.Context, plan []int) erro
 		for t := range tasks {
 			tasks[t].frag = -1
 		}
-		runPool(rd.workers, len(wplan), func(t int) bool {
+		rd.budget.For(len(wplan), func(_, t int) bool {
 			if err := ctx.Err(); err != nil {
 				tasks[t] = decodedFrag{frag: wplan[t], err: err}
 				return false
@@ -558,12 +510,12 @@ func (rd *Reader) advanceSnapshotsParallel(ctx context.Context, plan []int) erro
 
 		if len(ok) > 0 {
 			n := len(rd.data)
-			size := (n + rd.workers - 1) / rd.workers
+			size := (n + rd.Workers() - 1) / rd.Workers()
 			if size < 4096 {
 				size = 4096
 			}
 			nchunks := (n + size - 1) / size
-			runPool(rd.workers, nchunks, func(c int) bool {
+			rd.budget.For(nchunks, func(_, c int) bool {
 				lo := c * size
 				hi := lo + size
 				if hi > n {

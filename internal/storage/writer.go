@@ -86,7 +86,7 @@ type FieldSource func(i int) ([]float64, error)
 // RefactorTo is the streaming form of core.RefactorVariables +
 // WriteArchive: fields are loaded, refactored and flushed to the store one
 // variable at a time — each variable using the full opt.Workers encode
-// pool — with the manifest written last, so packing a dataset never holds
+// budget — with the manifest written last, so packing a dataset never holds
 // more than one variable's planes (plus one raw field) in RAM and a crash
 // mid-pack leaves the store readable. The resulting store contents are
 // byte-identical to the in-memory path. It returns the total variable-blob
