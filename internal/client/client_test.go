@@ -66,13 +66,25 @@ func fastOptions() Options {
 	return Options{MaxRetries: 3, RetryBackoff: time.Millisecond}
 }
 
+// checkCounters pins the retry and failover accounting of one test's
+// client exactly.
+func checkCounters(t *testing.T, st Stats, retryPasses, failovers, rateLimited, wireRequests int64) {
+	t.Helper()
+	if st.RetryPasses != retryPasses || st.Failovers != failovers ||
+		st.RateLimited != rateLimited || st.WireRequests != wireRequests {
+		t.Fatalf("RetryPasses/Failovers/RateLimited/WireRequests = %d/%d/%d/%d, want %d/%d/%d/%d",
+			st.RetryPasses, st.Failovers, st.RateLimited, st.WireRequests,
+			retryPasses, failovers, rateLimited, wireRequests)
+	}
+}
+
 func TestRetryOn5xxThenSuccess(t *testing.T) {
 	var failures atomic.Int64
 	failures.Store(2)
 	var attempts atomic.Int64
 	hs, vars := testService(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.Contains(r.URL.Path, "/frag/") {
+			if strings.HasSuffix(r.URL.Path, "/frags") {
 				attempts.Add(1)
 				if failures.Add(-1) >= 0 {
 					http.Error(w, "transient", http.StatusServiceUnavailable)
@@ -86,23 +98,26 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag, err := c.Fragment(context.Background(), "ge", vars[0].Name, 0)
+	got, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}})
 	if err != nil {
 		t.Fatalf("fragment after transient 5xx: %v", err)
 	}
-	if string(frag) != string(vars[0].Ref.Fragments[0]) {
+	if string(got[vars[0].Name][0]) != string(vars[0].Ref.Fragments[0]) {
 		t.Fatal("payload mismatch")
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("%d attempts, want 3 (2 failures + 1 success)", got)
 	}
+	// The index GET plus three batch POSTs; each failed POST costs one
+	// retry pass on a single endpoint.
+	checkCounters(t, c.Stats(), 2, 0, 0, 4)
 }
 
 func TestRetryExhaustion(t *testing.T) {
 	var attempts atomic.Int64
 	hs, vars := testService(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.Contains(r.URL.Path, "/frag/") {
+			if strings.HasSuffix(r.URL.Path, "/frags") {
 				attempts.Add(1)
 				http.Error(w, "down", http.StatusInternalServerError)
 				return
@@ -114,7 +129,7 @@ func TestRetryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragment(context.Background(), "ge", vars[0].Name, 0); err == nil {
+	if _, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}}); err == nil {
 		t.Fatal("persistent 5xx did not fail")
 	} else if !strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("error %v does not report retry exhaustion", err)
@@ -122,6 +137,7 @@ func TestRetryExhaustion(t *testing.T) {
 	if got := attempts.Load(); got != 4 {
 		t.Fatalf("%d attempts, want 4 (1 + 3 retries)", got)
 	}
+	checkCounters(t, c.Stats(), 3, 0, 0, 5)
 }
 
 func TestNoRetryOn404(t *testing.T) {
@@ -130,8 +146,11 @@ func TestNoRetryOn404(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.Index(context.Background(), "ge"); err != nil {
+		t.Fatal(err)
+	}
 	before := c.Stats().WireRequests
-	_, err = c.Fragment(context.Background(), "ge", "NoSuchVar", 0)
+	_, err = c.Fragments(context.Background(), "ge", map[string][]int{"NoSuchVar": {0}})
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != 404 {
 		t.Fatalf("want HTTPError 404, got %v", err)
@@ -145,7 +164,7 @@ func TestTruncatedBodyRetriesThenFails(t *testing.T) {
 	var attempts atomic.Int64
 	hs, vars := testService(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.Contains(r.URL.Path, "/frag/") {
+			if strings.HasSuffix(r.URL.Path, "/frags") {
 				attempts.Add(1)
 				// Promise more bytes than we send: the client sees an
 				// unexpected EOF mid-body.
@@ -160,12 +179,13 @@ func TestTruncatedBodyRetriesThenFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragment(context.Background(), "ge", vars[0].Name, 0); err == nil {
+	if _, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}}); err == nil {
 		t.Fatal("truncated body did not fail")
 	}
 	if got := attempts.Load(); got != 4 {
 		t.Fatalf("%d attempts, want 4 (truncation retried)", got)
 	}
+	checkCounters(t, c.Stats(), 3, 0, 0, 5)
 }
 
 func TestCorruptBatchDetected(t *testing.T) {
@@ -231,7 +251,7 @@ func TestCacheEvictionUnderBytePressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := c.Fragment(context.Background(), "ge", vars[0].Name, i); err != nil {
+		if _, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +264,7 @@ func TestCacheEvictionUnderBytePressure(t *testing.T) {
 	}
 	// Fragment 0 was evicted long ago: re-fetching it pays the wire again.
 	wire := c.Stats().WireBytes
-	if _, err := c.Fragment(context.Background(), "ge", vars[0].Name, 0); err != nil {
+	if _, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().WireBytes == wire {

@@ -267,6 +267,28 @@ func TestFailoverOn5xxNode(t *testing.T) {
 	if st := c.Stats(); st.Failovers == 0 {
 		t.Fatal("no failovers recorded despite a 500ing node")
 	}
+	failovers, requests := failoverCounts(c, vars, nodes[0].hs.URL)
+	checkCounters(t, c.Stats(), 0, failovers, 0, requests)
+}
+
+// failoverCounts predicts the counters of one Fragments call over
+// allWants when the endpoint sick rejects its sub-batch retryably and
+// every other endpoint serves: one failover per fragment sick is primary
+// for, and requests for the index GET, one POST per distinct primary, and
+// one POST per distinct second choice of sick's fragments.
+func failoverCounts(c *Client, vars []*core.Variable, sick string) (failovers, requests int64) {
+	primaries, seconds := map[string]bool{}, map[string]bool{}
+	for _, v := range vars {
+		for fi := range v.Ref.Fragments {
+			order := c.candidates(shardKey(v.Name, fi))
+			primaries[order[0].base] = true
+			if order[0].base == sick {
+				failovers++
+				seconds[order[1].base] = true
+			}
+		}
+	}
+	return failovers, int64(1 + len(primaries) + len(seconds))
 }
 
 func TestBreakerStateMachine(t *testing.T) {

@@ -120,6 +120,8 @@ func TestRateLimit429FailsOverAcrossShards(t *testing.T) {
 			t.Fatalf("throttled endpoint errors = %d, want 0", ep.Errors)
 		}
 	}
+	failovers, requests := failoverCounts(c, vars, node0.URL)
+	checkCounters(t, st, 0, failovers, 1, requests)
 }
 
 func TestRetryAfterHonoredWhenAllReplicasLimited(t *testing.T) {
@@ -162,6 +164,7 @@ func TestRetryAfterHonoredWhenAllReplicasLimited(t *testing.T) {
 		t.Fatalf("retry came after %v, want >= ~1s (Retry-After honored over the %v backoff)",
 			elapsed, fastOptions().RetryBackoff)
 	}
+	checkCounters(t, c.Stats(), 1, 0, 1, 3)
 }
 
 func TestRateLimitExhaustionSurfacesErrRateLimited(t *testing.T) {
@@ -185,4 +188,5 @@ func TestRateLimitExhaustionSurfacesErrRateLimited(t *testing.T) {
 	if _, err := c.Fragments(context.Background(), "ge", allWants(vars)); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
 	}
+	checkCounters(t, c.Stats(), 1, 0, 2, 3)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,8 +249,35 @@ func TestSigningKeyRollsOverAtUTCMidnight(t *testing.T) {
 	}
 }
 
+// countingTransport counts the HTTP requests a store sends, including
+// the ones a fault injected before the mock's own counters see them.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// counted installs a countingTransport and disables the cache, so every
+// read reaches the wire.
+func counted(rt *countingTransport) func(*Options) {
+	return func(o *Options) {
+		o.HTTPClient = &http.Client{Transport: rt}
+		o.CacheBytes = -1
+	}
+}
+
+// checkRequests asserts the requests sent since the last check.
+func checkRequests(t *testing.T, rt *countingTransport, want int64) {
+	t.Helper()
+	if got := rt.n.Swap(0); got != want {
+		t.Fatalf("%d requests, want %d", got, want)
+	}
+}
+
 func TestRetryTransient(t *testing.T) {
-	srv, st := newPair(t, nil)
+	rt := &countingTransport{}
+	srv, st := newPair(t, counted(rt))
 	srv.Put("k", []byte("value"))
 	ctx := context.Background()
 
@@ -257,15 +285,18 @@ func TestRetryTransient(t *testing.T) {
 	if b, err := st.Get(ctx, "k"); err != nil || string(b) != "value" {
 		t.Fatalf("Get after 2x503 = %q, %v", b, err)
 	}
+	checkRequests(t, rt, 3)
 
 	srv.TruncateNext(1)
 	if b, err := st.GetRange(ctx, "k", 0, 5); err != nil || string(b) != "value" {
 		t.Fatalf("GetRange after truncation = %q, %v", b, err)
 	}
+	checkRequests(t, rt, 2)
 }
 
 func TestRetryBudgetExhausted(t *testing.T) {
-	srv, st := newPair(t, func(o *Options) { o.MaxRetries = 2; o.CacheBytes = -1 })
+	rt := &countingTransport{}
+	srv, st := newPair(t, func(o *Options) { counted(rt)(o); o.MaxRetries = 2 })
 	srv.Put("k", []byte("value"))
 	srv.Fail503(10)
 	_, err := st.Get(context.Background(), "k")
@@ -273,16 +304,19 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if !errors.As(err, &se) || se.Status != 503 {
 		t.Fatalf("got %v, want StatusError 503", err)
 	}
+	checkRequests(t, rt, 3)
 }
 
 func TestPermanentFailuresDoNotRetry(t *testing.T) {
-	srv, st := newPair(t, func(o *Options) { o.CacheBytes = -1 })
+	rt := &countingTransport{}
+	srv, st := newPair(t, counted(rt))
 	srv.Put("k", []byte("value"))
 	ctx := context.Background()
 
 	if _, err := st.Get(ctx, "missing"); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("missing key: got %v, want storage.ErrNotFound", err)
 	}
+	checkRequests(t, rt, 1)
 
 	srv.Deny403(true)
 	_, _, _, denied0 := srv.Stats()
@@ -292,6 +326,7 @@ func TestPermanentFailuresDoNotRetry(t *testing.T) {
 	if _, _, _, denied := srv.Stats(); denied != denied0+1 {
 		t.Fatalf("403 was retried: %d denials for one Get", denied-denied0)
 	}
+	checkRequests(t, rt, 1)
 }
 
 func TestETagPinning(t *testing.T) {
