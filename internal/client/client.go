@@ -29,6 +29,7 @@ import (
 	"progqoi/internal/encoding"
 	"progqoi/internal/lru"
 	"progqoi/internal/obs"
+	"progqoi/internal/retry"
 	"progqoi/internal/server"
 )
 
@@ -42,14 +43,11 @@ type Options struct {
 	// fragments survive slow links).
 	HTTPClient *http.Client
 	// MaxRetries is the number of re-attempts after a transport error,
-	// truncated body, or 5xx (default 3; negative disables retries). On a
-	// cluster it bounds extra passes over the endpoints: failing over to
-	// another replica is free, and backoff applies only once every
-	// candidate has failed the current pass.
+	// truncated body, 5xx or 429 (default 3; negative disables retries).
+	// On a cluster it bounds extra passes over the endpoints: failing over
+	// to another replica is free, and backoff (internal/retry) applies only
+	// once every candidate has failed the current pass.
 	MaxRetries int
-	// RetryBackoff is the first retry delay, doubled per attempt
-	// (default 50 ms).
-	RetryBackoff time.Duration
 	// CacheBytes bounds the shared fragment cache (default
 	// DefaultCacheBytes; negative disables caching).
 	CacheBytes int64
@@ -71,10 +69,6 @@ type Options struct {
 	// spilling to the rest of the cluster (default DefaultReplication,
 	// clamped to the endpoint count).
 	Replication int
-	// BreakerCooldown is how long an endpoint's circuit stays open after
-	// breakerThreshold consecutive failures before a half-open probe
-	// (default DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 	// DiscoverPeers asks Open to fetch /v1/cluster from the primary
 	// endpoint and merge the advertised peers (and alive members, on an
 	// elastic cluster) into Endpoints, so a client pointed at one node
@@ -93,16 +87,16 @@ type Options struct {
 	// every request. Required against a multi-tenant server (one started
 	// with -tenants); ignored by anonymous servers. Empty sends no header.
 	Token string
+
+	// clock times backoff waits, breaker cooldowns and Retry-After dates
+	// (default retry.Wall); in-package tests substitute one they drive.
+	clock retry.Clock
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	} else if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
+	o.MaxRetries = retry.Retries(o.MaxRetries)
+	if o.clock == nil {
+		o.clock = retry.Wall{}
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = DefaultCacheBytes
@@ -111,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Replication <= 0 {
 		o.Replication = DefaultReplication
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
 	}
 	return o
 }
@@ -146,10 +137,10 @@ type Stats struct {
 	// the number of times a node was demoted for failing
 	// breakerThreshold requests in a row (or flunking a half-open probe).
 	BreakerOpens int64
-	// RetryPasses counts backoff waits spent: full passes over the
-	// endpoint set that ended with every candidate failing, forcing the
-	// client to sleep and spend retry budget. Zero on a healthy cluster
-	// no matter how much plain (free) failover happened.
+	// RetryPasses counts retry budget spent: passes over the endpoint set
+	// re-run after a whole pass failed and the backoff wait ended. A wait
+	// the caller's context cut short spends none. Zero on a healthy
+	// cluster no matter how much plain (free) failover happened.
 	RetryPasses int64
 	// RateLimited counts 429 responses received. Each one failed over or
 	// retried after honoring the server's Retry-After; none tripped a
@@ -368,35 +359,7 @@ func (e *HTTPError) Is(target error) bool {
 // in-flight request and any backoff wait: once ctx is done no further
 // attempts are made and the context's error is returned.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, contentType string) ([]byte, error) {
-	return c.doKeyed(ctx, path, false, method, path, body, contentType)
-}
-
-// Health fetches the service's /healthz stats.
-func (c *Client) Health(ctx context.Context) (*server.Stats, error) {
-	b, err := c.do(ctx, "GET", "/healthz", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	var st server.Stats
-	if err := json.Unmarshal(b, &st); err != nil {
-		return nil, fmt.Errorf("client: healthz: %w", err)
-	}
-	return &st, nil
-}
-
-// Datasets lists the datasets the service hosts.
-func (c *Client) Datasets(ctx context.Context) ([]string, error) {
-	b, err := c.do(ctx, "GET", "/v1/datasets", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	var out struct {
-		Datasets []string `json:"datasets"`
-	}
-	if err := json.Unmarshal(b, &out); err != nil {
-		return nil, fmt.Errorf("client: datasets: %w", err)
-	}
-	return out.Datasets, nil
+	return c.doKeyed(ctx, path, method, path, body, contentType)
 }
 
 // Index fetches (and memoizes — the archive is immutable) one dataset's
@@ -438,43 +401,6 @@ func indexFragSize(idx *server.Index, vr string, fi int) int64 {
 
 func fragKey(dataset, vr string, fi int) string {
 	return dataset + "\x00" + vr + "\x00" + strconv.Itoa(fi)
-}
-
-// Fragment fetches a single fragment through the cache via the
-// single-fragment GET endpoint, routed to the fragment's shard.
-func (c *Client) Fragment(ctx context.Context, dataset, vr string, fi int) ([]byte, error) {
-	key := fragKey(dataset, vr, fi)
-	if v, ok := c.cache.Get(key); ok {
-		return v, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The fetch span's Bytes mirrors the wireBytes increment below exactly,
-	// so a trace's summed fetch bytes reconcile with Stats.WireBytes. The
-	// mark is zero (and free) when the context carries no trace.
-	var mf obs.SpanMark
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		mf = tr.Begin(obs.CatFetch, "frag "+vr+"/"+strconv.Itoa(fi))
-	}
-	path := "/v1/d/" + dataset + "/frag/" + vr + "/" + strconv.Itoa(fi)
-	b, err := c.doKeyed(ctx, shardKey(vr, fi), true, "GET", path, nil, "")
-	if err != nil {
-		mf.End()
-		return nil, err
-	}
-	if idx, ierr := c.Index(ctx, dataset); ierr == nil {
-		if want := indexFragSize(idx, vr, fi); want >= 0 && int64(len(b)) != want {
-			mf.End()
-			return nil, fmt.Errorf("%w: fragment %s/%s/%d is %d bytes, index says %d",
-				encoding.ErrCorrupt, dataset, vr, fi, len(b), want)
-		}
-	}
-	c.wireBytes.Add(int64(len(b)))
-	mf.EndBytes(int64(len(b)))
-	c.fragsFetched.Add(1)
-	c.cache.Add(key, b)
-	return b, nil
 }
 
 // Fragments fetches a set of fragments in at most one HTTP round trip per

@@ -62,8 +62,48 @@ func testService(t *testing.T, middleware func(http.Handler) http.Handler) (*htt
 	return serviceFor(t, vars, middleware), vars
 }
 
+// fakeClock is a retry.Clock the tests drive: time moves only when a
+// test advances it or a wait ends, and every wait ends at once and is
+// recorded, so backoff and Retry-After cost no wall time.
+type fakeClock struct {
+	mu    sync.Mutex
+	now   time.Time
+	waits []time.Duration
+}
+
+func (f *fakeClock) Now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+func (f *fakeClock) After(d time.Duration) <-chan time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.waits = append(f.waits, d)
+	f.now = f.now.Add(d)
+	ch := make(chan time.Time, 1)
+	ch <- f.now
+	return ch
+}
+
+func (f *fakeClock) advance(d time.Duration) {
+	f.mu.Lock()
+	f.now = f.now.Add(d)
+	f.mu.Unlock()
+}
+
+// recorded returns the waits so far.
+func (f *fakeClock) recorded() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Duration(nil), f.waits...)
+}
+
+// fastOptions runs a client on its own fake clock; opt.clock.(*fakeClock)
+// reaches it.
 func fastOptions() Options {
-	return Options{MaxRetries: 3, RetryBackoff: time.Millisecond}
+	return Options{MaxRetries: 3, clock: &fakeClock{}}
 }
 
 // checkCounters pins the retry and failover accounting of one test's

@@ -10,7 +10,7 @@ package client
 // next replica immediately, spilling past the replica set only when every
 // replica is unavailable. A per-endpoint circuit breaker (open after
 // breakerThreshold consecutive failures, half-open probe after
-// BreakerCooldown) keeps a dead node from eating a connection timeout on
+// breakerCooldown) keeps a dead node from eating a connection timeout on
 // every request; its state is surfaced in Stats.Endpoints.
 
 import (
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -30,6 +31,7 @@ import (
 
 	"progqoi/internal/obs"
 	"progqoi/internal/par"
+	"progqoi/internal/retry"
 	"progqoi/internal/server"
 )
 
@@ -37,9 +39,9 @@ import (
 // the circuit.
 const breakerThreshold = 3
 
-// DefaultBreakerCooldown is how long an open circuit rejects an endpoint
-// before a half-open probe, when Options.BreakerCooldown is zero.
-const DefaultBreakerCooldown = time.Second
+// breakerCooldown is how long an open circuit rejects an endpoint before
+// a half-open probe.
+const breakerCooldown = time.Second
 
 // DefaultReplication is the replica-set size when Options.Replication is
 // zero: primary plus one failover candidate per shard.
@@ -113,10 +115,10 @@ func (e *endpoint) abortProbe() {
 	e.mu.Unlock()
 }
 
-// report records a request outcome. Only endpoint-health failures
-// (connection errors, truncated bodies, 5xx) count toward the breaker;
-// any answered request — even a 404 — proves the node alive.
-func (e *endpoint) report(ok bool, cooldown time.Duration) {
+// report records a request outcome at now. Only endpoint-health
+// failures (connection errors, truncated bodies, 5xx) count toward the
+// breaker; any answered request — even a 404 — proves the node alive.
+func (e *endpoint) report(ok bool, now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ok {
@@ -129,7 +131,7 @@ func (e *endpoint) report(ok bool, cooldown time.Duration) {
 			e.opens.Add(1)
 		}
 		e.state = bkOpen
-		e.openUntil = time.Now().Add(cooldown)
+		e.openUntil = now.Add(breakerCooldown)
 	}
 }
 
@@ -228,19 +230,18 @@ func (c *Client) candidates(key string) []*endpoint {
 }
 
 // parseRetryAfter reads a Retry-After header value: integer seconds (the
-// only form our server emits) or an HTTP date. Zero when absent or
-// unparseable — the caller falls back to its own backoff.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && secs >= 0 {
+// only form our server emits) or an HTTP date, counted from now. Zero when
+// absent, negative, unparseable or too large for a Duration — the caller
+// falls back to its own backoff.
+func parseRetryAfter(v string, now time.Time) time.Duration {
+	if secs, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil {
+		if secs < 0 || secs > math.MaxInt64/int64(time.Second) {
+			return 0
+		}
 		return time.Duration(secs) * time.Second
 	}
 	if t, err := http.ParseTime(v); err == nil {
-		if d := time.Until(t); d > 0 {
-			return d
-		}
+		return max(t.Sub(now), 0)
 	}
 	return 0
 }
@@ -293,7 +294,7 @@ func (c *Client) attempt(ctx context.Context, ep *endpoint, method, path string,
 			return nil, fmt.Errorf("client: %s %s: %w", method, path, ctx.Err()), false, 0
 		}
 		ep.errors.Add(1)
-		ep.report(false, c.opts.BreakerCooldown)
+		ep.report(false, c.opts.clock.Now())
 		return nil, fmt.Errorf("client: %s %s via %s: %w", method, path, ep.base, err), true, 0
 	}
 	data, rerr := io.ReadAll(resp.Body)
@@ -305,19 +306,20 @@ func (c *Client) attempt(ctx context.Context, ep *endpoint, method, path string,
 		// tenant's budget, so the breaker stays closed. Another replica
 		// has its own bucket — fail over immediately; if every candidate
 		// throttles, the pass backoff honors the largest Retry-After.
-		ep.report(true, 0)
+		ep.report(true, time.Time{})
 		c.rateLimited.Add(1)
-		ra := parseRetryAfter(resp.Header.Get("Retry-After"))
+		ra := parseRetryAfter(resp.Header.Get("Retry-After"), c.opts.clock.Now())
 		return nil, fmt.Errorf("client: %s %s via %s: %w", method, path, ep.base,
 			&HTTPError{Status: resp.StatusCode, Msg: string(data), RetryAfter: ra}), true, ra
 	case resp.StatusCode >= 500:
+		now := c.opts.clock.Now()
 		ep.errors.Add(1)
-		ep.report(false, c.opts.BreakerCooldown)
+		ep.report(false, now)
 		return nil, fmt.Errorf("client: %s %s via %s: %s: %s",
 				method, path, ep.base, resp.Status, strings.TrimSpace(string(data))), true,
-			parseRetryAfter(resp.Header.Get("Retry-After"))
+			parseRetryAfter(resp.Header.Get("Retry-After"), now)
 	case resp.StatusCode != http.StatusOK:
-		ep.report(true, 0)
+		ep.report(true, time.Time{})
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, &HTTPError{Status: resp.StatusCode, Msg: string(data)}), false, 0
 	case rerr != nil:
 		if ctx.Err() != nil {
@@ -325,95 +327,90 @@ func (c *Client) attempt(ctx context.Context, ep *endpoint, method, path string,
 			return nil, fmt.Errorf("client: %s %s: %w", method, path, ctx.Err()), false, 0
 		}
 		ep.errors.Add(1)
-		ep.report(false, c.opts.BreakerCooldown)
+		ep.report(false, c.opts.clock.Now())
 		return nil, fmt.Errorf("client: %s %s via %s: truncated body: %w", method, path, ep.base, rerr), true, 0
 	}
-	ep.report(true, 0)
+	ep.report(true, time.Time{})
 	return data, nil, false, 0
 }
 
-// doKeyed issues one request routed by rendezvous key in three sweeps
-// per pass: replicas (the first repl candidates) with willing breakers,
-// then any endpoint with a willing breaker (healthy spill), and only
-// then breaker-open nodes as a last resort — so a shard whose whole
-// replica set is dead reaches a healthy non-replica without first eating
-// a doomed dial timeout per open circuit. The candidate order is
-// re-resolved from the current topology view at the start of every pass
-// (and, in elastic mode, a fully failed pass forces a view refresh
-// first), so a retry after a membership change routes against the
-// cluster as it is, not as it was. replicaSet restricts the first sweep
-// to the view's replica set; metadata routes pass false and may use the
-// whole view. Failing over to the next candidate is immediate;
-// exponential backoff applies only between full passes, and MaxRetries
-// bounds the extra passes exactly as it bounded single-endpoint retries.
-func (c *Client) doKeyed(ctx context.Context, key string, replicaSet bool, method, path string, body []byte, contentType string) ([]byte, error) {
+// pick returns the endpoint a request for one key tries next, and its
+// rank in order (the key's rendezvous ranking), in three sweeps: the
+// first repl endpoints (the replica set) whose breakers admit a request,
+// then any endpoint whose breaker admits one (healthy spill), and only
+// then endpoints with open breakers as a last resort — so a shard whose
+// whole replica set is dead reaches a healthy non-replica without first
+// eating a doomed dial timeout per open circuit. Endpoints in skip are
+// never picked; nil when that leaves none.
+func pick(order []*endpoint, repl int, skip map[*endpoint]bool, now time.Time) (*endpoint, int) {
+	for sweep := 0; sweep < 3; sweep++ {
+		for i, ep := range order {
+			if skip[ep] || (sweep == 0 && i >= repl) || (sweep < 2 && !ep.admit(now)) {
+				continue
+			}
+			return ep, i
+		}
+	}
+	return nil, -1
+}
+
+// doKeyed issues one request routed by rendezvous key. One retry.Do
+// attempt is one pass over the current view's ranking for key, trying
+// every endpoint once in pick order; the whole view counts as the
+// replica set, so metadata routes may spill anywhere. The ranking is
+// re-resolved at the start of every pass (and, in elastic mode, a fully
+// failed pass forces a view refresh first), so a retry after a
+// membership change routes against the cluster as it is, not as it was.
+// Failing over to the next candidate is immediate; backoff applies only
+// between full passes, honouring the largest Retry-After of the failed
+// pass, and MaxRetries bounds the extra passes.
+func (c *Client) doKeyed(ctx context.Context, key, method, path string, body []byte, contentType string) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var lastErr error
-	attempts := 0
-	backoff := c.opts.RetryBackoff
-	var retryAfter time.Duration
-	for pass := 0; pass <= c.opts.MaxRetries; pass++ {
-		if pass > 0 {
+	var data []byte
+	err := c.retrying(ctx, func() (time.Duration, bool, error) {
+		order := c.candidates(key)
+		tried := map[*endpoint]bool{}
+		var retryAfter time.Duration
+		var lastErr error
+		for {
+			ep, i := pick(order, len(order), tried, c.opts.clock.Now())
+			if ep == nil {
+				return retryAfter, true, lastErr
+			}
+			tried[ep] = true
+			b, err, retryable, ra := c.attempt(ctx, ep, method, path, body, contentType)
+			if err == nil {
+				if i > 0 {
+					c.failovers.Add(1)
+				}
+				data = b
+				return 0, false, nil
+			}
+			if !retryable {
+				return 0, false, err
+			}
+			retryAfter = max(retryAfter, ra)
+			lastErr = err
+		}
+	})
+	return data, err
+}
+
+// retrying runs pass under the shared retry policy. Every pass after the
+// first counts one RetryPasses and, in elastic mode, first re-resolves
+// the topology: it runs only once the backoff wait has ended, so a wait
+// the context cuts short spends no pass.
+func (c *Client) retrying(ctx context.Context, pass func() (time.Duration, bool, error)) error {
+	n := 0
+	return retry.Do(ctx, c.opts.clock, c.opts.MaxRetries, func() (time.Duration, bool, error) {
+		if n++; n > 1 {
 			c.retryPasses.Add(1)
-			// Honor the largest Retry-After the failed pass collected when
-			// it exceeds our own exponential backoff: the server told us
-			// when budget returns, and hammering earlier just burns the
-			// remaining retry passes on guaranteed 429s.
-			wait := backoff
-			if retryAfter > wait {
-				wait = retryAfter
-			}
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("client: %s %s: %w", method, path, ctx.Err())
-			case <-t.C:
-			}
-			backoff *= 2
 			c.refreshAfterFailedPass(ctx)
 		}
-		retryAfter = 0
-		v := c.view()
-		order := rankEndpoints(v.eps, key)
-		repl := len(order)
-		if replicaSet && v.repl < repl {
-			repl = v.repl
-		}
-		tried := map[*endpoint]bool{}
-		for sweep := 0; sweep < 3; sweep++ {
-			for i, ep := range order {
-				if tried[ep] {
-					continue
-				}
-				if sweep == 0 && i >= repl {
-					continue
-				}
-				if sweep < 2 && !ep.admit(time.Now()) {
-					continue
-				}
-				tried[ep] = true
-				attempts++
-				data, err, retryable, ra := c.attempt(ctx, ep, method, path, body, contentType)
-				if err == nil {
-					if i > 0 {
-						c.failovers.Add(1)
-					}
-					return data, nil
-				}
-				if !retryable {
-					return nil, err
-				}
-				if ra > retryAfter {
-					retryAfter = ra
-				}
-				lastErr = err
-			}
-		}
-	}
-	return nil, fmt.Errorf("client: giving up after %d attempts: %w", attempts, lastErr)
+		return pass()
+	})
 }
 
 // ClusterInfo fetches a node's live topology — membership table, epoch,
@@ -439,168 +436,124 @@ type shardItem struct {
 }
 
 // fetchShards fetches the given fragments from the cluster: each fragment
-// routes to the first available endpoint of its rendezvous order, the
+// routes to the endpoint pick chooses from its rendezvous order, the
 // per-endpoint sub-batches travel as concurrent POSTs bounded by workers,
 // and a sub-batch that fails with a retryable error is re-sharded onto
 // the next replica of each of its fragments. Sub-batch outcomes are
 // handled in endpoint order, so which error a failed call returns does
-// not depend on which POST finished first. Routing state is per pass:
-// every iteration loads the current topology view and re-ranks the
-// remaining fragments against it, so a view swap mid-call redirects only
-// the fragments not yet fetched. Backoff and the MaxRetries budget apply
-// only once every endpoint has failed the current pass — plain failover
-// is free — and a failed pass forces a view refresh in elastic mode.
-// A fragment served by an endpoint other than its current pass's primary
-// counts one failover; each fragment is fetched successfully exactly
-// once, so Failovers can never double-count a fragment across passes or
-// view swaps. The result maps fragKey to payload (payloads alias the
-// response blobs; callers clone before caching).
+// not depend on which POST finished first. Routing state is per round:
+// every round loads the current topology view and re-ranks the remaining
+// fragments against it, so a view swap mid-call redirects only the
+// fragments not yet fetched. One retry.Do attempt is the rounds until
+// every fragment is fetched or every endpoint has failed it — plain
+// failover is free — and a failed attempt forces a view refresh in
+// elastic mode. A fragment served by an endpoint other than its round's
+// primary counts one failover; each fragment is fetched successfully
+// exactly once, so Failovers can never double-count a fragment across
+// passes or view swaps. The result maps fragKey to payload (payloads
+// alias the response blobs; callers clone before caching).
 func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[string][]int, workers int) (map[string][]byte, error) {
-	var items []shardItem
+	var remaining []shardItem
 	for _, vr := range sortedKeys(wants) {
 		for _, fi := range wants[vr] {
-			items = append(items, shardItem{vr: vr, fi: fi, key: fragKey(dataset, vr, fi)})
+			remaining = append(remaining, shardItem{vr: vr, fi: fi, key: fragKey(dataset, vr, fi)})
 		}
 	}
 	got := map[string][]byte{}
-	remaining := items
-	excluded := map[*endpoint]bool{}
-	var lastErr error
-	backoff := c.opts.RetryBackoff
-	var retryAfter time.Duration
-	pass := 0
-	for len(remaining) > 0 {
-		// Route every remaining fragment to the first endpoint of its
-		// rendezvous order — in the topology view current *now* — that has
-		// not failed this call: replicas with willing breakers first, then
-		// any willing endpoint (healthy spill), and breaker-open nodes
-		// only as a last resort — never ahead of a healthy non-replica.
-		v := c.view()
-		type assignment struct {
-			items   []shardItem
-			primary []bool // item's chosen endpoint was its rendezvous primary
-		}
-		groups := map[*endpoint]*assignment{}
-		now := time.Now()
-		for _, it := range remaining {
-			order := rankEndpoints(v.eps, shardKey(it.vr, it.fi))
-			var ep *endpoint
-			for sweep := 0; sweep < 3 && ep == nil; sweep++ {
-				for i, cand := range order {
-					if excluded[cand] {
-						continue
-					}
-					if sweep == 0 && i >= v.repl {
-						continue
-					}
-					if sweep < 2 && !cand.admit(now) {
-						continue
-					}
-					ep = cand
-					break
-				}
+	err := c.retrying(ctx, func() (time.Duration, bool, error) {
+		excluded := map[*endpoint]bool{}
+		var retryAfter time.Duration
+		var lastErr error
+		for len(remaining) > 0 {
+			v := c.view()
+			type assignment struct {
+				items   []shardItem
+				primary []bool // item's chosen endpoint was its rendezvous primary
 			}
-			if ep != nil {
+			groups := map[*endpoint]*assignment{}
+			now := c.opts.clock.Now()
+			for _, it := range remaining {
+				ep, i := pick(rankEndpoints(v.eps, shardKey(it.vr, it.fi)), v.repl, excluded, now)
+				if ep == nil {
+					continue
+				}
 				g := groups[ep]
 				if g == nil {
 					g = &assignment{}
 					groups[ep] = g
 				}
 				g.items = append(g.items, it)
-				g.primary = append(g.primary, ep == order[0])
+				g.primary = append(g.primary, i == 0)
 			}
-		}
-		if len(groups) == 0 {
-			// Every endpoint has failed this pass: spend one unit of the
-			// retry budget, back off, and give them all another chance.
-			pass++
-			if pass > c.opts.MaxRetries {
-				return nil, fmt.Errorf("client: giving up after %d passes over %d endpoint(s): %w",
-					pass, len(v.eps), lastErr)
+			if len(groups) == 0 {
+				// Every endpoint has failed this pass.
+				return retryAfter, true, lastErr
 			}
-			c.retryPasses.Add(1)
-			// As in doKeyed: when the pass died throttled, wait out the
-			// server's Retry-After rather than our (possibly shorter)
-			// exponential backoff.
-			wait := backoff
-			if retryAfter > wait {
-				wait = retryAfter
-			}
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("client: batch fetch: %w", ctx.Err())
-			case <-t.C:
-			}
-			backoff *= 2
-			retryAfter = 0
-			excluded = map[*endpoint]bool{}
-			c.refreshAfterFailedPass(ctx)
-			continue
-		}
 
-		eps := make([]*endpoint, 0, len(groups))
-		for ep := range groups {
-			eps = append(eps, ep)
-		}
-		sort.Slice(eps, func(i, j int) bool { return eps[i].base < eps[j].base })
-		type groupResult struct {
-			frags      []server.BatchFragment
-			err        error
-			retryable  bool
-			retryAfter time.Duration
-		}
-		results := make([]groupResult, len(eps))
-		par.New(workers).For(len(eps), func(_, gi int) bool {
-			byVar := map[string][]int{}
-			for _, it := range groups[eps[gi]].items {
-				byVar[it.vr] = append(byVar[it.vr], it.fi)
+			eps := make([]*endpoint, 0, len(groups))
+			for ep := range groups {
+				eps = append(eps, ep)
 			}
-			req := server.BatchRequest{}
-			for _, vr := range sortedKeys(byVar) {
-				req.Wants = append(req.Wants, server.BatchWant{Var: vr, Indices: byVar[vr]})
+			sort.Slice(eps, func(i, j int) bool { return eps[i].base < eps[j].base })
+			type groupResult struct {
+				frags      []server.BatchFragment
+				err        error
+				retryable  bool
+				retryAfter time.Duration
 			}
-			body, _ := json.Marshal(req)
-			blob, err, retryable, ra := c.attempt(ctx, eps[gi], "POST", "/v1/d/"+dataset+"/frags", body, "application/json")
-			res := groupResult{err: err, retryable: retryable, retryAfter: ra}
-			if err == nil {
-				res.frags, res.err = server.DecodeBatch(blob)
-				// A batch that decodes wrong is corruption, not an
-				// unhealthy endpoint: fail the call like the
-				// single-endpoint client did.
-			}
-			results[gi] = res
-			return true
-		})
-
-		remaining = remaining[:0]
-		for gi, res := range results {
-			as := groups[eps[gi]]
-			switch {
-			case res.err == nil:
-				for _, f := range res.frags {
-					got[fragKey(dataset, f.Var, f.Index)] = f.Payload
+			results := make([]groupResult, len(eps))
+			par.New(workers).For(len(eps), func(_, gi int) bool {
+				byVar := map[string][]int{}
+				for _, it := range groups[eps[gi]].items {
+					byVar[it.vr] = append(byVar[it.vr], it.fi)
 				}
-				for i := range as.items {
-					if !as.primary[i] {
-						c.failovers.Add(1)
+				req := server.BatchRequest{}
+				for _, vr := range sortedKeys(byVar) {
+					req.Wants = append(req.Wants, server.BatchWant{Var: vr, Indices: byVar[vr]})
+				}
+				body, _ := json.Marshal(req)
+				blob, err, retryable, ra := c.attempt(ctx, eps[gi], "POST", "/v1/d/"+dataset+"/frags", body, "application/json")
+				res := groupResult{err: err, retryable: retryable, retryAfter: ra}
+				if err == nil {
+					res.frags, res.err = server.DecodeBatch(blob)
+					// A batch that decodes wrong is corruption, not an
+					// unhealthy endpoint: fail the call like the
+					// single-endpoint client did.
+				}
+				results[gi] = res
+				return true
+			})
+
+			remaining = remaining[:0]
+			for gi, res := range results {
+				as := groups[eps[gi]]
+				switch {
+				case res.err == nil:
+					for _, f := range res.frags {
+						got[fragKey(dataset, f.Var, f.Index)] = f.Payload
 					}
+					for i := range as.items {
+						if !as.primary[i] {
+							c.failovers.Add(1)
+						}
+					}
+				case res.retryable:
+					if ctx.Err() != nil {
+						return 0, false, fmt.Errorf("client: batch fetch: %w", ctx.Err())
+					}
+					lastErr = res.err
+					retryAfter = max(retryAfter, res.retryAfter)
+					excluded[eps[gi]] = true
+					remaining = append(remaining, as.items...)
+				default:
+					return 0, false, res.err
 				}
-			case res.retryable:
-				if ctx.Err() != nil {
-					return nil, fmt.Errorf("client: batch fetch: %w", ctx.Err())
-				}
-				lastErr = res.err
-				if res.retryAfter > retryAfter {
-					retryAfter = res.retryAfter
-				}
-				excluded[eps[gi]] = true
-				remaining = append(remaining, as.items...)
-			default:
-				return nil, res.err
 			}
 		}
+		return 0, false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return got, nil
 }

@@ -293,44 +293,44 @@ func failoverCounts(c *Client, vars []*core.Variable, sick string) (failovers, r
 
 func TestBreakerStateMachine(t *testing.T) {
 	ep := &endpoint{base: "http://x:1"}
-	cooldown := 25 * time.Millisecond
-	now := time.Now()
-	if !ep.admit(now) {
+	clk := &fakeClock{}
+	if !ep.admit(clk.Now()) {
 		t.Fatal("fresh endpoint refused")
 	}
 	for i := 0; i < breakerThreshold-1; i++ {
-		ep.report(false, cooldown)
-		if !ep.admit(now) {
+		ep.report(false, clk.Now())
+		if !ep.admit(clk.Now()) {
 			t.Fatalf("breaker opened after %d failures (threshold %d)", i+1, breakerThreshold)
 		}
 	}
-	ep.report(false, cooldown) // reaches threshold
-	if ep.admit(time.Now()) {
-		t.Fatal("breaker did not open at threshold")
+	ep.report(false, clk.Now()) // reaches threshold
+	clk.advance(breakerCooldown - time.Nanosecond)
+	if ep.admit(clk.Now()) {
+		t.Fatal("breaker did not stay open for its cooldown")
 	}
 	if got := ep.snapshot().State; got != "open" {
 		t.Fatalf("state = %q, want open", got)
 	}
-	time.Sleep(2 * cooldown)
-	if !ep.admit(time.Now()) {
+	clk.advance(time.Nanosecond)
+	if !ep.admit(clk.Now()) {
 		t.Fatal("no half-open probe after cooldown")
 	}
 	if got := ep.snapshot().State; got != "probing" {
 		t.Fatalf("state = %q, want probing", got)
 	}
-	if ep.admit(time.Now()) {
+	if ep.admit(clk.Now()) {
 		t.Fatal("second probe admitted while first in flight")
 	}
-	ep.report(false, cooldown) // failed probe reopens immediately
-	if ep.admit(time.Now()) {
+	ep.report(false, clk.Now()) // failed probe reopens immediately
+	if ep.admit(clk.Now()) {
 		t.Fatal("breaker closed after failed probe")
 	}
-	time.Sleep(2 * cooldown)
-	if !ep.admit(time.Now()) {
+	clk.advance(breakerCooldown)
+	if !ep.admit(clk.Now()) {
 		t.Fatal("no second probe")
 	}
-	ep.report(true, cooldown)
-	if !ep.admit(time.Now()) || ep.snapshot().State != "ok" {
+	ep.report(true, clk.Now())
+	if !ep.admit(clk.Now()) || ep.snapshot().State != "ok" {
 		t.Fatal("successful probe did not close the breaker")
 	}
 }
@@ -340,9 +340,7 @@ func TestBreakerRoutesAroundSickNodeThenRecovers(t *testing.T) {
 	nodes := testCluster(t, vars, 2)
 	opt := fastOptions()
 	opt.CacheBytes = -1 // every call exercises the wire
-	// Long enough that the open phase cannot expire mid-test even under
-	// -race; the recovery phase fast-forwards it by hand.
-	opt.BreakerCooldown = time.Minute
+	clk := opt.clock.(*fakeClock)
 	c := clusterClient(t, nodes, opt)
 	ctx := context.Background()
 	wants := allWants(vars)
@@ -363,17 +361,10 @@ func TestBreakerRoutesAroundSickNodeThenRecovers(t *testing.T) {
 		t.Fatalf("open breaker still sent %d POSTs to the sick node", after-before)
 	}
 
-	// Node recovers. Expire the cooldown by hand (deterministic under
-	// -race, unlike sleeping): the next call's half-open probe lets the
-	// node back in.
+	// Node recovers and the cooldown passes: the next call's half-open
+	// probe lets the node back in.
 	nodes[0].fail.Store(false)
-	for _, ep := range c.view().eps {
-		if ep.base == nodes[0].hs.URL {
-			ep.mu.Lock()
-			ep.openUntil = time.Now()
-			ep.mu.Unlock()
-		}
-	}
+	clk.advance(breakerCooldown)
 	if _, err := c.Fragments(ctx, "ge", wants); err != nil {
 		t.Fatal(err)
 	}
@@ -427,21 +418,21 @@ func TestOpenDiscoversPeers(t *testing.T) {
 
 func TestAbortedProbeReleasesHalfOpen(t *testing.T) {
 	ep := &endpoint{base: "http://x:1"}
-	cooldown := time.Millisecond
+	clk := &fakeClock{}
 	for i := 0; i < breakerThreshold; i++ {
-		ep.report(false, cooldown)
+		ep.report(false, clk.Now())
 	}
-	time.Sleep(2 * cooldown)
-	if !ep.admit(time.Now()) {
+	clk.advance(breakerCooldown)
+	if !ep.admit(clk.Now()) {
 		t.Fatal("no probe after cooldown")
 	}
 	// The probe's context dies mid-request: the slot must come back so the
 	// endpoint is not stuck half-open (= demoted) forever.
 	ep.abortProbe()
-	if !ep.admit(time.Now()) {
+	if !ep.admit(clk.Now()) {
 		t.Fatal("aborted probe did not release the half-open slot")
 	}
-	ep.report(true, cooldown)
+	ep.report(true, clk.Now())
 	if ep.snapshot().State != "ok" {
 		t.Fatal("probe success did not close the breaker")
 	}

@@ -109,11 +109,11 @@ func Open(ctx context.Context, baseURL, dataset string, opt Options) (*Remote, e
 		// (or an unreachable one — the configured endpoints may still
 		// cover for it) is treated as advertising nothing.
 		seed, err := New(baseURL, Options{
-			HTTPClient:   opt.HTTPClient,
-			MaxRetries:   opt.MaxRetries,
-			RetryBackoff: opt.RetryBackoff,
-			CacheBytes:   -1,
-			Token:        opt.Token,
+			HTTPClient: opt.HTTPClient,
+			MaxRetries: opt.MaxRetries,
+			CacheBytes: -1,
+			Token:      opt.Token,
+			clock:      opt.clock,
 		})
 		if err != nil {
 			return nil, err

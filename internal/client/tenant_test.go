@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"progqoi/internal/core"
+	"progqoi/internal/retry"
 	"progqoi/internal/server"
 	"progqoi/internal/storage"
 )
@@ -89,16 +90,15 @@ func TestRateLimit429FailsOverAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch with a throttling node: %v", err)
 	}
 	checkPayloads(t, vars, got)
 	// Failover, not waiting: replicas served the shards the throttled
-	// node rejected, so no Retry-After sleep was needed.
-	if elapsed := time.Since(start); elapsed > 800*time.Millisecond {
-		t.Fatalf("fetch took %v: client slept on Retry-After despite healthy replicas", elapsed)
+	// node rejected, so no Retry-After wait was needed.
+	if waits := opt.clock.(*fakeClock).recorded(); len(waits) != 0 {
+		t.Fatalf("client waited %v despite healthy replicas", waits)
 	}
 	if throttled.Load() == 0 {
 		t.Fatal("throttling node was never asked for data")
@@ -126,13 +126,12 @@ func TestRateLimit429FailsOverAcrossShards(t *testing.T) {
 
 func TestRetryAfterHonoredWhenAllReplicasLimited(t *testing.T) {
 	vars := testVars(t)
-	var limited atomic.Bool
-	limited.Store(true)
 	var rejected atomic.Int64
 	hs := serviceFor(t, vars, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if limited.Load() && strings.Contains(r.URL.Path, "/frag") {
-				rejected.Add(1)
+			// Throttle the first data request only: the limit lifts once
+			// the client has been rejected.
+			if strings.Contains(r.URL.Path, "/frag") && rejected.Add(1) == 1 {
 				w.Header().Set("Retry-After", "1")
 				http.Error(w, "tenant over rate limit", http.StatusTooManyRequests)
 				return
@@ -141,28 +140,21 @@ func TestRetryAfterHonoredWhenAllReplicasLimited(t *testing.T) {
 		})
 	})
 
-	c, err := New(hs.URL, fastOptions())
+	opt := fastOptions()
+	c, err := New(hs.URL, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lift the limit once the client has been rejected: the retry that
-	// succeeds must come after the advertised Retry-After, not after the
-	// (millisecond) configured backoff.
-	go func() {
-		for rejected.Load() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		limited.Store(false)
-	}()
-	start := time.Now()
 	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch after throttle lifted: %v", err)
 	}
 	checkPayloads(t, vars, got)
-	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
-		t.Fatalf("retry came after %v, want >= ~1s (Retry-After honored over the %v backoff)",
-			elapsed, fastOptions().RetryBackoff)
+	// The retry that succeeds must come after the advertised Retry-After,
+	// not after the shorter backoff.
+	if waits := opt.clock.(*fakeClock).recorded(); len(waits) != 1 || waits[0] < time.Second {
+		t.Fatalf("waits = %v, want one of >= 1s (Retry-After honored over the %v backoff)",
+			waits, retry.Backoff)
 	}
 	checkCounters(t, c.Stats(), 1, 0, 1, 3)
 }
@@ -188,5 +180,31 @@ func TestRateLimitExhaustionSurfacesErrRateLimited(t *testing.T) {
 	if _, err := c.Fragments(context.Background(), "ge", allWants(vars)); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
 	}
+	if waits := opt.clock.(*fakeClock).recorded(); len(waits) != 1 || waits[0] < time.Second {
+		t.Fatalf("waits = %v, want one of >= 1s", waits)
+	}
 	checkCounters(t, c.Stats(), 1, 0, 2, 3)
+}
+
+func TestParseRetryAfter(t *testing.T) {
+	now := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+	}{
+		{"", 0},
+		{"1", time.Second},
+		{" 7 ", 7 * time.Second},
+		{"-5", 0},
+		{"soon", 0},
+		{"9223372036", 9223372036 * time.Second}, // the largest that fits a Duration
+		{"9223372037", 0},                        // overflows to a negative Duration
+		{"18446744074", 0},                       // overflows to about 0.29 s
+		{now.Add(-time.Hour).Format(http.TimeFormat), 0},
+		{now.Add(30 * time.Second).Format(http.TimeFormat), 30 * time.Second},
+	} {
+		if got := parseRetryAfter(tc.in, now); got != tc.want {
+			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
 }

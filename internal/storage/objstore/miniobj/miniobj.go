@@ -201,7 +201,13 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if delay > 0 {
-		time.Sleep(delay)
+		// A client that gave up ends the delay: Close waits for handlers,
+		// and a slept-out delay would hold it for the whole duration.
+		select {
+		case <-time.After(delay):
+		case <-r.Context().Done():
+			return
+		}
 	}
 	if fail {
 		errorXML(w, http.StatusServiceUnavailable, "SlowDown", "injected 503")

@@ -21,10 +21,11 @@
 //     check.
 //
 //   - Transient faults are absorbed, permanent ones surface fast:
-//     5xx responses, network errors and truncated bodies retry with
-//     exponential backoff up to Options.MaxRetries; 403 and 404 fail
+//     5xx responses, network errors and truncated bodies retry under the
+//     shared policy of internal/retry (backoff from 50 ms, doubling, up
+//     to Options.MaxRetries retries); 403, 404 and a changed ETag fail
 //     immediately with typed errors (storage.ErrNotFound,
-//     ErrAccessDenied) a caller can dispatch on.
+//     ErrAccessDenied, ErrETagChanged) a caller can dispatch on.
 //
 // A byte-bounded read-through LRU (Options.CacheBytes) sits in front of
 // the wire; cold fetches — the reads that actually reached the bucket —
@@ -54,20 +55,13 @@ import (
 
 	"progqoi/internal/lru"
 	"progqoi/internal/obs"
+	"progqoi/internal/retry"
 	"progqoi/internal/storage"
 )
 
 // DefaultCacheBytes bounds the read-through cache when Options.CacheBytes
 // is zero.
 const DefaultCacheBytes = 64 << 20
-
-// DefaultMaxRetries is the retry budget for transient faults when
-// Options.MaxRetries is zero.
-const DefaultMaxRetries = 3
-
-// DefaultRetryBackoff is the initial backoff when Options.RetryBackoff is
-// zero; it doubles per attempt.
-const DefaultRetryBackoff = 50 * time.Millisecond
 
 // ErrETagChanged reports an object whose ETag no longer matches the one
 // recorded when this store first read it: the bucket was republished
@@ -112,11 +106,8 @@ type Options struct {
 	// HTTPClient overrides the transport (default http.DefaultClient).
 	HTTPClient *http.Client
 	// MaxRetries bounds retries of transient faults per logical read
-	// (default DefaultMaxRetries; negative disables retrying).
+	// (default 3; negative disables retrying).
 	MaxRetries int
-	// RetryBackoff is the initial retry delay, doubling per attempt
-	// (default DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// CacheBytes bounds the read-through cache (default
 	// DefaultCacheBytes; negative disables caching).
 	CacheBytes int64
@@ -135,6 +126,9 @@ type Store struct {
 	base  string // endpoint, no trailing slash
 	hc    *http.Client
 	creds bool
+	// clock times backoff waits (retry.Wall); in-package tests substitute
+	// one they drive.
+	clock retry.Clock
 
 	mu    sync.Mutex
 	etags map[string]string // guarded by mu; object key -> ETag recorded at first read
@@ -169,14 +163,7 @@ func New(opts Options) (*Store, error) {
 		opts.Region = "us-east-1"
 	}
 	opts.Prefix = strings.Trim(opts.Prefix, "/")
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = DefaultMaxRetries
-	} else if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = DefaultRetryBackoff
-	}
+	opts.MaxRetries = retry.Retries(opts.MaxRetries)
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = DefaultCacheBytes
 	} else if opts.CacheBytes < 0 {
@@ -191,6 +178,7 @@ func New(opts Options) (*Store, error) {
 		base:  strings.TrimRight(opts.Endpoint, "/"),
 		hc:    hc,
 		creds: opts.AccessKey != "",
+		clock: retry.Wall{},
 		etags: map[string]string{},
 		cache: lru.New(opts.CacheBytes),
 	}, nil
@@ -274,7 +262,7 @@ func (s *Store) fetch(ctx context.Context, op, key string, off, length int64) ([
 		m = tr.Begin(obs.CatStore, op+" "+key)
 	}
 	start := time.Now()
-	b, err := s.retrying(ctx, op, key, func(ctx context.Context) ([]byte, error) {
+	b, err := s.retrying(ctx, func() ([]byte, error) {
 		return s.getOnce(ctx, op, key, off, length)
 	})
 	if err != nil {
@@ -416,7 +404,7 @@ func (s *Store) Keys(ctx context.Context) ([]string, error) {
 		if token != "" {
 			q.Set("continuation-token", token)
 		}
-		page, err := s.retrying(ctx, "list", "", func(ctx context.Context) ([]byte, error) {
+		page, err := s.retrying(ctx, func() ([]byte, error) {
 			return s.listOnce(ctx, q)
 		})
 		if err != nil {
@@ -489,7 +477,7 @@ func (s *Store) Put(ctx context.Context, key string, val []byte) error {
 	}
 	okey := s.objectKey(key)
 	payloadHash := hexSHA256(val)
-	_, err := s.retrying(ctx, "put", key, func(ctx context.Context) ([]byte, error) {
+	_, err := s.retrying(ctx, func() ([]byte, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut,
 			s.base+"/"+s.opts.Bucket+"/"+awsEncode(okey, false), strings.NewReader(string(val)))
 		if err != nil {
@@ -536,30 +524,17 @@ func (s *Store) sign(req *http.Request, payloadHash string) {
 	s.signAt(req, payloadHash, time.Now())
 }
 
-// retrying runs one attempt-able operation under the store's retry
+// retrying runs one attempt-able operation under the shared retry
 // policy: transient faults (network errors, 5xx, truncation) back off
 // and retry up to MaxRetries; typed permanent failures surface at once.
-func (s *Store) retrying(ctx context.Context, op, key string, attempt func(context.Context) ([]byte, error)) ([]byte, error) {
-	backoff := s.opts.RetryBackoff
-	var err error
-	for try := 0; ; try++ {
-		var b []byte
-		b, err = attempt(ctx)
-		if err == nil {
-			return b, nil
-		}
-		if !retryable(err) || try >= s.opts.MaxRetries {
-			return nil, err
-		}
-		t := time.NewTimer(backoff)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, fmt.Errorf("objstore: %s %q: %w (last error: %v)", op, key, ctx.Err(), err)
-		case <-t.C:
-		}
-		backoff *= 2
-	}
+func (s *Store) retrying(ctx context.Context, attempt func() ([]byte, error)) ([]byte, error) {
+	var b []byte
+	err := retry.Do(ctx, s.clock, s.opts.MaxRetries, func() (time.Duration, bool, error) {
+		var err error
+		b, err = attempt()
+		return 0, retryable(err), err
+	})
+	return b, err
 }
 
 // retryable classifies an attempt error: 5xx statuses, truncated bodies

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"progqoi/internal/obs"
+	"progqoi/internal/retry"
 	"progqoi/internal/storage"
 	"progqoi/internal/storage/objstore/miniobj"
 )
@@ -27,18 +28,35 @@ const (
 	testSecret = "sekrit/with+chars"
 )
 
-// newPair starts a credentialed mock bucket and a store pointed at it.
-// mutate can adjust Options before New (nil for defaults).
+// instant is a retry.Clock whose waits end at once.
+type instant struct{}
+
+func (instant) Now() time.Time { return time.Time{} }
+
+func (instant) After(time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	ch <- time.Time{}
+	return ch
+}
+
+// stalled is a retry.Clock whose waits never end.
+type stalled struct{}
+
+func (stalled) Now() time.Time                       { return time.Time{} }
+func (stalled) After(time.Duration) <-chan time.Time { return nil }
+
+// newPair starts a credentialed mock bucket and a store pointed at it,
+// backing off on the instant clock. mutate can adjust Options before New
+// (nil for defaults).
 func newPair(t *testing.T, mutate func(*Options)) (*miniobj.Server, *Store) {
 	t.Helper()
 	srv := miniobj.New(testBucket, miniobj.Credentials{AccessKey: testAccess, SecretKey: testSecret})
 	t.Cleanup(srv.Close)
 	opts := Options{
-		Endpoint:     srv.URL(),
-		Bucket:       testBucket,
-		AccessKey:    testAccess,
-		SecretKey:    testSecret,
-		RetryBackoff: time.Millisecond,
+		Endpoint:  srv.URL(),
+		Bucket:    testBucket,
+		AccessKey: testAccess,
+		SecretKey: testSecret,
 	}
 	if mutate != nil {
 		mutate(&opts)
@@ -47,6 +65,7 @@ func newPair(t *testing.T, mutate func(*Options)) (*miniobj.Server, *Store) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	st.clock = instant{}
 	return srv, st
 }
 
@@ -72,8 +91,8 @@ func TestNewValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid opts rejected: %v", err)
 	}
-	if st.opts.Region != "us-east-1" || st.opts.MaxRetries != DefaultMaxRetries ||
-		st.opts.CacheBytes != DefaultCacheBytes || st.opts.RetryBackoff != DefaultRetryBackoff {
+	if st.opts.Region != "us-east-1" || st.opts.MaxRetries != retry.DefaultRetries ||
+		st.opts.CacheBytes != DefaultCacheBytes || st.clock != (retry.Wall{}) {
 		t.Errorf("defaults not applied: %+v", st.opts)
 	}
 	if st, _ := New(Options{Endpoint: "http://h", Bucket: "b", MaxRetries: -1, CacheBytes: -1}); st.opts.MaxRetries != 0 || st.opts.CacheBytes != 0 {
@@ -496,12 +515,12 @@ func TestKeysPaginationAndNesting(t *testing.T) {
 }
 
 func TestContextCancellationStopsRetry(t *testing.T) {
-	srv, st := newPair(t, func(o *Options) { o.RetryBackoff = time.Hour })
+	srv, st := newPair(t, nil)
+	st.clock = stalled{} // only the context can end the backoff wait
 	srv.Put("k", []byte("v"))
 	srv.Fail503(10)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, err := st.Get(ctx, "k")
 	if err == nil {
 		t.Fatal("Get succeeded under permanent 503")
@@ -509,8 +528,9 @@ func TestContextCancellationStopsRetry(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded in chain", err)
 	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("cancellation did not interrupt backoff (took %v)", time.Since(start))
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != 503 {
+		t.Fatalf("got %v, want the last attempt's 503 still in chain", err)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"progqoi/internal/datagen"
 	"progqoi/internal/obs"
@@ -63,17 +62,16 @@ func seedBucket(t *testing.T) (*miniobj.Server, *Archive, *datagen.Dataset) {
 	return srv, arch, ds
 }
 
-// bucketStore opens an objstore client on the mock bucket with fast
-// retry backoff; mutate tweaks the options per test.
+// bucketStore opens an objstore client on the mock bucket; mutate tweaks
+// the options per test.
 func bucketStore(t *testing.T, srv *miniobj.Server, mutate func(*objstore.Options)) *objstore.Store {
 	t.Helper()
 	o := objstore.Options{
-		Endpoint:     srv.URL(),
-		Bucket:       e2eBucket,
-		Prefix:       e2ePrefix,
-		AccessKey:    e2eAccess,
-		SecretKey:    e2eSecret,
-		RetryBackoff: time.Millisecond,
+		Endpoint:  srv.URL(),
+		Bucket:    e2eBucket,
+		Prefix:    e2ePrefix,
+		AccessKey: e2eAccess,
+		SecretKey: e2eSecret,
 	}
 	if mutate != nil {
 		mutate(&o)
