@@ -323,22 +323,52 @@ func (d *Decoder) Advance(k int) error {
 	return nil
 }
 
-// Values reconstructs the current approximation. With zero planes applied it
-// returns zeros (bound 2^Exp).
+// Values reconstructs the current approximation into a new slice. With zero
+// planes applied it returns zeros (bound 2^Exp).
 func (d *Decoder) Values() []float64 {
 	out := make([]float64, d.blk.N)
+	d.ValuesInto(out)
+	return out
+}
+
+// ValuesInto writes what Values returns into out[:N], so a caller that
+// rebuilds every iteration can reuse one buffer. out must hold at least N
+// values; the rest are left alone.
+func (d *Decoder) ValuesInto(out []float64) {
+	out = out[:d.blk.N]
 	if d.applied == 0 || d.blk.Exp == math.MinInt32 {
-		return out
+		clear(out)
+		return
 	}
 	inv := math.Ldexp(1, d.blk.Exp-d.blk.B) // 2^(e-B)
-	for i, m := range d.mags {
-		v := float64(m) * inv
-		if d.signs != nil && d.signs[i/8]>>uint(i%8)&1 == 1 {
-			v = -v
+	mags := d.mags[:len(out)]
+	if d.signs == nil {
+		for i, m := range mags {
+			out[i] = float64(m) * inv
 		}
-		out[i] = v
+		return
 	}
-	return out
+	// Every magnitude times inv is ≥ 0, so negating it sets its sign bit:
+	// a bitmap byte's 8 signs go straight into 8 values, branch-free.
+	neg := func(v float64, sign uint64) float64 {
+		return math.Float64frombits(math.Float64bits(v) | sign<<63)
+	}
+	i := 0
+	for ; i+8 <= len(out); i += 8 {
+		s := uint64(d.signs[i>>3])
+		m, o := mags[i:i+8:i+8], out[i:i+8:i+8]
+		o[0] = neg(float64(m[0])*inv, s&1)
+		o[1] = neg(float64(m[1])*inv, s>>1&1)
+		o[2] = neg(float64(m[2])*inv, s>>2&1)
+		o[3] = neg(float64(m[3])*inv, s>>3&1)
+		o[4] = neg(float64(m[4])*inv, s>>4&1)
+		o[5] = neg(float64(m[5])*inv, s>>5&1)
+		o[6] = neg(float64(m[6])*inv, s>>6&1)
+		o[7] = neg(float64(m[7])*inv, s>>7)
+	}
+	for ; i < len(out); i++ { // tail
+		out[i] = neg(float64(mags[i])*inv, uint64(d.signs[i>>3]>>uint(i&7)&1))
+	}
 }
 
 // Bound returns the current guaranteed L∞ error of Values().

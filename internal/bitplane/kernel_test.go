@@ -109,6 +109,73 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// refValues is Decoder.Values as it was before ValuesInto: one branch per
+// coefficient on its sign bit.
+func refValues(d *Decoder) []float64 {
+	out := make([]float64, d.blk.N)
+	if d.applied == 0 || d.blk.Exp == math.MinInt32 {
+		return out
+	}
+	inv := math.Ldexp(1, d.blk.Exp-d.blk.B)
+	for i, m := range d.mags {
+		v := float64(m) * inv
+		if d.signs != nil && d.signs[i/8]>>uint(i%8)&1 == 1 {
+			v = -v
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// TestValuesIntoMatchesReference: ValuesInto, into a buffer holding stale
+// values, and Values against the per-coefficient reference at 0, 1, some
+// and all planes, for N around multiples of 8, with and without a sign
+// bitmap installed.
+func TestValuesIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range kernelSizes {
+		for _, numPlanes := range []int{1, 9, DefaultPlanes} {
+			vals := randVals(rng, n, 1e2)
+			for i := range vals {
+				if rng.Intn(2) == 0 {
+					vals[i] = -vals[i]
+				}
+			}
+			if n > 3 {
+				vals[1], vals[2] = 0, math.Copysign(0, -1)
+			}
+			blk, err := Encode(vals, numPlanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{0, 1, numPlanes / 2, numPlanes} {
+				for _, signs := range []bool{true, false} {
+					dec := NewDecoder(blk)
+					if err := dec.Advance(k); err != nil {
+						t.Fatal(err)
+					}
+					if !signs {
+						dec.SetSigns(nil)
+					}
+					out := make([]float64, n+3)
+					for i := range out {
+						out[i] = math.NaN()
+					}
+					dec.ValuesInto(out)
+					want := refValues(dec)
+					if !sameBits(out[:n], want) || !sameBits(dec.Values(), want) {
+						t.Fatalf("N=%d B=%d k=%d signs=%v: values differ from the per-coefficient reference", n, numPlanes, k, signs)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // TestOrPlaneStaysInRange: an unaligned OrPlane must not touch a
 // coefficient outside [lo, hi) — concurrent callers own disjoint ranges.
 func TestOrPlaneStaysInRange(t *testing.T) {

@@ -59,6 +59,11 @@ func (b Basis) String() string {
 var ErrBadInput = errors.New("mgard: invalid input")
 
 // Decomposition holds the transformed coefficients of one field.
+//
+// A Decomposition also holds the scratch its transforms reuse (line
+// counters and the orthogonal basis' tridiagonal solve), so it is for one
+// goroutine at a time: concurrent calls on one Decomposition, even to
+// Reconstruct, race.
 type Decomposition struct {
 	Basis Basis
 	Grid  *grid.Grid
@@ -68,6 +73,47 @@ type Decomposition struct {
 	// dimsAtLevel[l] = number of dimensions that actually transformed at
 	// level l (a dim participates while 2^l < extent).
 	dimsAtLevel []int
+	// runs[g] is group g's flat offset walk and sizes[g] its length, both
+	// built once with the shape.
+	runs  [][]run
+	sizes []int
+
+	ctr   []int     // transformDim's odometer, one counter per dim
+	f, cp []float64 // correction's Thomas solve
+}
+
+// run is a stretch of one group along the last dimension: n coefficients
+// at off, off+step, off+2·step, ….
+type run struct{ off, step, n int }
+
+// newDecomposition returns an all-zero decomposition of shape g.
+func newDecomposition(g *grid.Grid, basis Basis) *Decomposition {
+	steps := g.NumLevels() - 1
+	d := &Decomposition{
+		Basis:       basis,
+		Grid:        g.Clone(),
+		Steps:       steps,
+		coeffs:      make([]float64, g.Size()),
+		dimsAtLevel: make([]int, steps),
+		runs:        make([][]run, steps+1),
+		sizes:       make([]int, steps+1),
+		ctr:         make([]int, g.NDims()),
+	}
+	for l := range d.dimsAtLevel {
+		s := grid.LevelStride(l)
+		for dim := 0; dim < g.NDims(); dim++ {
+			if s < g.Dim(dim) { // at least one odd node exists along dim
+				d.dimsAtLevel[l]++
+			}
+		}
+	}
+	for gi := range d.runs {
+		d.runs[gi] = d.groupRuns(gi)
+		for _, r := range d.runs[gi] {
+			d.sizes[gi] += r.n
+		}
+	}
+	return d
 }
 
 // Decompose transforms data (row-major on g) into multilevel coefficients.
@@ -81,24 +127,15 @@ func Decompose(data []float64, g *grid.Grid, basis Basis) (*Decomposition, error
 			return nil, fmt.Errorf("%w: non-finite value at index %d", ErrBadInput, i)
 		}
 	}
-	steps := g.NumLevels() - 1
-	d := &Decomposition{
-		Basis:       basis,
-		Grid:        g.Clone(),
-		Steps:       steps,
-		coeffs:      append([]float64(nil), data...),
-		dimsAtLevel: make([]int, steps),
-	}
-	for l := 0; l < steps; l++ {
+	d := newDecomposition(g, basis)
+	copy(d.coeffs, data)
+	for l := 0; l < d.Steps; l++ {
 		s := grid.LevelStride(l)
-		nd := 0
 		for dim := 0; dim < g.NDims(); dim++ {
-			if s < g.Dim(dim) { // at least one odd node exists along dim
-				d.forwardDim(dim, s)
-				nd++
+			if s < g.Dim(dim) {
+				d.transformDim(d.coeffs, dim, s, false)
 			}
 		}
-		d.dimsAtLevel[l] = nd
 	}
 	return d, nil
 }
@@ -117,72 +154,90 @@ func (d *Decomposition) GroupLevel(gIdx int) int {
 	return d.Steps - gIdx
 }
 
-// groupIndices invokes fn for every flat offset in group gIdx, in a fixed
-// deterministic (row-major) order.
-func (d *Decomposition) groupIndices(gIdx int, fn func(off int)) {
-	ndim := d.Grid.NDims()
+// groupRuns lists the flat offsets of group gIdx as runs along the last
+// dimension, in a fixed deterministic (row-major) order. A group is every
+// node of its level's lattice with at least one odd lattice coordinate
+// (group 0: every node of the coarsest lattice); a dim too short to have
+// nodes at that stride contributes coordinate 0 only.
+func (d *Decomposition) groupRuns(gIdx int) []run {
+	g := d.Grid
+	last := g.NDims() - 1
 	var coarse, fine int
 	if gIdx == 0 {
 		coarse = grid.LevelStride(d.Steps)
 		fine = -1 // all nodes on the coarsest lattice
 	} else {
-		l := d.GroupLevel(gIdx)
-		fine = grid.LevelStride(l)
+		fine = grid.LevelStride(d.GroupLevel(gIdx))
 		coarse = fine * 2
 	}
+	var out []run
 	var walk func(dim, off int, anyOdd bool)
 	walk = func(dim, off int, anyOdd bool) {
-		if dim == ndim {
-			if fine < 0 || anyOdd {
-				fn(off)
+		ext := g.Dim(dim)
+		stride := g.Stride(dim)
+		if dim == last {
+			switch {
+			case fine < 0:
+				out = append(out, run{off, coarse * stride, (ext + coarse - 1) / coarse})
+			case fine >= ext:
+				if anyOdd {
+					out = append(out, run{off, stride, 1})
+				}
+			case anyOdd:
+				out = append(out, run{off, fine * stride, (ext + fine - 1) / fine})
+			default: // only the odd lattice coordinates
+				if n := (ext + fine - 1) / fine / 2; n > 0 {
+					out = append(out, run{off + fine*stride, 2 * fine * stride, n})
+				}
 			}
 			return
 		}
-		ext := d.Grid.Dim(dim)
-		stride := d.Grid.Stride(dim)
-		if fine < 0 {
-			// Coarsest lattice: coords ≡ 0 (mod coarse).
+		switch {
+		case fine < 0:
 			for c := 0; c < ext; c += coarse {
 				walk(dim+1, off+c*stride, false)
 			}
-			return
-		}
-		if fine >= ext {
-			// Dim does not participate at this level: only coord 0 active.
+		case fine >= ext:
 			walk(dim+1, off, anyOdd)
-			return
-		}
-		for c := 0; c < ext; c += fine {
-			odd := (c/fine)%2 == 1
-			walk(dim+1, off+c*stride, anyOdd || odd)
+		default:
+			for c := 0; c < ext; c += fine {
+				walk(dim+1, off+c*stride, anyOdd || (c/fine)%2 == 1)
+			}
 		}
 	}
 	walk(0, 0, false)
+	return out
 }
 
 // GroupSize returns the number of coefficients in group gIdx.
-func (d *Decomposition) GroupSize(gIdx int) int {
-	n := 0
-	d.groupIndices(gIdx, func(int) { n++ })
-	return n
-}
+func (d *Decomposition) GroupSize(gIdx int) int { return d.sizes[gIdx] }
 
 // Group copies the coefficients of group gIdx.
 func (d *Decomposition) Group(gIdx int) []float64 {
-	out := make([]float64, 0, 64)
-	d.groupIndices(gIdx, func(off int) { out = append(out, d.coeffs[off]) })
+	out := make([]float64, 0, d.sizes[gIdx])
+	for _, r := range d.runs[gIdx] {
+		for k, off := 0, r.off; k < r.n; k, off = k+1, off+r.step {
+			out = append(out, d.coeffs[off])
+		}
+	}
 	return out
 }
 
 // SetGroup overwrites the coefficients of group gIdx (used when assembling a
 // reconstruction from approximately retrieved groups).
 func (d *Decomposition) SetGroup(gIdx int, vals []float64) error {
-	want := d.GroupSize(gIdx)
-	if len(vals) != want {
+	if want := d.sizes[gIdx]; len(vals) != want {
 		return fmt.Errorf("%w: group %d expects %d values, got %d", ErrBadInput, gIdx, want, len(vals))
 	}
-	i := 0
-	d.groupIndices(gIdx, func(off int) { d.coeffs[off] = vals[i]; i++ })
+	c := d.coeffs
+	for _, r := range d.runs[gIdx] {
+		off := r.off
+		for _, v := range vals[:r.n] {
+			c[off] = v
+			off += r.step
+		}
+		vals = vals[r.n:]
+	}
 	return nil
 }
 
@@ -190,20 +245,34 @@ func (d *Decomposition) SetGroup(gIdx int, vals []float64) error {
 // modify it except through SetGroup.
 func (d *Decomposition) Coefficients() []float64 { return d.coeffs }
 
-// Reconstruct runs the inverse transform and returns the nodal values. The
-// decomposition's coefficient state is unchanged.
-func (d *Decomposition) Reconstruct() []float64 {
-	work := append([]float64(nil), d.coeffs...)
-	inv := &Decomposition{Basis: d.Basis, Grid: d.Grid, Steps: d.Steps, coeffs: work}
-	for l := d.Steps - 1; l >= 0; l-- {
-		s := grid.LevelStride(l)
+// Reconstruct runs the inverse transform and returns the nodal values in a
+// new slice. The decomposition's coefficient state is unchanged.
+func (d *Decomposition) Reconstruct() []float64 { return d.ReconstructInto(nil) }
+
+// ReconstructInto is Reconstruct into dst's storage: it returns dst resliced
+// to Grid.Size() values, or a new slice when dst is too small. It allocates
+// nothing else.
+func (d *Decomposition) ReconstructInto(dst []float64) []float64 {
+	if cap(dst) < len(d.coeffs) {
+		dst = make([]float64, len(d.coeffs))
+	}
+	dst = dst[:len(d.coeffs)]
+	copy(dst, d.coeffs)
+	d.inverse(dst, 0)
+	return dst
+}
+
+// inverse undoes, in place on c, the decomposition steps of levels
+// Steps-1 down to l.
+func (d *Decomposition) inverse(c []float64, l int) {
+	for lev := d.Steps - 1; lev >= l; lev-- {
+		s := grid.LevelStride(lev)
 		for dim := d.Grid.NDims() - 1; dim >= 0; dim-- {
 			if s < d.Grid.Dim(dim) {
-				inv.inverseDim(dim, s)
+				d.transformDim(c, dim, s, true)
 			}
 		}
 	}
-	return work
 }
 
 // ReconstructToLevel runs the inverse transform only down to level l
@@ -219,15 +288,7 @@ func (d *Decomposition) ReconstructToLevel(l int) ([]float64, *grid.Grid, error)
 		return nil, nil, fmt.Errorf("%w: level %d outside [0,%d]", ErrBadInput, l, d.Steps)
 	}
 	work := append([]float64(nil), d.coeffs...)
-	inv := &Decomposition{Basis: d.Basis, Grid: d.Grid, Steps: d.Steps, coeffs: work}
-	for lev := d.Steps - 1; lev >= l; lev-- {
-		s := grid.LevelStride(lev)
-		for dim := d.Grid.NDims() - 1; dim >= 0; dim-- {
-			if s < d.Grid.Dim(dim) {
-				inv.inverseDim(dim, s)
-			}
-		}
-	}
+	d.inverse(work, l)
 	stride := grid.LevelStride(l)
 	coarseDims := make([]int, d.Grid.NDims())
 	for i := range coarseDims {
@@ -254,39 +315,11 @@ func (d *Decomposition) ReconstructToLevel(l int) ([]float64, *grid.Grid, error)
 
 // Shell returns an empty decomposition with the same shape metadata, ready
 // for SetGroup + Reconstruct. Coefficients start at zero.
-func (d *Decomposition) Shell() *Decomposition {
-	return &Decomposition{
-		Basis:       d.Basis,
-		Grid:        d.Grid.Clone(),
-		Steps:       d.Steps,
-		coeffs:      make([]float64, d.Grid.Size()),
-		dimsAtLevel: append([]int(nil), d.dimsAtLevel...),
-	}
-}
+func (d *Decomposition) Shell() *Decomposition { return newDecomposition(d.Grid, d.Basis) }
 
 // NewShell builds an empty decomposition for the given shape/basis, used by
 // readers that reconstruct without access to the original.
-func NewShell(g *grid.Grid, basis Basis) *Decomposition {
-	steps := g.NumLevels() - 1
-	d := &Decomposition{
-		Basis:       basis,
-		Grid:        g.Clone(),
-		Steps:       steps,
-		coeffs:      make([]float64, g.Size()),
-		dimsAtLevel: make([]int, steps),
-	}
-	for l := 0; l < steps; l++ {
-		s := grid.LevelStride(l)
-		nd := 0
-		for dim := 0; dim < g.NDims(); dim++ {
-			if s < g.Dim(dim) {
-				nd++
-			}
-		}
-		d.dimsAtLevel[l] = nd
-	}
-	return d
-}
+func NewShell(g *grid.Grid, basis Basis) *Decomposition { return newDecomposition(g, basis) }
 
 // levelFactor returns the guaranteed L∞ amplification of a detail-group
 // coefficient error at a level transforming ndims dimensions.
@@ -342,148 +375,128 @@ func (d *Decomposition) ErrorBound(groupBounds []float64) (float64, error) {
 	return total, nil
 }
 
-// forwardDim applies one decomposition step along dim with node stride s.
-func (d *Decomposition) forwardDim(dim, s int) {
-	d.eachLine(dim, s, func(line []int) {
-		d.forwardLine(line)
-	})
-}
-
-// inverseDim undoes forwardDim.
-func (d *Decomposition) inverseDim(dim, s int) {
-	d.eachLine(dim, s, func(line []int) {
-		d.inverseLine(line)
-	})
-}
-
-// eachLine invokes fn with the flat offsets of every active line along dim
-// at level stride s. Active line: all other coords are multiples of s (and
-// 0 when their extent ≤ s); along dim the offsets step by s.
-func (d *Decomposition) eachLine(dim, s int, fn func(line []int)) {
-	ndim := d.Grid.NDims()
-	ext := d.Grid.Dim(dim)
-	stride := d.Grid.Stride(dim)
-	nLine := (ext + s - 1) / s
-	line := make([]int, nLine)
-
-	var walk func(k, base int)
-	walk = func(k, base int) {
-		if k == ndim {
-			for i := 0; i < nLine; i++ {
-				line[i] = base + i*s*stride
+// transformDim applies one decomposition step along dim with node stride
+// s to c, or undoes it when inverse is set. It visits every active line:
+// all other coords are multiples of s (and 0 when their extent ≤ s); along
+// dim the nodes are s apart. Lines touch disjoint nodes, so the visiting
+// order, an odometer over the other dims, does not affect the result.
+func (d *Decomposition) transformDim(c []float64, dim, s int, inverse bool) {
+	g := d.Grid
+	m := (g.Dim(dim) + s - 1) / s
+	step := s * g.Stride(dim)
+	ctr := d.ctr
+	clear(ctr)
+	for base := 0; ; {
+		if inverse {
+			d.inverseLine(c, base, step, m)
+		} else {
+			d.forwardLine(c, base, step, m)
+		}
+		k := g.NDims() - 1
+		for ; k >= 0; k-- {
+			if k == dim || s >= g.Dim(k) {
+				continue // coordinate pinned to 0
 			}
-			fn(line)
-			return
+			ctr[k] += s
+			base += s * g.Stride(k)
+			if ctr[k] < g.Dim(k) {
+				break
+			}
+			base -= ctr[k] * g.Stride(k)
+			ctr[k] = 0
 		}
-		if k == dim {
-			walk(k+1, base)
+		if k < 0 {
 			return
-		}
-		e := d.Grid.Dim(k)
-		st := d.Grid.Stride(k)
-		if s >= e {
-			walk(k+1, base) // only coord 0 active
-			return
-		}
-		for c := 0; c < e; c += s {
-			walk(k+1, base+c*st)
 		}
 	}
-	walk(0, 0)
 }
 
-// forwardLine transforms one line: entries line[0..m-1] are flat offsets of
-// active nodes; odd positions become detail coefficients, and under OB the
-// even positions receive the projection correction.
-func (d *Decomposition) forwardLine(line []int) {
-	m := len(line)
+// forwardLine transforms one line of m nodes at c[base], c[base+step], …:
+// odd positions become detail coefficients, and under OB the even
+// positions receive the projection correction.
+func (d *Decomposition) forwardLine(c []float64, base, step, m int) {
 	if m < 2 {
 		return
 	}
-	c := d.coeffs
 	// Details at odd positions.
-	for i := 1; i < m; i += 2 {
+	for i, off := 1, base+step; i < m; i, off = i+2, off+2*step {
 		var pred float64
 		if i+1 < m {
-			pred = 0.5 * (c[line[i-1]] + c[line[i+1]])
+			pred = 0.5 * (c[off-step] + c[off+step])
 		} else {
-			pred = c[line[i-1]]
+			pred = c[off-step]
 		}
-		c[line[i]] -= pred
+		c[off] -= pred
 	}
 	if d.Basis == Orthogonal {
-		w := d.correction(line)
-		for i, j := 0, 0; i < m; i, j = i+2, j+1 {
-			c[line[i]] += w[j]
+		for j, w := range d.correction(c, base, step, m) {
+			c[base+2*j*step] += w
 		}
 	}
 }
 
 // inverseLine undoes forwardLine exactly.
-func (d *Decomposition) inverseLine(line []int) {
-	m := len(line)
+func (d *Decomposition) inverseLine(c []float64, base, step, m int) {
 	if m < 2 {
 		return
 	}
-	c := d.coeffs
 	if d.Basis == Orthogonal {
-		w := d.correction(line)
-		for i, j := 0, 0; i < m; i, j = i+2, j+1 {
-			c[line[i]] -= w[j]
+		for j, w := range d.correction(c, base, step, m) {
+			c[base+2*j*step] -= w
 		}
 	}
-	for i := 1; i < m; i += 2 {
+	for i, off := 1, base+step; i < m; i, off = i+2, off+2*step {
 		var pred float64
 		if i+1 < m {
-			pred = 0.5 * (c[line[i-1]] + c[line[i+1]])
+			pred = 0.5 * (c[off-step] + c[off+step])
 		} else {
-			pred = c[line[i-1]]
+			pred = c[off-step]
 		}
-		c[line[i]] += pred
+		c[off] += pred
 	}
 }
 
 // correction computes the L2-projection correction w for the coarse nodes of
 // a line from its current detail coefficients, solving the tridiagonal
 // system M w = f (Thomas algorithm). It depends only on detail entries, so
-// forward and inverse recompute identical values.
-func (d *Decomposition) correction(line []int) []float64 {
-	m := len(line)
+// forward and inverse recompute identical values. The result lives in the
+// decomposition's scratch until the next call.
+func (d *Decomposition) correction(c []float64, base, step, m int) []float64 {
 	nc := (m + 1) / 2 // coarse node count
-	c := d.coeffs
-	f := make([]float64, nc)
+	if cap(d.f) < nc {
+		d.f, d.cp = make([]float64, nc), make([]float64, nc)
+	}
+	f := d.f[:nc]
 	for j := 0; j < nc; j++ {
 		var load float64
 		li := 2 * j
 		if li-1 >= 0 {
-			load += c[line[li-1]]
+			load += c[base+(li-1)*step]
 		}
 		if li+1 < m {
-			load += c[line[li+1]]
+			load += c[base+(li+1)*step]
 		}
 		f[j] = load / 4
 	}
 	// Tridiagonal M: interior diag 2/3, boundary diag 1/2 (lumped for the
 	// Varah bound, see levelFactor), off-diagonals 1/6.
-	diag := make([]float64, nc)
-	for j := range diag {
+	diag := func(j int) float64 {
 		if j == 0 || j == nc-1 {
-			diag[j] = 0.5
-		} else {
-			diag[j] = 2.0 / 3.0
+			return 0.5
 		}
+		return 2.0 / 3.0
 	}
 	if nc == 1 {
-		f[0] /= diag[0]
+		f[0] /= diag(0)
 		return f
 	}
 	const off = 1.0 / 6.0
 	// Thomas forward sweep.
-	cp := make([]float64, nc)
-	cp[0] = off / diag[0]
-	f[0] /= diag[0]
+	cp := d.cp[:nc]
+	cp[0] = off / diag(0)
+	f[0] /= diag(0)
 	for j := 1; j < nc; j++ {
-		denom := diag[j] - off*cp[j-1]
+		denom := diag(j) - off*cp[j-1]
 		if j < nc-1 {
 			cp[j] = off / denom
 		}

@@ -100,10 +100,12 @@ func TestGroupsPartitionTheGrid(t *testing.T) {
 		seen := make(map[int]int)
 		total := 0
 		for gi := 0; gi < d.NumGroups(); gi++ {
-			d.groupIndices(gi, func(off int) {
-				seen[off]++
-				total++
-			})
+			for _, r := range d.runs[gi] {
+				for k := 0; k < r.n; k++ {
+					seen[r.off+k*r.step]++
+					total++
+				}
+			}
 		}
 		if total != g.Size() {
 			t.Errorf("%v: groups cover %d of %d offsets", dims, total, g.Size())

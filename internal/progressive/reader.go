@@ -52,14 +52,17 @@ type Reader struct {
 	bound     float64
 	retrieved int64
 
-	// Snapshot reconstruction state.
+	// The reconstruction: a snapshot method's running field, or the PMGARD
+	// recompose output, rebuilt in place when dirty.
 	data  []float64
 	dirty bool
 
-	// PMGARD state.
+	// PMGARD state. vals is the one per-group buffer every decoder writes
+	// its values into on the way to the shell.
 	blocks []*bitplane.Block
 	decs   []*bitplane.Decoder
 	shell  *mgard.Decomposition
+	vals   []float64
 	grd    *grid.Grid
 }
 
@@ -71,9 +74,9 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 		return nil, err
 	}
 	rd := &Reader{src: r, fetch: fetch, grd: g, bound: math.Inf(1), dirty: true, budget: par.New(0)}
+	rd.data = make([]float64, g.Size())
 	switch r.Method {
 	case PSZ3, PSZ3Delta:
-		rd.data = make([]float64, g.Size())
 	case PMGARD, PMGARDHB:
 		shell := mgard.NewShell(g, r.Basis)
 		if shell.NumGroups() != len(r.Blocks) {
@@ -85,6 +88,7 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 		// a fragment reattaches its payload to the block, and concurrent
 		// readers over one Refactored must not share that mutable state.
 		rd.blocks = make([]*bitplane.Block, len(r.Blocks))
+		largest := 0
 		for i, blk := range r.Blocks {
 			if blk.N != shell.GroupSize(i) {
 				return nil, fmt.Errorf("%w: block %d has %d coefficients, want %d", encoding.ErrCorrupt, i, blk.N, shell.GroupSize(i))
@@ -94,7 +98,9 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 			copy(cp.Planes, blk.Planes)
 			rd.blocks[i] = &cp
 			rd.decs[i] = bitplane.NewDecoder(rd.blocks[i])
+			largest = max(largest, blk.N)
 		}
+		rd.vals = make([]float64, largest)
 		rd.bound = rd.pmgardBound()
 	default:
 		return nil, fmt.Errorf("progressive: unknown method %d", r.Method)
@@ -660,12 +666,9 @@ func (rd *Reader) DataAtResolution(level int) ([]float64, []int, error) {
 	default:
 		return nil, nil, fmt.Errorf("progressive: %v does not support resolution progression", rd.src.Method)
 	}
-	for gi, dec := range rd.decs {
-		if err := rd.shell.SetGroup(gi, dec.Values()); err != nil {
-			return nil, nil, err
-		}
+	if err := rd.loadGroups(); err != nil {
+		return nil, nil, err
 	}
-	rd.dirty = true // shell coefficients were touched; Data() must rebuild
 	vals, g, err := rd.shell.ReconstructToLevel(level)
 	if err != nil {
 		return nil, nil, err
@@ -673,20 +676,34 @@ func (rd *Reader) DataAtResolution(level int) ([]float64, []int, error) {
 	return vals, g.Dims(), nil
 }
 
+// loadGroups sets every group of the shell to its decoder's current
+// values, passing each through the reader's group buffer.
+func (rd *Reader) loadGroups() error {
+	for gi, dec := range rd.decs {
+		vals := rd.vals[:rd.blocks[gi].N]
+		dec.ValuesInto(vals)
+		if err := rd.shell.SetGroup(gi, vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Data returns the current reconstruction. The returned slice is owned by
-// the reader; callers must copy it if they mutate.
+// the reader, and the next rebuild overwrites it: under the PMGARD methods
+// that is the first Data call after an Advance that ingested a fragment,
+// and under the snapshot methods any such Advance. Callers copy what must
+// outlive it and must not mutate it. A rebuild allocates nothing.
 func (rd *Reader) Data() ([]float64, error) {
 	switch rd.src.Method {
 	case PSZ3, PSZ3Delta:
 		return rd.data, nil
 	default:
 		if rd.dirty {
-			for gi, dec := range rd.decs {
-				if err := rd.shell.SetGroup(gi, dec.Values()); err != nil {
-					return nil, err
-				}
+			if err := rd.loadGroups(); err != nil {
+				return nil, err
 			}
-			rd.data = rd.shell.Reconstruct()
+			rd.data = rd.shell.ReconstructInto(rd.data)
 			rd.dirty = false
 		}
 		return rd.data, nil

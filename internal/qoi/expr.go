@@ -228,32 +228,65 @@ func (d Div) MaxVar() int { return max(d.Num.MaxVar(), d.Den.MaxVar()) }
 // String implements Expr.
 func (d Div) String() string { return fmt.Sprintf("(%s / %s)", d.Num, d.Den) }
 
-// Pow is the integer power xⁿ, n ≥ 1 (Theorem 1 for a monomial).
+// Pow is the integer power xⁿ, n ≥ 1 (Theorem 1 for a monomial). A
+// negative N has no derivable bound: Eval is NaN and Bound +Inf.
 type Pow struct {
 	N int
 	X Expr
 }
 
 // Eval implements Expr.
-func (p Pow) Eval(vals []float64) float64 { return intPow(p.X.Eval(vals), p.N) }
+func (p Pow) Eval(vals []float64) float64 {
+	if p.N < 0 {
+		return math.NaN()
+	}
+	return intPow(p.X.Eval(vals), p.N)
+}
 
 // Bound implements Expr: Δ(xⁿ) ≤ Σᵢ₌₁ⁿ C(n,i)|x|ⁿ⁻ⁱ εⁱ.
 func (p Pow) Bound(vals, ebs []float64) (float64, float64) {
 	v, d := p.X.Bound(vals, ebs)
+	if p.N < 0 {
+		return math.NaN(), math.Inf(1)
+	}
 	return intPow(v, p.N), powBound(v, d, p.N)
 }
 
-// powTable is the largest exponent powBound tabulates.
+// maxExponent is the largest integer power Parse lowers a formula to, and
+// the largest Pow exponent or Poly degree Compile accepts.
+const maxExponent = 64
+
+// binomials[n][i-1] is C(n,i) for 1 ≤ i ≤ n ≤ maxExponent, computed once
+// by the float64 recurrence c = c·(n−i+1)/i, which powBound still runs
+// above powTable. A table read is the very value the recurrence gives
+// there.
+var binomials = func() [][]float64 {
+	t := make([][]float64, maxExponent+1)
+	for n := range t {
+		t[n] = make([]float64, n)
+		c := 1.0
+		for i := 1; i <= n; i++ {
+			c = c * float64(n-i+1) / float64(i)
+			t[n][i-1] = c
+		}
+	}
+	return t
+}()
+
+// powTable is the largest exponent powBound tabulates |x|ᵏ for.
 const powTable = 16
 
+// powBound is Theorem 1's Σᵢ₌₁ⁿ C(n,i)|v|ⁿ⁻ⁱ dⁱ for n ≥ 0, summed in
+// increasing i. The compiled program's Pow and Poly columns repeat these
+// terms in this order, so both paths agree to the bit.
 func powBound(v, d float64, n int) float64 {
 	if d == 0 {
 		return 0
 	}
 	av := math.Abs(v)
 	bound := 0.0
-	c := 1.0 // C(n,i) built incrementally
 	if n > powTable {
+		c := 1.0 // C(n,i) built incrementally
 		for i := 1; i <= n; i++ {
 			c = c * float64(n-i+1) / float64(i)
 			bound += c * intPow(av, n-i) * intPow(d, i)
@@ -268,11 +301,11 @@ func powBound(v, d float64, n int) float64 {
 	for k := 1; k < n; k++ {
 		pa[k] = pa[k-1] * av
 	}
+	binom := binomials[n]
 	di := 1.0
 	for i := 1; i <= n; i++ {
-		c = c * float64(n-i+1) / float64(i)
 		di *= d
-		bound += c * pa[n-i] * di
+		bound += binom[i-1] * pa[n-i] * di
 	}
 	return bound
 }

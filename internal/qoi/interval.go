@@ -128,7 +128,7 @@ func EvalInterval(e Expr, vals, ebs []float64) (Interval, bool) {
 		return divIv(a, b)
 	case Pow:
 		a, ok := EvalInterval(n.X, vals, ebs)
-		if !ok {
+		if !ok || n.N < 0 {
 			return Interval{}, false
 		}
 		return powIv(a, n.N), true

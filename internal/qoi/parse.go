@@ -23,7 +23,8 @@ import (
 //
 // Exponents must be non-negative integers or half-integers; a half-integer
 // power x^(k+0.5) is lowered to sqrt(x^(2k+1)), the decomposition the paper
-// uses for Equation (5)'s 3.5 exponent.
+// uses for Equation (5)'s 3.5 exponent. The integer power a lowering makes
+// may not exceed 64, so x^64 and x^31.5 are the largest accepted.
 func Parse(src string, fields []string) (Expr, error) {
 	p := &parser{src: src, fields: fields}
 	p.next()
@@ -217,7 +218,9 @@ func (p *parser) parseFactor() (Expr, error) {
 }
 
 // lowerPower converts x^e into the derivable basis: integer powers map to
-// Pow, half-integer powers to sqrt(x^(2e)).
+// Pow, half-integer powers to sqrt(x^(2e)). The Pow exponent is checked
+// against maxExponent while still a float: converting a larger one to int
+// could overflow, and evaluating it would cost a loop step per unit.
 func lowerPower(base Expr, exp float64) (Expr, error) {
 	if exp < 0 {
 		return nil, fmt.Errorf("%w: negative exponent %g (write 1/x^n instead)", ErrParse, exp)
@@ -225,13 +228,19 @@ func lowerPower(base Expr, exp float64) (Expr, error) {
 	if exp == 0 {
 		return Const{C: 1}, nil
 	}
-	if exp == math.Trunc(exp) {
-		return Pow{N: int(exp), X: base}, nil
+	n, half := exp, false
+	if exp != math.Trunc(exp) {
+		if n, half = exp*2, true; n != math.Trunc(n) {
+			return nil, fmt.Errorf("%w: exponent %g is not an integer or half-integer", ErrParse, exp)
+		}
 	}
-	if d := exp * 2; d == math.Trunc(d) {
-		return Sqrt{X: Pow{N: int(d), X: base}}, nil
+	if n > maxExponent {
+		return nil, fmt.Errorf("%w: exponent %g lowers to a power above %d", ErrParse, exp, maxExponent)
 	}
-	return nil, fmt.Errorf("%w: exponent %g is not an integer or half-integer", ErrParse, exp)
+	if half {
+		return Sqrt{X: Pow{N: int(n), X: base}}, nil
+	}
+	return Pow{N: int(n), X: base}, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {

@@ -1,6 +1,7 @@
 package qoi
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -134,6 +135,40 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(src, geFields); err == nil {
 			t.Errorf("%q: expected parse error", src)
+		}
+	}
+}
+
+// TestParseExponentCap: exponents whose power would exceed 64 are parse
+// errors. 1e300 and 9.3e18 used to overflow the int conversion into a
+// certified zero bound, 1e9 to loop that many times per point, and
+// 4294967296.5 to lower to a power of 2³³+1; 16 and 17 sit either side of
+// powBound's table.
+func TestParseExponentCap(t *testing.T) {
+	for _, c := range []struct {
+		exp  string
+		want Expr // nil: ErrParse
+	}{
+		{"1e300", nil},
+		{"9.3e18", nil},
+		{"1e9", nil},
+		{"4294967296.5", nil},
+		{"65", nil},
+		{"32.5", nil},
+		{"16", Pow{N: 16, X: Var{0}}},
+		{"17", Pow{N: 17, X: Var{0}}},
+		{"64", Pow{N: 64, X: Var{0}}},
+		{"31.5", Sqrt{X: Pow{N: 63, X: Var{0}}}},
+	} {
+		e, err := Parse("Vx^"+c.exp, geFields)
+		if c.want == nil {
+			if !errors.Is(err, ErrParse) {
+				t.Errorf("Vx^%s: got (%v, %v), want ErrParse", c.exp, e, err)
+			}
+			continue
+		}
+		if err != nil || e.String() != c.want.String() {
+			t.Errorf("Vx^%s: got (%v, %v), want %v", c.exp, e, err, c.want)
 		}
 	}
 }

@@ -10,13 +10,15 @@ import (
 // table, sharing every common subexpression; Program.Eval then runs one
 // pass per node over a block of points held as columns, with no per-point
 // interface dispatch. Every node calls the same scalar theorem helper as
-// the matching Expr.Bound, so value and bound are bit-identical to the
-// tree walk at every point.
+// the matching Expr.Bound, or for Pow and Poly repeats its terms in its
+// order over a column, so value and bound are bit-identical to the tree
+// walk at every point.
 
 // BlockSize is the most points one Program.Eval call evaluates. A block's
-// scratch, a value and a bound column per node that is not a Var, then
-// stays in L2: the six GE QoIs compile to 25 nodes, 20 of them with
-// columns, 20 × 2 × 512 × 8 B = 160 KiB.
+// scratch, a value and a bound column per node that is not a Var plus one
+// column per unit of the largest exponent and one more, then stays in L2:
+// the six GE QoIs compile to 25 nodes, 20 of them with columns, and x⁷ is
+// their largest power, (20 × 2 + 8) × 512 × 8 B = 192 KiB.
 const BlockSize = 512
 
 type opcode uint8
@@ -49,15 +51,17 @@ type node struct {
 // It is immutable; any number of goroutines may evaluate it, each with its
 // own Scratch.
 type Program struct {
-	nodes []node
-	roots []int // node of each target
-	cols  int   // nodes that need scratch columns: all but the Vars
+	nodes  []node
+	roots  []int // node of each target
+	cols   int   // nodes that need scratch columns: all but the Vars
+	maxPow int   // largest Pow exponent or Poly degree: sizes Scratch.pw
 }
 
 // Compile lowers targets into one Program. Structurally equal subtrees,
 // down to the bits of every constant, weight and coefficient, become one
 // node. ok is false when an expression holds a node type this package does
-// not define; such a request must be estimated by walking its trees.
+// not define, a Pow exponent outside [0, 64] or a Poly of degree above 64;
+// such a request must be estimated by walking its trees.
 func Compile(targets []Expr) (p *Program, ok bool) {
 	c := compiler{ids: map[string]int{}}
 	roots := make([]int, len(targets))
@@ -70,6 +74,12 @@ func Compile(targets []Expr) (p *Program, ok bool) {
 	for _, nd := range p.nodes {
 		if nd.op != opVar {
 			p.cols++
+		}
+		switch nd.op {
+		case opPow:
+			p.maxPow = max(p.maxPow, nd.n)
+		case opPoly:
+			p.maxPow = max(p.maxPow, len(nd.w)-1)
 		}
 	}
 	return p, true
@@ -96,8 +106,14 @@ func (c *compiler) lower(e Expr) (int, bool) {
 	case Div:
 		nd, kids = node{op: opDiv}, []Expr{x.Num, x.Den}
 	case Pow:
+		if x.N < 0 || x.N > maxExponent {
+			return 0, false
+		}
 		nd, kids = node{op: opPow, n: x.N}, []Expr{x.X}
 	case Poly:
+		if len(x.Coeffs) > maxExponent+1 {
+			return 0, false
+		}
 		nd, kids = node{op: opPoly, w: x.Coeffs}, []Expr{x.X}
 	case Sqrt:
 		nd, kids = node{op: opSqrt}, []Expr{x.X}
@@ -154,7 +170,8 @@ type Scratch struct {
 	val, bnd [][]float64
 	need     []bool
 	buf      []float64
-	m        int // points in the current block
+	m        int       // points in the current block
+	pw       []float64 // the Pow and Poly columns' scratch
 }
 
 func (s *Scratch) bind(p *Program) {
@@ -164,6 +181,9 @@ func (s *Scratch) bind(p *Program) {
 	}
 	if len(s.buf) < 2*p.cols*BlockSize {
 		s.buf = make([]float64, 2*p.cols*BlockSize)
+	}
+	if len(s.pw) < (p.maxPow+1)*BlockSize {
+		s.pw = make([]float64, (p.maxPow+1)*BlockSize)
 	}
 	s.val, s.bnd, s.need = s.val[:n], s.bnd[:n], s.need[:n]
 	off := 0
@@ -234,17 +254,14 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 				val[j], bnd[j] = divBound(av[j], ad[j], bv[j], bd[j])
 			}
 		case opPow:
-			n := nd.n
 			xv, xd := s.col(nd.args[0])
-			for j := range val {
-				val[j], bnd[j] = intPow(xv[j], n), powBound(xv[j], xd[j], n)
+			for j, x := range xv {
+				val[j] = intPow(x, nd.n)
 			}
+			powBoundColumn(bnd, xv, xd, nd.n, s.pw)
 		case opPoly:
-			coeffs := nd.w
 			xv, xd := s.col(nd.args[0])
-			for j := range val {
-				val[j], bnd[j] = polyBound(coeffs, xv[j], xd[j])
-			}
+			polyColumn(val, bnd, xv, xd, nd.w, s.pw)
 		case opSqrt:
 			xv, xd := s.col(nd.args[0])
 			for j := range val {
@@ -271,6 +288,82 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 			for j := range val {
 				val[j], bnd[j] = logBound(xv[j], xd[j])
 			}
+		}
+	}
+}
+
+// powBoundColumn writes powBound(xv[j], xd[j], n) to bnd[j] for every
+// point, 0 ≤ n ≤ maxExponent. Per point it makes the same products and sums
+// the same terms in the same order, with the binomials read from the
+// table; it runs each step over the whole column before the next, so no
+// step waits on the previous one at the same point. pw holds n columns of
+// scratch: |x|ᵏ for 1 ≤ k < n, and εⁱ.
+func powBoundColumn(bnd, xv, xd []float64, n int, pw []float64) {
+	m := len(xv)
+	bnd, xd = bnd[:m], xd[:m]
+	clear(bnd)
+	if n == 0 {
+		return
+	}
+	// Column k of pw is |x|ᵏ⁺¹ (pa[k+1] of powBound; pa[0] = 1 is implicit).
+	col := func(k int) []float64 { return pw[k*m : (k+1)*m][:m] }
+	if n > 1 {
+		av := col(0)
+		for j, x := range xv {
+			av[j] = math.Abs(x)
+		}
+		for k := 1; k < n-1; k++ {
+			prev, cur := col(k-1), col(k)
+			for j, a := range av {
+				cur[j] = prev[j] * a
+			}
+		}
+	}
+	di := col(n - 1)
+	for j := range di {
+		di[j] = 1
+	}
+	binom := binomials[n]
+	for i := 1; i < n; i++ {
+		c, pk := binom[i-1], col(n-i-1)
+		for j, d := range xd {
+			di[j] *= d
+			bnd[j] += c * pk[j] * di[j]
+		}
+	}
+	c := binom[n-1] // the i = n term, against |x|⁰ = 1
+	for j, d := range xd {
+		di[j] *= d
+		bnd[j] += c * 1 * di[j]
+		if d == 0 {
+			bnd[j] = 0
+		}
+	}
+}
+
+// polyColumn is polyBound over a column, of degree ≤ maxExponent: Horner a
+// step at a time, and each term's powBound from powBoundColumn. pw holds
+// degree + 1 columns of scratch.
+func polyColumn(val, bnd, xv, xd, coeffs, pw []float64) {
+	m := len(xv)
+	val, bnd = val[:m], bnd[:m]
+	clear(val)
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		c := coeffs[i]
+		for j, x := range xv {
+			val[j] = val[j]*x + c
+		}
+	}
+	clear(bnd)
+	p := pw[:m] // the term's powBound
+	for i, a := range coeffs {
+		if i == 0 || a == 0 {
+			continue
+		}
+		powBoundColumn(p, xv, xd, i, pw[m:])
+		w := math.Abs(a)
+		for j, b := range p {
+			bnd[j] += w * b
 		}
 	}
 }

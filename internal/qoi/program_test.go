@@ -166,6 +166,108 @@ func TestPowBoundTablesMatchIntPow(t *testing.T) {
 	}
 }
 
+// kernelInputs is a column of every pairing of the special values (0, −0,
+// negatives, ±Inf, NaN, subnormals) for x and ε, followed by ordinary
+// random points: the inputs the Pow and Poly columns are held to the
+// scalar helpers on.
+func kernelInputs() (xv, xd []float64) {
+	sub := math.SmallestNonzeroFloat64
+	xs := []float64{0, math.Copysign(0, -1), -2.5, -1, 1.5, 3, math.Inf(1), math.Inf(-1), math.NaN(), sub, -sub, 0x1p-1030}
+	ds := []float64{0, 1e-3, 0.5, 2, math.Inf(1), math.NaN(), sub, 0x1p-1030}
+	for _, x := range xs {
+		for _, d := range ds {
+			xv, xd = append(xv, x), append(xd, d)
+		}
+	}
+	rx, rd := differentialInputs(rand.New(rand.NewSource(34)), 1, BlockSize-len(xv))
+	return append(xv, rx[0]...), append(xd, rd[0]...)
+}
+
+// bitsEqual compares by Float64bits, NaN payloads included.
+func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestPowColumnMatchesScalar: powBoundColumn against the scalar powBound,
+// bit for bit, for every exponent through one past powBound's |x|ᵏ table
+// and the largest Compile accepts.
+func TestPowColumnMatchesScalar(t *testing.T) {
+	xv, xd := kernelInputs()
+	bnd := make([]float64, len(xv))
+	pw := make([]float64, maxExponent*len(xv))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, maxExponent} {
+		powBoundColumn(bnd, xv, xd, n, pw)
+		for j := range xv {
+			if want := powBound(xv[j], xd[j], n); !bitsEqual(bnd[j], want) {
+				t.Fatalf("n=%d x=%v ε=%v: column %v, scalar %v", n, xv[j], xd[j], bnd[j], want)
+			}
+		}
+	}
+}
+
+// TestPolyColumnMatchesScalar: polyColumn against polyBound, bit for bit,
+// for degrees 0 through 17 and the largest, with zero, negative and
+// Horner-only (trailing zero) coefficients.
+func TestPolyColumnMatchesScalar(t *testing.T) {
+	xv, xd := kernelInputs()
+	val, bnd := make([]float64, len(xv)), make([]float64, len(xv))
+	pw := make([]float64, (maxExponent+1)*len(xv))
+	rng := rand.New(rand.NewSource(35))
+	for _, deg := range []int{-1, 0, 1, 2, 3, 5, 8, 16, 17, maxExponent} {
+		coeffs := make([]float64, deg+1)
+		for i := range coeffs {
+			if rng.Intn(4) > 0 {
+				coeffs[i] = rng.NormFloat64()
+			}
+		}
+		if deg > 1 {
+			coeffs[deg] = 0
+		}
+		polyColumn(val, bnd, xv, xd, coeffs, pw)
+		for j := range xv {
+			if wv, wb := polyBound(coeffs, xv[j], xd[j]); !bitsEqual(val[j], wv) || !bitsEqual(bnd[j], wb) {
+				t.Fatalf("%v at x=%v ε=%v: column (%v, %v), scalar (%v, %v)", coeffs, xv[j], xd[j], val[j], bnd[j], wv, wb)
+			}
+		}
+	}
+}
+
+// TestBinomialTableMatchesRecurrence: every table entry is the value the
+// running recurrence reaches at that step.
+func TestBinomialTableMatchesRecurrence(t *testing.T) {
+	for n := 0; n <= maxExponent; n++ {
+		c := 1.0
+		for i := 1; i <= n; i++ {
+			c = c * float64(n-i+1) / float64(i)
+			if !bitsEqual(binomials[n][i-1], c) {
+				t.Fatalf("C(%d,%d): table %v, recurrence %v", n, i, binomials[n][i-1], c)
+			}
+		}
+	}
+}
+
+// TestNegativeAndHugePowers: a negative exponent has no derivable bound,
+// so the tree walk and the interval estimator refuse it and Compile leaves
+// it to them; an exponent past the table is also left to the tree walk.
+func TestNegativeAndHugePowers(t *testing.T) {
+	neg := Pow{N: -3, X: Var{0}}
+	if v := neg.Eval([]float64{2}); !math.IsNaN(v) {
+		t.Fatalf("x^-3 evaluates to %v, want NaN", v)
+	}
+	if _, b := neg.Bound([]float64{2}, []float64{0}); !math.IsInf(b, 1) {
+		t.Fatalf("x^-3 bound %v, want +Inf", b)
+	}
+	if _, b := IntervalBound(neg, []float64{2}, []float64{0.1}); !math.IsInf(b, 1) {
+		t.Fatalf("x^-3 interval bound %v, want +Inf", b)
+	}
+	for _, e := range []Expr{neg, Pow{N: maxExponent + 1, X: Var{0}}, Poly{Coeffs: make([]float64, maxExponent+2), X: Var{0}}} {
+		if _, ok := Compile([]Expr{e}); ok {
+			t.Fatalf("Compile accepted %v", e)
+		}
+	}
+	if _, ok := Compile([]Expr{Pow{N: maxExponent, X: Var{0}}, Poly{Coeffs: make([]float64, maxExponent+1), X: Var{0}}}); !ok {
+		t.Fatal("Compile refused the largest exponent and degree")
+	}
+}
+
 func TestCompileSharesSubexpressions(t *testing.T) {
 	var ge []Expr
 	for _, q := range GEQoIs() {
@@ -221,5 +323,21 @@ func TestScratchReuseDoesNotAllocate(t *testing.T) {
 	p.Eval(&s, active, x, eb, BlockSize)
 	if n := testing.AllocsPerRun(10, func() { p.Eval(&s, active, x, eb, BlockSize) }); n != 0 {
 		t.Fatalf("Eval on a warm Scratch allocates %v times", n)
+	}
+}
+
+// BenchmarkProgramEvalGE evaluates the six GE QoIs over one full block.
+func BenchmarkProgramEvalGE(b *testing.B) {
+	var ge []Expr
+	for _, q := range GEQoIs() {
+		ge = append(ge, q.Expr)
+	}
+	p, _ := Compile(ge)
+	x, eb := differentialInputs(rand.New(rand.NewSource(36)), GENumFields, BlockSize)
+	active := []bool{true, true, true, true, true, true}
+	var s Scratch
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Eval(&s, active, x, eb, BlockSize)
 	}
 }
