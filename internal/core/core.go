@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"progqoi/internal/obs"
@@ -176,6 +177,9 @@ type Config struct {
 	// an Expr type from outside package qoi walks its trees instead, with
 	// bit-identical results. A non-nil override, such as the
 	// interval-arithmetic ablation qoi.IntervalBound, is called per point.
+	// Either way the estimator must be a pure function of its arguments: a
+	// session reuses a QoI's last estimate while none of its variables has
+	// moved.
 	Estimator qoi.BoundFunc
 	// Prefetch, when set, is invoked once per retrieval iteration before the
 	// readers advance: need[v] lists the fragment indices variable v will
@@ -238,6 +242,33 @@ type Retriever struct {
 	achieved []float64 // bounds achieved by the readers
 	masked   [][]float64
 	est      []*estScratch // one per estimateAll worker slot
+
+	// The estimate memo. gen[v] counts the refreshes of variable v that
+	// changed it: advance bumps it when its reader ingests a fragment or
+	// reports a new bound, the only ways masked[v] and achieved[v] move. An
+	// Advance cut short by cancellation leaves its reader short of its
+	// target, so the next one ingests and bumps. memo holds the last
+	// estimate of each target of the current request.
+	gen       []uint64
+	memo      map[memoKey]estMemo
+	estimates int // targets estimateAll has evaluated, over the session
+}
+
+// memoKey names a target independently of the request that carries it: its
+// expression's structure (qoi.Program.Keys; empty for a request that did
+// not compile, whose targets are never memoized) and its region.
+type memoKey struct {
+	expr   string
+	region Region
+}
+
+// estMemo is a target's last estimate. stamp is the sum of its variables'
+// generations when it was made: generations only grow, so the sum is
+// unchanged exactly when none of those variables has moved since.
+type estMemo struct {
+	stamp uint64
+	est   float64
+	arg   int
 }
 
 // ErrExhausted reports that full fidelity was reached without certifying
@@ -282,6 +313,7 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 	rt.eps = make([]float64, len(vars))
 	rt.achieved = make([]float64, len(vars))
 	rt.masked = make([][]float64, len(vars))
+	rt.gen = make([]uint64, len(vars))
 	for i := range rt.eps {
 		rt.eps[i] = math.Inf(1)
 		rt.achieved[i] = math.Inf(1)
@@ -406,13 +438,32 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 			used = append(used, v)
 		}
 	}
-	var prog *qoi.Program
-	if rt.cfg.Estimator == nil {
-		exprs := make([]qoi.Expr, len(req.QoIs))
-		for k, q := range req.QoIs {
-			exprs[k] = q.Expr
+	exprs := make([]qoi.Expr, len(req.QoIs))
+	for k, q := range req.QoIs {
+		exprs[k] = q.Expr
+	}
+	prog, _ := qoi.Compile(exprs) // nil: a foreign Expr type, walk the trees
+	// Carry over the memo entries this request's targets can use, and only
+	// those, so the memo never outgrows one request. A request that did not
+	// compile is never memoized.
+	keys := make([]memoKey, len(req.QoIs))
+	memo := make(map[memoKey]estMemo, len(req.QoIs))
+	if prog != nil {
+		for k, x := range prog.Keys() {
+			keys[k].expr = x
 		}
-		prog, _ = qoi.Compile(exprs) // nil: a foreign Expr type, walk the trees
+	}
+	for k := range keys {
+		if len(req.Regions) != 0 {
+			keys[k].region = req.Regions[k]
+		}
+		if e, ok := rt.memo[keys[k]]; ok {
+			memo[keys[k]] = e
+		}
+	}
+	rt.memo = memo
+	if rt.cfg.Estimator != nil {
+		prog = nil // the override runs per point
 	}
 
 	if tr := rt.cfg.Trace; tr != nil {
@@ -470,7 +521,7 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 
 		// QoI error estimation over the full field (Algorithm 2 lines 13–24).
 		mEst := rt.cfg.Trace.BeginIter(obs.CatEstimate, "estimate", res.Iterations)
-		maxEst, argmax := rt.estimateAll(req, prog, used, ne)
+		maxEst, argmax := rt.estimate(req, prog, used, qoiVars, keys, ne)
 		mEst.End()
 		copy(res.EstErrors, maxEst)
 
@@ -603,26 +654,28 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 	errs := make([]error, len(todo))
 	rt.budget.For(len(todo), func(_, i int) bool {
 		v := todo[i]
-		before := rt.readers[v].RetrievedBytes()
-		b, err := rt.readers[v].Advance(ctx, rt.eps[v])
+		rd := rt.readers[v]
+		before := rd.RetrievedBytes()
+		b, err := rd.Advance(ctx, rt.eps[v])
 		if err != nil {
 			errs[i] = fmt.Errorf("core: advance %s: %w", rt.vars[v].Name, err)
 			return true
 		}
-		if rt.readers[v].RetrievedBytes() != before || b != rt.achieved[v] {
-			moved[i] = true
-		}
-		rt.achieved[v] = b
 		// Reconstruction is the commit phase: coefficients accumulated by
 		// the decode spans become the field the estimator reads.
 		mCom := rt.cfg.Trace.BeginIter(obs.CatCommit, rt.vars[v].Name, iter)
-		data, err := rt.readers[v].Data()
+		data, err := rd.Data()
 		mCom.End()
 		if err != nil {
 			errs[i] = fmt.Errorf("core: data %s: %w", rt.vars[v].Name, err)
 			return true
 		}
 		rt.masked[v] = rt.applyMask(v, data)
+		if rd.RetrievedBytes() != before || b != rt.achieved[v] {
+			moved[i] = true
+			rt.gen[v]++
+		}
+		rt.achieved[v] = b
 		return true
 	})
 	progressed := false
@@ -744,14 +797,66 @@ func (s *estScratch) walk(est qoi.BoundFunc, req Request, used, rlo, rhi []int, 
 	}
 }
 
-// estimateAll evaluates every QoI bound at every point, returning per-QoI
-// max estimates and their argmax locations. prog, when non-nil, is the
+// estimate returns every QoI's max estimate and argmax. A target none of
+// whose variables has moved since its memoized estimate keeps it, without
+// a pass over the field: the estimate is a pure function of the target's
+// expression, its region, and its variables' masked data and achieved
+// bounds, and none of them has changed. The rest go through estimateAll.
+// The first iteration of a request on a session that has certified before
+// reuses every target whose variables Algorithm 3 did not tighten.
+func (rt *Retriever) estimate(req Request, prog *qoi.Program, used []int, qoiVars [][]int, keys []memoKey, ne int) ([]float64, []int) {
+	nq := len(req.QoIs)
+	est, arg := make([]float64, nq), make([]int, nq)
+	stamps := make([]uint64, nq)
+	todo := make([]bool, nq)
+	miss := false
+	for k := range req.QoIs {
+		for _, v := range qoiVars[k] {
+			stamps[k] += rt.gen[v]
+		}
+		if e, ok := rt.memo[keys[k]]; ok && e.stamp == stamps[k] {
+			est[k], arg[k] = e.est, e.arg
+			continue
+		}
+		todo[k], miss = true, true
+	}
+	if !miss {
+		return est, arg
+	}
+	// Load only the variables the targets to estimate read.
+	var reads []int
+	for _, v := range used {
+		for k, on := range todo {
+			if on && slices.Contains(qoiVars[k], v) {
+				reads = append(reads, v)
+				break
+			}
+		}
+	}
+	fresh, freshArg := rt.estimateAll(req, prog, reads, ne, todo)
+	for k, on := range todo {
+		if !on {
+			continue
+		}
+		est[k], arg[k] = fresh[k], freshArg[k]
+		if keys[k].expr != "" {
+			rt.memo[keys[k]] = estMemo{stamp: stamps[k], est: est[k], arg: arg[k]}
+		}
+	}
+	return est, arg
+}
+
+// estimateAll evaluates the QoI bounds of every target k with todo[k] at
+// every point, returning per-QoI max estimates and their argmax locations;
+// the other targets' entries are zero. prog, when non-nil, is the
 // request's compiled theorem estimator; otherwise the point estimator
-// walks each expression per point. used lists the variables the request
-// reads. Work is sharded as point-chunk tasks on the session's budget, and
-// a region-restricted QoI only evaluates its own region. Partials merge in
-// fixed chunk order per QoI, so the result is independent of scheduling.
-func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne int) ([]float64, []int) {
+// walks each expression per point. used lists the variables those targets
+// read. Work is sharded as point-chunk
+// tasks on the session's budget, and a region-restricted QoI only
+// evaluates its own region. Partials merge in fixed chunk order per QoI,
+// so the result is independent of scheduling, and a target's result is
+// independent of which other targets are evaluated with it.
+func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne int, todo []bool) ([]float64, []int) {
 	nq := len(req.QoIs)
 	// Per-QoI regions of interest: certification is restricted to [rlo, rhi).
 	rlo := make([]int, nq)
@@ -760,6 +865,9 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 		rlo[k], rhi[k] = 0, ne
 		if len(req.Regions) > 0 && !req.Regions[k].whole() {
 			rlo[k], rhi[k] = req.Regions[k].Lo, req.Regions[k].Hi
+		}
+		if todo[k] {
+			rt.estimates++
 		}
 	}
 	// Fixed chunk grid over the point space, deliberately independent of the
@@ -782,7 +890,7 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 			bhi := min(blo+qoi.BlockSize, hi)
 			some := false
 			for k := range s.active {
-				s.active[k] = rlo[k] < bhi && rhi[k] > blo
+				s.active[k] = todo[k] && rlo[k] < bhi && rhi[k] > blo
 				some = some || s.active[k]
 			}
 			if !some {
@@ -804,15 +912,17 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 				} else {
 					col = s.bnd[k]
 				}
-				for j := max(blo, rlo[k]); j < min(bhi, rhi[k]); j++ {
-					b := col[j-blo]
-					if b > cmax[k] || math.IsNaN(b) {
+				jlo := max(blo, rlo[k])
+				m, arg := cmax[k], carg[k]
+				for j, b := range col[jlo-blo : min(bhi, rhi[k])-blo] {
+					if b > m || math.IsNaN(b) {
 						if math.IsNaN(b) {
 							b = math.Inf(1)
 						}
-						cmax[k], carg[k] = b, j
+						m, arg = b, jlo+j
 					}
 				}
+				cmax[k], carg[k] = m, arg
 			}
 		}
 	}
@@ -833,6 +943,9 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 	est := make([]float64, nq)
 	argmax := make([]int, nq)
 	for k := 0; k < nq; k++ {
+		if !todo[k] {
+			continue
+		}
 		argmax[k] = rlo[k]
 		for c := 0; c < nchunks; c++ {
 			if pmax[c*nq+k] >= est[k] {

@@ -62,9 +62,9 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 				iters := 0
 				req.OnProgress = func(it Iteration) {
 					iters++
-					est, arg := rt.estimateAll(req, prog, used, ne)
+					est, arg := rt.estimateAll(req, prog, used, ne, everyTarget(len(req.QoIs)))
 					rt.cfg.Estimator = qoi.TheoremBound
-					wantEst, wantArg := rt.estimateAll(req, nil, used, ne)
+					wantEst, wantArg := rt.estimateAll(req, nil, used, ne, everyTarget(len(req.QoIs)))
 					rt.cfg.Estimator = nil
 					for k := range est {
 						if math.Float64bits(est[k]) != math.Float64bits(wantEst[k]) || arg[k] != wantArg[k] {
@@ -99,6 +99,15 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// everyTarget is estimateAll's todo for a pass over all n targets.
+func everyTarget(n int) []bool {
+	todo := make([]bool, n)
+	for k := range todo {
+		todo[k] = true
+	}
+	return todo
 }
 
 // sameRetrieval fails unless two results fetched, iterated, certified and

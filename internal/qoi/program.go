@@ -139,20 +139,9 @@ func (c *compiler) lower(e Expr) (int, bool) {
 }
 
 // intern returns the id of the node equal to nd, adding nd if there is
-// none. The key holds every field Eval reads, floats by their exact bits:
-// String() would not do, since it drops zero Poly coefficients that Horner
-// still multiplies through.
+// none.
 func (c *compiler) intern(nd node) int {
-	k := append(c.key[:0], byte(nd.op))
-	k = binary.LittleEndian.AppendUint64(k, uint64(nd.n))
-	k = binary.LittleEndian.AppendUint64(k, math.Float64bits(nd.c))
-	k = binary.LittleEndian.AppendUint64(k, uint64(len(nd.w)))
-	for _, w := range nd.w {
-		k = binary.LittleEndian.AppendUint64(k, math.Float64bits(w))
-	}
-	for _, a := range nd.args {
-		k = binary.LittleEndian.AppendUint64(k, uint64(a))
-	}
+	k := appendKey(c.key[:0], &nd, nd.args)
 	c.key = k
 	if id, ok := c.ids[string(k)]; ok {
 		return id
@@ -160,6 +149,64 @@ func (c *compiler) intern(nd node) int {
 	c.nodes = append(c.nodes, nd)
 	c.ids[string(k)] = len(c.nodes) - 1
 	return len(c.nodes) - 1
+}
+
+// appendKey appends the hash-cons key of nd with children args. The key
+// holds every field Eval reads, floats by their exact bits: String() would
+// not do, since it drops zero Poly coefficients that Horner still
+// multiplies through. It holds its child count too, so keys concatenate
+// without ambiguity.
+func appendKey(k []byte, nd *node, args []int) []byte {
+	k = append(k, byte(nd.op))
+	k = binary.LittleEndian.AppendUint64(k, uint64(nd.n))
+	k = binary.LittleEndian.AppendUint64(k, math.Float64bits(nd.c))
+	k = binary.LittleEndian.AppendUint64(k, uint64(len(nd.w)))
+	for _, w := range nd.w {
+		k = binary.LittleEndian.AppendUint64(k, math.Float64bits(w))
+	}
+	k = binary.LittleEndian.AppendUint64(k, uint64(len(args)))
+	for _, a := range args {
+		k = binary.LittleEndian.AppendUint64(k, uint64(a))
+	}
+	return k
+}
+
+// Keys returns a canonical encoding of each target's structure, down to
+// the bits of every constant, weight and coefficient: the keys of the nodes
+// it depends on, in post order, numbered as if it had been compiled alone.
+// Two targets, of this program or any other, have equal keys exactly when
+// they are the same tree however they were built, so equal keys mean
+// equal values and bounds at every point. A retrieval session keys its
+// estimate memo on them, since each request brings new QoI values.
+func (p *Program) Keys() []string {
+	local := make([]int, len(p.nodes)) // node → 1 + its number in the target
+	var key []byte
+	var args []int
+	next := 0
+	var visit func(i int)
+	visit = func(i int) {
+		if local[i] != 0 {
+			return
+		}
+		for _, a := range p.nodes[i].args {
+			visit(a)
+		}
+		args = args[:0]
+		for _, a := range p.nodes[i].args {
+			args = append(args, local[a]-1)
+		}
+		key = appendKey(key, &p.nodes[i], args)
+		next++
+		local[i] = next
+	}
+	keys := make([]string, len(p.roots))
+	for k, r := range p.roots {
+		clear(local)
+		key, next = key[:0], 0
+		visit(r)
+		keys[k] = string(key)
+	}
+	return keys
 }
 
 // Scratch is one goroutine's working memory for Program.Eval: a value and
@@ -255,10 +302,8 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 			}
 		case opPow:
 			xv, xd := s.col(nd.args[0])
-			for j, x := range xv {
-				val[j] = intPow(x, nd.n)
-			}
 			powBoundColumn(bnd, xv, xd, nd.n, s.pw)
+			powValueColumn(val, xv, nd.n, s.pw)
 		case opPoly:
 			xv, xd := s.col(nd.args[0])
 			polyColumn(val, bnd, xv, xd, nd.w, s.pw)
@@ -337,6 +382,35 @@ func powBoundColumn(bnd, xv, xd []float64, n int, pw []float64) {
 		bnd[j] += c * 1 * di[j]
 		if d == 0 {
 			bnd[j] = 0
+		}
+	}
+}
+
+// powValueColumn writes intPow(xv[j], n) to val[j] for every point, from
+// the |x|ᵏ columns the powBoundColumn call of the same n and xv left in pw.
+// |x|ⁿ is one more product of the chain intPow makes, and round to nearest
+// is symmetric under negation, so intPow(x, n) is |x|ⁿ with x's sign when n
+// is odd, bit for bit.
+func powValueColumn(val, xv []float64, n int, pw []float64) {
+	m := len(xv)
+	val = val[:m]
+	switch n {
+	case 0:
+		for j := range val {
+			val[j] = 1
+		}
+		return
+	case 1:
+		copy(val, xv)
+		return
+	}
+	av, pk := pw[:m], pw[(n-2)*m : (n-1)*m][:m] // |x| and |x|ⁿ⁻¹
+	for j, a := range av {
+		val[j] = pk[j] * a
+	}
+	if n%2 == 1 {
+		for j, x := range xv {
+			val[j] = math.Copysign(val[j], x)
 		}
 	}
 }

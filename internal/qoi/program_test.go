@@ -203,6 +203,25 @@ func TestPowColumnMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestPowValueColumnMatchesIntPow: powValueColumn, after the powBoundColumn
+// call it reads, against intPow, bit for bit. A NaN x only has to give a
+// NaN: its sign never reaches a bound, which takes |x|.
+func TestPowValueColumnMatchesIntPow(t *testing.T) {
+	xv, xd := kernelInputs()
+	xv[len(xv)-1] = math.Copysign(math.NaN(), -1)
+	val, bnd := make([]float64, len(xv)), make([]float64, len(xv))
+	pw := make([]float64, maxExponent*len(xv))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, maxExponent - 1, maxExponent} {
+		powBoundColumn(bnd, xv, xd, n, pw)
+		powValueColumn(val, xv, n, pw)
+		for j, x := range xv {
+			if want := intPow(x, n); !bitsEqual(val[j], want) && !(math.IsNaN(x) && math.IsNaN(val[j])) {
+				t.Fatalf("n=%d x=%v: column %v (%#x), intPow %v (%#x)", n, x, val[j], math.Float64bits(val[j]), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // TestPolyColumnMatchesScalar: polyColumn against polyBound, bit for bit,
 // for degrees 0 through 17 and the largest, with zero, negative and
 // Horner-only (trailing zero) coefficients.
@@ -299,6 +318,61 @@ func TestCompileSharesSubexpressions(t *testing.T) {
 	}
 	if p.roots[0] != p.roots[5] {
 		t.Fatal("equal targets compiled to different nodes")
+	}
+}
+
+// TestKeyIsCanonical: a target's key depends on its structure alone, not
+// on the program it was compiled in or how its tree was built, and it
+// tells apart every structural difference the hash-cons key does.
+func TestKeyIsCanonical(t *testing.T) {
+	fields := []string{"a", "b", "c"}
+	parse := func(src string) Expr {
+		e, err := Parse(src, fields)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		return e
+	}
+	key := func(targets []Expr, k int) string {
+		p, ok := Compile(targets)
+		if !ok {
+			t.Fatalf("%v did not compile", targets)
+		}
+		return p.Keys()[k]
+	}
+	e := parse("sqrt(a^2 + b^2) / (a^2 + 1)")
+	alone := key([]Expr{e}, 0)
+	for _, targets := range [][]Expr{
+		{parse("a^2 + c"), parse("sqrt(a^2 + b^2) / (a^2 + 1)")},
+		{parse("b^2"), parse("c"), e, e},
+	} {
+		k := len(targets) - 1
+		if got := key(targets, k); got != alone {
+			t.Fatalf("key of %v changes with the program it is compiled in", targets[k])
+		}
+	}
+	distinct := []Expr{
+		e,
+		parse("sqrt(a^2 + b^2) / (a^2 + 2)"),
+		parse("sqrt(b^2 + a^2) / (a^2 + 1)"),
+		parse("sqrt(a^2 + c^2) / (a^2 + 1)"),
+		parse("sqrt(a^3 + b^2) / (a^2 + 1)"),
+		Poly{Coeffs: []float64{1, 2}, X: Var{0}},
+		Poly{Coeffs: []float64{1, 2, 0}, X: Var{0}},
+		Const{C: 0},
+		Const{C: math.Copysign(0, -1)},
+		Sum{Weights: []float64{1, 1}, Terms: []Expr{Var{0}, Var{1}}},
+		Sum{Weights: []float64{1, -1}, Terms: []Expr{Var{0}, Var{1}}},
+		Mul{A: Var{0}, B: Var{1}},
+		Mul{A: Var{1}, B: Var{0}},
+	}
+	seen := map[string]int{}
+	for i, d := range distinct {
+		k := key([]Expr{d}, 0)
+		if j, dup := seen[k]; dup {
+			t.Fatalf("%v and %v share a key", distinct[j], d)
+		}
+		seen[k] = i
 	}
 }
 
