@@ -249,9 +249,8 @@ type Retriever struct {
 	// Advance cut short by cancellation leaves its reader short of its
 	// target, so the next one ingests and bumps. memo holds the last
 	// estimate of each target of the current request.
-	gen       []uint64
-	memo      map[memoKey]estMemo
-	estimates int // targets estimateAll has evaluated, over the session
+	gen  []uint64
+	memo map[memoKey]estMemo
 }
 
 // memoKey names a target independently of the request that carries it: its
@@ -865,9 +864,6 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 		rlo[k], rhi[k] = 0, ne
 		if len(req.Regions) > 0 && !req.Regions[k].whole() {
 			rlo[k], rhi[k] = req.Regions[k].Lo, req.Regions[k].Hi
-		}
-		if todo[k] {
-			rt.estimates++
 		}
 	}
 	// Fixed chunk grid over the point space, deliberately independent of the

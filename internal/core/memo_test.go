@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"progqoi/internal/progressive"
@@ -19,10 +20,28 @@ func relTols(rel float64, ranges []float64) []float64 {
 	return tols
 }
 
+// countingEstimator is qoi.TheoremBound counting its calls.
+func countingEstimator(calls *atomic.Int64) qoi.BoundFunc {
+	return func(e qoi.Expr, vals, ebs []float64) (float64, float64) {
+		calls.Add(1)
+		return qoi.TheoremBound(e, vals, ebs)
+	}
+}
+
+// passes splits the estimator calls of a request without regions over ne
+// points: the tree walk makes ne per target estimated, and Algorithm 4 at
+// most 20 at the worst point per target reassigned, at most n of them.
+func passes(t *testing.T, calls int64, ne, n int) int {
+	t.Helper()
+	if rest := calls % int64(ne); rest > int64(20*n) {
+		t.Fatalf("%d estimator calls: %d beyond whole passes over %d points", calls, rest, ne)
+	}
+	return int(calls / int64(ne))
+}
+
 // checkAgainstFresh returns an OnProgress hook that holds every estimate
 // the loop reports, memoized or not, to a fresh estimateAll over the
-// session's current state, bit for bit. The fresh pass is not counted in
-// rt.estimates.
+// session's current state, bit for bit.
 func checkAgainstFresh(t *testing.T, rt *Retriever, req *Request, label string) func(Iteration) {
 	return func(it Iteration) {
 		t.Helper()
@@ -37,9 +56,7 @@ func checkAgainstFresh(t *testing.T, rt *Retriever, req *Request, label string) 
 			exprs[k] = q.Expr
 		}
 		prog, _ := qoi.Compile(exprs)
-		n := rt.estimates
 		want, _ := rt.estimateAll(*req, prog, used, rt.vars[0].Ref.NumElements(), everyTarget(len(req.QoIs)))
-		rt.estimates = n
 		for k := range want {
 			if math.Float64bits(it.EstErrors[k]) != math.Float64bits(want[k]) {
 				t.Fatalf("%s iteration %d, %s: reported %g, fresh estimate %g", label, it.N, req.QoIs[k].Name, it.EstErrors[k], want[k])
@@ -48,27 +65,28 @@ func checkAgainstFresh(t *testing.T, rt *Retriever, req *Request, label string) 
 	}
 }
 
-// TestEstimateMemoOnTwoRungLadder counts the targets estimateAll evaluates
-// on a two-rung GE ladder. The first iteration of the session estimates all
-// six; the first iteration of the second rung estimates none, since no
-// reader has moved since the first rung certified; every other iteration
+// TestEstimateMemoOnTwoRungLadder counts the targets estimated on a
+// two-rung GE ladder. The first iteration of the session estimates all six;
+// the first iteration of the second rung estimates none, since no reader
+// has moved since the first rung certified; every other iteration
 // estimates exactly the targets one of whose variables moved.
 func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 	ds := smallGE()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
-	rt, err := NewRetriever(vars, Config{}, nil)
+	var calls atomic.Int64
+	rt, err := NewRetriever(vars, Config{Estimator: countingEstimator(&calls)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nq := len(ds.QoIs)
+	ne, nq := ds.NumElements(), len(ds.QoIs)
 	qoiVars := make([][]int, nq)
 	for k, q := range ds.QoIs {
 		qoiVars[k] = qoi.Vars(q.Expr)
 	}
 	total, iters := 0, 0
 	for rung, rel := range []float64{1e-2, 1e-4} {
-		last, gens := rt.estimates, append([]uint64(nil), rt.gen...)
+		gens := append([]uint64(nil), rt.gen...)
 		req := Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}
 		req.OnProgress = func(it Iteration) {
 			iters++
@@ -81,14 +99,15 @@ func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 					}
 				}
 			}
-			if got := rt.estimates - last; got != want {
+			got := passes(t, calls.Swap(0), ne, nq)
+			if got != want {
 				t.Errorf("rung %d iteration %d: %d targets estimated, want %d", rung, it.N, got, want)
 			}
 			if rung == 1 && it.N == 1 && want != 0 {
 				t.Errorf("a reader moved before the second rung's first estimate")
 			}
-			total += rt.estimates - last
-			last, gens = rt.estimates, append(gens[:0], rt.gen...)
+			total += got
+			gens = append(gens[:0], rt.gen...)
 		}
 		res, err := rt.Retrieve(context.Background(), req)
 		if err != nil {
@@ -98,8 +117,11 @@ func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 			t.Fatalf("rung %g certified in %d iteration; the ladder needs a rung that fetches", rel, res.Iterations)
 		}
 	}
-	if total != rt.estimates || total >= nq*iters {
-		t.Fatalf("%d targets estimated over %d iterations (counter %d), want fewer than %d", total, iters, rt.estimates, nq*iters)
+	if n := passes(t, calls.Load(), ne, nq); n != 0 {
+		t.Fatalf("%d targets estimated after the last reported iteration", n)
+	}
+	if total >= nq*iters {
+		t.Fatalf("%d targets estimated over %d iterations, want fewer than %d", total, iters, nq*iters)
 	}
 }
 
@@ -122,10 +144,13 @@ func TestEstimateMemoPerTarget(t *testing.T) {
 		return out
 	}
 	still := parse()[1].Expr.String()
-	points := 0 // bound evaluations of the target that stays put
+	// Bound evaluations of every target, and of the target that stays put.
+	// The estimator runs on several workers at once.
+	var calls, points atomic.Int64
 	rt, err := NewRetriever(vars, Config{Estimator: func(e qoi.Expr, vals, ebs []float64) (float64, float64) {
+		calls.Add(1)
 		if e.String() == still {
-			points++
+			points.Add(1)
 		}
 		return qoi.TheoremBound(e, vals, ebs)
 	}}, nil)
@@ -133,28 +158,30 @@ func TestEstimateMemoPerTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranges := QoIRanges(parse(), ds.Fields)
+	ne := ds.NumElements()
 	var first []float64
 	for rung, rels := range [][]float64{{1e-2, 1e-2}, {1e-5, 1e-2}} {
 		req := Request{QoIs: parse(), Tolerances: []float64{rels[0] * ranges[0], rels[1] * ranges[1]}}
-		before := rt.estimates
+		calls.Store(0)
 		res, err := rt.Retrieve(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rung == 0 {
-			if points == 0 {
+			if points.Load() == 0 {
 				t.Fatal("the first rung never evaluated the second target")
 			}
-			first, points = res.EstErrors, 0
+			first = res.EstErrors
+			points.Store(0)
 			continue
 		}
-		// Only the tightened target is estimated, and not at the first
-		// iteration; Pressure and Density never move.
-		if got, want := rt.estimates-before, res.Iterations-1; res.Iterations < 2 || got != want {
+		// Only the tightened target is estimated, one pass per iteration
+		// but the first; Pressure and Density never move.
+		if got, want := passes(t, calls.Load(), ne, 2*res.Iterations), res.Iterations-1; res.Iterations < 2 || got != want {
 			t.Fatalf("%d iterations estimated %d targets, want %d", res.Iterations, got, want)
 		}
-		if points != 0 {
-			t.Fatalf("the target that stayed put was evaluated at %d points", points)
+		if n := points.Load(); n != 0 {
+			t.Fatalf("the target that stayed put was evaluated at %d points", n)
 		}
 		if math.Float64bits(res.EstErrors[1]) != math.Float64bits(first[1]) {
 			t.Fatalf("untouched target re-certified at %g, was %g", res.EstErrors[1], first[1])
