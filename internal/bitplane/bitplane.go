@@ -16,7 +16,6 @@
 package bitplane
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -33,7 +32,9 @@ const DefaultPlanes = 60
 var ErrBadInput = errors.New("bitplane: input must be finite")
 
 // Block is an encoded coefficient block: per-plane compressed fragments plus
-// the shared exponent metadata needed to decode any prefix of planes.
+// the shared exponent metadata needed to decode any prefix of planes. A
+// decoder reads only N, Exp and B, so a metadata-only block (Signs and
+// Planes nil) decodes fragments that travel separately.
 type Block struct {
 	N      int      // number of coefficients
 	Exp    int      // shared exponent: all |v| < 2^Exp (meaningful when N>0 and not all-zero)
@@ -268,15 +269,6 @@ func (b *Block) PlaneSize(p int) int {
 	return n
 }
 
-// TotalSize returns the total stored bytes of all fragments.
-func (b *Block) TotalSize() int {
-	n := len(b.Signs)
-	for _, p := range b.Planes {
-		n += len(p)
-	}
-	return n
-}
-
 // Decoder incrementally reconstructs a block as planes arrive.
 type Decoder struct {
 	blk     *Block
@@ -293,47 +285,10 @@ func NewDecoder(b *Block) *Decoder {
 // Applied returns the number of planes applied so far.
 func (d *Decoder) Applied() int { return d.applied }
 
-// Advance applies planes until k planes are active (k ≥ current). Advancing
-// past b.B is clamped.
-func (d *Decoder) Advance(k int) error {
-	if k > d.blk.B {
-		k = d.blk.B
-	}
-	if d.blk.N == 0 || d.blk.Exp == math.MinInt32 {
-		d.applied = k
-		return nil
-	}
-	if d.applied == 0 && k > 0 {
-		raw, err := d.blk.RawBitmap(d.blk.Signs)
-		if err != nil {
-			return fmt.Errorf("bitplane: signs: %w", err)
-		}
-		d.signs = raw
-	}
-	for p := d.applied; p < k; p++ {
-		raw, err := d.blk.RawBitmap(d.blk.Planes[p])
-		if err != nil {
-			return fmt.Errorf("bitplane: plane %d: %w", p, err)
-		}
-		d.OrPlane(p, raw, 0, d.blk.N)
-	}
-	if k > d.applied {
-		d.applied = k
-	}
-	return nil
-}
-
-// Values reconstructs the current approximation into a new slice. With zero
-// planes applied it returns zeros (bound 2^Exp).
-func (d *Decoder) Values() []float64 {
-	out := make([]float64, d.blk.N)
-	d.ValuesInto(out)
-	return out
-}
-
-// ValuesInto writes what Values returns into out[:N], so a caller that
-// rebuilds every iteration can reuse one buffer. out must hold at least N
-// values; the rest are left alone.
+// ValuesInto writes the current approximation into out[:N]: zeros with no
+// planes committed (bound 2^Exp), and without a sign bitmap installed every
+// value non-negative. out must hold at least N values; the rest are left
+// alone.
 func (d *Decoder) ValuesInto(out []float64) {
 	out = out[:d.blk.N]
 	if d.applied == 0 || d.blk.Exp == math.MinInt32 {
@@ -371,14 +326,13 @@ func (d *Decoder) ValuesInto(out []float64) {
 	}
 }
 
-// Bound returns the current guaranteed L∞ error of Values().
+// Bound returns the current guaranteed L∞ error of ValuesInto's output.
 func (d *Decoder) Bound() float64 { return d.blk.Bound(d.applied) }
 
-// The three-step decode surface below (RawBitmap → OrPlane/SetSigns →
-// CommitPlanes) decomposes Advance so a caller can decompress fragments and
-// apply bit planes with its own worker pool. Advance(k) is exactly
-// RawBitmap of each missing plane (plus signs when starting from zero),
-// OrPlane over the whole coefficient range, then CommitPlanes(k); any
+// Decoding is three steps (RawBitmap → OrPlane/SetSigns → CommitPlanes),
+// so a caller can decompress fragments and apply bit planes with its own
+// worker pool: RawBitmap of each new plane (and of the signs with the
+// first), OrPlane over the coefficient range, then CommitPlanes. Any
 // interleaving of disjoint OrPlane ranges produces bit-identical magnitudes
 // because plane application only ORs independent bits.
 
@@ -424,7 +378,7 @@ func (d *Decoder) OrPlane(p int, raw []byte, lo, hi int) {
 func (d *Decoder) SetSigns(raw []byte) { d.signs = raw }
 
 // CommitPlanes records that every plane below k has been fully applied via
-// OrPlane, making Values()/Bound() reflect them. k past B is clamped;
+// OrPlane, making ValuesInto and Bound reflect them. k past B is clamped;
 // committing below the current Applied() is a no-op, so replays of
 // already-applied planes (idempotent under OR) are harmless.
 func (d *Decoder) CommitPlanes(k int) {
@@ -434,54 +388,4 @@ func (d *Decoder) CommitPlanes(k int) {
 	if k > d.applied {
 		d.applied = k
 	}
-}
-
-// Marshal serializes the block (metadata + all fragments).
-func (b *Block) Marshal() []byte {
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(b.N))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(b.Exp)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(b.B))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(b.Planes)))
-	out := encoding.PutSection(nil, hdr)
-	out = encoding.PutSection(out, b.Signs)
-	for _, p := range b.Planes {
-		out = encoding.PutSection(out, p)
-	}
-	return out
-}
-
-// Unmarshal parses Marshal output, returning the block and bytes consumed.
-func Unmarshal(data []byte) (*Block, int, error) {
-	hdr, n, err := encoding.GetSection(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(hdr) != 16 {
-		return nil, 0, fmt.Errorf("%w: bitplane header size %d", encoding.ErrCorrupt, len(hdr))
-	}
-	b := &Block{
-		N:   int(binary.LittleEndian.Uint32(hdr[0:])),
-		Exp: int(int32(binary.LittleEndian.Uint32(hdr[4:]))),
-		B:   int(binary.LittleEndian.Uint32(hdr[8:])),
-	}
-	nPlanes := int(binary.LittleEndian.Uint32(hdr[12:]))
-	if b.N < 0 || b.B < 0 || b.B > 62 || nPlanes < 0 || nPlanes > 62 {
-		return nil, 0, fmt.Errorf("%w: implausible bitplane header", encoding.ErrCorrupt)
-	}
-	off := n
-	b.Signs, n, err = encoding.GetSection(data[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	off += n
-	b.Planes = make([][]byte, nPlanes)
-	for i := range b.Planes {
-		b.Planes[i], n, err = encoding.GetSection(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-	}
-	return b, off, nil
 }

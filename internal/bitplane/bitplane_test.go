@@ -1,6 +1,7 @@
 package bitplane
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +13,43 @@ func randVals(rng *rand.Rand, n int, scale float64) []float64 {
 	for i := range out {
 		out[i] = (rng.Float64()*2 - 1) * scale
 	}
+	return out
+}
+
+// decodeTo brings d to k planes of its block the way a reader does:
+// RawBitmap of the sign fragment with the first plane and of every plane
+// from Applied() up to k, SetSigns, OrPlane over the whole block, then
+// CommitPlanes(k), which clamps k to B and ignores a k below Applied(). An
+// all-zero block stores no fragments, so only the commit runs.
+func decodeTo(d *Decoder, k int) error {
+	b := d.blk
+	if b.Exp == math.MinInt32 {
+		d.CommitPlanes(k)
+		return nil
+	}
+	n := min(k, b.B)
+	if d.Applied() == 0 && n > 0 {
+		raw, err := b.RawBitmap(b.Signs)
+		if err != nil {
+			return fmt.Errorf("signs: %w", err)
+		}
+		d.SetSigns(raw)
+	}
+	for p := d.Applied(); p < n; p++ {
+		raw, err := b.RawBitmap(b.Planes[p])
+		if err != nil {
+			return fmt.Errorf("plane %d: %w", p, err)
+		}
+		d.OrPlane(p, raw, 0, b.N)
+	}
+	d.CommitPlanes(k)
+	return nil
+}
+
+// values returns d's current approximation in a new slice.
+func values(d *Decoder) []float64 {
+	out := make([]float64, d.blk.N)
+	d.ValuesInto(out)
 	return out
 }
 
@@ -38,16 +76,19 @@ func TestAllZerosBlock(t *testing.T) {
 		t.Fatal("all-zero block should have zero bound")
 	}
 	d := NewDecoder(b)
-	if err := d.Advance(5); err != nil {
+	if err := decodeTo(d, 5); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range d.Values() {
+	for _, v := range values(d) {
 		if v != 0 {
 			t.Fatal("all-zero block should decode to zeros")
 		}
 	}
-	if b.TotalSize() != 0 {
-		t.Fatalf("all-zero block stores %d bytes", b.TotalSize())
+	if b.Signs != nil || b.Planes != nil {
+		t.Fatalf("all-zero block stores fragments: %d signs bytes, %d planes", len(b.Signs), len(b.Planes))
+	}
+	if d.Bound() != 0 {
+		t.Fatalf("all-zero block decodes with bound %g", d.Bound())
 	}
 }
 
@@ -57,10 +98,10 @@ func TestEmptyBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDecoder(b)
-	if err := d.Advance(10); err != nil {
+	if err := decodeTo(d, 10); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Values()) != 0 {
+	if len(values(d)) != 0 {
 		t.Fatal("empty block should decode empty")
 	}
 }
@@ -77,10 +118,10 @@ func TestProgressiveBoundHolds(t *testing.T) {
 	d := NewDecoder(b)
 	prevBound := math.Inf(1)
 	for k := 0; k <= b.B; k += 3 {
-		if err := d.Advance(k); err != nil {
+		if err := decodeTo(d, k); err != nil {
 			t.Fatal(err)
 		}
-		got := d.Values()
+		got := values(d)
 		bound := d.Bound()
 		if bound > prevBound {
 			t.Fatalf("bound not monotone at k=%d: %g > %g", k, bound, prevBound)
@@ -102,10 +143,10 @@ func TestFullPrecisionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDecoder(b)
-	if err := d.Advance(b.B); err != nil {
+	if err := decodeTo(d, b.B); err != nil {
 		t.Fatal(err)
 	}
-	got := d.Values()
+	got := values(d)
 	tol := b.Bound(b.B)
 	for i := range vals {
 		if math.Abs(vals[i]-got[i]) > tol {
@@ -125,10 +166,10 @@ func TestSignsRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDecoder(b)
-	if err := d.Advance(40); err != nil {
+	if err := decodeTo(d, 40); err != nil {
 		t.Fatal(err)
 	}
-	got := d.Values()
+	got := values(d)
 	for i, v := range vals {
 		if v < 0 && got[i] > 0 || v > 0 && got[i] < 0 {
 			t.Fatalf("sign lost at %d: %g -> %g", i, v, got[i])
@@ -140,7 +181,7 @@ func TestZeroPlanesDecodesZero(t *testing.T) {
 	vals := []float64{3, -4, 5}
 	b, _ := Encode(vals, 20)
 	d := NewDecoder(b)
-	for _, v := range d.Values() {
+	for _, v := range values(d) {
 		if v != 0 {
 			t.Fatal("no planes applied should give zeros")
 		}
@@ -154,17 +195,17 @@ func TestAdvanceClampsAndIsIdempotent(t *testing.T) {
 	vals := []float64{1, 2, 3}
 	b, _ := Encode(vals, 10)
 	d := NewDecoder(b)
-	if err := d.Advance(100); err != nil {
+	if err := decodeTo(d, 100); err != nil {
 		t.Fatal(err)
 	}
 	if d.Applied() != 10 {
 		t.Fatalf("applied = %d", d.Applied())
 	}
-	v1 := d.Values()
-	if err := d.Advance(5); err != nil { // backwards advance is a no-op
+	v1 := values(d)
+	if err := decodeTo(d, 5); err != nil { // a backwards commit is a no-op
 		t.Fatal(err)
 	}
-	v2 := d.Values()
+	v2 := values(d)
 	for i := range v1 {
 		if v1[i] != v2[i] {
 			t.Fatal("no-op advance changed values")
@@ -175,12 +216,13 @@ func TestAdvanceClampsAndIsIdempotent(t *testing.T) {
 func TestPlaneSizeAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b, _ := Encode(randVals(rng, 4096, 1), 30)
-	sum := 0
+	sum, total := 0, len(b.Signs)
 	for p := 0; p < 30; p++ {
 		sum += b.PlaneSize(p)
+		total += len(b.Planes[p])
 	}
-	if sum != b.TotalSize() {
-		t.Fatalf("plane sizes %d != total %d", sum, b.TotalSize())
+	if sum != total {
+		t.Fatalf("plane sizes %d != total %d", sum, total)
 	}
 	if b.PlaneSize(0) <= len(b.Planes[0]) {
 		t.Fatal("plane 0 must include sign fragment cost")
@@ -200,55 +242,17 @@ func TestLeadingZeroPlanesCompress(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	vals := randVals(rng, 777, 3.14)
-	b, _ := Encode(vals, 25)
-	buf := b.Marshal()
-	b2, n, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d", n, len(buf))
-	}
-	d1, d2 := NewDecoder(b), NewDecoder(b2)
-	if err := d1.Advance(25); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Advance(25); err != nil {
-		t.Fatal(err)
-	}
-	v1, v2 := d1.Values(), d2.Values()
-	for i := range v1 {
-		if v1[i] != v2[i] {
-			t.Fatalf("marshal round trip mismatch at %d", i)
-		}
-	}
-}
-
-func TestUnmarshalCorrupt(t *testing.T) {
-	vals := []float64{1, 2, 3, 4}
-	b, _ := Encode(vals, 12)
-	buf := b.Marshal()
-	for _, cut := range []int{0, 3, 10, len(buf) - 1} {
-		if _, _, err := Unmarshal(buf[:cut]); err == nil {
-			t.Errorf("truncation at %d not detected", cut)
-		}
-	}
-}
-
 func TestCorruptFragmentDetected(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	b, _ := Encode(vals, 12)
 	b.Planes[0] = []byte{99, 1, 2} // bad tag
 	d := NewDecoder(b)
-	if err := d.Advance(1); err == nil {
+	if err := decodeTo(d, 1); err == nil {
 		t.Fatal("bad tag not detected")
 	}
 	b.Planes[0] = nil
 	d = NewDecoder(b)
-	if err := d.Advance(1); err == nil {
+	if err := decodeTo(d, 1); err == nil {
 		t.Fatal("empty fragment not detected")
 	}
 }
@@ -265,11 +269,11 @@ func TestPropertyBoundSoundness(t *testing.T) {
 		}
 		k := int(kRaw) % 46
 		d := NewDecoder(b)
-		if err := d.Advance(k); err != nil {
+		if err := decodeTo(d, k); err != nil {
 			return false
 		}
 		bound := d.Bound()
-		for i, v := range d.Values() {
+		for i, v := range values(d) {
 			if math.Abs(vals[i]-v) > bound {
 				return false
 			}
@@ -299,9 +303,9 @@ func BenchmarkDecode4K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder(blk)
-		if err := d.Advance(32); err != nil {
+		if err := decodeTo(d, 32); err != nil {
 			b.Fatal(err)
 		}
-		_ = d.Values()
+		_ = values(d)
 	}
 }

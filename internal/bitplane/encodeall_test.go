@@ -103,10 +103,10 @@ func TestEncodeAllRoundTrip(t *testing.T) {
 	}
 	for g, blk := range blocks {
 		d := NewDecoder(blk)
-		if err := d.Advance(blk.B); err != nil {
+		if err := decodeTo(d, blk.B); err != nil {
 			t.Fatal(err)
 		}
-		vals := d.Values()
+		vals := values(d)
 		bound := blk.Bound(blk.B)
 		for i, v := range groups[g] {
 			if math.Abs(v-vals[i]) > bound {

@@ -127,10 +127,10 @@ func refValues(d *Decoder) []float64 {
 	return out
 }
 
-// TestValuesIntoMatchesReference: ValuesInto, into a buffer holding stale
-// values, and Values against the per-coefficient reference at 0, 1, some
-// and all planes, for N around multiples of 8, with and without a sign
-// bitmap installed.
+// TestValuesIntoMatchesReference: ValuesInto, into a longer buffer holding
+// stale values and into a fresh one, against the per-coefficient reference
+// at 0, 1, some and all planes, for N around multiples of 8, with and
+// without a sign bitmap installed.
 func TestValuesIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range kernelSizes {
@@ -151,7 +151,7 @@ func TestValuesIntoMatchesReference(t *testing.T) {
 			for _, k := range []int{0, 1, numPlanes / 2, numPlanes} {
 				for _, signs := range []bool{true, false} {
 					dec := NewDecoder(blk)
-					if err := dec.Advance(k); err != nil {
+					if err := decodeTo(dec, k); err != nil {
 						t.Fatal(err)
 					}
 					if !signs {
@@ -163,7 +163,7 @@ func TestValuesIntoMatchesReference(t *testing.T) {
 					}
 					dec.ValuesInto(out)
 					want := refValues(dec)
-					if !sameBits(out[:n], want) || !sameBits(dec.Values(), want) {
+					if !sameBits(out[:n], want) || !sameBits(values(dec), want) {
 						t.Fatalf("N=%d B=%d k=%d signs=%v: values differ from the per-coefficient reference", n, numPlanes, k, signs)
 					}
 				}
@@ -279,7 +279,7 @@ func TestInterleavedDecodeKeepsOwnership(t *testing.T) {
 		t.Fatal("test needs a DEFLATE-tagged sign fragment")
 	}
 	wantA := NewDecoder(blkA)
-	if err := wantA.Advance(DefaultPlanes); err != nil {
+	if err := decodeTo(wantA, DefaultPlanes); err != nil {
 		t.Fatal(err)
 	}
 
@@ -325,7 +325,7 @@ func TestInterleavedDecodeKeepsOwnership(t *testing.T) {
 			t.Fatalf("block A's plane %d bitmap changed while block B decoded", p)
 		}
 	}
-	if !slices.Equal(decA.Values(), wantA.Values()) {
+	if !slices.Equal(values(decA), values(wantA)) {
 		t.Fatal("block A decodes differently when interleaved with block B")
 	}
 }

@@ -198,8 +198,7 @@ func (r *Remote) StoredBytes() int64 { return r.stored }
 // NewSession opens a QoI retrieval session whose fragment fetches travel
 // the wire in one batched request per retrieval iteration. fetch (optional)
 // observes every ingested fragment exactly as in the local path, so byte
-// accounting (e.g. a netsim.Recorder) works identically. Any Prefetch
-// already set in cfg is replaced.
+// accounting (e.g. a netsim.Recorder) works identically.
 //
 // With Options.ReadAhead > 0 the prefetch hook pipelines the wire with the
 // decoder: once iteration N's batch is installed it launches a background
@@ -211,7 +210,6 @@ func (r *Remote) NewSession(fetch progressive.FetchFunc, cfg core.Config) (*core
 	// The session's Workers budget bounds the concurrent per-shard
 	// sub-batches too, so wire fan-out never exceeds compute fan-out.
 	workers := cfg.Workers
-	cfg.WireBytes = r.c.wireBytes.Load
 	return core.NewLazyRetriever(r.vars, cfg, fetch, func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error {
 		wants := map[string][]int{}
 		for vi, idxs := range want {
@@ -230,7 +228,7 @@ func (r *Remote) NewSession(fetch progressive.FetchFunc, cfg core.Config) (*core
 		}
 		r.readAhead(ctx, want)
 		return nil
-	})
+	}, r.c.wireBytes.Load)
 }
 
 // readAhead launches the speculative fetch of the fragments just past the

@@ -148,8 +148,9 @@ type Iteration struct {
 	EstErrors []float64
 	// RetrievedBytes is the session's cumulative logical fragment bytes.
 	RetrievedBytes int64
-	// WireBytes is the cumulative bytes the transport actually moved (via
-	// Config.WireBytes); zero for local archives.
+	// WireBytes is the cumulative bytes the transport actually moved (the
+	// wire counter a lazy session was opened with); zero for local
+	// archives.
 	WireBytes int64
 	// ToleranceMet reports whether every QoI certified this iteration
 	// (i.e. this is the final report of a successful Retrieve).
@@ -181,18 +182,6 @@ type Config struct {
 	// session reuses a QoI's last estimate while none of its variables has
 	// moved.
 	Estimator qoi.BoundFunc
-	// Prefetch, when set, is invoked once per retrieval iteration before the
-	// readers advance: need[v] lists the fragment indices variable v will
-	// ingest this iteration (nil when v needs nothing). A remote retrieval
-	// client uses the hook to pull every needed fragment across all
-	// variables in a single batched round trip; fragments already present
-	// locally may be ignored by the hook. ctx is the Retrieve context: the
-	// hook must abandon in-flight work when it is cancelled.
-	Prefetch func(ctx context.Context, need [][]int) error
-	// WireBytes, when set, reports the cumulative bytes the transport
-	// actually moved (a remote client's wire counter). It feeds
-	// Iteration.WireBytes; nil means no transport (local archive).
-	WireBytes func() int64
 	// Trace, when set, records one span per retrieval phase (plan, fetch,
 	// decode, commit, estimate) for every iteration, plus an umbrella span
 	// per Retrieve call, and stamps the retrieval's request ID into the
@@ -237,6 +226,18 @@ type Retriever struct {
 	readers []*progressive.Reader
 	cfg     Config
 	budget  *par.Budget // Config.Workers, shared by every reader
+
+	// mask[v] is variable v's zero mask, or nil when it has none or
+	// Config.DisableMask is set: the only mask the session reads.
+	mask [][]bool
+
+	// prefetch and wire are the transport of a lazy session, nil for a
+	// local one. prefetch runs once per iteration before the readers
+	// advance: need[v] lists the fragment indices variable v will ingest
+	// (nil when v needs nothing), and it pulls those not yet held. wire
+	// reads the transport's byte counter for Iteration.WireBytes.
+	prefetch func(ctx context.Context, need [][]int) error
+	wire     func() int64
 
 	eps      []float64 // requested per-variable bounds (assigner state)
 	achieved []float64 // bounds achieved by the readers
@@ -291,7 +292,8 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 		}
 	}
 	ne := -1
-	for _, v := range vars {
+	rt.mask = make([][]bool, len(vars))
+	for i, v := range vars {
 		rd, err := progressive.NewReader(v.Ref, fetch)
 		if err != nil {
 			return nil, fmt.Errorf("core: open %s: %w", v.Name, err)
@@ -307,6 +309,9 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 		}
 		if v.ZeroMask != nil && len(v.ZeroMask) != n {
 			return nil, fmt.Errorf("core: variable %s mask length %d, want %d", v.Name, len(v.ZeroMask), n)
+		}
+		if !rt.cfg.DisableMask {
+			rt.mask[i] = v.ZeroMask
 		}
 	}
 	rt.eps = make([]float64, len(vars))
@@ -333,9 +338,10 @@ type LazyFetch func(ctx context.Context, want [][]int, install func(v, frag int,
 // arrive through fetch, once per retrieval iteration, as the certify loop
 // plans them. Each session owns its payload slots; the metadata (blocks,
 // bounds, schedules, masks) is immutable and shared with meta, so one
-// opened dataset serves any number of concurrent sessions. Any Prefetch
-// already set in cfg is replaced.
-func NewLazyRetriever(meta []*Variable, cfg Config, observe progressive.FetchFunc, fetch LazyFetch) (*Retriever, error) {
+// opened dataset serves any number of concurrent sessions. wire (optional)
+// reports the cumulative bytes the transport moved; it feeds
+// Iteration.WireBytes.
+func NewLazyRetriever(meta []*Variable, cfg Config, observe progressive.FetchFunc, fetch LazyFetch, wire func() int64) (*Retriever, error) {
 	vars := make([]*Variable, len(meta))
 	for i, v := range meta {
 		ref := *v.Ref
@@ -344,8 +350,12 @@ func NewLazyRetriever(meta []*Variable, cfg Config, observe progressive.FetchFun
 		cv.Ref = &ref
 		vars[i] = &cv
 	}
+	rt, err := NewRetriever(vars, cfg, observe)
+	if err != nil {
+		return nil, err
+	}
 	install := func(v, frag int, payload []byte) { vars[v].Ref.Fragments[frag] = payload }
-	cfg.Prefetch = func(ctx context.Context, need [][]int) error {
+	rt.prefetch = func(ctx context.Context, need [][]int) error {
 		want := make([][]int, len(vars))
 		missing := false
 		for v, idxs := range need {
@@ -365,7 +375,8 @@ func NewLazyRetriever(meta []*Variable, cfg Config, observe progressive.FetchFun
 		}
 		return fetch(ctx, want, install)
 	}
-	return NewRetriever(vars, cfg, observe)
+	rt.wire = wire
+	return rt, nil
 }
 
 // RetrievedBytes returns cumulative fragment bytes fetched this session.
@@ -381,8 +392,8 @@ func (rt *Retriever) RetrievedBytes() int64 {
 // previously retrieved fragments.
 //
 // ctx scopes the whole retrieval: cancellation or deadline expiry is
-// observed between loop iterations, between fragment ingests, and by the
-// Prefetch transport hook on in-flight requests. On cancellation Retrieve
+// observed between loop iterations, between fragment ingests, and by a
+// lazy session's transport on in-flight requests. On cancellation Retrieve
 // returns the best-effort Result accumulated so far together with an error
 // wrapping ctx.Err(); the Retriever stays valid and a follow-up Retrieve
 // resumes without re-fetching anything already held. A nil ctx means
@@ -494,10 +505,10 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 		}
 	}
 	wire := func() int64 {
-		if rt.cfg.WireBytes == nil {
+		if rt.wire == nil {
 			return 0
 		}
-		return rt.cfg.WireBytes()
+		return rt.wire()
 	}
 
 	for iter := 0; iter < rt.cfg.MaxIters; iter++ {
@@ -612,7 +623,7 @@ func (rt *Retriever) assignInitial(req Request, qoiVars [][]int) {
 // tasks share; per-variable state is independent and results merge by
 // index, so the outcome is identical to the sequential order.
 func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter int) (bool, error) {
-	if rt.cfg.Prefetch != nil {
+	if rt.prefetch != nil {
 		mPlan := rt.cfg.Trace.BeginIter(obs.CatPlan, "plan", iter)
 		need := make([][]int, len(rt.vars))
 		any := false
@@ -631,7 +642,7 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 			// records byte-carrying fetch spans underneath it at exactly the
 			// points where its wire counter is incremented.
 			mFetch := rt.cfg.Trace.BeginIter(obs.CatFetch, "prefetch", iter)
-			err := rt.cfg.Prefetch(ctx, need)
+			err := rt.prefetch(ctx, need)
 			mFetch.End()
 			if err != nil {
 				return false, fmt.Errorf("core: prefetch: %w", err)
@@ -693,8 +704,8 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 // reader's buffer is never mutated (delta methods accumulate into it); the
 // masked copy reuses the variable's buffer from the previous iteration.
 func (rt *Retriever) applyMask(v int, data []float64) []float64 {
-	mask := rt.vars[v].ZeroMask
-	if mask == nil || rt.cfg.DisableMask {
+	mask := rt.mask[v]
+	if mask == nil {
 		return data
 	}
 	out := rt.masked[v]
@@ -719,7 +730,7 @@ func (rt *Retriever) pointBounds(j int, ebs []float64) {
 			// Not retrieved (variable unused by the request).
 			b = math.Inf(1)
 		}
-		if !rt.cfg.DisableMask && rt.vars[v].ZeroMask != nil && rt.vars[v].ZeroMask[j] {
+		if rt.mask[v] != nil && rt.mask[v][j] {
 			b = 0
 		}
 		ebs[v] = b
@@ -767,7 +778,7 @@ func (s *estScratch) load(rt *Retriever, used []int, blo, bhi int) {
 		for i := range eb {
 			eb[i] = b
 		}
-		if mask := rt.vars[v].ZeroMask; mask != nil && !rt.cfg.DisableMask {
+		if mask := rt.mask[v]; mask != nil {
 			for i, z := range mask[blo:bhi] {
 				if z {
 					eb[i] = 0
@@ -993,7 +1004,7 @@ func (rt *Retriever) reassign(req Request, qoiVars [][]int, k, worst int) bool {
 					ebs[v] = 1
 				}
 			}
-			if !rt.cfg.DisableMask && rt.vars[v].ZeroMask != nil && rt.vars[v].ZeroMask[worst] {
+			if rt.mask[v] != nil && rt.mask[v][worst] {
 				ebs[v] = 0
 			}
 		}

@@ -71,7 +71,7 @@ func (f *fakeTransport) requested() map[[2]int]int {
 	return out
 }
 
-// TestLazyRetrieverPlansOntoTransport drives the Prefetch hook directly:
+// TestLazyRetrieverPlansOntoTransport drives the prefetch hook directly:
 // each step is one iteration's plan, with the want the transport must see
 // (nil: it must not be called) or the error the hook must return.
 func TestLazyRetrieverPlansOntoTransport(t *testing.T) {
@@ -110,13 +110,13 @@ func TestLazyRetrieverPlansOntoTransport(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ft := &fakeTransport{src: vars, failAfter: -1}
-			rt, err := NewLazyRetriever(metaOnly(vars), Config{}, nil, ft.fetch)
+			rt, err := NewLazyRetriever(metaOnly(vars), Config{}, nil, ft.fetch, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, st := range tc.steps {
 				before := len(ft.calls)
-				err := rt.cfg.Prefetch(context.Background(), st.need)
+				err := rt.prefetch(context.Background(), st.need)
 				if st.wantErr != "" {
 					if err == nil || !strings.Contains(err.Error(), st.wantErr) {
 						t.Fatalf("step %d: error %v, want one containing %q", i, err, st.wantErr)
@@ -172,7 +172,7 @@ func lazyRequest(t *testing.T) (Request, []*Variable, *Result) {
 func TestLazyRetrieverResumesAfterTransportError(t *testing.T) {
 	req, vars, ref := lazyRequest(t)
 	ft := &fakeTransport{src: vars, failAfter: 3}
-	rt, err := NewLazyRetriever(metaOnly(vars), Config{}, nil, ft.fetch)
+	rt, err := NewLazyRetriever(metaOnly(vars), Config{}, nil, ft.fetch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestLazySessionsOwnTheirSlots(t *testing.T) {
 		wg.Add(1)
 		go func(ft *fakeTransport) {
 			defer wg.Done()
-			rt, err := NewLazyRetriever(meta, Config{}, nil, ft.fetch)
+			rt, err := NewLazyRetriever(meta, Config{}, nil, ft.fetch, nil)
 			if err != nil {
 				t.Error(err)
 				return

@@ -212,38 +212,6 @@ func TestZigZagRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUvarintsRoundTrip(t *testing.T) {
-	vals := []uint64{0, 1, 127, 128, 1 << 20, math.MaxUint64}
-	buf := PutUvarints(vals)
-	got, n, err := GetUvarints(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d", n, len(buf))
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("val %d = %d, want %d", i, got[i], vals[i])
-		}
-	}
-}
-
-func TestUvarintsCorrupt(t *testing.T) {
-	buf := PutUvarints([]uint64{1, 2, 300})
-	if _, _, err := GetUvarints(buf[:len(buf)-1]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-	if _, _, err := GetUvarints(nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("empty stream should be corrupt")
-	}
-	// Count claims more values than bytes available.
-	big := PutUvarints(make([]uint64, 3))
-	if _, _, err := GetUvarints(big[:2]); err == nil {
-		t.Fatal("overlong count not detected")
-	}
-}
-
 func TestDeflateInflateRoundTrip(t *testing.T) {
 	data := bytes.Repeat([]byte("progressive retrieval "), 100)
 	for _, lvl := range []int{0, 1, 6, 9} {

@@ -17,42 +17,6 @@ func UnZigZag(u uint64) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// PutUvarints encodes vals as a length-prefixed varint stream.
-func PutUvarints(vals []uint64) []byte {
-	buf := make([]byte, 0, len(vals)+10)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(vals)))
-	buf = append(buf, tmp[:n]...)
-	for _, v := range vals {
-		n = binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	return buf
-}
-
-// GetUvarints decodes a stream produced by PutUvarints and returns the
-// values plus the number of bytes consumed.
-func GetUvarints(data []byte) ([]uint64, int, error) {
-	cnt, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("%w: varint count", ErrCorrupt)
-	}
-	if cnt > uint64(len(data)) { // each value takes ≥ 1 byte
-		return nil, 0, fmt.Errorf("%w: varint count %d exceeds stream", ErrCorrupt, cnt)
-	}
-	off := n
-	out := make([]uint64, cnt)
-	for i := range out {
-		v, m := binary.Uvarint(data[off:])
-		if m <= 0 {
-			return nil, 0, fmt.Errorf("%w: varint value %d", ErrCorrupt, i)
-		}
-		out[i] = v
-		off += m
-	}
-	return out, off, nil
-}
-
 // PutFloat64s encodes a float64 slice little-endian with a length prefix.
 func PutFloat64s(vals []float64) []byte {
 	buf := make([]byte, 4+8*len(vals))

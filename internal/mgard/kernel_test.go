@@ -261,7 +261,7 @@ func TestTransformMatchesReference(t *testing.T) {
 			if !sameBits(d.coeffs, want) {
 				t.Fatalf("%v %v: Decompose differs from the reference", dims, basis)
 			}
-			shell := d.Shell()
+			shell := NewShell(d.Grid, d.Basis)
 			for trial := 0; trial < 3; trial++ {
 				for gi := 0; gi < d.NumGroups(); gi++ {
 					if rng.Intn(3) == 0 {

@@ -241,10 +241,6 @@ func (d *Decomposition) SetGroup(gIdx int, vals []float64) error {
 	return nil
 }
 
-// Coefficients returns the raw transformed array (no copy); callers must not
-// modify it except through SetGroup.
-func (d *Decomposition) Coefficients() []float64 { return d.coeffs }
-
 // Reconstruct runs the inverse transform and returns the nodal values in a
 // new slice. The decomposition's coefficient state is unchanged.
 func (d *Decomposition) Reconstruct() []float64 { return d.ReconstructInto(nil) }
@@ -258,14 +254,14 @@ func (d *Decomposition) ReconstructInto(dst []float64) []float64 {
 	}
 	dst = dst[:len(d.coeffs)]
 	copy(dst, d.coeffs)
-	d.inverse(dst, 0)
+	d.inverse(dst)
 	return dst
 }
 
-// inverse undoes, in place on c, the decomposition steps of levels
-// Steps-1 down to l.
-func (d *Decomposition) inverse(c []float64, l int) {
-	for lev := d.Steps - 1; lev >= l; lev-- {
+// inverse undoes, in place on c, every decomposition step, finest level
+// first.
+func (d *Decomposition) inverse(c []float64) {
+	for lev := d.Steps - 1; lev >= 0; lev-- {
 		s := grid.LevelStride(lev)
 		for dim := d.Grid.NDims() - 1; dim >= 0; dim-- {
 			if s < d.Grid.Dim(dim) {
@@ -275,50 +271,9 @@ func (d *Decomposition) inverse(c []float64, l int) {
 	}
 }
 
-// ReconstructToLevel runs the inverse transform only down to level l
-// (l = 0 is the full resolution, equivalent to Reconstruct) and returns the
-// nodal values gathered on the level-l lattice together with the coarse
-// grid shape. This is the "progression in resolution" PMGARD offers
-// alongside progression in precision: under the hierarchical basis the
-// coarse values are exactly the original nodal values at lattice nodes,
-// and under the orthogonal basis they are the L2-projected coarse
-// representation.
-func (d *Decomposition) ReconstructToLevel(l int) ([]float64, *grid.Grid, error) {
-	if l < 0 || l > d.Steps {
-		return nil, nil, fmt.Errorf("%w: level %d outside [0,%d]", ErrBadInput, l, d.Steps)
-	}
-	work := append([]float64(nil), d.coeffs...)
-	d.inverse(work, l)
-	stride := grid.LevelStride(l)
-	coarseDims := make([]int, d.Grid.NDims())
-	for i := range coarseDims {
-		coarseDims[i] = (d.Grid.Dim(i) + stride - 1) / stride
-	}
-	cg, err := grid.New(coarseDims...)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]float64, 0, cg.Size())
-	var walk func(dim, off int)
-	walk = func(dim, off int) {
-		if dim == d.Grid.NDims() {
-			out = append(out, work[off])
-			return
-		}
-		for c := 0; c < d.Grid.Dim(dim); c += stride {
-			walk(dim+1, off+c*d.Grid.Stride(dim))
-		}
-	}
-	walk(0, 0)
-	return out, cg, nil
-}
-
-// Shell returns an empty decomposition with the same shape metadata, ready
-// for SetGroup + Reconstruct. Coefficients start at zero.
-func (d *Decomposition) Shell() *Decomposition { return newDecomposition(d.Grid, d.Basis) }
-
-// NewShell builds an empty decomposition for the given shape/basis, used by
-// readers that reconstruct without access to the original.
+// NewShell builds an empty decomposition for the given shape/basis, ready
+// for SetGroup + Reconstruct, used by readers that reconstruct without
+// access to the original. Coefficients start at zero.
 func NewShell(g *grid.Grid, basis Basis) *Decomposition { return newDecomposition(g, basis) }
 
 // levelFactor returns the guaranteed L∞ amplification of a detail-group

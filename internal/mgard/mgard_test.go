@@ -124,7 +124,7 @@ func TestGroupGetSetRoundTrip(t *testing.T) {
 	data := randField(rng, g.Size())
 	d, _ := Decompose(data, g, Orthogonal)
 	// Rebuild a shell from extracted groups; reconstruction must match.
-	shell := d.Shell()
+	shell := NewShell(d.Grid, d.Basis)
 	for gi := 0; gi < d.NumGroups(); gi++ {
 		if err := shell.SetGroup(gi, d.Group(gi)); err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func TestErrorBoundSound(t *testing.T) {
 			}
 			exact := d.Reconstruct()
 			for trial := 0; trial < 5; trial++ {
-				pert := d.Shell()
+				pert := NewShell(d.Grid, d.Basis)
 				bounds := make([]float64, d.NumGroups())
 				for gi := 0; gi < d.NumGroups(); gi++ {
 					eb := math.Pow(10, float64(rng.Intn(5))-4) // 1e-4..1e0

@@ -7,31 +7,42 @@ import (
 	"progqoi/internal/grid"
 )
 
-func TestReconstructToLevelZeroEqualsFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	g := grid.MustNew(17, 9)
-	data := randField(rng, g.Size())
-	for _, basis := range []Basis{Hierarchical, Orthogonal} {
-		d, err := Decompose(data, g, basis)
-		if err != nil {
+// coarseAt is d's representation at resolution level l (0 = full): a shell
+// holding group 0 and the detail groups of levels ≥ l, the finer details
+// left at zero, reconstructed and gathered on the level-l lattice. A zero
+// detail changes no lattice node in either basis: HB interpolates only the
+// nodes between, and OB's correction is computed from the details.
+func coarseAt(t *testing.T, d *Decomposition, l int) []float64 {
+	t.Helper()
+	shell := NewShell(d.Grid, d.Basis)
+	for gi := 0; gi <= d.Steps-l; gi++ {
+		if err := shell.SetGroup(gi, d.Group(gi)); err != nil {
 			t.Fatal(err)
-		}
-		full := d.Reconstruct()
-		lvl0, cg, err := d.ReconstructToLevel(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cg.Equal(g) {
-			t.Fatalf("%v: level-0 grid %v != %v", basis, cg.Dims(), g.Dims())
-		}
-		if e := maxAbsDiff(full, lvl0); e != 0 {
-			t.Fatalf("%v: level-0 differs from full by %g", basis, e)
 		}
 	}
+	return subsample(d.Grid, shell.Reconstruct(), l)
+}
+
+// subsample gathers data on the level-l lattice of g.
+func subsample(g *grid.Grid, data []float64, l int) []float64 {
+	stride := grid.LevelStride(l)
+	var out []float64
+	var walk func(dim, off int)
+	walk = func(dim, off int) {
+		if dim == g.NDims() {
+			out = append(out, data[off])
+			return
+		}
+		for c := 0; c < g.Dim(dim); c += stride {
+			walk(dim+1, off+c*g.Stride(dim))
+		}
+	}
+	walk(0, 0)
+	return out
 }
 
 func TestHBCoarseLevelsSubsampleOriginal(t *testing.T) {
-	// Under the hierarchical basis, the level-l reconstruction must equal
+	// Under the hierarchical basis, the level-l representation must equal
 	// the original values at the level-l lattice nodes exactly (up to
 	// round-off): finer detail levels never touch coarse nodes.
 	rng := rand.New(rand.NewSource(42))
@@ -43,51 +54,16 @@ func TestHBCoarseLevelsSubsampleOriginal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for l := 0; l <= d.Steps; l++ {
-			coarse, cg, err := d.ReconstructToLevel(l)
-			if err != nil {
-				t.Fatal(err)
+			coarse, want := coarseAt(t, d, l), subsample(g, data, l)
+			if len(coarse) != len(want) {
+				t.Fatalf("%v level %d: %d coarse nodes, want %d", dims, l, len(coarse), len(want))
 			}
-			stride := grid.LevelStride(l)
-			wantDims := make([]int, len(dims))
-			for i, e := range dims {
-				wantDims[i] = (e + stride - 1) / stride
-			}
-			if !cg.Equal(grid.MustNew(wantDims...)) {
-				t.Fatalf("%v level %d: coarse dims %v, want %v", dims, l, cg.Dims(), wantDims)
-			}
-			// Compare against direct subsampling of the original.
-			idx := 0
-			var walk func(dim, off int)
-			var fail bool
-			walk = func(dim, off int) {
-				if fail {
-					return
-				}
-				if dim == len(dims) {
-					if diff := coarse[idx] - data[off]; diff > 1e-9 || diff < -1e-9 {
-						t.Errorf("%v level %d: node %d differs by %g", dims, l, idx, diff)
-						fail = true
-					}
-					idx++
-					return
-				}
-				for c := 0; c < g.Dim(dim); c += stride {
-					walk(dim+1, off+c*g.Stride(dim))
+			for i := range want {
+				if diff := coarse[i] - want[i]; diff > 1e-9 || diff < -1e-9 {
+					t.Fatalf("%v level %d: node %d differs by %g", dims, l, i, diff)
 				}
 			}
-			walk(0, 0)
 		}
-	}
-}
-
-func TestReconstructToLevelValidates(t *testing.T) {
-	g := grid.MustNew(16)
-	d, _ := Decompose(make([]float64, 16), g, Hierarchical)
-	if _, _, err := d.ReconstructToLevel(-1); err == nil {
-		t.Fatal("negative level accepted")
-	}
-	if _, _, err := d.ReconstructToLevel(d.Steps + 1); err == nil {
-		t.Fatal("level beyond steps accepted")
 	}
 }
 
@@ -98,12 +74,9 @@ func TestOBCoarseLevelIsSmoothedProjection(t *testing.T) {
 	g := grid.MustNew(65)
 	data := smoothField(g)
 	d, _ := Decompose(data, g, Orthogonal)
-	coarse, cg, err := d.ReconstructToLevel(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cg.Dim(0) != 17 {
-		t.Fatalf("coarse dim = %d", cg.Dim(0))
+	coarse := coarseAt(t, d, 2)
+	if len(coarse) != 17 {
+		t.Fatalf("%d coarse nodes, want 17", len(coarse))
 	}
 	maxDiff, anyDiff := 0.0, false
 	for i, v := range coarse {

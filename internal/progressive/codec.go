@@ -66,12 +66,6 @@ func (r *Refactored) Marshal() []byte {
 	return out
 }
 
-// MetadataBytes returns the size of the marshalled metadata header — the
-// upfront cost a retrieval session pays before any fragment.
-func (r *Refactored) MetadataBytes() int64 {
-	return int64(len(r.Marshal())) - r.TotalBytes() - 4*int64(len(r.Fragments)) - 4
-}
-
 // Unmarshal parses Marshal output.
 func Unmarshal(data []byte) (*Refactored, error) {
 	hdr, n, err := encoding.GetSection(data)
@@ -203,12 +197,7 @@ func Unmarshal(data []byte) (*Refactored, error) {
 		if b > 62 {
 			return nil, fmt.Errorf("%w: block %d planes %d", encoding.ErrCorrupt, i, b)
 		}
-		r.Blocks[i] = &bitplane.Block{
-			N:      int(nc),
-			Exp:    int(int32(exp)),
-			B:      int(b),
-			Planes: make([][]byte, int(b)),
-		}
+		r.Blocks[i] = &bitplane.Block{N: int(nc), Exp: int(int32(exp)), B: int(b)}
 	}
 	// Validate schedule references.
 	for _, s := range r.Schedule {

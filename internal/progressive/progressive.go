@@ -147,7 +147,7 @@ type Refactored struct {
 	// PMGARD methods only.
 	Basis    mgard.Basis
 	Planes   int
-	Blocks   []*bitplane.Block // per group, fragment payloads stripped
+	Blocks   []*bitplane.Block // per group, shape only (no Signs or Planes)
 	Schedule []fragRef
 }
 
@@ -427,12 +427,9 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 			appendFrag(best)
 		}
 	}
-	// Strip plane payloads from the metadata blocks: fragments carry them.
+	// The metadata blocks keep the shape only: fragments carry the payloads.
 	for gi, blk := range blocks {
-		meta := *blk
-		meta.Planes = make([][]byte, len(blk.Planes))
-		meta.Signs = nil
-		r.Blocks[gi] = &meta
+		r.Blocks[gi] = &bitplane.Block{N: blk.N, Exp: blk.Exp, B: blk.B}
 	}
 	return r, nil
 }

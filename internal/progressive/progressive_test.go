@@ -1,12 +1,15 @@
 package progressive
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"progqoi/internal/encoding"
 	"progqoi/internal/grid"
 )
 
@@ -401,20 +404,41 @@ func TestPropertyAllMethodsBoundSound(t *testing.T) {
 	}
 }
 
+// TestMetadataBytesAccounting pins Marshal's layout: one metadata section,
+// the fragment count, then every fragment as a section of its own, so the
+// metadata a session pays for before any fragment is the first section.
 func TestMetadataBytesAccounting(t *testing.T) {
 	dims := []int{200}
 	ref, err := Refactor(smoothField(dims), dims, Options{Method: PMGARDHB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := ref.MetadataBytes()
-	if meta <= 0 {
-		t.Fatalf("metadata bytes = %d", meta)
+	buf := ref.Marshal()
+	hdr, meta, err := encoding.GetSection(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hdr) == 0 {
+		t.Fatal("empty metadata section")
+	}
+	rest := buf[meta:]
+	if got := binary.LittleEndian.Uint32(rest); int(got) != len(ref.Fragments) {
+		t.Fatalf("fragment count %d, want %d", got, len(ref.Fragments))
+	}
+	rest = rest[4:]
+	for i, f := range ref.Fragments {
+		sec, n, err := encoding.GetSection(rest)
+		if err != nil || !bytes.Equal(sec, f) {
+			t.Fatalf("fragment %d not framed in place (%v)", i, err)
+		}
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d trailing bytes", len(rest))
 	}
 	// Metadata + framed fragments + count must equal the marshalled size.
-	total := int64(len(ref.Marshal()))
-	if meta+ref.TotalBytes()+4*int64(len(ref.Fragments))+4 != total {
-		t.Fatalf("accounting mismatch: meta %d + frags %d != total %d", meta, ref.TotalBytes(), total)
+	if int64(meta)+ref.TotalBytes()+4*int64(len(ref.Fragments))+4 != int64(len(buf)) {
+		t.Fatalf("accounting mismatch: meta %d + frags %d != total %d", meta, ref.TotalBytes(), len(buf))
 	}
 }
 
@@ -462,60 +486,6 @@ func TestDeltaFetchesPrefix(t *testing.T) {
 		if fetched[i] != want[i] {
 			t.Fatalf("fetched %v, want %v", fetched, want)
 		}
-	}
-}
-
-func TestDataAtResolution(t *testing.T) {
-	dims := []int{33, 17}
-	data := smoothField(dims)
-	ref, err := Refactor(data, dims, Options{Method: PMGARDHB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, _ := NewReader(ref, nil)
-	if _, err := rd.Advance(context.Background(), 1e-6); err != nil {
-		t.Fatal(err)
-	}
-	coarse, cdims, err := rd.DataAtResolution(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdims[0] != 17 || cdims[1] != 9 {
-		t.Fatalf("coarse dims = %v", cdims)
-	}
-	// HB coarse values subsample the full reconstruction: compare against
-	// the full-resolution data at even coordinates.
-	full, err := rd.Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := grid.MustNew(dims...)
-	idx := 0
-	for y := 0; y < dims[0]; y += 2 {
-		for x := 0; x < dims[1]; x += 2 {
-			if coarse[idx] != full[g.Index(y, x)] {
-				t.Fatalf("coarse (%d,%d) = %g, full = %g", y, x, coarse[idx], full[g.Index(y, x)])
-			}
-			idx++
-		}
-	}
-	// Full resolution via DataAtResolution(0) must match Data().
-	lvl0, _, err := rd.DataAtResolution(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full2, _ := rd.Data()
-	if maxAbsDiff(lvl0, full2) != 0 {
-		t.Fatal("level-0 differs from Data()")
-	}
-}
-
-func TestDataAtResolutionUnsupported(t *testing.T) {
-	dims := []int{40}
-	ref, _ := Refactor(smoothField(dims), dims, Options{Method: PSZ3})
-	rd, _ := NewReader(ref, nil)
-	if _, _, err := rd.DataAtResolution(1); err == nil {
-		t.Fatal("snapshot method should not support resolution progression")
 	}
 }
 

@@ -36,9 +36,8 @@ type Reader struct {
 	src   *Refactored
 	fetch FetchFunc
 
-	// budget runs Advance's decode tasks; a budget of one worker selects
-	// the plain sequential path. Parallel and sequential decode are
-	// bit-identical.
+	// budget runs Advance's decode and apply tasks; with one worker they
+	// run on the calling goroutine. Any budget gives the same result.
 	budget *par.Budget
 
 	// trace, when non-nil, records one decode span per Advance that
@@ -57,8 +56,10 @@ type Reader struct {
 	data  []float64
 	dirty bool
 
-	// PMGARD state. vals is the one per-group buffer every decoder writes
-	// its values into on the way to the shell.
+	// PMGARD state. blocks is the Refactored's own metadata, shared with
+	// every other reader over it and never written. vals is the one
+	// per-group buffer every decoder writes its values into on the way to
+	// the shell.
 	blocks []*bitplane.Block
 	decs   []*bitplane.Decoder
 	shell  *mgard.Decomposition
@@ -83,21 +84,14 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 			return nil, fmt.Errorf("%w: %d blocks for %d groups", encoding.ErrCorrupt, len(r.Blocks), shell.NumGroups())
 		}
 		rd.shell = shell
+		rd.blocks = r.Blocks
 		rd.decs = make([]*bitplane.Decoder, len(r.Blocks))
-		// Each reader gets private copies of the block metadata: ingesting
-		// a fragment reattaches its payload to the block, and concurrent
-		// readers over one Refactored must not share that mutable state.
-		rd.blocks = make([]*bitplane.Block, len(r.Blocks))
 		largest := 0
 		for i, blk := range r.Blocks {
 			if blk.N != shell.GroupSize(i) {
 				return nil, fmt.Errorf("%w: block %d has %d coefficients, want %d", encoding.ErrCorrupt, i, blk.N, shell.GroupSize(i))
 			}
-			cp := *blk
-			cp.Planes = make([][]byte, len(blk.Planes))
-			copy(cp.Planes, blk.Planes)
-			rd.blocks[i] = &cp
-			rd.decs[i] = bitplane.NewDecoder(rd.blocks[i])
+			rd.decs[i] = bitplane.NewDecoder(blk)
 			largest = max(largest, blk.N)
 		}
 		rd.vals = make([]float64, largest)
@@ -108,14 +102,12 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 	return rd, nil
 }
 
-// SetWorkers gives the reader a decode budget of its own of n workers.
-// n ≤ 1 selects the sequential path; n > 1 decodes independent fragments
-// and bit planes on up to n goroutines with a deterministic merge, so the
-// reconstruction stays bit-identical to the sequential path. The default
-// is GOMAXPROCS.
+// SetWorkers gives the reader a decode budget of its own of n workers
+// (at least one): Advance decodes fragments and applies them on up to n
+// goroutines, with the same result at any n. The default is GOMAXPROCS.
 func (rd *Reader) SetWorkers(n int) { rd.budget = par.New(max(n, 1)) }
 
-// SetBudget makes Advance run its decode tasks on b, which readers
+// SetBudget makes Advance run its decode and apply tasks on b, which readers
 // advancing concurrently can share.
 func (rd *Reader) SetBudget(b *par.Budget) { rd.budget = b }
 
@@ -199,35 +191,44 @@ func (rd *Reader) Plan(target float64) []int {
 // reports — Advance consumes the plan, so the selection logic cannot
 // diverge between the local and remote (prefetching) paths.
 //
-// ctx is checked between fragment ingests: on cancellation Advance stops
-// early with ctx's error and the bound achieved so far. Fragments already
-// ingested stay ingested, so the reader remains valid and a later Advance
-// resumes from exactly where this one stopped. A nil ctx means
-// context.Background().
+// Every method runs the same three stages at every worker count: decode
+// the planned fragments on the budget, apply them to the reconstruction
+// over disjoint element ranges, then commit accounting and bounds in plan
+// order. The budget only chooses which goroutine runs a task, so the
+// reconstruction is bit-identical at any Workers. Decoded fragments wait
+// for the apply stage in memory: a snapshot method decodes its plan in
+// windows of 2×Workers fragments, so it holds at most 2×Workers decoded
+// fields of 8 bytes per element; a PMGARD plan holds its decoded bit
+// planes, one bit per coefficient and plane, under 8 bytes per element
+// for any plan.
+//
+// ctx is checked before each fragment decodes: on cancellation Advance
+// stops early with ctx's error and the bound achieved so far. The planned
+// fragments before the first one that did not decode are committed, so the
+// reader remains valid and a later Advance resumes from exactly where this
+// one stopped. A nil ctx means context.Background().
 func (rd *Reader) Advance(ctx context.Context, target float64) (float64, error) {
 	if target < 0 || math.IsNaN(target) {
 		return rd.bound, fmt.Errorf("%w: target %g", ErrBadRequest, target)
 	}
-	plan := rd.Plan(target)
-	if rd.trace != nil && len(plan) > 0 {
-		m := rd.trace.BeginIter(obs.CatDecode, rd.traceName, rd.traceIter)
-		defer m.End()
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	var err error
-	if rd.Workers() > 1 && len(plan) > 1 {
-		switch rd.src.Method {
-		case PSZ3Delta:
-			err = rd.advanceSnapshotsParallel(ctx, plan)
-		case PMGARD, PMGARDHB:
-			err = rd.advancePlanesParallel(ctx, plan)
-		default:
-			err = rd.advanceSequential(ctx, plan)
+	if plan := rd.Plan(target); len(plan) > 0 {
+		if rd.trace != nil {
+			m := rd.trace.BeginIter(obs.CatDecode, rd.traceName, rd.traceIter)
+			defer m.End()
 		}
-	} else {
-		err = rd.advanceSequential(ctx, plan)
-	}
-	if err != nil {
-		return rd.bound, err
+		var err error
+		switch rd.src.Method {
+		case PSZ3, PSZ3Delta:
+			err = rd.advanceSnapshots(ctx, plan)
+		default:
+			err = rd.advancePlanes(ctx, plan)
+		}
+		if err != nil {
+			return rd.bound, err
+		}
 	}
 	switch rd.src.Method {
 	case PMGARD, PMGARDHB:
@@ -238,29 +239,6 @@ func (rd *Reader) Advance(ctx context.Context, target float64) (float64, error) 
 		}
 	}
 	return rd.bound, nil
-}
-
-// advanceSequential ingests the plan one fragment at a time on the calling
-// goroutine — the reference path the parallel paths must match bit for bit.
-func (rd *Reader) advanceSequential(ctx context.Context, plan []int) error {
-	for _, i := range plan {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		var err error
-		switch rd.src.Method {
-		case PSZ3, PSZ3Delta:
-			err = rd.ingestSnapshot(i)
-		default:
-			err = rd.ingestPlane(i)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fragment bounds-checks and returns the payload of fragment i without
@@ -279,8 +257,7 @@ func (rd *Reader) fragment(i int) ([]byte, error) {
 }
 
 // account records fragment i as ingested: observer callback, byte counter,
-// cursor. It runs on the reader's goroutine, in plan order, for the
-// sequential and parallel paths alike.
+// cursor. It runs on the reader's goroutine, in plan order.
 func (rd *Reader) account(i int, size int) {
 	if rd.fetch != nil {
 		rd.fetch(i, int64(size))
@@ -289,17 +266,15 @@ func (rd *Reader) account(i int, size int) {
 	rd.nextFrag = i + 1
 }
 
-// decodedFrag is the stage-1 output of the parallel paths: one fragment's
-// payload decoded off the hot path, plus everything the deterministic
-// commit stage needs to reattach it.
+// decodedFrag is the decode stage's output for one fragment: its payload
+// decoded without touching reader state, plus what the apply and commit
+// stages need.
 type decodedFrag struct {
 	frag int
 	err  error
 
 	// PMGARD planes.
 	ref      fragRef
-	planeSec []byte // compressed plane section (reattached to the block)
-	signsSec []byte // compressed signs section (plane 0 only)
 	rawPlane []byte // decompressed plane bitmap
 	rawSigns []byte // decompressed sign bitmap (plane 0 only)
 
@@ -308,11 +283,29 @@ type decodedFrag struct {
 	bound float64
 }
 
-// truncateOK cuts tasks to the contiguous prefix that decoded successfully,
-// returning the prefix and the error (decode failure or ctx cancellation)
-// that ended it, if any. Committing only that prefix keeps the reader's
-// state exactly what sequential ingestion of the same fragments produces.
-func truncateOK(ctx context.Context, tasks []decodedFrag) ([]decodedFrag, error) {
+// decode is the first stage: it decodes every fragment of plan on the
+// budget and returns the contiguous prefix that decoded, with the error
+// (decode failure or ctx cancellation) that ended it, if any. Committing
+// only that prefix leaves the reader exactly as if the plan had stopped
+// before the failing fragment.
+func (rd *Reader) decode(ctx context.Context, plan []int) ([]decodedFrag, error) {
+	tasks := make([]decodedFrag, len(plan))
+	for t := range tasks {
+		tasks[t].frag = -1 // marks "not run"
+	}
+	rd.budget.For(len(plan), func(_, t int) bool {
+		if err := ctx.Err(); err != nil {
+			tasks[t] = decodedFrag{frag: plan[t], err: err}
+			return false
+		}
+		switch rd.src.Method {
+		case PSZ3, PSZ3Delta:
+			tasks[t] = rd.decodeSnapshot(plan[t])
+		default:
+			tasks[t] = rd.decodePlane(plan[t])
+		}
+		return tasks[t].err == nil
+	})
 	for i := range tasks {
 		if tasks[i].err != nil {
 			return tasks[:i], tasks[i].err
@@ -336,34 +329,17 @@ func truncateOK(ctx context.Context, tasks []decodedFrag) ([]decodedFrag, error)
 	return tasks, nil
 }
 
-// advancePlanesParallel is the PMGARD worker-pool path: stage 1 decompresses
-// every planned fragment concurrently (the deflate-dominated cost), stage 2
-// ORs the new bit planes into each group's magnitudes over disjoint
-// coefficient ranges, and the final stage commits accounting in plan order.
-// Because plane application only sets independent bits, any execution order
-// yields magnitudes bit-identical to sequential ingestion.
-func (rd *Reader) advancePlanesParallel(ctx context.Context, plan []int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tasks := make([]decodedFrag, len(plan))
-	for t := range tasks {
-		tasks[t].frag = -1 // marks "not run" for truncateOK
-	}
-	rd.budget.For(len(plan), func(_, t int) bool {
-		if err := ctx.Err(); err != nil {
-			tasks[t] = decodedFrag{frag: plan[t], err: err}
-			return false
-		}
-		tasks[t] = rd.decodePlane(plan[t])
-		return tasks[t].err == nil
-	})
-	ok, ferr := truncateOK(ctx, tasks)
+// advancePlanes is the PMGARD path: decode decompresses every planned
+// fragment (the deflate-dominated cost), the apply stage ORs the new bit
+// planes into each group's magnitudes over disjoint coefficient ranges, and
+// the commit walks plan order. Plane application only sets independent
+// bits, so any execution order yields the same magnitudes.
+func (rd *Reader) advancePlanes(ctx context.Context, plan []int) error {
+	ok, ferr := rd.decode(ctx, plan)
 
-	// Validate plane contiguity BEFORE any decoder mutation: a schedule that
-	// skips a plane poisons everything after it, and the sequential path
-	// rejects such a fragment without touching the decoder — the parallel
-	// path must leave the same state behind.
+	// Validate plane contiguity before any decoder mutation: a schedule
+	// that skips a plane poisons everything after it, so the fragment that
+	// skips and everything after it stay uncommitted.
 	expected := make([]int, len(rd.decs)) // per group: next plane, or -1 before its first
 	for g := range expected {
 		expected[g] = -1
@@ -376,9 +352,9 @@ func (rd *Reader) advancePlanesParallel(ctx context.Context, plan []int) error {
 			expected[g] = rd.decs[g].Applied()
 		}
 		if p > expected[g] {
-			ok = ok[:i]
 			ferr = fmt.Errorf("%w: fragment %d skips to plane %d/%d (have %d)",
-				ErrShortFragment, tasks[i].frag, g, p, expected[g])
+				ErrShortFragment, ok[i].frag, g, p, expected[g])
+			ok = ok[:i]
 			break
 		}
 		if first {
@@ -387,7 +363,7 @@ func (rd *Reader) advancePlanesParallel(ctx context.Context, plan []int) error {
 		expected[g] = max(expected[g], p+1)
 	}
 
-	// Stage 2: OR the committed planes into each group's decoder over
+	// Apply: OR the committed planes into each group's decoder over
 	// disjoint coefficient chunks; a chunk applies its group's planes in
 	// plan order.
 	type chunk struct{ group, lo, hi int }
@@ -410,17 +386,13 @@ func (rd *Reader) advancePlanesParallel(ctx context.Context, plan []int) error {
 		return true
 	})
 
-	// Deterministic commit, in plan order: reattach payloads, account bytes,
-	// advance the cursor and bound exactly as the sequential path does.
+	// Commit, in plan order.
 	for i := range ok {
 		p := &ok[i]
 		dec := rd.decs[p.ref.Group]
-		blk := rd.blocks[p.ref.Group]
-		if p.signsSec != nil {
-			blk.Signs = p.signsSec
+		if p.ref.Plane == 0 {
 			dec.SetSigns(p.rawSigns)
 		}
-		blk.Planes[p.ref.Plane] = p.planeSec
 		dec.CommitPlanes(p.ref.Plane + 1)
 		rd.account(p.frag, len(rd.src.Fragments[p.frag]))
 		rd.bound = rd.src.PrefixBounds[p.frag]
@@ -429,8 +401,8 @@ func (rd *Reader) advancePlanesParallel(ctx context.Context, plan []int) error {
 	return ferr
 }
 
-// decodePlane does the per-fragment CPU work of ingestPlane without touching
-// reader state: bounds checks, section parsing, bitmap decompression.
+// decodePlane does the decode stage's work for PMGARD fragment i: bounds
+// checks, section parsing, bitmap decompression.
 func (rd *Reader) decodePlane(i int) decodedFrag {
 	out := decodedFrag{frag: i}
 	buf, err := rd.fragment(i)
@@ -443,7 +415,7 @@ func (rd *Reader) decodePlane(i int) decodedFrag {
 		return out
 	}
 	ref := rd.src.Schedule[i]
-	if ref.Group < 0 || ref.Group >= len(rd.blocks) || ref.Plane < 0 || ref.Plane >= len(rd.blocks[ref.Group].Planes) {
+	if ref.Group < 0 || ref.Group >= len(rd.blocks) || ref.Plane < 0 || ref.Plane >= rd.blocks[ref.Group].B {
 		out.err = fmt.Errorf("%w: fragment %d addresses plane %d/%d", ErrShortFragment, i, ref.Group, ref.Plane)
 		return out
 	}
@@ -455,82 +427,50 @@ func (rd *Reader) decodePlane(i int) decodedFrag {
 			out.err = err
 			return out
 		}
-		plane, _, err := encoding.GetSection(buf[n:])
-		if err != nil {
-			out.err = err
-			return out
-		}
-		out.signsSec, out.planeSec = signs, plane
 		if out.rawSigns, err = blk.RawBitmap(signs); err != nil {
 			out.err = fmt.Errorf("bitplane: signs: %w", err)
 			return out
 		}
-	} else {
-		plane, _, err := encoding.GetSection(buf)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		out.planeSec = plane
+		buf = buf[n:]
 	}
-	var err2 error
-	if out.rawPlane, err2 = blk.RawBitmap(out.planeSec); err2 != nil {
-		out.err = fmt.Errorf("bitplane: plane %d: %w", ref.Plane, err2)
+	plane, _, err := encoding.GetSection(buf)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	if out.rawPlane, err = blk.RawBitmap(plane); err != nil {
+		out.err = fmt.Errorf("bitplane: plane %d: %w", ref.Plane, err)
 	}
 	return out
 }
 
-// advanceSnapshotsParallel is the PSZ3-Delta pool path: residual snapshots
-// decompress concurrently, then accumulate into the reconstruction in plan
-// order per element chunk — the additions happen in exactly the sequential
-// order for every element, so the float64 sums are bit-identical. The plan
-// is processed in bounded windows so at most ~2×workers decoded full-field
-// buffers are ever held at once (the sequential path holds one).
-func (rd *Reader) advanceSnapshotsParallel(ctx context.Context, plan []int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// advanceSnapshots is the PSZ3 and PSZ3-Delta path: decode decompresses
+// the planned snapshots, and the apply stage writes them into the
+// reconstruction per element chunk in plan order. A PSZ3 snapshot replaces
+// the reconstruction (re-fetching a tighter one later duplicates bytes —
+// PSZ3's inherent redundancy); a PSZ3-Delta residual adds to it, in plan
+// order for every element, so the sums are the same at any worker count.
+// The plan runs in windows of 2×Workers fragments to bound the decoded
+// fields held at once.
+func (rd *Reader) advanceSnapshots(ctx context.Context, plan []int) error {
+	delta := rd.src.Method == PSZ3Delta
 	window := 2 * rd.Workers()
-	if window < 2 {
-		window = 2
-	}
 	for start := 0; start < len(plan); start += window {
-		end := start + window
-		if end > len(plan) {
-			end = len(plan)
-		}
-		wplan := plan[start:end]
-		tasks := make([]decodedFrag, len(wplan))
-		for t := range tasks {
-			tasks[t].frag = -1
-		}
-		rd.budget.For(len(wplan), func(_, t int) bool {
-			if err := ctx.Err(); err != nil {
-				tasks[t] = decodedFrag{frag: wplan[t], err: err}
-				return false
-			}
-			tasks[t] = rd.decodeSnapshot(wplan[t])
-			return tasks[t].err == nil
-		})
-		ok, ferr := truncateOK(ctx, tasks)
-
+		ok, ferr := rd.decode(ctx, plan[start:min(start+window, len(plan))])
 		if len(ok) > 0 {
 			n := len(rd.data)
-			size := (n + rd.Workers() - 1) / rd.Workers()
-			if size < 4096 {
-				size = 4096
-			}
-			nchunks := (n + size - 1) / size
-			rd.budget.For(nchunks, func(_, c int) bool {
-				lo := c * size
-				hi := lo + size
-				if hi > n {
-					hi = n
-				}
+			size := max((n+rd.Workers()-1)/rd.Workers(), 4096)
+			rd.budget.For((n+size-1)/size, func(_, c int) bool {
+				lo, hi := c*size, min(c*size+size, n)
+				dst := rd.data[lo:hi]
 				for t := range ok {
-					vals := ok[t].vals
-					for j := lo; j < hi; j++ {
-						rd.data[j] += vals[j]
+					src := ok[t].vals[lo:hi]
+					if !delta {
+						copy(dst, src)
+						continue
+					}
+					for j := range dst {
+						dst[j] += src[j]
 					}
 				}
 				return true
@@ -547,8 +487,7 @@ func (rd *Reader) advanceSnapshotsParallel(ctx context.Context, plan []int) erro
 	return nil
 }
 
-// decodeSnapshot does the per-fragment CPU work of ingestSnapshot for the
-// delta method without touching reader state.
+// decodeSnapshot does the decode stage's work for snapshot fragment i.
 func (rd *Reader) decodeSnapshot(i int) decodedFrag {
 	out := decodedFrag{frag: i}
 	buf, err := rd.fragment(i)
@@ -557,10 +496,7 @@ func (rd *Reader) decodeSnapshot(i int) decodedFrag {
 		return out
 	}
 	if rd.src.HasTail && i == len(rd.src.Fragments)-1 {
-		if out.vals, out.err = decodeLossless(buf, rd.grd.Size()); out.err != nil {
-			return out
-		}
-		out.bound = 0
+		out.vals, out.err = decodeLossless(buf, rd.grd.Size())
 		return out
 	}
 	dec, g, eb, err := sz.Decompress(buf)
@@ -576,72 +512,6 @@ func (rd *Reader) decodeSnapshot(i int) decodedFrag {
 	return out
 }
 
-// ingestSnapshot fetches and applies snapshot fragment i. PSZ3 snapshots
-// replace the reconstruction (re-fetching tighter ones later duplicates
-// bytes — PSZ3's inherent redundancy); PSZ3-Delta residuals accumulate.
-// Bytes are accounted only once the fragment decodes cleanly.
-func (rd *Reader) ingestSnapshot(i int) error {
-	buf, err := rd.fragment(i)
-	if err != nil {
-		return err
-	}
-	delta := rd.src.Method == PSZ3Delta
-	var vals []float64
-	bound := 0.0
-	if rd.src.HasTail && i == len(rd.src.Fragments)-1 {
-		if vals, err = decodeLossless(buf, rd.grd.Size()); err != nil {
-			return err
-		}
-	} else {
-		var g *grid.Grid
-		vals, g, bound, err = sz.Decompress(buf)
-		if err != nil {
-			return err
-		}
-		if !g.Equal(rd.grd) {
-			return fmt.Errorf("%w: snapshot grid %v, want %v", encoding.ErrCorrupt, g.Dims(), rd.grd.Dims())
-		}
-	}
-	if delta {
-		for j := range rd.data {
-			rd.data[j] += vals[j]
-		}
-	} else {
-		copy(rd.data, vals)
-	}
-	rd.bound = bound
-	rd.account(i, len(buf))
-	return nil
-}
-
-// ingestPlane fetches scheduled plane fragment i and feeds it to its
-// group's bit-plane decoder.
-func (rd *Reader) ingestPlane(i int) error {
-	p := rd.decodePlane(i)
-	if p.err != nil {
-		return p.err
-	}
-	dec := rd.decs[p.ref.Group]
-	if p.ref.Plane > dec.Applied() {
-		return fmt.Errorf("%w: fragment %d skips to plane %d/%d (have %d)",
-			ErrShortFragment, i, p.ref.Group, p.ref.Plane, dec.Applied())
-	}
-	blk := rd.blocks[p.ref.Group]
-	// Reattach the fragment payload to the metadata block so the decoder
-	// can see it on later replays.
-	if p.signsSec != nil {
-		blk.Signs = p.signsSec
-		dec.SetSigns(p.rawSigns)
-	}
-	blk.Planes[p.ref.Plane] = p.planeSec
-	dec.OrPlane(p.ref.Plane, p.rawPlane, 0, blk.N)
-	dec.CommitPlanes(p.ref.Plane + 1)
-	rd.account(i, len(rd.src.Fragments[i]))
-	rd.bound = rd.src.PrefixBounds[i]
-	rd.dirty = true
-	return nil
-}
-
 func (rd *Reader) pmgardBound() float64 {
 	factors := rd.shell.LevelFactors()
 	total, slack := 0.0, 0.0
@@ -653,27 +523,6 @@ func (rd *Reader) pmgardBound() float64 {
 		}
 	}
 	return total + slack
-}
-
-// DataAtResolution reconstructs the current approximation at a reduced
-// resolution: level 0 is full resolution, each higher level halves every
-// dimension (PMGARD's progression-in-resolution, available alongside the
-// precision progression). Only PMGARD-family readers support it. It returns
-// the coarse field and its dims.
-func (rd *Reader) DataAtResolution(level int) ([]float64, []int, error) {
-	switch rd.src.Method {
-	case PMGARD, PMGARDHB:
-	default:
-		return nil, nil, fmt.Errorf("progressive: %v does not support resolution progression", rd.src.Method)
-	}
-	if err := rd.loadGroups(); err != nil {
-		return nil, nil, err
-	}
-	vals, g, err := rd.shell.ReconstructToLevel(level)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vals, g.Dims(), nil
 }
 
 // loadGroups sets every group of the shell to its decoder's current

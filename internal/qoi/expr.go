@@ -164,18 +164,6 @@ func (s Sum) String() string {
 // via Theorem 9's composition).
 type Mul struct{ A, B Expr }
 
-// Product folds factors left-to-right into nested Mul nodes.
-func Product(factors ...Expr) Expr {
-	if len(factors) == 0 {
-		return Const{1}
-	}
-	e := factors[0]
-	for _, f := range factors[1:] {
-		e = Mul{A: e, B: f}
-	}
-	return e
-}
-
 // Eval implements Expr.
 func (m Mul) Eval(vals []float64) float64 { return m.A.Eval(vals) * m.B.Eval(vals) }
 

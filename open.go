@@ -268,7 +268,6 @@ func openStoreArchive(ctx context.Context, st rangeStore, dataset string) (*Arch
 // loop plans with one ranged GET per run of consecutive fragment indices
 // of a variable, through the store's cache, retry and ETag-pinning layers.
 func (sa *storeArchive) newSession(fetch FetchObserver, cfg SessionConfig) (*core.Retriever, error) {
-	cfg.WireBytes = sa.wire.Load
 	return core.NewLazyRetriever(sa.vars, cfg, fetch, func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error {
 		for vi, idxs := range want {
 			slices.Sort(idxs)
@@ -284,7 +283,7 @@ func (sa *storeArchive) newSession(fetch FetchObserver, cfg SessionConfig) (*cor
 			}
 		}
 		return nil
-	})
+	}, sa.wire.Load)
 }
 
 // fetchRun reads fragments run, ascending consecutive indices of variable
