@@ -451,7 +451,7 @@ func TestConcurrentSessionsShareWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rem, err := c.OpenDataset(context.Background(), "ge")
+	rem, err := c.openDataset(context.Background(), "ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,38 +498,6 @@ func TestConcurrentSessionsShareWire(t *testing.T) {
 	}
 	if st.CacheHits+st.Coalesced == 0 {
 		t.Fatal("no sharing observed across concurrent sessions")
-	}
-}
-
-func TestRemoteStore(t *testing.T) {
-	ctx := context.Background()
-	hs, vars := testService(t, nil)
-	c, err := New(hs.URL, fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := c.Store()
-	keys, err := rs.Keys(ctx)
-	if err != nil || len(keys) == 0 {
-		t.Fatalf("keys: %v %v", keys, err)
-	}
-	got, err := storage.ReadArchive(context.Background(), rs, "ge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(vars) {
-		t.Fatalf("%d variables, want %d", len(got), len(vars))
-	}
-	for i := range got {
-		if got[i].Name != vars[i].Name || got[i].Ref.TotalBytes() != vars[i].Ref.TotalBytes() {
-			t.Fatalf("variable %d differs after remote ReadArchive", i)
-		}
-	}
-	if _, err := rs.Get(ctx, "no-such-key"); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("missing key: %v", err)
-	}
-	if err := rs.Put(ctx, "k", []byte("v")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("put on read-only store: %v", err)
 	}
 }
 

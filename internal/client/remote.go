@@ -2,8 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -12,61 +10,11 @@ import (
 	"progqoi/internal/obs"
 	"progqoi/internal/progressive"
 	"progqoi/internal/server"
-	"progqoi/internal/storage"
 )
 
 // readAheadTimeout bounds one background read-ahead fetch; nothing waits on
 // it, so a stuck speculative request must time itself out.
 const readAheadTimeout = 2 * time.Minute
-
-// ErrReadOnly reports a write against the remote store, which the fragment
-// service does not accept: archives are immutable once refactored.
-var ErrReadOnly = errors.New("client: remote store is read-only")
-
-// RemoteStore adapts the service's raw store passthrough to storage.Store,
-// so generic archive code (storage.ReadArchive and friends) runs unchanged
-// over the wire. Reads go through the client's retry policy; writes return
-// ErrReadOnly.
-type RemoteStore struct{ c *Client }
-
-// Store returns the service's raw blob store view.
-func (c *Client) Store() *RemoteStore { return &RemoteStore{c: c} }
-
-// Put implements storage.Store; it always fails with ErrReadOnly.
-func (s *RemoteStore) Put(ctx context.Context, key string, val []byte) error {
-	return fmt.Errorf("%w (key %q)", ErrReadOnly, key)
-}
-
-// Get implements storage.Store. A nil ctx defaults to Background.
-func (s *RemoteStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	b, err := s.c.do(ctx, "GET", "/v1/store/blob/"+key, nil, "")
-	var he *HTTPError
-	if errors.As(err, &he) && he.Status == 404 {
-		return nil, fmt.Errorf("%w: %q", storage.ErrNotFound, key)
-	}
-	return b, err
-}
-
-// Keys implements storage.Store. A nil ctx defaults to Background.
-func (s *RemoteStore) Keys(ctx context.Context) ([]string, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	b, err := s.c.do(ctx, "GET", "/v1/store/keys", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	var out struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.Unmarshal(b, &out); err != nil {
-		return nil, fmt.Errorf("client: store keys: %w", err)
-	}
-	return out.Keys, nil
-}
 
 // Remote is an opened remote dataset: the retrieval metadata of every
 // variable (prefix bounds, schedules, zero masks, ranges) held locally,
@@ -88,9 +36,8 @@ type Remote struct {
 func (r *Remote) WaitReadAhead() { r.specWG.Wait() }
 
 // Close waits for in-flight read-ahead fetches and stops the underlying
-// client's background topology refresher. Only the Remote that owns its
-// client (the Open path) should call it; with a shared client (New +
-// OpenDataset across datasets), close the client once instead.
+// client's background topology refresher: a Remote owns the client Open
+// dialled for it.
 func (r *Remote) Close() {
 	r.WaitReadAhead()
 	r.c.Close()
@@ -98,9 +45,7 @@ func (r *Remote) Close() {
 
 // Open dials baseURL and opens the named dataset with fresh client
 // options; ctx scopes the metadata round trips (and, with
-// Options.DiscoverPeers, one best-effort topology fetch). Share one
-// Client across datasets via New + OpenDataset when the cache should
-// span them.
+// Options.DiscoverPeers, one best-effort topology fetch).
 func Open(ctx context.Context, baseURL, dataset string, opt Options) (*Remote, error) {
 	if opt.DiscoverPeers {
 		// Ask the seed node for its topology and fold the routable nodes
@@ -127,7 +72,7 @@ func Open(ctx context.Context, baseURL, dataset string, opt Options) (*Remote, e
 	if err != nil {
 		return nil, err
 	}
-	rem, err := c.OpenDataset(ctx, dataset)
+	rem, err := c.openDataset(ctx, dataset)
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -135,10 +80,10 @@ func Open(ctx context.Context, baseURL, dataset string, opt Options) (*Remote, e
 	return rem, nil
 }
 
-// OpenDataset fetches the dataset's index and metadata blob and returns a
+// openDataset fetches the dataset's index and metadata blob and returns a
 // session factory for it. ctx scopes the two metadata fetches only;
 // sessions opened later carry their own per-request contexts.
-func (c *Client) OpenDataset(ctx context.Context, dataset string) (*Remote, error) {
+func (c *Client) openDataset(ctx context.Context, dataset string) (*Remote, error) {
 	idx, err := c.Index(ctx, dataset)
 	if err != nil {
 		return nil, err

@@ -8,11 +8,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"progqoi/internal/core"
@@ -280,5 +284,113 @@ func TestReloadRepublishServesFreshBytes(t *testing.T) {
 	}
 	if bytes.Equal(newFrag, oldFrag) {
 		t.Fatal("republished data identical to old data — test is vacuous")
+	}
+}
+
+// countingStore counts whole-blob Gets per key.
+type countingStore struct {
+	storage.Store
+	mu   sync.Mutex
+	gets map[string]int // guarded by mu
+}
+
+func (c *countingStore) Get(ctx context.Context, key string) ([]byte, error) {
+	c.mu.Lock()
+	c.gets[key]++
+	c.mu.Unlock()
+	return c.Store.Get(ctx, key)
+}
+
+// take returns the Get counts so far and resets them.
+func (c *countingStore) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.gets
+	c.gets = map[string]int{}
+	return out
+}
+
+// TestLoadReadsEachBlobOnce: startup and every reload read each manifest
+// and each variable blob with exactly one Get — the wire artifacts, the
+// fragment ranges and the fingerprint all come from that one read.
+func TestLoadReadsEachBlobOnce(t *testing.T) {
+	mem := storage.NewMemStore()
+	want := map[string]int{}
+	for i, name := range []string{"alpha", "beta"} {
+		want[name+".manifest"] = 1
+		for _, v := range packDataset(t, mem, name, int64(i+1)) {
+			want[storage.VarKey(name, v.Name)] = 1
+		}
+	}
+	st := &countingStore{Store: mem, gets: map[string]int{}}
+	srv, err := New(context.Background(), st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.take(); !maps.Equal(got, want) {
+		t.Fatalf("New: Gets per key %v, want %v", got, want)
+	}
+	if _, err := srv.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.take(); !maps.Equal(got, want) {
+		t.Fatalf("Reload: Gets per key %v, want %v", got, want)
+	}
+}
+
+// republishStore republishes one variable blob right after its first Get
+// returns: same length, one fragment payload byte flipped, CRC re-framed.
+type republishStore struct {
+	*storage.MemStore
+	key  string
+	flip int64 // offset of the flipped byte within the blob
+	once sync.Once
+}
+
+func (r *republishStore) Get(ctx context.Context, key string) ([]byte, error) {
+	b, err := r.MemStore.Get(ctx, key)
+	if err != nil || key != r.key {
+		return b, err
+	}
+	r.once.Do(func() {
+		next := bytes.Clone(b)
+		next[r.flip] ^= 0xff
+		body := next[:len(next)-4]
+		binary.LittleEndian.PutUint32(next[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		err = r.MemStore.Put(ctx, key, next)
+	})
+	return b, err
+}
+
+// TestReloadAfterRepublishDuringLoad: a variable blob republished while
+// startup is loading it must serve its new bytes after the next reload.
+// A load that read the blob twice — ETags from the first read, the
+// fingerprint from the second — made that reload keep the stale dataset,
+// and the fragment answered 500 "corrupt at rest" for good.
+func TestReloadAfterRepublishDuringLoad(t *testing.T) {
+	mem := storage.NewMemStore()
+	vars := packDataset(t, mem, "ds", 1)
+	_, locs, err := storage.ReadArchiveRanged(context.Background(), mem, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &republishStore{MemStore: mem, key: storage.VarKey("ds", vars[0].Name), flip: locs[0][0].Off}
+	srv, err := New(context.Background(), st, Options{HotCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	if _, err := srv.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := get(t, hs.URL+"/v1/d/ds/frag/"+vars[0].Name+"/0")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fragment after reload: %s %s", resp.Status, body)
+	}
+	want := bytes.Clone(vars[0].Ref.Fragments[0])
+	want[0] ^= 0xff
+	if !bytes.Equal(body, want) {
+		t.Fatal("fragment after reload is not the republished payload")
 	}
 }

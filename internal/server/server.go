@@ -50,15 +50,17 @@
 //
 // # Memory model
 //
-// Startup loads each archive once to build the wire artifacts (index,
-// metadata blob, per-fragment ETags) and the byte offset of every
-// fragment payload inside its store blob, then drops the payloads.
+// Startup and every reload read each archive once: one store Get per
+// manifest and per variable blob (storage.ReadArchiveRanged). The wire
+// artifacts (index, metadata blob, per-fragment ETags), the byte offset
+// of every fragment payload inside its store blob, and the reload
+// fingerprint all come from those bytes; then the payloads are dropped.
 // Steady-state fragment reads go through a byte-bounded in-memory
 // hot-fragment LRU (Options.HotCacheBytes) in front of the store; a miss
-// is one ranged store read (storage.RangeReader when the store supports
-// it), re-verified against the fragment's recorded ETag so silent disk
-// corruption cannot reach the wire. A node therefore serves archives far
-// larger than its RAM, with the hot set pinned.
+// is one ranged store read (Store.GetRange), re-verified against the
+// fragment's recorded ETag so silent disk corruption cannot reach the
+// wire. A node therefore serves archives far larger than its RAM, with
+// the hot set pinned.
 package server
 
 import (
@@ -166,9 +168,11 @@ type dataset struct {
 	// prefixes hot-cache keys so a republished dataset can never be served
 	// stale fragment bytes cached under its previous incarnation.
 	gen int64
-	// fingerprint identifies the dataset's stored bytes (manifest + every
-	// variable blob). Reload reuses the previous incarnation verbatim —
-	// same object, same gen, same warm cache slice — when it matches.
+	// fingerprint identifies the dataset's stored bytes: the metadata
+	// blob's tag followed by every fragment's, all taken from the one
+	// read of each blob that built the dataset. Reload reuses the previous
+	// incarnation verbatim — same object, same gen, same warm cache slice
+	// — when it matches.
 	fingerprint string
 	vars        []*core.Variable // metadata only: fragment payloads dropped
 	varIdx      map[string]int
@@ -415,24 +419,21 @@ func (s *Server) loadCatalog(ctx context.Context, prev *catalog) (*catalog, erro
 	return cat, nil
 }
 
-// loadDataset loads one archive and precomputes its wire artifacts,
-// dropping fragment payloads once their ETags and byte offsets are
-// recorded. The archive is always re-validated in full (startup-equivalent
-// checks); but when its stored bytes fingerprint the same as prev, prev is
-// returned instead of the rebuild, so an unchanged dataset keeps its load
-// generation — and with it the hot-cache slice and the object identity
-// in-flight retrievals depend on.
+// loadDataset reads one archive in a single pass — one store Get per blob
+// — and takes its wire artifacts, fragment ETags, byte offsets and
+// fingerprint from those same bytes, then drops the fragment payloads. A
+// blob republished mid-load therefore cannot pair one read's ETags with
+// another's fingerprint. The archive is always re-validated in full
+// (startup-equivalent checks); but when its stored bytes fingerprint the
+// same as prev, prev is returned instead of the rebuild, so an unchanged
+// dataset keeps its load generation — and with it the hot-cache slice and
+// the object identity in-flight retrievals depend on.
 func (s *Server) loadDataset(ctx context.Context, name string, prev *dataset) (*dataset, error) {
-	mraw, err := s.store.Get(ctx, name+".manifest")
+	vars, locs, err := storage.ReadArchiveRanged(ctx, s.store, name)
 	if err != nil {
 		return nil, fmt.Errorf("server: load dataset %q: %w", name, err)
 	}
-	fingerprint := etag(mraw)
-	vars, err := storage.ReadArchive(ctx, s.store, name)
-	if err != nil {
-		return nil, fmt.Errorf("server: load dataset %q: %w", name, err)
-	}
-	ds := &dataset{name: name, gen: s.gen.Add(1), vars: vars, varIdx: map[string]int{}}
+	ds := &dataset{name: name, gen: s.gen.Add(1), vars: vars, varIdx: map[string]int{}, fragLocs: locs}
 	idx, err := json.Marshal(BuildIndex(name, vars))
 	if err != nil {
 		return nil, err
@@ -441,45 +442,23 @@ func (s *Server) loadDataset(ctx context.Context, name string, prev *dataset) (*
 	ds.meta = newNegotiated(EncodeMeta(vars))
 	ds.fragTags = make([][]string, len(vars))
 	ds.varKeys = make([]string, len(vars))
-	ds.fragLocs = make([][]storage.FragmentRange, len(vars))
+	var fingerprint strings.Builder
+	fingerprint.WriteString(ds.meta.tag)
 	for vi, v := range vars {
 		ds.varIdx[v.Name] = vi
+		ds.varKeys[vi] = storage.VarKey(name, v.Name)
 		tags := make([]string, len(v.Ref.Fragments))
 		for fi, f := range v.Ref.Fragments {
 			tags[fi] = etag(f)
-		}
-		ds.fragTags[vi] = tags
-		key := storage.VarKey(name, v.Name)
-		raw, err := s.store.Get(ctx, key)
-		if err != nil {
-			return nil, fmt.Errorf("server: locate fragments of %s/%s: %w", name, v.Name, err)
-		}
-		locs, err := storage.VariableFragmentRanges(raw)
-		if err != nil {
-			return nil, fmt.Errorf("server: locate fragments of %s/%s: %w", name, v.Name, err)
-		}
-		if len(locs) != len(v.Ref.Fragments) {
-			return nil, fmt.Errorf("server: %s/%s: %d fragment ranges for %d fragments",
-				name, v.Name, len(locs), len(v.Ref.Fragments))
-		}
-		for fi, loc := range locs {
-			if loc.Len != int64(len(v.Ref.Fragments[fi])) {
-				return nil, fmt.Errorf("server: %s/%s/%d: range length %d, fragment %d",
-					name, v.Name, fi, loc.Len, len(v.Ref.Fragments[fi]))
-			}
-		}
-		ds.varKeys[vi] = key
-		ds.fragLocs[vi] = locs
-		fingerprint += "/" + etag(raw)
-		// Loading is the only time the whole variable is resident: drop
-		// the payloads now that the index, ETags and offsets are recorded.
-		// Serving pulls them back through the hot cache.
-		for fi := range v.Ref.Fragments {
+			fingerprint.WriteString(tags[fi])
+			// Loading is the only time the payload is resident: serving
+			// pulls it back through the hot cache at its recorded range.
 			v.Ref.Fragments[fi] = nil
 		}
+		ds.fragTags[vi] = tags
 	}
-	ds.fingerprint = fingerprint
-	if prev != nil && prev.fingerprint == fingerprint {
+	ds.fingerprint = fingerprint.String()
+	if prev != nil && prev.fingerprint == ds.fingerprint {
 		return prev, nil
 	}
 	return ds, nil
@@ -793,27 +772,7 @@ func (s *Server) fragment(ctx context.Context, ds *dataset, vi, fi int) ([]byte,
 		return b, nil
 	}
 	loc := ds.fragLocs[vi][fi]
-	var (
-		b   []byte
-		err error
-	)
-	if rr, ok := s.store.(storage.RangeReader); ok {
-		b, err = rr.GetRange(ctx, ds.varKeys[vi], loc.Off, loc.Len)
-	} else {
-		// Store without partial reads: load the variable blob and copy the
-		// fragment out. The clone matters: caching a subslice would pin
-		// the whole blob's backing array while the cache accounts only the
-		// fragment's length, making the byte bound fiction.
-		var raw []byte
-		raw, err = s.store.Get(ctx, ds.varKeys[vi])
-		if err == nil {
-			if loc.Off+loc.Len > int64(len(raw)) {
-				err = fmt.Errorf("server: %s/%s blob shrank under us", ds.name, ds.vars[vi].Name)
-			} else {
-				b = bytes.Clone(raw[loc.Off : loc.Off+loc.Len])
-			}
-		}
-	}
+	b, err := s.store.GetRange(ctx, ds.varKeys[vi], loc.Off, loc.Len)
 	if err != nil {
 		return nil, fmt.Errorf("server: read fragment %s/%s/%d: %w", ds.name, ds.vars[vi].Name, fi, err)
 	}

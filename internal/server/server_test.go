@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -589,11 +590,11 @@ func TestFragmentCorruptAtRestDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locs, err := storage.VariableFragmentRanges(raw)
+	_, locs, err := storage.ReadArchiveRanged(context.Background(), st, "ge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[locs[0].Off] ^= 0xff
+	raw[locs[0][0].Off] ^= 0xff
 	if err := st.Put(context.Background(), key, raw); err != nil {
 		t.Fatal(err)
 	}
@@ -738,4 +739,46 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestStoreRoutes: the raw store passthrough lists the store's keys and
+// serves any blob byte for byte; a missing or unsafe key is 404.
+func TestStoreRoutes(t *testing.T) {
+	vars := testVars(t)
+	st := storage.NewMemStore()
+	if err := storage.WriteArchive(context.Background(), st, "ge", vars); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(context.Background(), st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+
+	resp, body := get(t, hs.URL+"/v1/store/keys")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("keys: %s", resp.Status)
+	}
+	var listed struct {
+		Keys []string `json:"keys"`
+	}
+	if err := json.Unmarshal(body, &listed); err != nil {
+		t.Fatal(err)
+	}
+	keys, _ := st.Keys(context.Background())
+	if !slices.Equal(listed.Keys, keys) {
+		t.Fatalf("keys %v, want %v", listed.Keys, keys)
+	}
+	for _, k := range keys {
+		want, _ := st.Get(context.Background(), k)
+		if resp, got := get(t, hs.URL+"/v1/store/blob/"+k); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("blob %s: %s, %d bytes (want %d)", k, resp.Status, len(got), len(want))
+		}
+	}
+	for _, k := range []string{"no-such-key", ".hidden"} {
+		if resp, _ := get(t, hs.URL+"/v1/store/blob/"+k); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("blob %s: %s, want 404", k, resp.Status)
+		}
+	}
 }

@@ -1,7 +1,7 @@
 // Package objstore is the S3-compatible object-store backend of the
-// storage layer: a storage.Store + storage.RangeReader that maps archive
-// reads onto authenticated HTTP requests against a bucket, so a progqoid
-// node can serve a dataset it holds zero local bytes of. The paper's
+// storage layer: a storage.Store that maps archive reads onto
+// authenticated HTTP requests against a bucket, so a progqoid node can
+// serve a dataset it holds zero local bytes of. The paper's
 // workflow writes refactored fragments to "a storage system" at
 // data-generation time; this package makes that system a bucket and the
 // serving tier a replaceable cache in front of it.
@@ -118,9 +118,9 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// Store is an S3-compatible storage.Store. It implements
-// storage.RangeReader (ranged GETs) and storage.FetchStatser (cold-fetch
-// accounting) and is safe for concurrent use.
+// Store is an S3-compatible storage.Store whose GetRange is a ranged GET.
+// It also implements storage.FetchStatser (cold-fetch accounting) and is
+// safe for concurrent use.
 type Store struct {
 	opts  Options
 	base  string // endpoint, no trailing slash
@@ -219,7 +219,7 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 	return b, nil
 }
 
-// GetRange implements storage.RangeReader: one `Range: bytes=off-end`
+// GetRange implements storage.Store: one `Range: bytes=off-end`
 // GET through the read-through cache, returning exactly length bytes.
 func (s *Store) GetRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
 	if ctx == nil {

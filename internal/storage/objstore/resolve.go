@@ -88,7 +88,7 @@ func ResolveStore(ref string, opt Options) (storage.Store, error) {
 			return nil, err
 		}
 		if opt.Endpoint == "" {
-			return nil, fmt.Errorf("%w: %q: s3 needs an endpoint (set %s or the endpoint flag)",
+			return nil, fmt.Errorf("%w: %q: s3 needs an endpoint (set %s, the endpoint flag or WithS3Endpoint)",
 				ErrBadStoreURL, ref, EnvEndpoint)
 		}
 		opt.Bucket, opt.Prefix = bucket, prefix

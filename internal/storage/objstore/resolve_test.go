@@ -66,9 +66,6 @@ func TestResolveStore(t *testing.T) {
 	if os.opts.Bucket != "bkt" || os.opts.Prefix != "some/prefix" {
 		t.Fatalf("resolved bucket/prefix = %q/%q", os.opts.Bucket, os.opts.Prefix)
 	}
-	if _, ok := st.(storage.RangeReader); !ok {
-		t.Fatal("resolved s3 store does not implement storage.RangeReader")
-	}
 
 	// Failure shapes all wrap ErrBadStoreURL so a daemon can classify them.
 	bad := []struct {

@@ -5,10 +5,11 @@
 //
 // Three layers:
 //
-//   - Store: a fragment-addressed key-value interface with an in-memory
-//     implementation (remote-cache semantics) and a directory-backed
-//     implementation (one file per variable, fragments resolved by offset
-//     from a validated index).
+//   - Store: a fragment-addressed key-value interface with whole-value
+//     and ranged reads, an in-memory implementation (remote-cache
+//     semantics) and a directory-backed implementation (one file per
+//     variable, fragments re-read at the byte ranges ReadArchiveRanged
+//     records).
 //
 //   - Archive: a container bundling the refactored variables of one
 //     dataset — names, grids, value ranges, zero masks, fragments — into a
@@ -55,19 +56,13 @@ type Store interface {
 	Put(ctx context.Context, key string, val []byte) error
 	// Get reads a value; ErrNotFound when missing.
 	Get(ctx context.Context, key string) ([]byte, error)
+	// GetRange reads exactly length bytes starting at off within the value
+	// stored under key: one fragment off disk, or out of a bucket with one
+	// ranged GET, at the range ReadArchiveRanged recorded. Reads past the
+	// end of the value fail rather than truncate.
+	GetRange(ctx context.Context, key string, off, length int64) ([]byte, error)
 	// Keys lists all keys in lexical order.
 	Keys(ctx context.Context) ([]string, error)
-}
-
-// RangeReader is an optional Store extension for partial reads. A server
-// holding only fragment offsets (see VariableFragmentRanges) uses it to
-// pull one fragment off disk — or out of a bucket with one HTTP ranged
-// GET — without materializing the whole variable blob. Implementations
-// must return exactly length bytes or an error.
-type RangeReader interface {
-	// GetRange reads length bytes starting at off within the value stored
-	// under key. Reads past the end of the value fail rather than truncate.
-	GetRange(ctx context.Context, key string, off, length int64) ([]byte, error)
 }
 
 // ctxErr reports the context's cancellation state, tolerating the nil
@@ -132,7 +127,7 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
-// GetRange implements RangeReader.
+// GetRange implements Store.
 func (s *MemStore) GetRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -226,7 +221,7 @@ func (s *DirStore) Get(ctx context.Context, key string) ([]byte, error) {
 	return b, err
 }
 
-// GetRange implements RangeReader with one positioned read, so a fragment
+// GetRange implements Store with one positioned read, so a fragment
 // fetch costs a pread instead of loading the whole variable file.
 func (s *DirStore) GetRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
@@ -296,25 +291,17 @@ func WriteArchive(ctx context.Context, st Store, name string, vars []*core.Varia
 
 // ReadArchive reopens an archive written by WriteArchive.
 func ReadArchive(ctx context.Context, st Store, name string) ([]*core.Variable, error) {
-	vars, _, err := readArchive(ctx, st, name, false)
+	vars, _, err := ReadArchiveRanged(ctx, st, name)
 	return vars, err
 }
 
-// ReadArchiveRanged reopens an archive like ReadArchive, but additionally
-// returns, for every variable, the byte ranges of its fragment payloads
-// within the raw store blob — and strips the payloads from the returned
-// variables. It is the meta-only open a range-reading consumer wants: one
-// pass over each blob up front, then any individual fragment re-readable
-// with RangeReader.GetRange at its recorded range. ranges[i][j] locates
-// fragment j of vars[i] inside the blob stored under VarKey(name,
-// vars[i].Name).
+// ReadArchiveRanged reopens an archive like ReadArchive and additionally
+// returns, for every variable, the byte range of each fragment payload
+// within the raw store blob. It is the one pass over an archive: one Get
+// per blob, one CRC check, and ranges[i][j] locates fragment j of vars[i]
+// inside the blob stored under VarKey(name, vars[i].Name), so a consumer
+// that drops the payloads can re-read any one with Store.GetRange.
 func ReadArchiveRanged(ctx context.Context, st Store, name string) (vars []*core.Variable, ranges [][]FragmentRange, err error) {
-	return readArchive(ctx, st, name, true)
-}
-
-// readArchive walks the manifest and loads each variable blob; with ranged
-// set it also records fragment payload ranges and strips the payloads.
-func readArchive(ctx context.Context, st Store, name string, ranged bool) ([]*core.Variable, [][]FragmentRange, error) {
 	mraw, err := st.Get(ctx, name+".manifest")
 	if err != nil {
 		return nil, nil, err
@@ -332,11 +319,8 @@ func readArchive(ctx context.Context, st Store, name string, ranged bool) ([]*co
 	if n < 0 || n > 1<<16 {
 		return nil, nil, fmt.Errorf("%w: %d variables", encoding.ErrCorrupt, n)
 	}
-	vars := make([]*core.Variable, n)
-	var ranges [][]FragmentRange
-	if ranged {
-		ranges = make([][]FragmentRange, n)
-	}
+	vars = make([]*core.Variable, n)
+	ranges = make([][]FragmentRange, n)
 	for i := 0; i < n; i++ {
 		nameB, m, err := encoding.GetSection(manifest[off:])
 		if err != nil {
@@ -352,28 +336,22 @@ func readArchive(ctx context.Context, st Store, name string, ranged bool) ([]*co
 		if err != nil {
 			return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
 		}
-		v, err := unmarshalVariable(blob)
+		v, err := DecodeVariable(blob)
 		if err != nil {
 			return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
 		}
 		if v.Name != string(nameB) {
 			return nil, nil, fmt.Errorf("%w: variable blob name %q != manifest %q", encoding.ErrCorrupt, v.Name, nameB)
 		}
-		if ranged {
-			fr, err := VariableFragmentRanges(raw)
-			if err != nil {
-				return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
-			}
-			if len(fr) != len(v.Ref.Fragments) {
-				return nil, nil, fmt.Errorf("%w: %s: %d payload ranges for %d fragments",
-					encoding.ErrCorrupt, key, len(fr), len(v.Ref.Fragments))
-			}
-			ranges[i] = fr
-			for j := range v.Ref.Fragments {
-				v.Ref.Fragments[j] = nil
-			}
+		fr, err := fragmentRanges(blob)
+		if err != nil {
+			return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
 		}
-		vars[i] = v
+		if len(fr) != len(v.Ref.Fragments) {
+			return nil, nil, fmt.Errorf("%w: %s: %d payload ranges for %d fragments",
+				encoding.ErrCorrupt, key, len(fr), len(v.Ref.Fragments))
+		}
+		vars[i], ranges[i] = v, fr
 	}
 	return vars, ranges, nil
 }
@@ -392,17 +370,12 @@ type FragmentRange struct {
 	Len int64
 }
 
-// VariableFragmentRanges walks a raw .var store blob (as written by
-// WriteArchive) and returns the byte range of every fragment payload
-// within it, in fragment order. A server that knows these ranges can drop
-// the payloads from memory and re-read any one of them with a
-// RangeReader. The blob CRC is verified before walking.
-func VariableFragmentRanges(raw []byte) ([]FragmentRange, error) {
-	blob, err := checkCRC(raw)
-	if err != nil {
-		return nil, fmt.Errorf("storage: fragment ranges: %w", err)
-	}
-	// marshalVariable layout: sections name, range, mask, then the
+// fragmentRanges walks a CRC-checked variable blob (an EncodeVariable
+// blob) and returns the byte range of every fragment payload within it,
+// in fragment order. The blob is a prefix of the raw store value, so the
+// offsets hold in both.
+func fragmentRanges(blob []byte) ([]FragmentRange, error) {
+	// EncodeVariable layout: sections name, range, mask, then the
 	// progressive.Refactored blob. Within that: one header section, a
 	// 4-byte fragment count, then one section per fragment.
 	off := 0
@@ -476,16 +449,10 @@ func checkCRC(raw []byte) ([]byte, error) {
 
 // EncodeVariable serializes one refactored variable — name, range, zero
 // mask, progressive representation — into a standalone blob readable by
-// DecodeVariable. The fragment service uses it (with fragment payloads
-// stripped) to ship retrieval metadata to remote clients.
-func EncodeVariable(v *core.Variable) []byte { return marshalVariable(v) }
-
-// DecodeVariable parses an EncodeVariable blob.
-func DecodeVariable(blob []byte) (*core.Variable, error) { return unmarshalVariable(blob) }
-
-// marshalVariable serializes a core.Variable: name, range, zero mask, and
-// its refactored representation.
-func marshalVariable(v *core.Variable) []byte {
+// DecodeVariable. It is the body of every archive variable blob, and the
+// fragment service uses it (with fragment payloads stripped) to ship
+// retrieval metadata to remote clients.
+func EncodeVariable(v *core.Variable) []byte {
 	var out []byte
 	out = encoding.PutSection(out, []byte(v.Name))
 	var rb [8]byte
@@ -496,7 +463,8 @@ func marshalVariable(v *core.Variable) []byte {
 	return out
 }
 
-func unmarshalVariable(blob []byte) (*core.Variable, error) {
+// DecodeVariable parses an EncodeVariable blob.
+func DecodeVariable(blob []byte) (*core.Variable, error) {
 	nameB, n, err := encoding.GetSection(blob)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -8,6 +9,7 @@ import (
 
 	"progqoi/internal/core"
 	"progqoi/internal/datagen"
+	"progqoi/internal/encoding"
 	"progqoi/internal/progressive"
 	"progqoi/internal/qoi"
 )
@@ -255,24 +257,20 @@ func TestGetRange(t *testing.T) {
 	}
 	for name, s := range map[string]Store{"mem": mem, "dir": dir} {
 		t.Run(name, func(t *testing.T) {
-			rr, ok := s.(RangeReader)
-			if !ok {
-				t.Fatalf("%T does not implement RangeReader", s)
-			}
 			if err := s.Put(context.Background(), "blob", []byte("0123456789")); err != nil {
 				t.Fatal(err)
 			}
-			got, err := rr.GetRange(context.Background(), "blob", 3, 4)
+			got, err := s.GetRange(context.Background(), "blob", 3, 4)
 			if err != nil || string(got) != "3456" {
 				t.Fatalf("GetRange = %q, %v", got, err)
 			}
-			if _, err := rr.GetRange(context.Background(), "blob", 8, 4); err == nil {
+			if _, err := s.GetRange(context.Background(), "blob", 8, 4); err == nil {
 				t.Fatal("read past end did not fail")
 			}
-			if _, err := rr.GetRange(context.Background(), "blob", -1, 2); err == nil {
+			if _, err := s.GetRange(context.Background(), "blob", -1, 2); err == nil {
 				t.Fatal("negative offset accepted")
 			}
-			if _, err := rr.GetRange(context.Background(), "missing", 0, 1); !errors.Is(err, ErrNotFound) {
+			if _, err := s.GetRange(context.Background(), "missing", 0, 1); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("missing key: want ErrNotFound, got %v", err)
 			}
 		})
@@ -295,34 +293,40 @@ func TestVariableFragmentRanges(t *testing.T) {
 	if err := WriteArchive(context.Background(), st, "ge", vars); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range vars {
+	got, ranges, err := ReadArchiveRanged(context.Background(), st, "ge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vi, v := range vars {
 		raw, err := st.Get(context.Background(), VarKey("ge", v.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranges, err := VariableFragmentRanges(raw)
-		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
+		if len(ranges[vi]) != len(v.Ref.Fragments) {
+			t.Fatalf("%s: %d ranges for %d fragments", v.Name, len(ranges[vi]), len(v.Ref.Fragments))
 		}
-		if len(ranges) != len(v.Ref.Fragments) {
-			t.Fatalf("%s: %d ranges for %d fragments", v.Name, len(ranges), len(v.Ref.Fragments))
-		}
-		for fi, rng := range ranges {
+		for fi, rng := range ranges[vi] {
 			want := v.Ref.Fragments[fi]
 			if rng.Len != int64(len(want)) {
 				t.Fatalf("%s/%d: range length %d, fragment %d", v.Name, fi, rng.Len, len(want))
 			}
-			got := raw[rng.Off : rng.Off+rng.Len]
-			if string(got) != string(want) {
+			if !bytes.Equal(raw[rng.Off:rng.Off+rng.Len], want) {
 				t.Fatalf("%s/%d: range payload differs from fragment", v.Name, fi)
+			}
+			// The one pass returns the payloads it located, too.
+			if !bytes.Equal(got[vi].Ref.Fragments[fi], want) {
+				t.Fatalf("%s/%d: returned payload differs from fragment", v.Name, fi)
 			}
 		}
 	}
 	// Corruption must be caught by the frame CRC before any walking.
-	raw, _ := st.Get(context.Background(), VarKey("ge", vars[0].Name))
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0xff
-	if _, err := VariableFragmentRanges(bad); err == nil {
-		t.Fatal("corrupt blob walked without error")
+	key := VarKey("ge", vars[0].Name)
+	raw, _ := st.Get(context.Background(), key)
+	raw[len(raw)/2] ^= 0xff
+	if err := st.Put(context.Background(), key, raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadArchiveRanged(context.Background(), st, "ge"); !errors.Is(err, encoding.ErrCorrupt) {
+		t.Fatalf("corrupt blob: want ErrCorrupt, got %v", err)
 	}
 }

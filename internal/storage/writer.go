@@ -50,7 +50,7 @@ func (w *ArchiveWriter) WriteVariable(ctx context.Context, v *core.Variable) err
 	if w.seen[v.Name] {
 		return fmt.Errorf("storage: duplicate variable %q in archive %q", v.Name, w.name)
 	}
-	blob := withCRC(marshalVariable(v))
+	blob := withCRC(EncodeVariable(v))
 	if err := w.st.Put(ctx, key, blob); err != nil {
 		return err
 	}

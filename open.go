@@ -26,7 +26,8 @@ import (
 //	s3://bucket/prefix/ge       object-store bucket, ranged fragment reads
 //
 // The last path segment is always the dataset name; everything before it
-// locates the store.
+// locates the store, in the grammar objstore.ResolveStore shares with
+// progqoid -store and progqoi pack -store (http(s) aside).
 
 // ErrBadRef reports an Open reference that cannot be resolved: an
 // unsupported scheme, a missing dataset segment, or an s3 reference
@@ -76,28 +77,47 @@ func Open(ctx context.Context, ref string, opts ...RemoteOption) (*Archive, erro
 			fn(&ro)
 		}
 	}
-	switch {
-	case strings.HasPrefix(ref, "http://"), strings.HasPrefix(ref, "https://"):
+	if strings.HasPrefix(ref, "http://") || strings.HasPrefix(ref, "https://") {
 		base, dataset, err := splitHTTPRef(ref)
 		if err != nil {
 			return nil, err
 		}
 		return openRemoteArchive(ctx, base, dataset, ro)
-	case strings.HasPrefix(ref, "s3://"):
-		st, dataset, err := openObjStore(ref, ro)
-		if err != nil {
-			return nil, err
-		}
-		return openStoreArchive(ctx, st, dataset)
-	case strings.HasPrefix(ref, "file://"):
-		return openDirArchive(ctx, strings.TrimPrefix(ref, "file://"))
-	case strings.Contains(ref, "://"):
-		return nil, fmt.Errorf("%w: %q: unsupported scheme (want s3://, http(s)://, file:// or a bare path)", ErrBadRef, ref)
-	case ref == "":
-		return nil, fmt.Errorf("%w: empty reference", ErrBadRef)
-	default:
-		return openDirArchive(ctx, ref)
 	}
+	// Split off the dataset; the rest is a store reference in
+	// objstore.ResolveStore's grammar. A bare dataset lives in ".", one
+	// directly under the root in "/"; a bucket always needs a dataset
+	// segment after it.
+	scheme, p, found := strings.Cut(ref, "://")
+	if !found {
+		scheme, p = "", ref
+	}
+	p = strings.TrimSuffix(p, "/")
+	i := strings.LastIndex(p, "/")
+	loc, dataset := p[:max(i, 0)], p[i+1:]
+	switch {
+	case dataset == "" || (scheme == "s3" && i < 0) || strings.ContainsAny(dataset, "?#"):
+		return nil, fmt.Errorf("%w: %q: missing dataset segment (want <store>/<dataset>)", ErrBadRef, ref)
+	case i < 0:
+		loc = "."
+	case loc == "":
+		loc = "/"
+	}
+	if found {
+		loc = scheme + "://" + loc
+	}
+	st, err := objstore.ResolveStore(loc, s3Options(ro))
+	if err != nil {
+		return nil, err
+	}
+	if scheme == "s3" {
+		return openStoreArchive(ctx, st, dataset)
+	}
+	vars, err := storage.ReadArchive(ctx, st, dataset)
+	if err != nil {
+		return nil, err
+	}
+	return archiveFromVars(vars), nil
 }
 
 // splitHTTPRef splits an http(s) reference into the service base URL and
@@ -120,22 +140,11 @@ func splitHTTPRef(ref string) (base, dataset string, err error) {
 	return u.String(), dataset, nil
 }
 
-// openObjStore builds the object-store client for an s3:// reference:
-// bucket and key prefix from the reference, endpoint/credentials/region
-// from the options with PROGQOI_S3_* environment variables as defaults,
-// cache and retry budgets shared with the remote-client options.
-func openObjStore(ref string, ro remoteOptions) (*objstore.Store, string, error) {
-	bucket, path, err := objstore.SplitRef(ref)
-	if err != nil {
-		return nil, "", err
-	}
-	prefix, dataset := "", path
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		prefix, dataset = path[:i], path[i+1:]
-	}
-	if dataset == "" {
-		return nil, "", fmt.Errorf("%w: %q: missing dataset segment (want s3://bucket[/prefix]/dataset)", ErrBadRef, ref)
-	}
+// s3Options is the object-store configuration for an s3:// reference:
+// endpoint, credentials and region from the options with PROGQOI_S3_*
+// environment variables as defaults, cache and retry budgets shared with
+// the remote-client options. Bucket and prefix come from the reference.
+func s3Options(ro remoteOptions) objstore.Options {
 	o := objstore.EnvOptions()
 	if ro.s3Endpoint != "" {
 		o.Endpoint = ro.s3Endpoint
@@ -146,42 +155,10 @@ func openObjStore(ref string, ro remoteOptions) (*objstore.Store, string, error)
 	if ro.s3Region != "" {
 		o.Region = ro.s3Region
 	}
-	if o.Endpoint == "" {
-		return nil, "", fmt.Errorf("%w: %q: s3 needs an endpoint (WithS3Endpoint or %s)", ErrBadRef, ref, objstore.EnvEndpoint)
-	}
-	o.Bucket, o.Prefix = bucket, prefix
 	o.HTTPClient = ro.httpClient
 	o.CacheBytes = ro.cacheBytes
 	o.MaxRetries = ro.maxRetries
-	st, err := objstore.New(o)
-	if err != nil {
-		return nil, "", fmt.Errorf("%w: %q: %v", ErrBadRef, ref, err)
-	}
-	return st, dataset, nil
-}
-
-// openDirArchive opens a local directory-store archive with resident
-// fragments — the file:// and bare-path cases.
-func openDirArchive(ctx context.Context, p string) (*Archive, error) {
-	dir, dataset := ".", strings.TrimSuffix(p, "/")
-	if i := strings.LastIndex(dataset, "/"); i >= 0 {
-		dir, dataset = dataset[:i], dataset[i+1:]
-	}
-	if dataset == "" {
-		return nil, fmt.Errorf("%w: %q: missing dataset segment (want dir/dataset)", ErrBadRef, p)
-	}
-	if dir == "" {
-		dir = "/"
-	}
-	st, err := storage.NewDirStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	vars, err := storage.ReadArchive(ctx, st, dataset)
-	if err != nil {
-		return nil, err
-	}
-	return archiveFromVars(vars), nil
+	return o
 }
 
 // openRemoteArchive is Open's http(s) case.
@@ -222,20 +199,13 @@ func archiveFromVars(vars []*core.Variable) *Archive {
 	return &Archive{vars: vars, names: names, dims: dims, fields: len(vars)}
 }
 
-// rangeStore is what a store-backed archive reads: whole blobs for the
-// one metadata pass at open, byte ranges for fragments afterwards.
-type rangeStore interface {
-	storage.Store
-	storage.RangeReader
-}
-
 // storeArchive is an archive opened directly from a storage.Store (the
 // s3:// case): retrieval metadata held locally, fragment payloads
 // re-read on demand at their recorded byte ranges. One storeArchive can
 // serve many concurrent sessions; the store's read-through cache is the
 // shared layer between them.
 type storeArchive struct {
-	st     rangeStore
+	st     storage.Store
 	vars   []*core.Variable          // meta-only: fragment payloads stripped
 	ranges [][]storage.FragmentRange // ranges[vi][fi] within keys[vi]'s blob
 	keys   []string                  // store key of each variable's blob
@@ -243,10 +213,10 @@ type storeArchive struct {
 	wire   atomic.Int64              // bytes fetched, section-length prefixes included
 }
 
-// openStoreArchive reads the archive's metadata (one pass over each
-// variable blob) and returns a session factory whose fragment reads are
-// ranged GETs against st.
-func openStoreArchive(ctx context.Context, st rangeStore, dataset string) (*Archive, error) {
+// openStoreArchive reads the archive once (one Get per blob), keeps its
+// metadata and fragment ranges, drops the payloads, and returns a session
+// factory whose fragment reads are ranged GETs against st.
+func openStoreArchive(ctx context.Context, st storage.Store, dataset string) (*Archive, error) {
 	vars, ranges, err := storage.ReadArchiveRanged(ctx, st, dataset)
 	if err != nil {
 		return nil, err
@@ -255,8 +225,9 @@ func openStoreArchive(ctx context.Context, st rangeStore, dataset string) (*Arch
 	sa.keys = make([]string, len(vars))
 	for i, v := range vars {
 		sa.keys[i] = storage.VarKey(dataset, v.Name)
-		for _, r := range ranges[i] {
+		for j, r := range ranges[i] {
 			sa.stored += r.Len
+			v.Ref.Fragments[j] = nil
 		}
 	}
 	a := archiveFromVars(vars)
