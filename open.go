@@ -97,7 +97,7 @@ func Open(ctx context.Context, ref string, opts ...RemoteOption) (*Archive, erro
 	loc, dataset := p[:max(i, 0)], p[i+1:]
 	switch {
 	case dataset == "" || (scheme == "s3" && i < 0) || strings.ContainsAny(dataset, "?#"):
-		return nil, fmt.Errorf("%w: %q: missing dataset segment (want <store>/<dataset>)", ErrBadRef, ref)
+		return nil, fmt.Errorf("%w: %q: want <store>/<dataset>, with no query or fragment", ErrBadRef, ref)
 	case i < 0:
 		loc = "."
 	case loc == "":
