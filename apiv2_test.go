@@ -489,3 +489,26 @@ func TestErrBadRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestDoOnArchiveWithoutFields: Refactor accepts an empty field list, and
+// Do on that archive rejects every request as bad instead of panicking.
+func TestDoOnArchiveWithoutFields(t *testing.T) {
+	arch, err := Refactor(nil, nil, []int{8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := arch.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	constant, err := ParseQoI("one", "1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []QoI{TotalVelocity(0, 1, 2), constant} {
+		_, err := sess.Do(context.Background(), Request{Targets: []Target{{QoI: q, Tolerance: 1e-3}}})
+		if !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: want ErrBadRequest, got %v", q.Name, err)
+		}
+	}
+}

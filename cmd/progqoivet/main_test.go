@@ -31,9 +31,6 @@ func vet(t *testing.T, tool, dir string) (string, error) {
 // against a known-bad module (must fail, naming both violations) and a
 // conforming one (must exit clean).
 func TestVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the vettool and shells out to go vet")
-	}
 	tool := buildTool(t)
 
 	out, err := vet(t, tool, filepath.Join("testdata", "badmod"))

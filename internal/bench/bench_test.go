@@ -134,9 +134,6 @@ func tinyScenario() Scenario {
 }
 
 func TestRunInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("starts an in-process cluster and runs real retrievals")
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	sc := tinyScenario()

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"progqoi/internal/datagen"
+	"progqoi/internal/obs"
 	"progqoi/internal/progressive"
 	"progqoi/internal/qoi"
 )
@@ -171,6 +174,79 @@ func TestRetrieveValidatesRequest(t *testing.T) {
 	badQoI := []qoi.QoI{{Name: "bad", Expr: qoi.Var{Index: 99}}}
 	if _, err := rt.Retrieve(context.Background(), Request{QoIs: badQoI, Tolerances: []float64{1}}); err == nil {
 		t.Error("out-of-range variable accepted")
+	}
+}
+
+// TestRetrieveRejectsBeforeMutating: a session over no variables rejects
+// every request as bad instead of indexing past its variables, and a
+// rejected request leaves a warm session's assigner state and estimate
+// memo as the last certified request left them.
+func TestRetrieveRejectsBeforeMutating(t *testing.T) {
+	constant := []qoi.QoI{{Name: "c", Expr: qoi.Const{C: 1}}}
+	empty, err := NewRetriever(nil, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range [][]qoi.QoI{constant, {{Name: "x", Expr: qoi.Var{Index: 0}}}} {
+		if _, err := empty.Retrieve(context.Background(), Request{QoIs: q, Tolerances: []float64{1}}); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s on a session without variables: %v, want ErrBadRequest", q[0].Name, err)
+		}
+	}
+
+	ds := smallGE()
+	rt, err := NewRetriever(refactorDataset(t, ds, progressive.PMGARDHB), Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tols := relTols(1e-3, QoIRanges(ds.QoIs, ds.Fields))
+	if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: tols}); err != nil {
+		t.Fatal(err)
+	}
+	eps, memo := slices.Clone(rt.eps), maps.Clone(rt.memo)
+	ne := ds.NumElements()
+	for name, req := range map[string]Request{
+		"constant QoI": {QoIs: constant, Tolerances: []float64{1}, InitRel: []float64{1e-9}},
+		"bad region": {QoIs: ds.QoIs[:1], Tolerances: tols[:1], InitRel: []float64{1e-9},
+			Regions: []Region{{Lo: 0, Hi: ne + 1}}},
+	} {
+		if _, err := rt.Retrieve(context.Background(), req); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: %v, want ErrBadRequest", name, err)
+		}
+		if !slices.Equal(rt.eps, eps) || !maps.Equal(rt.memo, memo) {
+			t.Fatalf("%s: the rejected request changed the session", name)
+		}
+	}
+}
+
+// TestAimTraced: a traced warm request records its aim pass as exactly one
+// estimate span of iteration 1 named "aim"; a cold one has nothing held
+// to aim with and records none.
+func TestAimTraced(t *testing.T) {
+	ds := smallGE()
+	ranges := QoIRanges(ds.QoIs, ds.Fields)
+	tr := obs.NewTrace()
+	rt, err := NewRetriever(refactorDataset(t, ds, progressive.PMGARDHB), Config{Trace: tr}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aims := func() (n int) {
+		for _, sp := range tr.Spans() {
+			if sp.Name == "aim" {
+				if sp.Cat != obs.CatEstimate || sp.Iter != 1 {
+					t.Fatalf("aim span %+v, want an estimate span of iteration 1", sp)
+				}
+				n++
+			}
+		}
+		return n
+	}
+	for rung, rel := range []float64{1e-2, 1e-4} {
+		if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := aims(); got != rung {
+			t.Fatalf("after rung %d: %d aim spans, want %d", rung, got, rung)
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"progqoi/internal/datagen"
@@ -28,6 +30,8 @@ import (
 // with this map emptied, then reading the hashes out of the failures;
 // Workers 1 and 2 hashed identically there. Re-record only in a PR that
 // changes what a retrieval returns on purpose, and say why in CHANGES.md.
+// They pin the paper loop (Config.paperLoop), which fetches to Algorithm
+// 3's seed in every rung's first iteration.
 var retrieveGoldenHashes = map[string]string{
 	"GE/PMGARD-HB":   "b9bedbfe3cd57ebc355ad2a347436dda4935496c92944e110e650af08e7f53db",
 	"GE/PMGARD":      "cb681c6b9db6d1f8ab4f566b3823689af1bcd949fd2e931cbc69732b7716d833",
@@ -43,37 +47,129 @@ var retrieveGoldenHashes = map[string]string{
 	"NYX/PSZ3-delta": "9dcb1fbb363f3dce8ab60410a8fe5c12bf948d298e08868b973ded4ccec72e43",
 }
 
+// aimGoldenHashes pins the same ladders run by the default loop, whose aim
+// pass tightens a warm rung before its first fetch. They differ from
+// retrieveGoldenHashes only through Iterations: sameRungs holds the two
+// loops' RetrievedBytes, EstErrors and Data bit-identical, rung by rung.
+// They were recorded, with the paper-loop hashes passing unchanged, at the
+// commit that added the aim pass.
+var aimGoldenHashes = map[string]string{
+	"GE/PMGARD-HB":   "febcc0dad486ea3faa31e05ae594ba8585d6a98e2526911fd95961df577116a6",
+	"GE/PMGARD":      "a54dca214b888f413a08e46653fcb56b75a9e9cee41c782910d3820f50361dc1",
+	"GE/PSZ3":        "a0ce9ea831a64b586c860300bdfc0be1852aebc99dcd5d251509c95da977e138",
+	"GE/PSZ3-delta":  "3c242cef1bb14b5a64f132f771ebf31684a8000b789ac51993cf5646fe276a03",
+	"S3D/PMGARD-HB":  "439f37f18f27f0d2ba5b3b132a1b34fb750818aca569ea9d593878fdac7ec203",
+	"S3D/PMGARD":     "fd324f271f32932710c837098ffb35723a32dddc7714d099e58af37163151756",
+	"S3D/PSZ3":       "d2425bd4c9bad2764de9b11f90367690ed0082e0a999ad6deceecf792df19393",
+	"S3D/PSZ3-delta": "05b534a48c12f555281825bab688c79936e5064af4a086c5c474f1d8fbdd6f59",
+	"NYX/PMGARD-HB":  "3aa706387df72708c729cd7224628d0f360df24cf804b3ac3d63cba09e85adeb",
+	"NYX/PMGARD":     "64cfb338951836d63821efc1677544c180f1b2e84fefa4ea82cc23da5b20a3e9",
+	"NYX/PSZ3":       "cf4f7a76b0e470db8e1cb45a49896d32d37ca2e7c88ee8355541f86b10d766d7",
+	"NYX/PSZ3-delta": "1eeef1e76a77a8e62e26fd58637aff395f7b95d0344922b77076964718b1a979",
+}
+
 // retrieveLadder is the relative tolerance of each rung, applied to every
 // QoI's value range.
 var retrieveLadder = []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7}
 
-// hashLadder runs the ladder on one session and hashes every rung's result.
-func hashLadder(t *testing.T, ds *datagen.Dataset, vars []*Variable, workers int) string {
+var goldenMethods = []progressive.Method{progressive.PMGARDHB, progressive.PMGARD, progressive.PSZ3, progressive.PSZ3Delta}
+
+// goldenCase is one dataset refactored under one method.
+type goldenCase struct {
+	name string // dataset/method, the key of the golden hashes
+	ds   *datagen.Dataset
+	vars []*Variable
+}
+
+// goldenCases refactors the golden datasets under every method once per
+// test binary; the tests that share them only read them.
+var goldenCases = sync.OnceValues(func() ([]goldenCase, error) {
+	var out []goldenCase
+	for _, ds := range []*datagen.Dataset{
+		datagen.GE("GE", 200, 320, 42),
+		datagen.S3D(24, 32, 20, 1),
+		datagen.NYX(33, 17, 9, 2),
+	} {
+		for _, m := range goldenMethods {
+			vars, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, RefactorOptions{
+				Progressive: progressive.Options{Method: m, LosslessTail: true},
+				MaskZeros:   true,
+			})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, goldenCase{name: fmt.Sprintf("%s/%s", ds.Name, m), ds: ds, vars: vars})
+		}
+	}
+	return out, nil
+})
+
+// forGoldenCases runs fn as a parallel subtest per golden case.
+func forGoldenCases(t *testing.T, fn func(t *testing.T, c goldenCase)) {
 	t.Helper()
-	ranges := QoIRanges(ds.QoIs, ds.Fields)
-	rt, err := NewRetriever(vars, Config{Workers: workers}, nil)
+	cases, err := goldenCases()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	var buf []byte
-	put := func(x uint64) { buf = binary.LittleEndian.AppendUint64(buf, x) }
-	for _, rel := range retrieveLadder {
-		tols := make([]float64, len(ds.QoIs))
-		for k := range tols {
-			tols[k] = rel * ranges[k]
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			fn(t, c)
+		})
+	}
+}
+
+// rung is what one rung of a ladder hands back, copied out of the session.
+type rung struct {
+	iterations int
+	bytes      int64
+	est        []float64
+	data       [][]float64
+}
+
+// runLadder walks the relative tolerances ladder on one session of cfg
+// and records every rung. seeded also passes each rung's relative
+// tolerance as InitRel, so Algorithm 3's seed moves with the rung.
+func runLadder(t *testing.T, ds *datagen.Dataset, vars []*Variable, cfg Config, ladder []float64, seeded bool) []rung {
+	t.Helper()
+	ranges := QoIRanges(ds.QoIs, ds.Fields)
+	rt, err := NewRetriever(vars, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []rung
+	for _, rel := range ladder {
+		req := Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}
+		if seeded {
+			req.InitRel = slices.Repeat([]float64{rel}, len(ds.QoIs))
 		}
-		res, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: tols})
+		res, err := rt.Retrieve(context.Background(), req)
 		if err != nil && !errors.Is(err, ErrExhausted) {
 			t.Fatalf("rung %g: %v", rel, err)
 		}
+		r := rung{iterations: res.Iterations, bytes: res.RetrievedBytes, est: res.EstErrors}
+		for _, d := range res.Data {
+			r.data = append(r.data, slices.Clone(d))
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// hashRungs hashes every rung's Iterations, RetrievedBytes, EstErrors and
+// reconstructions.
+func hashRungs(rungs []rung) string {
+	h := sha256.New()
+	var buf []byte
+	put := func(x uint64) { buf = binary.LittleEndian.AppendUint64(buf, x) }
+	for _, r := range rungs {
 		buf = buf[:0]
-		put(uint64(res.Iterations))
-		put(uint64(res.RetrievedBytes))
-		for _, e := range res.EstErrors {
+		put(uint64(r.iterations))
+		put(uint64(r.bytes))
+		for _, e := range r.est {
 			put(math.Float64bits(e))
 		}
-		for _, d := range res.Data {
+		for _, d := range r.data {
 			put(uint64(len(d)))
 			for _, x := range d {
 				put(math.Float64bits(x))
@@ -84,23 +180,83 @@ func hashLadder(t *testing.T, ds *datagen.Dataset, vars []*Variable, workers int
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func TestRetrieveGoldenHashes(t *testing.T) {
-	datasets := []*datagen.Dataset{
-		datagen.GE("GE", 200, 320, 42),
-		datagen.S3D(24, 32, 20, 1),
-		datagen.NYX(33, 17, 9, 2),
-	}
-	methods := []progressive.Method{progressive.PMGARDHB, progressive.PMGARD, progressive.PSZ3, progressive.PSZ3Delta}
-	for _, ds := range datasets {
-		for _, m := range methods {
-			name := fmt.Sprintf("%s/%s", ds.Name, m)
-			vars := refactorDataset(t, ds, m)
-			for _, workers := range []int{1, 2} {
-				got := hashLadder(t, ds, vars, workers)
-				if want, ok := retrieveGoldenHashes[name]; !ok || got != want {
-					t.Errorf("%s workers=%d: retrieval hash %s, want %s", name, workers, got, want)
-				}
+// sameRungs fails unless the default loop's rungs match the paper loop's
+// bit for bit in everything but Iterations, and take no more iterations.
+func sameRungs(t *testing.T, label string, aimed, paper []rung) {
+	t.Helper()
+	for i := range paper {
+		a, p := aimed[i], paper[i]
+		if a.iterations > p.iterations {
+			t.Errorf("%s rung %d: %d iterations, paper loop %d", label, i, a.iterations, p.iterations)
+		}
+		if a.bytes != p.bytes {
+			t.Errorf("%s rung %d: %d bytes, paper loop %d", label, i, a.bytes, p.bytes)
+		}
+		for k := range p.est {
+			if math.Float64bits(a.est[k]) != math.Float64bits(p.est[k]) {
+				t.Errorf("%s rung %d: estimate %d is %g, paper loop %g", label, i, k, a.est[k], p.est[k])
+			}
+		}
+		for v := range p.data {
+			if !slices.Equal(a.data[v], p.data[v]) {
+				t.Errorf("%s rung %d: variable %d reconstructs differently", label, i, v)
 			}
 		}
 	}
+}
+
+// TestRetrieveGoldenHashes pins both loops on the golden ladder with
+// absolute tolerances, at Workers 1 and 2.
+func TestRetrieveGoldenHashes(t *testing.T) {
+	t.Parallel()
+	forGoldenCases(t, func(t *testing.T, c goldenCase) {
+		for _, workers := range []int{1, 2} {
+			paper := runLadder(t, c.ds, c.vars, Config{Workers: workers, paperLoop: true}, retrieveLadder, false)
+			if got, want := hashRungs(paper), retrieveGoldenHashes[c.name]; got != want {
+				t.Errorf("%s workers=%d: paper-loop hash %s, want %s", c.name, workers, got, want)
+			}
+			aimed := runLadder(t, c.ds, c.vars, Config{Workers: workers}, retrieveLadder, false)
+			if got, want := hashRungs(aimed), aimGoldenHashes[c.name]; got != want {
+				t.Errorf("%s workers=%d: default-loop hash %s, want %s", c.name, workers, got, want)
+			}
+			sameRungs(t, fmt.Sprintf("%s workers=%d", c.name, workers), aimed, paper)
+		}
+	})
+}
+
+// TestAimMatchesPaperLoop holds the default loop to the paper loop rung by
+// rung where Algorithm 3's seed moves with the rung: the golden ladder
+// with InitRel at Workers 1 and 2, and a ladder three times as fine, from
+// 3e-1 to 1e-5, seeded and absolute at Workers 1; each ladder must take
+// fewer iterations in all. The hashed ladders above set no InitRel, so
+// their seed stays at 0.1 of each range.
+func TestAimMatchesPaperLoop(t *testing.T) {
+	t.Parallel()
+	fine := []float64{3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5}
+	ladders := []struct {
+		rungs   []float64
+		workers int
+		seeded  bool
+	}{
+		{retrieveLadder, 1, true},
+		{retrieveLadder, 2, true},
+		{fine, 1, true},
+		{fine, 1, false},
+	}
+	forGoldenCases(t, func(t *testing.T, c goldenCase) {
+		for _, l := range ladders {
+			label := fmt.Sprintf("%s %d rungs workers=%d seeded=%v", c.name, len(l.rungs), l.workers, l.seeded)
+			paper := runLadder(t, c.ds, c.vars, Config{Workers: l.workers, paperLoop: true}, l.rungs, l.seeded)
+			aimed := runLadder(t, c.ds, c.vars, Config{Workers: l.workers}, l.rungs, l.seeded)
+			sameRungs(t, label, aimed, paper)
+			pi, ai := 0, 0
+			for i := range paper {
+				pi += paper[i].iterations
+				ai += aimed[i].iterations
+			}
+			if ai >= pi {
+				t.Errorf("%s: %d iterations, paper loop %d", label, ai, pi)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -65,17 +66,18 @@ func checkAgainstFresh(t *testing.T, rt *Retriever, req *Request, label string) 
 	}
 }
 
-// TestEstimateMemoOnTwoRungLadder counts the targets estimated on a
-// two-rung GE ladder. The first iteration of the session estimates all six;
-// the first iteration of the second rung estimates none, since no reader
-// has moved since the first rung certified; every other iteration
-// estimates exactly the targets one of whose variables moved.
+// TestEstimateMemoOnTwoRungLadder counts the targets the paper loop
+// estimates on a two-rung GE ladder. The first iteration of the session
+// estimates all six; the first iteration of the second rung estimates
+// none, since no reader has moved since the first rung certified; every
+// other iteration estimates exactly the targets one of whose variables
+// moved. The paper loop keeps the second rung at two iterations.
 func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 	ds := smallGE()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
 	var calls atomic.Int64
-	rt, err := NewRetriever(vars, Config{Estimator: countingEstimator(&calls)}, nil)
+	rt, err := NewRetriever(vars, Config{Estimator: countingEstimator(&calls), paperLoop: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,29 +127,35 @@ func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 	}
 }
 
+// disjointQoIs parses two targets over disjoint variable sets anew, so
+// each request carries QoI values of its own.
+func disjointQoIs(t *testing.T, names []string) []qoi.QoI {
+	t.Helper()
+	var out []qoi.QoI
+	for _, src := range []string{"VelocityX^2 + VelocityY", "Pressure / Density"} {
+		e, err := qoi.Parse(src, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, qoi.QoI{Name: src, Expr: e})
+	}
+	return out
+}
+
 // TestEstimateMemoPerTarget: in a request over disjoint variable sets, a
 // target whose variables stay put keeps its estimate, and its bound is
 // evaluated at no point, while another target's variables move, across
-// requests whose QoI values are parsed anew each time.
+// requests whose QoI values are parsed anew each time. It runs the paper
+// loop, whose tightened rung takes more than one iteration.
 func TestEstimateMemoPerTarget(t *testing.T) {
 	ds := smallGE()
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
-	parse := func() []qoi.QoI {
-		var out []qoi.QoI
-		for _, src := range []string{"VelocityX^2 + VelocityY", "Pressure / Density"} {
-			e, err := qoi.Parse(src, ds.FieldNames)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, qoi.QoI{Name: src, Expr: e})
-		}
-		return out
-	}
+	parse := func() []qoi.QoI { return disjointQoIs(t, ds.FieldNames) }
 	still := parse()[1].Expr.String()
 	// Bound evaluations of every target, and of the target that stays put.
 	// The estimator runs on several workers at once.
 	var calls, points atomic.Int64
-	rt, err := NewRetriever(vars, Config{Estimator: func(e qoi.Expr, vals, ebs []float64) (float64, float64) {
+	rt, err := NewRetriever(vars, Config{paperLoop: true, Estimator: func(e qoi.Expr, vals, ebs []float64) (float64, float64) {
 		calls.Add(1)
 		if e.String() == still {
 			points.Add(1)
@@ -265,5 +273,79 @@ func TestEstimateMemoAfterCancelledAdvance(t *testing.T) {
 		if actual[k] > res.EstErrors[k] {
 			t.Fatalf("%s: actual %g above certified %g", ds.QoIs[k].Name, actual[k], res.EstErrors[k])
 		}
+	}
+}
+
+// TestEstimateMemoAimPass holds the default loop's estimate count to the
+// paper loop's: on a warm rung the aim pass takes the place of the paper
+// loop's first estimate, at the seed, so both loops estimate as many
+// targets per rung, with absolute tolerances and with relative ones that
+// seed Algorithm 3. Then, in a request over disjoint variable sets whose
+// seed moves only one target's variables, the pass evaluates that target
+// and no point of the other.
+func TestEstimateMemoAimPass(t *testing.T) {
+	ds := smallGE()
+	ranges := QoIRanges(ds.QoIs, ds.Fields)
+	vars := refactorDataset(t, ds, progressive.PMGARDHB)
+	ne, nq := ds.NumElements(), len(ds.QoIs)
+	ladder := []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5}
+	for _, seeded := range []bool{false, true} {
+		// targets[l][r] counts the targets loop l estimates on rung r.
+		var targets [2][]int
+		for l, paper := range []bool{true, false} {
+			var calls atomic.Int64
+			rt, err := NewRetriever(vars, Config{Estimator: countingEstimator(&calls), paperLoop: paper}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rel := range ladder {
+				req := Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}
+				if seeded {
+					req.InitRel = slices.Repeat([]float64{rel}, nq)
+				}
+				res, err := rt.Retrieve(context.Background(), req)
+				if err != nil {
+					t.Fatalf("rung %g: %v", rel, err)
+				}
+				targets[l] = append(targets[l], passes(t, calls.Swap(0), ne, nq*(res.Iterations+1)))
+			}
+		}
+		if !slices.Equal(targets[0], targets[1]) {
+			t.Errorf("seeded=%v: targets estimated per rung %v, paper loop %v", seeded, targets[1], targets[0])
+		}
+	}
+
+	still := disjointQoIs(t, ds.FieldNames)[1].Expr.String()
+	var moved, points atomic.Int64
+	rt, err := NewRetriever(vars, Config{Estimator: func(e qoi.Expr, vals, ebs []float64) (float64, float64) {
+		if e.String() == still {
+			points.Add(1)
+		} else {
+			moved.Add(1)
+		}
+		return qoi.TheoremBound(e, vals, ebs)
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qois := disjointQoIs(t, ds.FieldNames)
+	ranges = QoIRanges(qois, ds.Fields)
+	if _, err := rt.Retrieve(context.Background(), Request{QoIs: qois, Tolerances: relTols(1e-2, ranges)}); err != nil {
+		t.Fatal(err)
+	}
+	moved.Store(0)
+	points.Store(0)
+	// Seed only the first target's variables at its new tolerance.
+	req := Request{QoIs: disjointQoIs(t, ds.FieldNames), Tolerances: []float64{1e-5 * ranges[0], 1e-2 * ranges[1]}, InitRel: []float64{1e-5, 0}}
+	res, err := rt.Retrieve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := points.Load(); n != 0 {
+		t.Fatalf("the target the seed leaves unmoved was evaluated at %d points", n)
+	}
+	// The pass and every iteration estimate the moving target afresh.
+	if got, want := passes(t, moved.Load(), ne, res.Iterations+1), res.Iterations+1; got != want {
+		t.Fatalf("%d iterations estimated the moving target %d times, want %d", res.Iterations, got, want)
 	}
 }

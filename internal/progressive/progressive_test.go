@@ -223,6 +223,45 @@ func TestAdvanceIdempotentAndMonotone(t *testing.T) {
 	}
 }
 
+// TestReachMatchesAdvance sweeps a session's target down through every
+// method's representation: Reach, asked first, names the bound Advance
+// then ends on, unless the plan exhausts the reader, where Advance may
+// end lower but never higher. A looser target reaches the current bound.
+func TestReachMatchesAdvance(t *testing.T) {
+	dims := []int{33, 17}
+	data := smoothField(dims)
+	for _, m := range allMethods {
+		for _, tail := range []bool{false, true} {
+			ref, err := Refactor(data, dims, Options{Method: m, LosslessTail: tail})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd, err := NewReader(ref, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for target := 300.0; target > 1e-14; target /= 3 {
+				plan := rd.Plan(target)
+				exhausts := len(plan) > 0 && plan[len(plan)-1] == len(ref.Fragments)-1
+				reach := rd.Reach(target)
+				got, err := rd.Advance(context.Background(), target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != reach && !(exhausts && got < reach) {
+					t.Fatalf("%s tail=%v target %g: Reach %g, Advance ended on %g (exhausts %v)", m, tail, target, reach, got, exhausts)
+				}
+				if r := rd.Reach(10 * target); r != rd.Bound() {
+					t.Fatalf("%s tail=%v: looser target reaches %g, bound is %g", m, tail, r, rd.Bound())
+				}
+			}
+			if !rd.Exhausted() {
+				t.Fatalf("%s tail=%v: the sweep never exhausted the reader", m, tail)
+			}
+		}
+	}
+}
+
 func TestAdvanceRejectsBadTarget(t *testing.T) {
 	dims := []int{16}
 	ref, _ := Refactor(smoothField(dims), dims, Options{Method: PMGARDHB})

@@ -185,6 +185,19 @@ func (rd *Reader) Plan(target float64) []int {
 	}
 }
 
+// Reach returns the bound Advance(target) would end on, without fetching
+// or ingesting anything: the PrefixBounds entry of the last fragment
+// Plan(target) reports, or the current bound when the plan is empty. A
+// plan that exhausts a PMGARD representation may end lower, on the
+// residual truncation bound, but never higher.
+func (rd *Reader) Reach(target float64) float64 {
+	plan := rd.Plan(target)
+	if len(plan) == 0 {
+		return rd.bound
+	}
+	return rd.src.PrefixBounds[plan[len(plan)-1]]
+}
+
 // Advance ingests fragments until the guaranteed bound is ≤ target or the
 // representation is exhausted. target must be non-negative. It returns the
 // achieved bound. The fragments ingested are exactly those Plan(target)

@@ -568,8 +568,9 @@ type Request struct {
 	// OnProgress, when set, fires after every certify-loop iteration with
 	// the current per-QoI estimated errors and cumulative byte counts —
 	// render convergence, or cancel the Do context from inside the
-	// callback to stop early and keep the best-effort Result. It runs on
-	// the retrieving goroutine.
+	// callback to stop early and keep the best-effort Result. A Do on a
+	// session that holds data usually certifies in one iteration, and so
+	// reports once. It runs on the retrieving goroutine.
 	OnProgress func(Iteration)
 }
 

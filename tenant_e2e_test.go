@@ -36,9 +36,6 @@ import (
 var tenantRequestsRe = regexp.MustCompile(`(?m)^progqoid_tenant_requests_total\{tenant="([^"]+)",class="[^"]+"\} (\d+)$`)
 
 func TestTenantQoSEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-tenant cluster e2e is not a -short test")
-	}
 	ctx := context.Background()
 	sc := bench.DefaultScenario()
 	cl, err := bench.StartCluster(ctx, sc)
