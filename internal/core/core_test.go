@@ -17,12 +17,14 @@ import (
 // smallGE builds a fast GE stand-in for unit tests.
 func smallGE() *datagen.Dataset { return datagen.GE("GE-test", 12, 256, 99) }
 
+// refactorOptions are the options the tests refactor with.
+func refactorOptions(method progressive.Method) RefactorOptions {
+	return RefactorOptions{Progressive: progressive.Options{Method: method, LosslessTail: true}, MaskZeros: true}
+}
+
 func refactorDataset(t *testing.T, ds *datagen.Dataset, method progressive.Method) []*Variable {
 	t.Helper()
-	vars, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, RefactorOptions{
-		Progressive: progressive.Options{Method: method, LosslessTail: true},
-		MaskZeros:   true,
-	})
+	vars, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, refactorOptions(method))
 	if err != nil {
 		t.Fatal(err)
 	}

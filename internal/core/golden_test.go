@@ -91,10 +91,7 @@ var goldenCases = sync.OnceValues(func() ([]goldenCase, error) {
 		datagen.NYX(33, 17, 9, 2),
 	} {
 		for _, m := range goldenMethods {
-			vars, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, RefactorOptions{
-				Progressive: progressive.Options{Method: m, LosslessTail: true},
-				MaskZeros:   true,
-			})
+			vars, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, refactorOptions(m))
 			if err != nil {
 				return nil, err
 			}
