@@ -72,21 +72,26 @@ func TestOpenRefGrammar(t *testing.T) {
 	defer hs.Close()
 
 	for _, tc := range []struct {
+		name  string // subtest name when ref holds a per-run path or port
 		ref   string
 		opts  []RemoteOption
 		store bool // fragments read from the store on demand
 	}{
 		{ref: "sub/rel"},
 		{ref: "here"},
-		{ref: abs + "/absds"},
+		{name: "abs/absds", ref: abs + "/absds"},
 		{ref: "file://sub/rel"},
-		{ref: "file://" + abs + "/absds"},
+		{name: "file://abs/absds", ref: "file://" + abs + "/absds"},
 		{ref: "file://here"},
 		{ref: "s3://" + e2eBucket + "/rootds", opts: s3, store: true},
 		{ref: "s3://" + e2eBucket + "/a/b/deepds", opts: s3, store: true},
-		{ref: hs.URL + "/httpds"},
+		{name: "http/httpds", ref: hs.URL + "/httpds"},
 	} {
-		t.Run(tc.ref, func(t *testing.T) {
+		name := tc.name
+		if name == "" {
+			name = tc.ref
+		}
+		t.Run(name, func(t *testing.T) {
 			a, err := Open(ctx, tc.ref, tc.opts...)
 			if err != nil {
 				t.Fatalf("Open(%q): %v", tc.ref, err)
