@@ -184,7 +184,15 @@ func TestShardedBatchSplitsAcrossNodes(t *testing.T) {
 // base order every time, not the one whose POST finished first.
 func TestShardErrorIndependentOfCompletionOrder(t *testing.T) {
 	vars := testVars(t)
+	const calls = 20
+	// Call i delays node i%2: its handler answers only once the other
+	// node's error is on the wire (answered[i] closed), or its own request
+	// has ended.
 	var call atomic.Int64
+	answered := make([]chan struct{}, calls)
+	for i := range answered {
+		answered[i] = make(chan struct{})
+	}
 	node := func(id int64, status int) *httptest.Server {
 		return serviceFor(t, vars, func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -192,10 +200,18 @@ func TestShardErrorIndependentOfCompletionOrder(t *testing.T) {
 					next.ServeHTTP(w, r)
 					return
 				}
-				if call.Load()%2 == id {
-					time.Sleep(20 * time.Millisecond)
+				i := call.Load()
+				if i%2 == id {
+					select {
+					case <-answered[i]:
+					case <-r.Context().Done():
+					}
+					http.Error(w, http.StatusText(status), status)
+					return
 				}
 				http.Error(w, http.StatusText(status), status)
+				w.(http.Flusher).Flush()
+				close(answered[i])
 			})
 		})
 	}
@@ -209,7 +225,7 @@ func TestShardErrorIndependentOfCompletionOrder(t *testing.T) {
 		want = http.StatusNotFound
 	}
 	var first string
-	for i := int64(0); i < 20; i++ {
+	for i := int64(0); i < calls; i++ {
 		call.Store(i)
 		_, err := c.FragmentsWorkers(context.Background(), "ge", allWants(vars), 2)
 		var he *HTTPError

@@ -134,33 +134,110 @@ func Inflate(data []byte, maxSize int64) ([]byte, error) {
 }
 
 // Tagged fragments: one tag byte, then the payload — 0 = raw, 1 = DEFLATE.
-// The writer stores the DEFLATE form only when it is strictly smaller than
-// the raw bytes (FORMATS.md).
+// The writer stores the DEFLATE form only when it attempted it and it is
+// strictly smaller than the raw bytes; it skips the attempt where
+// incompressible says DEFLATE will not shrink them (FORMATS.md).
 
 // taggedLevel is the DEFLATE level of every tagged fragment; changing it
 // changes stored bytes.
 const taggedLevel = 6
 
+// maxPredicted is the largest input incompressible judges: up to it,
+// 9216·Σc² ≤ 9216·n² < 2⁶² cannot overflow a uint64. Anything larger
+// takes the DEFLATE attempt.
+const maxPredicted = 1 << 24
+
+// incompressible reports that level-6 DEFLATE will not shrink raw, so
+// PutTagged may store it raw without the attempt.
+//
+// Under 10 bytes this is exact. compress/flate closes every stream with an
+// empty stored block (3 bits, padding, 4 bytes), and a block carrying two
+// or more bytes costs at least 30 bits: a fixed-code literal, a match and
+// end-of-block. So the stream is at least 9 bytes long (7 for one byte, 5
+// for none) and never shorter than the input.
+//
+// From 16 bytes to maxPredicted it is a prediction, and both halves of the
+// test must say the bytes look like uniform noise:
+//
+//   - Huffman coding: the 256-bin byte histogram passes a χ² test against
+//     uniform, χ² = 256·Σc²/n − n ≤ 255 + n/36, in integers
+//     9216·Σc² ≤ n·(37n + 9180);
+//   - LZ matches, which a histogram cannot see: a 4096-slot table holding
+//     the last 4-byte window per hash sees at most n/4096 + 2 exact
+//     repeats of a non-zero window. Noise repeats about once per 2²⁰
+//     windows; a block repeated 8 KiB later still finds about one window
+//     in seven in its slot.
+//
+// The arithmetic is integer only, so every platform and worker count
+// writes the same bytes. The prediction agrees with the attempt on every
+// fragment of the generated datasets, which TestPredictorCorpusZeroLoss
+// and the pack golden hashes check. Other sizes take the attempt.
+func incompressible(raw []byte) bool {
+	n := len(raw)
+	if n < 10 {
+		return true
+	}
+	if n < 16 || n > maxPredicted {
+		return false
+	}
+	var hist [256]uint32
+	for _, c := range raw {
+		hist[c]++
+	}
+	var sq uint64
+	for _, c := range hist {
+		sq += uint64(c) * uint64(c)
+	}
+	if un := uint64(n); 9216*sq > un*(37*un+9180) {
+		return false
+	}
+	var last [4096]uint32
+	repeats, limit := 0, n/4096+2
+	v := uint32(raw[0])<<8 | uint32(raw[1])<<16 | uint32(raw[2])<<24
+	for _, c := range raw[3:] {
+		v = v>>8 | uint32(c)<<24 // the little-endian window ending at c
+		if v == 0 {
+			continue
+		}
+		h := v * 2654435761 >> 20
+		if last[h] == v {
+			if repeats++; repeats > limit {
+				return false
+			}
+		}
+		last[h] = v
+	}
+	return true
+}
+
 // PutTagged frames raw as a tagged fragment.
 func PutTagged(raw []byte) ([]byte, error) {
+	if incompressible(raw) {
+		return tagged(0, raw), nil
+	}
 	z, err := compress(raw, taggedLevel)
 	if err != nil {
 		return nil, err
 	}
 	defer z.release()
-	tag, payload := byte(0), raw
 	if c := z.buf.Bytes(); len(c) < len(raw) {
-		tag, payload = 1, c
+		return tagged(1, c), nil
 	}
+	return tagged(0, raw), nil
+}
+
+// tagged returns tag followed by a copy of payload.
+func tagged(tag byte, payload []byte) []byte {
 	out := make([]byte, 1+len(payload))
 	out[0] = tag
 	copy(out[1:], payload)
-	return out, nil
+	return out
 }
 
 // GetTagged returns the payload of a tagged fragment, which must be exactly
 // size bytes. A raw payload aliases frag; a DEFLATE payload is inflated
-// into one new buffer of that size.
+// into one new buffer of that size. Anything else, a negative size
+// included, is ErrCorrupt.
 func GetTagged(frag []byte, size int) ([]byte, error) {
 	if len(frag) == 0 {
 		return nil, fmt.Errorf("%w: empty fragment", ErrCorrupt)
@@ -170,8 +247,18 @@ func GetTagged(frag []byte, size int) ([]byte, error) {
 	case 0:
 		raw = frag[1:]
 	case 1:
+		if size < 0 {
+			return nil, fmt.Errorf("%w: negative fragment size %d", ErrCorrupt, size)
+		}
+		// A 258-byte match costs DEFLATE at least 2 bits, so the payload
+		// inflates to at most 1032 bytes per byte: reserve no more than
+		// that, whatever size claims.
+		reserve := size
+		if c := len(frag) - 1; c < size/1032 {
+			reserve = 1032 * c
+		}
 		var err error
-		if raw, err = inflateAppend(make([]byte, 0, size), frag[1:], size); err != nil {
+		if raw, err = inflateAppend(make([]byte, 0, reserve), frag[1:], size); err != nil {
 			return nil, err
 		}
 	default:

@@ -176,6 +176,7 @@ func TestGetTaggedCorrupt(t *testing.T) {
 		"deflate too long":  {zeros, 100},
 		"deflate too short": {zeros, 1<<16 + 1},
 		"deflate, size 0":   {zeros, 0},
+		"negative size":     {zeros, -1},
 	}
 	for name, c := range cases {
 		if _, err := GetTagged(c.frag, c.size); !errors.Is(err, ErrCorrupt) {
@@ -202,5 +203,109 @@ func TestInflateGrowsWithOutput(t *testing.T) {
 	}
 	if _, err := Inflate(c, 4); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("limit 4: got %v, want ErrCorrupt", err)
+	}
+}
+
+// periodicPlane is a 28 KiB plane made of one random 8 KiB block repeated:
+// its byte histogram is as flat as noise, but every window recurs 8 KiB
+// later, so level-6 DEFLATE shrinks it to about one block.
+func periodicPlane() []byte {
+	block := make([]byte, 8<<10)
+	rand.New(rand.NewSource(8)).Read(block)
+	plane := make([]byte, 0, 28<<10)
+	for len(plane) < cap(plane) {
+		plane = append(plane, block[:min(len(block), cap(plane)-len(plane))]...)
+	}
+	return plane
+}
+
+// TestTaggedPeriodicPlane: a plane whose histogram passes the χ² half of
+// the predictor must still be stored as DEFLATE when DEFLATE shrinks it.
+// A histogram-only rule would store it raw; the repeat probe keeps it.
+func TestTaggedPeriodicPlane(t *testing.T) {
+	raw := periodicPlane()
+	var hist [256]uint64
+	for _, c := range raw {
+		hist[c]++
+	}
+	var sq uint64
+	for _, c := range hist {
+		sq += c * c
+	}
+	if n := uint64(len(raw)); 9216*sq > n*(37*n+9180) {
+		t.Fatal("the histogram already rejects the plane; it no longer tests the repeat probe")
+	}
+	c := freshDeflate(t, raw, 6)
+	if len(c) > 9<<10 {
+		t.Fatalf("DEFLATE gives %d bytes, want about one 8 KiB block", len(c))
+	}
+	frag, err := PutTagged(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frag, append([]byte{1}, c...)) {
+		t.Fatalf("stored with tag %d in %d bytes, want tag 1 and the %d-byte DEFLATE stream", frag[0], len(frag), len(c))
+	}
+	got, err := GetTagged(frag, len(raw))
+	if err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("round trip: %v", err)
+	}
+}
+
+// FuzzTagged: on any bytes and any size GetTagged returns a payload of
+// exactly size bytes or ErrCorrupt, and PutTagged round-trips any input.
+// The seed corpus in testdata/fuzz/FuzzTagged holds a raw frame, a DEFLATE
+// frame, the periodic plane and a truncated DEFLATE stream.
+func FuzzTagged(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frag []byte, size int) {
+		got, err := GetTagged(frag, size)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("GetTagged: %v is not ErrCorrupt", err)
+		}
+		if err == nil && len(got) != size {
+			t.Fatalf("GetTagged returned %d bytes, want %d", len(got), size)
+		}
+		framed, err := PutTagged(frag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := GetTagged(framed, len(frag))
+		if err != nil || !bytes.Equal(back, frag) {
+			t.Fatalf("PutTagged does not round-trip %d bytes: %v", len(frag), err)
+		}
+	})
+}
+
+// TestTaggedShortInputsEndRaw: under 10 bytes PutTagged skips the attempt
+// without a test, because no level-6 stream is shorter than its input
+// there. Zero runs and short periods are what DEFLATE shrinks best.
+func TestTaggedShortInputsEndRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for n := 0; n < 10; n++ {
+		for k := 0; k < 200; k++ {
+			raw := make([]byte, n)
+			switch k % 3 {
+			case 0:
+				rng.Read(raw)
+			case 1:
+				for i := range raw {
+					raw[i] = byte(k)
+				}
+			case 2:
+				for i := range raw {
+					raw[i] = byte(i % (1 + k%4))
+				}
+			}
+			if c := freshDeflate(t, raw, 6); len(c) < n {
+				t.Fatalf("%d bytes %x deflate to %d", n, raw, len(c))
+			}
+			frag, err := PutTagged(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frag, append([]byte{0}, raw...)) {
+				t.Fatalf("%d bytes %x: not stored raw", n, raw)
+			}
+		}
 	}
 }
