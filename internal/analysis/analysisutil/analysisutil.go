@@ -23,7 +23,7 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"progqoi/internal/analysis"
 )
 
 // DirectivePrefix introduces a suppression comment.
@@ -89,8 +89,26 @@ func PkgMatch(list, path string) bool {
 	return false
 }
 
+// WalkStack is the analyzers' one AST walk: it visits every node of
+// files in preorder, with the path to it, from the *ast.File down to n
+// itself (stack[len(stack)-2] is n's parent). fn must not retain stack.
+func WalkStack(files []*ast.File, fn func(n ast.Node, stack []ast.Node)) {
+	var stack []ast.Node
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return false
+			}
+			stack = append(stack, n)
+			fn(n, stack)
+			return true
+		})
+	}
+}
+
 // FuncFor returns the innermost function enclosing the node at the top
-// of stack (a WithStack stack, outermost first): the body of a FuncDecl
+// of stack (a WalkStack stack, outermost first): the body of a FuncDecl
 // or FuncLit, or nil at package scope.
 func FuncFor(stack []ast.Node) ast.Node {
 	for i := len(stack) - 1; i >= 0; i-- {

@@ -1,7 +1,6 @@
-// Package analyzertest is a self-contained replacement for
-// golang.org/x/tools/go/analysis/analysistest, which the hermetically
-// vendored x/tools subset under third_party does not include (it would
-// drag in go/packages and its exec-based loader).
+// Package analyzertest runs one progqoivet analyzer over a fixture
+// package and checks its diagnostics, in the manner of x/tools'
+// analysistest but on the standard library alone.
 //
 // It loads a fixture package from testdata/src/<pkg> GOPATH-style,
 // typechecks it against the standard library (via the source importer,
@@ -35,9 +34,7 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"progqoi/internal/analysis"
 )
 
 // Run loads testdata/src/<pkg> relative to the calling test's package
@@ -131,15 +128,7 @@ func (l *loader) load(path string) (*loaded, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
+	info := analysis.NewInfo()
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
@@ -150,23 +139,17 @@ func (l *loader) load(path string) (*loaded, error) {
 	return lp, nil
 }
 
-// runAnalyzer builds a Pass by hand (computing the inspect.Analyzer
-// dependency directly) and collects the diagnostics.
+// runAnalyzer runs a over the fixture and collects its diagnostics.
 func runAnalyzer(a *analysis.Analyzer, ld *loader, lp *loaded) ([]analysis.Diagnostic, error) {
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       ld.fset,
-		Files:      lp.files,
-		Pkg:        lp.pkg,
-		TypesInfo:  lp.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf: map[*analysis.Analyzer]any{
-			inspect.Analyzer: inspector.New(lp.files),
-		},
-		Report: func(d analysis.Diagnostic) { diags = append(diags, d) },
+		Fset:      ld.fset,
+		Files:     lp.files,
+		Pkg:       lp.pkg,
+		TypesInfo: lp.info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
-	if _, err := a.Run(pass); err != nil {
+	if err := a.Run(pass); err != nil {
 		return nil, err
 	}
 	return diags, nil

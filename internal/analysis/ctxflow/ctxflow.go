@@ -30,10 +30,7 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"progqoi/internal/analysis"
 	"progqoi/internal/analysis/analysisutil"
 )
 
@@ -48,10 +45,9 @@ const name = "ctxflow"
 
 // Analyzer is the ctxflow analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: name,
+	Doc:  doc,
+	Run:  run,
 }
 
 // bareHTTPFuncs are package-level net/http helpers that build requests
@@ -66,17 +62,16 @@ var bareClientMethods = map[string]bool{
 	"Get": true, "Head": true, "Post": true, "PostForm": true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
+func run(pass *analysis.Pass) error {
+	analysisutil.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		call := n.(*ast.CallExpr)
 		obj := analysisutil.Callee(pass.TypesInfo, call)
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil {
-			return true
+			return
 		}
 		switch {
 		case fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO"):
@@ -85,7 +80,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if analysisutil.InTestFile(pass, call.Pos()) {
 				// Tests may fire quick context-free requests at httptest
 				// servers; the invariant protects production sessions.
-				return true
+				return
 			}
 			sig, _ := fn.Type().(*types.Signature)
 			switch {
@@ -96,9 +91,8 @@ func run(pass *analysis.Pass) (any, error) {
 				report(pass, call, "(*http.Client)."+fn.Name()+" builds a request without a context; use http.NewRequestWithContext + Do so the session's cancel and deadline reach the wire")
 			}
 		}
-		return true
 	})
-	return nil, nil
+	return nil
 }
 
 // checkRootContext reports a context.Background/TODO call unless it is in

@@ -27,10 +27,7 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"progqoi/internal/analysis"
 	"progqoi/internal/analysis/analysisutil"
 )
 
@@ -45,10 +42,9 @@ const name = "errwrapcheck"
 
 // Analyzer is the errwrapcheck analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: name,
+	Doc:  doc,
+	Run:  run,
 }
 
 // isSentinel reports whether e resolves to a package-level error
@@ -80,9 +76,8 @@ func isSentinel(info *types.Info, e ast.Expr) (types.Object, bool) {
 	return nil, false
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.BinaryExpr)(nil), (*ast.CallExpr)(nil)}, func(n ast.Node) {
+func run(pass *analysis.Pass) error {
+	analysisutil.WalkStack(pass.Files, func(n ast.Node, _ []ast.Node) {
 		switch x := n.(type) {
 		case *ast.BinaryExpr:
 			checkComparison(pass, x)
@@ -90,7 +85,7 @@ func run(pass *analysis.Pass) (any, error) {
 			checkErrorf(pass, x)
 		}
 	})
-	return nil, nil
+	return nil
 }
 
 // checkComparison flags == / != against a sentinel error variable.

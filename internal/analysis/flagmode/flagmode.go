@@ -14,10 +14,7 @@ package flagmode
 import (
 	"go/ast"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"progqoi/internal/analysis"
 	"progqoi/internal/analysis/analysisutil"
 )
 
@@ -32,17 +29,15 @@ const name = "flagmode"
 
 // Analyzer is the flagmode analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: name,
+	Doc:  doc,
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		if !analysisutil.IsPkgFunc(analysisutil.Callee(pass.TypesInfo, call), "flag", "NewFlagSet") {
+func run(pass *analysis.Pass) error {
+	analysisutil.WalkStack(pass.Files, func(n ast.Node, _ []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !analysisutil.IsPkgFunc(analysisutil.Callee(pass.TypesInfo, call), "flag", "NewFlagSet") {
 			return
 		}
 		if len(call.Args) != 2 {
@@ -63,5 +58,5 @@ func run(pass *analysis.Pass) (any, error) {
 			"flag.NewFlagSet must use flag.ContinueOnError, not %s: ExitOnError/PanicOnError bypass the command's error path (see the PR 4/PR 5 progqoid and progqoi fixes)",
 			analysisutil.ExprString(call.Args[1]))
 	})
-	return nil, nil
+	return nil
 }

@@ -1,0 +1,4 @@
+package lockguard
+
+// Pkgs lets the fixture test clear the package scope.
+var Pkgs = &pkgs

@@ -46,17 +46,13 @@
 package lockguard
 
 import (
-	"flag"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
 	"sort"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"progqoi/internal/analysis"
 	"progqoi/internal/analysis/analysisutil"
 )
 
@@ -71,22 +67,15 @@ const name = "lockguard"
 
 // Analyzer is the lockguard analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: name,
+	Doc:  doc,
+	Run:  run,
 }
 
-// pkgs restricts the check to the concurrency-bearing packages; empty
-// means every package (used by the fixture tests).
-var pkgs string
-
-func init() {
-	Analyzer.Flags.Init("lockguard", flag.ContinueOnError)
-	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"progqoi/internal/server,progqoi/internal/client,progqoi/internal/lru,progqoi/internal/obs,progqoi/internal/storage",
-		"comma-separated package paths the check applies to (empty: all)")
-}
+// pkgs restricts the check to the concurrency-bearing packages: a
+// comma-separated list of paths, empty for every package (the fixture
+// tests clear it).
+var pkgs = "progqoi/internal/server,progqoi/internal/client,progqoi/internal/lru,progqoi/internal/obs,progqoi/internal/storage"
 
 // guardRe extracts the mutex name from a field comment.
 var guardRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
@@ -109,39 +98,37 @@ type lockEvent struct {
 	deferred bool
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	if !analysisutil.PkgMatch(pkgs, pass.Pkg.Path()) {
-		return nil, nil
+		return nil
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	guards := collectGuards(pass, ins)
+	guards := collectGuards(pass)
 	if len(guards) == 0 {
-		return nil, nil
+		return nil
 	}
 
 	events := map[ast.Node][]lockEvent{} // per top-level function, sorted
 
-	ins.WithStack([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
+	analysisutil.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return
 		}
-		sel := n.(*ast.SelectorExpr)
 		selection, ok := pass.TypesInfo.Selections[sel]
 		if !ok || selection.Kind() != types.FieldVal {
-			return true
+			return
 		}
 		fieldVar, ok := selection.Obj().(*types.Var)
 		if !ok {
-			return true
+			return
 		}
 		g, ok := guards[fieldVar]
 		if !ok {
-			return true
+			return
 		}
 		fn := outermostFunc(stack)
 		if fn == nil {
-			return true
+			return
 		}
 		evs, ok := events[fn]
 		if !ok {
@@ -151,11 +138,11 @@ func run(pass *analysis.Pass) (any, error) {
 		base := analysisutil.ExprString(sel.X)
 		write := isWrite(stack, sel)
 		if held(evs, sel.Pos(), base, g, write) {
-			return true
+			return
 		}
 		if f := analysisutil.FileFor(pass, sel.Pos()); f != nil &&
 			analysisutil.Allowed(pass, f, sel.Pos(), name) {
-			return true
+			return
 		}
 		kind := "read"
 		if write {
@@ -164,17 +151,19 @@ func run(pass *analysis.Pass) (any, error) {
 		pass.Reportf(sel.Sel.Pos(),
 			"%s of %s.%s without holding %s.%s (field is annotated \"guarded by %s\"; the PR 4 /healthz race is this exact bug)",
 			kind, base, sel.Sel.Name, base, g.mutex, g.mutex)
-		return true
 	})
-	return nil, nil
+	return nil
 }
 
 // collectGuards finds every annotated struct field and validates that
 // the named mutex is a sibling field of a sync mutex type.
-func collectGuards(pass *analysis.Pass, ins *inspector.Inspector) map[*types.Var]guard {
+func collectGuards(pass *analysis.Pass) map[*types.Var]guard {
 	guards := map[*types.Var]guard{}
-	ins.Preorder([]ast.Node{(*ast.StructType)(nil)}, func(n ast.Node) {
-		st := n.(*ast.StructType)
+	analysisutil.WalkStack(pass.Files, func(n ast.Node, _ []ast.Node) {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return
+		}
 		for _, field := range st.Fields.List {
 			name, ok := guardAnnotation(field)
 			if !ok {

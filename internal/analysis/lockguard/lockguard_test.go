@@ -10,8 +10,6 @@ import (
 func TestLockGuard(t *testing.T) {
 	// The production default restricts the check to the concurrency
 	// packages; fixtures run it everywhere.
-	if err := lockguard.Analyzer.Flags.Set("pkgs", ""); err != nil {
-		t.Fatal(err)
-	}
+	*lockguard.Pkgs = ""
 	analyzertest.Run(t, lockguard.Analyzer, "lockfix")
 }

@@ -14,63 +14,50 @@
 package slogonly
 
 import (
-	"flag"
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"progqoi/internal/analysis"
 	"progqoi/internal/analysis/analysisutil"
 )
 
 const doc = `check that the serving path logs through log/slog only
 
-Within the configured packages (default: progqoi/internal/server and
-progqoi/cmd/progqoid) any use of the stdlib log package or of
-fmt.Print/Printf/Println (which write to process stdout) is reported,
-except inside func main. Structured serving logs are a PR 6 invariant:
-records must carry attributes and respect -log-format/-log-level.`
+Within progqoi/internal/server and progqoi/cmd/progqoid any use of the
+stdlib log package or of fmt.Print/Printf/Println (which write to
+process stdout) is reported, except inside func main. Structured serving
+logs are a PR 6 invariant: records must carry attributes and respect
+-log-format/-log-level.`
 
 const name = "slogonly"
 
 // Analyzer is the slogonly analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: name,
+	Doc:  doc,
+	Run:  run,
 }
 
-// pkgs restricts the check to the serving path; empty means every
-// package (used by the fixture tests).
-var pkgs string
-
-func init() {
-	Analyzer.Flags.Init("slogonly", flag.ContinueOnError)
-	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"progqoi/internal/server,progqoi/cmd/progqoid",
-		"comma-separated package paths the check applies to (empty: all)")
-}
+// pkgs restricts the check to the serving path: a comma-separated list
+// of paths, empty for every package (the fixture tests clear it).
+var pkgs = "progqoi/internal/server,progqoi/cmd/progqoid"
 
 // bannedFmt are the fmt functions that write to implicit stdout.
 var bannedFmt = map[string]bool{"Print": true, "Printf": true, "Println": true}
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	if !analysisutil.PkgMatch(pkgs, pass.Pkg.Path()) {
-		return nil, nil
+		return nil
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
+	analysisutil.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		call := n.(*ast.CallExpr)
 		obj := analysisutil.Callee(pass.TypesInfo, call)
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil {
-			return true
+			return
 		}
 		var what string
 		switch {
@@ -79,23 +66,22 @@ func run(pass *analysis.Pass) (any, error) {
 		case fn.Pkg().Path() == "fmt" && bannedFmt[fn.Name()]:
 			what = "fmt." + fn.Name()
 		default:
-			return true
+			return
 		}
 		if analysisutil.InTestFile(pass, call.Pos()) {
-			return true
+			return
 		}
 		// The main bootstrap may print: usage errors and startup
 		// failures precede the logger.
 		if analysisutil.FuncName(analysisutil.FuncFor(stack)) == "main" {
-			return true
+			return
 		}
 		if f := analysisutil.FileFor(pass, call.Pos()); f != nil &&
 			analysisutil.Allowed(pass, f, call.Pos(), name) {
-			return true
+			return
 		}
 		pass.Reportf(call.Pos(),
 			"%s in the serving path: log through *slog.Logger (server.Options.Log) so records are structured and level-gated (PR 6 invariant)", what)
-		return true
 	})
-	return nil, nil
+	return nil
 }

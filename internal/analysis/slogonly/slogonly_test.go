@@ -10,8 +10,6 @@ import (
 func TestSlogOnly(t *testing.T) {
 	// The production default restricts the check to the serving path;
 	// fixtures run it everywhere.
-	if err := slogonly.Analyzer.Flags.Set("pkgs", ""); err != nil {
-		t.Fatal(err)
-	}
+	*slogonly.Pkgs = ""
 	analyzertest.Run(t, slogonly.Analyzer, "slogfix")
 }

@@ -31,10 +31,7 @@ import (
 	"go/types"
 	"regexp"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"progqoi/internal/analysis"
 	"progqoi/internal/analysis/analysisutil"
 )
 
@@ -49,18 +46,16 @@ const name = "tokencmp"
 
 // Analyzer is the tokencmp analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: name,
+	Doc:  doc,
+	Run:  run,
 }
 
 // secretName matches identifiers that, by this repository's naming
 // conventions, hold a bearer secret.
 var secretName = regexp.MustCompile(`(?i)(token|secret|bearer|password|passwd|apikey|credential)`)
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *analysis.Pass) error {
 	report := func(pos token.Pos, format string, args ...any) {
 		if analysisutil.InTestFile(pass, pos) {
 			// Test assertions on parsed config fields are not a serving-
@@ -72,7 +67,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		pass.Reportf(pos, format, args...)
 	}
-	ins.Preorder([]ast.Node{(*ast.BinaryExpr)(nil), (*ast.CallExpr)(nil)}, func(n ast.Node) {
+	analysisutil.WalkStack(pass.Files, func(n ast.Node, _ []ast.Node) {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
 			if n.Op != token.EQL && n.Op != token.NEQ {
@@ -97,7 +92,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 	})
-	return nil, nil
+	return nil
 }
 
 // isEmptyStringLit reports whether e is the literal "".

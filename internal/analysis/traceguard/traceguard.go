@@ -30,10 +30,7 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"progqoi/internal/analysis"
 	"progqoi/internal/analysis/analysisutil"
 )
 
@@ -48,31 +45,29 @@ const name = "traceguard"
 
 // Analyzer is the traceguard analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: name,
+	Doc:  doc,
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	if pass.Pkg.Name() == "obs" {
 		// The recorder's own methods implement the nil-safety the rest of
 		// the tree relies on.
-		return nil, nil
+		return nil
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
+	analysisutil.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		call := n.(*ast.CallExpr)
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || (sel.Sel.Name != "Begin" && sel.Sel.Name != "BeginIter") {
-			return true
+			return
 		}
 		recv := sel.X
 		if !analysisutil.IsNamedType(pass.TypesInfo.TypeOf(recv), "obs", "Trace") {
-			return true
+			return
 		}
 		free := true
 		for _, arg := range call.Args {
@@ -82,21 +77,20 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 		if free {
-			return true
+			return
 		}
 		if guarded(pass.TypesInfo, recv, call, stack) {
-			return true
+			return
 		}
 		if f := analysisutil.FileFor(pass, call.Pos()); f != nil &&
 			analysisutil.Allowed(pass, f, call.Pos(), name) {
-			return true
+			return
 		}
 		pass.Reportf(call.Pos(),
 			"%s.%s with a computed argument must be guarded by an %q check: the argument allocates even when the trace is nil, breaking the PR 6 zero-alloc contract",
 			analysisutil.ExprString(recv), sel.Sel.Name, analysisutil.ExprString(recv)+" != nil")
-		return true
 	})
-	return nil, nil
+	return nil
 }
 
 // freeExpr reports whether evaluating e cannot allocate: constants,

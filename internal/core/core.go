@@ -827,7 +827,11 @@ func (s *estScratch) walk(est qoi.BoundFunc, req Request, used, rlo, rhi []int, 
 		}
 		for k, q := range req.QoIs {
 			if s.active[k] && j >= rlo[k] && j < rhi[k] {
-				_, s.bnd[k][i] = est(q.Expr, s.vals, s.ebs)
+				_, b := est(q.Expr, s.vals, s.ebs)
+				if math.IsNaN(b) {
+					b = math.Inf(1) // an Estimator override's "no guarantee"
+				}
+				s.bnd[k][i] = b
 			}
 		}
 	}
@@ -954,11 +958,9 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 				}
 				jlo := max(blo, rlo[k])
 				m, arg := cmax[k], carg[k]
+				// Neither Program.Bound nor walk hands over a NaN.
 				for j, b := range col[jlo-blo : min(bhi, rhi[k])-blo] {
-					if b > m || math.IsNaN(b) {
-						if math.IsNaN(b) {
-							b = math.Inf(1)
-						}
+					if b > m {
 						m, arg = b, jlo+j
 					}
 				}

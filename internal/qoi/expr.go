@@ -111,7 +111,17 @@ func (s Sum) Bound(vals, ebs []float64) (float64, float64) {
 		v, dv := t.Bound(vals, ebs)
 		acc, d = sumTerm(acc, d, s.Weights[i], v, dv)
 	}
-	return acc, d
+	return noNaN(acc, d)
+}
+
+// noNaN maps a NaN bound to +Inf, the interface's "no guarantee here".
+// A theorem's formula yields NaN only where an operand value overflowed
+// or is undefined (∞·0, ∞−∞), and no theorem covers such a point.
+func noNaN(v, b float64) (float64, float64) {
+	if math.IsNaN(b) {
+		return v, math.Inf(1)
+	}
+	return v, b
 }
 
 // sumTerm adds one weighted term to a running (value, bound) pair of
@@ -171,7 +181,7 @@ func (m Mul) Eval(vals []float64) float64 { return m.A.Eval(vals) * m.B.Eval(val
 func (m Mul) Bound(vals, ebs []float64) (float64, float64) {
 	va, da := m.A.Bound(vals, ebs)
 	vb, db := m.B.Bound(vals, ebs)
-	return mulBound(va, da, vb, db)
+	return noNaN(mulBound(va, da, vb, db))
 }
 
 func mulBound(va, da, vb, db float64) (float64, float64) {
@@ -195,7 +205,7 @@ func (d Div) Eval(vals []float64) float64 { return d.Num.Eval(vals) / d.Den.Eval
 func (d Div) Bound(vals, ebs []float64) (float64, float64) {
 	vn, dn := d.Num.Bound(vals, ebs)
 	vd, dd := d.Den.Bound(vals, ebs)
-	return divBound(vn, dn, vd, dd)
+	return noNaN(divBound(vn, dn, vd, dd))
 }
 
 func divBound(vn, dn, vd, dd float64) (float64, float64) {
@@ -237,7 +247,7 @@ func (p Pow) Bound(vals, ebs []float64) (float64, float64) {
 	if p.N < 0 {
 		return math.NaN(), math.Inf(1)
 	}
-	return intPow(v, p.N), powBound(v, d, p.N)
+	return noNaN(intPow(v, p.N), powBound(v, d, p.N))
 }
 
 // maxExponent is the largest integer power Parse lowers a formula to, and
@@ -332,7 +342,7 @@ func (p Poly) Eval(vals []float64) float64 {
 // Bound implements Expr: Δ(Σaᵢxⁱ) ≤ Σ|aᵢ|·Δ(xⁱ).
 func (p Poly) Bound(vals, ebs []float64) (float64, float64) {
 	x, d := p.X.Bound(vals, ebs)
-	return polyBound(p.Coeffs, x, d)
+	return noNaN(polyBound(p.Coeffs, x, d))
 }
 
 func polyBound(coeffs []float64, x, d float64) (float64, float64) {
@@ -385,7 +395,7 @@ func (s Sqrt) Eval(vals []float64) float64 { return math.Sqrt(s.X.Eval(vals)) }
 // up as x→0 with ε>0 — the behaviour the paper's outlier mask exists for.
 func (s Sqrt) Bound(vals, ebs []float64) (float64, float64) {
 	v, d := s.X.Bound(vals, ebs)
-	return sqrtBound(v, d)
+	return noNaN(sqrtBound(v, d))
 }
 
 func sqrtBound(v, d float64) (float64, float64) {

@@ -49,7 +49,7 @@ func (e Exp) Eval(vals []float64) float64 { return math.Exp(e.X.Eval(vals)) }
 // Bound implements Expr.
 func (e Exp) Bound(vals, ebs []float64) (float64, float64) {
 	v, d := e.X.Bound(vals, ebs)
-	return expBound(v, d)
+	return noNaN(expBound(v, d))
 }
 
 func expBound(v, d float64) (float64, float64) {

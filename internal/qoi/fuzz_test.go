@@ -1,0 +1,42 @@
+package qoi
+
+import (
+	"math"
+	"testing"
+)
+
+// fuzzFields names eight variables, enough for every dataset's QoIs in
+// the library's own rendering (Var i prints as x<i>).
+var fuzzFields = []string{"x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7"}
+
+// FuzzParse feeds Parse arbitrary formula text, as the public API and
+// the progqoi CLI do. Whatever it accepts must stay inside the field
+// list and evaluate and bound without panicking, and a bound is never
+// negative or NaN: +Inf is the one way to say "no guarantee here". The
+// seeds are the GE, S3D and NYX QoIs the library ships; the committed
+// corpus adds the x0^1e300 exponent overflow, which once certified a
+// zero error, x3^64*x6, whose ∞·0 once bounded as NaN, a half-integer
+// power and the CLI's example formulas.
+func FuzzParse(f *testing.F) {
+	for _, q := range append(GEQoIs(), S3DProducts()...) {
+		f.Add(q.Expr.String())
+	}
+	f.Add(TotalVelocity(0, 1, 2).Expr.String()) // NYX
+	// GE-like velocities, pressure and density, then an exact value and
+	// one near overflow, so ∞·0 and ∞−∞ are a few tokens away.
+	vals := []float64{1.5, -0.5, 2, 101325, 1.2, 0.3, 0.7, 1e300}
+	ebs := []float64{1e-3, 1e-3, 1e-3, 10, 1e-4, 1e-2, 0, 1e290}
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := Parse(src, fuzzFields)
+		if err != nil {
+			return
+		}
+		if mv := e.MaxVar(); mv >= len(fuzzFields) {
+			t.Fatalf("%q: MaxVar %d with %d fields", src, mv, len(fuzzFields))
+		}
+		_ = e.Eval(vals)
+		if _, b := e.Bound(vals, ebs); b < 0 || math.IsNaN(b) {
+			t.Fatalf("%q parsed as %v: bound %g", src, e, b)
+		}
+	})
+}

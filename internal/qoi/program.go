@@ -447,7 +447,14 @@ func (s *Scratch) col(i int) (val, bnd []float64) { return s.val[i][:s.m], s.bnd
 
 // Bound returns target k's bounds from the last Eval that had it active,
 // one per point of the block. The column is overwritten by the next Eval.
+// A NaN reads as +Inf, as the tree walk's does: the column helpers let
+// NaN propagate to the root, where it means what the walk's +Inf means.
 func (p *Program) Bound(s *Scratch, k int) []float64 {
 	_, bnd := s.col(p.roots[k])
+	for j, b := range bnd {
+		if math.IsNaN(b) {
+			bnd[j] = math.Inf(1)
+		}
+	}
 	return bnd
 }
