@@ -1,26 +1,25 @@
-// Command progqoi refactors raw float64 fields into progressive archives
-// and retrieves them under QoI error tolerances.
+// Command progqoi packs raw float64 fields into progressive archives and
+// retrieves them under QoI error tolerances.
 //
-// Refactor a little-endian float64 binary file (one field per file):
-//
-//	progqoi refactor -dims 512x512 -method pmgard-hb -out field.pq field.f64
-//
-// Retrieve a QoI from one or more archives within a tolerance:
-//
-//	progqoi retrieve -qoi "sqrt(Vx^2+Vy^2+Vz^2)" -tol 1e-4 \
-//	    -fields Vx,Vy,Vz -out vtot_recon vx.pq vy.pq vz.pq
-//
-// Inspect an archive:
-//
-//	progqoi info field.pq
-//
-// Pack several fields into a servable archive directory and retrieve over
-// the wire from a running progqoid (see cmd/progqoid):
+// Pack several fields (one little-endian float64 file each) into an
+// archive: a directory, or an s3:// bucket that progqoid can serve:
 //
 //	progqoi pack -dims 512x512 -dataset ge -fields Vx,Vy,Vz \
 //	    -store ./archives -workers 8 vx.f64 vy.f64 vz.f64
-//	progqoi retrieve -remote http://host:9123 -dataset ge \
-//	    -qoi "sqrt(Vx^2+Vy^2+Vz^2)" -tol 1e-4 -out vtot
+//
+// retrieve, info and verify each take one archive reference, in the
+// grammar progqoi.Open accepts: a bare dir/dataset, file://dir/dataset,
+// http(s)://host[/base]/dataset for a running progqoid (see cmd/progqoid),
+// or s3://bucket[/prefix]/dataset:
+//
+//	progqoi retrieve -qoi "sqrt(Vx^2+Vy^2+Vz^2)" -tol 1e-4 \
+//	    -out vtot ./archives/ge
+//	progqoi info http://host:9123/ge
+//	progqoi verify ./archives/ge vx.f64 vy.f64 vz.f64
+//
+// verify takes one original per field, in the archive's field order, and
+// checks at 14 relative tolerances that each field's certified error
+// dominates its measured one.
 //
 // pack streams — one variable in memory at a time, variable blobs flushed
 // before the manifest — and parallelizes the per-bitplane encode under
@@ -44,7 +43,6 @@ import (
 	"progqoi"
 	"progqoi/internal/core"
 	"progqoi/internal/progressive"
-	"progqoi/internal/qoi"
 	"progqoi/internal/stats"
 	"progqoi/internal/storage"
 	"progqoi/internal/storage/objstore"
@@ -57,8 +55,6 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "refactor":
-		err = cmdRefactor(os.Args[2:])
 	case "pack":
 		err = cmdPack(os.Args[2:])
 	case "retrieve":
@@ -79,13 +75,12 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  progqoi refactor -dims NxMx... [-method NAME] -out OUT.pq IN.f64
   progqoi pack -dims NxMx... -dataset NAME -fields A,B,... -store DIR|s3://bucket[/prefix] [-method NAME] [-workers N] IN1.f64 IN2.f64 ...
-  progqoi retrieve -qoi FORMULA -tol T -fields A,B,... [-timeout D] [-progress] [-out PREFIX] IN1.pq IN2.pq ...
-  progqoi retrieve -remote REF [-dataset NAME] -qoi FORMULA -tol T [-timeout D] [-progress] [-out PREFIX]
-      REF: http(s)://host[/base]/dataset or s3://bucket[/prefix]/dataset (PROGQOI_S3_* env)
-  progqoi info IN.pq
-  progqoi verify IN.pq ORIGINAL.f64
+  progqoi retrieve -qoi FORMULA -tol T [-timeout D] [-progress] [-trace FILE] [-out PREFIX] REF
+  progqoi info REF
+  progqoi verify REF ORIG1.f64 ORIG2.f64 ...   (one original per field, in field order)
+REF: dir/dataset, file://dir/dataset, http(s)://host[/base]/dataset,
+     or s3://bucket[/prefix]/dataset (PROGQOI_S3_* env)
 methods: psz3, psz3-delta, pmgard, pmgard-hb (default)`)
 }
 
@@ -159,42 +154,6 @@ func writeF64(path string, vals []float64) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
-func cmdRefactor(args []string) error {
-	fs := newFlagSet("refactor")
-	dimsStr := fs.String("dims", "", "grid dims, e.g. 512x512")
-	methodStr := fs.String("method", "pmgard-hb", "progressive method")
-	out := fs.String("out", "", "output archive path")
-	if help, err := parsed(fs, args); help || err != nil {
-		return err
-	}
-	if fs.NArg() != 1 || *dimsStr == "" || *out == "" {
-		return fmt.Errorf("refactor needs -dims, -out and one input file")
-	}
-	dims, err := parseDims(*dimsStr)
-	if err != nil {
-		return err
-	}
-	method, err := parseMethod(*methodStr)
-	if err != nil {
-		return err
-	}
-	data, err := readF64(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	ref, err := progressive.Refactor(data, dims, progressive.Options{Method: method, LosslessTail: true})
-	if err != nil {
-		return err
-	}
-	buf := ref.Marshal()
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d values -> %d fragments, %d bytes (%.2fx vs raw)\n",
-		*out, len(data), len(ref.Fragments), len(buf), float64(len(data)*8)/float64(len(buf)))
-	return nil
-}
-
 // cmdPack refactors several fields into one archive written to a storage
 // directory, ready for progqoid to serve. It streams: each input file is
 // loaded, refactored with the -workers encode pool, and flushed before the
@@ -240,10 +199,7 @@ func cmdPack(args []string) error {
 	if err != nil {
 		return err
 	}
-	ne := 1
-	for _, d := range dims {
-		ne *= d
-	}
+	ne := numElements(dims)
 	start := time.Now()
 	var rawBytes int64
 	stored, err := storage.RefactorTo(context.Background(), st, *dataset, names, dims, core.RefactorOptions{
@@ -334,66 +290,45 @@ func writeTrace(tr *progqoi.Trace, path string) error {
 	return nil
 }
 
-// cmdRetrieveRemote runs the retrieval against a remote archive
-// reference — a progqoid fragment service (http://host/dataset) or an
-// object-store bucket (s3://bucket/prefix/dataset) — instead of local
-// archive files.
-func cmdRetrieveRemote(ctx context.Context, ref, formula string, tol float64, outPrefix string, progress bool, tr *progqoi.Trace, tracePath string) error {
+// numElements is the value count of one field on a grid of dims.
+func numElements(dims []int) int {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	return n
+}
+
+// withArchive opens ref through progqoi.Open, runs fn on the archive and
+// closes it, so a remote archive's read-ahead and topology goroutines are
+// waited on before the command returns. It is the one open path of
+// retrieve, info and verify.
+func withArchive(ctx context.Context, ref string, fn func(*progqoi.Archive) error) error {
 	arch, err := progqoi.Open(ctx, ref)
 	if err != nil {
 		return err
 	}
-	names := arch.FieldNames()
-	q, err := progqoi.ParseQoI("qoi", formula, names)
-	if err != nil {
-		return err
-	}
-	sess, err := arch.Open(progqoi.WithTrace(tr))
-	if err != nil {
-		return err
-	}
-	req := progqoi.Request{Targets: []progqoi.Target{{QoI: q, Tolerance: tol}}}
-	if progress {
-		req.OnProgress = progressPrinter()
-	}
-	res, err := sess.Do(ctx, req)
-	if terr := writeTrace(tr, tracePath); terr != nil && err == nil {
-		err = terr
-	}
-	if err != nil {
-		return err
-	}
-	ne := 1
-	for _, d := range arch.Dims() {
-		ne *= d
-	}
-	var extra string
-	switch {
-	case arch.Remote():
-		ws := arch.RemoteStats()
-		extra = fmt.Sprintf("; wire: %d bytes in %d requests (%d cache hits)",
-			ws.WireBytes, ws.WireRequests, ws.CacheHits)
-	case arch.StoreBacked():
-		ss := arch.StoreStats()
-		extra = fmt.Sprintf("; store: %d bytes in %d cold fetches", ss.ColdFetchBytes, ss.ColdFetches)
-	}
-	reportRetrieval(res, tol, ne, len(names), extra)
-	return writeRecons(names, res.Data, outPrefix)
+	defer arch.Close()
+	return fn(arch)
 }
 
+// cmdRetrieve certifies one QoI over an archive reference: a local
+// archive directory, a progqoid fragment service or an object-store
+// bucket. The range and zero mask the certification needs travel in the
+// archive.
 func cmdRetrieve(args []string) error {
 	fs := newFlagSet("retrieve")
-	formula := fs.String("qoi", "", "QoI formula over the named fields")
+	formula := fs.String("qoi", "", "QoI formula over the archive's field names")
 	tol := fs.Float64("tol", 0, "absolute QoI error tolerance")
-	fieldsStr := fs.String("fields", "", "comma-separated field names, one per archive")
 	outPrefix := fs.String("out", "", "write reconstructed fields to PREFIX_<field>.f64")
-	remote := fs.String("remote", "", "remote archive reference: http(s)://host[/base]/dataset, s3://bucket[/prefix]/dataset (endpoint/credentials via PROGQOI_S3_*), or a base URL combined with -dataset")
-	dataset := fs.String("dataset", "", "dataset name appended to -remote (optional when -remote already names the dataset)")
 	timeout := fs.Duration("timeout", time.Duration(0), "abort the retrieval after this long (0 = no limit)")
 	progress := fs.Bool("progress", false, "print one line per retrieval iteration")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of the retrieval phases to this file")
 	if help, err := parsed(fs, args); help || err != nil {
 		return err
+	}
+	if fs.NArg() != 1 || *formula == "" || !(*tol > 0) {
+		return fmt.Errorf("retrieve needs -qoi, -tol > 0 and one archive reference")
 	}
 	var tr *progqoi.Trace
 	if *tracePath != "" {
@@ -405,152 +340,145 @@ func cmdRetrieve(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *remote != "" {
-		if *formula == "" || !(*tol > 0) || fs.NArg() != 0 {
-			return fmt.Errorf("remote retrieve needs -qoi, -tol > 0 and no archive files")
-		}
-		ref := strings.TrimSuffix(*remote, "/")
-		if *dataset != "" {
-			ref += "/" + *dataset
-		}
-		return cmdRetrieveRemote(ctx, ref, *formula, *tol, *outPrefix, *progress, tr, *tracePath)
-	}
-	names := strings.Split(*fieldsStr, ",")
-	if fs.NArg() == 0 || *formula == "" || !(*tol > 0) || len(names) != fs.NArg() {
-		return fmt.Errorf("retrieve needs -qoi, -tol > 0, and -fields matching the archive count")
-	}
-	expr, err := qoi.Parse(*formula, names)
-	if err != nil {
-		return err
-	}
-	vars := make([]*core.Variable, fs.NArg())
-	for i := 0; i < fs.NArg(); i++ {
-		buf, err := os.ReadFile(fs.Arg(i))
+	return withArchive(ctx, fs.Arg(0), func(arch *progqoi.Archive) error {
+		names := arch.FieldNames()
+		q, err := progqoi.ParseQoI("qoi", *formula, names)
 		if err != nil {
 			return err
 		}
-		ref, err := progressive.Unmarshal(buf)
+		sess, err := arch.Open(progqoi.WithTrace(tr))
 		if err != nil {
-			return fmt.Errorf("%s: %w", fs.Arg(i), err)
+			return err
 		}
-		// Range metadata travels with the CLI as the loosest prefix bound
-		// (a conservative stand-in; Algorithm 4 tightens from there).
-		rng := 1.0
-		if len(ref.PrefixBounds) > 0 && ref.PrefixBounds[0] > 0 && !math.IsInf(ref.PrefixBounds[0], 0) {
-			rng = ref.PrefixBounds[0] * 10
+		req := progqoi.Request{Targets: []progqoi.Target{{QoI: q, Tolerance: *tol}}}
+		if *progress {
+			req.OnProgress = progressPrinter()
 		}
-		vars[i] = &core.Variable{Name: names[i], Ref: ref, Range: rng}
-	}
-	rt, err := core.NewRetriever(vars, core.Config{Trace: tr}, nil)
-	if err != nil {
-		return err
-	}
-	creq := core.Request{
-		QoIs:       []qoi.QoI{{Name: "qoi", Expr: expr}},
-		Tolerances: []float64{*tol},
-	}
-	if *progress {
-		creq.OnProgress = progressPrinter()
-	}
-	res, err := rt.Retrieve(ctx, creq)
-	if terr := writeTrace(tr, *tracePath); terr != nil && err == nil {
-		err = terr
-	}
-	if err != nil {
-		return err
-	}
-	reportRetrieval(res, *tol, vars[0].Ref.NumElements(), len(vars), "")
-	return writeRecons(names, res.Data, *outPrefix)
+		res, err := sess.Do(ctx, req)
+		if terr := writeTrace(tr, *tracePath); terr != nil && err == nil {
+			err = terr
+		}
+		if err != nil {
+			return err
+		}
+		var extra string
+		switch {
+		case arch.Remote():
+			ws := arch.RemoteStats()
+			extra = fmt.Sprintf("; wire: %d bytes in %d requests (%d cache hits)",
+				ws.WireBytes, ws.WireRequests, ws.CacheHits)
+		case arch.StoreBacked():
+			ss := arch.StoreStats()
+			extra = fmt.Sprintf("; store: %d bytes in %d cold fetches", ss.ColdFetchBytes, ss.ColdFetches)
+		}
+		reportRetrieval(res, *tol, numElements(arch.Dims()), len(names), extra)
+		return writeRecons(names, res.Data, *outPrefix)
+	})
 }
 
-// cmdVerify replays a progressive retrieval against the original data and
-// prints, per request level, the guaranteed bound next to the measured
-// error — the bound must dominate at every level.
+// cmdVerify replays a progressive retrieval of each field against its
+// original and prints, per relative tolerance, the certified bound next to
+// the measured error; the bound must dominate at every level. Each field
+// runs in its own session under the identity QoI, so a level reuses the
+// fragments of the levels before it. Where full fidelity cannot certify a
+// level, the best-effort estimate is the bound that is checked.
 func cmdVerify(args []string) error {
 	fs := newFlagSet("verify")
 	if help, err := parsed(fs, args); help || err != nil {
 		return err
 	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("verify needs an archive and the original .f64 file")
+	if fs.NArg() < 2 {
+		return fmt.Errorf("verify needs an archive reference and one original .f64 file per field")
 	}
-	buf, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	ref, err := progressive.Unmarshal(buf)
-	if err != nil {
-		return err
-	}
-	orig, err := readF64(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	if len(orig) != ref.NumElements() {
-		return fmt.Errorf("original has %d values, archive %d", len(orig), ref.NumElements())
-	}
-	rd, err := progressive.NewReader(ref, nil)
-	if err != nil {
-		return err
-	}
-	rng := stats.Range(orig)
-	if rng == 0 {
-		rng = 1
-	}
-	fmt.Printf("%-12s  %-12s  %-12s  %-10s  %s\n", "rel_target", "bound", "actual", "bitrate", "ok")
-	violations := 0
-	for i := 1; i <= 14; i++ {
-		target := rng * math.Pow(10, -float64(i))
-		bound, err := rd.Advance(context.Background(), target)
-		if err != nil {
-			return err
+	ctx := context.Background()
+	return withArchive(ctx, fs.Arg(0), func(arch *progqoi.Archive) error {
+		names := arch.FieldNames()
+		origs := fs.Args()[1:]
+		if len(origs) != len(names) {
+			return fmt.Errorf("verify: %d original(s) for fields %s", len(origs), strings.Join(names, ","))
 		}
-		rec, err := rd.Data()
-		if err != nil {
-			return err
+		ne := numElements(arch.Dims())
+		fmt.Printf("%-10s  %-10s  %-10s  %-10s  %-10s  %s\n", "field", "rel_target", "bound", "actual", "bitrate", "ok")
+		violations := 0
+		for fi, name := range names {
+			orig, err := readF64(origs[fi])
+			if err != nil {
+				return err
+			}
+			if len(orig) != ne {
+				return fmt.Errorf("%s: %d values, field %s has %d", origs[fi], len(orig), name, ne)
+			}
+			// The identity QoI of field fi, parsed over placeholder names so
+			// that a field name the formula grammar cannot read works too.
+			ids := make([]string, len(names))
+			ids[fi] = "v"
+			q, err := progqoi.ParseQoI(name, "v", ids)
+			if err != nil {
+				return err
+			}
+			sess, err := arch.Open()
+			if err != nil {
+				return err
+			}
+			rng := stats.Range(orig)
+			if rng == 0 {
+				rng = 1
+			}
+			for i := 1; i <= 14; i++ {
+				rel := math.Pow(10, -float64(i))
+				res, err := sess.Do(ctx, progqoi.Request{Targets: []progqoi.Target{
+					{QoI: q, Tolerance: rel, Relative: true, Range: rng}}})
+				if err != nil && !errors.Is(err, progqoi.ErrExhausted) {
+					return fmt.Errorf("%s: %w", name, err)
+				}
+				bound := res.EstErrors[0]
+				actual := stats.MaxAbsError(orig, res.Data[fi])
+				ok := actual <= bound
+				if !ok {
+					violations++
+				}
+				fmt.Printf("%-10s  %-10s  %-10s  %-10s  %-10.3f  %v\n", name,
+					stats.FormatG(rel), stats.FormatG(bound/rng), stats.FormatG(actual/rng),
+					stats.Bitrate(sess.RetrievedBytes(), ne), ok)
+			}
 		}
-		actual := stats.MaxAbsError(orig, rec)
-		ok := actual <= bound
-		if !ok {
-			violations++
+		if violations > 0 {
+			return fmt.Errorf("%d bound violations — archive is NOT sound", violations)
 		}
-		fmt.Printf("%-12s  %-12s  %-12s  %-10.3f  %v\n",
-			stats.FormatG(target/rng), stats.FormatG(bound/rng), stats.FormatG(actual/rng),
-			stats.Bitrate(rd.RetrievedBytes(), len(orig)), ok)
-	}
-	if violations > 0 {
-		return fmt.Errorf("%d bound violations — archive is NOT sound", violations)
-	}
-	fmt.Println("all bounds dominate the measured errors: archive verified")
-	return nil
+		fmt.Println("all bounds dominate the measured errors: archive verified")
+		return nil
+	})
 }
 
+// cmdInfo prints an archive's fields, grid and stored bytes, and, for an
+// archive whose variables are held locally, each field's method,
+// fragment count and prefix-bound span.
 func cmdInfo(args []string) error {
 	fs := newFlagSet("info")
 	if help, err := parsed(fs, args); help || err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("info needs one archive")
+		return fmt.Errorf("info needs one archive reference")
 	}
-	buf, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	ref, err := progressive.Unmarshal(buf)
-	if err != nil {
-		return err
-	}
-	dims := make([]string, len(ref.Dims))
-	for i, d := range ref.Dims {
-		dims[i] = fmt.Sprint(d)
-	}
-	fmt.Printf("method:     %s\n", ref.Method)
-	fmt.Printf("dims:       %s (%d values)\n", strings.Join(dims, "x"), ref.NumElements())
-	fmt.Printf("fragments:  %d (%d bytes total)\n", len(ref.Fragments), ref.TotalBytes())
-	if len(ref.PrefixBounds) > 0 {
-		fmt.Printf("bounds:     %s .. %s\n",
-			stats.FormatG(ref.PrefixBounds[0]), stats.FormatG(ref.PrefixBounds[len(ref.PrefixBounds)-1]))
-	}
-	return nil
+	return withArchive(context.Background(), fs.Arg(0), func(arch *progqoi.Archive) error {
+		dims := arch.Dims()
+		ds := make([]string, len(dims))
+		for i, d := range dims {
+			ds[i] = strconv.Itoa(d)
+		}
+		fmt.Printf("fields:     %s\n", strings.Join(arch.FieldNames(), ","))
+		fmt.Printf("dims:       %s (%d values)\n", strings.Join(ds, "x"), numElements(dims))
+		fmt.Printf("stored:     %d fragment bytes\n", arch.StoredBytes())
+		for _, v := range arch.Variables() {
+			ref := v.Ref
+			fmt.Printf("%s: %s, %d fragments", v.Name, ref.Method, len(ref.Fragments))
+			if len(ref.PrefixBounds) > 0 {
+				fmt.Printf(", bounds %s .. %s",
+					stats.FormatG(ref.PrefixBounds[0]), stats.FormatG(ref.PrefixBounds[len(ref.PrefixBounds)-1]))
+			}
+			fmt.Println()
+		}
+		return nil
+	})
 }

@@ -6,14 +6,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"progqoi/internal/datagen"
 	"progqoi/internal/server"
 	"progqoi/internal/storage"
 )
@@ -75,23 +78,67 @@ func TestF64RoundTrip(t *testing.T) {
 	}
 }
 
-func TestRefactorInfoVerifyRetrieveWorkflow(t *testing.T) {
+// packFields packs the inputs, all of n values, as dataset demo with the
+// given fields into store and returns the bare dir/dataset reference.
+func packFields(t *testing.T, store, fields string, n int, inputs ...string) string {
+	t.Helper()
+	args := append([]string{"-dims", strconv.Itoa(n), "-dataset", "demo", "-fields", fields, "-store", store}, inputs...)
+	if err := cmdPack(args); err != nil {
+		t.Fatal(err)
+	}
+	return store + "/demo"
+}
+
+// serve starts a progqoid fragment service over the archive directory.
+func serve(t *testing.T, store string) *httptest.Server {
+	t.Helper()
+	st, err := storage.NewDirStore(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(context.Background(), st, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+	return hs
+}
+
+// captureStdout runs fn with os.Stdout sent to a file and returns what fn
+// printed along with its error.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = old
+	out, rerr := os.ReadFile(f.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return string(out), err
+}
+
+func TestPackInfoVerifyRetrieveWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "x.f64")
-	arch := filepath.Join(dir, "x.pq")
 	writeField(t, in, 5000)
+	ref := packFields(t, filepath.Join(dir, "archives"), "x", 5000, in)
 
-	if err := cmdRefactor([]string{"-dims", "5000", "-out", arch, in}); err != nil {
+	if err := cmdInfo([]string{ref}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdInfo([]string{arch}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdVerify([]string{arch, in}); err != nil {
+	if err := cmdVerify([]string{ref, in}); err != nil {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "recon")
-	if err := cmdRetrieve([]string{"-qoi", "sqrt(x^2+1)", "-tol", "1e-4", "-fields", "x", "-out", out, arch}); err != nil {
+	if err := cmdRetrieve([]string{"-qoi", "sqrt(x^2+1)", "-tol", "1e-4", "-out", out, ref}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := readF64(out + "_x.f64")
@@ -112,17 +159,97 @@ func TestRefactorInfoVerifyRetrieveWorkflow(t *testing.T) {
 	}
 }
 
-func TestRefactorAllMethods(t *testing.T) {
+// TestPackAllMethods packs and verifies one field under each method. The
+// field's name is one a QoI formula cannot name, which verify must still
+// check.
+func TestPackAllMethods(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "x.f64")
 	writeField(t, in, 800)
 	for _, m := range []string{"psz3", "psz3-delta", "pmgard", "pmgard-hb"} {
-		arch := filepath.Join(dir, m+".pq")
-		if err := cmdRefactor([]string{"-dims", "800", "-method", m, "-out", arch, in}); err != nil {
+		store := filepath.Join(dir, m)
+		if err := cmdPack([]string{"-dims", "800", "-method", m, "-dataset", "demo", "-fields", "2d.exp", "-store", store, in}); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		if err := cmdVerify([]string{arch, in}); err != nil {
+		if err := cmdVerify([]string{store + "/demo", in}); err != nil {
 			t.Fatalf("%s verify: %v", m, err)
+		}
+	}
+}
+
+// TestRetrieveCertifiesGEVelocity is the total velocity of GE's three
+// velocity fields, retrieved from a packed archive at three tolerances.
+// The archive carries each field's range and zero mask, so every
+// tolerance certifies; a bare progressive file without them ran out of
+// fragments at all three.
+func TestRetrieveCertifiesGEVelocity(t *testing.T) {
+	dir := t.TempDir()
+	ds := datagen.GE("ge", 200, 320, 1)
+	n := ds.NumElements()
+	inputs := make([]string, 3)
+	for i, name := range []string{"vx", "vy", "vz"} {
+		inputs[i] = filepath.Join(dir, name+".f64")
+		if err := writeF64(inputs[i], ds.Fields[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := packFields(t, filepath.Join(dir, "archives"), "Vx,Vy,Vz", n, inputs...)
+	for _, tol := range []string{"1e-1", "1e-3", "1e-5"} {
+		out := filepath.Join(dir, "vtot"+tol)
+		stdout, err := captureStdout(t, func() error {
+			return cmdRetrieve([]string{"-qoi", "sqrt(Vx^2+Vy^2+Vz^2)", "-tol", tol, "-out", out, ref})
+		})
+		if err != nil {
+			t.Fatalf("tol %s: %v", tol, err)
+		}
+		want, _ := strconv.ParseFloat(tol, 64)
+		var certified float64
+		if _, err := fmt.Sscanf(stdout, "certified max QoI error: %g", &certified); err != nil {
+			t.Fatalf("tol %s: no certified error in %q: %v", tol, stdout, err)
+		}
+		if !(certified <= want) {
+			t.Fatalf("tol %s: certified %g", tol, certified)
+		}
+		rec := make([][]float64, 3)
+		for i, name := range []string{"Vx", "Vy", "Vz"} {
+			if rec[i], err = readF64(out + "_" + name + ".f64"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < n; j++ {
+			vo := math.Sqrt(ds.Fields[0][j]*ds.Fields[0][j] + ds.Fields[1][j]*ds.Fields[1][j] + ds.Fields[2][j]*ds.Fields[2][j])
+			vr := math.Sqrt(rec[0][j]*rec[0][j] + rec[1][j]*rec[1][j] + rec[2][j]*rec[2][j])
+			if e := math.Abs(vo - vr); e > certified {
+				t.Fatalf("tol %s: VTOT error %g at %d exceeds certified %g", tol, e, j, certified)
+			}
+		}
+	}
+}
+
+// TestInfoVerifyReferenceGrammar runs info and verify on the same archive
+// through an http:// reference to a fragment service and a file://
+// reference to its directory.
+func TestInfoVerifyReferenceGrammar(t *testing.T) {
+	dir := t.TempDir()
+	inA := filepath.Join(dir, "a.f64")
+	inB := filepath.Join(dir, "b.f64")
+	writeField(t, inA, 1500)
+	writeField(t, inB, 1500)
+	store := filepath.Join(dir, "archives")
+	packFields(t, store, "A,B", 1500, inA, inB)
+	hs := serve(t, store)
+	for _, ref := range []string{hs.URL + "/demo", "file://" + store + "/demo"} {
+		stdout, err := captureStdout(t, func() error { return cmdInfo([]string{ref}) })
+		if err != nil {
+			t.Fatalf("info %s: %v", ref, err)
+		}
+		for _, want := range []string{"fields:     A,B", "dims:       1500 (1500 values)", "stored:"} {
+			if !strings.Contains(stdout, want) {
+				t.Errorf("info %s: no %q in %q", ref, want, stdout)
+			}
+		}
+		if err := cmdVerify([]string{ref, inA, inB}); err != nil {
+			t.Fatalf("verify %s: %v", ref, err)
 		}
 	}
 }
@@ -133,7 +260,6 @@ func TestRefactorAllMethods(t *testing.T) {
 // inside the flag package — and -h is help, not a failure.
 func TestSubcommandFlagParseErrors(t *testing.T) {
 	cmds := map[string]func([]string) error{
-		"refactor": cmdRefactor,
 		"pack":     cmdPack,
 		"retrieve": cmdRetrieve,
 		"info":     cmdInfo,
@@ -206,14 +332,14 @@ func TestPackWorkersIdenticalOutput(t *testing.T) {
 }
 
 func TestCommandValidation(t *testing.T) {
-	if err := cmdRefactor([]string{"-dims", "10"}); err == nil {
-		t.Error("refactor without -out/input accepted")
-	}
 	if err := cmdRetrieve([]string{"-qoi", "x", "-tol", "1e-3"}); err == nil {
-		t.Error("retrieve without archives accepted")
+		t.Error("retrieve without a reference accepted")
+	}
+	if err := cmdRetrieve([]string{"-qoi", "x", "-tol", "1e-3", "a/ds", "b/ds"}); err == nil {
+		t.Error("retrieve with two references accepted")
 	}
 	if err := cmdInfo([]string{}); err == nil {
-		t.Error("info without archive accepted")
+		t.Error("info without a reference accepted")
 	}
 	if err := cmdVerify([]string{"one"}); err == nil {
 		t.Error("verify with one arg accepted")
@@ -226,13 +352,10 @@ func TestCommandValidation(t *testing.T) {
 func TestRetrieveTimeoutFlag(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "x.f64")
-	arch := filepath.Join(dir, "x.pq")
 	writeField(t, in, 2000)
-	if err := cmdRefactor([]string{"-dims", "2000", "-out", arch, in}); err != nil {
-		t.Fatal(err)
-	}
+	ref := packFields(t, filepath.Join(dir, "archives"), "x", 2000, in)
 	if err := cmdRetrieve([]string{"-timeout", "1m", "-progress",
-		"-qoi", "sqrt(x^2+1)", "-tol", "1e-3", "-fields", "x", arch}); err != nil {
+		"-qoi", "sqrt(x^2+1)", "-tol", "1e-3", ref}); err != nil {
 		t.Fatalf("generous timeout failed: %v", err)
 	}
 
@@ -242,38 +365,54 @@ func TestRetrieveTimeoutFlag(t *testing.T) {
 		<-r.Context().Done()
 	}))
 	defer stalled.Close()
-	err := cmdRetrieve([]string{"-remote", stalled.URL, "-dataset", "ge",
-		"-qoi", "x", "-tol", "1e-3", "-timeout", "100ms"})
+	err := cmdRetrieve([]string{"-qoi", "x", "-tol", "1e-3", "-timeout", "100ms", stalled.URL + "/ge"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded from stalled remote, got %v", err)
 	}
 }
 
+// TestVerifyDetectsMismatchedOriginal: verify rejects an original of the
+// wrong length, a wrong number of originals, and an original of the right
+// length whose values the archive does not hold.
 func TestVerifyDetectsMismatchedOriginal(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "x.f64")
-	arch := filepath.Join(dir, "x.pq")
-	writeField(t, in, 500)
-	if err := cmdRefactor([]string{"-dims", "500", "-out", arch, in}); err != nil {
-		t.Fatal(err)
-	}
+	vals := writeField(t, in, 500)
+	ref := packFields(t, filepath.Join(dir, "archives"), "x", 500, in)
 	short := filepath.Join(dir, "short.f64")
 	writeField(t, short, 400)
-	if err := cmdVerify([]string{arch, short}); err == nil {
+	if err := cmdVerify([]string{ref, short}); err == nil {
 		t.Fatal("length mismatch not detected")
+	}
+	if err := cmdVerify([]string{ref, in, in}); err == nil {
+		t.Fatal("two originals for one field accepted")
+	}
+	shifted := filepath.Join(dir, "shifted.f64")
+	for i := range vals {
+		vals[i] += 100
+	}
+	if err := writeF64(shifted, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdVerify([]string{ref, shifted}); err == nil || !strings.Contains(err.Error(), "bound violations") {
+		t.Fatalf("shifted original: err = %v, want bound violations", err)
 	}
 }
 
+// TestInfoRejectsGarbage: a directory holding no manifest, and one whose
+// manifest is not an archive, are both refused.
 func TestInfoRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.pq")
+	if err := cmdInfo([]string{dir + "/demo"}); err == nil {
+		t.Fatal("directory without a manifest accepted")
+	}
 	raw := make([]byte, 64)
 	binary.LittleEndian.PutUint32(raw, 0xffffffff)
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "demo.manifest"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdInfo([]string{bad}); err == nil {
-		t.Fatal("garbage archive accepted")
+	if err := cmdInfo([]string{dir + "/demo"}); err == nil {
+		t.Fatal("garbage manifest accepted")
 	}
 }
 
@@ -284,24 +423,11 @@ func TestPackAndRemoteRetrieveWorkflow(t *testing.T) {
 	writeField(t, inA, 900)
 	writeField(t, inB, 900)
 	store := filepath.Join(dir, "archives")
-	if err := cmdPack([]string{"-dims", "900", "-dataset", "demo", "-fields", "A,B", "-store", store, inA, inB}); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := storage.NewDirStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(context.Background(), st, server.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
+	packFields(t, store, "A,B", 900, inA, inB)
+	hs := serve(t, store)
 
 	out := filepath.Join(dir, "remote")
-	err = cmdRetrieve([]string{"-remote", hs.URL, "-dataset", "demo",
-		"-qoi", "sqrt(A^2+B^2)", "-tol", "1e-3", "-out", out})
+	err := cmdRetrieve([]string{"-qoi", "sqrt(A^2+B^2)", "-tol", "1e-3", "-out", out, hs.URL + "/demo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,29 +449,27 @@ func TestPackAndRemoteRetrieveWorkflow(t *testing.T) {
 		}
 	}
 
-	// Remote mode rejects malformed invocations.
-	if err := cmdRetrieve([]string{"-remote", hs.URL, "-qoi", "A", "-tol", "1e-3"}); err == nil {
-		t.Fatal("remote retrieve without -dataset accepted")
+	// Malformed invocations are rejected.
+	if err := cmdRetrieve([]string{"-qoi", "A", "-tol", "1e-3", hs.URL}); err == nil {
+		t.Fatal("remote retrieve without a dataset accepted")
 	}
-	if err := cmdRetrieve([]string{"-remote", hs.URL, "-dataset", "demo", "-qoi", "A", "-tol", "1e-3", "x.pq"}); err == nil {
-		t.Fatal("remote retrieve with archive files accepted")
+	if err := cmdRetrieve([]string{"-qoi", "A", "-tol", "1e-3", hs.URL + "/demo", "x.pq"}); err == nil {
+		t.Fatal("retrieve with two references accepted")
 	}
 	if err := cmdPack([]string{"-dims", "900", "-fields", "A", "-store", store, inA}); err == nil {
 		t.Fatal("pack without -dataset accepted")
 	}
 }
 
-// TestRetrieveTraceFlag runs -trace through both the local and remote
-// retrieval paths and checks the emitted files are valid Chrome
-// trace_event JSON with the expected phase categories.
+// TestRetrieveTraceFlag runs -trace against a local archive and a fragment
+// service and checks the emitted files are valid Chrome trace_event JSON
+// with the expected phase categories.
 func TestRetrieveTraceFlag(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "x.f64")
-	arch := filepath.Join(dir, "x.pq")
 	writeField(t, in, 2000)
-	if err := cmdRefactor([]string{"-dims", "2000", "-out", arch, in}); err != nil {
-		t.Fatal(err)
-	}
+	store := filepath.Join(dir, "archives")
+	ref := packFields(t, store, "x", 2000, in)
 
 	parse := func(path string) map[string]bool {
 		t.Helper()
@@ -373,7 +497,7 @@ func TestRetrieveTraceFlag(t *testing.T) {
 	}
 
 	local := filepath.Join(dir, "local.json")
-	if err := cmdRetrieve([]string{"-qoi", "x^2", "-tol", "1e-3", "-fields", "x", "-trace", local, arch}); err != nil {
+	if err := cmdRetrieve([]string{"-qoi", "x^2", "-tol", "1e-3", "-trace", local, ref}); err != nil {
 		t.Fatal(err)
 	}
 	cats := parse(local)
@@ -383,25 +507,9 @@ func TestRetrieveTraceFlag(t *testing.T) {
 		}
 	}
 
-	store := filepath.Join(dir, "archives")
-	if err := cmdPack([]string{"-dims", "2000", "-dataset", "demo", "-fields", "x", "-store", store, in}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := storage.NewDirStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(context.Background(), st, server.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-
+	hs := serve(t, store)
 	remote := filepath.Join(dir, "remote.json")
-	err = cmdRetrieve([]string{"-remote", hs.URL, "-dataset", "demo",
-		"-qoi", "x^2", "-tol", "1e-3", "-trace", remote})
-	if err != nil {
+	if err := cmdRetrieve([]string{"-qoi", "x^2", "-tol", "1e-3", "-trace", remote, hs.URL + "/demo"}); err != nil {
 		t.Fatal(err)
 	}
 	cats = parse(remote)

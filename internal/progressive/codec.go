@@ -66,7 +66,14 @@ func (r *Refactored) Marshal() []byte {
 	return out
 }
 
-// Unmarshal parses Marshal output.
+// errHeaderTruncated reports a header that ends inside a field, or before
+// the entries one of its counts promises.
+var errHeaderTruncated = fmt.Errorf("%w: refactored header truncated", encoding.ErrCorrupt)
+
+// Unmarshal parses Marshal output. It accepts exactly the bytes Marshal
+// writes: every count is checked against the bytes left before anything
+// is allocated for it, and trailing bytes, in the header or after the
+// last fragment, are corruption.
 func Unmarshal(data []byte) (*Refactored, error) {
 	hdr, n, err := encoding.GetSection(data)
 	if err != nil {
@@ -75,7 +82,7 @@ func Unmarshal(data []byte) (*Refactored, error) {
 	off := 0
 	get32 := func() (uint32, error) {
 		if off+4 > len(hdr) {
-			return 0, fmt.Errorf("%w: refactored header truncated", encoding.ErrCorrupt)
+			return 0, errHeaderTruncated
 		}
 		v := binary.LittleEndian.Uint32(hdr[off:])
 		off += 4
@@ -83,11 +90,27 @@ func Unmarshal(data []byte) (*Refactored, error) {
 	}
 	get64 := func() (float64, error) {
 		if off+8 > len(hdr) {
-			return 0, fmt.Errorf("%w: refactored header truncated", encoding.ErrCorrupt)
+			return 0, errHeaderTruncated
 		}
 		v := math.Float64frombits(binary.LittleEndian.Uint64(hdr[off:]))
 		off += 8
 		return v, nil
+	}
+	// count reads a count of entries of size bytes each, at most limit of
+	// them, that the rest of the header must hold; reads of those entries
+	// cannot fail.
+	count := func(what string, limit uint32, size int) (int, error) {
+		c, err := get32()
+		if err != nil {
+			return 0, err
+		}
+		if c > limit {
+			return 0, fmt.Errorf("%w: %d %s", encoding.ErrCorrupt, c, what)
+		}
+		if int(c)*size > len(hdr)-off {
+			return 0, errHeaderTruncated
+		}
+		return int(c), nil
 	}
 	r := &Refactored{}
 	m, err := get32()
@@ -98,50 +121,45 @@ func Unmarshal(data []byte) (*Refactored, error) {
 	if r.Method < PSZ3 || r.Method > PMGARDHB {
 		return nil, fmt.Errorf("%w: method %d", encoding.ErrCorrupt, m)
 	}
-	nd, err := get32()
+	nd, err := count("dims", 16, 4)
 	if err != nil {
 		return nil, err
 	}
-	if nd < 1 || nd > 16 {
+	if nd < 1 {
 		return nil, fmt.Errorf("%w: rank %d", encoding.ErrCorrupt, nd)
 	}
 	r.Dims = make([]int, nd)
+	elems := 1
 	for i := range r.Dims {
-		v, err := get32()
-		if err != nil {
-			return nil, err
+		v, _ := get32()
+		if v == 0 || elems > math.MaxInt/int(v) {
+			return nil, fmt.Errorf("%w: dim %d of %d", encoding.ErrCorrupt, i, v)
 		}
 		r.Dims[i] = int(v)
+		elems *= int(v)
 	}
-	np, err := get32()
+	np, err := count("prefix bounds", 1<<24, 8)
 	if err != nil {
 		return nil, err
-	}
-	if np > 1<<24 {
-		return nil, fmt.Errorf("%w: %d prefix bounds", encoding.ErrCorrupt, np)
 	}
 	r.PrefixBounds = make([]float64, np)
 	for i := range r.PrefixBounds {
-		if r.PrefixBounds[i], err = get64(); err != nil {
-			return nil, err
-		}
+		r.PrefixBounds[i], _ = get64()
 	}
-	ns, err := get32()
+	ns, err := count("snapshot bounds", 1<<16, 8)
 	if err != nil {
 		return nil, err
 	}
-	if ns > 1<<16 {
-		return nil, fmt.Errorf("%w: %d snapshot bounds", encoding.ErrCorrupt, ns)
-	}
 	r.SnapshotEBs = make([]float64, ns)
 	for i := range r.SnapshotEBs {
-		if r.SnapshotEBs[i], err = get64(); err != nil {
-			return nil, err
-		}
+		r.SnapshotEBs[i], _ = get64()
 	}
 	tail, err := get32()
 	if err != nil {
 		return nil, err
+	}
+	if tail > 1 {
+		return nil, fmt.Errorf("%w: tail flag %d", encoding.ErrCorrupt, tail)
 	}
 	r.HasTail = tail == 1
 	basis, err := get32()
@@ -154,50 +172,32 @@ func Unmarshal(data []byte) (*Refactored, error) {
 		return nil, err
 	}
 	r.Planes = int(planes)
-	nsch, err := get32()
+	nsch, err := count("schedule entries", 1<<24, 8)
 	if err != nil {
 		return nil, err
-	}
-	if nsch > 1<<24 {
-		return nil, fmt.Errorf("%w: %d schedule entries", encoding.ErrCorrupt, nsch)
 	}
 	r.Schedule = make([]fragRef, nsch)
 	for i := range r.Schedule {
-		g, err := get32()
-		if err != nil {
-			return nil, err
-		}
-		p, err := get32()
-		if err != nil {
-			return nil, err
-		}
+		g, _ := get32()
+		p, _ := get32()
 		r.Schedule[i] = fragRef{Group: int(g), Plane: int(p)}
 	}
-	nblk, err := get32()
+	nblk, err := count("blocks", 1<<16, 12)
 	if err != nil {
 		return nil, err
 	}
-	if nblk > 1<<16 {
-		return nil, fmt.Errorf("%w: %d blocks", encoding.ErrCorrupt, nblk)
-	}
 	r.Blocks = make([]*bitplane.Block, nblk)
 	for i := range r.Blocks {
-		nc, err := get32()
-		if err != nil {
-			return nil, err
-		}
-		exp, err := get32()
-		if err != nil {
-			return nil, err
-		}
-		b, err := get32()
-		if err != nil {
-			return nil, err
-		}
+		nc, _ := get32()
+		exp, _ := get32()
+		b, _ := get32()
 		if b > 62 {
 			return nil, fmt.Errorf("%w: block %d planes %d", encoding.ErrCorrupt, i, b)
 		}
 		r.Blocks[i] = &bitplane.Block{N: int(nc), Exp: int(int32(exp)), B: int(b)}
+	}
+	if off != len(hdr) {
+		return nil, fmt.Errorf("%w: %d trailing header bytes", encoding.ErrCorrupt, len(hdr)-off)
 	}
 	// Validate schedule references.
 	for _, s := range r.Schedule {
@@ -212,9 +212,6 @@ func Unmarshal(data []byte) (*Refactored, error) {
 	}
 	nfrag := int(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
-	if nfrag < 0 || nfrag > 1<<24 {
-		return nil, fmt.Errorf("%w: %d fragments", encoding.ErrCorrupt, nfrag)
-	}
 	if len(r.PrefixBounds) != nfrag {
 		return nil, fmt.Errorf("%w: %d bounds for %d fragments", encoding.ErrCorrupt, len(r.PrefixBounds), nfrag)
 	}
@@ -224,6 +221,9 @@ func Unmarshal(data []byte) (*Refactored, error) {
 			return nil, fmt.Errorf("%w: %d schedule entries for %d fragments", encoding.ErrCorrupt, len(r.Schedule), nfrag)
 		}
 	}
+	if nfrag > len(rest)/4 { // each fragment section has a 4-byte length
+		return nil, fmt.Errorf("%w: %d fragments in %d bytes", encoding.ErrCorrupt, nfrag, len(rest))
+	}
 	r.Fragments = make([][]byte, nfrag)
 	for i := range r.Fragments {
 		f, m, err := encoding.GetSection(rest)
@@ -232,6 +232,9 @@ func Unmarshal(data []byte) (*Refactored, error) {
 		}
 		r.Fragments[i] = f
 		rest = rest[m:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after the fragments", encoding.ErrCorrupt, len(rest))
 	}
 	return r, nil
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -368,6 +370,60 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	bad[4] = 0x77 // method field garbage
 	if _, err := Unmarshal(bad); err == nil {
 		t.Error("bad method not detected")
+	}
+}
+
+// forgedHeader frames the u32 words as a refactored header section with
+// no fragment count after it.
+func forgedHeader(words ...uint32) []byte {
+	hdr := make([]byte, 4*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(hdr[4*i:], w)
+	}
+	return encoding.PutSection(nil, hdr)
+}
+
+// TestUnmarshalForgedHeaders feeds representations Marshal never writes:
+// counts that promise far more entries than their bytes hold, grids with
+// a zero or overflowing size, a tail flag other than 0 or 1, and bytes
+// after the header's last field or after the last fragment. Each must be
+// refused as corrupt before Unmarshal allocates for a count (a 2²⁴
+// prefix-bound count alone once cost 128 MiB), so whatever Unmarshal
+// accepts, Marshal writes back unchanged.
+func TestUnmarshalForgedHeaders(t *testing.T) {
+	noFrags := []byte{0, 0, 0, 0}
+	// method 3, rank 1, dim 8, then nbounds, nsnap, tail, basis, planes,
+	// nsched and nblocks all 0.
+	empty := append(forgedHeader(3, 1, 8, 0, 0, 0, 0, 0, 0, 0), noFrags...)
+	ref, err := Unmarshal(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ref.Marshal(), empty) {
+		t.Fatal("an empty PMGARD-HB representation does not round-trip")
+	}
+	cases := map[string][]byte{
+		"prefix bounds":            forgedHeader(3, 1, 8, 1<<24), // the 20-byte header
+		"schedule":                 forgedHeader(3, 1, 8, 0, 0, 0, 0, 0, 1<<24),
+		"blocks":                   forgedHeader(3, 1, 8, 0, 0, 0, 0, 0, 0, 1<<16),
+		"fragments":                append(forgedHeader(3, 1, 8, 0, 0, 0, 0, 0, 0, 0), 0, 0, 0, 1),
+		"zero dim":                 append(forgedHeader(3, 2, 8, 0, 0, 0, 0, 0, 0, 0, 0), noFrags...),
+		"dims overflow":            append(forgedHeader(3, 3, math.MaxUint32, math.MaxUint32, math.MaxUint32, 0, 0, 0, 0, 0, 0, 0), noFrags...),
+		"tail flag 2":              append(forgedHeader(3, 1, 8, 0, 0, 2, 0, 0, 0, 0), noFrags...),
+		"trailing header word":     append(forgedHeader(3, 1, 8, 0, 0, 0, 0, 0, 0, 0, 7), noFrags...),
+		"byte after the fragments": append(append([]byte(nil), empty...), 0),
+	}
+	for name, buf := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(buf)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, encoding.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes", name, d)
+		}
 	}
 }
 

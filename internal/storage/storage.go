@@ -483,9 +483,12 @@ func DecodeVariable(blob []byte) (*core.Variable, error) {
 		return nil, err
 	}
 	off += n
-	refB, _, err := encoding.GetSection(blob[off:])
+	refB, n, err := encoding.GetSection(blob[off:])
 	if err != nil {
 		return nil, err
+	}
+	if off += n; off != len(blob) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after the variable", encoding.ErrCorrupt, len(blob)-off)
 	}
 	ref, err := progressive.Unmarshal(refB)
 	if err != nil {
@@ -531,6 +534,9 @@ func unpackMask(b []byte, wantLen int) ([]bool, error) {
 	}
 	if len(b) != 4+(n+7)/8 {
 		return nil, fmt.Errorf("%w: mask bitmap size %d", encoding.ErrCorrupt, len(b)-4)
+	}
+	if n%8 != 0 && b[len(b)-1]>>uint(n%8) != 0 {
+		return nil, fmt.Errorf("%w: mask padding bits set", encoding.ErrCorrupt)
 	}
 	mask := make([]bool, n)
 	for i := range mask {

@@ -330,3 +330,23 @@ func TestVariableFragmentRanges(t *testing.T) {
 		t.Fatalf("corrupt blob: want ErrCorrupt, got %v", err)
 	}
 }
+
+// FuzzDecodeVariable: DecodeVariable either refuses a blob with an error
+// wrapping encoding.ErrCorrupt, or returns a variable that EncodeVariable
+// writes back byte for byte, so the decoder accepts exactly the layouts
+// the writer produces. The committed corpus (testdata/fuzz) seeds it with
+// real PMGARD-HB and PSZ3 variable blobs, zero mask included.
+func FuzzDecodeVariable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		v, err := DecodeVariable(blob)
+		if err != nil {
+			if !errors.Is(err, encoding.ErrCorrupt) {
+				t.Fatalf("DecodeVariable: %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if back := EncodeVariable(v); !bytes.Equal(back, blob) {
+			t.Fatalf("%d decoded bytes re-encode to %d different ones", len(blob), len(back))
+		}
+	})
+}
