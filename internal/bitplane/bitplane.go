@@ -16,9 +16,11 @@
 package bitplane
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"progqoi/internal/encoding"
 	"progqoi/internal/par"
@@ -41,7 +43,17 @@ type Block struct {
 	B      int      // total planes available
 	Signs  []byte   // compressed sign bitmap (fetched with the first plane)
 	Planes [][]byte // compressed magnitude planes, MSB first
+
+	// frags[p] is Fragment(p): Signs and Planes[p] are slices of it.
+	frags [][]byte
 }
+
+// Fragment returns plane p of a non-zero block EncodeAll built as one
+// stored fragment, in encoding sections: the sign bitmap then plane 0 for
+// p = 0, plane p alone otherwise. The PMGARD representations store these
+// fragments and their reader splits them with encoding.GetSection. The
+// bytes are the ones Signs and Planes[p] live in, not a copy.
+func (b *Block) Fragment(p int) []byte { return b.frags[p] }
 
 // Encode slices vals into numPlanes bit planes. numPlanes ≤ 62; values must
 // be finite. An all-zero block encodes to zero-length planes.
@@ -65,18 +77,49 @@ func EncodeAll(groups [][]float64, numPlanes, workers int) ([]*Block, error) {
 // no other task touches, so the output blocks are bit-identical to calling
 // Encode per group — only the schedule changes. This is the encode-side
 // mirror of the Reader's decode path.
+//
+// A call takes one magnitude buffer and one byte slab (every group's sign
+// bitmap and raw planes) from package pools and returns them when its
+// fragments are compressed, so a pack encoding one variable after another
+// reuses the same two buffers.
 func EncodeAllOn(b *par.Budget, groups [][]float64, numPlanes int) ([]*Block, error) {
 	if numPlanes <= 0 || numPlanes > 62 {
 		return nil, fmt.Errorf("bitplane: numPlanes %d outside (0,62]", numPlanes)
 	}
+	// Lay the groups out in the two buffers: magnitudes at magOff, the sign
+	// bitmap at signOff and plane p at planeOff + p·stride. slicePlanes
+	// writes byte j of all planes in turn. Spacing the planes an odd number
+	// of cache lines apart puts those bytes in different L1 sets; at a
+	// power-of-two distance (nb = 28 KiB for the finest group of a 64³
+	// field) they would evict each other.
+	type layout struct{ magOff, signOff, planeOff, stride int }
+	lay := make([]layout, len(groups))
+	nmag, nbyte := 0, 0
+	for gi, vals := range groups {
+		nb := (len(vals) + 7) / 8
+		stride := (nb+63)&^63 | 64
+		nbyte = (nbyte + 63) &^ 63
+		lay[gi] = layout{magOff: nmag, planeOff: nbyte, stride: stride}
+		nmag += len(vals)
+		nbyte += numPlanes * stride
+	}
+	for gi, vals := range groups {
+		lay[gi].signOff = nbyte
+		nbyte += (len(vals) + 7) / 8
+	}
+	magBuf, byteBuf := getScratch[uint64](&magPool, nmag), getScratch[byte](&slabPool, nbyte)
+	defer magPool.Put(magBuf)
+	defer slabPool.Put(byteBuf)
+	mags, slab := *magBuf, *byteBuf
+	clear(slab) // slicePlanes skips zero words and prepare ORs in the signs
+
 	blocks := make([]*Block, len(groups))
-	mags := make([][]uint64, len(groups))
-	signs := make([][]byte, len(groups))
 	errs := make([]error, len(groups))
 	// Stage 1: per-group fixed-point conversion (exponent, magnitudes,
 	// sign bitmap).
 	b.For(len(groups), func(_, gi int) bool {
-		blocks[gi], mags[gi], signs[gi], errs[gi] = prepare(groups[gi], numPlanes)
+		l, n := lay[gi], len(groups[gi])
+		blocks[gi], errs[gi] = prepare(groups[gi], numPlanes, mags[l.magOff:l.magOff+n], slab[l.signOff:l.signOff+(n+7)/8])
 		return true
 	})
 	for _, err := range errs {
@@ -88,11 +131,11 @@ func EncodeAllOn(b *par.Budget, groups [][]float64, numPlanes int) ([]*Block, er
 	// task per sliceChunk coefficients so the finest group (7/8 of a
 	// decomposition) spreads over the pool. Chunks start on a multiple of 8
 	// coefficients and therefore write disjoint bytes of every plane.
-	// Stage 3: one task per stored fragment — the sign bitmap and every
-	// magnitude plane — compressed into its own slot, so the merge is
-	// deterministic.
+	// Stage 3: one task per stored fragment — every magnitude plane, the
+	// sign bitmap riding with plane 0 — compressed into its own slot, so
+	// the merge is deterministic.
 	type chunk struct{ gi, lo, hi int }
-	type task struct{ gi, p int } // p == -1 is the sign fragment
+	type task struct{ gi, p int }
 	var chunks []chunk
 	var tasks []task
 	raws := make([][][]byte, len(groups))
@@ -101,39 +144,47 @@ func EncodeAllOn(b *par.Budget, groups [][]float64, numPlanes int) ([]*Block, er
 			continue // all-zero block: no fragments at all
 		}
 		blk.Planes = make([][]byte, numPlanes)
+		blk.frags = make([][]byte, numPlanes)
 		nb := (blk.N + 7) / 8
-		// slicePlanes writes byte j of all planes in turn. Spacing the
-		// planes an odd number of cache lines apart puts those bytes in
-		// different L1 sets; at a power-of-two distance (nb = 28 KiB for
-		// the finest group of a 64³ field) they would evict each other.
-		stride := (nb+63)&^63 | 64
-		slab := make([]byte, numPlanes*stride)
+		l := lay[gi]
 		raws[gi] = make([][]byte, numPlanes)
 		for p := range raws[gi] {
-			raws[gi][p] = slab[p*stride : p*stride+nb : p*stride+nb]
+			lo := l.planeOff + p*l.stride
+			raws[gi][p] = slab[lo : lo+nb : lo+nb]
 		}
 		for lo := 0; lo < blk.N; lo += sliceChunk {
 			chunks = append(chunks, chunk{gi, lo, min(lo+sliceChunk, blk.N)})
 		}
-		tasks = append(tasks, task{gi, -1})
 		for p := 0; p < numPlanes; p++ {
 			tasks = append(tasks, task{gi, p})
 		}
 	}
 	b.For(len(chunks), func(_, ci int) bool {
 		c := chunks[ci]
-		slicePlanes(mags[c.gi], raws[c.gi], c.lo, c.hi)
+		l := lay[c.gi]
+		slicePlanes(mags[l.magOff:l.magOff+blocks[c.gi].N], raws[c.gi], c.lo, c.hi)
 		return true
 	})
 	terrs := make([]error, len(tasks))
 	b.For(len(tasks), func(_, ti int) bool {
 		t := tasks[ti]
 		blk := blocks[t.gi]
-		if t.p < 0 {
-			blk.Signs, terrs[ti] = encoding.PutTagged(signs[t.gi])
-		} else {
-			blk.Planes[t.p], terrs[ti] = encoding.PutTagged(raws[t.gi][t.p])
+		in := raws[t.gi][t.p : t.p+1]
+		if t.p == 0 {
+			l := lay[t.gi]
+			in = [][]byte{slab[l.signOff : l.signOff+len(in[0])], in[0]}
 		}
+		frag, err := encoding.AppendTaggedSections(nil, in...)
+		if err != nil {
+			terrs[ti] = err
+			return true
+		}
+		blk.frags[t.p] = frag
+		if t.p == 0 {
+			n := 4 + int(binary.LittleEndian.Uint32(frag)) // the sign section
+			blk.Signs, frag = frag[4:n], frag[n:]
+		}
+		blk.Planes[t.p] = frag[4:]
 		return true
 	})
 	for _, err := range terrs {
@@ -144,14 +195,33 @@ func EncodeAllOn(b *par.Budget, groups [][]float64, numPlanes int) ([]*Block, er
 	return blocks, nil
 }
 
+// magPool and slabPool hold EncodeAllOn's magnitude buffers and byte
+// slabs between calls, as *[]uint64 and *[]byte. Every fragment is
+// compressed or copied out of the slab, so nothing a call returns aliases
+// them.
+var magPool, slabPool sync.Pool
+
+// getScratch returns a pooled buffer of n elements, or a new one when the
+// pool holds none large enough. Its contents are whatever the last user
+// left.
+func getScratch[T any](pool *sync.Pool, n int) *[]T {
+	if buf, ok := pool.Get().(*[]T); ok && cap(*buf) >= n {
+		*buf = (*buf)[:n]
+		return buf
+	}
+	buf := make([]T, n)
+	return &buf
+}
+
 // prepare runs the sequential head of the encode: validation, shared
-// exponent, fixed-point magnitudes and the raw sign bitmap. All-zero (or
-// empty) groups come back with Exp = math.MinInt32 and nil magnitudes.
-func prepare(vals []float64, numPlanes int) (*Block, []uint64, []byte, error) {
+// exponent, and the fixed-point magnitudes and sign bitmap, written into
+// mags (len(vals) values) and signBits (zero on entry). All-zero (or
+// empty) groups come back with Exp = math.MinInt32 and mags untouched.
+func prepare(vals []float64, numPlanes int, mags []uint64, signBits []byte) (*Block, error) {
 	maxAbs := 0.0
 	for _, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, nil, ErrBadInput
+			return nil, ErrBadInput
 		}
 		if a := math.Abs(v); a > maxAbs {
 			maxAbs = a
@@ -160,7 +230,7 @@ func prepare(vals []float64, numPlanes int) (*Block, []uint64, []byte, error) {
 	b := &Block{N: len(vals), B: numPlanes}
 	if len(vals) == 0 || maxAbs == 0 {
 		b.Exp = math.MinInt32 // marks the all-zero block; Bound() treats it as 0
-		return b, nil, nil, nil
+		return b, nil
 	}
 	// Choose e with maxAbs < 2^e (frexp: maxAbs = f·2^exp, f ∈ [0.5,1)).
 	_, exp := math.Frexp(maxAbs)
@@ -168,8 +238,6 @@ func prepare(vals []float64, numPlanes int) (*Block, []uint64, []byte, error) {
 	scale := math.Ldexp(1, numPlanes-exp) // 2^(B-e)
 
 	// Fixed-point magnitudes and signs.
-	mags := make([]uint64, len(vals))
-	signBits := make([]byte, (len(vals)+7)/8)
 	limit := (uint64(1) << uint(numPlanes)) - 1
 	for i, v := range vals {
 		if v < 0 {
@@ -181,7 +249,7 @@ func prepare(vals []float64, numPlanes int) (*Block, []uint64, []byte, error) {
 		}
 		mags[i] = m
 	}
-	return b, mags, signBits, nil
+	return b, nil
 }
 
 // sliceChunk is the number of coefficients one slicing task covers: 1 KiB

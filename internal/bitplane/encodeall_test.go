@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"progqoi/internal/encoding"
 )
 
 // randGroups builds coefficient groups of mixed sizes, including an
@@ -112,6 +114,61 @@ func TestEncodeAllRoundTrip(t *testing.T) {
 			if math.Abs(v-vals[i]) > bound {
 				t.Fatalf("group %d value %d: |%g-%g| > %g", g, i, v, vals[i], bound)
 			}
+		}
+	}
+}
+
+// TestFragmentFraming: Fragment(p) is plane p as one encoding section, the
+// sign section first for plane 0.
+func TestFragmentFraming(t *testing.T) {
+	blocks, err := EncodeAll(randGroups(11), 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, blk := range blocks {
+		if blk.Exp == math.MinInt32 {
+			continue
+		}
+		for p := range blk.Planes {
+			var want []byte
+			if p == 0 {
+				want = encoding.PutSection(want, blk.Signs)
+			}
+			want = encoding.PutSection(want, blk.Planes[p])
+			if got := blk.Fragment(p); !bytes.Equal(got, want) {
+				t.Fatalf("group %d plane %d: fragment differs from its sections", g, p)
+			}
+		}
+	}
+}
+
+// TestEncodeAllReusesCleanBuffers: EncodeAll reuses its magnitude buffer
+// and plane slab across calls. A dense encode followed by a sparse one of
+// the same sizes must leave no bit of the first in the second, which the
+// per-plane reference encode would show.
+func TestEncodeAllReusesCleanBuffers(t *testing.T) {
+	const numPlanes = 30
+	rng := rand.New(rand.NewSource(3))
+	dense, sparse := make([][]float64, 3), make([][]float64, 3)
+	for g, n := range []int{9, 4097, 2*sliceChunk + 5} {
+		dense[g], sparse[g] = make([]float64, n), make([]float64, n)
+		for i := range dense[g] {
+			dense[g][i] = -math.Nextafter(1, 0) * rng.Float64()
+			if i%97 == 0 {
+				sparse[g][i] = rng.Float64()
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := EncodeAll(dense, numPlanes, 2); err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeAll(sparse, numPlanes, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, vals := range sparse {
+			blocksEqual(t, refEncode(t, vals, numPlanes), got[g])
 		}
 	}
 }

@@ -202,7 +202,8 @@ func TestOrPlaneStaysInRange(t *testing.T) {
 // one tagged fragment per plane.
 func refEncode(t *testing.T, vals []float64, numPlanes int) *Block {
 	t.Helper()
-	blk, mags, signs, err := prepare(vals, numPlanes)
+	mags, signs := make([]uint64, len(vals)), make([]byte, (len(vals)+7)/8)
+	blk, err := prepare(vals, numPlanes, mags, signs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,17 +87,7 @@ func RefactorVariables(names []string, fields [][]float64, dims []int, opt Refac
 		data := fields[i]
 		var mask []bool
 		if opt.MaskZeros {
-			any := false
-			mask = make([]bool, len(data))
-			for j, v := range data {
-				if v == 0 {
-					mask[j] = true
-					any = true
-				}
-			}
-			if !any {
-				mask = nil
-			}
+			mask = zeroMask(data)
 		}
 		ref, err := progressive.RefactorOn(b, data, dims, opt.Progressive)
 		if err != nil {
@@ -113,6 +103,22 @@ func RefactorVariables(names []string, fields [][]float64, dims []int, opt Refac
 		}
 	}
 	return vars, nil
+}
+
+// zeroMask marks the exact zeros of data, or returns nil when it has none;
+// the mask is allocated at the first zero, so a field without any costs
+// nothing.
+func zeroMask(data []float64) []bool {
+	var mask []bool
+	for j, v := range data {
+		if v == 0 {
+			if mask == nil {
+				mask = make([]bool, len(data))
+			}
+			mask[j] = true
+		}
+	}
+	return mask
 }
 
 // Region is a half-open flat-index range [Lo, Hi) of the data space. The

@@ -137,6 +137,43 @@ func TestMaskKeepsSqrtEstimatesFinite(t *testing.T) {
 	}
 }
 
+// TestZeroMaskOnlyWhereZeros: MaskZeros gives a field without an exact
+// zero no mask at all, and building that nothing allocates nothing; a
+// field with zeros gets a mask marking exactly them.
+func TestZeroMaskOnlyWhereZeros(t *testing.T) {
+	ds := smallGE()
+	noZeros := slices.Clone(ds.Fields[0])
+	for i, v := range noZeros {
+		if v == 0 {
+			noZeros[i] = 1
+		}
+	}
+	withZeros := slices.Clone(noZeros)
+	zeros := []int{0, 7, 8, len(withZeros) / 3, len(withZeros) - 1}
+	for _, i := range zeros {
+		withZeros[i] = 0
+	}
+	vars, err := RefactorVariables([]string{"none", "some"}, [][]float64{noZeros, withZeros}, ds.Dims, refactorOptions(progressive.PMGARDHB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vars[0].ZeroMask != nil {
+		t.Errorf("a field without zeros has a %d-point mask", len(vars[0].ZeroMask))
+	}
+	if n := testing.AllocsPerRun(5, func() { zeroMask(noZeros) }); n != 0 {
+		t.Errorf("masking a field without zeros allocates %v times", n)
+	}
+	mask := vars[1].ZeroMask
+	if len(mask) != len(withZeros) {
+		t.Fatalf("mask has %d points for %d values", len(mask), len(withZeros))
+	}
+	for i, m := range mask {
+		if m != slices.Contains(zeros, i) {
+			t.Errorf("mask[%d] = %v", i, m)
+		}
+	}
+}
+
 func TestMultiQoIRequestSatisfiesAll(t *testing.T) {
 	ds := smallGE()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)

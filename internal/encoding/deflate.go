@@ -3,6 +3,7 @@ package encoding
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -212,18 +213,62 @@ func incompressible(raw []byte) bool {
 
 // PutTagged frames raw as a tagged fragment.
 func PutTagged(raw []byte) ([]byte, error) {
-	if incompressible(raw) {
-		return tagged(0, raw), nil
-	}
-	z, err := compress(raw, taggedLevel)
+	tag, payload, z, err := taggedPayload(raw)
 	if err != nil {
 		return nil, err
 	}
-	defer z.release()
-	if c := z.buf.Bytes(); len(c) < len(raw) {
-		return tagged(1, c), nil
+	if z != nil {
+		defer z.release()
 	}
-	return tagged(0, raw), nil
+	return tagged(tag, payload), nil
+}
+
+// AppendTaggedSections appends to dst, for each raw in turn, a section
+// (PutSection framing) holding PutTagged(raw). It grows dst at most once,
+// to exactly the size needed, so a caller that keeps several fragments
+// together, or a fragment with its section header, copies each compressed
+// byte once.
+func AppendTaggedSections(dst []byte, raws ...[]byte) ([]byte, error) {
+	tags := make([]byte, len(raws))
+	payloads := make([][]byte, len(raws))
+	need := 0
+	for i, raw := range raws {
+		tag, payload, z, err := taggedPayload(raw)
+		if err != nil {
+			return nil, err
+		}
+		if z != nil {
+			defer z.release()
+		}
+		tags[i], payloads[i] = tag, payload
+		need += 4 + 1 + len(payload)
+	}
+	if cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	for i, payload := range payloads {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(payload)))
+		dst = append(dst, tags[i])
+		dst = append(dst, payload...)
+	}
+	return dst, nil
+}
+
+// taggedPayload picks the tag and payload PutTagged stores for raw. A
+// DEFLATE payload lives in z's buffer, which the caller releases once it
+// has copied it; a raw one aliases raw, and z is nil.
+func taggedPayload(raw []byte) (tag byte, payload []byte, z *deflater, err error) {
+	if incompressible(raw) {
+		return 0, raw, nil, nil
+	}
+	if z, err = compress(raw, taggedLevel); err != nil {
+		return 0, nil, nil, err
+	}
+	if c := z.buf.Bytes(); len(c) < len(raw) {
+		return 1, c, z, nil
+	}
+	z.release()
+	return 0, raw, nil, nil
 }
 
 // tagged returns tag followed by a copy of payload.

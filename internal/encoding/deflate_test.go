@@ -156,6 +156,40 @@ func TestTaggedRule(t *testing.T) {
 	}
 }
 
+// TestAppendTaggedSections: the sections AppendTaggedSections appends are
+// PutSection(PutTagged(raw)) for each input in turn, after whatever dst
+// held, and dst grows once, to exactly their size.
+func TestAppendTaggedSections(t *testing.T) {
+	ins := deflateInputs()
+	for i := range ins {
+		raws := [][]byte{ins[i], ins[(i+1)%len(ins)]}
+		want := []byte("head")
+		size := 0
+		for _, raw := range raws {
+			frag, err := PutTagged(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = PutSection(want, frag)
+			size += 4 + len(frag)
+		}
+		got, err := AppendTaggedSections([]byte("head"), raws...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("inputs %d: sections differ from PutSection(PutTagged(raw))", i)
+		}
+		if cap(got) != len("head")+size {
+			t.Fatalf("inputs %d: grew to cap %d, want exactly %d", i, cap(got), len("head")+size)
+		}
+		dst := make([]byte, 0, size)
+		if got, _ := AppendTaggedSections(dst, raws...); &got[0] != &dst[:1][0] {
+			t.Fatalf("inputs %d: grew a buffer that had room", i)
+		}
+	}
+}
+
 // TestGetTaggedCorrupt: every malformed fragment is ErrCorrupt, and a
 // DEFLATE payload larger than the declared size is cut off at that size.
 func TestGetTaggedCorrupt(t *testing.T) {

@@ -310,3 +310,24 @@ func TestSectionCorrupt(t *testing.T) {
 		t.Fatal("short header not detected")
 	}
 }
+
+func TestCRCRoundTrip(t *testing.T) {
+	blob := []byte("payload with checksum")
+	framed := AppendCRC(blob)
+	got, err := CheckCRC(framed)
+	if err != nil || string(got) != string(blob) {
+		t.Fatalf("%q %v", got, err)
+	}
+	framed[0] ^= 1
+	if _, err := CheckCRC(framed); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bit flip: %v, want ErrCorrupt", err)
+	}
+	if _, err := CheckCRC([]byte{1, 2}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("short blob: %v, want ErrCorrupt", err)
+	}
+	// With spare capacity the trailer goes in place, with no copy.
+	buf := make([]byte, 3, 3+CRCSize)
+	if framed := AppendCRC(buf); &framed[0] != &buf[0] || len(framed) != 3+CRCSize {
+		t.Fatal("AppendCRC copied a blob that had room for its trailer")
+	}
+}

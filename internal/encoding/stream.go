@@ -3,6 +3,7 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -65,4 +66,33 @@ func GetSection(data []byte) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("%w: section truncated (want %d bytes, have %d)", ErrCorrupt, n, len(data)-4)
 	}
 	return data[4 : 4+n], 4 + n, nil
+}
+
+// CRC framing: a blob followed by the CRC32C (Castagnoli) of its bytes,
+// little-endian. Archive blobs and the fragment service's wire frames
+// share this one implementation.
+
+// CRCSize is the length of the trailer AppendCRC adds.
+const CRCSize = 4
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// AppendCRC appends blob's CRC32C trailer to blob in place: with
+// CRCSize bytes of spare capacity it copies nothing.
+func AppendCRC(blob []byte) []byte {
+	return binary.LittleEndian.AppendUint32(blob, crc32.Checksum(blob, crcTable))
+}
+
+// CheckCRC verifies an AppendCRC frame and returns the blob without its
+// trailer, aliasing raw. A short frame or a mismatch is ErrCorrupt.
+func CheckCRC(raw []byte) ([]byte, error) {
+	if len(raw) < CRCSize {
+		return nil, fmt.Errorf("%w: blob too short for checksum", ErrCorrupt)
+	}
+	blob, trailer := raw[:len(raw)-CRCSize], raw[len(raw)-CRCSize:]
+	want := binary.LittleEndian.Uint32(trailer)
+	if got := crc32.Checksum(blob, crcTable); got != want {
+		return nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrCorrupt, got, want)
+	}
+	return blob, nil
 }

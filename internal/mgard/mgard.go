@@ -119,6 +119,15 @@ func newDecomposition(g *grid.Grid, basis Basis) *Decomposition {
 // Decompose transforms data (row-major on g) into multilevel coefficients.
 // The input slice is not modified. Values must be finite.
 func Decompose(data []float64, g *grid.Grid, basis Basis) (*Decomposition, error) {
+	return DecomposeInto(nil, data, g, basis)
+}
+
+// DecomposeInto is Decompose into d's storage: when d has shape g and the
+// same basis, its coefficient array and group tables are reused and d is
+// returned; otherwise (d nil included) a new decomposition is. Either way
+// d's previous coefficients are gone, so a pack can run one decomposition
+// per variable through the same arrays.
+func DecomposeInto(d *Decomposition, data []float64, g *grid.Grid, basis Basis) (*Decomposition, error) {
 	if err := g.Validate(data); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
@@ -127,7 +136,9 @@ func Decompose(data []float64, g *grid.Grid, basis Basis) (*Decomposition, error
 			return nil, fmt.Errorf("%w: non-finite value at index %d", ErrBadInput, i)
 		}
 	}
-	d := newDecomposition(g, basis)
+	if d == nil || d.Basis != basis || !d.Grid.Equal(g) {
+		d = newDecomposition(g, basis)
+	}
 	copy(d.coeffs, data)
 	for l := 0; l < d.Steps; l++ {
 		s := grid.LevelStride(l)
@@ -214,13 +225,19 @@ func (d *Decomposition) GroupSize(gIdx int) int { return d.sizes[gIdx] }
 
 // Group copies the coefficients of group gIdx.
 func (d *Decomposition) Group(gIdx int) []float64 {
-	out := make([]float64, 0, d.sizes[gIdx])
+	return d.AppendGroup(make([]float64, 0, d.sizes[gIdx]), gIdx)
+}
+
+// AppendGroup appends the coefficients of group gIdx to dst, in Group's
+// order. With GroupSize(gIdx) values of spare capacity in dst it allocates
+// nothing.
+func (d *Decomposition) AppendGroup(dst []float64, gIdx int) []float64 {
 	for _, r := range d.runs[gIdx] {
 		for k, off := 0, r.off; k < r.n; k, off = k+1, off+r.step {
-			out = append(out, d.coeffs[off])
+			dst = append(dst, d.coeffs[off])
 		}
 	}
-	return out
+	return dst
 }
 
 // SetGroup overwrites the coefficients of group gIdx (used when assembling a

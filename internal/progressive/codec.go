@@ -14,56 +14,67 @@ import (
 // fragments, each framed. The layout is self-describing and validated by
 // Unmarshal.
 func (r *Refactored) Marshal() []byte {
-	var hdr []byte
-	var tmp [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		hdr = append(hdr, tmp[:4]...)
-	}
-	put64 := func(v float64) {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		hdr = append(hdr, tmp[:]...)
-	}
-	put32(uint32(r.Method))
-	put32(uint32(len(r.Dims)))
-	for _, d := range r.Dims {
-		put32(uint32(d))
-	}
-	put32(uint32(len(r.PrefixBounds)))
-	for _, b := range r.PrefixBounds {
-		put64(b)
-	}
-	put32(uint32(len(r.SnapshotEBs)))
-	for _, b := range r.SnapshotEBs {
-		put64(b)
-	}
-	if r.HasTail {
-		put32(1)
-	} else {
-		put32(0)
-	}
-	put32(uint32(r.Basis))
-	put32(uint32(r.Planes))
-	put32(uint32(len(r.Schedule)))
-	for _, s := range r.Schedule {
-		put32(uint32(s.Group))
-		put32(uint32(s.Plane))
-	}
-	put32(uint32(len(r.Blocks)))
-	for _, blk := range r.Blocks {
-		put32(uint32(blk.N))
-		put32(uint32(int32(blk.Exp)))
-		put32(uint32(blk.B))
-	}
+	return r.AppendMarshal(make([]byte, 0, r.MarshalSize()))
+}
 
-	out := encoding.PutSection(nil, hdr)
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(r.Fragments)))
-	out = append(out, cnt[:]...)
+// headerSize is the length of Marshal's header section payload: nine u32
+// counts and flags, then the dims, the f64 bounds, the schedule's u32
+// pairs and the blocks' u32 triples.
+func (r *Refactored) headerSize() int {
+	return 4*(9+len(r.Dims)) + 8*(len(r.PrefixBounds)+len(r.SnapshotEBs)+len(r.Schedule)) + 12*len(r.Blocks)
+}
+
+// MarshalSize returns len(r.Marshal()) without building it, so a caller can
+// size one buffer for the representation and whatever frames it.
+func (r *Refactored) MarshalSize() int {
+	n := 4 + r.headerSize() + 4 // header section, fragment count
 	for _, f := range r.Fragments {
-		out = encoding.PutSection(out, f)
+		n += 4 + len(f)
 	}
-	return out
+	return n
+}
+
+// AppendMarshal appends Marshal's bytes to dst. With MarshalSize bytes of
+// spare capacity in dst it allocates nothing.
+func (r *Refactored) AppendMarshal(dst []byte) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(r.headerSize()))
+	dst = le.AppendUint32(dst, uint32(r.Method))
+	dst = le.AppendUint32(dst, uint32(len(r.Dims)))
+	for _, d := range r.Dims {
+		dst = le.AppendUint32(dst, uint32(d))
+	}
+	dst = le.AppendUint32(dst, uint32(len(r.PrefixBounds)))
+	for _, b := range r.PrefixBounds {
+		dst = le.AppendUint64(dst, math.Float64bits(b))
+	}
+	dst = le.AppendUint32(dst, uint32(len(r.SnapshotEBs)))
+	for _, b := range r.SnapshotEBs {
+		dst = le.AppendUint64(dst, math.Float64bits(b))
+	}
+	tail := uint32(0)
+	if r.HasTail {
+		tail = 1
+	}
+	dst = le.AppendUint32(dst, tail)
+	dst = le.AppendUint32(dst, uint32(r.Basis))
+	dst = le.AppendUint32(dst, uint32(r.Planes))
+	dst = le.AppendUint32(dst, uint32(len(r.Schedule)))
+	for _, s := range r.Schedule {
+		dst = le.AppendUint32(dst, uint32(s.Group))
+		dst = le.AppendUint32(dst, uint32(s.Plane))
+	}
+	dst = le.AppendUint32(dst, uint32(len(r.Blocks)))
+	for _, blk := range r.Blocks {
+		dst = le.AppendUint32(dst, uint32(blk.N))
+		dst = le.AppendUint32(dst, uint32(int32(blk.Exp)))
+		dst = le.AppendUint32(dst, uint32(blk.B))
+	}
+	dst = le.AppendUint32(dst, uint32(len(r.Fragments)))
+	for _, f := range r.Fragments {
+		dst = encoding.PutSection(dst, f)
+	}
+	return dst
 }
 
 // errHeaderTruncated reports a header that ends inside a field, or before

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"progqoi/internal/bitplane"
 	"progqoi/internal/encoding"
@@ -322,10 +323,16 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 	if opt.Method == PMGARD {
 		basis = mgard.Orthogonal
 	}
-	dec, err := mgard.Decompose(data, g, basis)
+	sc, _ := scratchPool.Get().(*multilevelScratch)
+	if sc == nil {
+		sc = &multilevelScratch{}
+	}
+	defer scratchPool.Put(sc)
+	dec, err := mgard.DecomposeInto(sc.dec, data, g, basis)
 	if err != nil {
 		return nil, err
 	}
+	sc.dec = dec
 	nGroups := dec.NumGroups()
 	r := &Refactored{
 		Method: opt.Method,
@@ -346,8 +353,14 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 	// sequential encode.
 	perGroupNext := make([]int, nGroups)
 	groups := make([][]float64, nGroups)
+	if cap(sc.coeffs) < len(data) {
+		sc.coeffs = make([]float64, 0, len(data))
+	}
+	all := sc.coeffs[:0]
 	for gi := 0; gi < nGroups; gi++ {
-		groups[gi] = dec.Group(gi)
+		lo := len(all)
+		all = dec.AppendGroup(all, gi)
+		groups[gi] = all[lo:len(all):len(all)]
 	}
 	blocks, err := bitplane.EncodeAllOn(b, groups, opt.Planes)
 	if err != nil {
@@ -380,15 +393,8 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 	}
 	appendFrag := func(fm fragMeta) {
 		gi, p := fm.ref.Group, fm.ref.Plane
-		payload := blocks[gi].Planes[p]
-		if p == 0 {
-			// Sign fragment rides with the first plane.
-			payload = encoding.PutSection(nil, blocks[gi].Signs)
-			payload = encoding.PutSection(payload, blocks[gi].Planes[0])
-		} else {
-			payload = encoding.PutSection(nil, payload)
-		}
-		r.Fragments = append(r.Fragments, payload)
+		// The sign fragment rides with the first plane.
+		r.Fragments = append(r.Fragments, blocks[gi].Fragment(p))
 		r.Schedule = append(r.Schedule, fm.ref)
 		perGroupNext[gi] = p + 1
 		bounds[gi] = blocks[gi].Bound(p + 1)
@@ -433,6 +439,18 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 	}
 	return r, nil
 }
+
+// multilevelScratch is the transform storage of one multilevel refactor,
+// kept in scratchPool for the next: the decomposition, reused whenever
+// the next field has the same shape and basis, and the group-ordered copy
+// of its coefficients that the bit-plane encode reads. Nothing a refactor
+// returns aliases either.
+type multilevelScratch struct {
+	dec    *mgard.Decomposition
+	coeffs []float64
+}
+
+var scratchPool sync.Pool // of *multilevelScratch
 
 // better reports whether benefit/size a beats b, avoiding division (sizes
 // can be zero for all-zero groups: treat them as infinitely good).

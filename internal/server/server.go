@@ -1122,7 +1122,7 @@ func (s *Server) handleStoreBlob(w http.ResponseWriter, r *http.Request) {
 
 // etag builds a strong validator from content checksum + length.
 func etag(b []byte) string {
-	return fmt.Sprintf("\"%08x-%x\"", crc32.Checksum(b, crcTable), len(b))
+	return fmt.Sprintf("\"%08x-%x\"", crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)), len(b))
 }
 
 // negotiated is a catalog payload that is not already entropy-coded (the

@@ -23,7 +23,6 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"progqoi/internal/core"
 	"progqoi/internal/encoding"
@@ -90,7 +89,7 @@ func BuildIndex(name string, vars []*core.Variable) *Index {
 // stripped to zero-length placeholders — into a CRC-framed blob.
 func EncodeMeta(vars []*core.Variable) []byte {
 	out := append([]byte(nil), metaMagic...)
-	out = appendU32(out, uint32(len(vars)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(vars)))
 	for _, v := range vars {
 		ref := *v.Ref
 		ref.Fragments = make([][]byte, len(v.Ref.Fragments))
@@ -101,13 +100,15 @@ func EncodeMeta(vars []*core.Variable) []byte {
 		mv.Ref = &ref
 		out = encoding.PutSection(out, storage.EncodeVariable(&mv))
 	}
-	return withCRC(out)
+	return encoding.AppendCRC(out)
 }
 
 // DecodeMeta parses an EncodeMeta blob into meta-only variables whose
-// Refactored carries the right fragment count but zero-length payloads.
+// Refactored carries the right fragment count but zero-length payloads. It
+// accepts exactly the frames EncodeMeta writes: a payload, or a byte after
+// the last variable, is corruption.
 func DecodeMeta(raw []byte) ([]*core.Variable, error) {
-	blob, err := checkCRC(raw)
+	blob, err := encoding.CheckCRC(raw)
 	if err != nil {
 		return nil, fmt.Errorf("server: meta blob: %w", err)
 	}
@@ -131,7 +132,15 @@ func DecodeMeta(raw []byte) ([]*core.Variable, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: meta variable %d: %w", i, err)
 		}
+		for j, f := range v.Ref.Fragments {
+			if len(f) != 0 {
+				return nil, fmt.Errorf("%w: meta variable %d carries a %d-byte payload for fragment %d", encoding.ErrCorrupt, i, len(f), j)
+			}
+		}
 		vars[i] = v
+	}
+	if off != len(blob) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after the meta variables", encoding.ErrCorrupt, len(blob)-off)
 	}
 	return vars, nil
 }
@@ -139,19 +148,20 @@ func DecodeMeta(raw []byte) ([]*core.Variable, error) {
 // EncodeBatch frames fragment tuples into a CRC-protected response blob.
 func EncodeBatch(frags []BatchFragment) []byte {
 	out := append([]byte(nil), batchMagic...)
-	out = appendU32(out, uint32(len(frags)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(frags)))
 	for _, f := range frags {
 		out = encoding.PutSection(out, []byte(f.Var))
-		out = appendU32(out, uint32(f.Index))
+		out = binary.LittleEndian.AppendUint32(out, uint32(f.Index))
 		out = encoding.PutSection(out, f.Payload)
 	}
-	return withCRC(out)
+	return encoding.AppendCRC(out)
 }
 
 // DecodeBatch parses an EncodeBatch blob, detecting truncation and
-// corruption via the frame CRC.
+// corruption via the frame CRC. It accepts exactly the frames EncodeBatch
+// writes: a byte after the last fragment is corruption.
 func DecodeBatch(raw []byte) ([]BatchFragment, error) {
-	blob, err := checkCRC(raw)
+	blob, err := encoding.CheckCRC(raw)
 	if err != nil {
 		return nil, fmt.Errorf("server: batch blob: %w", err)
 	}
@@ -186,29 +196,8 @@ func DecodeBatch(raw []byte) ([]BatchFragment, error) {
 		off += m
 		out[i] = BatchFragment{Var: string(name), Index: idx, Payload: payload}
 	}
+	if off != len(blob) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after the batch fragments", encoding.ErrCorrupt, len(blob)-off)
+	}
 	return out, nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-func withCRC(blob []byte) []byte {
-	return appendU32(blob, crc32.Checksum(blob, crcTable))
-}
-
-func checkCRC(raw []byte) ([]byte, error) {
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("%w: blob too short for checksum", encoding.ErrCorrupt)
-	}
-	blob, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	want := binary.LittleEndian.Uint32(trailer)
-	if got := crc32.Checksum(blob, crcTable); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", encoding.ErrCorrupt, got, want)
-	}
-	return blob, nil
 }

@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -306,7 +305,7 @@ func ReadArchiveRanged(ctx context.Context, st Store, name string) (vars []*core
 	if err != nil {
 		return nil, nil, err
 	}
-	manifest, err := checkCRC(mraw)
+	manifest, err := encoding.CheckCRC(mraw)
 	if err != nil {
 		return nil, nil, fmt.Errorf("storage: manifest: %w", err)
 	}
@@ -332,7 +331,7 @@ func ReadArchiveRanged(ctx context.Context, st Store, name string) (vars []*core
 		if err != nil {
 			return nil, nil, err
 		}
-		blob, err := checkCRC(raw)
+		blob, err := encoding.CheckCRC(raw)
 		if err != nil {
 			return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
 		}
@@ -420,47 +419,28 @@ func fragmentRanges(blob []byte) ([]FragmentRange, error) {
 	return out, nil
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-// withCRC frames a blob with a CRC32C trailer.
-func withCRC(blob []byte) []byte {
-	out := make([]byte, 0, len(blob)+4)
-	out = append(out, blob...)
-	crc := crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli))
-	return appendU32(out, crc)
-}
-
-func checkCRC(raw []byte) ([]byte, error) {
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("%w: blob too short for checksum", encoding.ErrCorrupt)
-	}
-	blob, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	want := binary.LittleEndian.Uint32(trailer)
-	got := crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli))
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", encoding.ErrCorrupt, got, want)
-	}
-	return blob, nil
-}
-
 // EncodeVariable serializes one refactored variable — name, range, zero
 // mask, progressive representation — into a standalone blob readable by
 // DecodeVariable. It is the body of every archive variable blob, and the
 // fragment service uses it (with fragment payloads stripped) to ship
-// retrieval metadata to remote clients.
+// retrieval metadata to remote clients. The blob is written once, into a
+// buffer of its exact size with encoding.CRCSize bytes to spare, so
+// encoding.AppendCRC frames it without a copy.
 func EncodeVariable(v *core.Variable) []byte {
-	var out []byte
+	maskLen := 0
+	if v.ZeroMask != nil {
+		maskLen = 4 + (len(v.ZeroMask)+7)/8
+	}
+	refLen := v.Ref.MarshalSize()
+	size := 4 + len(v.Name) + 4 + 8 + 4 + maskLen + 4 + refLen
+	out := make([]byte, 0, size+encoding.CRCSize)
 	out = encoding.PutSection(out, []byte(v.Name))
-	var rb [8]byte
-	binary.LittleEndian.PutUint64(rb[:], math.Float64bits(v.Range))
-	out = encoding.PutSection(out, rb[:])
-	out = encoding.PutSection(out, packMask(v.ZeroMask))
-	out = encoding.PutSection(out, v.Ref.Marshal())
-	return out
+	out = binary.LittleEndian.AppendUint32(out, 8)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.Range))
+	out = binary.LittleEndian.AppendUint32(out, uint32(maskLen))
+	out = appendMask(out, v.ZeroMask)
+	out = binary.LittleEndian.AppendUint32(out, uint32(refLen))
+	return v.Ref.AppendMarshal(out)
 }
 
 // DecodeVariable parses an EncodeVariable blob.
@@ -506,19 +486,22 @@ func DecodeVariable(blob []byte) (*core.Variable, error) {
 	}, nil
 }
 
-// packMask encodes a bool slice as count + bitmap (empty when nil).
-func packMask(mask []bool) []byte {
+// appendMask appends a bool slice as count + bitmap (nothing when nil).
+func appendMask(dst []byte, mask []bool) []byte {
 	if mask == nil {
-		return nil
+		return dst
 	}
-	out := appendU32(nil, uint32(len(mask)))
-	bits := make([]byte, (len(mask)+7)/8)
-	for i, m := range mask {
-		if m {
-			bits[i/8] |= 1 << uint(i%8)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(mask)))
+	for i := 0; i < len(mask); i += 8 {
+		var b byte
+		for j, m := range mask[i:min(i+8, len(mask))] {
+			if m {
+				b |= 1 << uint(j)
+			}
 		}
+		dst = append(dst, b)
 	}
-	return append(out, bits...)
+	return dst
 }
 
 func unpackMask(b []byte, wantLen int) ([]bool, error) {

@@ -201,11 +201,11 @@ func TestArchiveMissingVariableBlob(t *testing.T) {
 }
 
 func TestMaskPackUnpack(t *testing.T) {
-	if out := packMask(nil); out != nil {
+	if out := appendMask(nil, nil); out != nil {
 		t.Fatal("nil mask should pack to nil")
 	}
 	mask := []bool{true, false, true, true, false, false, false, true, true}
-	packed := packMask(mask)
+	packed := appendMask(nil, mask)
 	got, err := unpackMask(packed, len(mask))
 	if err != nil {
 		t.Fatal(err)
@@ -220,22 +220,6 @@ func TestMaskPackUnpack(t *testing.T) {
 	}
 	if _, err := unpackMask([]byte{1, 2}, 9); err == nil {
 		t.Fatal("short mask not detected")
-	}
-}
-
-func TestCRCRoundTrip(t *testing.T) {
-	blob := []byte("payload with checksum")
-	framed := withCRC(blob)
-	got, err := checkCRC(framed)
-	if err != nil || string(got) != string(blob) {
-		t.Fatalf("%q %v", got, err)
-	}
-	framed[0] ^= 1
-	if _, err := checkCRC(framed); err == nil {
-		t.Fatal("bit flip not detected")
-	}
-	if _, err := checkCRC([]byte{1, 2}); err == nil {
-		t.Fatal("short blob not detected")
 	}
 }
 

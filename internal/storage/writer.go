@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"progqoi/internal/core"
@@ -50,7 +51,7 @@ func (w *ArchiveWriter) WriteVariable(ctx context.Context, v *core.Variable) err
 	if w.seen[v.Name] {
 		return fmt.Errorf("storage: duplicate variable %q in archive %q", v.Name, w.name)
 	}
-	blob := withCRC(EncodeVariable(v))
+	blob := encoding.AppendCRC(EncodeVariable(v))
 	if err := w.st.Put(ctx, key, blob); err != nil {
 		return err
 	}
@@ -72,10 +73,11 @@ func (w *ArchiveWriter) Close(ctx context.Context) error {
 		return fmt.Errorf("storage: archive %q already closed", w.name)
 	}
 	w.closed = true
-	manifest := append([]byte(nil), archiveMagic...)
-	manifest = appendU32(manifest, w.count)
+	manifest := make([]byte, 0, len(archiveMagic)+4+len(w.sections)+encoding.CRCSize)
+	manifest = append(manifest, archiveMagic...)
+	manifest = binary.LittleEndian.AppendUint32(manifest, w.count)
 	manifest = append(manifest, w.sections...)
-	return w.st.Put(ctx, w.name+".manifest", withCRC(manifest))
+	return w.st.Put(ctx, w.name+".manifest", encoding.AppendCRC(manifest))
 }
 
 // FieldSource supplies the raw data of field i to RefactorTo, so inputs
