@@ -99,13 +99,9 @@ func EncodeAllOn(b *par.Budget, groups [][]float64, numPlanes int) ([]*Block, er
 		nb := (len(vals) + 7) / 8
 		stride := (nb+63)&^63 | 64
 		nbyte = (nbyte + 63) &^ 63
-		lay[gi] = layout{magOff: nmag, planeOff: nbyte, stride: stride}
+		lay[gi] = layout{magOff: nmag, planeOff: nbyte, stride: stride, signOff: nbyte + numPlanes*stride}
 		nmag += len(vals)
-		nbyte += numPlanes * stride
-	}
-	for gi, vals := range groups {
-		lay[gi].signOff = nbyte
-		nbyte += (len(vals) + 7) / 8
+		nbyte += numPlanes*stride + nb
 	}
 	magBuf, byteBuf := getScratch[uint64](&magPool, nmag), getScratch[byte](&slabPool, nbyte)
 	defer magPool.Put(magBuf)
