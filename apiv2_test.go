@@ -303,7 +303,7 @@ func TestDoCancelRemoteMidIteration(t *testing.T) {
 // newMemArchiveServer is serveArchive with a middleware hook.
 func newMemArchiveServer(t *testing.T, arch *Archive, name string, mw func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
-	hsrv := serveArchiveHandler(t, arch, name)
+	hsrv := serveArchiveHandler(t, arch, name, server.Options{})
 	var h http.Handler = hsrv
 	if mw != nil {
 		h = mw(hsrv)

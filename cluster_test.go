@@ -16,14 +16,16 @@ import (
 	"testing"
 
 	"progqoi/internal/datagen"
+	"progqoi/internal/server"
 )
 
-// startCluster serves one archive from n independent nodes.
-func startCluster(t *testing.T, arch *Archive, name string, n int) []*httptest.Server {
+// startCluster serves one archive from n independent nodes, each
+// configured by opt.
+func startCluster(t *testing.T, arch *Archive, name string, n int, opt server.Options) []*httptest.Server {
 	t.Helper()
 	nodes := make([]*httptest.Server, n)
 	for i := range nodes {
-		hs := httptest.NewServer(serveArchiveHandler(t, arch, name))
+		hs := httptest.NewServer(serveArchiveHandler(t, arch, name, opt))
 		t.Cleanup(hs.Close)
 		nodes[i] = hs
 	}
@@ -33,30 +35,39 @@ func startCluster(t *testing.T, arch *Archive, name string, n int) []*httptest.S
 // mustEqualResults asserts two retrievals agree bit for bit.
 func mustEqualResults(t *testing.T, want, got *Result) {
 	t.Helper()
+	if err := sameResult(want, got); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameResult reports the first way two retrievals differ, or nil when
+// they agree bit for bit.
+func sameResult(want, got *Result) error {
 	if len(want.EstErrors) != len(got.EstErrors) {
-		t.Fatalf("%d vs %d estimated errors", len(want.EstErrors), len(got.EstErrors))
+		return fmt.Errorf("%d vs %d estimated errors", len(want.EstErrors), len(got.EstErrors))
 	}
 	for k := range want.EstErrors {
 		if want.EstErrors[k] != got.EstErrors[k] {
-			t.Fatalf("QoI %d: certified error %g != %g", k, want.EstErrors[k], got.EstErrors[k])
+			return fmt.Errorf("QoI %d: certified error %g != %g", k, want.EstErrors[k], got.EstErrors[k])
 		}
 	}
 	if want.RetrievedBytes != got.RetrievedBytes {
-		t.Fatalf("retrieved %d != %d bytes", want.RetrievedBytes, got.RetrievedBytes)
+		return fmt.Errorf("retrieved %d != %d bytes", want.RetrievedBytes, got.RetrievedBytes)
 	}
 	if len(want.Data) != len(got.Data) {
-		t.Fatalf("%d vs %d data slices", len(want.Data), len(got.Data))
+		return fmt.Errorf("%d vs %d data slices", len(want.Data), len(got.Data))
 	}
 	for v := range want.Data {
 		if len(want.Data[v]) != len(got.Data[v]) {
-			t.Fatalf("var %d: %d vs %d points", v, len(want.Data[v]), len(got.Data[v]))
+			return fmt.Errorf("var %d: %d vs %d points", v, len(want.Data[v]), len(got.Data[v]))
 		}
 		for j := range want.Data[v] {
 			if math.Float64bits(want.Data[v][j]) != math.Float64bits(got.Data[v][j]) {
-				t.Fatalf("var %d point %d: %g != %g", v, j, want.Data[v][j], got.Data[v][j])
+				return fmt.Errorf("var %d point %d: %g != %g", v, j, want.Data[v][j], got.Data[v][j])
 			}
 		}
 	}
+	return nil
 }
 
 func clusterRequest(t *testing.T, fields []string) Request {
@@ -78,7 +89,7 @@ func TestClusterRetrieveMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := startCluster(t, arch, "ge", 3)
+	nodes := startCluster(t, arch, "ge", 3, server.Options{})
 
 	lsess, err := arch.Open()
 	if err != nil {
@@ -142,7 +153,7 @@ func TestClusterFailoverMidDoMatchesLocal(t *testing.T) {
 
 	for victim := 0; victim < 3; victim++ {
 		t.Run(fmt.Sprintf("kill-node-%d", victim), func(t *testing.T) {
-			nodes := startCluster(t, arch, "ge", 3)
+			nodes := startCluster(t, arch, "ge", 3, server.Options{})
 			rarch, err := Open(context.Background(), nodes[0].URL+"/ge",
 				WithEndpoints(nodes[1].URL, nodes[2].URL), WithReplication(2))
 			if err != nil {

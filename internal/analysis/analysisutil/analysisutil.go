@@ -12,9 +12,10 @@
 // analyzer name must match and the reason must be non-empty — a
 // directive without a reason does not suppress anything, so every
 // exemption in the tree documents why it is safe. The directive is the
-// machine-readable form of "documented exception": the ctxflow detach in
-// internal/client/remote.go and the deprecated v1 wrappers in progqoi.go
-// are the canonical users.
+// machine-readable form of "documented exception". Its users are the
+// ctxflow detaches in Remote.readAhead (internal/client/remote.go) and
+// Client.refresher (internal/client/view.go), and the tokencmp exemption
+// in server.TokenEqual (internal/server/tenant.go).
 package analysisutil
 
 import (

@@ -13,10 +13,11 @@
 //     context ("if ctx == nil { ctx = context.Background() }"), which
 //     preserves a caller-supplied context whenever one exists, and
 //     sites carrying a //progqoivet:allow ctxflow -- <reason>
-//     directive — the documented read-ahead detach in
-//     internal/client/remote.go (speculative fetches must outlive the
-//     iteration that spawned them), the context-free storage.Store
-//     adapter reads, and the deprecated v1 wrappers in progqoi.go.
+//     directive — the read-ahead detach in Remote.readAhead
+//     (internal/client/remote.go: speculative fetches must outlive the
+//     iteration that spawned them) and the topology refresh loop in
+//     Client.refresher (internal/client/view.go: it outlives any one
+//     session, and Close stops it).
 //
 //  2. HTTP requests must carry a context: http.NewRequest and the
 //     shorthand helpers http.Get/Head/Post/PostForm (package-level or

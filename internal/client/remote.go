@@ -117,9 +117,6 @@ func (c *Client) openDataset(ctx context.Context, dataset string) (*Remote, erro
 // Client returns the underlying client (shared cache, wire stats).
 func (r *Remote) Client() *Client { return r.c }
 
-// Dataset returns the dataset name.
-func (r *Remote) Dataset() string { return r.dataset }
-
 // FieldNames returns the dataset's variable names in order.
 func (r *Remote) FieldNames() []string {
 	out := make([]string, len(r.vars))

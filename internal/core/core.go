@@ -52,15 +52,6 @@ type Variable struct {
 	ZeroMask []bool
 }
 
-// MaskBytes returns the storage cost of the zero mask (1 bit per point when
-// present).
-func (v *Variable) MaskBytes() int64 {
-	if v.ZeroMask == nil {
-		return 0
-	}
-	return int64((len(v.ZeroMask) + 7) / 8)
-}
-
 // RefactorOptions configures Algorithm 1.
 type RefactorOptions struct {
 	Progressive progressive.Options

@@ -39,19 +39,6 @@ func (w *BitWriter) WriteBits(v uint64, nb uint) {
 	}
 }
 
-// WriteBit writes a single bit.
-func (w *BitWriter) WriteBit(b uint64) { w.WriteBits(b&1, 1) }
-
-// Len returns the number of whole bytes flushed so far plus pending bits
-// rounded up.
-func (w *BitWriter) Len() int {
-	n := len(w.buf)
-	if w.nCur > 0 {
-		n++
-	}
-	return n
-}
-
 // Bytes flushes any partial byte (zero-padded) and returns the buffer. The
 // writer remains usable; subsequent writes continue at a byte boundary.
 func (w *BitWriter) Bytes() []byte {
@@ -97,8 +84,3 @@ func (r *BitReader) ReadBits(nb uint) (uint64, error) {
 
 // ReadBit reads one bit.
 func (r *BitReader) ReadBit() (uint64, error) { return r.ReadBits(1) }
-
-// Remaining returns a conservative count of unread bits.
-func (r *BitReader) Remaining() int {
-	return (len(r.buf)-r.pos)*8 + int(r.nCur)
-}

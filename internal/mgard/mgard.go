@@ -331,20 +331,23 @@ func (d *Decomposition) LevelFactors() []float64 {
 }
 
 // ErrorBound converts per-group coefficient L∞ bounds (len = NumGroups, in
-// group order: coarsest first) into a guaranteed L∞ bound on Reconstruct().
-func (d *Decomposition) ErrorBound(groupBounds []float64) (float64, error) {
+// group order: coarsest first) into a guaranteed L∞ bound on Reconstruct():
+// slack plus the dot product of LevelFactors with groupBounds, summed from
+// the slack in group order. Every PMGARD bound a refactorer records or a
+// reader reports is this sum, so the two agree bit for bit. It panics if
+// groupBounds has the wrong length.
+func (d *Decomposition) ErrorBound(groupBounds []float64, slack float64) float64 {
 	if len(groupBounds) != d.NumGroups() {
-		return 0, fmt.Errorf("%w: want %d group bounds, got %d", ErrBadInput, d.NumGroups(), len(groupBounds))
+		panic(fmt.Sprintf("mgard: want %d group bounds, got %d", d.NumGroups(), len(groupBounds)))
 	}
 	// Coarsest nodal values propagate with factor 1 (they are carried, or
 	// for OB additionally corrected by w recomputed from details — the
 	// detail contribution is already charged to the detail groups).
-	total := groupBounds[0]
+	total := slack + groupBounds[0]
 	for g := 1; g < d.NumGroups(); g++ {
-		l := d.GroupLevel(g)
-		total += levelFactor(d.Basis, d.dimsAtLevel[l]) * groupBounds[g]
+		total += levelFactor(d.Basis, d.dimsAtLevel[d.GroupLevel(g)]) * groupBounds[g]
 	}
-	return total, nil
+	return total
 }
 
 // transformDim applies one decomposition step along dim with node stride

@@ -193,10 +193,7 @@ func TestErrorBoundSound(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				bound, err := d.ErrorBound(bounds)
-				if err != nil {
-					t.Fatal(err)
-				}
+				bound := d.ErrorBound(bounds, 0)
 				rec := pert.Reconstruct()
 				actual := maxAbsDiff(exact, rec)
 				if actual > bound*(1+1e-9) {
@@ -219,8 +216,8 @@ func TestErrorBoundHBTighterThanOB(t *testing.T) {
 	}
 	hb, _ := Decompose(data, g, Hierarchical)
 	ob, _ := Decompose(data, g, Orthogonal)
-	bh, _ := hb.ErrorBound(bounds(hb))
-	bo, _ := ob.ErrorBound(bounds(ob))
+	bh := hb.ErrorBound(bounds(hb), 0)
+	bo := ob.ErrorBound(bounds(ob), 0)
 	if bh >= bo {
 		t.Fatalf("HB bound %g should be tighter than OB bound %g", bh, bo)
 	}
@@ -229,9 +226,12 @@ func TestErrorBoundHBTighterThanOB(t *testing.T) {
 func TestErrorBoundWrongLength(t *testing.T) {
 	g := grid.MustNew(16)
 	d, _ := Decompose(make([]float64, 16), g, Hierarchical)
-	if _, err := d.ErrorBound([]float64{1}); err == nil {
-		t.Fatal("wrong bounds length accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wrong bounds length accepted")
+		}
+	}()
+	d.ErrorBound([]float64{1}, 0)
 }
 
 // TestOBDecaysCoefficientsOnSmoothData checks the transform decorrelates:

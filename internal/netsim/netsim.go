@@ -77,9 +77,6 @@ func (r *Recorder) Observe(fragIndex int, size int64) {
 // Bytes returns the recorded byte total.
 func (r *Recorder) Bytes() int64 { return r.bytes }
 
-// Requests returns the recorded request count.
-func (r *Recorder) Requests() int { return r.requests }
-
 // RunResult aggregates a parallel transfer experiment.
 type RunResult struct {
 	Blocks []BlockResult

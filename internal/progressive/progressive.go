@@ -32,6 +32,7 @@ import (
 	"progqoi/internal/grid"
 	"progqoi/internal/mgard"
 	"progqoi/internal/par"
+	"progqoi/internal/stats"
 	"progqoi/internal/sz"
 )
 
@@ -187,7 +188,7 @@ func RefactorOn(b *par.Budget, data []float64, dims []int, opt Options) (*Refact
 	if err := g.Validate(data); err != nil {
 		return nil, err
 	}
-	rng := valueRange(data)
+	rng := stats.Range(data)
 	opt = opt.withDefaults(rng)
 	switch opt.Method {
 	case PSZ3, PSZ3Delta:
@@ -197,22 +198,6 @@ func RefactorOn(b *par.Budget, data []float64, dims []int, opt Options) (*Refact
 	default:
 		return nil, fmt.Errorf("progressive: unknown method %d", opt.Method)
 	}
-}
-
-func valueRange(data []float64) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	lo, hi := data[0], data[0]
-	for _, v := range data[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return hi - lo
 }
 
 func refactorSnapshots(b *par.Budget, data []float64, g *grid.Grid, opt Options) (*Refactored, error) {
@@ -366,18 +351,12 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 	if err != nil {
 		return nil, err
 	}
-	// Current per-group applied plane counts and running bound. The bound
-	// carries a floating-point slack of scale·2⁻⁴⁶ (≈64 ulp) on top of the
-	// theoretical estimate: the inverse transform itself accumulates
-	// round-off that the coefficient-level theory does not see.
+	// Current per-group applied plane counts and running bound.
 	bounds := make([]float64, nGroups)
-	slack := 0.0
 	for gi := range bounds {
 		bounds[gi] = blocks[gi].Bound(0)
-		if s := blocks[gi].Bound(0) * math.Ldexp(1, -46); s > slack {
-			slack = s
-		}
 	}
+	slack := roundoffSlack(blocks)
 	next := func(gi int) (fragMeta, bool) {
 		k := perGroupNext[gi]
 		if k >= blocks[gi].B || blocks[gi].Bound(0) == 0 {
@@ -398,11 +377,7 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 		r.Schedule = append(r.Schedule, fm.ref)
 		perGroupNext[gi] = p + 1
 		bounds[gi] = blocks[gi].Bound(p + 1)
-		total := slack
-		for i := range bounds {
-			total += factors[i] * bounds[i]
-		}
-		r.PrefixBounds = append(r.PrefixBounds, total)
+		r.PrefixBounds = append(r.PrefixBounds, dec.ErrorBound(bounds, slack))
 	}
 	switch opt.Order {
 	case LevelMajorOrder:
@@ -438,6 +413,18 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 		r.Blocks[gi] = &bitplane.Block{N: blk.N, Exp: blk.Exp, B: blk.B}
 	}
 	return r, nil
+}
+
+// roundoffSlack is the floating-point slack every PMGARD bound carries on
+// top of the theoretical estimate, scale·2⁻⁴⁶ (≈64 ulp) of the loosest
+// group's no-data bound: the inverse transform itself accumulates
+// round-off that the coefficient-level theory does not see.
+func roundoffSlack(blocks []*bitplane.Block) float64 {
+	slack := 0.0
+	for _, blk := range blocks {
+		slack = max(slack, blk.Bound(0)*math.Ldexp(1, -46))
+	}
+	return slack
 }
 
 // multilevelScratch is the transform storage of one multilevel refactor,

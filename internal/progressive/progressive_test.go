@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"progqoi/internal/datagen"
 	"progqoi/internal/encoding"
 	"progqoi/internal/grid"
 )
@@ -68,6 +69,41 @@ func TestRefactorAndFullRetrieveAllMethods(t *testing.T) {
 		// Full retrieval should be near-exact.
 		if actual > 1e-10*200 {
 			t.Errorf("%v: full retrieval error %g too large", m, actual)
+		}
+	}
+}
+
+// TestExhaustedBoundMatchesLastPrefixBound pins that a PMGARD reader which
+// has ingested every fragment reports, bit for bit, the bound the
+// refactorer recorded for the whole prefix: both sum the same per-group
+// bounds and slack through mgard's ErrorBound.
+func TestExhaustedBoundMatchesLastPrefixBound(t *testing.T) {
+	for _, ds := range []*datagen.Dataset{
+		datagen.GE("GE", 2, 64, 1),
+		datagen.NYX(12, 12, 12, 2),
+		datagen.S3D(8, 12, 10, 3),
+		datagen.Hurricane(6, 12, 12, 4),
+	} {
+		for _, m := range []Method{PMGARD, PMGARDHB} {
+			for v, data := range ds.Fields {
+				ref, err := Refactor(data, ds.Dims, Options{Method: m})
+				if err != nil {
+					t.Fatalf("%s %s %v: %v", ds.Name, ds.FieldNames[v], m, err)
+				}
+				rd, err := NewReader(ref, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rd.Advance(context.Background(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ref.PrefixBounds[len(ref.PrefixBounds)-1]
+				if !rd.Exhausted() || math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s %s %v: exhausted reader bound %v, last prefix bound %v",
+						ds.Name, ds.FieldNames[v], m, got, want)
+				}
+			}
 		}
 	}
 }

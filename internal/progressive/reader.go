@@ -59,11 +59,12 @@ type Reader struct {
 	// PMGARD state. blocks is the Refactored's own metadata, shared with
 	// every other reader over it and never written. vals is the one
 	// per-group buffer every decoder writes its values into on the way to
-	// the shell.
+	// the shell. slack is the blocks' roundoffSlack.
 	blocks []*bitplane.Block
 	decs   []*bitplane.Decoder
 	shell  *mgard.Decomposition
 	vals   []float64
+	slack  float64
 	grd    *grid.Grid
 }
 
@@ -95,6 +96,7 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 			largest = max(largest, blk.N)
 		}
 		rd.vals = make([]float64, largest)
+		rd.slack = roundoffSlack(r.Blocks)
 		rd.bound = rd.pmgardBound()
 	default:
 		return nil, fmt.Errorf("progressive: unknown method %d", r.Method)
@@ -526,16 +528,11 @@ func (rd *Reader) decodeSnapshot(i int) decodedFrag {
 }
 
 func (rd *Reader) pmgardBound() float64 {
-	factors := rd.shell.LevelFactors()
-	total, slack := 0.0, 0.0
+	bounds := make([]float64, len(rd.decs))
 	for i, dec := range rd.decs {
-		total += factors[i] * dec.Bound()
-		// Same floating-point slack the refactorer bakes into PrefixBounds.
-		if s := rd.blocks[i].Bound(0) * math.Ldexp(1, -46); s > slack {
-			slack = s
-		}
+		bounds[i] = dec.Bound()
 	}
-	return total + slack
+	return rd.shell.ErrorBound(bounds, rd.slack)
 }
 
 // loadGroups sets every group of the shell to its decoder's current

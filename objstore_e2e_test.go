@@ -127,7 +127,7 @@ func TestOpenSchemesMatchEndToEnd(t *testing.T) {
 	if err := storage.WriteArchive(context.Background(), dst, "ge", arch.Variables()); err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(serveArchiveHandler(t, arch, "ge"))
+	hs := httptest.NewServer(serveArchiveHandler(t, arch, "ge", server.Options{}))
 	defer hs.Close()
 
 	refs := map[string]func(t *testing.T) *Archive{
@@ -235,8 +235,9 @@ func TestObjstoreFaultMatrix(t *testing.T) {
 	})
 }
 
-// metricValue scrapes one counter from a Prometheus text exposition.
-func metricValue(t *testing.T, url, name string) float64 {
+// scrapeMetrics fetches a node's Prometheus text exposition: the bytes an
+// operator's scraper sees.
+func scrapeMetrics(t *testing.T, url string) []byte {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
@@ -247,7 +248,16 @@ func metricValue(t *testing.T, url, name string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\S+)$`).FindSubmatch(body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s/metrics: %s", url, resp.Status)
+	}
+	return body
+}
+
+// metricValue scrapes one counter from a node's /metrics.
+func metricValue(t *testing.T, url, name string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\S+)$`).FindSubmatch(scrapeMetrics(t, url))
 	if m == nil {
 		t.Fatalf("/metrics has no %s", name)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"progqoi/internal/datagen"
 	"progqoi/internal/obs"
+	"progqoi/internal/server"
 )
 
 // headerRecorder wraps a handler and keeps every X-Request-Id value the
@@ -49,7 +50,7 @@ func TestTraceReconcilesWireBytesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &headerRecorder{next: serveArchiveHandler(t, arch, "ge")}
+	rec := &headerRecorder{next: serveArchiveHandler(t, arch, "ge", server.Options{})}
 	hs := httptest.NewServer(rec)
 	defer hs.Close()
 
@@ -189,7 +190,7 @@ func TestObsClusterMetricsE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := startCluster(t, arch, "ge", 3)
+	nodes := startCluster(t, arch, "ge", 3, server.Options{})
 
 	scrape := func(url string) map[string]*obs.MetricFamily {
 		t.Helper()

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"progqoi/internal/datagen"
+	"progqoi/internal/server"
 	"progqoi/internal/storage"
 	"progqoi/internal/storage/objstore"
 	"progqoi/internal/storage/objstore/miniobj"
@@ -68,7 +69,7 @@ func TestOpenRefGrammar(t *testing.T) {
 	pack(bucketStore(t, srv, func(o *objstore.Options) { o.Prefix = "a/b" }), "deepds")
 	s3 := []RemoteOption{WithS3Endpoint(srv.URL()), WithS3Credentials(e2eAccess, e2eSecret)}
 
-	hs := httptest.NewServer(serveArchiveHandler(t, arch, "httpds"))
+	hs := httptest.NewServer(serveArchiveHandler(t, arch, "httpds", server.Options{}))
 	defer hs.Close()
 
 	for _, tc := range []struct {

@@ -22,15 +22,15 @@ import (
 	"progqoi/internal/storage"
 )
 
-// serveArchiveHandler builds the real fragment-service handler over a
-// local archive held in a MemStore.
-func serveArchiveHandler(t *testing.T, arch *Archive, name string) *server.Server {
+// serveArchiveHandler builds the real fragment-service handler, configured
+// by opt, over a local archive held in a MemStore.
+func serveArchiveHandler(t *testing.T, arch *Archive, name string, opt server.Options) *server.Server {
 	t.Helper()
 	st := storage.NewMemStore()
 	if err := storage.WriteArchive(context.Background(), st, name, arch.Variables()); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(context.Background(), st, server.Options{})
+	srv, err := server.New(context.Background(), st, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func serveArchiveHandler(t *testing.T, arch *Archive, name string) *server.Serve
 // serveArchive exposes a local archive through the real HTTP service.
 func serveArchive(t *testing.T, arch *Archive, name string) *httptest.Server {
 	t.Helper()
-	hs := httptest.NewServer(serveArchiveHandler(t, arch, name))
+	hs := httptest.NewServer(serveArchiveHandler(t, arch, name, server.Options{}))
 	t.Cleanup(hs.Close)
 	return hs
 }
