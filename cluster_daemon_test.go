@@ -62,7 +62,7 @@ func startDaemons(t *testing.T, bin, dir string, n int) []*daemonNode {
 			}
 		}
 		cmd := exec.Command(bin,
-			"-dir", dir,
+			"-store", dir,
 			"-addr", addr,
 			"-advertise", "http://"+addr,
 			"-peers", strings.Join(peers, ","))

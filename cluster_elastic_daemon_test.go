@@ -28,7 +28,7 @@ import (
 func startElasticDaemon(t *testing.T, bin, dir, addr, admin string, seeds []string) *daemonNode {
 	t.Helper()
 	args := []string{
-		"-dir", dir,
+		"-store", dir,
 		"-addr", addr,
 		"-advertise", "http://" + addr,
 		"-heartbeat", "25ms",

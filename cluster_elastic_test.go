@@ -462,7 +462,8 @@ func TestElasticDrainUnderLoad(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("drained index refusal has no Retry-After")
 	}
-	fresp, err := http.Get(victim.URL() + "/v1/d/ge/frag/" + ds.FieldNames[0] + "/0")
+	batch, _ := json.Marshal(server.BatchRequest{Wants: []server.BatchWant{{Var: ds.FieldNames[0], Indices: []int{0}}}})
+	fresp, err := http.Post(victim.URL()+"/v1/d/ge/frags", "application/json", bytes.NewReader(batch))
 	if err != nil {
 		t.Fatal(err)
 	}

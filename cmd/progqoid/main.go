@@ -18,7 +18,7 @@
 // Credentials travel only through the PROGQOI_S3_* environment, never
 // argv. A malformed store URL, missing bucket, denied access or
 // unreachable endpoint fails startup with a clean diagnostic before the
-// listener binds. -dir remains as a legacy alias for -store DIR.
+// listener binds.
 //
 // A static cluster is several progqoid nodes serving the same store;
 // each node is told the full topology so clients can discover it from
@@ -102,7 +102,9 @@ func main() {
 }
 
 // parsePeers validates a comma-separated list of absolute http(s) base
-// URLs; empty elements are rejected so a stray comma fails loudly.
+// URLs; empty elements are rejected so a stray comma fails loudly, and so
+// is a query, fragment or userinfo part, which would swallow the route
+// paths clients append to a base URL.
 func parsePeers(list string) ([]string, error) {
 	if list == "" {
 		return nil, nil
@@ -113,6 +115,9 @@ func parsePeers(list string) ([]string, error) {
 		u, err := url.Parse(p)
 		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 			return nil, fmt.Errorf("peer %q is not an absolute http(s) URL", p)
+		}
+		if strings.ContainsAny(p, "?#") || u.User != nil {
+			return nil, fmt.Errorf("peer %q must be a plain base URL: no query, fragment or userinfo", p)
 		}
 		out = append(out, strings.TrimRight(p, "/"))
 	}
@@ -146,13 +151,13 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
-// resolveDaemonStore maps a -store reference (or legacy -dir path) onto a
-// live storage.Store: s3://bucket[/prefix], file://dir, or a bare
-// directory path. The object-store endpoint and region come from the
-// flags when set, the PROGQOI_S3_* environment otherwise; credentials are
-// environment-only — secrets on a command line leak through process
-// listings. Malformed references fail with errors wrapping
-// objstore.ErrBadStoreURL before any listener binds.
+// resolveDaemonStore maps a -store reference onto a live storage.Store:
+// s3://bucket[/prefix], file://dir, or a bare directory path. The
+// object-store endpoint and region come from the flags when set, the
+// PROGQOI_S3_* environment otherwise; credentials are environment-only —
+// secrets on a command line leak through process listings. Malformed
+// references fail with errors wrapping objstore.ErrBadStoreURL before any
+// listener binds.
 func resolveDaemonStore(ref, endpoint, region string) (storage.Store, error) {
 	opt := objstore.EnvOptions()
 	if endpoint != "" {
@@ -218,7 +223,6 @@ func withPprof(next http.Handler, token string) http.Handler {
 func run(args []string) error {
 	fs := flag.NewFlagSet("progqoid", flag.ContinueOnError)
 	addr := fs.String("addr", ":9123", "listen address")
-	dir := fs.String("dir", "", "archive directory to serve (legacy alias for -store DIR)")
 	store := fs.String("store", "", "archive store to serve: s3://bucket[/prefix], file://dir, or a directory path")
 	storeEndpoint := fs.String("store-endpoint", "", "object-store base URL for s3:// stores (overrides "+objstore.EnvEndpoint+"); credentials come from "+objstore.EnvAccessKey+"/"+objstore.EnvSecretKey)
 	storeRegion := fs.String("store-region", "", "object-store signing region for s3:// stores (overrides "+objstore.EnvRegion+")")
@@ -245,12 +249,7 @@ func run(args []string) error {
 		return err
 	}
 	storeRef := *store
-	switch {
-	case *dir != "" && *store != "":
-		return fmt.Errorf("-dir and -store are mutually exclusive (use -store)")
-	case *dir != "":
-		storeRef = *dir
-	case *store == "":
+	if storeRef == "" {
 		return fmt.Errorf("-store is required (s3://bucket[/prefix], file://dir, or a directory path)")
 	}
 	lg, err := newLogger(*logFormat, *logLevel)

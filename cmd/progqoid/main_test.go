@@ -33,7 +33,7 @@ func writeArchiveDir(t *testing.T, dir string) []*core.Variable {
 }
 
 // writeArchiveStore packs the test dataset "ge" into any store — a
-// directory for the legacy path, an object-store client for the
+// directory for the bare path, an object-store client for the
 // stateless-tier tests (where the pack doubles as signed-PUT coverage).
 func writeArchiveStore(t *testing.T, st storage.Store) []*core.Variable {
 	t.Helper()
@@ -84,7 +84,7 @@ func TestNewServerServesDirectory(t *testing.T) {
 
 func TestRunRequiresDir(t *testing.T) {
 	if err := run([]string{}); err == nil {
-		t.Fatal("missing -dir accepted")
+		t.Fatal("missing -store accepted")
 	}
 }
 
@@ -105,7 +105,8 @@ func TestParsePeers(t *testing.T) {
 	if p, err := parsePeers(""); err != nil || p != nil {
 		t.Fatalf("empty list: %v %v", p, err)
 	}
-	for _, bad := range []string{"not-a-url", "ftp://x:1", "http://a:1,,http://b:2", "http://a:1,"} {
+	for _, bad := range []string{"not-a-url", "ftp://x:1", "http://a:1,,http://b:2", "http://a:1,",
+		"http://a:1?x", "http://a:1#f", "http://u:p@a:1"} {
 		if _, err := parsePeers(bad); err == nil {
 			t.Fatalf("malformed peers %q accepted", bad)
 		}
@@ -208,16 +209,22 @@ func TestRunStartupErrors(t *testing.T) {
 		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		runErr(t, true, "-dir", f)
+		runErr(t, true, "-store", f)
 	})
 	t.Run("malformed peers", func(t *testing.T) {
-		err := runErr(t, true, "-dir", dir, "-peers", "not-a-url")
+		err := runErr(t, true, "-store", dir, "-peers", "not-a-url")
 		if err == nil || !strings.Contains(err.Error(), "-peers") {
 			t.Fatalf("error %v does not name -peers", err)
 		}
 	})
 	t.Run("malformed advertise", func(t *testing.T) {
-		err := runErr(t, true, "-dir", dir, "-advertise", "nope")
+		err := runErr(t, true, "-store", dir, "-advertise", "nope")
+		if err == nil || !strings.Contains(err.Error(), "-advertise") {
+			t.Fatalf("error %v does not name -advertise", err)
+		}
+	})
+	t.Run("advertise with a query", func(t *testing.T) {
+		err := runErr(t, true, "-store", dir, "-advertise", "http://n:1?x")
 		if err == nil || !strings.Contains(err.Error(), "-advertise") {
 			t.Fatalf("error %v does not name -advertise", err)
 		}
@@ -228,7 +235,7 @@ func TestRunStartupErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		err = runErr(t, true, "-dir", dir, "-addr", ln.Addr().String())
+		err = runErr(t, true, "-store", dir, "-addr", ln.Addr().String())
 		if err == nil || !strings.Contains(strings.ToLower(err.Error()), "address already in use") {
 			t.Fatalf("busy port error = %v", err)
 		}
@@ -238,34 +245,34 @@ func TestRunStartupErrors(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(bad, "ds.manifest"), []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		runErr(t, true, "-dir", bad)
+		runErr(t, true, "-store", bad)
 	})
 	t.Run("join requires advertise", func(t *testing.T) {
-		err := runErr(t, true, "-dir", dir, "-join", "http://seed:9123")
+		err := runErr(t, true, "-store", dir, "-join", "http://seed:9123")
 		if err == nil || !strings.Contains(err.Error(), "-advertise") {
 			t.Fatalf("error %v does not demand -advertise", err)
 		}
 	})
 	t.Run("heartbeat requires advertise", func(t *testing.T) {
-		err := runErr(t, true, "-dir", dir, "-heartbeat", "50ms")
+		err := runErr(t, true, "-store", dir, "-heartbeat", "50ms")
 		if err == nil || !strings.Contains(err.Error(), "-advertise") {
 			t.Fatalf("error %v does not demand -advertise", err)
 		}
 	})
 	t.Run("malformed join seed", func(t *testing.T) {
-		err := runErr(t, true, "-dir", dir, "-advertise", "http://n:1", "-join", "nope")
+		err := runErr(t, true, "-store", dir, "-advertise", "http://n:1", "-join", "nope")
 		if err == nil || !strings.Contains(err.Error(), "-join") {
 			t.Fatalf("error %v does not name -join", err)
 		}
 	})
 	t.Run("membership timers need elastic mode", func(t *testing.T) {
-		err := runErr(t, true, "-dir", dir, "-suspect-after", "1s")
+		err := runErr(t, true, "-store", dir, "-suspect-after", "1s")
 		if err == nil || !strings.Contains(err.Error(), "elastic") {
 			t.Fatalf("error %v does not explain the elastic requirement", err)
 		}
 	})
 	t.Run("negative heartbeat rejected", func(t *testing.T) {
-		err := runErr(t, true, "-dir", dir, "-advertise", "http://n:1", "-heartbeat", "-1s")
+		err := runErr(t, true, "-store", dir, "-advertise", "http://n:1", "-heartbeat", "-1s")
 		if err == nil {
 			t.Fatal("negative heartbeat accepted")
 		}
@@ -287,12 +294,12 @@ func clearS3Env(t *testing.T) {
 // binds, and an s3 reference is probed at boot so a dead or denying
 // bucket cannot produce a half-alive daemon.
 func TestRunStoreValidation(t *testing.T) {
-	t.Run("dir and store are mutually exclusive", func(t *testing.T) {
+	t.Run("dir flag is retired", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "arch")
 		writeArchiveDir(t, dir)
-		err := runErr(t, true, "-dir", dir, "-store", dir)
-		if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-			t.Fatalf("error %v does not say the flags conflict", err)
+		err := runErr(t, true, "-dir", dir)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -dir") {
+			t.Fatalf("-dir error = %v, want an unknown-flag error", err)
 		}
 	})
 	t.Run("unknown scheme", func(t *testing.T) {
@@ -338,7 +345,7 @@ func TestRunStoreValidation(t *testing.T) {
 // TestStoreFlagServesFromObjectStore is the daemon-level stateless-tier
 // check: the catalog and every fragment come from a mock bucket reached
 // through -store s3:// with zero archive bytes on local disk, and
-// file://dir resolves to the same catalog as the legacy bare path.
+// file://dir resolves to the same catalog as the bare path.
 func TestStoreFlagServesFromObjectStore(t *testing.T) {
 	ctx := context.Background()
 	srv := miniobj.New("bkt", miniobj.Credentials{AccessKey: "AK", SecretKey: "SK"})
@@ -417,7 +424,7 @@ func TestPprofGating(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "arch")
 	writeArchiveDir(t, dir)
 
-	err := runErr(t, true, "-dir", dir, "-pprof")
+	err := runErr(t, true, "-store", dir, "-pprof")
 	if err == nil || !strings.Contains(err.Error(), "-admin") {
 		t.Fatalf("-pprof without -admin: err = %v, want mention of -admin", err)
 	}

@@ -102,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := httptest.NewServer(srv) // stands in for `progqoid -dir dir -admin TOKEN`
+	hs := httptest.NewServer(srv) // stands in for `progqoid -store dir -admin TOKEN`
 	defer hs.Close()
 	retrieve(ctx, hs.URL, "run-000", namesA, fieldsA)
 

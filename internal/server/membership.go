@@ -160,7 +160,11 @@ func newMembership(opt Options) *membership {
 
 // normalizeNodeURL validates a node's advertised base URL — absolute
 // http(s) with a host — and trims the trailing slash so the same node
-// never registers twice under spelling variants.
+// never registers twice under spelling variants. Clients append route
+// paths to the base, so a query, fragment or userinfo part is refused: on
+// http://h:1?x the routes would land in the query and every fetch would
+// 404. So is any base that does not print back as itself, which keeps
+// the result a fixed point: normalizing it again changes nothing.
 func normalizeNodeURL(raw string) (string, error) {
 	base := strings.TrimRight(strings.TrimSpace(raw), "/")
 	u, err := url.Parse(base)
@@ -169,6 +173,9 @@ func normalizeNodeURL(raw string) (string, error) {
 	}
 	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return "", fmt.Errorf("server: node URL %q must be absolute http(s)", raw)
+	}
+	if strings.ContainsAny(base, "?#") || u.User != nil || u.String() != base {
+		return "", fmt.Errorf("server: node URL %q must be a plain base URL: no query, fragment, userinfo or escapable characters", raw)
 	}
 	return base, nil
 }
@@ -484,7 +491,7 @@ func (s *Server) StopMembership() {
 }
 
 // Drain marks this node draining: index and meta answer 503 so no new
-// session can start, fragment routes keep serving so in-flight
+// session can start, batched fragment fetches keep serving so in-flight
 // retrievals finish, and heartbeats announce state "draining" so peers
 // (and refreshing clients) route around it. Idempotent.
 func (s *Server) Drain() {

@@ -228,13 +228,8 @@ func TestClusterDrainHandler(t *testing.T) {
 			}
 		}
 		// ...but in-flight fragment work keeps being served.
-		fresp, err := http.Get(hs.URL + "/v1/d/ge/frag/" + vars[0].Name + "/0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresp.Body.Close()
-		if fresp.StatusCode != 200 {
-			t.Fatalf("fragment read while draining: status %d, want 200", fresp.StatusCode)
+		if code, _ := getFrag(t, hs.URL, "ge", vars[0].Name, 0); code != 200 {
+			t.Fatalf("fragment read while draining: status %d, want 200", code)
 		}
 		// Drain is idempotent: the second call succeeds and the
 		// transition counter stays at one.
@@ -343,4 +338,50 @@ func TestStartMembershipValidation(t *testing.T) {
 	srv.LeaveCluster(t.Context()) // no-op without a started announcer
 	srv.StopMembership()
 	srv.StopMembership() // idempotent
+}
+
+// TestNodeURLRefusesNonBaseParts: clients append route paths to a node's
+// advertised base URL, so a query, fragment or userinfo part would carry
+// every request somewhere the node never serves. normalizeNodeURL refuses
+// such an address, join, heartbeat and leave answer 400, and learn skips
+// it; a plain base normalizes to a fixed point.
+func TestNodeURLRefusesNonBaseParts(t *testing.T) {
+	hs, srv, _ := testServer(t, Options{Advertise: "http://self:9123"})
+	for _, addr := range []string{
+		"http://h:1?x",
+		"http://h:1/?x",
+		"http://h:1?",
+		"http://h:1#frag",
+		"http://h:1#",
+		"http://user@h:1",
+		"http://user:pw@h:1",
+		"http://h:1/a b",
+	} {
+		if got, err := normalizeNodeURL(addr); err == nil {
+			t.Errorf("normalizeNodeURL(%q) = %q, want an error", addr, got)
+		}
+		for _, kind := range []string{"join", "heartbeat", "leave"} {
+			if resp := postJSON(t, hs.URL+"/v1/cluster/"+kind, "", announceBody(t, addr, 1, "")); resp.StatusCode != 400 {
+				t.Errorf("%s %q: status %d, want 400", kind, addr, resp.StatusCode)
+			}
+		}
+		srv.memb.learn([]MemberInfo{{Addr: addr, Generation: 1, State: MemberAlive}}, time.Now())
+	}
+	if info := srv.memb.info(nil); len(info.Members) != 1 {
+		t.Fatalf("members after refused addresses = %+v", info.Members)
+	}
+	for raw, want := range map[string]string{
+		"http://h:1":            "http://h:1",
+		" https://h:1/prefix/ ": "https://h:1/prefix",
+		"http://[::1]:9123//":   "http://[::1]:9123",
+	} {
+		got, err := normalizeNodeURL(raw)
+		if err != nil || got != want {
+			t.Errorf("normalizeNodeURL(%q) = %q, %v; want %q", raw, got, err, want)
+			continue
+		}
+		if again, err := normalizeNodeURL(got); err != nil || again != got {
+			t.Errorf("normalizeNodeURL(%q) = %q, %v; not a fixed point", got, again, err)
+		}
+	}
 }

@@ -225,8 +225,8 @@ func TestReloadKeepsUnchangedDatasetsWarm(t *testing.T) {
 
 	// Warm fragment 0: one miss, then a hit.
 	for i := 0; i < 2; i++ {
-		if resp, _ := get(t, hs.URL+"/v1/d/stable/frag/VelocityX/0"); resp.StatusCode != http.StatusOK {
-			t.Fatalf("frag: %s", resp.Status)
+		if code, _ := getFrag(t, hs.URL, "stable", "VelocityX", 0); code != http.StatusOK {
+			t.Fatalf("frag: %d", code)
 		}
 	}
 	missesBefore := srv.Stats().HotCacheMisses
@@ -235,8 +235,8 @@ func TestReloadKeepsUnchangedDatasetsWarm(t *testing.T) {
 	if resp, _ := postReload(t, hs.URL, "tok"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: %s", resp.Status)
 	}
-	if resp, _ := get(t, hs.URL+"/v1/d/stable/frag/VelocityX/0"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("frag after reload: %s", resp.Status)
+	if code, _ := getFrag(t, hs.URL, "stable", "VelocityX", 0); code != http.StatusOK {
+		t.Fatalf("frag after reload: %d", code)
 	}
 	after := srv.Stats()
 	if after.HotCacheMisses != missesBefore {
@@ -259,13 +259,12 @@ func TestReloadRepublishServesFreshBytes(t *testing.T) {
 	defer hs.Close()
 
 	// Warm the hot cache with the first incarnation's fragment 0.
-	resp, oldFrag := get(t, hs.URL+"/v1/d/ds/frag/VelocityX/0")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("frag: %s", resp.Status)
+	code, oldFrag := getFrag(t, hs.URL, "ds", "VelocityX", 0)
+	if code != http.StatusOK {
+		t.Fatalf("frag: %d", code)
 	}
-	resp, _ = get(t, hs.URL+"/v1/d/ds/frag/VelocityX/0")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("frag (cached): %s", resp.Status)
+	if code, _ = getFrag(t, hs.URL, "ds", "VelocityX", 0); code != http.StatusOK {
+		t.Fatalf("frag (cached): %d", code)
 	}
 
 	// Republish the dataset with different data, then reload.
@@ -273,9 +272,9 @@ func TestReloadRepublishServesFreshBytes(t *testing.T) {
 	if resp, _ := postReload(t, hs.URL, "tok"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: %s", resp.Status)
 	}
-	resp, newFrag := get(t, hs.URL+"/v1/d/ds/frag/VelocityX/0")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("frag after republish: %s", resp.Status)
+	code, newFrag := getFrag(t, hs.URL, "ds", "VelocityX", 0)
+	if code != http.StatusOK {
+		t.Fatalf("frag after republish: %d", code)
 	}
 	if !bytes.Equal(newFrag, newVars[0].Ref.Fragments[0]) {
 		// Note: packDataset leaves payloads intact in its returned vars —
@@ -384,9 +383,9 @@ func TestReloadAfterRepublishDuringLoad(t *testing.T) {
 	if _, err := srv.Reload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := get(t, hs.URL+"/v1/d/ds/frag/"+vars[0].Name+"/0")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fragment after reload: %s %s", resp.Status, body)
+	code, body := getFrag(t, hs.URL, "ds", vars[0].Name, 0)
+	if code != http.StatusOK {
+		t.Fatalf("fragment after reload: %d %s", code, body)
 	}
 	want := bytes.Clone(vars[0].Ref.Fragments[0])
 	want[0] ^= 0xff

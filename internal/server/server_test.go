@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +62,48 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+// postFrags sends one batched fetch of fragments idx of variable vr, with
+// a bearer token when one is given, and returns the status and body. It
+// reports errors instead of failing, so goroutines may call it.
+func postFrags(base, ds, token, vr string, idx ...int) (int, []byte, error) {
+	body, err := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vr, Indices: idx}}})
+	if err != nil {
+		return 0, nil, err
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/d/"+ds+"/frags", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, b, err
+}
+
+// getFrag fetches one fragment through the batched route: the status, and
+// the payload on 200 or the error text otherwise.
+func getFrag(t *testing.T, base, ds, vr string, fi int) (int, []byte) {
+	t.Helper()
+	code, body, err := postFrags(base, ds, "", vr, fi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusOK {
+		return code, body
+	}
+	frags, err := DecodeBatch(body)
+	if err != nil || len(frags) != 1 || frags[0].Var != vr || frags[0].Index != fi {
+		t.Fatalf("batch for %s/%d: %d fragments, %v", vr, fi, len(frags), err)
+	}
+	return code, frags[0].Payload
 }
 
 func TestDatasetsAndIndex(t *testing.T) {
@@ -142,56 +183,6 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFragmentETagAnd304(t *testing.T) {
-	hs, srv, vars := testServer(t, Options{})
-	url := hs.URL + "/v1/d/ge/frag/" + vars[0].Name + "/0"
-	resp, body := get(t, url)
-	if resp.StatusCode != 200 {
-		t.Fatalf("frag: %s", resp.Status)
-	}
-	if !bytes.Equal(body, vars[0].Ref.Fragments[0]) {
-		t.Fatal("fragment payload mismatch")
-	}
-	tag := resp.Header.Get("ETag")
-	if tag == "" {
-		t.Fatal("no ETag on immutable fragment")
-	}
-	if cc := resp.Header.Get("Cache-Control"); cc == "" {
-		t.Fatal("no Cache-Control on immutable fragment")
-	}
-
-	req, _ := http.NewRequest("GET", url, nil)
-	req.Header.Set("If-None-Match", tag)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotModified || len(b2) != 0 {
-		t.Fatalf("conditional GET: %s with %d bytes, want 304 empty", resp2.Status, len(b2))
-	}
-
-	resp3, _ := get(t, hs.URL+"/v1/d/ge/frag/"+vars[0].Name+"/999999")
-	if resp3.StatusCode != 404 {
-		t.Fatalf("out-of-range fragment: %s", resp3.Status)
-	}
-
-	// A 304 revalidation ships no payload, so it must not inflate the
-	// fragment-bytes stat.
-	served := srv.Stats().FragmentBytes
-	req2, _ := http.NewRequest("GET", url, nil)
-	req2.Header.Set("If-None-Match", tag)
-	resp4, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp4.Body.Close()
-	if got := srv.Stats().FragmentBytes; got != served {
-		t.Fatalf("304 revalidation grew FragmentBytes %d -> %d", served, got)
-	}
-}
-
 func TestBatchFetch(t *testing.T) {
 	hs, _, vars := testServer(t, Options{})
 	req := BatchRequest{Wants: []BatchWant{
@@ -237,6 +228,9 @@ func TestBatchFetch(t *testing.T) {
 	if resp2.StatusCode != 404 {
 		t.Fatalf("unknown variable batch: %s", resp2.Status)
 	}
+	if code, _ := getFrag(t, hs.URL, "ge", vars[0].Name, 999999); code != http.StatusNotFound {
+		t.Fatalf("out-of-range fragment: %d, want 404", code)
+	}
 }
 
 // rawDo issues one request through a transport that neither asks for nor
@@ -279,7 +273,7 @@ func gunzip(t *testing.T, b []byte) []byte {
 }
 
 // TestCompressOnceContract pins which payloads the transport compresses:
-// fragments are entropy-coded at refactor time, so every route that
+// fragments are entropy-coded at refactor time, so the batched route that
 // carries them answers identity whatever the client accepts; only the
 // index and the meta blob negotiate gzip, from bytes built with the
 // catalog — and rebuilt with it on a hot publish.
@@ -292,46 +286,34 @@ func TestCompressOnceContract(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	// The largest fragment, and a batch of all of them: payloads the
+	// A batch of all of one variable's fragments: a payload the
 	// per-request size test this contract replaced would have compressed.
-	name, frags := vars[0].Name, vars[0].Ref.Fragments
-	big, all := 0, make([]int, len(frags))
-	for i, f := range frags {
+	all := make([]int, len(vars[0].Ref.Fragments))
+	for i := range all {
 		all[i] = i
-		if len(f) > len(frags[big]) {
-			big = i
-		}
 	}
-	batch, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: name, Indices: all}}})
+	batch, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vars[0].Name, Indices: all}}})
 
-	for _, rt := range []struct {
-		route, method, path string
-		body                []byte
-	}{
-		{"frag", "GET", fmt.Sprintf("/v1/d/ds/frag/%s/%d", name, big), nil},
-		{"frags", "POST", "/v1/d/ds/frags", batch},
-		{"store/blob", "GET", "/v1/store/blob/" + storage.VarKey("ds", name), nil},
-	} {
-		t.Run("identity "+rt.route, func(t *testing.T) {
-			_, plain := rawDo(t, rt.method, hs.URL+rt.path, rt.body)
-			resp, got := rawDo(t, rt.method, hs.URL+rt.path, rt.body, "Accept-Encoding", "gzip")
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %s", resp.Status)
-			}
-			if enc := resp.Header.Get("Content-Encoding"); enc != "" {
-				t.Fatalf("Content-Encoding = %q on an already entropy-coded payload", enc)
-			}
-			if v := resp.Header.Get("Vary"); v != "" {
-				t.Fatalf("Vary = %q on a route with one representation", v)
-			}
-			if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(plain)) {
-				t.Fatalf("Content-Length = %q, want %d", cl, len(plain))
-			}
-			if len(plain) < 512 || !bytes.Equal(got, plain) {
-				t.Fatalf("%d bytes with Accept-Encoding: gzip differ from the %d identity bytes", len(got), len(plain))
-			}
-		})
-	}
+	t.Run("identity frags", func(t *testing.T) {
+		url := hs.URL + "/v1/d/ds/frags"
+		_, plain := rawDo(t, "POST", url, batch)
+		resp, got := rawDo(t, "POST", url, batch, "Accept-Encoding", "gzip")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %s", resp.Status)
+		}
+		if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+			t.Fatalf("Content-Encoding = %q on an already entropy-coded payload", enc)
+		}
+		if v := resp.Header.Get("Vary"); v != "" {
+			t.Fatalf("Vary = %q on a route with one representation", v)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(plain)) {
+			t.Fatalf("Content-Length = %q, want %d", cl, len(plain))
+		}
+		if len(plain) < 512 || !bytes.Equal(got, plain) {
+			t.Fatalf("%d bytes with Accept-Encoding: gzip differ from the %d identity bytes", len(got), len(plain))
+		}
+	})
 
 	first := map[string][]byte{} // identity bytes of the first incarnation
 	for _, what := range []string{"index", "meta"} {
@@ -396,17 +378,22 @@ func TestCompressOnceContract(t *testing.T) {
 	})
 }
 
-// gateStore blocks Get calls (after construction) until released, so the
-// test can observe the concurrency limiter holding requests back.
+// gateStore blocks GetRange calls once armed until released, so a test can
+// hold fragment reads in their handlers. Armed after New, it lets the
+// catalog load (whole-blob Gets) through.
 type gateStore struct {
 	storage.Store
 	mu      sync.Mutex
 	armed   bool
 	started chan string
 	release chan struct{}
+	once    sync.Once
 }
 
-func (g *gateStore) Get(ctx context.Context, key string) ([]byte, error) {
+// open releases every held and future read; safe to call more than once.
+func (g *gateStore) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *gateStore) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
 	g.mu.Lock()
 	armed := g.armed
 	g.mu.Unlock()
@@ -414,17 +401,21 @@ func (g *gateStore) Get(ctx context.Context, key string) ([]byte, error) {
 		g.started <- key
 		<-g.release
 	}
-	return g.Store.Get(ctx, key)
+	return g.Store.GetRange(ctx, key, off, n)
 }
 
-func TestConcurrencyLimit(t *testing.T) {
+// gatedServer serves the test dataset from a gateStore with the hot cache
+// off, so every fragment read reaches the gate.
+func gatedServer(t *testing.T, opt Options) (*httptest.Server, *Server, *gateStore, []*core.Variable) {
+	t.Helper()
 	vars := testVars(t)
 	mem := storage.NewMemStore()
 	if err := storage.WriteArchive(context.Background(), mem, "ge", vars); err != nil {
 		t.Fatal(err)
 	}
 	gs := &gateStore{Store: mem, started: make(chan string, 16), release: make(chan struct{})}
-	srv, err := New(context.Background(), gs, Options{MaxInflight: 2})
+	opt.HotCacheBytes = -1
+	srv, err := New(context.Background(), gs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,23 +423,31 @@ func TestConcurrencyLimit(t *testing.T) {
 	gs.armed = true
 	gs.mu.Unlock()
 	hs := httptest.NewServer(srv)
-	defer hs.Close()
+	t.Cleanup(hs.Close)
+	// Cleanups run last-in first-out: a test that fails while reads are
+	// held opens the gate before hs.Close waits for their handlers.
+	t.Cleanup(gs.open)
+	return hs, srv, gs, vars
+}
 
+// TestConcurrencyLimit: with MaxInflight 2, two batched fetches hold the
+// only slots while four more queue, and Stats reports exactly that from
+// the admitter's one count.
+func TestConcurrencyLimit(t *testing.T) {
+	hs, srv, gs, vars := gatedServer(t, Options{MaxInflight: 2})
 	const n = 6
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(hs.URL + "/v1/store/blob/ge.manifest")
-			if err == nil {
-				io.Copy(io.Discard, resp.Body) //nolint:errcheck
-				resp.Body.Close()
+			if code, body, err := postFrags(hs.URL, "ge", "", vars[0].Name, 0); err != nil || code != http.StatusOK {
+				t.Errorf("batch: %d %s %v", code, body, err)
 			}
 		}()
 	}
 	// Exactly MaxInflight requests may reach the store; the rest must queue
-	// on the semaphore.
+	// for a slot.
 	for i := 0; i < 2; i++ {
 		select {
 		case <-gs.started:
@@ -456,15 +455,25 @@ func TestConcurrencyLimit(t *testing.T) {
 			t.Fatal("handlers never reached the store")
 		}
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().QueuedInteractive != n-2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued = %d, want %d", srv.Stats().QueuedInteractive, n-2)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	select {
 	case k := <-gs.started:
 		t.Fatalf("third request (%s) passed a MaxInflight=2 limiter", k)
 	case <-time.After(100 * time.Millisecond):
 	}
-	close(gs.release)
+	if st := srv.Stats(); st.Inflight != 2 || st.MaxConcurrent != 2 || st.Requests != n {
+		t.Fatalf("while held: inflight %d, max %d, requests %d; want 2, 2, %d", st.Inflight, st.MaxConcurrent, st.Requests, n)
+	}
+	gs.open()
 	wg.Wait()
-	if max := srv.Stats().MaxConcurrent; max > 2 {
-		t.Fatalf("max concurrent %d, want <= 2", max)
+	if st := srv.Stats(); st.Inflight != 0 || st.MaxConcurrent != 2 {
+		t.Fatalf("after: inflight %d, max %d; want 0, 2", st.Inflight, st.MaxConcurrent)
 	}
 }
 
@@ -513,20 +522,19 @@ func ExampleBuildIndex() {
 
 func TestHotCacheServesAndCounts(t *testing.T) {
 	hs, srv, vars := testServer(t, Options{})
-	url := fmt.Sprintf("%s/v1/d/ge/frag/%s/0", hs.URL, vars[0].Name)
 
-	resp, body := get(t, url)
-	if resp.StatusCode != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[0]) {
-		t.Fatalf("first read: %s, %d bytes", resp.Status, len(body))
+	code, body := getFrag(t, hs.URL, "ge", vars[0].Name, 0)
+	if code != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[0]) {
+		t.Fatalf("first read: %d, %d bytes", code, len(body))
 	}
 	st := srv.Stats()
 	if st.HotCacheMisses == 0 || st.HotCacheEntries == 0 {
 		t.Fatalf("first read did not miss into the cache: %+v", st)
 	}
 
-	resp, body = get(t, url)
-	if resp.StatusCode != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[0]) {
-		t.Fatalf("second read: %s, %d bytes", resp.Status, len(body))
+	code, body = getFrag(t, hs.URL, "ge", vars[0].Name, 0)
+	if code != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[0]) {
+		t.Fatalf("second read: %d, %d bytes", code, len(body))
 	}
 	st2 := srv.Stats()
 	if st2.HotCacheHits == 0 {
@@ -543,9 +551,9 @@ func TestHotCacheEvictsUnderBytePressure(t *testing.T) {
 	hs, srv, vars := testServer(t, Options{HotCacheBytes: 4 << 10})
 	for vi, v := range vars {
 		for fi, want := range v.Ref.Fragments {
-			resp, body := get(t, fmt.Sprintf("%s/v1/d/ge/frag/%s/%d", hs.URL, v.Name, fi))
-			if resp.StatusCode != 200 || !bytes.Equal(body, want) {
-				t.Fatalf("var %d frag %d: %s, %d bytes (want %d)", vi, fi, resp.Status, len(body), len(want))
+			code, body := getFrag(t, hs.URL, "ge", v.Name, fi)
+			if code != 200 || !bytes.Equal(body, want) {
+				t.Fatalf("var %d frag %d: %d, %d bytes (want %d)", vi, fi, code, len(body), len(want))
 			}
 		}
 	}
@@ -560,11 +568,10 @@ func TestHotCacheEvictsUnderBytePressure(t *testing.T) {
 
 func TestHotCacheDisabledStillServes(t *testing.T) {
 	hs, srv, vars := testServer(t, Options{HotCacheBytes: -1})
-	url := fmt.Sprintf("%s/v1/d/ge/frag/%s/1", hs.URL, vars[0].Name)
 	for i := 0; i < 2; i++ {
-		resp, body := get(t, url)
-		if resp.StatusCode != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[1]) {
-			t.Fatalf("read %d: %s", i, resp.Status)
+		code, body := getFrag(t, hs.URL, "ge", vars[0].Name, 1)
+		if code != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[1]) {
+			t.Fatalf("read %d: %d", i, code)
 		}
 	}
 	st := srv.Stats()
@@ -600,23 +607,30 @@ func TestFragmentCorruptAtRestDetected(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	resp, body := get(t, fmt.Sprintf("%s/v1/d/ge/frag/%s/0", hs.URL, vars[0].Name))
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("corrupt fragment served: %s", resp.Status)
+	// A batch whose second fragment is corrupt fails whole, and the
+	// healthy fragment read before it was never sent, so it is not counted.
+	code, body, err := postFrags(hs.URL, "ge", "", vars[0].Name, 1, 0)
+	if err != nil || code != http.StatusInternalServerError {
+		t.Fatalf("batch with a corrupt fragment: %d %v, want 500", code, err)
 	}
 	if !bytes.Contains(body, []byte("corrupt")) {
 		t.Fatalf("error does not name corruption: %q", body)
 	}
-	// The untouched fragment next door still serves.
-	resp, _ = get(t, fmt.Sprintf("%s/v1/d/ge/frag/%s/1", hs.URL, vars[0].Name))
-	if resp.StatusCode != 200 {
-		t.Fatalf("healthy fragment refused: %s", resp.Status)
+	if st := srv.Stats(); st.FragmentBytes != 0 {
+		t.Fatalf("failed batch counted %d fragment bytes, want 0", st.FragmentBytes)
+	}
+	// The untouched fragment next door still serves, and counts.
+	code, frag := getFrag(t, hs.URL, "ge", vars[0].Name, 1)
+	if code != 200 {
+		t.Fatalf("healthy fragment refused: %d", code)
+	}
+	if got := srv.Stats().FragmentBytes; got != int64(len(frag)) {
+		t.Fatalf("FragmentBytes = %d after one %d-byte fragment", got, len(frag))
 	}
 }
 
 func TestMetricsExposition(t *testing.T) {
 	hs, _, vars := testServer(t, Options{})
-	get(t, fmt.Sprintf("%s/v1/d/ge/frag/%s/0", hs.URL, vars[0].Name))
 	body, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vars[0].Name, Indices: []int{0, 1}}}})
 	resp, err := http.Post(hs.URL+"/v1/d/ge/frags", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -637,7 +651,6 @@ func TestMetricsExposition(t *testing.T) {
 	text := string(mbody)
 	for _, want := range []string{
 		"progqoid_requests_total",
-		`progqoid_route_requests_total{route="frag"} 1`,
 		`progqoid_route_requests_total{route="frags"} 1`,
 		"progqoid_batch_requests_total 1",
 		"progqoid_batch_fragments_total 2",
@@ -647,7 +660,7 @@ func TestMetricsExposition(t *testing.T) {
 		"progqoid_hot_cache_misses_total",
 		"# TYPE progqoid_requests_total counter",
 		"# TYPE progqoid_request_duration_seconds histogram",
-		`progqoid_request_duration_seconds_bucket{route="frag",le="+Inf"} 1`,
+		`progqoid_request_duration_seconds_bucket{route="frags",le="+Inf"} 1`,
 		`progqoid_request_duration_seconds_count{route="frags"} 1`,
 		"# TYPE progqoid_frags_request_bytes histogram",
 		"progqoid_frags_request_bytes_count 1",
@@ -659,6 +672,11 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if !bytes.Contains(mbody, []byte(want)) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, text)
+		}
+	}
+	for _, gone := range []string{`route="frag"`, `route="store"`, "progqoid_fragments_served_total"} {
+		if bytes.Contains(mbody, []byte(gone)) {
+			t.Fatalf("/metrics still reports the retired %s", gone)
 		}
 	}
 
@@ -699,10 +717,12 @@ func TestClusterInfoEndpoint(t *testing.T) {
 }
 
 func TestStatsSnapshotConsistency(t *testing.T) {
-	// Hammer the server while polling Stats: the limiter counters are
-	// captured in one critical section, so no snapshot may ever show more
-	// in-flight requests than the recorded high-water mark.
-	hs, srv, vars := testServer(t, Options{})
+	// Hammer the server while polling Stats: the admitter reports its
+	// counts from one critical section, so no snapshot may ever show more
+	// in-flight requests than the recorded high-water mark, nor a mark
+	// above the slot count.
+	const slots = 4
+	hs, srv, vars := testServer(t, Options{MaxInflight: slots})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -715,11 +735,7 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(fmt.Sprintf("%s/v1/d/ge/frag/%s/0", hs.URL, vars[0].Name))
-				if err == nil {
-					io.Copy(io.Discard, resp.Body) //nolint:errcheck
-					resp.Body.Close()
-				}
+				postFrags(hs.URL, "ge", "", vars[0].Name, 0) //nolint:errcheck // load only
 			}
 		}()
 	}
@@ -727,8 +743,8 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 	var lastRequests int64
 	for time.Now().Before(deadline) {
 		st := srv.Stats()
-		if st.Inflight > st.MaxConcurrent {
-			t.Errorf("torn snapshot: inflight %d > maxConcurrent %d", st.Inflight, st.MaxConcurrent)
+		if st.Inflight > st.MaxConcurrent || st.MaxConcurrent > slots {
+			t.Errorf("torn snapshot: inflight %d, maxConcurrent %d, %d slots", st.Inflight, st.MaxConcurrent, slots)
 			break
 		}
 		if st.Requests < lastRequests {
@@ -741,44 +757,34 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStoreRoutes: the raw store passthrough lists the store's keys and
-// serves any blob byte for byte; a missing or unsafe key is 404.
-func TestStoreRoutes(t *testing.T) {
-	vars := testVars(t)
-	st := storage.NewMemStore()
-	if err := storage.WriteArchive(context.Background(), st, "ge", vars); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(context.Background(), st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-
-	resp, body := get(t, hs.URL+"/v1/store/keys")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("keys: %s", resp.Status)
-	}
-	var listed struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.Unmarshal(body, &listed); err != nil {
-		t.Fatal(err)
-	}
-	keys, _ := st.Keys(context.Background())
-	if !slices.Equal(listed.Keys, keys) {
-		t.Fatalf("keys %v, want %v", listed.Keys, keys)
-	}
-	for _, k := range keys {
-		want, _ := st.Get(context.Background(), k)
-		if resp, got := get(t, hs.URL+"/v1/store/blob/"+k); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-			t.Fatalf("blob %s: %s, %d bytes (want %d)", k, resp.Status, len(got), len(want))
-		}
-	}
-	for _, k := range []string{"no-such-key", ".hidden"} {
-		if resp, _ := get(t, hs.URL+"/v1/store/blob/"+k); resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("blob %s: %s, want 404", k, resp.Status)
+// TestRouteTable: every route FORMATS.md lists answers, and the retired
+// single-fragment GET and raw store passthrough answer 404.
+func TestRouteTable(t *testing.T) {
+	hs, _, vars := testServer(t, Options{})
+	batch, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vars[0].Name, Indices: []int{0}}}})
+	for _, rt := range []struct {
+		method, path string
+		body         []byte
+		want         int
+	}{
+		{"GET", "/healthz", nil, http.StatusOK},
+		{"GET", "/metrics", nil, http.StatusOK},
+		{"GET", "/v1/cluster", nil, http.StatusOK},
+		{"POST", "/v1/cluster/join", nil, http.StatusBadRequest},
+		{"POST", "/v1/cluster/heartbeat", nil, http.StatusBadRequest},
+		{"POST", "/v1/cluster/leave", nil, http.StatusBadRequest},
+		{"POST", "/v1/cluster/drain", nil, http.StatusForbidden},
+		{"GET", "/v1/datasets", nil, http.StatusOK},
+		{"POST", "/v1/datasets/reload", nil, http.StatusForbidden},
+		{"GET", "/v1/d/ge/index", nil, http.StatusOK},
+		{"GET", "/v1/d/ge/meta", nil, http.StatusOK},
+		{"POST", "/v1/d/ge/frags", batch, http.StatusOK},
+		{"GET", "/v1/d/ge/frag/" + vars[0].Name + "/0", nil, http.StatusNotFound},
+		{"GET", "/v1/store/keys", nil, http.StatusNotFound},
+		{"GET", "/v1/store/blob/ge.manifest", nil, http.StatusNotFound},
+	} {
+		if resp, _ := rawDo(t, rt.method, hs.URL+rt.path, rt.body); resp.StatusCode != rt.want {
+			t.Errorf("%s %s: %s, want %d", rt.method, rt.path, resp.Status, rt.want)
 		}
 	}
 }

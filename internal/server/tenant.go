@@ -2,9 +2,9 @@
 // admission for the fragment service.
 //
 // A server started with Options.Tenants requires every data-plane
-// request (everything except the /healthz and /metrics probes and the
-// admin-gated reload route) to present a per-tenant bearer token. Each
-// tenant carries its own QoS envelope:
+// request (everything except the /healthz and /metrics probes, the
+// /v1/cluster routes and the admin-gated reload route) to present a
+// per-tenant bearer token. Each tenant carries its own QoS envelope:
 //
 //   - a token-bucket rate limit (requests/second with a burst bound):
 //     over-limit requests are rejected with 429 and a Retry-After
@@ -35,9 +35,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"os"
 	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,6 +185,37 @@ func TokenEqual(presented, want string) bool {
 	return subtle.ConstantTimeCompare(p[:], w[:]) == 1
 }
 
+// tenantCtxKey carries the authenticated *tenantState from ServeHTTP to
+// the per-route instrumentation in counted.
+type tenantCtxKey struct{}
+
+// bearerToken extracts the request's bearer token.
+func bearerToken(r *http.Request) (string, bool) {
+	return strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+}
+
+// authenticate resolves the request's tenant. On an anonymous server
+// (no Options.Tenants) every request passes with a nil tenant. With
+// tenants configured, a missing or unknown token fails. The scan always
+// visits every tenant — no early exit — so response timing does not
+// depend on which tenant matched.
+func (s *Server) authenticate(r *http.Request) (*tenantState, bool) {
+	if len(s.tenants) == 0 {
+		return nil, true
+	}
+	tok, ok := bearerToken(r)
+	if !ok {
+		return nil, false
+	}
+	var match *tenantState
+	for _, ts := range s.tenants {
+		if TokenEqual(tok, ts.t.Token) {
+			match = ts
+		}
+	}
+	return match, match != nil
+}
+
 // TenantStats is one tenant's serving counters, exposed at /healthz
 // and (per label) at /metrics.
 type TenantStats struct {
@@ -306,10 +339,14 @@ type admitWaiter struct {
 // slots. It replaces the PR 1 semaphore: same bound on concurrently
 // served requests, but waiters park in per-class FIFO queues and a
 // freed slot always goes to the oldest interactive waiter before any
-// bulk one. The total queue is bounded; requests beyond it shed.
+// bulk one. The total queue is bounded; requests beyond it shed. It is
+// the server's one count of occupied slots: slots − free of them are in
+// flight, and high is the most there have been at once.
 type admitter struct {
+	slots   int
 	mu      sync.Mutex
 	free    int               // guarded by mu: unclaimed serving slots
+	high    int               // guarded by mu: high-water mark of slots − free
 	queues  [2][]*admitWaiter // guarded by mu: FIFO waiters, [0]=interactive [1]=bulk
 	queued  int               // guarded by mu: total parked waiters
 	maxQ    int
@@ -318,7 +355,7 @@ type admitter struct {
 }
 
 func newAdmitter(slots, maxQueue int) *admitter {
-	return &admitter{free: slots, maxQ: maxQueue}
+	return &admitter{slots: slots, free: slots, maxQ: maxQueue}
 }
 
 // acquire claims a serving slot, queueing by class when none is free.
@@ -354,6 +391,7 @@ func (a *admitter) enqueue(class int) (*admitWaiter, error) {
 	defer a.mu.Unlock()
 	if a.free > 0 {
 		a.free--
+		a.high = max(a.high, a.slots-a.free)
 		return nil, nil
 	}
 	if a.queued >= a.maxQ {
@@ -411,6 +449,14 @@ func (a *admitter) depths() [2]int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return [2]int{len(a.queues[0]), len(a.queues[1])}
+}
+
+// inUse snapshots the occupied serving slots and their high-water mark in
+// one critical section, so inflight never reads above high.
+func (a *admitter) inUse() (inflight, high int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return int64(a.slots - a.free), int64(a.high)
 }
 
 // sortTenantStates returns the states sorted by tenant name, for

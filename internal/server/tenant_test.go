@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"progqoi/internal/obs"
-	"progqoi/internal/storage"
 )
 
 func TestNormalizeTenantsValidation(t *testing.T) {
@@ -218,31 +217,16 @@ func TestTenantRateLimit429(t *testing.T) {
 }
 
 func TestTenantInflightCap429(t *testing.T) {
-	vars := testVars(t)
-	mem := storage.NewMemStore()
-	if err := storage.WriteArchive(context.Background(), mem, "ge", vars); err != nil {
-		t.Fatal(err)
-	}
-	gs := &gateStore{Store: mem, started: make(chan string, 16), release: make(chan struct{})}
-	srv, err := New(context.Background(), gs, Options{
+	hs, srv, gs, vars := gatedServer(t, Options{
 		MaxInflight: 8,
 		Tenants:     []Tenant{{Name: "capped", Token: "capped-token", MaxInflight: 1}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs.mu.Lock()
-	gs.armed = true
-	gs.mu.Unlock()
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, body := authedGet(t, hs.URL+"/v1/store/blob/ge.manifest", "capped-token")
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("blocked request finished %s: %s", resp.Status, body)
+		if code, body, err := postFrags(hs.URL, "ge", "capped-token", vars[0].Name, 0); err != nil || code != http.StatusOK {
+			t.Errorf("blocked request finished %d %v: %s", code, err, body)
 		}
 	}()
 	select {
@@ -259,7 +243,7 @@ func TestTenantInflightCap429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	close(gs.release)
+	gs.open()
 	<-done
 	st := srv.Stats()
 	if st.Tenants[0].OverInflight != 1 {
