@@ -333,37 +333,77 @@ func (b *Block) PlaneSize(p int) int {
 	return n
 }
 
-// Decoder incrementally reconstructs a block as planes arrive.
+// narrowPlanes is the number of leading planes a Decoder holds in uint32
+// magnitudes before it widens them to uint64.
+const narrowPlanes = 32
+
+// Decoder incrementally reconstructs a block as planes arrive. It holds
+// its magnitudes as uint32 while every plane reserved is below
+// narrowPlanes: narrow[i] is the magnitude shifted right by
+// max(B−narrowPlanes, 0), which drops no bit of those planes. Reserve
+// widens them to uint64, in wide, when a later plane is about to arrive.
 type Decoder struct {
 	blk     *Block
-	mags    []uint64
+	narrow  []uint32 // nil once widened
+	wide    []uint64 // nil until widened
 	signs   []byte
 	applied int
 }
 
 // NewDecoder prepares incremental decoding of b.
 func NewDecoder(b *Block) *Decoder {
-	return &Decoder{blk: b, mags: make([]uint64, b.N)}
+	return &Decoder{blk: b, narrow: make([]uint32, b.N)}
 }
 
 // Applied returns the number of planes applied so far.
 func (d *Decoder) Applied() int { return d.applied }
 
-// ValuesInto writes the current approximation into out[:N]: zeros with no
-// planes committed (bound 2^Exp), and without a sign bitmap installed every
-// value non-negative. out must hold at least N values; the rest are left
-// alone.
-func (d *Decoder) ValuesInto(out []float64) {
-	out = out[:d.blk.N]
+// shift is how far the narrow magnitudes sit below the full ones.
+func (d *Decoder) shift() uint { return uint(max(d.blk.B-narrowPlanes, 0)) }
+
+// Reserve readies the decoder for OrPlane of every plane below k. The
+// first Reserve past plane narrowPlanes−1 widens the magnitudes to
+// uint64; before that it does nothing. It must not run concurrently with
+// OrPlane, so a caller reserves each group's planes before its OrPlane
+// stage.
+func (d *Decoder) Reserve(k int) {
+	if d.wide != nil || min(k, d.blk.B) <= narrowPlanes {
+		return
+	}
+	d.wide = make([]uint64, len(d.narrow))
+	s := d.shift()
+	for i, m := range d.narrow {
+		d.wide[i] = uint64(m) << s
+	}
+	d.narrow = nil
+}
+
+// ValuesAt writes the current approximation of coefficients [lo,
+// lo+len(out)) into out: zeros with no planes committed (bound 2^Exp), and
+// without a sign bitmap installed every value non-negative.
+func (d *Decoder) ValuesAt(out []float64, lo int) {
 	if d.applied == 0 || d.blk.Exp == math.MinInt32 {
 		clear(out)
 		return
 	}
 	inv := math.Ldexp(1, d.blk.Exp-d.blk.B) // 2^(e-B)
-	mags := d.mags[:len(out)]
-	if d.signs == nil {
+	if d.wide != nil {
+		valuesAt(out, d.wide[lo:lo+len(out)], d.signs, lo, 0, inv)
+		return
+	}
+	valuesAt(out, d.narrow[lo:lo+len(out)], d.signs, lo, d.shift(), inv)
+}
+
+// valuesAt is ValuesAt's kernel over either magnitude width: out[i] is
+// (mags[i] << shift) · inv, negated where bit lo+i of signs is set. Every
+// magnitude is below 2^62, so converting it through int64 rounds exactly
+// as through uint64, and the narrow and wide paths give the same bits.
+func valuesAt[M uint32 | uint64](out []float64, mags []M, signs []byte, lo int, shift uint, inv float64) {
+	shift &= 63
+	val := func(m M) float64 { return float64(int64(uint64(m)<<shift)) * inv }
+	if signs == nil {
 		for i, m := range mags {
-			out[i] = float64(m) * inv
+			out[i] = val(m)
 		}
 		return
 	}
@@ -372,33 +412,38 @@ func (d *Decoder) ValuesInto(out []float64) {
 	neg := func(v float64, sign uint64) float64 {
 		return math.Float64frombits(math.Float64bits(v) | sign<<63)
 	}
+	sign := func(j int) uint64 { return uint64(signs[j>>3] >> uint(j&7) & 1) }
 	i := 0
+	for ; i < len(out) && (lo+i)&7 != 0; i++ { // unaligned head
+		out[i] = neg(val(mags[i]), sign(lo+i))
+	}
 	for ; i+8 <= len(out); i += 8 {
-		s := uint64(d.signs[i>>3])
+		s := uint64(signs[(lo+i)>>3])
 		m, o := mags[i:i+8:i+8], out[i:i+8:i+8]
-		o[0] = neg(float64(m[0])*inv, s&1)
-		o[1] = neg(float64(m[1])*inv, s>>1&1)
-		o[2] = neg(float64(m[2])*inv, s>>2&1)
-		o[3] = neg(float64(m[3])*inv, s>>3&1)
-		o[4] = neg(float64(m[4])*inv, s>>4&1)
-		o[5] = neg(float64(m[5])*inv, s>>5&1)
-		o[6] = neg(float64(m[6])*inv, s>>6&1)
-		o[7] = neg(float64(m[7])*inv, s>>7)
+		o[0] = neg(val(m[0]), s&1)
+		o[1] = neg(val(m[1]), s>>1&1)
+		o[2] = neg(val(m[2]), s>>2&1)
+		o[3] = neg(val(m[3]), s>>3&1)
+		o[4] = neg(val(m[4]), s>>4&1)
+		o[5] = neg(val(m[5]), s>>5&1)
+		o[6] = neg(val(m[6]), s>>6&1)
+		o[7] = neg(val(m[7]), s>>7)
 	}
 	for ; i < len(out); i++ { // tail
-		out[i] = neg(float64(mags[i])*inv, uint64(d.signs[i>>3]>>uint(i&7)&1))
+		out[i] = neg(val(mags[i]), sign(lo+i))
 	}
 }
 
-// Bound returns the current guaranteed L∞ error of ValuesInto's output.
+// Bound returns the current guaranteed L∞ error of ValuesAt's output.
 func (d *Decoder) Bound() float64 { return d.blk.Bound(d.applied) }
 
-// Decoding is three steps (RawBitmap → OrPlane/SetSigns → CommitPlanes),
-// so a caller can decompress fragments and apply bit planes with its own
-// worker pool: RawBitmap of each new plane (and of the signs with the
-// first), OrPlane over the coefficient range, then CommitPlanes. Any
-// interleaving of disjoint OrPlane ranges produces bit-identical magnitudes
-// because plane application only ORs independent bits.
+// Decoding is three steps (RawBitmap → Reserve, OrPlane and SetSigns →
+// CommitPlanes), so a caller can decompress fragments and apply bit planes
+// with its own worker pool: RawBitmap of each new plane (and of the signs
+// with the first), Reserve past the last new plane, OrPlane over the
+// coefficient range, then CommitPlanes. Any interleaving of disjoint
+// OrPlane ranges produces bit-identical magnitudes because plane
+// application only ORs independent bits.
 
 // RawBitmap decompresses one of the block's compressed fragments (a
 // magnitude plane or the sign fragment) into its raw bitmap of
@@ -409,21 +454,35 @@ func (b *Block) RawBitmap(frag []byte) ([]byte, error) {
 }
 
 // OrPlane ORs the raw bitmap of plane p into the decoder's magnitudes for
-// coefficients [lo, hi). Callers running concurrent OrPlane calls must keep
-// their ranges disjoint; planes of the same range may be applied in any
-// order. Applied() is unchanged until CommitPlanes.
+// coefficients [lo, hi). A plane at index narrowPlanes or later needs a
+// Reserve past it first. Callers running concurrent OrPlane calls must
+// keep their ranges disjoint; planes of the same range may be applied in
+// any order. Applied() is unchanged until CommitPlanes.
 func (d *Decoder) OrPlane(p int, raw []byte, lo, hi int) {
-	bit := uint(d.blk.B - 1 - p)
+	bit := d.blk.B - 1 - p
+	if d.wide != nil {
+		orPlane(d.wide, raw, uint(bit), lo, hi)
+		return
+	}
+	if p >= narrowPlanes {
+		panic(fmt.Sprintf("bitplane: OrPlane of plane %d before Reserve", p))
+	}
+	orPlane(d.narrow, raw, uint(bit)-d.shift(), lo, hi)
+}
+
+// orPlane is OrPlane's kernel over either magnitude width.
+func orPlane[M uint32 | uint64](mags []M, raw []byte, bit uint, lo, hi int) {
+	bit &= 63
 	i := lo
 	for ; i < hi && i&7 != 0; i++ { // unaligned head, a bit at a time
-		d.mags[i] |= uint64(raw[i>>3]>>uint(i&7)&1) << bit
+		mags[i] |= M(raw[i>>3]>>uint(i&7)&1) << bit
 	}
 	for ; i+8 <= hi; i += 8 { // a byte of bitmap at a time, branch-free
-		b := uint64(raw[i>>3])
+		b := M(raw[i>>3])
 		if b == 0 {
 			continue
 		}
-		m := d.mags[i : i+8 : i+8]
+		m := mags[i : i+8 : i+8]
 		m[0] |= b & 1 << bit
 		m[1] |= b >> 1 & 1 << bit
 		m[2] |= b >> 2 & 1 << bit
@@ -434,7 +493,7 @@ func (d *Decoder) OrPlane(p int, raw []byte, lo, hi int) {
 		m[7] |= b >> 7 << bit
 	}
 	for ; i < hi; i++ { // unaligned tail
-		d.mags[i] |= uint64(raw[i>>3]>>uint(i&7)&1) << bit
+		mags[i] |= M(raw[i>>3]>>uint(i&7)&1) << bit
 	}
 }
 
@@ -442,7 +501,7 @@ func (d *Decoder) OrPlane(p int, raw []byte, lo, hi int) {
 func (d *Decoder) SetSigns(raw []byte) { d.signs = raw }
 
 // CommitPlanes records that every plane below k has been fully applied via
-// OrPlane, making ValuesInto and Bound reflect them. k past B is clamped;
+// OrPlane, making ValuesAt and Bound reflect them. k past B is clamped;
 // committing below the current Applied() is a no-op, so replays of
 // already-applied planes (idempotent under OR) are harmless.
 func (d *Decoder) CommitPlanes(k int) {

@@ -18,8 +18,8 @@ func randVals(rng *rand.Rand, n int, scale float64) []float64 {
 
 // decodeTo brings d to k planes of its block the way a reader does:
 // RawBitmap of the sign fragment with the first plane and of every plane
-// from Applied() up to k, SetSigns, OrPlane over the whole block, then
-// CommitPlanes(k), which clamps k to B and ignores a k below Applied(). An
+// from Applied() up to k, SetSigns, Reserve(k), OrPlane over the whole
+// block, then CommitPlanes(k), which clamps k to B and ignores a k below Applied(). An
 // all-zero block stores no fragments, so only the commit runs.
 func decodeTo(d *Decoder, k int) error {
 	b := d.blk
@@ -35,6 +35,7 @@ func decodeTo(d *Decoder, k int) error {
 		}
 		d.SetSigns(raw)
 	}
+	d.Reserve(n)
 	for p := d.Applied(); p < n; p++ {
 		raw, err := b.RawBitmap(b.Planes[p])
 		if err != nil {
@@ -49,7 +50,7 @@ func decodeTo(d *Decoder, k int) error {
 // values returns d's current approximation in a new slice.
 func values(d *Decoder) []float64 {
 	out := make([]float64, d.blk.N)
-	d.ValuesInto(out)
+	d.ValuesAt(out, 0)
 	return out
 }
 

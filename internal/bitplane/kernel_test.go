@@ -88,7 +88,8 @@ func TestKernelsMatchReference(t *testing.T) {
 				for k := 0; k+1 < len(c); k++ {
 					slicePlanes(mags, chunked, c[k], c[k+1])
 				}
-				dec := &Decoder{blk: &Block{N: n, B: numPlanes}, mags: make([]uint64, n)}
+				dec := NewDecoder(&Block{N: n, B: numPlanes})
+				dec.Reserve(numPlanes)
 				ref := make([]uint64, n)
 				for p := 0; p < numPlanes; p++ {
 					want := refSlicePlane(mags, n, numPlanes, p)
@@ -101,7 +102,7 @@ func TestKernelsMatchReference(t *testing.T) {
 					}
 					refOrPlane(ref, numPlanes, p, want, 0, n)
 				}
-				if !slices.Equal(dec.mags, ref) || !slices.Equal(ref, mags) {
+				if !slices.Equal(magnitudes(dec), ref) || !slices.Equal(ref, mags) {
 					t.Fatalf("%s: decoded magnitudes differ from the per-bit reference", name)
 				}
 			}
@@ -109,15 +110,28 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// magnitudes returns d's magnitudes at full width, whichever width it
+// holds them in.
+func magnitudes(d *Decoder) []uint64 {
+	if d.wide != nil {
+		return slices.Clone(d.wide)
+	}
+	out := make([]uint64, len(d.narrow))
+	for i, m := range d.narrow {
+		out[i] = uint64(m) << d.shift()
+	}
+	return out
+}
+
 // refValues is Decoder.Values as it was before ValuesInto: one branch per
-// coefficient on its sign bit.
+// coefficient on its sign bit, over 64-bit magnitudes.
 func refValues(d *Decoder) []float64 {
 	out := make([]float64, d.blk.N)
 	if d.applied == 0 || d.blk.Exp == math.MinInt32 {
 		return out
 	}
 	inv := math.Ldexp(1, d.blk.Exp-d.blk.B)
-	for i, m := range d.mags {
+	for i, m := range magnitudes(d) {
 		v := float64(m) * inv
 		if d.signs != nil && d.signs[i/8]>>uint(i%8)&1 == 1 {
 			v = -v
@@ -127,8 +141,8 @@ func refValues(d *Decoder) []float64 {
 	return out
 }
 
-// TestValuesIntoMatchesReference: ValuesInto, into a longer buffer holding
-// stale values and into a fresh one, against the per-coefficient reference
+// TestValuesIntoMatchesReference: ValuesAt, into a buffer holding stale
+// values and into a fresh one, against the per-coefficient reference
 // at 0, 1, some and all planes, for N around multiples of 8, with and
 // without a sign bitmap installed.
 func TestValuesIntoMatchesReference(t *testing.T) {
@@ -161,9 +175,9 @@ func TestValuesIntoMatchesReference(t *testing.T) {
 					for i := range out {
 						out[i] = math.NaN()
 					}
-					dec.ValuesInto(out)
+					dec.ValuesAt(out[:n], 0)
 					want := refValues(dec)
-					if !sameBits(out[:n], want) || !sameBits(values(dec), want) {
+					if !sameBits(out[:n], want) || !sameBits(values(dec), want) || !math.IsNaN(out[n]) {
 						t.Fatalf("N=%d B=%d k=%d signs=%v: values differ from the per-coefficient reference", n, numPlanes, k, signs)
 					}
 				}
@@ -183,9 +197,9 @@ func TestOrPlaneStaysInRange(t *testing.T) {
 	raw := bytes.Repeat([]byte{0xff}, (n+7)/8)
 	for lo := 0; lo <= 17; lo++ {
 		for hi := lo; hi <= n; hi += 7 {
-			dec := &Decoder{blk: &Block{N: n, B: 8}, mags: make([]uint64, n)}
+			dec := NewDecoder(&Block{N: n, B: 8})
 			dec.OrPlane(3, raw, lo, hi)
-			for i, m := range dec.mags {
+			for i, m := range magnitudes(dec) {
 				want := uint64(0)
 				if i >= lo && i < hi {
 					want = 1 << 4
@@ -296,6 +310,8 @@ func TestInterleavedDecodeKeepsOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	decB.SetSigns(signsB)
+	decA.Reserve(DefaultPlanes)
+	decB.Reserve(DefaultPlanes)
 	var heldA [][]byte // every raw plane of A, re-checked after B is done
 	for p := 0; p < DefaultPlanes; p++ {
 		for _, s := range []struct {
@@ -322,7 +338,7 @@ func TestInterleavedDecodeKeepsOwnership(t *testing.T) {
 		t.Fatal("block A's sign bitmap changed while block B decoded")
 	}
 	for p, raw := range heldA {
-		if !bytes.Equal(raw, refSlicePlane(wantA.mags, blkA.N, DefaultPlanes, p)) {
+		if !bytes.Equal(raw, refSlicePlane(magnitudes(wantA), blkA.N, DefaultPlanes, p)) {
 			t.Fatalf("block A's plane %d bitmap changed while block B decoded", p)
 		}
 	}
@@ -351,5 +367,93 @@ func BenchmarkEncodeAll64Cubed(b *testing.B) {
 		if _, err := EncodeAll(groups, DefaultPlanes, 2); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestNarrowMagnitudesMatchWide holds the decoder, which keeps its
+// magnitudes as uint32 until Reserve reaches plane 32, to a decoder that
+// held uint64 magnitudes from the start, applied with the per-bit
+// reference: after every batch of planes, over unaligned OrPlane ranges
+// and ValuesAt chunks starting at offsets that are not multiples of 8,
+// with and without signs, at ordinary exponents and at one whose value
+// scale 2^(Exp−B) is subnormal. Batches cross plane 32 mid-stream, and a
+// decoder that has not reserved past plane 32 holds no uint64 magnitudes.
+func TestNarrowMagnitudesMatchWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const n = 4099
+	for _, numPlanes := range []int{1, 8, 31, 32, 33, 60, 62} {
+		for _, scale := range []float64{1e3, math.Ldexp(0.75, -961)} {
+			vals := randVals(rng, n, scale)
+			blk, err := Encode(vals, numPlanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raws := make([][]byte, numPlanes)
+			for p := range raws {
+				if raws[p], err = blk.RawBitmap(blk.Planes[p]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			signs, err := blk.RawBitmap(blk.Signs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, withSigns := range []bool{true, false} {
+				name := fmt.Sprintf("B=%d/Exp=%d/signs=%v", numPlanes, blk.Exp, withSigns)
+				dec := NewDecoder(blk)
+				ref := &Decoder{blk: blk, wide: make([]uint64, n)}
+				if withSigns {
+					dec.SetSigns(signs)
+					ref.SetSigns(signs)
+				}
+				for p := 0; p < numPlanes; {
+					k := min(p+1+rng.Intn(12), numPlanes) // planes [p, k) this batch
+					dec.Reserve(k)
+					for q := p; q < k; q++ {
+						c := cuts(rng, n, false)
+						for j := 0; j+1 < len(c); j++ {
+							dec.OrPlane(q, raws[q], c[j], c[j+1])
+						}
+						refOrPlane(ref.wide, numPlanes, q, raws[q], 0, n)
+					}
+					dec.CommitPlanes(k)
+					ref.CommitPlanes(k)
+					p = k
+					if (dec.wide != nil) != (k > 32) {
+						t.Fatalf("%s at %d planes: uint64 magnitudes held = %v", name, k, dec.wide != nil)
+					}
+					got := make([]float64, n)
+					c := cuts(rng, n, false)
+					for j := 0; j+1 < len(c); j++ {
+						dec.ValuesAt(got[c[j]:c[j+1]], c[j])
+					}
+					if !sameBits(got, refValues(ref)) || !slices.Equal(magnitudes(dec), ref.wide) {
+						t.Fatalf("%s at %d planes: differs from the 64-bit reference", name, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNarrowDecoderNeverWidens: a decoder brought to 32 of 60 planes the
+// way a reader brings it there holds only its uint32 magnitudes, and its
+// Reserve calls allocate nothing.
+func TestNarrowDecoderNeverWidens(t *testing.T) {
+	blk, err := Encode(randVals(rand.New(rand.NewSource(48)), 1000, 1), DefaultPlanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder(blk)
+	for k := 1; k <= 32; k++ {
+		if err := decodeTo(dec, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dec.wide != nil || len(dec.narrow) != blk.N {
+		t.Fatalf("at %d planes: %d uint64 and %d uint32 magnitudes", dec.Applied(), len(dec.wide), len(dec.narrow))
+	}
+	if n := testing.AllocsPerRun(10, func() { dec.Reserve(32) }); n != 0 {
+		t.Fatalf("Reserve(32) allocates %v times", n)
 	}
 }

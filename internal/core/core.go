@@ -248,7 +248,8 @@ type Retriever struct {
 	budget  *par.Budget // Config.Workers, shared by every reader
 
 	// mask[v] is variable v's zero mask, or nil when it has none or
-	// Config.DisableMask is set: the only mask the session reads.
+	// Config.DisableMask is set: the only mask the session reads, and the
+	// one its reader applies to the data.
 	mask [][]bool
 
 	// prefetch and wire are the transport of a lazy session, nil for a
@@ -261,12 +262,14 @@ type Retriever struct {
 
 	eps      []float64 // requested per-variable bounds (assigner state)
 	achieved []float64 // bounds achieved by the readers
-	masked   [][]float64
-	est      []*estScratch // one per estimateAll worker slot
+	// data[v] is reader v's masked reconstruction as its last refresh
+	// returned it, nil before the first: a view, not a copy.
+	data [][]float64
+	est  []*estScratch // one per estimateAll worker slot
 
 	// The estimate memo. gen[v] counts the refreshes of variable v that
 	// changed it: advance bumps it when its reader ingests a fragment or
-	// reports a new bound, the only ways masked[v] and achieved[v] move. An
+	// reports a new bound, the only ways data[v] and achieved[v] move. An
 	// Advance cut short by cancellation leaves its reader short of its
 	// target, so the next one ingests and bumps. memo holds the last
 	// estimate of each target of the current request.
@@ -332,11 +335,14 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 		}
 		if !rt.cfg.DisableMask {
 			rt.mask[i] = v.ZeroMask
+			if err := rd.SetMask(v.ZeroMask); err != nil {
+				return nil, fmt.Errorf("core: open %s: %w", v.Name, err)
+			}
 		}
 	}
 	rt.eps = make([]float64, len(vars))
 	rt.achieved = make([]float64, len(vars))
-	rt.masked = make([][]float64, len(vars))
+	rt.data = make([][]float64, len(vars))
 	rt.gen = make([]uint64, len(vars))
 	for i := range rt.eps {
 		rt.eps[i] = math.Inf(1)
@@ -524,7 +530,7 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 		res.RetrievedBytes = rt.RetrievedBytes()
 		res.Data = res.Data[:0]
 		for i := range rt.vars {
-			res.Data = append(res.Data, rt.masked[i])
+			res.Data = append(res.Data, rt.data[i])
 		}
 	}
 	wire := func() int64 {
@@ -641,7 +647,7 @@ func (rt *Retriever) assignInitial(req Request, qoiVars [][]int) {
 }
 
 // advance asks every involved reader for its assigned bound and refreshes
-// the masked data views. It reports whether any reader fetched new bytes.
+// the data views. It reports whether any reader fetched new bytes.
 // Variables advance as tasks on the session's budget, which their decode
 // tasks share; per-variable state is independent and results merge by
 // index, so the outcome is identical to the sequential order.
@@ -703,7 +709,7 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 			errs[i] = fmt.Errorf("core: data %s: %w", rt.vars[v].Name, err)
 			return true
 		}
-		rt.masked[v] = rt.applyMask(v, data)
+		rt.data[v] = data
 		if rd.RetrievedBytes() != before || b != rt.achieved[v] {
 			moved[i] = true
 			rt.gen[v]++
@@ -721,27 +727,6 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 		}
 	}
 	return progressed, nil
-}
-
-// applyMask returns the reconstruction with exact-zero points restored. The
-// reader's buffer is never mutated (delta methods accumulate into it); the
-// masked copy reuses the variable's buffer from the previous iteration.
-func (rt *Retriever) applyMask(v int, data []float64) []float64 {
-	mask := rt.mask[v]
-	if mask == nil {
-		return data
-	}
-	out := rt.masked[v]
-	if len(out) != len(data) {
-		out = make([]float64, len(data))
-	}
-	copy(out, data)
-	for i, m := range mask {
-		if m {
-			out[i] = 0
-		}
-	}
-	return out
 }
 
 // pointBounds fills ebs with the per-variable bounds effective at point j
@@ -795,7 +780,7 @@ func newEstScratch(nv int) *estScratch {
 // bound everywhere except at masked points, where they are zero.
 func (s *estScratch) load(rt *Retriever, used []int, blo, bhi int) {
 	for _, v := range used {
-		s.x[v] = rt.masked[v][blo:bhi]
+		s.x[v] = rt.data[v][blo:bhi]
 		eb := s.eb[v][:bhi-blo]
 		b := rt.achieved[v]
 		for i := range eb {
@@ -1015,7 +1000,7 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 // a request the seed alone certifies, where the pass is one extra.
 func (rt *Retriever) aim(req Request, prog *qoi.Program, used []int, qoiVars [][]int, keys []memoKey, ne int) {
 	for _, v := range used {
-		if rt.masked[v] == nil {
+		if rt.data[v] == nil {
 			return // cold: nothing held to aim with
 		}
 	}
@@ -1046,8 +1031,8 @@ func (rt *Retriever) reassign(req Request, qoiVars [][]int, k, worst int) bool {
 	vals := make([]float64, len(rt.vars))
 	ebs := make([]float64, len(rt.vars))
 	for v := range rt.vars {
-		if rt.masked[v] != nil {
-			vals[v] = rt.masked[v][worst]
+		if rt.data[v] != nil {
+			vals[v] = rt.data[v][worst]
 		}
 	}
 	// Candidate bounds start from the currently achieved bounds. The

@@ -48,7 +48,7 @@ func checkAgainstFresh(t *testing.T, rt *Retriever, req *Request, label string) 
 		t.Helper()
 		var used []int
 		for v := range rt.vars {
-			if rt.masked[v] != nil {
+			if rt.data[v] != nil {
 				used = append(used, v)
 			}
 		}

@@ -201,18 +201,19 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// TestRunsMatchClosureWalk: GroupSize, Group and SetGroup visit exactly the
-// offsets of the closure walk, in its order.
+// TestRunsMatchClosureWalk: GroupSize, Group and Recompose's scatter visit
+// exactly the offsets of the closure walk, in its order. The last shape's
+// finest groups span several Recompose chunks.
 func TestRunsMatchClosureWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, dims := range kernelShapes {
+	for _, dims := range append(slices.Clone(kernelShapes), []int{40, 30, 20}) {
 		g := grid.MustNew(dims...)
 		for _, basis := range []Basis{Hierarchical, Orthogonal} {
 			d, err := Decompose(randField(rng, g.Size()), g, basis)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shell := NewShell(g, basis)
+			groups := make([][]float64, d.NumGroups())
 			want := make([]float64, g.Size())
 			for gi := 0; gi < d.NumGroups(); gi++ {
 				var offs []int
@@ -226,28 +227,26 @@ func TestRunsMatchClosureWalk(t *testing.T) {
 						t.Fatalf("%v %v group %d: value %d from offset %d differs", dims, basis, gi, i, off)
 					}
 				}
-				vals := randField(rng, len(offs))
-				if err := shell.SetGroup(gi, vals); err != nil {
-					t.Fatal(err)
-				}
+				groups[gi] = randField(rng, len(offs))
 				for i, off := range offs {
-					want[off] = vals[i]
+					want[off] = groups[gi][i]
 				}
 			}
-			if !sameBits(shell.coeffs, want) {
-				t.Fatalf("%v %v: SetGroup wrote other offsets than the closure walk", dims, basis)
+			refReconstruct(g, basis, want)
+			if got := recompose(NewShape(g, basis), groups); !sameBits(got, want) {
+				t.Fatalf("%v %v: Recompose scattered to other offsets than the closure walk", dims, basis)
 			}
 		}
 	}
 }
 
-// TestTransformMatchesReference holds Decompose and ReconstructInto to the
-// line-slice kernels bit for bit, on fully decomposed fields and on shells
-// where only some groups were set (the state a progressive reader commits
-// from), reusing one destination buffer throughout.
+// TestTransformMatchesReference holds Decompose and Recompose to the
+// line-slice kernels bit for bit, on fully decomposed fields and on group
+// sets where only some groups moved since the last Recompose (the state a
+// progressive reader commits from), recomposing into one stale buffer per
+// shape.
 func TestTransformMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	var dst []float64
 	for _, dims := range kernelShapes {
 		g := grid.MustNew(dims...)
 		for _, basis := range []Basis{Hierarchical, Orthogonal} {
@@ -261,9 +260,17 @@ func TestTransformMatchesReference(t *testing.T) {
 			if !sameBits(d.coeffs, want) {
 				t.Fatalf("%v %v: Decompose differs from the reference", dims, basis)
 			}
-			shell := NewShell(d.Grid, d.Basis)
+			shape := NewShape(d.Grid, d.Basis)
+			groups := make([][]float64, d.NumGroups())
+			for gi := range groups {
+				groups[gi] = make([]float64, d.GroupSize(gi))
+			}
+			dst := make([]float64, g.Size())
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
 			for trial := 0; trial < 3; trial++ {
-				for gi := 0; gi < d.NumGroups(); gi++ {
+				for gi := range groups {
 					if rng.Intn(3) == 0 {
 						continue // this group keeps its previous values
 					}
@@ -272,14 +279,17 @@ func TestTransformMatchesReference(t *testing.T) {
 					for i := range grp {
 						grp[i] = math.Ldexp(math.Trunc(math.Ldexp(grp[i], bits)), -bits)
 					}
-					if err := shell.SetGroup(gi, grp); err != nil {
-						t.Fatal(err)
-					}
+					groups[gi] = grp
 				}
-				want := slices.Clone(shell.coeffs)
+				want := make([]float64, g.Size())
+				for gi, grp := range groups {
+					i := 0
+					refGroupIndices(d, gi, func(off int) { want[off], i = grp[i], i+1 })
+				}
 				refReconstruct(g, basis, want)
-				if dst = shell.ReconstructInto(dst); !sameBits(dst, want) {
-					t.Fatalf("%v %v trial %d: ReconstructInto differs from the reference", dims, basis, trial)
+				shape.Recompose(dst, func(g, lo int, vals []float64) { copy(vals, groups[g][lo:]) })
+				if !sameBits(dst, want) {
+					t.Fatalf("%v %v trial %d: Recompose differs from the reference", dims, basis, trial)
 				}
 			}
 		}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"progqoi/internal/grid"
 )
@@ -58,18 +59,19 @@ func (b Basis) String() string {
 // ErrBadInput reports invalid decomposition input.
 var ErrBadInput = errors.New("mgard: invalid input")
 
-// Decomposition holds the transformed coefficients of one field.
+// Decomposition holds the transformed coefficients of one field, or, made
+// by NewShape, only the shape a reader recomposes into.
 //
 // A Decomposition also holds the scratch its transforms reuse (line
-// counters and the orthogonal basis' tridiagonal solve), so it is for one
-// goroutine at a time: concurrent calls on one Decomposition, even to
-// Reconstruct, race.
+// counters, the orthogonal basis' tridiagonal solve and Recompose's
+// chunk), so it is for one goroutine at a time: concurrent calls on one
+// Decomposition, even to Recompose, race.
 type Decomposition struct {
 	Basis Basis
 	Grid  *grid.Grid
 	Steps int // number of level-halving steps applied (≥ 0)
 
-	coeffs []float64 // transformed array, same layout as input
+	coeffs []float64 // transformed array, same layout as input; nil in a shape
 	// dimsAtLevel[l] = number of dimensions that actually transformed at
 	// level l (a dim participates while 2^l < extent).
 	dimsAtLevel []int
@@ -80,20 +82,23 @@ type Decomposition struct {
 
 	ctr   []int     // transformDim's odometer, one counter per dim
 	f, cp []float64 // correction's Thomas solve
+	chunk []float64 // Recompose's group values, at most recomposeChunk
 }
 
 // run is a stretch of one group along the last dimension: n coefficients
 // at off, off+step, off+2·step, ….
 type run struct{ off, step, n int }
 
-// newDecomposition returns an all-zero decomposition of shape g.
-func newDecomposition(g *grid.Grid, basis Basis) *Decomposition {
+// NewShape returns the shape of a decomposition of g under basis: its
+// group tables and transform scratch, without coefficients. Recompose,
+// GroupSize and ErrorBound work on it; Group and AppendGroup need the
+// coefficients of a Decompose.
+func NewShape(g *grid.Grid, basis Basis) *Decomposition {
 	steps := g.NumLevels() - 1
 	d := &Decomposition{
 		Basis:       basis,
 		Grid:        g.Clone(),
 		Steps:       steps,
-		coeffs:      make([]float64, g.Size()),
 		dimsAtLevel: make([]int, steps),
 		runs:        make([][]run, steps+1),
 		sizes:       make([]int, steps+1),
@@ -137,7 +142,10 @@ func DecomposeInto(d *Decomposition, data []float64, g *grid.Grid, basis Basis) 
 		}
 	}
 	if d == nil || d.Basis != basis || !d.Grid.Equal(g) {
-		d = newDecomposition(g, basis)
+		d = NewShape(g, basis)
+	}
+	if d.coeffs == nil {
+		d.coeffs = make([]float64, g.Size())
 	}
 	copy(d.coeffs, data)
 	for l := 0; l < d.Steps; l++ {
@@ -240,39 +248,47 @@ func (d *Decomposition) AppendGroup(dst []float64, gIdx int) []float64 {
 	return dst
 }
 
-// SetGroup overwrites the coefficients of group gIdx (used when assembling a
-// reconstruction from approximately retrieved groups).
-func (d *Decomposition) SetGroup(gIdx int, vals []float64) error {
-	if want := d.sizes[gIdx]; len(vals) != want {
-		return fmt.Errorf("%w: group %d expects %d values, got %d", ErrBadInput, gIdx, want, len(vals))
+// recomposeChunk bounds the group values Recompose holds at once: 32 KiB,
+// and a multiple of 8, so every chunk after a group's first starts on a
+// byte of a bitmap over the group.
+const recomposeChunk = 4096
+
+// Recompose writes the field the decomposition's coefficients stand for
+// into dst, which must hold Grid.Size() values. fill supplies the
+// coefficients: fill(g, lo, vals) writes coefficients [lo, lo+len(vals))
+// of group g, in Group's order, into vals. Recompose asks for every group
+// in chunks of at most recomposeChunk values and scatters each chunk
+// through the group's run table into dst. The groups cover every point
+// exactly once, so this overwrites all of dst. The inverse transform then
+// runs on dst in place. Beyond its first call on d, it allocates nothing.
+func (d *Decomposition) Recompose(dst []float64, fill func(g, lo int, vals []float64)) {
+	if len(dst) != d.Grid.Size() {
+		panic(fmt.Sprintf("mgard: Recompose into %d values, want %d", len(dst), d.Grid.Size()))
 	}
-	c := d.coeffs
-	for _, r := range d.runs[gIdx] {
-		off := r.off
-		for _, v := range vals[:r.n] {
-			c[off] = v
-			off += r.step
+	if d.chunk == nil {
+		d.chunk = make([]float64, min(recomposeChunk, slices.Max(d.sizes)))
+	}
+	for gi, runs := range d.runs {
+		ri, k := 0, 0 // the next coefficient: run ri, position k
+		for lo := 0; lo < d.sizes[gi]; lo += len(d.chunk) {
+			vals := d.chunk[:min(len(d.chunk), d.sizes[gi]-lo)]
+			fill(gi, lo, vals)
+			for len(vals) > 0 {
+				r := runs[ri]
+				n := min(r.n-k, len(vals))
+				off := r.off + k*r.step
+				for _, v := range vals[:n] {
+					dst[off] = v
+					off += r.step
+				}
+				vals = vals[n:]
+				if k += n; k == r.n {
+					ri, k = ri+1, 0
+				}
+			}
 		}
-		vals = vals[r.n:]
 	}
-	return nil
-}
-
-// Reconstruct runs the inverse transform and returns the nodal values in a
-// new slice. The decomposition's coefficient state is unchanged.
-func (d *Decomposition) Reconstruct() []float64 { return d.ReconstructInto(nil) }
-
-// ReconstructInto is Reconstruct into dst's storage: it returns dst resliced
-// to Grid.Size() values, or a new slice when dst is too small. It allocates
-// nothing else.
-func (d *Decomposition) ReconstructInto(dst []float64) []float64 {
-	if cap(dst) < len(d.coeffs) {
-		dst = make([]float64, len(d.coeffs))
-	}
-	dst = dst[:len(d.coeffs)]
-	copy(dst, d.coeffs)
 	d.inverse(dst)
-	return dst
 }
 
 // inverse undoes, in place on c, every decomposition step, finest level
@@ -287,11 +303,6 @@ func (d *Decomposition) inverse(c []float64) {
 		}
 	}
 }
-
-// NewShell builds an empty decomposition for the given shape/basis, ready
-// for SetGroup + Reconstruct, used by readers that reconstruct without
-// access to the original. Coefficients start at zero.
-func NewShell(g *grid.Grid, basis Basis) *Decomposition { return newDecomposition(g, basis) }
 
 // levelFactor returns the guaranteed L∞ amplification of a detail-group
 // coefficient error at a level transforming ndims dimensions.
@@ -331,11 +342,11 @@ func (d *Decomposition) LevelFactors() []float64 {
 }
 
 // ErrorBound converts per-group coefficient L∞ bounds (len = NumGroups, in
-// group order: coarsest first) into a guaranteed L∞ bound on Reconstruct():
-// slack plus the dot product of LevelFactors with groupBounds, summed from
-// the slack in group order. Every PMGARD bound a refactorer records or a
-// reader reports is this sum, so the two agree bit for bit. It panics if
-// groupBounds has the wrong length.
+// group order: coarsest first) into a guaranteed L∞ bound on Recompose's
+// output: slack plus the dot product of LevelFactors with groupBounds,
+// summed from the slack in group order. Every PMGARD bound a refactorer
+// records or a reader reports is this sum, so the two agree bit for bit.
+// It panics if groupBounds has the wrong length.
 func (d *Decomposition) ErrorBound(groupBounds []float64, slack float64) float64 {
 	if len(groupBounds) != d.NumGroups() {
 		panic(fmt.Sprintf("mgard: want %d group bounds, got %d", d.NumGroups(), len(groupBounds)))

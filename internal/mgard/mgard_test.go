@@ -30,6 +30,26 @@ func smoothField(g *grid.Grid) []float64 {
 	return out
 }
 
+// groupsOf returns every group of d, in group order.
+func groupsOf(d *Decomposition) [][]float64 {
+	groups := make([][]float64, d.NumGroups())
+	for gi := range groups {
+		groups[gi] = d.Group(gi)
+	}
+	return groups
+}
+
+// recompose runs s.Recompose into a new slice, filling each group from
+// groups[g].
+func recompose(s *Decomposition, groups [][]float64) []float64 {
+	out := make([]float64, s.Grid.Size())
+	s.Recompose(out, func(g, lo int, vals []float64) { copy(vals, groups[g][lo:]) })
+	return out
+}
+
+// reconstruct recomposes d's own coefficients: the inverse of Decompose.
+func reconstruct(d *Decomposition) []float64 { return recompose(d, groupsOf(d)) }
+
 func maxAbsDiff(a, b []float64) float64 {
 	m := 0.0
 	for i := range a {
@@ -56,7 +76,7 @@ func TestRoundTripExactBothBases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %v: %v", dims, basis, err)
 			}
-			rec := d.Reconstruct()
+			rec := reconstruct(d)
 			// Transform is exactly invertible up to float round-off.
 			tol := 1e-9 * (1 + maxAbs(data))
 			if e := maxAbsDiff(data, rec); e > tol {
@@ -123,46 +143,46 @@ func TestGroupGetSetRoundTrip(t *testing.T) {
 	g := grid.MustNew(9, 5)
 	data := randField(rng, g.Size())
 	d, _ := Decompose(data, g, Orthogonal)
-	// Rebuild a shell from extracted groups; reconstruction must match.
-	shell := NewShell(d.Grid, d.Basis)
-	for gi := 0; gi < d.NumGroups(); gi++ {
-		if err := shell.SetGroup(gi, d.Group(gi)); err != nil {
-			t.Fatal(err)
-		}
+	// Recompose the extracted groups through a shape holding no
+	// coefficients; the field must match recomposing d's own, bit for bit,
+	// into a buffer holding stale values.
+	stale := make([]float64, g.Size())
+	for i := range stale {
+		stale[i] = math.NaN()
 	}
-	r1, r2 := d.Reconstruct(), shell.Reconstruct()
-	if e := maxAbsDiff(r1, r2); e != 0 {
-		t.Fatalf("shell reconstruction differs by %g", e)
+	groups := groupsOf(d)
+	NewShape(d.Grid, d.Basis).Recompose(stale, func(g, lo int, vals []float64) { copy(vals, groups[g][lo:]) })
+	if !sameBits(stale, reconstruct(d)) {
+		t.Fatal("recomposing extracted groups through a shape differs")
 	}
 }
 
-func TestSetGroupRejectsWrongSize(t *testing.T) {
+func TestRecomposeRejectsWrongSize(t *testing.T) {
 	g := grid.MustNew(8)
-	d, _ := Decompose(make([]float64, 8), g, Hierarchical)
-	if err := d.SetGroup(0, []float64{1, 2, 3, 4, 5, 6, 7}); err == nil {
-		t.Fatal("wrong group size accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wrong destination size accepted")
+		}
+	}()
+	NewShape(g, Hierarchical).Recompose(make([]float64, 7), func(int, int, []float64) {})
 }
 
-func TestNewShellMatchesDecomposition(t *testing.T) {
+func TestNewShapeMatchesDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := grid.MustNew(7, 11)
 	data := randField(rng, g.Size())
 	d, _ := Decompose(data, g, Hierarchical)
-	shell := NewShell(g, Hierarchical)
-	if shell.NumGroups() != d.NumGroups() || shell.Steps != d.Steps {
-		t.Fatalf("shell shape mismatch: %d/%d groups", shell.NumGroups(), d.NumGroups())
+	shape := NewShape(g, Hierarchical)
+	if shape.NumGroups() != d.NumGroups() || shape.Steps != d.Steps || shape.coeffs != nil {
+		t.Fatalf("shape mismatch: %d/%d groups, %d coefficients", shape.NumGroups(), d.NumGroups(), len(shape.coeffs))
 	}
 	for gi := 0; gi < d.NumGroups(); gi++ {
-		if shell.GroupSize(gi) != d.GroupSize(gi) {
+		if shape.GroupSize(gi) != d.GroupSize(gi) {
 			t.Fatalf("group %d size mismatch", gi)
 		}
-		if err := shell.SetGroup(gi, d.Group(gi)); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if e := maxAbsDiff(d.Reconstruct(), shell.Reconstruct()); e != 0 {
-		t.Fatalf("NewShell reconstruction differs by %g", e)
+	if e := maxAbsDiff(reconstruct(d), recompose(shape, groupsOf(d))); e != 0 {
+		t.Fatalf("NewShape recomposition differs by %g", e)
 	}
 }
 
@@ -178,23 +198,19 @@ func TestErrorBoundSound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact := d.Reconstruct()
+			exact := reconstruct(d)
 			for trial := 0; trial < 5; trial++ {
-				pert := NewShell(d.Grid, d.Basis)
 				bounds := make([]float64, d.NumGroups())
-				for gi := 0; gi < d.NumGroups(); gi++ {
+				pert := groupsOf(d)
+				for gi, grp := range pert {
 					eb := math.Pow(10, float64(rng.Intn(5))-4) // 1e-4..1e0
 					bounds[gi] = eb
-					grp := d.Group(gi)
 					for i := range grp {
 						grp[i] += (rng.Float64()*2 - 1) * eb
 					}
-					if err := pert.SetGroup(gi, grp); err != nil {
-						t.Fatal(err)
-					}
 				}
 				bound := d.ErrorBound(bounds, 0)
-				rec := pert.Reconstruct()
+				rec := recompose(NewShape(d.Grid, d.Basis), pert)
 				actual := maxAbsDiff(exact, rec)
 				if actual > bound*(1+1e-9) {
 					t.Errorf("%v %v trial %d: actual %g > bound %g", dims, basis, trial, actual, bound)
@@ -258,7 +274,7 @@ func TestSingleElementGrid(t *testing.T) {
 	if d.NumGroups() != 1 {
 		t.Fatalf("groups = %d", d.NumGroups())
 	}
-	if got := d.Reconstruct(); got[0] != 42 {
+	if got := reconstruct(d); got[0] != 42 {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -298,7 +314,7 @@ func TestPropertyRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rec := d.Reconstruct()
+		rec := reconstruct(d)
 		return maxAbsDiff(data, rec) <= 1e-9*(1+maxAbs(data))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -7,20 +7,18 @@ import (
 	"progqoi/internal/grid"
 )
 
-// coarseAt is d's representation at resolution level l (0 = full): a shell
-// holding group 0 and the detail groups of levels ≥ l, the finer details
-// left at zero, reconstructed and gathered on the level-l lattice. A zero
+// coarseAt is d's representation at resolution level l (0 = full): group 0
+// and the detail groups of levels ≥ l, the finer details left at zero,
+// recomposed and gathered on the level-l lattice. A zero
 // detail changes no lattice node in either basis: HB interpolates only the
 // nodes between, and OB's correction is computed from the details.
 func coarseAt(t *testing.T, d *Decomposition, l int) []float64 {
 	t.Helper()
-	shell := NewShell(d.Grid, d.Basis)
-	for gi := 0; gi <= d.Steps-l; gi++ {
-		if err := shell.SetGroup(gi, d.Group(gi)); err != nil {
-			t.Fatal(err)
-		}
+	groups := groupsOf(d)
+	for gi := d.Steps - l + 1; gi < len(groups); gi++ {
+		clear(groups[gi])
 	}
-	return subsample(d.Grid, shell.Reconstruct(), l)
+	return subsample(d.Grid, recompose(NewShape(d.Grid, d.Basis), groups), l)
 }
 
 // subsample gathers data on the level-l lattice of g.

@@ -52,18 +52,21 @@ type Reader struct {
 	retrieved int64
 
 	// The reconstruction: a snapshot method's running field, or the PMGARD
-	// recompose output, rebuilt in place when dirty.
-	data  []float64
-	dirty bool
+	// recompose output, rebuilt in place when dirty. mask marks the points
+	// that read zero. PSZ3 zeroes them as each snapshot lands and PMGARD
+	// after each rebuild. PSZ3-Delta accumulates into data, so there masked
+	// is the masked copy Data returns, refreshed when dirty.
+	data   []float64
+	mask   []bool
+	masked []float64
+	dirty  bool
 
 	// PMGARD state. blocks is the Refactored's own metadata, shared with
-	// every other reader over it and never written. vals is the one
-	// per-group buffer every decoder writes its values into on the way to
-	// the shell. slack is the blocks' roundoffSlack.
+	// every other reader over it and never written. shape is what data is
+	// recomposed through, and slack the blocks' roundoffSlack.
 	blocks []*bitplane.Block
 	decs   []*bitplane.Decoder
-	shell  *mgard.Decomposition
-	vals   []float64
+	shape  *mgard.Decomposition
 	slack  float64
 	grd    *grid.Grid
 }
@@ -80,28 +83,43 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 	switch r.Method {
 	case PSZ3, PSZ3Delta:
 	case PMGARD, PMGARDHB:
-		shell := mgard.NewShell(g, r.Basis)
-		if shell.NumGroups() != len(r.Blocks) {
-			return nil, fmt.Errorf("%w: %d blocks for %d groups", encoding.ErrCorrupt, len(r.Blocks), shell.NumGroups())
+		shape := mgard.NewShape(g, r.Basis)
+		if shape.NumGroups() != len(r.Blocks) {
+			return nil, fmt.Errorf("%w: %d blocks for %d groups", encoding.ErrCorrupt, len(r.Blocks), shape.NumGroups())
 		}
-		rd.shell = shell
+		rd.shape = shape
 		rd.blocks = r.Blocks
 		rd.decs = make([]*bitplane.Decoder, len(r.Blocks))
-		largest := 0
 		for i, blk := range r.Blocks {
-			if blk.N != shell.GroupSize(i) {
-				return nil, fmt.Errorf("%w: block %d has %d coefficients, want %d", encoding.ErrCorrupt, i, blk.N, shell.GroupSize(i))
+			if blk.N != shape.GroupSize(i) {
+				return nil, fmt.Errorf("%w: block %d has %d coefficients, want %d", encoding.ErrCorrupt, i, blk.N, shape.GroupSize(i))
 			}
 			rd.decs[i] = bitplane.NewDecoder(blk)
-			largest = max(largest, blk.N)
 		}
-		rd.vals = make([]float64, largest)
 		rd.slack = roundoffSlack(r.Blocks)
 		rd.bound = rd.pmgardBound()
 	default:
 		return nil, fmt.Errorf("progressive: unknown method %d", r.Method)
 	}
 	return rd, nil
+}
+
+// SetMask makes Data return zero at every point mask marks, the points
+// whose original value is exactly zero. It must come before the first
+// Advance. A nil mask (the default) marks none. The reader keeps mask and
+// never writes it. It does not change Bound: a masked point is exact.
+func (rd *Reader) SetMask(mask []bool) error {
+	if rd.nextFrag > 0 {
+		return fmt.Errorf("%w: mask set after an Advance", ErrBadRequest)
+	}
+	if mask != nil && len(mask) != len(rd.data) {
+		return fmt.Errorf("%w: mask of %d points for %d", ErrBadRequest, len(mask), len(rd.data))
+	}
+	rd.mask, rd.masked = mask, nil
+	if mask != nil && rd.src.Method == PSZ3Delta {
+		rd.masked = make([]float64, len(rd.data))
+	}
+	return nil
 }
 
 // SetWorkers gives the reader a decode budget of its own of n workers
@@ -378,9 +396,13 @@ func (rd *Reader) advancePlanes(ctx context.Context, plan []int) error {
 		expected[g] = max(expected[g], p+1)
 	}
 
-	// Apply: OR the committed planes into each group's decoder over
-	// disjoint coefficient chunks; a chunk applies its group's planes in
-	// plan order.
+	// Widen, sequentially, the magnitudes of any group about to take its
+	// first plane past the narrow ones. Then apply: OR the committed planes
+	// into each group's decoder over disjoint coefficient chunks; a chunk
+	// applies its group's planes in plan order.
+	for _, g := range groups {
+		rd.decs[g].Reserve(expected[g])
+	}
 	type chunk struct{ group, lo, hi int }
 	var chunks []chunk
 	for _, g := range groups {
@@ -488,8 +510,12 @@ func (rd *Reader) advanceSnapshots(ctx context.Context, plan []int) error {
 						dst[j] += src[j]
 					}
 				}
+				if !delta {
+					rd.zeroMasked(dst, lo)
+				}
 				return true
 			})
+			rd.dirty = true
 		}
 		for i := range ok {
 			rd.account(ok[i].frag, len(rd.src.Fragments[ok[i].frag]))
@@ -532,39 +558,45 @@ func (rd *Reader) pmgardBound() float64 {
 	for i, dec := range rd.decs {
 		bounds[i] = dec.Bound()
 	}
-	return rd.shell.ErrorBound(bounds, rd.slack)
+	return rd.shape.ErrorBound(bounds, rd.slack)
 }
 
-// loadGroups sets every group of the shell to its decoder's current
-// values, passing each through the reader's group buffer.
-func (rd *Reader) loadGroups() error {
-	for gi, dec := range rd.decs {
-		vals := rd.vals[:rd.blocks[gi].N]
-		dec.ValuesInto(vals)
-		if err := rd.shell.SetGroup(gi, vals); err != nil {
-			return err
+// zeroMasked zeroes the masked points of out, which holds the elements
+// from lo on.
+func (rd *Reader) zeroMasked(out []float64, lo int) {
+	if rd.mask == nil {
+		return
+	}
+	for i, m := range rd.mask[lo : lo+len(out)] {
+		if m {
+			out[i] = 0
 		}
 	}
-	return nil
 }
 
-// Data returns the current reconstruction. The returned slice is owned by
-// the reader, and the next rebuild overwrites it: under the PMGARD methods
-// that is the first Data call after an Advance that ingested a fragment,
-// and under the snapshot methods any such Advance. Callers copy what must
-// outlive it and must not mutate it. A rebuild allocates nothing.
+// Data returns the current reconstruction, zero at the points SetMask
+// marks. The returned slice is owned by the reader, and the next rebuild
+// overwrites it: under the PMGARD methods that is the first Data call
+// after an Advance that ingested a fragment, and under the snapshot
+// methods any such Advance. Callers copy what must outlive it and must not
+// mutate it. Under the PMGARD methods a rebuild recomposes the field from
+// the decoders' values in the reader's one buffer. After the first, a
+// rebuild allocates nothing.
 func (rd *Reader) Data() ([]float64, error) {
-	switch rd.src.Method {
-	case PSZ3, PSZ3Delta:
-		return rd.data, nil
-	default:
+	switch {
+	case rd.shape != nil:
 		if rd.dirty {
-			if err := rd.loadGroups(); err != nil {
-				return nil, err
-			}
-			rd.data = rd.shell.ReconstructInto(rd.data)
+			rd.shape.Recompose(rd.data, func(g, lo int, vals []float64) { rd.decs[g].ValuesAt(vals, lo) })
+			rd.zeroMasked(rd.data, 0)
 			rd.dirty = false
 		}
-		return rd.data, nil
+	case rd.masked != nil:
+		if rd.dirty {
+			copy(rd.masked, rd.data)
+			rd.zeroMasked(rd.masked, 0)
+			rd.dirty = false
+		}
+		return rd.masked, nil
 	}
+	return rd.data, nil
 }

@@ -139,19 +139,11 @@ func newMembership(opt Options) *membership {
 	if gen <= 0 {
 		gen = 1
 	}
-	self := ""
-	if opt.Advertise != "" {
-		if a, err := normalizeNodeURL(opt.Advertise); err == nil {
-			self = a
-		} else {
-			self = strings.TrimRight(opt.Advertise, "/")
-		}
-	}
 	return &membership{
 		hbInterval:   hb,
 		suspectAfter: sa,
 		removeAfter:  ra,
-		self:         self,
+		self:         opt.Advertise,
 		gen:          gen,
 		epoch:        1,
 		members:      map[string]*member{},

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"progqoi/internal/storage"
 )
 
 // postJSON fires one POST with an optional bearer token and returns the
@@ -383,5 +386,30 @@ func TestNodeURLRefusesNonBaseParts(t *testing.T) {
 		if again, err := normalizeNodeURL(got); err != nil || again != got {
 			t.Errorf("normalizeNodeURL(%q) = %q, %v; not a fixed point", got, again, err)
 		}
+	}
+}
+
+// TestNewRefusesAdvertiseThatIsNotABaseURL: a programmatic
+// Options.Advertise gets the check a joining node's address gets. New
+// refuses one that normalizeNodeURL refuses, with its error, instead of
+// reporting it as this node's address, and reports a plain base in its
+// normal form.
+func TestNewRefusesAdvertiseThatIsNotABaseURL(t *testing.T) {
+	for _, addr := range []string{"http://h:1?x", "http://u@h:1", "ftp://h"} {
+		_, want := normalizeNodeURL(addr)
+		if want == nil {
+			t.Fatalf("normalizeNodeURL(%q) accepts it", addr)
+		}
+		srv, err := New(context.Background(), storage.NewMemStore(), Options{Advertise: addr})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("New with Advertise %q: (%v, %v), want the error %q", addr, srv != nil, err, want)
+		}
+	}
+	srv, err := New(context.Background(), storage.NewMemStore(), Options{Advertise: "http://h:1/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.memb.info(nil).Advertise; got != "http://h:1" {
+		t.Errorf("Advertise http://h:1/ is reported as %q", got)
 	}
 }

@@ -100,6 +100,7 @@ type Options struct {
 	HotCacheBytes int64
 	// Advertise is this node's public base URL, reported at /v1/cluster
 	// so clients reached through a load balancer learn the direct address.
+	// New refuses one that is not a plain absolute http(s) base URL.
 	Advertise string
 	// Peers are the base URLs of the other nodes of a static cluster,
 	// reported at /v1/cluster for client-side endpoint discovery. The
@@ -233,6 +234,13 @@ func New(ctx context.Context, st storage.Store, opt Options) (*Server, error) {
 		opt.MaxQueue = DefaultMaxQueue
 	} else if opt.MaxQueue < 0 {
 		opt.MaxQueue = 0
+	}
+	if opt.Advertise != "" {
+		a, err := normalizeNodeURL(opt.Advertise)
+		if err != nil {
+			return nil, err
+		}
+		opt.Advertise = a
 	}
 	if len(opt.Tenants) > 0 {
 		// Programmatic tenants get the same validation and defaulting a
