@@ -180,17 +180,6 @@ type Config struct {
 	Workers int
 	// DisableMask ignores the variables' zero masks (ablation).
 	DisableMask bool
-	// Estimator overrides the QoI error estimator. Nil, the default, is the
-	// paper's per-operator theorems (qoi.TheoremBound), compiled once per
-	// request into a qoi.Program that shares common subexpressions across
-	// the targets and is evaluated over blocks of points; a request holding
-	// an Expr type from outside package qoi walks its trees instead, with
-	// bit-identical results. A non-nil override, such as the
-	// interval-arithmetic ablation qoi.IntervalBound, is called per point.
-	// Either way the estimator must be a pure function of its arguments: a
-	// session reuses a QoI's last estimate while none of its variables has
-	// moved.
-	Estimator qoi.BoundFunc
 	// Trace, when set, records one span per retrieval phase (plan, fetch,
 	// decode, commit, estimate) for every iteration, plus an umbrella span
 	// per Retrieve call, and stamps the retrieval's request ID into the
@@ -204,6 +193,10 @@ type Config struct {
 	// pass: every request's first iteration fetches to Algorithm 3's seed.
 	// It stays as the reference the tests hold the default loop to.
 	paperLoop bool
+	// onEstimate, when set, sees the todo of every estimateAll pass: the
+	// targets it evaluates over their whole region. The memo tests count
+	// through it.
+	onEstimate func(todo []bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -278,8 +271,7 @@ type Retriever struct {
 }
 
 // memoKey names a target independently of the request that carries it: its
-// expression's structure (qoi.Program.Keys; empty for a request that did
-// not compile, whose targets are never memoized) and its region.
+// expression's structure (qoi.Program.Keys) and its region.
 type memoKey struct {
 	expr   string
 	region Region
@@ -482,18 +474,18 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 	for k, q := range req.QoIs {
 		exprs[k] = q.Expr
 	}
-	prog, _ := qoi.Compile(exprs) // nil: a foreign Expr type, walk the trees
+	// The paper's per-operator theorems, compiled once per request into a
+	// program that shares common subexpressions across the targets.
+	prog, err := qoi.Compile(exprs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
 	// Carry over the memo entries this request's targets can use, and only
-	// those, so the memo never outgrows one request. A request that did not
-	// compile is never memoized.
+	// those, so the memo never outgrows one request.
 	keys := make([]memoKey, len(req.QoIs))
 	memo := make(map[memoKey]estMemo, len(req.QoIs))
-	if prog != nil {
-		for k, x := range prog.Keys() {
-			keys[k].expr = x
-		}
-	}
-	for k := range keys {
+	for k, x := range prog.Keys() {
+		keys[k].expr = x
 		if len(req.Regions) != 0 {
 			keys[k].region = req.Regions[k]
 		}
@@ -502,9 +494,6 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 		}
 	}
 	rt.memo = memo
-	if rt.cfg.Estimator != nil {
-		prog = nil // the override runs per point
-	}
 
 	if tr := rt.cfg.Trace; tr != nil {
 		// Stamp the trace and its request ID into the context so the
@@ -595,7 +584,7 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 			if maxEst[k] <= req.Tolerances[k] {
 				continue
 			}
-			if rt.reassign(req, qoiVars, k, argmax[k]) {
+			if rt.reassign(req, prog, qoiVars, k, argmax[k]) {
 				changed = true
 			}
 		}
@@ -729,50 +718,31 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 	return progressed, nil
 }
 
-// pointBounds fills ebs with the per-variable bounds effective at point j
-// (zero at masked points).
-func (rt *Retriever) pointBounds(j int, ebs []float64) {
-	for v := range rt.vars {
-		b := rt.achieved[v]
-		if math.IsInf(b, 1) {
-			// Not retrieved (variable unused by the request).
-			b = math.Inf(1)
-		}
-		if rt.mask[v] != nil && rt.mask[v][j] {
-			b = 0
-		}
-		ebs[v] = b
-	}
-}
-
-// pointEstimator is the estimator for one point at a time: the override,
-// or else the scalar path of the paper's theorems, which the compiled
-// program reproduces bit for bit.
-func (rt *Retriever) pointEstimator() qoi.BoundFunc {
-	if rt.cfg.Estimator != nil {
-		return rt.cfg.Estimator
-	}
-	return qoi.TheoremBound
-}
-
 // estScratch is the working memory of one estimateAll worker slot. It lives
 // on the Retriever, so iterations and requests reuse it.
 type estScratch struct {
 	prog   qoi.Scratch
 	x, eb  [][]float64 // per variable: the block's values (a view) and bounds
 	active []bool      // per target: its region meets the block
-	// The tree walk's per-point gather and per-target bound columns. Slots
-	// of variables the request does not use are never read.
-	vals, ebs []float64
-	bnd       [][]float64
 }
 
-func newEstScratch(nv int) *estScratch {
-	s := &estScratch{x: make([][]float64, nv), eb: make([][]float64, nv), vals: make([]float64, nv), ebs: make([]float64, nv)}
-	for v := range s.eb {
-		s.eb[v] = make([]float64, qoi.BlockSize)
+// scratch returns the first n estimate scratches, made on first use and
+// sized for nq targets.
+func (rt *Retriever) scratch(n, nq int) []*estScratch {
+	for len(rt.est) < n {
+		s := &estScratch{x: make([][]float64, len(rt.vars)), eb: make([][]float64, len(rt.vars))}
+		for v := range s.eb {
+			s.eb[v] = make([]float64, qoi.BlockSize)
+		}
+		rt.est = append(rt.est, s)
 	}
-	return s
+	for _, s := range rt.est[:n] {
+		if cap(s.active) < nq {
+			s.active = make([]bool, nq)
+		}
+		s.active = s.active[:nq]
+	}
+	return rt.est[:n]
 }
 
 // load points the block [blo, bhi) of every used variable into s: its
@@ -791,29 +761,6 @@ func (s *estScratch) load(rt *Retriever, used []int, blo, bhi int) {
 				if z {
 					eb[i] = 0
 				}
-			}
-		}
-	}
-}
-
-// walk fills s.bnd with the bounds of the loaded block, one Estimator call
-// per point and active target.
-func (s *estScratch) walk(est qoi.BoundFunc, req Request, used, rlo, rhi []int, blo, bhi int) {
-	for len(s.bnd) < len(req.QoIs) {
-		s.bnd = append(s.bnd, make([]float64, qoi.BlockSize))
-	}
-	for j := blo; j < bhi; j++ {
-		i := j - blo
-		for _, v := range used {
-			s.vals[v], s.ebs[v] = s.x[v][i], s.eb[v][i]
-		}
-		for k, q := range req.QoIs {
-			if s.active[k] && j >= rlo[k] && j < rhi[k] {
-				_, b := est(q.Expr, s.vals, s.ebs)
-				if math.IsNaN(b) {
-					b = math.Inf(1) // an Estimator override's "no guarantee"
-				}
-				s.bnd[k][i] = b
 			}
 		}
 	}
@@ -868,7 +815,7 @@ func (rt *Retriever) estimate(req Request, prog *qoi.Program, used []int, qoiVar
 			continue
 		}
 		est[k], arg[k] = fresh[k], freshArg[k]
-		if keys[k].expr != "" && moving == nil {
+		if moving == nil {
 			rt.memo[keys[k]] = estMemo{stamp: stamps[k], est: est[k], arg: arg[k]}
 		}
 	}
@@ -877,15 +824,17 @@ func (rt *Retriever) estimate(req Request, prog *qoi.Program, used []int, qoiVar
 
 // estimateAll evaluates the QoI bounds of every target k with todo[k] at
 // every point, returning per-QoI max estimates and their argmax locations;
-// the other targets' entries are zero. prog, when non-nil, is the
-// request's compiled theorem estimator; otherwise the point estimator
-// walks each expression per point. used lists the variables those targets
-// read. Work is sharded as point-chunk
-// tasks on the session's budget, and a region-restricted QoI only
-// evaluates its own region. Partials merge in fixed chunk order per QoI,
-// so the result is independent of scheduling, and a target's result is
-// independent of which other targets are evaluated with it.
+// the other targets' entries are zero. prog is the request's compiled
+// estimator, and used lists the variables those targets read. Work is
+// sharded as point-chunk tasks on the session's budget, and a
+// region-restricted QoI only evaluates its own region. Partials merge in
+// fixed chunk order per QoI, so the result is independent of scheduling,
+// and a target's result is independent of which other targets are
+// evaluated with it.
 func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne int, todo []bool) ([]float64, []int) {
+	if rt.cfg.onEstimate != nil {
+		rt.cfg.onEstimate(todo)
+	}
 	nq := len(req.QoIs)
 	// Per-QoI regions of interest: certification is restricted to [rlo, rhi).
 	rlo := make([]int, nq)
@@ -923,25 +872,15 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 				continue
 			}
 			s.load(rt, used, blo, bhi)
-			if prog != nil {
-				prog.Eval(&s.prog, s.active, s.x, s.eb, bhi-blo)
-			} else {
-				s.walk(rt.pointEstimator(), req, used, rlo, rhi, blo, bhi)
-			}
+			prog.Eval(&s.prog, s.active, s.x, s.eb, bhi-blo)
 			for k, on := range s.active {
 				if !on {
 					continue
 				}
-				var col []float64
-				if prog != nil {
-					col = prog.Bound(&s.prog, k)
-				} else {
-					col = s.bnd[k]
-				}
 				jlo := max(blo, rlo[k])
 				m, arg := cmax[k], carg[k]
-				// Neither Program.Bound nor walk hands over a NaN.
-				for j, b := range col[jlo-blo : min(bhi, rhi[k])-blo] {
+				// Program.Bound hands over no NaN.
+				for j, b := range prog.Bound(&s.prog, k)[jlo-blo : min(bhi, rhi[k])-blo] {
 					if b > m {
 						m, arg = b, jlo+j
 					}
@@ -950,18 +889,9 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 			}
 		}
 	}
-	nw := min(rt.budget.Workers(), nchunks)
-	for len(rt.est) < nw {
-		rt.est = append(rt.est, newEstScratch(len(rt.vars)))
-	}
-	for _, s := range rt.est[:nw] {
-		if cap(s.active) < nq {
-			s.active = make([]bool, nq)
-		}
-		s.active = s.active[:nq]
-	}
+	scr := rt.scratch(min(rt.budget.Workers(), nchunks), nq)
 	rt.budget.For(nchunks, func(w, c int) bool {
-		run(rt.est[w], c)
+		run(scr[w], c)
 		return true
 	})
 	est := make([]float64, nq)
@@ -1015,7 +945,7 @@ func (rt *Retriever) aim(req Request, prog *qoi.Program, used []int, qoiVars [][
 	est, arg := rt.estimate(req, prog, used, qoiVars, keys, ne, moving)
 	for k := range req.QoIs {
 		if !(est[k] <= req.Tolerances[k]) {
-			rt.reassign(req, qoiVars, k, arg[k])
+			rt.reassign(req, prog, qoiVars, k, arg[k])
 		}
 	}
 	copy(rt.achieved, held)
@@ -1023,17 +953,17 @@ func (rt *Retriever) aim(req Request, prog *qoi.Program, used []int, qoiVars [][
 
 // reassign implements Algorithm 4 for QoI k: tighten the bounds of the
 // involved variables by factor c until the estimate at the worst point
-// drops below tolerance. Returns whether any bound changed.
-func (rt *Retriever) reassign(req Request, qoiVars [][]int, k, worst int) bool {
+// drops below tolerance. Returns whether any bound changed. Each estimate
+// is prog's for target k alone over a block of one point, the worst, on
+// the first estimate scratch.
+func (rt *Retriever) reassign(req Request, prog *qoi.Program, qoiVars [][]int, k, worst int) bool {
 	c := rt.cfg.TightenFactor
 	tol := req.Tolerances[k]
-	bound := rt.pointEstimator()
-	vals := make([]float64, len(rt.vars))
-	ebs := make([]float64, len(rt.vars))
-	for v := range rt.vars {
-		if rt.data[v] != nil {
-			vals[v] = rt.data[v][worst]
-		}
+	s := rt.scratch(1, len(req.QoIs))[0]
+	clear(s.active)
+	s.active[k] = true
+	for _, v := range qoiVars[k] {
+		s.x[v] = rt.data[v][worst : worst+1]
 	}
 	// Candidate bounds start from the currently achieved bounds. The
 	// tightening per outer round is capped: the estimate is evaluated at
@@ -1047,22 +977,21 @@ func (rt *Retriever) reassign(req Request, qoiVars [][]int, k, worst int) bool {
 	cand := append([]float64(nil), rt.achieved...)
 	changed := false
 	for step := 0; step < 20; step++ {
-		rt.pointBounds(worst, ebs)
 		for _, v := range qoiVars[k] {
-			if !math.IsInf(cand[v], 1) {
-				ebs[v] = cand[v]
-			} else {
-				ebs[v] = rt.vars[v].Range
-				if ebs[v] == 0 {
-					ebs[v] = 1
+			eb := cand[v]
+			if math.IsInf(eb, 1) {
+				eb = rt.vars[v].Range
+				if eb == 0 {
+					eb = 1
 				}
 			}
 			if rt.mask[v] != nil && rt.mask[v][worst] {
-				ebs[v] = 0
+				eb = 0
 			}
+			s.eb[v][0] = eb
 		}
-		_, b := bound(req.QoIs[k].Expr, vals, ebs)
-		if b <= tol && !math.IsNaN(b) {
+		prog.Eval(&s.prog, s.active, s.x, s.eb, 1)
+		if prog.Bound(&s.prog, k)[0] <= tol {
 			break
 		}
 		for _, v := range qoiVars[k] {

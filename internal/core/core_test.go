@@ -257,6 +257,48 @@ func TestRetrieveRejectsBeforeMutating(t *testing.T) {
 	}
 }
 
+// TestUncompilableQoIIsBadRequest: a hand-built power the estimator cannot
+// compile is a bad request, refused before the session changes, and the
+// session's next request fetches, iterates and certifies exactly as on a
+// twin session that never saw it.
+func TestUncompilableQoIIsBadRequest(t *testing.T) {
+	ds := smallGE()
+	vars := refactorDataset(t, ds, progressive.PMGARDHB)
+	ranges := QoIRanges(ds.QoIs, ds.Fields)
+	var sessions [2]*Retriever
+	for i := range sessions {
+		rt, err := NewRetriever(vars, Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: relTols(1e-2, ranges)}); err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = rt
+	}
+	rt := sessions[0]
+	eps, memo := slices.Clone(rt.eps), maps.Clone(rt.memo)
+	for _, n := range []int{65, -3} {
+		bad := []qoi.QoI{ds.QoIs[0], {Name: "pow", Expr: qoi.Pow{N: n, X: qoi.Var{Index: qoi.GEP}}}}
+		if _, err := rt.Retrieve(context.Background(), Request{QoIs: bad, Tolerances: []float64{1, 1}, InitRel: []float64{1e-9, 1e-9}}); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("x^%d: %v, want ErrBadRequest", n, err)
+		}
+		if !slices.Equal(rt.eps, eps) || !maps.Equal(rt.memo, memo) {
+			t.Fatalf("x^%d: the rejected request changed the session", n)
+		}
+	}
+	req := Request{QoIs: ds.QoIs, Tolerances: relTols(1e-4, ranges)}
+	got, err := rt.Retrieve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sessions[1].Retrieve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRetrieval(t, got, want)
+}
+
 // TestAimTraced: a traced warm request records its aim pass as exactly one
 // estimate span of iteration 1 named "aim"; a cold one has nothing held
 // to aim with and records none.
@@ -434,33 +476,6 @@ func TestRegionValidation(t *testing.T) {
 	}
 	if _, err := rt.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1}, Regions: []Region{{}, {}}}); err == nil {
 		t.Error("region count mismatch accepted")
-	}
-}
-
-func TestIntervalEstimatorAlsoCertifies(t *testing.T) {
-	// The interval-arithmetic ablation estimator must preserve the full
-	// guarantee chain through the retrieval loop.
-	ds := smallGE()
-	ranges := QoIRanges(ds.QoIs, ds.Fields)
-	vars := refactorDataset(t, ds, progressive.PMGARDHB)
-	rt, err := NewRetriever(vars, Config{Estimator: qoi.IntervalBound}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-3, 1e-4}
-	tols := make([]float64, len(rels))
-	for k := range rels {
-		tols[k] = rels[k] * ranges[k]
-	}
-	res, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: tols, InitRel: rels})
-	if err != nil {
-		t.Fatal(err)
-	}
-	actual := ActualQoIErrors(ds.QoIs, ds.Fields, res.Data)
-	for k, q := range ds.QoIs {
-		if actual[k] > res.EstErrors[k] || res.EstErrors[k] > tols[k] {
-			t.Errorf("%s: actual %g est %g tol %g", q.Name, actual[k], res.EstErrors[k], tols[k])
-		}
 	}
 }
 

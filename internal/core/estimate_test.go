@@ -11,12 +11,11 @@ import (
 	"progqoi/internal/qoi"
 )
 
-// TestCompiledEstimatorMatchesTreeWalk holds the default estimator, the
-// request's compiled qoi.Program, to the per-point tree walk of
-// qoi.TheoremBound: at every iteration of a retrieval, estimateAll's max
-// and argmax must be bit-identical between the two, for every Workers,
-// region and mask setting, and a whole retrieval under each must fetch,
-// iterate and certify identically.
+// TestCompiledEstimatorMatchesTreeWalk holds the estimator, the request's
+// compiled qoi.Program, to a per-point walk of qoi.TheoremBound over the
+// session's data: at every iteration of a retrieval, estimateAll's max and
+// argmax must be bit-identical to theoremEstimate's, for every Workers,
+// region and mask setting, and equal to what the loop reported.
 func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 	// 10240 points: three 4096-point chunks, the last one partial.
 	ds := datagen.GE("GE-estimate", 40, 256, 7)
@@ -36,9 +35,9 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 	for k, q := range ds.QoIs {
 		exprs[k] = q.Expr
 	}
-	prog, ok := qoi.Compile(exprs)
-	if !ok {
-		t.Fatal("GE QoIs did not compile")
+	prog, err := qoi.Compile(exprs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	used := []int{0, 1, 2, 3, 4}
 
@@ -63,9 +62,7 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 				req.OnProgress = func(it Iteration) {
 					iters++
 					est, arg := rt.estimateAll(req, prog, used, ne, everyTarget(len(req.QoIs)))
-					rt.cfg.Estimator = qoi.TheoremBound
-					wantEst, wantArg := rt.estimateAll(req, nil, used, ne, everyTarget(len(req.QoIs)))
-					rt.cfg.Estimator = nil
+					wantEst, wantArg := theoremEstimate(rt, req, ne)
 					for k := range est {
 						if math.Float64bits(est[k]) != math.Float64bits(wantEst[k]) || arg[k] != wantArg[k] {
 							t.Errorf("workers=%d %s iteration %d, %s: compiled (%g at %d), tree walk (%g at %d)",
@@ -77,28 +74,60 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 						}
 					}
 				}
-				got, err := rt.Retrieve(context.Background(), req)
-				if err != nil && !errors.Is(err, ErrExhausted) {
+				if _, err := rt.Retrieve(context.Background(), req); err != nil && !errors.Is(err, ErrExhausted) {
 					t.Fatal(err)
 				}
 				if iters == 0 {
 					t.Fatalf("workers=%d %s: no iteration ran", workers, name)
 				}
-
-				req.OnProgress = nil
-				cfg.Estimator = qoi.TheoremBound
-				ref, err := NewRetriever(vars, cfg, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.Retrieve(context.Background(), req)
-				if err != nil && !errors.Is(err, ErrExhausted) {
-					t.Fatal(err)
-				}
-				sameRetrieval(t, got, want)
 			}
 		}
 	}
+}
+
+// theoremEstimate is estimateAll's answer rebuilt from qoi.TheoremBound,
+// one point at a time over the session's data and achieved bounds: per
+// target, the largest bound over its region and where it is, found as
+// estimateAll finds it. Each fixed 4096-point chunk keeps its first
+// maximum, a later chunk that equals the running maximum takes over, and
+// the result carries the same 1e-12 guard.
+func theoremEstimate(rt *Retriever, req Request, ne int) ([]float64, []int) {
+	const chunk = 4096
+	vals, ebs := make([]float64, len(rt.vars)), make([]float64, len(rt.vars))
+	est, arg := make([]float64, len(req.QoIs)), make([]int, len(req.QoIs))
+	for k, q := range req.QoIs {
+		lo, hi := 0, ne
+		if len(req.Regions) > 0 && !req.Regions[k].whole() {
+			lo, hi = req.Regions[k].Lo, req.Regions[k].Hi
+		}
+		arg[k] = lo
+		for c := 0; c < ne; c += chunk {
+			m, at := 0.0, lo
+			for j := max(c, lo); j < min(c+chunk, hi); j++ {
+				for v := range rt.vars {
+					if rt.data[v] != nil {
+						vals[v] = rt.data[v][j]
+					}
+					ebs[v] = rt.achieved[v]
+					if rt.mask[v] != nil && rt.mask[v][j] {
+						ebs[v] = 0
+					}
+				}
+				_, b := qoi.TheoremBound(q.Expr, vals, ebs)
+				if math.IsNaN(b) {
+					b = math.Inf(1) // as qoi.Program.Bound reads it
+				}
+				if b > m {
+					m, at = b, j
+				}
+			}
+			if m >= est[k] {
+				est[k], arg[k] = m, at
+			}
+		}
+		est[k] *= 1 + 1e-12
+	}
+	return est, arg
 }
 
 // everyTarget is estimateAll's todo for a pass over all n targets.
@@ -130,39 +159,4 @@ func sameRetrieval(t *testing.T, got, want *Result) {
 			}
 		}
 	}
-}
-
-// opaque is an Expr type from outside package qoi, which qoi.Compile
-// cannot lower; it delegates to the expression it wraps.
-type opaque struct{ qoi.Expr }
-
-// TestForeignExprCertifiesThroughTreeWalk: a request holding an Expr type
-// qoi.Compile does not know still certifies under the default estimator,
-// through the per-point tree walk, exactly as the compiled request does.
-func TestForeignExprCertifiesThroughTreeWalk(t *testing.T) {
-	ds := smallGE()
-	ranges := QoIRanges(ds.QoIs, ds.Fields)
-	vars := refactorDataset(t, ds, progressive.PMGARDHB)
-	mach := ds.QoIs[3]
-	wrapped := qoi.QoI{Name: mach.Name, Expr: opaque{mach.Expr}}
-	if _, ok := qoi.Compile([]qoi.Expr{wrapped.Expr}); ok {
-		t.Fatal("qoi.Compile lowered a foreign Expr type")
-	}
-	retrieve := func(q qoi.QoI) *Result {
-		rt, err := NewRetriever(vars, Config{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rt.Retrieve(context.Background(), Request{QoIs: []qoi.QoI{q}, Tolerances: []float64{1e-4 * ranges[3]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	got := retrieve(wrapped)
-	actual := ActualQoIErrors([]qoi.QoI{mach}, ds.Fields, got.Data)
-	if !got.ToleranceMet || actual[0] > got.EstErrors[0] || got.EstErrors[0] > 1e-4*ranges[3] {
-		t.Fatalf("met %v, actual %g, estimated %g, tolerance %g", got.ToleranceMet, actual[0], got.EstErrors[0], 1e-4*ranges[3])
-	}
-	sameRetrieval(t, got, retrieve(mach))
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"progqoi/internal/progressive"
@@ -21,23 +20,16 @@ func relTols(rel float64, ranges []float64) []float64 {
 	return tols
 }
 
-// countingEstimator is qoi.TheoremBound counting its calls.
-func countingEstimator(calls *atomic.Int64) qoi.BoundFunc {
-	return func(e qoi.Expr, vals, ebs []float64) (float64, float64) {
-		calls.Add(1)
-		return qoi.TheoremBound(e, vals, ebs)
+// countTargets is an onEstimate seam that adds the targets of every
+// estimateAll pass to *n.
+func countTargets(n *int) func(todo []bool) {
+	return func(todo []bool) {
+		for _, on := range todo {
+			if on {
+				*n++
+			}
+		}
 	}
-}
-
-// passes splits the estimator calls of a request without regions over ne
-// points: the tree walk makes ne per target estimated, and Algorithm 4 at
-// most 20 at the worst point per target reassigned, at most n of them.
-func passes(t *testing.T, calls int64, ne, n int) int {
-	t.Helper()
-	if rest := calls % int64(ne); rest > int64(20*n) {
-		t.Fatalf("%d estimator calls: %d beyond whole passes over %d points", calls, rest, ne)
-	}
-	return int(calls / int64(ne))
 }
 
 // checkAgainstFresh returns an OnProgress hook that holds every estimate
@@ -56,7 +48,10 @@ func checkAgainstFresh(t *testing.T, rt *Retriever, req *Request, label string) 
 		for k, q := range req.QoIs {
 			exprs[k] = q.Expr
 		}
-		prog, _ := qoi.Compile(exprs)
+		prog, err := qoi.Compile(exprs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, _ := rt.estimateAll(*req, prog, used, rt.vars[0].Ref.NumElements(), everyTarget(len(req.QoIs)))
 		for k := range want {
 			if math.Float64bits(it.EstErrors[k]) != math.Float64bits(want[k]) {
@@ -76,12 +71,12 @@ func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 	ds := smallGE()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
-	var calls atomic.Int64
-	rt, err := NewRetriever(vars, Config{Estimator: countingEstimator(&calls), paperLoop: true}, nil)
+	var estimated int
+	rt, err := NewRetriever(vars, Config{onEstimate: countTargets(&estimated), paperLoop: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ne, nq := ds.NumElements(), len(ds.QoIs)
+	nq := len(ds.QoIs)
 	qoiVars := make([][]int, nq)
 	for k, q := range ds.QoIs {
 		qoiVars[k] = qoi.Vars(q.Expr)
@@ -101,7 +96,8 @@ func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 					}
 				}
 			}
-			got := passes(t, calls.Swap(0), ne, nq)
+			got := estimated
+			estimated = 0
 			if got != want {
 				t.Errorf("rung %d iteration %d: %d targets estimated, want %d", rung, it.N, got, want)
 			}
@@ -119,8 +115,8 @@ func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 			t.Fatalf("rung %g certified in %d iteration; the ladder needs a rung that fetches", rel, res.Iterations)
 		}
 	}
-	if n := passes(t, calls.Load(), ne, nq); n != 0 {
-		t.Fatalf("%d targets estimated after the last reported iteration", n)
+	if estimated != 0 {
+		t.Fatalf("%d targets estimated after the last reported iteration", estimated)
 	}
 	if total >= nq*iters {
 		t.Fatalf("%d targets estimated over %d iterations, want fewer than %d", total, iters, nq*iters)
@@ -143,53 +139,50 @@ func disjointQoIs(t *testing.T, names []string) []qoi.QoI {
 }
 
 // TestEstimateMemoPerTarget: in a request over disjoint variable sets, a
-// target whose variables stay put keeps its estimate, and its bound is
-// evaluated at no point, while another target's variables move, across
-// requests whose QoI values are parsed anew each time. It runs the paper
-// loop, whose tightened rung takes more than one iteration.
+// target whose variables stay put keeps its estimate, and is never
+// evaluated, while another target's variables move, across requests whose
+// QoI values are parsed anew each time. It runs the paper loop, whose
+// tightened rung takes more than one iteration.
 func TestEstimateMemoPerTarget(t *testing.T) {
 	ds := smallGE()
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
 	parse := func() []qoi.QoI { return disjointQoIs(t, ds.FieldNames) }
-	still := parse()[1].Expr.String()
-	// Bound evaluations of every target, and of the target that stays put.
-	// The estimator runs on several workers at once.
-	var calls, points atomic.Int64
-	rt, err := NewRetriever(vars, Config{paperLoop: true, Estimator: func(e qoi.Expr, vals, ebs []float64) (float64, float64) {
-		calls.Add(1)
-		if e.String() == still {
-			points.Add(1)
+	// Evaluations of every target, and of the second, which stays put.
+	var estimated, still int
+	count := countTargets(&estimated)
+	rt, err := NewRetriever(vars, Config{paperLoop: true, onEstimate: func(todo []bool) {
+		count(todo)
+		if todo[1] {
+			still++
 		}
-		return qoi.TheoremBound(e, vals, ebs)
 	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ranges := QoIRanges(parse(), ds.Fields)
-	ne := ds.NumElements()
 	var first []float64
 	for rung, rels := range [][]float64{{1e-2, 1e-2}, {1e-5, 1e-2}} {
 		req := Request{QoIs: parse(), Tolerances: []float64{rels[0] * ranges[0], rels[1] * ranges[1]}}
-		calls.Store(0)
+		estimated = 0
 		res, err := rt.Retrieve(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rung == 0 {
-			if points.Load() == 0 {
+			if still == 0 {
 				t.Fatal("the first rung never evaluated the second target")
 			}
 			first = res.EstErrors
-			points.Store(0)
+			still = 0
 			continue
 		}
 		// Only the tightened target is estimated, one pass per iteration
 		// but the first; Pressure and Density never move.
-		if got, want := passes(t, calls.Load(), ne, 2*res.Iterations), res.Iterations-1; res.Iterations < 2 || got != want {
-			t.Fatalf("%d iterations estimated %d targets, want %d", res.Iterations, got, want)
+		if want := res.Iterations - 1; res.Iterations < 2 || estimated != want {
+			t.Fatalf("%d iterations estimated %d targets, want %d", res.Iterations, estimated, want)
 		}
-		if n := points.Load(); n != 0 {
-			t.Fatalf("the target that stayed put was evaluated at %d points", n)
+		if still != 0 {
+			t.Fatalf("the target that stayed put was evaluated %d times", still)
 		}
 		if math.Float64bits(res.EstErrors[1]) != math.Float64bits(first[1]) {
 			t.Fatalf("untouched target re-certified at %g, was %g", res.EstErrors[1], first[1])
@@ -199,8 +192,7 @@ func TestEstimateMemoPerTarget(t *testing.T) {
 
 // TestEstimateMemoMatchesFreshEstimates holds every reported estimate of a
 // ladder to a fresh estimateAll, for every method, Workers 1 and 2, with
-// and without regions (including one QoI twice over different regions),
-// through the tree walk of an overriding estimator too.
+// and without regions (including one QoI twice over different regions).
 func TestEstimateMemoMatchesFreshEstimates(t *testing.T) {
 	ds := smallGE()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
@@ -210,7 +202,7 @@ func TestEstimateMemoMatchesFreshEstimates(t *testing.T) {
 	regions := []Region{{}, {Lo: 100, Hi: 900}, {}, {Lo: 0, Hi: ne / 2}, {}, {Lo: 7, Hi: 8}, {Lo: ne / 2, Hi: ne}}
 	for _, m := range []progressive.Method{progressive.PMGARDHB, progressive.PMGARD, progressive.PSZ3, progressive.PSZ3Delta} {
 		vars := refactorDataset(t, ds, m)
-		for _, cfg := range []Config{{Workers: 1}, {Workers: 2}, {Workers: 2, Estimator: qoi.TheoremBound}} {
+		for _, cfg := range []Config{{Workers: 1}, {Workers: 2}} {
 			for _, withRegions := range []bool{false, true} {
 				rt, err := NewRetriever(vars, cfg, nil)
 				if err != nil {
@@ -287,14 +279,14 @@ func TestEstimateMemoAimPass(t *testing.T) {
 	ds := smallGE()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
-	ne, nq := ds.NumElements(), len(ds.QoIs)
+	nq := len(ds.QoIs)
 	ladder := []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5}
 	for _, seeded := range []bool{false, true} {
 		// targets[l][r] counts the targets loop l estimates on rung r.
 		var targets [2][]int
 		for l, paper := range []bool{true, false} {
-			var calls atomic.Int64
-			rt, err := NewRetriever(vars, Config{Estimator: countingEstimator(&calls), paperLoop: paper}, nil)
+			var estimated int
+			rt, err := NewRetriever(vars, Config{onEstimate: countTargets(&estimated), paperLoop: paper}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,11 +295,11 @@ func TestEstimateMemoAimPass(t *testing.T) {
 				if seeded {
 					req.InitRel = slices.Repeat([]float64{rel}, nq)
 				}
-				res, err := rt.Retrieve(context.Background(), req)
-				if err != nil {
+				if _, err := rt.Retrieve(context.Background(), req); err != nil {
 					t.Fatalf("rung %g: %v", rel, err)
 				}
-				targets[l] = append(targets[l], passes(t, calls.Swap(0), ne, nq*(res.Iterations+1)))
+				targets[l] = append(targets[l], estimated)
+				estimated = 0
 			}
 		}
 		if !slices.Equal(targets[0], targets[1]) {
@@ -315,15 +307,16 @@ func TestEstimateMemoAimPass(t *testing.T) {
 		}
 	}
 
-	still := disjointQoIs(t, ds.FieldNames)[1].Expr.String()
-	var moved, points atomic.Int64
-	rt, err := NewRetriever(vars, Config{Estimator: func(e qoi.Expr, vals, ebs []float64) (float64, float64) {
-		if e.String() == still {
-			points.Add(1)
-		} else {
-			moved.Add(1)
+	// Evaluations of the first target, which the seed moves, and of the
+	// second, which it leaves.
+	var moved, still int
+	rt, err := NewRetriever(vars, Config{onEstimate: func(todo []bool) {
+		if todo[0] {
+			moved++
 		}
-		return qoi.TheoremBound(e, vals, ebs)
+		if todo[1] {
+			still++
+		}
 	}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -333,19 +326,18 @@ func TestEstimateMemoAimPass(t *testing.T) {
 	if _, err := rt.Retrieve(context.Background(), Request{QoIs: qois, Tolerances: relTols(1e-2, ranges)}); err != nil {
 		t.Fatal(err)
 	}
-	moved.Store(0)
-	points.Store(0)
+	moved, still = 0, 0
 	// Seed only the first target's variables at its new tolerance.
 	req := Request{QoIs: disjointQoIs(t, ds.FieldNames), Tolerances: []float64{1e-5 * ranges[0], 1e-2 * ranges[1]}, InitRel: []float64{1e-5, 0}}
 	res, err := rt.Retrieve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := points.Load(); n != 0 {
-		t.Fatalf("the target the seed leaves unmoved was evaluated at %d points", n)
+	if still != 0 {
+		t.Fatalf("the target the seed leaves unmoved was evaluated %d times", still)
 	}
 	// The pass and every iteration estimate the moving target afresh.
-	if got, want := passes(t, moved.Load(), ne, res.Iterations+1), res.Iterations+1; got != want {
-		t.Fatalf("%d iterations estimated the moving target %d times, want %d", res.Iterations, got, want)
+	if want := res.Iterations + 1; moved != want {
+		t.Fatalf("%d iterations estimated the moving target %d times, want %d", res.Iterations, moved, want)
 	}
 }

@@ -1,18 +1,21 @@
 // Package qoi implements the paper's theory of derivable quantities of
 // interest (§IV): an expression tree over the basis of Table II
 // (polynomials, square root, radical, addition, multiplication, division,
-// and functional composition), with two operations per node:
+// and functional composition), with two operations:
 //
 //   - Eval: the QoI value at a reconstructed data point, and
-//   - Bound: the guaranteed supremum Δ(f, x, ε) of the QoI error given the
-//     reconstructed values x and the L∞ error bounds ε used during
+//   - the estimator: the guaranteed supremum Δ(f, x, ε) of the QoI error
+//     given the reconstructed values x and the L∞ error bounds ε used during
 //     retrieval (Definitions 4–5).
 //
-// Bound implements Theorems 1 (polynomial), 2 (square root), 3 (radical),
-// 4 (addition), 5 (multiplication), 6 (division), 7–8 (additive /
+// The estimator implements Theorems 1 (polynomial), 2 (square root), 3
+// (radical), 4 (addition), 5 (multiplication), 6 (division), 7–8 (additive /
 // multiplicative closure) and 9 with Lemmas 1–2 (composition) — composition
 // is simply the recursion over the tree, with each node receiving its
-// children's (value, bound) pairs.
+// children's (value, bound) pairs. Each theorem is one scalar helper
+// (sumTerm, mulBound, divBound, powBound, polyBound, sqrtBound,
+// radicalBound); Program, the compiled form a retrieval runs, applies them
+// over blocks of points, and TheoremBound over one point.
 //
 // A node whose theorem precondition fails (ε ≥ |x₂| in division, ε ≥ |x+c|
 // in the radical, or a negative radicand) reports a +Inf bound; the
@@ -29,17 +32,28 @@ import (
 )
 
 // Expr is a derivable QoI over a vector of variables addressed by index.
+// The interface is sealed: its nodes are the types this package defines,
+// built by Parse, the library's QoIs or the node literals. A type outside
+// the package satisfies Expr only by embedding one, and the estimator, Vars
+// and Compile then see exactly the expression it embeds.
 type Expr interface {
 	// Eval computes the QoI at vals.
 	Eval(vals []float64) float64
-	// Bound computes the QoI value at the reconstructed vals and the
-	// guaranteed error supremum given per-variable L∞ bounds ebs. The bound
-	// is +Inf when a theorem precondition fails at this point.
-	Bound(vals, ebs []float64) (value, bound float64)
-	// MaxVar returns the largest variable index used (-1 for constants).
-	MaxVar() int
 	// String renders the expression.
 	String() string
+	// self returns the node itself, boxed anew; own calls it only on a
+	// type that embeds one.
+	self() Expr
+}
+
+// own returns the package-defined node e is: e itself, or the node a type
+// outside the package embeds.
+func own(e Expr) Expr {
+	switch e.(type) {
+	case Var, Const, Sum, Mul, Div, Pow, Poly, Sqrt, Radical, Abs, Exp, Log:
+		return e
+	}
+	return e.self()
 }
 
 // Var references input variable i.
@@ -48,16 +62,10 @@ type Var struct{ Index int }
 // Eval implements Expr.
 func (v Var) Eval(vals []float64) float64 { return vals[v.Index] }
 
-// Bound implements Expr: a variable's error is its retrieval bound.
-func (v Var) Bound(vals, ebs []float64) (float64, float64) {
-	return vals[v.Index], ebs[v.Index]
-}
-
-// MaxVar implements Expr.
-func (v Var) MaxVar() int { return v.Index }
-
 // String implements Expr.
 func (v Var) String() string { return fmt.Sprintf("x%d", v.Index) }
+
+func (v Var) self() Expr { return v }
 
 // Const is a constant (zero error).
 type Const struct{ C float64 }
@@ -65,14 +73,10 @@ type Const struct{ C float64 }
 // Eval implements Expr.
 func (c Const) Eval([]float64) float64 { return c.C }
 
-// Bound implements Expr.
-func (c Const) Bound([]float64, []float64) (float64, float64) { return c.C, 0 }
-
-// MaxVar implements Expr.
-func (c Const) MaxVar() int { return -1 }
-
 // String implements Expr.
 func (c Const) String() string { return trimFloat(c.C) }
+
+func (c Const) self() Expr { return c }
 
 // Sum is the weighted sum Σ wᵢ·termᵢ (Theorems 4, 7, 8).
 type Sum struct {
@@ -104,17 +108,9 @@ func (s Sum) Eval(vals []float64) float64 {
 	return acc
 }
 
-// Bound implements Expr: Δ(Σwᵢfᵢ) ≤ Σ|wᵢ|Δ(fᵢ).
-func (s Sum) Bound(vals, ebs []float64) (float64, float64) {
-	acc, d := 0.0, 0.0
-	for i, t := range s.Terms {
-		v, dv := t.Bound(vals, ebs)
-		acc, d = sumTerm(acc, d, s.Weights[i], v, dv)
-	}
-	return noNaN(acc, d)
-}
+func (s Sum) self() Expr { return s }
 
-// noNaN maps a NaN bound to +Inf, the interface's "no guarantee here".
+// noNaN maps a NaN bound to +Inf, the estimator's "no guarantee here".
 // A theorem's formula yields NaN only where an operand value overflowed
 // or is undefined (∞·0, ∞−∞), and no theorem covers such a point.
 func noNaN(v, b float64) (float64, float64) {
@@ -125,20 +121,9 @@ func noNaN(v, b float64) (float64, float64) {
 }
 
 // sumTerm adds one weighted term to a running (value, bound) pair of
-// Theorems 4, 7 and 8, starting from (0, 0).
+// Theorems 4, 7 and 8, starting from (0, 0): Δ(Σwᵢfᵢ) ≤ Σ|wᵢ|Δ(fᵢ).
 func sumTerm(acc, d, w, v, dv float64) (float64, float64) {
 	return acc + w*v, d + math.Abs(w)*dv
-}
-
-// MaxVar implements Expr.
-func (s Sum) MaxVar() int {
-	m := -1
-	for _, t := range s.Terms {
-		if v := t.MaxVar(); v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // String implements Expr.
@@ -177,19 +162,12 @@ type Mul struct{ A, B Expr }
 // Eval implements Expr.
 func (m Mul) Eval(vals []float64) float64 { return m.A.Eval(vals) * m.B.Eval(vals) }
 
-// Bound implements Expr: Δ(x₁x₂) ≤ |x₁|ε₂ + |x₂|ε₁ + ε₁ε₂.
-func (m Mul) Bound(vals, ebs []float64) (float64, float64) {
-	va, da := m.A.Bound(vals, ebs)
-	vb, db := m.B.Bound(vals, ebs)
-	return noNaN(mulBound(va, da, vb, db))
-}
+func (m Mul) self() Expr { return m }
 
+// mulBound is Theorem 5: Δ(x₁x₂) ≤ |x₁|ε₂ + |x₂|ε₁ + ε₁ε₂.
 func mulBound(va, da, vb, db float64) (float64, float64) {
 	return va * vb, math.Abs(va)*db + math.Abs(vb)*da + da*db
 }
-
-// MaxVar implements Expr.
-func (m Mul) MaxVar() int { return max(m.A.MaxVar(), m.B.MaxVar()) }
 
 // String implements Expr.
 func (m Mul) String() string { return fmt.Sprintf("(%s * %s)", m.A, m.B) }
@@ -200,14 +178,10 @@ type Div struct{ Num, Den Expr }
 // Eval implements Expr.
 func (d Div) Eval(vals []float64) float64 { return d.Num.Eval(vals) / d.Den.Eval(vals) }
 
-// Bound implements Expr: Δ(x₁/x₂) ≤ (|x₁|ε₂+|x₂|ε₁) / (|x₂|·min(|x₂−ε₂|,|x₂+ε₂|))
-// valid only while ε₂ < |x₂|.
-func (d Div) Bound(vals, ebs []float64) (float64, float64) {
-	vn, dn := d.Num.Bound(vals, ebs)
-	vd, dd := d.Den.Bound(vals, ebs)
-	return noNaN(divBound(vn, dn, vd, dd))
-}
+func (d Div) self() Expr { return d }
 
+// divBound is Theorem 6: Δ(x₁/x₂) ≤ (|x₁|ε₂+|x₂|ε₁) / (|x₂|·min(|x₂−ε₂|,|x₂+ε₂|)),
+// valid only while ε₂ < |x₂|.
 func divBound(vn, dn, vd, dd float64) (float64, float64) {
 	val := vn / vd
 	if dn == 0 && dd == 0 {
@@ -220,14 +194,12 @@ func divBound(vn, dn, vd, dd float64) (float64, float64) {
 	return val, (math.Abs(vn)*dd + math.Abs(vd)*dn) / den
 }
 
-// MaxVar implements Expr.
-func (d Div) MaxVar() int { return max(d.Num.MaxVar(), d.Den.MaxVar()) }
-
 // String implements Expr.
 func (d Div) String() string { return fmt.Sprintf("(%s / %s)", d.Num, d.Den) }
 
-// Pow is the integer power xⁿ, n ≥ 1 (Theorem 1 for a monomial). A
-// negative N has no derivable bound: Eval is NaN and Bound +Inf.
+// Pow is the integer power xⁿ, 0 ≤ n ≤ 64 (Theorem 1 for a monomial). Parse
+// builds no other exponent and Compile refuses any other. A negative N has
+// no derivable bound: Eval is NaN and TheoremBound +Inf.
 type Pow struct {
 	N int
 	X Expr
@@ -241,14 +213,7 @@ func (p Pow) Eval(vals []float64) float64 {
 	return intPow(p.X.Eval(vals), p.N)
 }
 
-// Bound implements Expr: Δ(xⁿ) ≤ Σᵢ₌₁ⁿ C(n,i)|x|ⁿ⁻ⁱ εⁱ.
-func (p Pow) Bound(vals, ebs []float64) (float64, float64) {
-	v, d := p.X.Bound(vals, ebs)
-	if p.N < 0 {
-		return math.NaN(), math.Inf(1)
-	}
-	return noNaN(intPow(v, p.N), powBound(v, d, p.N))
-}
+func (p Pow) self() Expr { return p }
 
 // maxExponent is the largest integer power Parse lowers a formula to, and
 // the largest Pow exponent or Poly degree Compile accepts.
@@ -274,9 +239,9 @@ var binomials = func() [][]float64 {
 // powTable is the largest exponent powBound tabulates |x|ᵏ for.
 const powTable = 16
 
-// powBound is Theorem 1's Σᵢ₌₁ⁿ C(n,i)|v|ⁿ⁻ⁱ dⁱ for n ≥ 0, summed in
-// increasing i. The compiled program's Pow and Poly columns repeat these
-// terms in this order, so both paths agree to the bit.
+// powBound is Theorem 1 for xⁿ, n ≥ 0: Δ(xⁿ) ≤ Σᵢ₌₁ⁿ C(n,i)|x|ⁿ⁻ⁱ εⁱ,
+// summed in increasing i. The compiled program's Pow and Poly columns
+// repeat these terms in this order, so both agree to the bit.
 func powBound(v, d float64, n int) float64 {
 	if d == 0 {
 		return 0
@@ -316,14 +281,12 @@ func intPow(x float64, n int) float64 {
 	return r
 }
 
-// MaxVar implements Expr.
-func (p Pow) MaxVar() int { return p.X.MaxVar() }
-
 // String implements Expr.
 func (p Pow) String() string { return fmt.Sprintf("%s^%d", p.X, p.N) }
 
 // Poly is the polynomial Σ aᵢ·xⁱ over one sub-expression (Theorem 1 with
-// the additive and multiplicative closures of Theorems 7–8).
+// the additive and multiplicative closures of Theorems 7–8), of degree at
+// most 64: Compile refuses a larger one.
 type Poly struct {
 	Coeffs []float64 // Coeffs[i] multiplies x^i
 	X      Expr
@@ -339,12 +302,10 @@ func (p Poly) Eval(vals []float64) float64 {
 	return acc
 }
 
-// Bound implements Expr: Δ(Σaᵢxⁱ) ≤ Σ|aᵢ|·Δ(xⁱ).
-func (p Poly) Bound(vals, ebs []float64) (float64, float64) {
-	x, d := p.X.Bound(vals, ebs)
-	return noNaN(polyBound(p.Coeffs, x, d))
-}
+func (p Poly) self() Expr { return p }
 
+// polyBound is Theorem 1 with Theorems 7–8: Δ(Σaᵢxⁱ) ≤ Σ|aᵢ|·Δ(xⁱ), with
+// the value in Horner form.
 func polyBound(coeffs []float64, x, d float64) (float64, float64) {
 	acc := 0.0
 	for i := len(coeffs) - 1; i >= 0; i-- {
@@ -359,9 +320,6 @@ func polyBound(coeffs []float64, x, d float64) (float64, float64) {
 	}
 	return acc, bound
 }
-
-// MaxVar implements Expr.
-func (p Poly) MaxVar() int { return p.X.MaxVar() }
 
 // String implements Expr.
 func (p Poly) String() string {
@@ -391,13 +349,10 @@ type Sqrt struct{ X Expr }
 // Eval implements Expr.
 func (s Sqrt) Eval(vals []float64) float64 { return math.Sqrt(s.X.Eval(vals)) }
 
-// Bound implements Expr: Δ(√x) ≤ ε/(√max(x−ε,0) + √x). The estimate blows
-// up as x→0 with ε>0 — the behaviour the paper's outlier mask exists for.
-func (s Sqrt) Bound(vals, ebs []float64) (float64, float64) {
-	v, d := s.X.Bound(vals, ebs)
-	return noNaN(sqrtBound(v, d))
-}
+func (s Sqrt) self() Expr { return s }
 
+// sqrtBound is Theorem 2: Δ(√x) ≤ ε/(√max(x−ε,0) + √x). The estimate blows
+// up as x→0 with ε>0 — the behaviour the paper's outlier mask exists for.
 func sqrtBound(v, d float64) (float64, float64) {
 	if v < 0 {
 		// Reconstructed radicand negative: the true value cannot be
@@ -415,9 +370,6 @@ func sqrtBound(v, d float64) (float64, float64) {
 	return val, d / den
 }
 
-// MaxVar implements Expr.
-func (s Sqrt) MaxVar() int { return s.X.MaxVar() }
-
 // String implements Expr.
 func (s Sqrt) String() string { return fmt.Sprintf("sqrt(%s)", s.X) }
 
@@ -430,13 +382,10 @@ type Radical struct {
 // Eval implements Expr.
 func (r Radical) Eval(vals []float64) float64 { return 1 / (r.X.Eval(vals) + r.C) }
 
-// Bound implements Expr: Δ(1/(x+c)) ≤ ε/(min(|x+c−ε|,|x+c+ε|)·|x+c|),
-// valid only while ε < |x+c|.
-func (r Radical) Bound(vals, ebs []float64) (float64, float64) {
-	v, d := r.X.Bound(vals, ebs)
-	return radicalBound(r.C, v, d)
-}
+func (r Radical) self() Expr { return r }
 
+// radicalBound is Theorem 3: Δ(1/(x+c)) ≤ ε/(min(|x+c−ε|,|x+c+ε|)·|x+c|),
+// valid only while ε < |x+c|.
 func radicalBound(c, v, d float64) (float64, float64) {
 	u := v + c
 	val := 1 / u
@@ -449,11 +398,58 @@ func radicalBound(c, v, d float64) (float64, float64) {
 	return val, d / (math.Min(math.Abs(u-d), math.Abs(u+d)) * math.Abs(u))
 }
 
-// MaxVar implements Expr.
-func (r Radical) MaxVar() int { return r.X.MaxVar() }
-
 // String implements Expr.
 func (r Radical) String() string { return fmt.Sprintf("1/(%s + %s)", r.X, trimFloat(r.C)) }
+
+// TheoremBound is the estimator at one point: e's value at the
+// reconstructed vals and its guaranteed error supremum given per-variable
+// L∞ bounds ebs, +Inf where a theorem precondition fails. Program.Eval
+// applies the same helpers over a block of points and agrees with it bit
+// for bit, so it is the tests' oracle for the program.
+func TheoremBound(e Expr, vals, ebs []float64) (value, bound float64) {
+	switch x := own(e).(type) {
+	case Var:
+		value, bound = vals[x.Index], ebs[x.Index]
+	case Const:
+		value, bound = x.C, 0
+	case Sum:
+		for i, t := range x.Terms {
+			v, d := TheoremBound(t, vals, ebs)
+			value, bound = sumTerm(value, bound, x.Weights[i], v, d)
+		}
+		value, bound = noNaN(value, bound)
+	case Mul:
+		va, da := TheoremBound(x.A, vals, ebs)
+		vb, db := TheoremBound(x.B, vals, ebs)
+		value, bound = noNaN(mulBound(va, da, vb, db))
+	case Div:
+		vn, dn := TheoremBound(x.Num, vals, ebs)
+		vd, dd := TheoremBound(x.Den, vals, ebs)
+		value, bound = noNaN(divBound(vn, dn, vd, dd))
+	case Pow:
+		if x.N < 0 {
+			return math.NaN(), math.Inf(1)
+		}
+		v, d := TheoremBound(x.X, vals, ebs)
+		value, bound = noNaN(intPow(v, x.N), powBound(v, d, x.N))
+	case Poly:
+		v, d := TheoremBound(x.X, vals, ebs)
+		value, bound = noNaN(polyBound(x.Coeffs, v, d))
+	case Sqrt:
+		v, d := TheoremBound(x.X, vals, ebs)
+		value, bound = noNaN(sqrtBound(v, d))
+	case Radical:
+		v, d := TheoremBound(x.X, vals, ebs)
+		value, bound = radicalBound(x.C, v, d)
+	case Abs:
+		value, bound = absBound(TheoremBound(x.X, vals, ebs))
+	case Exp:
+		value, bound = noNaN(expBound(TheoremBound(x.X, vals, ebs)))
+	case Log:
+		value, bound = logBound(TheoremBound(x.X, vals, ebs))
+	}
+	return value, bound
+}
 
 // Vars returns the sorted distinct variable indices used by e.
 func Vars(e Expr) []int {
@@ -468,10 +464,9 @@ func Vars(e Expr) []int {
 }
 
 func collectVars(e Expr, set map[int]bool) {
-	switch n := e.(type) {
+	switch n := own(e).(type) {
 	case Var:
 		set[n.Index] = true
-	case Const:
 	case Sum:
 		for _, t := range n.Terms {
 			collectVars(t, set)
@@ -496,22 +491,10 @@ func collectVars(e Expr, set map[int]bool) {
 		collectVars(n.X, set)
 	case Log:
 		collectVars(n.X, set)
-	default:
-		// Unknown node types contribute conservatively via MaxVar.
-		for i := 0; i <= e.MaxVar(); i++ {
-			set[i] = true
-		}
 	}
 }
 
 func trimFloat(v float64) string {
 	s := fmt.Sprintf("%g", v)
 	return s
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,7 +9,7 @@ import (
 
 // bruteForceSup samples perturbations |x'−x| ≤ ε on a dense grid (plus the
 // corners) and returns the largest observed QoI deviation. The theorems
-// guarantee Bound() dominates this for any sample.
+// guarantee TheoremBound dominates this for any sample.
 func bruteForceSup(e Expr, vals, ebs []float64, rng *rand.Rand, samples int) float64 {
 	base := e.Eval(vals)
 	pert := make([]float64, len(vals))
@@ -48,10 +48,10 @@ func bruteForceSup(e Expr, vals, ebs []float64, rng *rand.Rand, samples int) flo
 
 func checkSound(t *testing.T, name string, e Expr, vals, ebs []float64, rng *rand.Rand) {
 	t.Helper()
-	val, bound := e.Bound(vals, ebs)
+	val, bound := TheoremBound(e, vals, ebs)
 	evalVal := e.Eval(vals)
 	if !math.IsNaN(val) && !math.IsNaN(evalVal) && val != evalVal {
-		t.Errorf("%s: Bound value %g != Eval %g", name, val, evalVal)
+		t.Errorf("%s: TheoremBound value %g != Eval %g", name, val, evalVal)
 	}
 	if math.IsInf(bound, 1) {
 		return // infinite bounds are trivially sound
@@ -88,15 +88,15 @@ func TestTheorem2Sqrt(t *testing.T) {
 		checkSound(t, "sqrt", e, []float64{x}, []float64{eb}, rng)
 	}
 	// x = 0 with ε > 0 must report an infinite (unusable) bound.
-	if _, b := e.Bound([]float64{0}, []float64{0.1}); !math.IsInf(b, 1) {
+	if _, b := TheoremBound(e, []float64{0}, []float64{0.1}); !math.IsInf(b, 1) {
 		t.Errorf("sqrt at 0: bound = %g, want +Inf", b)
 	}
 	// Zero incoming error must give zero bound even at x = 0.
-	if _, b := e.Bound([]float64{0}, []float64{0}); b != 0 {
+	if _, b := TheoremBound(e, []float64{0}, []float64{0}); b != 0 {
 		t.Errorf("sqrt exact: bound = %g, want 0", b)
 	}
 	// Negative reconstructed radicand: NaN value, +Inf bound.
-	if v, b := e.Bound([]float64{-1}, []float64{0.5}); !math.IsNaN(v) || !math.IsInf(b, 1) {
+	if v, b := TheoremBound(e, []float64{-1}, []float64{0.5}); !math.IsNaN(v) || !math.IsInf(b, 1) {
 		t.Errorf("sqrt negative: %g, %g", v, b)
 	}
 }
@@ -115,10 +115,10 @@ func TestTheorem3Radical(t *testing.T) {
 	}
 	// Precondition violation ε ≥ |x+c|: +Inf.
 	e := Radical{C: 1, X: Var{0}}
-	if _, b := e.Bound([]float64{0}, []float64{2}); !math.IsInf(b, 1) {
+	if _, b := TheoremBound(e, []float64{0}, []float64{2}); !math.IsInf(b, 1) {
 		t.Errorf("radical precondition: bound = %g, want +Inf", b)
 	}
-	if _, b := e.Bound([]float64{0}, []float64{0}); b != 0 {
+	if _, b := TheoremBound(e, []float64{0}, []float64{0}); b != 0 {
 		t.Errorf("radical exact: bound = %g, want 0", b)
 	}
 }
@@ -132,7 +132,7 @@ func TestTheorem4Addition(t *testing.T) {
 		checkSound(t, "sum", e, vals, ebs, rng)
 	}
 	// The additive bound is exactly Σ|wᵢ|εᵢ.
-	_, b := e.Bound([]float64{1, 1, 1}, []float64{0.1, 0.2, 0.4})
+	_, b := TheoremBound(e, []float64{1, 1, 1}, []float64{0.1, 0.2, 0.4})
 	want := 2*0.1 + 3*0.2 + 0.5*0.4
 	if math.Abs(b-want) > 1e-15 {
 		t.Errorf("additive bound %g, want %g", b, want)
@@ -148,7 +148,7 @@ func TestTheorem5Multiplication(t *testing.T) {
 		checkSound(t, "mul", e, vals, ebs, rng)
 	}
 	// Exact formula check: |x1|ε2 + |x2|ε1 + ε1ε2.
-	_, b := e.Bound([]float64{-3, 2}, []float64{0.1, 0.2})
+	_, b := TheoremBound(e, []float64{-3, 2}, []float64{0.1, 0.2})
 	want := 3*0.2 + 2*0.1 + 0.1*0.2
 	if math.Abs(b-want) > 1e-15 {
 		t.Errorf("mul bound %g, want %g", b, want)
@@ -168,7 +168,7 @@ func TestTheorem6Division(t *testing.T) {
 		checkSound(t, "div", e, []float64{x1, x2}, ebs, rng)
 	}
 	// Precondition ε₂ ≥ |x₂| → +Inf.
-	if _, b := e.Bound([]float64{1, 0.5}, []float64{0, 1}); !math.IsInf(b, 1) {
+	if _, b := TheoremBound(e, []float64{1, 0.5}, []float64{0, 1}); !math.IsInf(b, 1) {
 		t.Errorf("div precondition: bound %g, want +Inf", b)
 	}
 }
@@ -283,7 +283,7 @@ func TestZeroErrorPropagatesToZeroBound(t *testing.T) {
 	zero := make([]float64, 5)
 	vals := []float64{1, 2, 3, 101325, 1.2}
 	for _, q := range GEQoIs() {
-		if _, b := q.Expr.Bound(vals, zero); b != 0 {
+		if _, b := TheoremBound(q.Expr, vals, zero); b != 0 {
 			t.Errorf("%s: zero input error gives bound %g", q.Name, b)
 		}
 	}
@@ -306,15 +306,6 @@ func TestVarsCollection(t *testing.T) {
 	}
 	if v := Vars(Mul{A: Var{2}, B: Var{2}}); len(v) != 1 || v[0] != 2 {
 		t.Errorf("dup vars = %v", v)
-	}
-}
-
-func TestMaxVar(t *testing.T) {
-	if got := TotalPressure().Expr.MaxVar(); got != GED {
-		t.Errorf("PT MaxVar = %d, want %d", got, GED)
-	}
-	if got := (Const{1}).MaxVar(); got != -1 {
-		t.Errorf("const MaxVar = %d", got)
 	}
 }
 
@@ -360,7 +351,7 @@ func TestPropertyRandomCompositesSound(t *testing.T) {
 		e := build(rng, 4)
 		vals := []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 		ebs := []float64{rng.Float64() * 0.1, rng.Float64() * 0.1, rng.Float64() * 0.1}
-		val, bound := e.Bound(vals, ebs)
+		val, bound := TheoremBound(e, vals, ebs)
 		if math.IsInf(bound, 1) || math.IsNaN(val) || math.IsNaN(bound) {
 			return true // indeterminate points are allowed to be refused
 		}

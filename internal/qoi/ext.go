@@ -8,50 +8,37 @@ import (
 // ext.go extends the derivable-QoI basis beyond Table II, following the
 // paper's §IV-D remark that the theory extends to any operator with a
 // derivable error bound. Each new operator ships with the same contract as
-// the originals: Bound returns a guaranteed supremum of |f(x')−f(x)| over
-// |x'−x| ≤ ε, computed from the reconstruction alone, and a zero incoming
-// bound yields a zero outgoing bound.
+// the originals: its helper returns a guaranteed supremum of |f(x')−f(x)|
+// over |x'−x| ≤ ε, computed from the reconstruction alone, and a zero
+// incoming bound yields a zero outgoing bound.
 
 // Abs is |x|.
-//
-// Theorem (absolute value): Δ(|x|) ≤ ε, by the reverse triangle inequality
-// ||x+ξ| − |x|| ≤ |ξ| ≤ ε. The bound is attained whenever |x| ≥ ε, so it
-// is tight.
 type Abs struct{ X Expr }
 
 // Eval implements Expr.
 func (a Abs) Eval(vals []float64) float64 { return math.Abs(a.X.Eval(vals)) }
 
-// Bound implements Expr.
-func (a Abs) Bound(vals, ebs []float64) (float64, float64) {
-	v, d := a.X.Bound(vals, ebs)
-	return absBound(v, d)
-}
+func (a Abs) self() Expr { return a }
 
+// absBound is the absolute-value theorem: Δ(|x|) ≤ ε, by the reverse
+// triangle inequality ||x+ξ| − |x|| ≤ |ξ| ≤ ε. The bound is attained
+// whenever |x| ≥ ε, so it is tight.
 func absBound(v, d float64) (float64, float64) { return math.Abs(v), d }
-
-// MaxVar implements Expr.
-func (a Abs) MaxVar() int { return a.X.MaxVar() }
 
 // String implements Expr.
 func (a Abs) String() string { return fmt.Sprintf("abs(%s)", a.X) }
 
 // Exp is eˣ.
-//
-// Theorem (exponential): Δ(eˣ) = eˣ·(e^ε − 1), exactly: the supremum of
-// |e^{x+ξ} − eˣ| over |ξ| ≤ ε is attained at ξ = +ε and equals
-// eˣ(e^ε − 1) ≥ eˣ(1 − e^{−ε}).
 type Exp struct{ X Expr }
 
 // Eval implements Expr.
 func (e Exp) Eval(vals []float64) float64 { return math.Exp(e.X.Eval(vals)) }
 
-// Bound implements Expr.
-func (e Exp) Bound(vals, ebs []float64) (float64, float64) {
-	v, d := e.X.Bound(vals, ebs)
-	return noNaN(expBound(v, d))
-}
+func (e Exp) self() Expr { return e }
 
+// expBound is the exponential theorem: Δ(eˣ) = eˣ·(e^ε − 1), exactly: the
+// supremum of |e^{x+ξ} − eˣ| over |ξ| ≤ ε is attained at ξ = +ε and equals
+// eˣ(e^ε − 1) ≥ eˣ(1 − e^{−ε}).
 func expBound(v, d float64) (float64, float64) {
 	val := math.Exp(v)
 	if d == 0 {
@@ -60,30 +47,22 @@ func expBound(v, d float64) (float64, float64) {
 	return val, val * math.Expm1(d)
 }
 
-// MaxVar implements Expr.
-func (e Exp) MaxVar() int { return e.X.MaxVar() }
-
 // String implements Expr.
 func (e Exp) String() string { return fmt.Sprintf("exp(%s)", e.X) }
 
 // Log is the natural logarithm ln(x), defined for x > 0.
-//
-// Theorem (logarithm): for ε < x, Δ(ln x) = ln(x/(x−ε)) = −ln(1 − ε/x),
-// exactly: the supremum over |ξ| ≤ ε is attained going downward at
-// ξ = −ε since ln is concave. The precondition ε < x mirrors Theorem 3's
-// radical condition; outside it the bound is +Inf and the retrieval loop
-// tightens.
 type Log struct{ X Expr }
 
 // Eval implements Expr.
 func (l Log) Eval(vals []float64) float64 { return math.Log(l.X.Eval(vals)) }
 
-// Bound implements Expr.
-func (l Log) Bound(vals, ebs []float64) (float64, float64) {
-	v, d := l.X.Bound(vals, ebs)
-	return logBound(v, d)
-}
+func (l Log) self() Expr { return l }
 
+// logBound is the logarithm theorem: for ε < x, Δ(ln x) = ln(x/(x−ε)) =
+// −ln(1 − ε/x), exactly: the supremum over |ξ| ≤ ε is attained going
+// downward at ξ = −ε since ln is concave. The precondition ε < x mirrors
+// Theorem 3's radical condition; outside it the bound is +Inf and the
+// retrieval loop tightens.
 func logBound(v, d float64) (float64, float64) {
 	if v <= 0 {
 		return math.NaN(), math.Inf(1)
@@ -97,9 +76,6 @@ func logBound(v, d float64) (float64, float64) {
 	}
 	return val, -math.Log1p(-d / v)
 }
-
-// MaxVar implements Expr.
-func (l Log) MaxVar() int { return l.X.MaxVar() }
 
 // String implements Expr.
 func (l Log) String() string { return fmt.Sprintf("log(%s)", l.X) }

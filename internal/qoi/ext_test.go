@@ -15,10 +15,10 @@ func TestAbsTheorem(t *testing.T) {
 		checkSound(t, "abs", e, []float64{x}, []float64{eb}, rng)
 	}
 	// Tightness: with |x| ≥ ε the bound equals ε exactly.
-	if _, b := e.Bound([]float64{10}, []float64{0.5}); b != 0.5 {
+	if _, b := TheoremBound(e, []float64{10}, []float64{0.5}); b != 0.5 {
 		t.Fatalf("abs bound = %g, want 0.5", b)
 	}
-	if _, b := e.Bound([]float64{-3}, []float64{0}); b != 0 {
+	if _, b := TheoremBound(e, []float64{-3}, []float64{0}); b != 0 {
 		t.Fatal("abs exact should have zero bound")
 	}
 }
@@ -32,13 +32,13 @@ func TestExpTheorem(t *testing.T) {
 		checkSound(t, "exp", e, []float64{x}, []float64{eb}, rng)
 	}
 	// Exactness: the sup is attained at ξ = +ε.
-	v, b := e.Bound([]float64{1}, []float64{0.25})
+	v, b := TheoremBound(e, []float64{1}, []float64{0.25})
 	wantV := math.E
 	wantB := math.E * math.Expm1(0.25)
 	if math.Abs(v-wantV) > 1e-15 || math.Abs(b-wantB) > 1e-15 {
 		t.Fatalf("exp bound (%g,%g), want (%g,%g)", v, b, wantV, wantB)
 	}
-	if _, b := e.Bound([]float64{2}, []float64{0}); b != 0 {
+	if _, b := TheoremBound(e, []float64{2}, []float64{0}); b != 0 {
 		t.Fatal("exp exact should have zero bound")
 	}
 }
@@ -52,14 +52,14 @@ func TestLogTheorem(t *testing.T) {
 		checkSound(t, "log", e, []float64{x}, []float64{eb}, rng)
 	}
 	// Precondition ε ≥ x: +Inf.
-	if _, b := e.Bound([]float64{1}, []float64{1}); !math.IsInf(b, 1) {
+	if _, b := TheoremBound(e, []float64{1}, []float64{1}); !math.IsInf(b, 1) {
 		t.Fatal("log precondition violation should be +Inf")
 	}
 	// Non-positive reconstructed argument: NaN value, +Inf bound.
-	if v, b := e.Bound([]float64{-1}, []float64{0.1}); !math.IsNaN(v) || !math.IsInf(b, 1) {
+	if v, b := TheoremBound(e, []float64{-1}, []float64{0.1}); !math.IsNaN(v) || !math.IsInf(b, 1) {
 		t.Fatalf("log negative: %g %g", v, b)
 	}
-	if _, b := e.Bound([]float64{5}, []float64{0}); b != 0 {
+	if _, b := TheoremBound(e, []float64{5}, []float64{0}); b != 0 {
 		t.Fatal("log exact should have zero bound")
 	}
 }

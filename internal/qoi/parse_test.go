@@ -20,8 +20,8 @@ func TestParseVTOT(t *testing.T) {
 	// Parsed tree must agree with the hand-built QoI on values and bounds.
 	ref := TotalVelocity(0, 1, 2).Expr
 	ebs := []float64{0.1, 0.2, 0.3, 0, 0}
-	v1, b1 := e.Bound(vals, ebs)
-	v2, b2 := ref.Bound(vals, ebs)
+	v1, b1 := TheoremBound(e, vals, ebs)
+	v2, b2 := TheoremBound(ref, vals, ebs)
 	if v1 != v2 || math.Abs(b1-b2) > 1e-15 {
 		t.Fatalf("parsed (%g,%g) vs built (%g,%g)", v1, b1, v2, b2)
 	}
@@ -87,7 +87,7 @@ func TestParseConstantFoldIntoScale(t *testing.T) {
 	}
 	// Constant multiplication must use the exact Theorem 8 bound a·Δ(f),
 	// not the looser generic product bound.
-	_, b := e.Bound([]float64{10}, []float64{0.5})
+	_, b := TheoremBound(e, []float64{10}, []float64{0.5})
 	if b != 1.0 {
 		t.Fatalf("2*Vx bound = %g, want exactly 1", b)
 	}
@@ -106,8 +106,8 @@ func TestParseGEFormulas(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		v1, b1 := e.Bound(vals, ebs)
-		v2, b2 := ref.Expr.Bound(vals, ebs)
+		v1, b1 := TheoremBound(e, vals, ebs)
+		v2, b2 := TheoremBound(ref.Expr, vals, ebs)
 		if math.Abs(v1-v2) > 1e-9*math.Abs(v2) {
 			t.Errorf("%q value %g vs %g", src, v1, v2)
 		}

@@ -2,6 +2,7 @@ package qoi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -10,9 +11,9 @@ import (
 // table, sharing every common subexpression; Program.Eval then runs one
 // pass per node over a block of points held as columns, with no per-point
 // interface dispatch. Every node calls the same scalar theorem helper as
-// the matching Expr.Bound, or for Pow and Poly repeats its terms in its
-// order over a column, so value and bound are bit-identical to the tree
-// walk at every point.
+// TheoremBound, or for Pow and Poly repeats its terms in its order over a
+// column, so value and bound are bit-identical to TheoremBound at every
+// point.
 
 // BlockSize is the most points one Program.Eval call evaluates. A block's
 // scratch, a value and a bound column per node that is not a Var plus one
@@ -59,18 +60,18 @@ type Program struct {
 
 // Compile lowers targets into one Program. Structurally equal subtrees,
 // down to the bits of every constant, weight and coefficient, become one
-// node. ok is false when an expression holds a node type this package does
-// not define, a Pow exponent outside [0, 64] or a Poly of degree above 64;
-// such a request must be estimated by walking its trees.
-func Compile(targets []Expr) (p *Program, ok bool) {
+// node. It refuses a Pow exponent outside [0, 64] and a Poly of degree
+// above 64, which only a node literal can hold: Parse builds neither.
+func Compile(targets []Expr) (*Program, error) {
 	c := compiler{ids: map[string]int{}}
 	roots := make([]int, len(targets))
 	for k, e := range targets {
-		if roots[k], ok = c.lower(e); !ok {
-			return nil, false
+		var err error
+		if roots[k], err = c.lower(e); err != nil {
+			return nil, err
 		}
 	}
-	p = &Program{nodes: c.nodes, roots: roots}
+	p := &Program{nodes: c.nodes, roots: roots}
 	for _, nd := range p.nodes {
 		if nd.op != opVar {
 			p.cols++
@@ -82,7 +83,7 @@ func Compile(targets []Expr) (p *Program, ok bool) {
 			p.maxPow = max(p.maxPow, len(nd.w)-1)
 		}
 	}
-	return p, true
+	return p, nil
 }
 
 type compiler struct {
@@ -91,10 +92,10 @@ type compiler struct {
 	key   []byte
 }
 
-func (c *compiler) lower(e Expr) (int, bool) {
+func (c *compiler) lower(e Expr) (int, error) {
 	var nd node
 	var kids []Expr
-	switch x := e.(type) {
+	switch x := own(e).(type) {
 	case Var:
 		nd = node{op: opVar, n: x.Index}
 	case Const:
@@ -107,12 +108,12 @@ func (c *compiler) lower(e Expr) (int, bool) {
 		nd, kids = node{op: opDiv}, []Expr{x.Num, x.Den}
 	case Pow:
 		if x.N < 0 || x.N > maxExponent {
-			return 0, false
+			return 0, fmt.Errorf("qoi: power x^%d: exponent outside [0, %d]", x.N, maxExponent)
 		}
 		nd, kids = node{op: opPow, n: x.N}, []Expr{x.X}
 	case Poly:
 		if len(x.Coeffs) > maxExponent+1 {
-			return 0, false
+			return 0, fmt.Errorf("qoi: polynomial of degree %d: above %d", len(x.Coeffs)-1, maxExponent)
 		}
 		nd, kids = node{op: opPoly, w: x.Coeffs}, []Expr{x.X}
 	case Sqrt:
@@ -125,17 +126,15 @@ func (c *compiler) lower(e Expr) (int, bool) {
 		nd, kids = node{op: opExp}, []Expr{x.X}
 	case Log:
 		nd, kids = node{op: opLog}, []Expr{x.X}
-	default:
-		return 0, false
 	}
 	for _, k := range kids {
-		id, ok := c.lower(k)
-		if !ok {
-			return 0, false
+		id, err := c.lower(k)
+		if err != nil {
+			return 0, err
 		}
 		nd.args = append(nd.args, id)
 	}
-	return c.intern(nd), true
+	return c.intern(nd), nil
 }
 
 // intern returns the id of the node equal to nd, adding nd if there is
@@ -447,8 +446,8 @@ func (s *Scratch) col(i int) (val, bnd []float64) { return s.val[i][:s.m], s.bnd
 
 // Bound returns target k's bounds from the last Eval that had it active,
 // one per point of the block. The column is overwritten by the next Eval.
-// A NaN reads as +Inf, as the tree walk's does: the column helpers let
-// NaN propagate to the root, where it means what the walk's +Inf means.
+// A NaN reads as +Inf, as TheoremBound's does: the column helpers let
+// NaN propagate to the root, where it means what TheoremBound's +Inf means.
 func (p *Program) Bound(s *Scratch, k int) []float64 {
 	_, bnd := s.col(p.roots[k])
 	for j, b := range bnd {

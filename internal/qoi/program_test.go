@@ -3,6 +3,7 @@ package qoi
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -91,10 +92,11 @@ func TestProgramMatchesTreeWalk(t *testing.T) {
 	const nv = 8
 	rng := rand.New(rand.NewSource(31))
 	var s Scratch
-	// A full block, a partial one, and a pass with only every third target
-	// active: a target's bounds must not depend on which others run. The
-	// Scratch then serves a smaller program and a full block again, as a
-	// Retriever's does across requests.
+	// A full block, a partial one, a block of one point (the shape
+	// Algorithm 4's reassign evaluates), and a pass with only every third
+	// target active: a target's bounds must not depend on which others run.
+	// The Scratch then serves a smaller program and a full block again, as
+	// a Retriever's does across requests.
 	for _, pass := range []struct {
 		targets []Expr
 		m       int
@@ -102,14 +104,15 @@ func TestProgramMatchesTreeWalk(t *testing.T) {
 	}{
 		{all, BlockSize, func(int) bool { return true }},
 		{all, 37, func(int) bool { return true }},
+		{all, 1, func(int) bool { return true }},
 		{all, BlockSize, func(k int) bool { return k%3 == 1 }},
 		{all[len(all)-3:], 64, func(int) bool { return true }},
 		{all, BlockSize, func(int) bool { return true }},
 	} {
 		targets := pass.targets
-		p, ok := Compile(targets)
-		if !ok {
-			t.Fatal("Compile refused the package's own node types")
+		p, err := Compile(targets)
+		if err != nil {
+			t.Fatal(err)
 		}
 		x, eb := differentialInputs(rng, nv, pass.m)
 		active := make([]bool, len(targets))
@@ -131,9 +134,9 @@ func TestProgramMatchesTreeWalk(t *testing.T) {
 				for v := range vals {
 					vals[v], ebs[v] = x[v][j], eb[v][j]
 				}
-				wantV, wantB := e.Bound(vals, ebs)
+				wantV, wantB := TheoremBound(e, vals, ebs)
 				if !sameBits(gotV[j], wantV) || !sameBits(gotB[j], wantB) {
-					t.Fatalf("%s at vals=%v ebs=%v: program (%v, %v), tree walk (%v, %v)",
+					t.Fatalf("%s at vals=%v ebs=%v: program (%v, %v), TheoremBound (%v, %v)",
 						e, vals, ebs, gotV[j], gotB[j], wantV, wantB)
 				}
 			}
@@ -264,26 +267,23 @@ func TestBinomialTableMatchesRecurrence(t *testing.T) {
 }
 
 // TestNegativeAndHugePowers: a negative exponent has no derivable bound,
-// so the tree walk and the interval estimator refuse it and Compile leaves
-// it to them; an exponent past the table is also left to the tree walk.
+// so TheoremBound refuses it, and Compile refuses it and an exponent or
+// degree past the table with an error, while it accepts the largest.
 func TestNegativeAndHugePowers(t *testing.T) {
 	neg := Pow{N: -3, X: Var{0}}
 	if v := neg.Eval([]float64{2}); !math.IsNaN(v) {
 		t.Fatalf("x^-3 evaluates to %v, want NaN", v)
 	}
-	if _, b := neg.Bound([]float64{2}, []float64{0}); !math.IsInf(b, 1) {
+	if _, b := TheoremBound(neg, []float64{2}, []float64{0}); !math.IsInf(b, 1) {
 		t.Fatalf("x^-3 bound %v, want +Inf", b)
 	}
-	if _, b := IntervalBound(neg, []float64{2}, []float64{0.1}); !math.IsInf(b, 1) {
-		t.Fatalf("x^-3 interval bound %v, want +Inf", b)
-	}
-	for _, e := range []Expr{neg, Pow{N: maxExponent + 1, X: Var{0}}, Poly{Coeffs: make([]float64, maxExponent+2), X: Var{0}}} {
-		if _, ok := Compile([]Expr{e}); ok {
+	for _, e := range []Expr{neg, Pow{N: maxExponent + 1, X: Var{0}}, Sqrt{X: Poly{Coeffs: make([]float64, maxExponent+2), X: Var{0}}}} {
+		if p, err := Compile([]Expr{Var{0}, e}); err == nil || p != nil {
 			t.Fatalf("Compile accepted %v", e)
 		}
 	}
-	if _, ok := Compile([]Expr{Pow{N: maxExponent, X: Var{0}}, Poly{Coeffs: make([]float64, maxExponent+1), X: Var{0}}}); !ok {
-		t.Fatal("Compile refused the largest exponent and degree")
+	if _, err := Compile([]Expr{Pow{N: maxExponent, X: Var{0}}, Poly{Coeffs: make([]float64, maxExponent+1), X: Var{0}}}); err != nil {
+		t.Fatalf("Compile refused the largest exponent and degree: %v", err)
 	}
 }
 
@@ -292,9 +292,9 @@ func TestCompileSharesSubexpressions(t *testing.T) {
 	for _, q := range GEQoIs() {
 		ge = append(ge, q.Expr)
 	}
-	p, ok := Compile(ge)
-	if !ok {
-		t.Fatal("GEQoIs did not compile")
+	p, err := Compile(ge)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// 67 tree nodes; the five variables, Temperature, total velocity and
 	// the Mach number are each built once.
@@ -305,7 +305,7 @@ func TestCompileSharesSubexpressions(t *testing.T) {
 	// (which Horner multiplies through), one with another coefficient, and
 	// a −0 constant are nodes of their own, while a repeated target shares
 	// its root.
-	p, _ = Compile([]Expr{
+	p, err = Compile([]Expr{
 		Poly{Coeffs: []float64{1, 2}, X: Var{0}},
 		Poly{Coeffs: []float64{1, 2, 0}, X: Var{0}},
 		Poly{Coeffs: []float64{1, 3}, X: Var{0}},
@@ -313,6 +313,9 @@ func TestCompileSharesSubexpressions(t *testing.T) {
 		Const{C: math.Copysign(0, -1)},
 		Poly{Coeffs: []float64{1, 2}, X: Var{0}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(p.nodes) != 6 {
 		t.Fatalf("%d nodes, want 6 (x0, three polynomials, +0, −0)", len(p.nodes))
 	}
@@ -334,9 +337,9 @@ func TestKeyIsCanonical(t *testing.T) {
 		return e
 	}
 	key := func(targets []Expr, k int) string {
-		p, ok := Compile(targets)
-		if !ok {
-			t.Fatalf("%v did not compile", targets)
+		p, err := Compile(targets)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return p.Keys()[k]
 	}
@@ -376,12 +379,29 @@ func TestKeyIsCanonical(t *testing.T) {
 	}
 }
 
-// foreign is an Expr type defined outside the node set Compile knows.
+// foreign is a type outside the node set, which satisfies Expr only by
+// embedding one.
 type foreign struct{ Expr }
 
-func TestCompileRefusesForeignNodes(t *testing.T) {
-	if _, ok := Compile([]Expr{Temperature().Expr, Sqrt{X: foreign{Var{0}}}}); ok {
-		t.Fatal("Compile accepted an Expr type it cannot lower")
+// TestEmbeddedExprIsWhatItEmbeds: a type that embeds an Expr compiles,
+// bounds and lists its variables exactly as the expression it embeds.
+func TestEmbeddedExprIsWhatItEmbeds(t *testing.T) {
+	plain := Div{Num: Temperature().Expr, Den: Sqrt{X: Var{2}}}
+	wrapped := Div{Num: foreign{Temperature().Expr}, Den: foreign{Sqrt{X: foreign{Var{2}}}}}
+	p, err := Compile([]Expr{plain, foreign{wrapped}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := p.Keys(); keys[0] != keys[1] {
+		t.Fatal("an embedded expression compiled to another program")
+	}
+	vals, ebs := []float64{0, 0, 4, 101325, 1.2}, []float64{0, 0, 0.1, 10, 1e-4}
+	wv, wb := TheoremBound(plain, vals, ebs)
+	if v, b := TheoremBound(foreign{wrapped}, vals, ebs); !bitsEqual(v, wv) || !bitsEqual(b, wb) {
+		t.Fatalf("embedded expression bounds as (%v, %v), want (%v, %v)", v, b, wv, wb)
+	}
+	if got, want := Vars(foreign{wrapped}), Vars(plain); !slices.Equal(got, want) {
+		t.Fatalf("Vars = %v, want %v", got, want)
 	}
 }
 
@@ -390,7 +410,10 @@ func TestScratchReuseDoesNotAllocate(t *testing.T) {
 	for _, q := range GEQoIs() {
 		ge = append(ge, q.Expr)
 	}
-	p, _ := Compile(ge)
+	p, err := Compile(ge)
+	if err != nil {
+		t.Fatal(err)
+	}
 	x, eb := differentialInputs(rand.New(rand.NewSource(32)), GENumFields, BlockSize)
 	active := []bool{true, true, true, true, true, true}
 	var s Scratch
@@ -406,7 +429,10 @@ func BenchmarkProgramEvalGE(b *testing.B) {
 	for _, q := range GEQoIs() {
 		ge = append(ge, q.Expr)
 	}
-	p, _ := Compile(ge)
+	p, err := Compile(ge)
+	if err != nil {
+		b.Fatal(err)
+	}
 	x, eb := differentialInputs(rand.New(rand.NewSource(36)), GENumFields, BlockSize)
 	active := []bool{true, true, true, true, true, true}
 	var s Scratch

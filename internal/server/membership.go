@@ -707,16 +707,10 @@ func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 	writeBlob(w, b, "application/json")
 }
 
-// handleClusterDrain starts a graceful drain, gated exactly like reload:
-// 403 when no AdminToken is configured, 401 on a missing or wrong token.
+// handleClusterDrain starts a graceful drain, admin-gated by requireAdmin
+// exactly like reload.
 func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
-	if s.opts.AdminToken == "" {
-		http.Error(w, "admin interface disabled (start with an admin token to enable drain)", http.StatusForbidden)
-		return
-	}
-	tok, ok := bearerToken(r)
-	if !ok || !TokenEqual(tok, s.opts.AdminToken) {
-		http.Error(w, "unauthorized", http.StatusUnauthorized)
+	if !s.requireAdmin(w, r, "drain") {
 		return
 	}
 	s.Drain()

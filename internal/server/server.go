@@ -391,18 +391,28 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	writeBlob(w, b, "application/json")
 }
 
-// handleReload is the hot-publish entry point: admin-gated by
-// Options.AdminToken, it re-scans the store and swaps the catalog. 403
-// when the admin surface is disabled, 401 on a missing or wrong token,
-// 500 (catalog unchanged) when validation rejects the store contents.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+// requireAdmin gates an admin route on Options.AdminToken and reports
+// whether the request may go on: 403 when the admin surface is disabled,
+// with a message naming the action a token would enable, and 401 on a
+// missing or wrong bearer token.
+func (s *Server) requireAdmin(w http.ResponseWriter, r *http.Request, action string) bool {
 	if s.opts.AdminToken == "" {
-		http.Error(w, "admin interface disabled (start with an admin token to enable hot publish)", http.StatusForbidden)
-		return
+		http.Error(w, "admin interface disabled (start with an admin token to enable "+action+")", http.StatusForbidden)
+		return false
 	}
 	tok, ok := bearerToken(r)
 	if !ok || !TokenEqual(tok, s.opts.AdminToken) {
 		http.Error(w, "unauthorized", http.StatusUnauthorized)
+		return false
+	}
+	return true
+}
+
+// handleReload is the hot-publish entry point: admin-gated by
+// requireAdmin, it re-scans the store and swaps the catalog. 500 (catalog
+// unchanged) when validation rejects the store contents.
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	if !s.requireAdmin(w, r, "hot publish") {
 		return
 	}
 	res, err := s.Reload(r.Context())

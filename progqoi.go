@@ -115,6 +115,9 @@ const (
 type QoI = qoi.QoI
 
 // Expr is a derivable QoI expression tree; see ParseQoI and the builders.
+// It is sealed: code outside this module cannot implement it with a type
+// of its own, and ParseQoI and the built-in QoIs cover every expression
+// the paper uses. A type that embeds an Expr is the expression it embeds.
 type Expr = qoi.Expr
 
 // Result reports one retrieval: reconstructed data, certified per-QoI error
