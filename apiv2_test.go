@@ -482,6 +482,10 @@ func TestErrBadRequest(t *testing.T) {
 			_, err := sess.Do(ctx, Request{Targets: []Target{{QoI: TotalVelocity(-1, 1, 2), Tolerance: 1e-3}}})
 			return err
 		},
+		"type embedding a nil expression": func() error {
+			_, err := sess.Do(ctx, Request{Targets: []Target{{QoI: QoI{Name: "wrapped", Expr: struct{ Expr }{}}, Tolerance: 1e-3}}})
+			return err
+		},
 	}
 	for name, fn := range cases {
 		if err := fn(); !errors.Is(err, ErrBadRequest) {

@@ -195,15 +195,20 @@ func BenchmarkAblationMaskOn(b *testing.B) {
 	b.ReportMetric(float64(bytes), "bytes/retrieval")
 }
 
-// BenchmarkAblationMaskOff disables the mask; sqrt estimates at near-zero
-// radicands force deeper retrieval.
+// BenchmarkAblationMaskOff refactors without the mask; sqrt estimates at
+// near-zero radicands force deeper retrieval.
 func BenchmarkAblationMaskOff(b *testing.B) {
 	ds := ablationDataset()
 	b.ReportAllocs()
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		vars := refactorFor(b, ds, progressive.PMGARDHB, progressive.GreedyOrder)
-		rt, err := core.NewRetriever(vars, core.Config{DisableMask: true}, nil)
+		vars, err := core.RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, core.RefactorOptions{
+			Progressive: progressive.Options{Method: progressive.PMGARDHB, LosslessTail: true, Order: progressive.GreedyOrder},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt, err := core.NewRetriever(vars, core.Config{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -170,16 +170,12 @@ type Iteration struct {
 type Config struct {
 	// TightenFactor is Algorithm 4's constant c (default 1.5).
 	TightenFactor float64
-	// MaxIters caps outer loop iterations (default 500).
-	MaxIters int
 	// Workers bounds the retrieval compute (default GOMAXPROCS): the
 	// concurrent per-variable advance, each variable's fragment decode, and
 	// the error estimation all run on one budget of this many workers. 1
 	// selects the fully sequential path; results are bit-identical either
 	// way.
 	Workers int
-	// DisableMask ignores the variables' zero masks (ablation).
-	DisableMask bool
 	// Trace, when set, records one span per retrieval phase (plan, fetch,
 	// decode, commit, estimate) for every iteration, plus an umbrella span
 	// per Retrieve call, and stamps the retrieval's request ID into the
@@ -199,15 +195,8 @@ type Config struct {
 	onEstimate func(todo []bool)
 }
 
-func (c Config) withDefaults() Config {
-	if c.TightenFactor <= 1 {
-		c.TightenFactor = 1.5
-	}
-	if c.MaxIters <= 0 {
-		c.MaxIters = 500
-	}
-	return c
-}
+// maxIters caps the certify loop's iterations per request.
+const maxIters = 500
 
 // Result reports one retrieval.
 type Result struct {
@@ -223,7 +212,8 @@ type Result struct {
 	RetrievedBytes int64
 	// EstErrors is the final max estimated error per QoI.
 	EstErrors []float64
-	// VarBounds is the final achieved L∞ bound per variable.
+	// VarBounds is the final achieved L∞ bound per variable. Like Data, it
+	// is owned by the Retriever and overwritten by the next request.
 	VarBounds []float64
 	// Data is the reconstructed field per variable, with the zero mask
 	// applied. Slices are owned by the Retriever: they remain valid until
@@ -239,11 +229,7 @@ type Retriever struct {
 	readers []*progressive.Reader
 	cfg     Config
 	budget  *par.Budget // Config.Workers, shared by every reader
-
-	// mask[v] is variable v's zero mask, or nil when it has none or
-	// Config.DisableMask is set: the only mask the session reads, and the
-	// one its reader applies to the data.
-	mask [][]bool
+	ne      int         // points per variable
 
 	// prefetch and wire are the transport of a lazy session, nil for a
 	// local one. prefetch runs once per iteration before the readers
@@ -253,8 +239,8 @@ type Retriever struct {
 	prefetch func(ctx context.Context, need [][]int) error
 	wire     func() int64
 
-	eps      []float64 // requested per-variable bounds (assigner state)
-	achieved []float64 // bounds achieved by the readers
+	plan     *planner  // the requested bounds and the rules that set them
+	achieved []float64 // bounds achieved by the readers; only advance writes them
 	// data[v] is reader v's masked reconstruction as its last refresh
 	// returned it, nil before the first: a view, not a copy.
 	data [][]float64
@@ -293,7 +279,7 @@ var ErrExhausted = errors.New("core: representation exhausted before tolerance m
 // NewRetriever opens a retrieval session. fetch (optional) observes every
 // fragment fetch for byte accounting or transfer simulation.
 func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*Retriever, error) {
-	rt := &Retriever{vars: vars, cfg: cfg.withDefaults(), budget: par.New(cfg.Workers)}
+	rt := &Retriever{vars: vars, cfg: cfg, budget: par.New(cfg.Workers)}
 	if fetch != nil && rt.budget.Workers() > 1 && len(vars) > 1 {
 		// Variables advance concurrently, but the observer contract predates
 		// that: serialize callbacks so observers (netsim.Recorder and
@@ -307,7 +293,7 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 		}
 	}
 	ne := -1
-	rt.mask = make([][]bool, len(vars))
+	ranges := make([]float64, len(vars))
 	for i, v := range vars {
 		rd, err := progressive.NewReader(v.Ref, fetch)
 		if err != nil {
@@ -325,19 +311,17 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 		if v.ZeroMask != nil && len(v.ZeroMask) != n {
 			return nil, fmt.Errorf("core: variable %s mask length %d, want %d", v.Name, len(v.ZeroMask), n)
 		}
-		if !rt.cfg.DisableMask {
-			rt.mask[i] = v.ZeroMask
-			if err := rd.SetMask(v.ZeroMask); err != nil {
-				return nil, fmt.Errorf("core: open %s: %w", v.Name, err)
-			}
+		if err := rd.SetMask(v.ZeroMask); err != nil {
+			return nil, fmt.Errorf("core: open %s: %w", v.Name, err)
 		}
+		ranges[i] = v.Range
 	}
-	rt.eps = make([]float64, len(vars))
+	rt.ne = max(ne, 0)
+	rt.plan = newPlanner(ranges, cfg.TightenFactor)
 	rt.achieved = make([]float64, len(vars))
 	rt.data = make([][]float64, len(vars))
 	rt.gen = make([]uint64, len(vars))
-	for i := range rt.eps {
-		rt.eps[i] = math.Inf(1)
+	for i := range rt.achieved {
 		rt.achieved[i] = math.Inf(1)
 	}
 	return rt, nil
@@ -420,77 +404,16 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(req.QoIs) == 0 {
-		return nil, fmt.Errorf("%w: request has no QoIs", ErrBadRequest)
-	}
-	if len(req.Tolerances) != len(req.QoIs) {
-		return nil, fmt.Errorf("%w: %d tolerances for %d QoIs", ErrBadRequest, len(req.Tolerances), len(req.QoIs))
-	}
-	for k, tol := range req.Tolerances {
-		if !(tol > 0) {
-			return nil, fmt.Errorf("%w: tolerance %d must be positive, got %g", ErrBadRequest, k, tol)
-		}
-	}
-	qoiVars := make([][]int, len(req.QoIs))
-	involved := map[int]bool{}
-	for k, q := range req.QoIs {
-		if q.Expr == nil {
-			return nil, fmt.Errorf("%w: QoI %d (%s) has no expression", ErrBadRequest, k, q.Name)
-		}
-		vs := qoi.Vars(q.Expr)
-		for _, v := range vs {
-			if v < 0 || v >= len(rt.vars) {
-				return nil, fmt.Errorf("%w: QoI %s uses variable %d; only %d variables", ErrBadRequest, q.Name, v, len(rt.vars))
-			}
-			involved[v] = true
-		}
-		qoiVars[k] = vs
-	}
-	if len(involved) == 0 {
-		return nil, fmt.Errorf("%w: no variables involved in request", ErrBadRequest)
-	}
-	// Some QoI reads a variable, so the session has one.
-	ne := rt.vars[0].Ref.NumElements()
-	if len(req.Regions) != 0 {
-		if len(req.Regions) != len(req.QoIs) {
-			return nil, fmt.Errorf("%w: %d regions for %d QoIs", ErrBadRequest, len(req.Regions), len(req.QoIs))
-		}
-		for k, r := range req.Regions {
-			if r.whole() {
-				continue
-			}
-			if r.Lo < 0 || r.Hi > ne || r.Lo >= r.Hi {
-				return nil, fmt.Errorf("%w: region %d [%d,%d) invalid for %d elements", ErrBadRequest, k, r.Lo, r.Hi, ne)
-			}
-		}
-	}
-	var used []int
-	for v := range rt.vars {
-		if involved[v] {
-			used = append(used, v)
-		}
-	}
-	exprs := make([]qoi.Expr, len(req.QoIs))
-	for k, q := range req.QoIs {
-		exprs[k] = q.Expr
-	}
-	// The paper's per-operator theorems, compiled once per request into a
-	// program that shares common subexpressions across the targets.
-	prog, err := qoi.Compile(exprs)
+	q, err := rt.newRequest(req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		return nil, err
 	}
 	// Carry over the memo entries this request's targets can use, and only
 	// those, so the memo never outgrows one request.
-	keys := make([]memoKey, len(req.QoIs))
-	memo := make(map[memoKey]estMemo, len(req.QoIs))
-	for k, x := range prog.Keys() {
-		keys[k].expr = x
-		if len(req.Regions) != 0 {
-			keys[k].region = req.Regions[k]
-		}
-		if e, ok := rt.memo[keys[k]]; ok {
-			memo[keys[k]] = e
+	memo := make(map[memoKey]estMemo, len(q.keys))
+	for _, key := range q.keys {
+		if e, ok := rt.memo[key]; ok {
+			memo[key] = e
 		}
 	}
 	rt.memo = memo
@@ -504,23 +427,20 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 	}
 
 	// Algorithm 3: initial error bounds from relative tolerances.
-	rt.assignInitial(req, qoiVars)
+	rt.plan.seed(q.reads, q.InitRel)
 	if !rt.cfg.paperLoop {
-		rt.aim(req, prog, used, qoiVars, keys, ne)
+		rt.aim(q)
 	}
 
 	res := &Result{
-		EstErrors: make([]float64, len(req.QoIs)),
+		EstErrors: make([]float64, len(q.QoIs)),
 		VarBounds: rt.achieved,
 	}
 	// finish snapshots the session state into res so every exit — certified,
 	// exhausted, or cancelled — hands back a coherent best-effort Result.
 	finish := func() {
 		res.RetrievedBytes = rt.RetrievedBytes()
-		res.Data = res.Data[:0]
-		for i := range rt.vars {
-			res.Data = append(res.Data, rt.data[i])
-		}
+		res.Data = append(res.Data[:0], rt.data...)
 	}
 	wire := func() int64 {
 		if rt.wire == nil {
@@ -529,14 +449,14 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 		return rt.wire()
 	}
 
-	for iter := 0; iter < rt.cfg.MaxIters; iter++ {
+	for iter := 0; iter < maxIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			finish()
 			return res, fmt.Errorf("core: retrieve: %w", err)
 		}
 		res.Iterations = iter + 1
 		// Progressive retrieval to the currently assigned bounds.
-		progressed, err := rt.advance(ctx, involved, res.Iterations)
+		progressed, err := rt.advance(ctx, q, res.Iterations)
 		if err != nil {
 			if ctx.Err() != nil {
 				// The session state is untouched by the aborted step; hand
@@ -549,18 +469,18 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 
 		// QoI error estimation over the full field (Algorithm 2 lines 13–24).
 		mEst := rt.cfg.Trace.BeginIter(obs.CatEstimate, "estimate", res.Iterations)
-		maxEst, argmax := rt.estimate(req, prog, used, qoiVars, keys, ne, nil)
+		maxEst, argmax := rt.estimate(q, rt.achieved)
 		mEst.End()
 		copy(res.EstErrors, maxEst)
 
 		met := true
-		for k := range req.QoIs {
-			if !(maxEst[k] <= req.Tolerances[k]) {
+		for k := range q.QoIs {
+			if !(maxEst[k] <= q.Tolerances[k]) {
 				met = false
 			}
 		}
-		if req.OnProgress != nil {
-			req.OnProgress(Iteration{
+		if q.OnProgress != nil {
+			q.OnProgress(Iteration{
 				N:              res.Iterations,
 				EstErrors:      append([]float64(nil), maxEst...),
 				RetrievedBytes: rt.RetrievedBytes(),
@@ -572,7 +492,10 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 			res.ToleranceMet = true
 			break
 		}
-		exhausted := rt.exhausted(involved)
+		exhausted := true
+		for _, v := range q.vars {
+			exhausted = exhausted && rt.readers[v].Exhausted()
+		}
 		if !progressed && exhausted {
 			// Full fidelity reached; nothing more to fetch.
 			break
@@ -580,11 +503,11 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 
 		// Algorithm 4: tighten bounds for every unmet QoI at its worst point.
 		changed := false
-		for k := range req.QoIs {
-			if maxEst[k] <= req.Tolerances[k] {
+		for k := range q.QoIs {
+			if maxEst[k] <= q.Tolerances[k] {
 				continue
 			}
-			if rt.reassign(req, prog, qoiVars, k, argmax[k]) {
+			if rt.reassign(q, rt.achieved, k, argmax[k]) {
 				changed = true
 			}
 		}
@@ -602,54 +525,97 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 	return res, nil
 }
 
-// assignInitial implements Algorithm 3 per variable.
-func (rt *Retriever) assignInitial(req Request, qoiVars [][]int) {
-	for v := range rt.vars {
-		rel := 1.0
-		used := false
-		for k := range req.QoIs {
-			for _, vv := range qoiVars[k] {
-				if vv != v {
-					continue
-				}
-				used = true
-				r := 0.1
-				if k < len(req.InitRel) && req.InitRel[k] > 0 {
-					r = req.InitRel[k]
-				}
-				if r < rel {
-					rel = r
-				}
-			}
-		}
-		if !used {
-			continue
-		}
-		eb := rel * rt.vars[v].Range
-		if rt.vars[v].Range == 0 {
-			eb = rel
-		}
-		if eb < rt.eps[v] {
-			rt.eps[v] = eb
-		}
-	}
+// request is one Retrieve call, validated and compiled once. Every step of
+// the certify loop reads it; none changes it.
+type request struct {
+	Request
+	prog   *qoi.Program // the targets' compiled estimator
+	reads  [][]int      // reads[k] lists the variables target k reads, sorted
+	vars   []int        // the variables any target reads, sorted
+	keys   []memoKey    // each target's memo key
+	lo, hi []int        // each target's region of interest [lo, hi)
 }
 
-// advance asks every involved reader for its assigned bound and refreshes
-// the data views. It reports whether any reader fetched new bytes.
-// Variables advance as tasks on the session's budget, which their decode
-// tasks share; per-variable state is independent and results merge by
-// index, so the outcome is identical to the sequential order.
-func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter int) (bool, error) {
+// newRequest validates req against the session and compiles it. It leaves
+// the session untouched, so a refused request changes nothing.
+func (rt *Retriever) newRequest(req Request) (*request, error) {
+	nq := len(req.QoIs)
+	if nq == 0 {
+		return nil, fmt.Errorf("%w: request has no QoIs", ErrBadRequest)
+	}
+	if len(req.Tolerances) != nq {
+		return nil, fmt.Errorf("%w: %d tolerances for %d QoIs", ErrBadRequest, len(req.Tolerances), nq)
+	}
+	for k, tol := range req.Tolerances {
+		if !(tol > 0) {
+			return nil, fmt.Errorf("%w: tolerance %d must be positive, got %g", ErrBadRequest, k, tol)
+		}
+	}
+	if len(req.Regions) != 0 && len(req.Regions) != nq {
+		return nil, fmt.Errorf("%w: %d regions for %d QoIs", ErrBadRequest, len(req.Regions), nq)
+	}
+	exprs := make([]qoi.Expr, nq)
+	for k, q := range req.QoIs {
+		exprs[k] = q.Expr
+	}
+	// The paper's per-operator theorems, compiled once per request into a
+	// program that shares common subexpressions across the targets. Compile
+	// refuses a nil node at any depth, so Vars below walks whole trees.
+	prog, err := qoi.Compile(exprs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	q := &request{Request: req, prog: prog, reads: make([][]int, nq), keys: make([]memoKey, nq), lo: make([]int, nq), hi: make([]int, nq)}
+	read := make([]bool, len(rt.vars))
+	for k, key := range prog.Keys() {
+		vs := qoi.Vars(exprs[k])
+		for _, v := range vs {
+			if v < 0 || v >= len(rt.vars) {
+				return nil, fmt.Errorf("%w: QoI %s uses variable %d; only %d variables", ErrBadRequest, req.QoIs[k].Name, v, len(rt.vars))
+			}
+			read[v] = true
+		}
+		q.reads[k] = vs
+		q.keys[k].expr = key
+		q.lo[k], q.hi[k] = 0, rt.ne
+		if len(req.Regions) == 0 {
+			continue
+		}
+		r := req.Regions[k]
+		q.keys[k].region = r
+		if r.whole() {
+			continue
+		}
+		if r.Lo < 0 || r.Hi > rt.ne || r.Lo >= r.Hi {
+			return nil, fmt.Errorf("%w: region %d [%d,%d) invalid for %d elements", ErrBadRequest, k, r.Lo, r.Hi, rt.ne)
+		}
+		q.lo[k], q.hi[k] = r.Lo, r.Hi
+	}
+	for v, on := range read {
+		if on {
+			q.vars = append(q.vars, v)
+		}
+	}
+	if len(q.vars) == 0 {
+		return nil, fmt.Errorf("%w: no variables involved in request", ErrBadRequest)
+	}
+	return q, nil
+}
+
+// advance asks the reader of every variable q reads for its requested
+// bound and refreshes the data views. It reports whether any reader
+// fetched new bytes. Variables advance as tasks on the session's budget,
+// which their decode tasks share; per-variable state is independent and
+// results merge by index, so the outcome is identical to the sequential
+// order.
+func (rt *Retriever) advance(ctx context.Context, q *request, iter int) (bool, error) {
+	eps := rt.plan.eps
 	if rt.prefetch != nil {
 		mPlan := rt.cfg.Trace.BeginIter(obs.CatPlan, "plan", iter)
 		need := make([][]int, len(rt.vars))
 		any := false
-		for v := range rt.vars {
-			if !involved[v] {
-				continue
-			}
-			if p := rt.readers[v].Plan(rt.eps[v]); len(p) > 0 {
+		for _, v := range q.vars {
+			if p := rt.readers[v].Plan(eps[v]); len(p) > 0 {
 				need[v] = p
 				any = true
 			}
@@ -667,24 +633,18 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 			}
 		}
 	}
-	var todo []int
-	for v := range rt.vars {
-		if involved[v] {
-			todo = append(todo, v)
-		}
-	}
 	if rt.cfg.Trace != nil {
-		for _, v := range todo {
+		for _, v := range q.vars {
 			rt.readers[v].SetTraceIter(iter)
 		}
 	}
-	moved := make([]bool, len(todo))
-	errs := make([]error, len(todo))
-	rt.budget.For(len(todo), func(_, i int) bool {
-		v := todo[i]
+	moved := make([]bool, len(q.vars))
+	errs := make([]error, len(q.vars))
+	rt.budget.For(len(q.vars), func(_, i int) bool {
+		v := q.vars[i]
 		rd := rt.readers[v]
 		before := rd.RetrievedBytes()
-		b, err := rd.Advance(ctx, rt.eps[v])
+		b, err := rd.Advance(ctx, eps[v])
 		if err != nil {
 			errs[i] = fmt.Errorf("core: advance %s: %w", rt.vars[v].Name, err)
 			return true
@@ -707,7 +667,7 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 		return true
 	})
 	progressed := false
-	for i := range todo {
+	for i := range q.vars {
 		if errs[i] != nil {
 			return false, errs[i]
 		}
@@ -745,18 +705,18 @@ func (rt *Retriever) scratch(n, nq int) []*estScratch {
 	return rt.est[:n]
 }
 
-// load points the block [blo, bhi) of every used variable into s: its
-// reconstructed values in place, and its bounds, which are the achieved
-// bound everywhere except at masked points, where they are zero.
-func (s *estScratch) load(rt *Retriever, used []int, blo, bhi int) {
-	for _, v := range used {
+// load points the block [blo, bhi) of each variable in vs into s: its
+// reconstructed values in place, and its bounds, which are bounds[v]
+// everywhere except at masked points, where they are zero.
+func (s *estScratch) load(rt *Retriever, vs []int, bounds []float64, blo, bhi int) {
+	for _, v := range vs {
 		s.x[v] = rt.data[v][blo:bhi]
 		eb := s.eb[v][:bhi-blo]
-		b := rt.achieved[v]
+		b := bounds[v]
 		for i := range eb {
 			eb[i] = b
 		}
-		if mask := rt.mask[v]; mask != nil {
+		if mask := rt.vars[v].ZeroMask; mask != nil {
 			for i, z := range mask[blo:bhi] {
 				if z {
 					eb[i] = 0
@@ -766,31 +726,29 @@ func (s *estScratch) load(rt *Retriever, used []int, blo, bhi int) {
 	}
 }
 
-// estimate returns every QoI's max estimate and argmax. A target none of
-// whose variables has moved since its memoized estimate keeps it, without
-// a pass over the field: the estimate is a pure function of the target's
-// expression, its region, and its variables' masked data and achieved
-// bounds, and none of them has changed. The rest go through estimateAll.
+// estimate returns every target's max estimate and argmax on the held data
+// at the variables' bounds: the achieved ones, except in the aim pass. The
+// estimate is a pure function of the target's expression, its region, and
+// its variables' masked data and bounds. So a target whose variables all
+// sit at their achieved bounds and none of which has moved since its
+// memoized estimate keeps it, without a pass over the field, and a fresh
+// estimate of such a target is memoized. The rest go through estimateAll.
 // The first estimate of a request on a session that has certified before
 // reuses every target whose variables Algorithm 3 did not tighten.
-//
-// moving is nil except in the aim pass, where moving[v] reports that
-// achieved[v] holds a bound variable v has not reached yet. A target that
-// reads such a variable is estimated afresh, and the pass's estimates stay
-// out of the memo: they describe no state the session has been in.
-func (rt *Retriever) estimate(req Request, prog *qoi.Program, used []int, qoiVars [][]int, keys []memoKey, ne int, moving []bool) ([]float64, []int) {
-	nq := len(req.QoIs)
+func (rt *Retriever) estimate(q *request, bounds []float64) ([]float64, []int) {
+	nq := len(q.QoIs)
 	est, arg := make([]float64, nq), make([]int, nq)
 	stamps := make([]uint64, nq)
+	held := make([]bool, nq) // the target's variables sit at their achieved bounds
 	todo := make([]bool, nq)
 	miss := false
-	for k := range req.QoIs {
-		moves := false
-		for _, v := range qoiVars[k] {
+	for k, vs := range q.reads {
+		held[k] = true
+		for _, v := range vs {
 			stamps[k] += rt.gen[v]
-			moves = moves || moving != nil && moving[v]
+			held[k] = held[k] && bounds[v] == rt.achieved[v]
 		}
-		if e, ok := rt.memo[keys[k]]; ok && e.stamp == stamps[k] && !moves {
+		if e, ok := rt.memo[q.keys[k]]; ok && e.stamp == stamps[k] && held[k] {
 			est[k], arg[k] = e.est, e.arg
 			continue
 		}
@@ -799,52 +757,41 @@ func (rt *Retriever) estimate(req Request, prog *qoi.Program, used []int, qoiVar
 	if !miss {
 		return est, arg
 	}
-	// Load only the variables the targets to estimate read.
-	var reads []int
-	for _, v := range used {
-		for k, on := range todo {
-			if on && slices.Contains(qoiVars[k], v) {
-				reads = append(reads, v)
-				break
-			}
-		}
-	}
-	fresh, freshArg := rt.estimateAll(req, prog, reads, ne, todo)
+	fresh, freshArg := rt.estimateAll(q, bounds, todo)
 	for k, on := range todo {
 		if !on {
 			continue
 		}
 		est[k], arg[k] = fresh[k], freshArg[k]
-		if moving == nil {
-			rt.memo[keys[k]] = estMemo{stamp: stamps[k], est: est[k], arg: arg[k]}
+		if held[k] {
+			rt.memo[q.keys[k]] = estMemo{stamp: stamps[k], est: est[k], arg: arg[k]}
 		}
 	}
 	return est, arg
 }
 
 // estimateAll evaluates the QoI bounds of every target k with todo[k] at
-// every point, returning per-QoI max estimates and their argmax locations;
-// the other targets' entries are zero. prog is the request's compiled
-// estimator, and used lists the variables those targets read. Work is
-// sharded as point-chunk tasks on the session's budget, and a
-// region-restricted QoI only evaluates its own region. Partials merge in
-// fixed chunk order per QoI, so the result is independent of scheduling,
-// and a target's result is independent of which other targets are
-// evaluated with it.
-func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne int, todo []bool) ([]float64, []int) {
+// every point of its region, at the variables' bounds, returning per-QoI
+// max estimates and their argmax locations; the other targets' entries are
+// zero. It loads only the variables those targets read. Work is sharded as
+// point-chunk tasks on the session's budget. Partials merge in fixed chunk
+// order per QoI, so the result is independent of scheduling, and a
+// target's result is independent of which other targets are evaluated
+// with it.
+func (rt *Retriever) estimateAll(q *request, bounds []float64, todo []bool) ([]float64, []int) {
 	if rt.cfg.onEstimate != nil {
 		rt.cfg.onEstimate(todo)
 	}
-	nq := len(req.QoIs)
-	// Per-QoI regions of interest: certification is restricted to [rlo, rhi).
-	rlo := make([]int, nq)
-	rhi := make([]int, nq)
-	for k := range req.QoIs {
-		rlo[k], rhi[k] = 0, ne
-		if len(req.Regions) > 0 && !req.Regions[k].whole() {
-			rlo[k], rhi[k] = req.Regions[k].Lo, req.Regions[k].Hi
+	var reads []int
+	for _, v := range q.vars {
+		for k, on := range todo {
+			if on && slices.Contains(q.reads[k], v) {
+				reads = append(reads, v)
+				break
+			}
 		}
 	}
+	nq, ne := len(q.QoIs), rt.ne
 	// Fixed chunk grid over the point space, deliberately independent of the
 	// worker count: the tasks and their merge order are then identical for
 	// every Workers setting, so argmax tie-breaks (and the byte-fetch
@@ -860,27 +807,27 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 	run := func(s *estScratch, c int) {
 		lo, hi := c*size, min((c+1)*size, ne)
 		cmax, carg := pmax[c*nq:(c+1)*nq], parg[c*nq:(c+1)*nq]
-		copy(carg, rlo)
+		copy(carg, q.lo)
 		for blo := lo; blo < hi; blo += qoi.BlockSize {
 			bhi := min(blo+qoi.BlockSize, hi)
 			some := false
 			for k := range s.active {
-				s.active[k] = todo[k] && rlo[k] < bhi && rhi[k] > blo
+				s.active[k] = todo[k] && q.lo[k] < bhi && q.hi[k] > blo
 				some = some || s.active[k]
 			}
 			if !some {
 				continue
 			}
-			s.load(rt, used, blo, bhi)
-			prog.Eval(&s.prog, s.active, s.x, s.eb, bhi-blo)
+			s.load(rt, reads, bounds, blo, bhi)
+			q.prog.Eval(&s.prog, s.active, s.x, s.eb, bhi-blo)
 			for k, on := range s.active {
 				if !on {
 					continue
 				}
-				jlo := max(blo, rlo[k])
+				jlo := max(blo, q.lo[k])
 				m, arg := cmax[k], carg[k]
 				// Program.Bound hands over no NaN.
-				for j, b := range prog.Bound(&s.prog, k)[jlo-blo : min(bhi, rhi[k])-blo] {
+				for j, b := range q.prog.Bound(&s.prog, k)[jlo-blo : min(bhi, q.hi[k])-blo] {
 					if b > m {
 						m, arg = b, jlo+j
 					}
@@ -900,7 +847,7 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 		if !todo[k] {
 			continue
 		}
-		argmax[k] = rlo[k]
+		argmax[k] = q.lo[k]
 		for c := 0; c < nchunks; c++ {
 			if pmax[c*nq+k] >= est[k] {
 				est[k] = pmax[c*nq+k]
@@ -920,113 +867,58 @@ func (rt *Retriever) estimateAll(req Request, prog *qoi.Program, used []int, ne 
 // iteration fetches to Algorithm 3's seed only to learn, from the estimate
 // there, where Algorithm 4 must tighten; a second fetch round then goes to
 // the tightened bounds. aim estimates once on the held data at the bounds
-// the seed would reach, runs reassign at the argmax of every target that
-// estimate does not meet, and restores the achieved bounds, so the first
-// fetch goes straight to the tightened bounds and a warm rung usually
+// the seed would reach, Reader.Reach(ε), and runs reassign from those
+// bounds at the argmax of every target that estimate does not meet, so the
+// first fetch goes straight to the tightened bounds and a warm rung usually
 // certifies in one round. The pass only aims: certification still happens
 // only through the estimate after a fetch. It runs when every variable the
 // request reads holds a reconstruction. Its estimate takes the place of the
 // paper loop's estimate at the seed, so the count is unchanged, except on
 // a request the seed alone certifies, where the pass is one extra.
-func (rt *Retriever) aim(req Request, prog *qoi.Program, used []int, qoiVars [][]int, keys []memoKey, ne int) {
-	for _, v := range used {
+func (rt *Retriever) aim(q *request) {
+	for _, v := range q.vars {
 		if rt.data[v] == nil {
 			return // cold: nothing held to aim with
 		}
 	}
 	m := rt.cfg.Trace.BeginIter(obs.CatEstimate, "aim", 1)
 	defer m.End()
-	held := slices.Clone(rt.achieved)
-	moving := make([]bool, len(rt.vars))
-	for _, v := range used {
-		rt.achieved[v] = rt.readers[v].Reach(rt.eps[v])
-		moving[v] = rt.achieved[v] != held[v]
+	reach := slices.Clone(rt.achieved)
+	for _, v := range q.vars {
+		reach[v] = rt.readers[v].Reach(rt.plan.eps[v])
 	}
-	est, arg := rt.estimate(req, prog, used, qoiVars, keys, ne, moving)
-	for k := range req.QoIs {
-		if !(est[k] <= req.Tolerances[k]) {
-			rt.reassign(req, prog, qoiVars, k, arg[k])
+	est, arg := rt.estimate(q, reach)
+	for k := range q.QoIs {
+		if !(est[k] <= q.Tolerances[k]) {
+			rt.reassign(q, reach, k, arg[k])
 		}
 	}
-	copy(rt.achieved, held)
 }
 
-// reassign implements Algorithm 4 for QoI k: tighten the bounds of the
-// involved variables by factor c until the estimate at the worst point
-// drops below tolerance. Returns whether any bound changed. Each estimate
-// is prog's for target k alone over a block of one point, the worst, on
-// the first estimate scratch.
-func (rt *Retriever) reassign(req Request, prog *qoi.Program, qoiVars [][]int, k, worst int) bool {
-	c := rt.cfg.TightenFactor
-	tol := req.Tolerances[k]
-	s := rt.scratch(1, len(req.QoIs))[0]
+// reassign runs Algorithm 4 for target k at its worst point, starting from
+// bounds, and reports whether any requested bound changed. Each step
+// evaluates the request's program for target k alone over a block of one
+// point, the worst, on the first estimate scratch; a masked variable's
+// bound there is zero.
+func (rt *Retriever) reassign(q *request, bounds []float64, k, worst int) bool {
+	s := rt.scratch(1, len(q.QoIs))[0]
 	clear(s.active)
 	s.active[k] = true
-	for _, v := range qoiVars[k] {
+	vs := q.reads[k]
+	for _, v := range vs {
 		s.x[v] = rt.data[v][worst : worst+1]
 	}
-	// Candidate bounds start from the currently achieved bounds. The
-	// tightening per outer round is capped: the estimate is evaluated at
-	// the *current* reconstruction, and a point whose reconstructed value
-	// sits at a theorem singularity (e.g. a sqrt radicand reconstructed to
-	// exactly zero) reports +Inf for any candidate ε, which would otherwise
-	// crash the bound to bit-exact in a single round. Capping lets the next
-	// round re-estimate against refreshed values. 20 steps of c=1.5 are a
-	// ~3300× reduction per round, so legitimate deep tightening still
-	// converges in a handful of rounds.
-	cand := append([]float64(nil), rt.achieved...)
-	changed := false
-	for step := 0; step < 20; step++ {
-		for _, v := range qoiVars[k] {
+	return rt.plan.tighten(vs, bounds, q.Tolerances[k], func(cand []float64) float64 {
+		for _, v := range vs {
 			eb := cand[v]
-			if math.IsInf(eb, 1) {
-				eb = rt.vars[v].Range
-				if eb == 0 {
-					eb = 1
-				}
-			}
-			if rt.mask[v] != nil && rt.mask[v][worst] {
+			if mask := rt.vars[v].ZeroMask; mask != nil && mask[worst] {
 				eb = 0
 			}
 			s.eb[v][0] = eb
 		}
-		prog.Eval(&s.prog, s.active, s.x, s.eb, 1)
-		if prog.Bound(&s.prog, k)[0] <= tol {
-			break
-		}
-		for _, v := range qoiVars[k] {
-			if math.IsInf(cand[v], 1) {
-				cand[v] = rt.vars[v].Range
-				if cand[v] == 0 {
-					cand[v] = 1
-				}
-			}
-			cand[v] /= c
-			if cand[v] < 1e-300 {
-				cand[v] = 0 // demand bit-exact data
-			}
-		}
-	}
-	for _, v := range qoiVars[k] {
-		if cand[v] < rt.eps[v] {
-			rt.eps[v] = cand[v]
-			changed = true
-		}
-	}
-	return changed
-}
-
-// exhausted reports whether all involved readers have fetched everything.
-func (rt *Retriever) exhausted(involved map[int]bool) bool {
-	for v := range rt.vars {
-		if !involved[v] {
-			continue
-		}
-		if !rt.readers[v].Exhausted() {
-			return false
-		}
-	}
-	return true
+		q.prog.Eval(&s.prog, s.active, s.x, s.eb, 1)
+		return q.prog.Bound(&s.prog, k)[0]
+	})
 }
 
 // ActualQoIErrors computes the ground-truth max |q(orig) − q(recon)| per

@@ -126,8 +126,13 @@ func TestMaskKeepsSqrtEstimatesFinite(t *testing.T) {
 
 	// Without the mask the exact-zero nodes force far deeper retrieval
 	// (sqrt estimate at near-zero radicand), or exhaustion.
-	vars2 := refactorDataset(t, ds, progressive.PMGARDHB)
-	rt2, _ := NewRetriever(vars2, Config{DisableMask: true}, nil)
+	opt := refactorOptions(progressive.PMGARDHB)
+	opt.MaskZeros = false
+	vars2, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt2, _ := NewRetriever(vars2, Config{}, nil)
 	res2, err := rt2.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1e-3 * ranges[0]}, InitRel: []float64{1e-3}})
 	if err != nil && !errors.Is(err, ErrExhausted) {
 		t.Fatal(err)
@@ -241,7 +246,7 @@ func TestRetrieveRejectsBeforeMutating(t *testing.T) {
 	if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: tols}); err != nil {
 		t.Fatal(err)
 	}
-	eps, memo := slices.Clone(rt.eps), maps.Clone(rt.memo)
+	eps, memo := slices.Clone(rt.plan.eps), maps.Clone(rt.memo)
 	ne := ds.NumElements()
 	for name, req := range map[string]Request{
 		"constant QoI": {QoIs: constant, Tolerances: []float64{1}, InitRel: []float64{1e-9}},
@@ -251,7 +256,7 @@ func TestRetrieveRejectsBeforeMutating(t *testing.T) {
 		if _, err := rt.Retrieve(context.Background(), req); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("%s: %v, want ErrBadRequest", name, err)
 		}
-		if !slices.Equal(rt.eps, eps) || !maps.Equal(rt.memo, memo) {
+		if !slices.Equal(rt.plan.eps, eps) || !maps.Equal(rt.memo, memo) {
 			t.Fatalf("%s: the rejected request changed the session", name)
 		}
 	}
@@ -277,13 +282,13 @@ func TestUncompilableQoIIsBadRequest(t *testing.T) {
 		sessions[i] = rt
 	}
 	rt := sessions[0]
-	eps, memo := slices.Clone(rt.eps), maps.Clone(rt.memo)
+	eps, memo := slices.Clone(rt.plan.eps), maps.Clone(rt.memo)
 	for _, n := range []int{65, -3} {
 		bad := []qoi.QoI{ds.QoIs[0], {Name: "pow", Expr: qoi.Pow{N: n, X: qoi.Var{Index: qoi.GEP}}}}
 		if _, err := rt.Retrieve(context.Background(), Request{QoIs: bad, Tolerances: []float64{1, 1}, InitRel: []float64{1e-9, 1e-9}}); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("x^%d: %v, want ErrBadRequest", n, err)
 		}
-		if !slices.Equal(rt.eps, eps) || !maps.Equal(rt.memo, memo) {
+		if !slices.Equal(rt.plan.eps, eps) || !maps.Equal(rt.memo, memo) {
 			t.Fatalf("x^%d: the rejected request changed the session", n)
 		}
 	}

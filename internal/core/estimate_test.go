@@ -21,7 +21,13 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 	ds := datagen.GE("GE-estimate", 40, 256, 7)
 	ne := ds.NumElements()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
-	vars := refactorDataset(t, ds, progressive.PMGARDHB)
+	unmasked := refactorOptions(progressive.PMGARDHB)
+	unmasked.MaskZeros = false
+	varsUnmasked, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, unmasked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	varsMasked := refactorDataset(t, ds, progressive.PMGARDHB)
 	tols := make([]float64, len(ds.QoIs))
 	rels := make([]float64, len(ds.QoIs))
 	for k := range tols {
@@ -31,37 +37,33 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 	// Regions that start mid-block, straddle a chunk boundary, hold one
 	// point, or are the whole domain.
 	regions := []Region{{Lo: 100, Hi: 4500}, {}, {Lo: 5000, Hi: 5001}, {Lo: 4096, Hi: ne}, {Lo: 0, Hi: 513}, {}}
-	exprs := make([]qoi.Expr, len(ds.QoIs))
-	for k, q := range ds.QoIs {
-		exprs[k] = q.Expr
-	}
-	prog, err := qoi.Compile(exprs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := []int{0, 1, 2, 3, 4}
 
 	for _, workers := range []int{1, 3} {
 		for _, withRegions := range []bool{false, true} {
-			for _, disableMask := range []bool{false, true} {
+			for _, masked := range []bool{true, false} {
 				req := Request{QoIs: ds.QoIs, Tolerances: tols, InitRel: rels}
 				if withRegions {
 					req.Regions = regions
 				}
-				cfg := Config{Workers: workers, DisableMask: disableMask, MaxIters: 8}
-				name := func() string {
-					return map[bool]string{false: "whole", true: "regions"}[withRegions] +
-						map[bool]string{false: "", true: "/unmasked"}[disableMask]
-				}()
+				vars := varsMasked
+				name := map[bool]string{false: "whole", true: "regions"}[withRegions]
+				if !masked {
+					vars = varsUnmasked
+					name += "/unmasked"
+				}
 
-				rt, err := NewRetriever(vars, cfg, nil)
+				rt, err := NewRetriever(vars, Config{Workers: workers}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, err := rt.newRequest(req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				iters := 0
 				req.OnProgress = func(it Iteration) {
 					iters++
-					est, arg := rt.estimateAll(req, prog, used, ne, everyTarget(len(req.QoIs)))
+					est, arg := rt.estimateAll(q, rt.achieved, everyTarget(len(req.QoIs)))
 					wantEst, wantArg := theoremEstimate(rt, req, ne)
 					for k := range est {
 						if math.Float64bits(est[k]) != math.Float64bits(wantEst[k]) || arg[k] != wantArg[k] {
@@ -109,7 +111,7 @@ func theoremEstimate(rt *Retriever, req Request, ne int) ([]float64, []int) {
 						vals[v] = rt.data[v][j]
 					}
 					ebs[v] = rt.achieved[v]
-					if rt.mask[v] != nil && rt.mask[v][j] {
+					if mask := rt.vars[v].ZeroMask; mask != nil && mask[j] {
 						ebs[v] = 0
 					}
 				}

@@ -38,21 +38,11 @@ func countTargets(n *int) func(todo []bool) {
 func checkAgainstFresh(t *testing.T, rt *Retriever, req *Request, label string) func(Iteration) {
 	return func(it Iteration) {
 		t.Helper()
-		var used []int
-		for v := range rt.vars {
-			if rt.data[v] != nil {
-				used = append(used, v)
-			}
-		}
-		exprs := make([]qoi.Expr, len(req.QoIs))
-		for k, q := range req.QoIs {
-			exprs[k] = q.Expr
-		}
-		prog, err := qoi.Compile(exprs)
+		q, err := rt.newRequest(*req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := rt.estimateAll(*req, prog, used, rt.vars[0].Ref.NumElements(), everyTarget(len(req.QoIs)))
+		want, _ := rt.estimateAll(q, rt.achieved, everyTarget(len(req.QoIs)))
 		for k := range want {
 			if math.Float64bits(it.EstErrors[k]) != math.Float64bits(want[k]) {
 				t.Fatalf("%s iteration %d, %s: reported %g, fresh estimate %g", label, it.N, req.QoIs[k].Name, it.EstErrors[k], want[k])

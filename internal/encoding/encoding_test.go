@@ -2,9 +2,12 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +98,92 @@ func TestHuffmanRoundTripBasic(t *testing.T) {
 			t.Fatalf("sym %d = %d, want %d", i, dec[i], syms[i])
 		}
 	}
+}
+
+// TestHuffmanForgedHeader: a header whose symbol count the payload cannot
+// hold, or whose alphabet is empty, is refused as corrupt before the
+// decoder sizes anything by it. At 1<<22 symbols behind a 2-symbol code
+// the output alone would be 32 MiB. An empty alphabet would leave the
+// length table's inflate unbounded: here, 16 MiB from 16 KiB.
+func TestHuffmanForgedHeader(t *testing.T) {
+	enc, err := HuffmanEncode([]int{0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := slices.Clone(enc)
+	binary.LittleEndian.PutUint32(count[4:], 1<<22)
+	bomb, err := Deflate(make([]byte, 1<<24), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := PutSection(make([]byte, 8), bomb)
+	for name, data := range map[string][]byte{"count": count, "empty alphabet": empty} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := HuffmanDecode(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes", name, d)
+		}
+	}
+}
+
+// huffmanSeeds are HuffmanEncode outputs: the empty stream, a short
+// skewed one, one symbol repeated, and a wide alphabet with long codes.
+func huffmanSeeds(tb testing.TB) [][]byte {
+	rng := rand.New(rand.NewSource(5))
+	wide := make([]int, 600)
+	for i := range wide {
+		wide[i] = int(math.Abs(rng.NormFloat64()) * 40)
+	}
+	var out [][]byte
+	for _, c := range []struct {
+		syms     []int
+		alphabet int
+	}{
+		{nil, 10},
+		{[]int{0, 1, 1, 2, 2, 2, 2, 3, 0, 1, 2, 2}, 4},
+		{slices.Repeat([]int{7}, 100), 16},
+		{wide, 256},
+	} {
+		enc, err := HuffmanEncode(c.syms, c.alphabet)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, enc)
+	}
+	return out
+}
+
+// FuzzHuffmanDecode: HuffmanDecode refuses a stream with ErrCorrupt, or
+// returns at most 8 symbols per input byte that HuffmanEncode, under the
+// stream's own alphabet, encodes to a stream that decodes back to them.
+func FuzzHuffmanDecode(f *testing.F) {
+	for _, enc := range huffmanSeeds(f) {
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := HuffmanDecode(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("HuffmanDecode: %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if len(out) > 8*len(data) {
+			t.Fatalf("%d symbols from %d bytes", len(out), len(data))
+		}
+		enc, err := HuffmanEncode(out, int(binary.LittleEndian.Uint32(data)))
+		if err != nil {
+			t.Fatalf("decoded symbols do not encode: %v", err)
+		}
+		if back, err := HuffmanDecode(enc); err != nil || !slices.Equal(back, out) {
+			t.Fatalf("decoded symbols do not round-trip: %v", err)
+		}
+	})
 }
 
 func TestHuffmanEmpty(t *testing.T) {

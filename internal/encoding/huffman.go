@@ -237,7 +237,7 @@ func HuffmanDecode(data []byte) ([]int, error) {
 	}
 	alphabet := int(binary.LittleEndian.Uint32(data[0:]))
 	count := int(binary.LittleEndian.Uint32(data[4:]))
-	if alphabet < 0 || alphabet > 1<<28 || count < 0 || count > 1<<31 {
+	if alphabet <= 0 || alphabet > 1<<28 || count < 0 || count > 1<<31 {
 		return nil, fmt.Errorf("%w: implausible huffman header (A=%d N=%d)", ErrCorrupt, alphabet, count)
 	}
 	lengthsC, n, err := GetSection(data[8:])
@@ -265,8 +265,14 @@ func HuffmanDecode(data []byte) ([]int, error) {
 	if maxLen(lengths) == 0 {
 		return nil, fmt.Errorf("%w: nonzero count with empty code table", ErrCorrupt)
 	}
+	// Every code is at least one bit long, so the payload bounds the count
+	// before it sizes anything.
+	payload := data[payloadOff:]
+	if count > 8*len(payload) {
+		return nil, fmt.Errorf("%w: %d huffman symbols in %d payload bytes", ErrCorrupt, count, len(payload))
+	}
 	dec := newHuffDecoder(lengths)
-	r := NewBitReader(data[payloadOff:])
+	r := NewBitReader(payload)
 	out := make([]int, count)
 	for i := 0; i < count; i++ {
 		s, err := dec.decode(r)

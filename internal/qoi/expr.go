@@ -47,12 +47,22 @@ type Expr interface {
 }
 
 // own returns the package-defined node e is: e itself, or the node a type
-// outside the package embeds.
-func own(e Expr) Expr {
+// outside the package embeds. It returns nil for a nil e, and for a type
+// whose embedded node is a nil interface or pointer.
+func own(e Expr) (node Expr) {
 	switch e.(type) {
+	case nil:
+		return nil
 	case Var, Const, Sum, Mul, Div, Pow, Poly, Sqrt, Radical, Abs, Exp, Log:
 		return e
 	}
+	// self is promoted from the embedded node, and every node's self only
+	// returns its receiver, so the call fails only on a nil embedding.
+	defer func() {
+		if recover() != nil {
+			node = nil
+		}
+	}()
 	return e.self()
 }
 
@@ -408,6 +418,8 @@ func (r Radical) String() string { return fmt.Sprintf("1/(%s + %s)", r.X, trimFl
 // for bit, so it is the tests' oracle for the program.
 func TheoremBound(e Expr, vals, ebs []float64) (value, bound float64) {
 	switch x := own(e).(type) {
+	case nil:
+		return math.NaN(), math.Inf(1)
 	case Var:
 		value, bound = vals[x.Index], ebs[x.Index]
 	case Const:

@@ -60,8 +60,9 @@ type Program struct {
 
 // Compile lowers targets into one Program. Structurally equal subtrees,
 // down to the bits of every constant, weight and coefficient, become one
-// node. It refuses a Pow exponent outside [0, 64] and a Poly of degree
-// above 64, which only a node literal can hold: Parse builds neither.
+// node. It refuses a nil node at any depth, a Sum whose weights and terms
+// differ in number, a Pow exponent outside [0, 64] and a Poly of degree
+// above 64, which only a node literal can hold: Parse builds none of them.
 func Compile(targets []Expr) (*Program, error) {
 	c := compiler{ids: map[string]int{}}
 	roots := make([]int, len(targets))
@@ -96,11 +97,16 @@ func (c *compiler) lower(e Expr) (int, error) {
 	var nd node
 	var kids []Expr
 	switch x := own(e).(type) {
+	case nil:
+		return 0, fmt.Errorf("qoi: nil expression")
 	case Var:
 		nd = node{op: opVar, n: x.Index}
 	case Const:
 		nd = node{op: opConst, c: x.C}
 	case Sum:
+		if len(x.Weights) != len(x.Terms) {
+			return 0, fmt.Errorf("qoi: sum of %d terms with %d weights", len(x.Terms), len(x.Weights))
+		}
 		nd, kids = node{op: opSum, w: x.Weights}, x.Terms
 	case Mul:
 		nd, kids = node{op: opMul}, []Expr{x.A, x.B}

@@ -287,6 +287,30 @@ func TestNegativeAndHugePowers(t *testing.T) {
 	}
 }
 
+// TestCompileRefusesMalformedNodes: a hand-built node with a nil operand,
+// at any depth and however it is wrapped, or a Sum whose weights and terms
+// differ in number, is a Compile error, not a panic. TheoremBound gives
+// the nil operand no bound.
+func TestCompileRefusesMalformedNodes(t *testing.T) {
+	for name, e := range map[string]Expr{
+		"nil":                 nil,
+		"embedded nil":        foreign{},
+		"nil sum term":        Add(Var{0}, nil),
+		"nil mul operand":     Mul{A: Var{0}},
+		"nil sqrt operand":    Sqrt{},
+		"deep nil":            Div{Num: Var{0}, Den: foreign{Sqrt{X: foreign{}}}},
+		"nil embedded ptr":    foreign{(*Var)(nil)},
+		"sum without weights": Sum{Terms: []Expr{Var{0}, Var{1}}},
+	} {
+		if p, err := Compile([]Expr{Var{0}, e}); err == nil || p != nil {
+			t.Errorf("%s: Compile accepted %T", name, e)
+		}
+	}
+	if _, b := TheoremBound(Sqrt{}, []float64{1}, []float64{0}); !math.IsInf(b, 1) {
+		t.Fatalf("sqrt of nil bounds as %v, want +Inf", b)
+	}
+}
+
 func TestCompileSharesSubexpressions(t *testing.T) {
 	var ge []Expr
 	for _, q := range GEQoIs() {

@@ -238,7 +238,7 @@ func openStoreArchive(ctx context.Context, st storage.Store, dataset string) (*A
 // newSession opens a lazy session that fetches the fragments the certify
 // loop plans with one ranged GET per run of consecutive fragment indices
 // of a variable, through the store's cache, retry and ETag-pinning layers.
-func (sa *storeArchive) newSession(fetch FetchObserver, cfg SessionConfig) (*core.Retriever, error) {
+func (sa *storeArchive) newSession(fetch FetchObserver, cfg core.Config) (*core.Retriever, error) {
 	return core.NewLazyRetriever(sa.vars, cfg, fetch, func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error {
 		for vi, idxs := range want {
 			slices.Sort(idxs)

@@ -444,17 +444,13 @@ func (a *Archive) Variables() []*core.Variable { return a.vars }
 // size in bytes); use it for byte accounting or transfer simulation.
 type FetchObserver = progressive.FetchFunc
 
-// SessionConfig tunes the retrieval loop; the zero value uses the paper's
-// settings (tightening factor c = 1.5, max-error-point optimization on).
-type SessionConfig = core.Config
-
 // OpenOption configures Archive.Open, in the same functional-options idiom
 // Refactor and Open use.
 type OpenOption func(*openOptions)
 
 type openOptions struct {
 	fetch FetchObserver
-	cfg   SessionConfig
+	cfg   core.Config // Workers and Trace; the rest is the paper's loop
 }
 
 // WithFetchObserver registers a callback that sees every fragment fetch
@@ -462,12 +458,6 @@ type openOptions struct {
 // simulation (netsim.Recorder), progress meters.
 func WithFetchObserver(fetch FetchObserver) OpenOption {
 	return func(o *openOptions) { o.fetch = fetch }
-}
-
-// WithSessionConfig overrides the retrieval-loop settings (tightening
-// factor, iteration cap, worker count, estimator ablations).
-func WithSessionConfig(cfg SessionConfig) OpenOption {
-	return func(o *openOptions) { o.cfg = cfg }
 }
 
 // WithWorkers bounds the session's retrieval compute pool: fragment decode
