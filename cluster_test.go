@@ -12,7 +12,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"progqoi/internal/datagen"
@@ -197,5 +200,61 @@ func TestClusterFailoverMidDoMatchesLocal(t *testing.T) {
 				t.Fatalf("killed node %d shows no endpoint errors: %+v", victim, st.Endpoints)
 			}
 		})
+	}
+}
+
+// TestSessionWorkersBoundBatchPosts: a remote session's per-node batch
+// POSTs run as tasks on its WithWorkers budget, so a session opened with
+// WithWorkers(n) never has more than n of them in flight across the
+// cluster. One in-flight gauge spans all three nodes.
+func TestSessionWorkersBoundBatchPosts(t *testing.T) {
+	ds := datagen.GE("GE-cluster", 4, 220, 5)
+	arch, err := Refactor(ds.FieldNames, ds.Fields, ds.Dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inflight, peak atomic.Int64
+	urls := make([]string, 3)
+	for i := range urls {
+		srv := serveArchiveHandler(t, arch, "ge", server.Options{})
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/frags") {
+				n := inflight.Add(1)
+				defer inflight.Add(-1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+			}
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(hs.Close)
+		urls[i] = hs.URL
+	}
+	req := clusterRequest(t, ds.FieldNames)
+	for _, workers := range []int{1, 2} {
+		peak.Store(0)
+		rarch, err := Open(context.Background(), urls[0]+"/ge", WithEndpoints(urls[1:]...), WithCache(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := rarch.Open(WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Do(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		used := 0
+		for _, ep := range rarch.RemoteStats().Endpoints {
+			if ep.Requests > 0 {
+				used++
+			}
+		}
+		rarch.Close()
+		if used < 2 {
+			t.Fatalf("workers %d: fetches used %d of 3 nodes", workers, used)
+		}
+		if got := peak.Load(); got < 1 || got > int64(workers) {
+			t.Fatalf("workers %d: %d batch POSTs in flight at once", workers, got)
+		}
 	}
 }

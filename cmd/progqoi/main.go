@@ -300,8 +300,8 @@ func numElements(dims []int) int {
 }
 
 // withArchive opens ref through progqoi.Open, runs fn on the archive and
-// closes it, so a remote archive's read-ahead and topology goroutines are
-// waited on before the command returns. It is the one open path of
+// closes it, so a remote archive's topology refresher and idle
+// connections are released before the command returns. It is the one open path of
 // retrieve, info and verify.
 func withArchive(ctx context.Context, ref string, fn func(*progqoi.Archive) error) error {
 	arch, err := progqoi.Open(ctx, ref)

@@ -38,7 +38,6 @@ import (
 
 func main() {
 	urlFlag := flag.String("url", "", `also retrieve over a real fragment server: "self" serves in-process, otherwise a progqoid base URL hosting block0..blockN datasets`)
-	readAhead := flag.Int("readahead", 0, "remote read-ahead pipeline depth (fragments per variable fetched while decoding; 0 = off)")
 	nodes := flag.Int("nodes", 1, `with -url self: serve the blocks from this many cluster nodes and shard fetches across them`)
 	flag.Parse()
 
@@ -79,7 +78,6 @@ func main() {
 		remotes = make([]*progqoi.Archive, workers)
 		for b := 0; b < workers; b++ {
 			arch, err := progqoi.Open(context.Background(), fmt.Sprintf("%s/block%d", bases[0], b),
-				progqoi.WithReadAhead(*readAhead),
 				progqoi.WithEndpoints(bases[1:]...))
 			if err != nil {
 				log.Fatal(err)

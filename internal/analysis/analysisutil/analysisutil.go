@@ -13,9 +13,8 @@
 // directive without a reason does not suppress anything, so every
 // exemption in the tree documents why it is safe. The directive is the
 // machine-readable form of "documented exception". Its users are the
-// ctxflow detaches in Remote.readAhead (internal/client/remote.go) and
-// Client.refresher (internal/client/view.go), and the tokencmp exemption
-// in server.TokenEqual (internal/server/tenant.go).
+// ctxflow detach in Client.refresher (internal/client/view.go) and the
+// tokencmp exemption in server.TokenEqual (internal/server/tenant.go).
 package analysisutil
 
 import (

@@ -13,9 +13,7 @@
 //     context ("if ctx == nil { ctx = context.Background() }"), which
 //     preserves a caller-supplied context whenever one exists, and
 //     sites carrying a //progqoivet:allow ctxflow -- <reason>
-//     directive — the read-ahead detach in Remote.readAhead
-//     (internal/client/remote.go: speculative fetches must outlive the
-//     iteration that spawned them) and the topology refresh loop in
+//     directive — the one in the tree is the topology refresh loop in
 //     Client.refresher (internal/client/view.go: it outlives any one
 //     session, and Close stops it).
 //

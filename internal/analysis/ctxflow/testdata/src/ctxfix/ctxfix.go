@@ -32,7 +32,7 @@ func wrongDefault(ctx context.Context) context.Context {
 }
 
 func detach() context.Context {
-	//progqoivet:allow ctxflow -- fixture: a documented read-ahead detach
+	//progqoivet:allow ctxflow -- fixture: a documented background detach
 	return context.Background()
 }
 

@@ -29,6 +29,7 @@ import (
 	"progqoi/internal/encoding"
 	"progqoi/internal/lru"
 	"progqoi/internal/obs"
+	"progqoi/internal/par"
 	"progqoi/internal/retry"
 	"progqoi/internal/server"
 )
@@ -51,14 +52,6 @@ type Options struct {
 	// CacheBytes bounds the shared fragment cache (default
 	// DefaultCacheBytes; negative disables caching).
 	CacheBytes int64
-	// ReadAhead pipelines network fetch with decode: after each batched
-	// session fetch, up to ReadAhead further fragments per variable (the
-	// ones a tightening iteration would request next) are fetched in the
-	// background into the shared cache while the session decodes the batch
-	// it already has. 0 disables the pipeline. Speculative fragments count
-	// toward WireBytes even if never ingested, so on workloads that stop
-	// early the wire total can exceed a session's RetrievedBytes.
-	ReadAhead int
 	// Endpoints are additional base URLs of cluster nodes serving the
 	// same archives as the primary base URL; fragment fetches shard over
 	// all of them by rendezvous hashing and fail over between them. See
@@ -126,9 +119,6 @@ type Stats struct {
 	// Coalesced counts fragment lookups that piggybacked on another
 	// session's in-flight fetch.
 	Coalesced int64
-	// Speculated counts fragments requested by the read-ahead pipeline
-	// (Options.ReadAhead) rather than by a session's current plan.
-	Speculated int64
 	// Failovers counts fetches served by an endpoint other than their
 	// shard's rendezvous primary — each one is a request a healthy
 	// single-node path would have lost.
@@ -214,7 +204,6 @@ type Client struct {
 	wireRequests atomic.Int64
 	fragsFetched atomic.Int64
 	coalesced    atomic.Int64
-	speculated   atomic.Int64
 	failovers    atomic.Int64
 	retryPasses  atomic.Int64
 	rateLimited  atomic.Int64
@@ -276,6 +265,10 @@ func (c *Client) Endpoints() []string {
 	return out
 }
 
+// WireBytes returns Stats().WireBytes without building the rest of the
+// snapshot.
+func (c *Client) WireBytes() int64 { return c.wireBytes.Load() }
+
 // Stats snapshots the wire accounting.
 func (c *Client) Stats() Stats {
 	cs := c.cache.Stats()
@@ -288,7 +281,6 @@ func (c *Client) Stats() Stats {
 		FragmentsFetched: c.fragsFetched.Load(),
 		CacheHits:        cs.Hits,
 		Coalesced:        c.coalesced.Load(),
-		Speculated:       c.speculated.Load(),
 		Failovers:        c.failovers.Load(),
 		RetryPasses:      c.retryPasses.Load(),
 		RateLimited:      c.rateLimited.Load(),
@@ -406,18 +398,11 @@ func fragKey(dataset, vr string, fi int) string {
 // Fragments fetches a set of fragments in at most one HTTP round trip per
 // shard: cached fragments are returned directly, fragments already being
 // fetched by a concurrent session are awaited, and the rest split into
-// per-shard sub-batches issued concurrently (one batched POST per cluster
-// node involved). The result maps variable name → fragment index →
+// per-shard sub-batches (one batched POST per cluster node involved) that
+// run as tasks on b, so a session's Workers bound is also its bound on
+// concurrent POSTs. The result maps variable name → fragment index →
 // payload.
-func (c *Client) Fragments(ctx context.Context, dataset string, wants map[string][]int) (map[string]map[int][]byte, error) {
-	return c.FragmentsWorkers(ctx, dataset, wants, 0)
-}
-
-// FragmentsWorkers is Fragments with an explicit bound on concurrent
-// per-shard sub-batches (workers <= 0 means GOMAXPROCS). Remote sessions
-// pass their retrieval Workers budget here so the wire fan-out never
-// exceeds the compute fan-out.
-func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map[string][]int, workers int) (map[string]map[int][]byte, error) {
+func (c *Client) Fragments(ctx context.Context, b *par.Budget, dataset string, wants map[string][]int) (map[string]map[int][]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -477,7 +462,7 @@ func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map
 		for _, p := range owned {
 			byVar[p.vr] = append(byVar[p.vr], p.fi)
 		}
-		got, ferr := c.fetchShards(ctx, dataset, byVar, workers)
+		got, ferr := c.fetchShards(ctx, b, dataset, byVar)
 		if ferr == nil {
 			for _, p := range owned {
 				payload, ok := got[p.key]
@@ -547,7 +532,7 @@ func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map
 	if len(retry) > 0 {
 		// Either this call becomes the new owner, or it coalesces onto
 		// another live fetch; our own ctx now governs the wait.
-		got, err := c.Fragments(ctx, dataset, retry)
+		got, err := c.Fragments(ctx, b, dataset, retry)
 		if err != nil {
 			return nil, err
 		}

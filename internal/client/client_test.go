@@ -15,8 +15,8 @@ import (
 	"progqoi/internal/core"
 	"progqoi/internal/datagen"
 	"progqoi/internal/encoding"
+	"progqoi/internal/par"
 	"progqoi/internal/progressive"
-	"progqoi/internal/qoi"
 	"progqoi/internal/server"
 	"progqoi/internal/storage"
 )
@@ -138,7 +138,7 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}})
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}})
 	if err != nil {
 		t.Fatalf("fragment after transient 5xx: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestRetryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}}); err == nil {
+	if _, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}}); err == nil {
 		t.Fatal("persistent 5xx did not fail")
 	} else if !strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("error %v does not report retry exhaustion", err)
@@ -190,7 +190,7 @@ func TestNoRetryOn404(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Stats().WireRequests
-	_, err = c.Fragments(context.Background(), "ge", map[string][]int{"NoSuchVar": {0}})
+	_, err = c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{"NoSuchVar": {0}})
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != 404 {
 		t.Fatalf("want HTTPError 404, got %v", err)
@@ -219,7 +219,7 @@ func TestTruncatedBodyRetriesThenFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}}); err == nil {
+	if _, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}}); err == nil {
 		t.Fatal("truncated body did not fail")
 	}
 	if got := attempts.Load(); got != 4 {
@@ -246,7 +246,7 @@ func TestCorruptBatchDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}})
+	_, err = c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}})
 	if !errors.Is(err, encoding.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt for corrupted batch, got %v", err)
 	}
@@ -272,7 +272,7 @@ func TestShortFragmentAgainstIndexDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}})
+	_, err = c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}})
 	if !errors.Is(err, encoding.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt for short fragment, got %v", err)
 	}
@@ -291,7 +291,7 @@ func TestCacheEvictionUnderBytePressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {i}}); err != nil {
+		if _, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,7 +304,7 @@ func TestCacheEvictionUnderBytePressure(t *testing.T) {
 	}
 	// Fragment 0 was evicted long ago: re-fetching it pays the wire again.
 	wire := c.Stats().WireBytes
-	if _, err := c.Fragments(context.Background(), "ge", map[string][]int{vars[0].Name: {0}}); err != nil {
+	if _, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().WireBytes == wire {
@@ -336,7 +336,7 @@ func TestCoalescingConcurrentFetches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Fragments(context.Background(), "ge", want)
+			results[i], errs[i] = c.Fragments(context.Background(), par.New(0), "ge", want)
 		}(i)
 	}
 	// Wait until one goroutine owns the in-flight fetch and the other has
@@ -396,7 +396,7 @@ func TestCoalescedWaiterSurvivesOwnerCancellation(t *testing.T) {
 	ownerCtx, cancelOwner := context.WithCancel(context.Background())
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := c.Fragments(ownerCtx, "ge", want)
+		_, err := c.Fragments(ownerCtx, par.New(0), "ge", want)
 		ownerErr <- err
 	}()
 	// Wait until the owner's batch is parked on the server, then coalesce.
@@ -413,7 +413,7 @@ func TestCoalescedWaiterSurvivesOwnerCancellation(t *testing.T) {
 	var waiterErr error
 	go func() {
 		defer close(waiterDone)
-		waiterRes, waiterErr = c.Fragments(context.Background(), "ge", want)
+		waiterRes, waiterErr = c.Fragments(context.Background(), par.New(0), "ge", want)
 	}()
 	for c.Stats().Coalesced < 2 {
 		select {
@@ -442,62 +442,6 @@ func TestCoalescedWaiterSurvivesOwnerCancellation(t *testing.T) {
 	}
 	if got := batchCalls.Load(); got < 2 {
 		t.Fatalf("waiter did not issue its own fetch (%d batch calls)", got)
-	}
-}
-
-func TestConcurrentSessionsShareWire(t *testing.T) {
-	hs, _ := testService(t, nil)
-	c, err := New(hs.URL, fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem, err := c.openDataset(context.Background(), "ge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vtot := qoi.TotalVelocity(0, 1, 2)
-	const sessions = 4
-	var wg sync.WaitGroup
-	retrieved := make([]int64, sessions)
-	errs := make([]error, sessions)
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rt, err := rem.NewSession(nil, core.Config{})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := rt.Retrieve(context.Background(), core.Request{QoIs: []qoi.QoI{vtot}, Tolerances: []float64{5e-3}})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			retrieved[i] = res.RetrievedBytes
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
-		}
-	}
-	for i := 1; i < sessions; i++ {
-		if retrieved[i] != retrieved[0] {
-			t.Fatalf("sessions disagree on RetrievedBytes: %v", retrieved)
-		}
-	}
-	// Cache + coalescing guarantee every fragment crosses the wire at most
-	// once, so N concurrent identical sessions cost the wire exactly what
-	// one session retrieves.
-	st := c.Stats()
-	if st.WireBytes != retrieved[0] {
-		t.Fatalf("wire bytes %d for %d sessions, want %d (one session's worth)",
-			st.WireBytes, sessions, retrieved[0])
-	}
-	if st.CacheHits+st.Coalesced == 0 {
-		t.Fatal("no sharing observed across concurrent sessions")
 	}
 }
 

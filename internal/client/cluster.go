@@ -437,7 +437,7 @@ type shardItem struct {
 
 // fetchShards fetches the given fragments from the cluster: each fragment
 // routes to the endpoint pick chooses from its rendezvous order, the
-// per-endpoint sub-batches travel as concurrent POSTs bounded by workers,
+// per-endpoint sub-batches travel as concurrent POSTs, tasks on b,
 // and a sub-batch that fails with a retryable error is re-sharded onto
 // the next replica of each of its fragments. Sub-batch outcomes are
 // handled in endpoint order, so which error a failed call returns does
@@ -452,7 +452,7 @@ type shardItem struct {
 // exactly once, so Failovers can never double-count a fragment across
 // passes or view swaps. The result maps fragKey to payload (payloads
 // alias the response blobs; callers clone before caching).
-func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[string][]int, workers int) (map[string][]byte, error) {
+func (c *Client) fetchShards(ctx context.Context, b *par.Budget, dataset string, wants map[string][]int) (map[string][]byte, error) {
 	var remaining []shardItem
 	for _, vr := range sortedKeys(wants) {
 		for _, fi := range wants[vr] {
@@ -502,7 +502,7 @@ func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[stri
 				retryAfter time.Duration
 			}
 			results := make([]groupResult, len(eps))
-			par.New(workers).For(len(eps), func(_, gi int) bool {
+			b.For(len(eps), func(_, gi int) bool {
 				byVar := map[string][]int{}
 				for _, it := range groups[eps[gi]].items {
 					byVar[it.vr] = append(byVar[it.vr], it.fi)

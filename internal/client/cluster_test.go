@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"progqoi/internal/core"
+	"progqoi/internal/par"
 	"progqoi/internal/server"
 	"progqoi/internal/storage"
 )
@@ -153,7 +154,7 @@ func TestShardedBatchSplitsAcrossNodes(t *testing.T) {
 	vars := testVars(t)
 	nodes := testCluster(t, vars, 3)
 	c := clusterClient(t, nodes, fastOptions())
-	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestShardErrorIndependentOfCompletionOrder(t *testing.T) {
 	var first string
 	for i := int64(0); i < calls; i++ {
 		call.Store(i)
-		_, err := c.FragmentsWorkers(context.Background(), "ge", allWants(vars), 2)
+		_, err := c.Fragments(context.Background(), par.New(2), "ge", allWants(vars))
 		var he *HTTPError
 		if !errors.As(err, &he) {
 			t.Fatalf("call %d: want an HTTPError, got %v", i, err)
@@ -250,7 +251,7 @@ func TestFailoverOnDeadNode(t *testing.T) {
 	// Kill one node outright: connections refuse, fetches must fail over
 	// and every payload still arrive bit-identical.
 	nodes[1].hs.Close()
-	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch with a dead node: %v", err)
 	}
@@ -275,7 +276,7 @@ func TestFailoverOn5xxNode(t *testing.T) {
 	nodes := testCluster(t, vars, 3)
 	c := clusterClient(t, nodes, fastOptions())
 	nodes[0].fail.Store(true)
-	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch with a 500ing node: %v", err)
 	}
@@ -365,12 +366,12 @@ func TestBreakerRoutesAroundSickNodeThenRecovers(t *testing.T) {
 	// Enough failed calls to trip node 0's breaker (one health failure per
 	// call: the first sub-batch 500s, then everything reroutes to node 1).
 	for i := 0; i < breakerThreshold; i++ {
-		if _, err := c.Fragments(ctx, "ge", wants); err != nil {
+		if _, err := c.Fragments(ctx, par.New(0), "ge", wants); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
 	before := nodes[0].batchPosts.Load()
-	if _, err := c.Fragments(ctx, "ge", wants); err != nil {
+	if _, err := c.Fragments(ctx, par.New(0), "ge", wants); err != nil {
 		t.Fatal(err)
 	}
 	if after := nodes[0].batchPosts.Load(); after != before {
@@ -381,7 +382,7 @@ func TestBreakerRoutesAroundSickNodeThenRecovers(t *testing.T) {
 	// probe lets the node back in.
 	nodes[0].fail.Store(false)
 	clk.advance(breakerCooldown)
-	if _, err := c.Fragments(ctx, "ge", wants); err != nil {
+	if _, err := c.Fragments(ctx, par.New(0), "ge", wants); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].batchPosts.Load() == before {
@@ -423,11 +424,12 @@ func TestOpenDiscoversPeers(t *testing.T) {
 
 	opt := fastOptions()
 	opt.DiscoverPeers = true
-	rem, err := Open(context.Background(), seed.URL, "ge", opt)
+	c, err := Open(context.Background(), seed.URL, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rem.Client().Endpoints(); len(got) != 3 {
+	t.Cleanup(c.Close)
+	if got := c.Endpoints(); len(got) != 3 {
 		t.Fatalf("discovered endpoints = %v, want 3", got)
 	}
 }
@@ -471,7 +473,7 @@ func TestSpillPrefersHealthyNodeOverOpenReplicas(t *testing.T) {
 	}
 	before0, before1 := nodes[0].batchPosts.Load()+nodes[0].fragGets.Load(),
 		nodes[1].batchPosts.Load()+nodes[1].fragGets.Load()
-	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"progqoi/internal/core"
+	"progqoi/internal/par"
 	"progqoi/internal/retry"
 	"progqoi/internal/server"
 	"progqoi/internal/storage"
@@ -56,7 +57,7 @@ func TestTokenAuthAgainstTenantServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 	if err != nil {
 		t.Fatalf("authenticated fetch: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestRateLimit429FailsOverAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch with a throttling node: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestRetryAfterHonoredWhenAllReplicasLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch after throttle lifted: %v", err)
 	}
@@ -177,7 +178,7 @@ func TestRateLimitExhaustionSurfacesErrRateLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragments(context.Background(), "ge", allWants(vars)); !errors.Is(err, ErrRateLimited) {
+	if _, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars)); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
 	}
 	if waits := opt.clock.(*fakeClock).recorded(); len(waits) != 1 || waits[0] < time.Second {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"progqoi/internal/par"
 	"progqoi/internal/server"
 )
 
@@ -179,7 +180,7 @@ func TestFailedPassForcesRefresh(t *testing.T) {
 	// advertises node 1 — exactly a node mid-restart handing off.
 	nodes[0].fail.Store(true)
 	info.set(aliveMembers(nodes[0].hs.URL, nodes[1].hs.URL))
-	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestFailedPassForcesRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Fragments(context.Background(), "ge", allWants(vars)); err == nil {
+	if _, err := sc.Fragments(context.Background(), par.New(0), "ge", allWants(vars)); err == nil {
 		t.Fatal("static client silently adopted elastic refresh")
 	}
 }
@@ -267,7 +268,7 @@ func TestViewSwapRace(t *testing.T) {
 		go func() {
 			defer fetch.Done()
 			for r := 0; r < rounds; r++ {
-				got, err := c.Fragments(context.Background(), "ge", allWants(vars))
+				got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
 				if err != nil {
 					errs <- err
 					return

@@ -329,11 +329,14 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 
 // LazyFetch is the transport of a lazy session. want[v] lists the fragment
 // indices of variable v that the iteration's plan needs and the session
-// does not hold yet — at least one overall. The transport hands each
-// payload it obtains to install and returns its first error; whatever it
-// installed before failing stays installed, so the retry asks only for
-// the rest. It must abandon in-flight work when ctx is cancelled.
-type LazyFetch func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error
+// does not hold yet — at least one overall. b is the session's budget
+// (Config.Workers): a transport that issues requests concurrently runs
+// them as tasks on it, so the wire fan-out never exceeds the compute
+// fan-out. The transport hands each payload it obtains to install and
+// returns its first error; whatever it installed before failing stays
+// installed, so the retry asks only for the rest. It must abandon
+// in-flight work when ctx is cancelled.
+type LazyFetch func(ctx context.Context, b *par.Budget, want [][]int, install func(v, frag int, payload []byte)) error
 
 // NewLazyRetriever opens a retrieval session over meta-only variables —
 // fragment payloads absent, everything else resident — whose payloads
@@ -375,7 +378,7 @@ func NewLazyRetriever(meta []*Variable, cfg Config, observe progressive.FetchFun
 		if !missing {
 			return nil
 		}
-		return fetch(ctx, want, install)
+		return fetch(ctx, rt.budget, want, install)
 	}
 	rt.wire = wire
 	return rt, nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"progqoi/internal/datagen"
+	"progqoi/internal/par"
 	"progqoi/internal/progressive"
 )
 
@@ -38,7 +39,7 @@ type fakeTransport struct {
 	failAfter int
 }
 
-func (f *fakeTransport) fetch(_ context.Context, want [][]int, install func(v, frag int, payload []byte)) error {
+func (f *fakeTransport) fetch(_ context.Context, _ *par.Budget, want [][]int, install func(v, frag int, payload []byte)) error {
 	call := make([][]int, len(want))
 	for v := range want {
 		call[v] = append([]int(nil), want[v]...)

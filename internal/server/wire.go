@@ -118,8 +118,10 @@ func DecodeMeta(raw []byte) ([]*core.Variable, error) {
 	off := len(metaMagic)
 	n := int(binary.LittleEndian.Uint32(blob[off:]))
 	off += 4
-	if n < 0 || n > 1<<16 {
-		return nil, fmt.Errorf("%w: %d meta variables", encoding.ErrCorrupt, n)
+	// Every variable takes at least a 4-byte section, so a count the bytes
+	// left cannot hold is refused before anything is allocated.
+	if n < 0 || n > 1<<16 || n > (len(blob)-off)/4 {
+		return nil, fmt.Errorf("%w: %d meta variables in a %d-byte blob", encoding.ErrCorrupt, n, len(blob))
 	}
 	vars := make([]*core.Variable, n)
 	for i := 0; i < n; i++ {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"progqoi/internal/encoding"
@@ -48,4 +50,32 @@ func FuzzDecodeMeta(f *testing.F) {
 			t.Fatalf("%d decoded bytes re-encode to %d different ones", len(raw), len(back))
 		}
 	})
+}
+
+// TestDecodeMetaForgedHeaders feeds meta frames whose variable count
+// promises more variables than the bytes after it can hold: each
+// variable takes at least a 4-byte section. Each must be refused as
+// corrupt before DecodeMeta allocates for the count (65,536 variables
+// once cost 524 KB for a 12-byte body).
+func TestDecodeMetaForgedHeaders(t *testing.T) {
+	forged := func(n uint32, rest ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(bytes.Clone(metaMagic), n)
+		return encoding.AppendCRC(append(b, rest...))
+	}
+	cases := map[string][]byte{
+		"max count, no variables":  forged(1 << 16),
+		"two counted, one section": forged(2, 0, 0, 0, 0),
+	}
+	for name, raw := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeMeta(raw)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, encoding.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+			t.Errorf("%s: allocated %d bytes", name, d)
+		}
+	}
 }

@@ -111,11 +111,6 @@ type Options struct {
 	// CacheBytes bounds the read-through cache (default
 	// DefaultCacheBytes; negative disables caching).
 	CacheBytes int64
-	// Trace, when set, records obs.CatStore spans for cold fetches whose
-	// context carries no trace of its own — how a serving daemon keeps
-	// store-fetch spans without threading a client trace through HTTP
-	// handlers.
-	Trace *obs.Trace
 }
 
 // Store is an S3-compatible storage.Store whose GetRange is a ranged GET.
@@ -253,12 +248,8 @@ func (s *Store) GetRange(ctx context.Context, key string, off, length int64) ([]
 // retry, ETag pinning, cold-fetch accounting and a CatStore span whose
 // Bytes equal exactly the payload this fetch added to the cold counter.
 func (s *Store) fetch(ctx context.Context, op, key string, off, length int64) ([]byte, error) {
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		tr = s.opts.Trace
-	}
 	var m obs.SpanMark
-	if tr != nil {
+	if tr := obs.TraceFrom(ctx); tr != nil {
 		m = tr.Begin(obs.CatStore, op+" "+key)
 	}
 	start := time.Now()

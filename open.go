@@ -12,6 +12,7 @@ import (
 	"progqoi/internal/client"
 	"progqoi/internal/core"
 	"progqoi/internal/encoding"
+	"progqoi/internal/par"
 	"progqoi/internal/storage"
 	"progqoi/internal/storage/objstore"
 )
@@ -61,7 +62,7 @@ type StoreFetchStats = storage.FetchStats
 //   - "http://…" / "https://…" opens a dataset served by a progqoid
 //     fragment service: the base URL is the reference minus its last
 //     path segment. All cluster options (WithEndpoints, WithReplication,
-//     WithPeerDiscovery, WithReadAhead) apply.
+//     WithPeerDiscovery, WithTopologyRefresh) apply.
 //
 //   - "file:///dir/dataset", "file://dir/dataset" and bare paths open a
 //     local archive directory; fragments are resident in memory like an
@@ -117,7 +118,7 @@ func Open(ctx context.Context, ref string, opts ...RemoteOption) (*Archive, erro
 	if err != nil {
 		return nil, err
 	}
-	return archiveFromVars(vars), nil
+	return archiveFromVars(vars, totalBytes(vars)), nil
 }
 
 // splitHTTPRef splits an http(s) reference into the service base URL and
@@ -161,12 +162,12 @@ func s3Options(ro remoteOptions) objstore.Options {
 	return o
 }
 
-// openRemoteArchive is Open's http(s) case.
+// openRemoteArchive is Open's http(s) case: the dataset's metadata once,
+// and a fetch that asks the client for the fragments a session plans.
 func openRemoteArchive(ctx context.Context, baseURL, dataset string, ro remoteOptions) (*Archive, error) {
-	rem, err := client.Open(ctx, baseURL, dataset, client.Options{
+	c, err := client.Open(ctx, baseURL, client.Options{
 		CacheBytes:      ro.cacheBytes,
 		MaxRetries:      ro.maxRetries,
-		ReadAhead:       ro.readAhead,
 		HTTPClient:      ro.httpClient,
 		Endpoints:       ro.endpoints,
 		Replication:     ro.replication,
@@ -177,69 +178,78 @@ func openRemoteArchive(ctx context.Context, baseURL, dataset string, ro remoteOp
 	if err != nil {
 		return nil, err
 	}
-	names := rem.FieldNames()
-	return &Archive{
-		names:  names,
-		dims:   rem.Dims(),
-		fields: len(names),
-		remote: rem,
-	}, nil
+	vars, stored, err := c.Meta(ctx, dataset)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	a := archiveFromVars(vars, stored)
+	a.client, a.wire = c, c.WireBytes
+	a.fetch = func(ctx context.Context, b *par.Budget, want [][]int, install func(v, frag int, payload []byte)) error {
+		wants := map[string][]int{}
+		for vi, idxs := range want {
+			if len(idxs) > 0 {
+				wants[vars[vi].Name] = idxs
+			}
+		}
+		got, err := c.Fragments(ctx, b, dataset, wants)
+		if err != nil {
+			return err
+		}
+		for vi, v := range vars {
+			for fi, payload := range got[v.Name] {
+				install(vi, fi, payload)
+			}
+		}
+		return nil
+	}
+	return a, nil
 }
 
-// archiveFromVars wraps fully loaded variables as a local Archive.
-func archiveFromVars(vars []*core.Variable) *Archive {
-	names := make([]string, len(vars))
-	for i, v := range vars {
-		names[i] = v.Name
-	}
+// archiveFromVars wraps opened variables as an Archive holding stored
+// fragment bytes at rest.
+func archiveFromVars(vars []*core.Variable, stored int64) *Archive {
 	var dims []int
 	if len(vars) > 0 {
 		dims = append([]int(nil), vars[0].Ref.Dims...)
 	}
-	return &Archive{vars: vars, names: names, dims: dims, fields: len(vars)}
+	return &Archive{vars: vars, dims: dims, stored: stored}
 }
 
-// storeArchive is an archive opened directly from a storage.Store (the
-// s3:// case): retrieval metadata held locally, fragment payloads
-// re-read on demand at their recorded byte ranges. One storeArchive can
-// serve many concurrent sessions; the store's read-through cache is the
-// shared layer between them.
-type storeArchive struct {
-	st     storage.Store
-	vars   []*core.Variable          // meta-only: fragment payloads stripped
-	ranges [][]storage.FragmentRange // ranges[vi][fi] within keys[vi]'s blob
-	keys   []string                  // store key of each variable's blob
-	stored int64                     // total fragment payload bytes at rest
-	wire   atomic.Int64              // bytes fetched, section-length prefixes included
+// totalBytes sums the fragment bytes of resident variables.
+func totalBytes(vars []*core.Variable) int64 {
+	var n int64
+	for _, v := range vars {
+		n += v.Ref.TotalBytes()
+	}
+	return n
 }
 
-// openStoreArchive reads the archive once (one Get per blob), keeps its
-// metadata and fragment ranges, drops the payloads, and returns a session
-// factory whose fragment reads are ranged GETs against st.
+// openStoreArchive is Open's s3 case: it reads the archive once (one Get
+// per blob), keeps its metadata and fragment ranges, and drops the
+// payloads. Sessions then fetch the fragments each iteration plans with
+// one ranged GET per run of consecutive fragment indices of a variable,
+// through the store's cache, retry and ETag-pinning layers; the store's
+// read-through cache is the layer concurrent sessions share.
 func openStoreArchive(ctx context.Context, st storage.Store, dataset string) (*Archive, error) {
 	vars, ranges, err := storage.ReadArchiveRanged(ctx, st, dataset)
 	if err != nil {
 		return nil, err
 	}
-	sa := &storeArchive{st: st, vars: vars, ranges: ranges}
-	sa.keys = make([]string, len(vars))
+	keys := make([]string, len(vars))
+	var stored int64
 	for i, v := range vars {
-		sa.keys[i] = storage.VarKey(dataset, v.Name)
+		keys[i] = storage.VarKey(dataset, v.Name)
 		for j, r := range ranges[i] {
-			sa.stored += r.Len
+			stored += r.Len
 			v.Ref.Fragments[j] = nil
 		}
 	}
-	a := archiveFromVars(vars)
-	a.vars, a.store = nil, sa
-	return a, nil
-}
-
-// newSession opens a lazy session that fetches the fragments the certify
-// loop plans with one ranged GET per run of consecutive fragment indices
-// of a variable, through the store's cache, retry and ETag-pinning layers.
-func (sa *storeArchive) newSession(fetch FetchObserver, cfg core.Config) (*core.Retriever, error) {
-	return core.NewLazyRetriever(sa.vars, cfg, fetch, func(ctx context.Context, want [][]int, install func(v, frag int, payload []byte)) error {
+	// wire counts the bytes fetched, section-length prefixes included.
+	var wire atomic.Int64
+	a := archiveFromVars(vars, stored)
+	a.store, a.wire = st, wire.Load
+	a.fetch = func(ctx context.Context, _ *par.Budget, want [][]int, install func(v, frag int, payload []byte)) error {
 		for vi, idxs := range want {
 			slices.Sort(idxs)
 			for len(idxs) > 0 {
@@ -247,35 +257,37 @@ func (sa *storeArchive) newSession(fetch FetchObserver, cfg core.Config) (*core.
 				for n < len(idxs) && idxs[n] == idxs[n-1]+1 {
 					n++
 				}
-				if err := sa.fetchRun(ctx, vi, idxs[:n], install); err != nil {
+				read, err := fetchRun(ctx, st, keys[vi], ranges[vi], vi, idxs[:n], install)
+				wire.Add(read)
+				if err != nil {
 					return err
 				}
 				idxs = idxs[n:]
 			}
 		}
 		return nil
-	}, sa.wire.Load)
+	}
+	return a, nil
 }
 
-// fetchRun reads fragments run, ascending consecutive indices of variable
-// vi, with one ranged GET. The read starts at the first fragment's 4-byte
-// section-length prefix, so every fragment's prefix lies inside the
-// buffer; each must equal the fragment's recorded length before any
+// fetchRun reads fragments run, ascending consecutive indices of
+// variable vi stored under key at ranges, with one ranged GET, and
+// returns the bytes it read. The read starts at the first fragment's
+// 4-byte section-length prefix, so every fragment's prefix lies inside
+// the buffer; each must equal the fragment's recorded length before any
 // payload of the run is installed. A variable's fragment sections are
 // contiguous in its blob (FORMATS.md), so the over-read is exactly those
 // prefixes.
-func (sa *storeArchive) fetchRun(ctx context.Context, vi int, run []int, install func(v, frag int, payload []byte)) error {
-	key, ranges := sa.keys[vi], sa.ranges[vi]
+func fetchRun(ctx context.Context, st storage.Store, key string, ranges []storage.FragmentRange, vi int, run []int, install func(v, frag int, payload []byte)) (int64, error) {
 	base, last := ranges[run[0]].Off-4, ranges[run[len(run)-1]]
-	b, err := sa.st.GetRange(ctx, key, base, last.Off+last.Len-base)
+	b, err := st.GetRange(ctx, key, base, last.Off+last.Len-base)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	sa.wire.Add(int64(len(b)))
 	for _, fi := range run {
 		r := ranges[fi]
 		if got := binary.LittleEndian.Uint32(b[r.Off-base-4:]); int64(got) != r.Len {
-			return fmt.Errorf("%w: %s fragment %d: section length %d, recorded %d", encoding.ErrCorrupt, key, fi, got, r.Len)
+			return int64(len(b)), fmt.Errorf("%w: %s fragment %d: section length %d, recorded %d", encoding.ErrCorrupt, key, fi, got, r.Len)
 		}
 	}
 	for _, fi := range run {
@@ -283,7 +295,7 @@ func (sa *storeArchive) fetchRun(ctx context.Context, vi int, run []int, install
 		hi := lo + ranges[fi].Len
 		install(vi, fi, b[lo:hi:hi]) // capped: no payload can grow into the next
 	}
-	return nil
+	return int64(len(b)), nil
 }
 
 // StoreBacked reports whether the archive reads fragments from an object
@@ -295,10 +307,7 @@ func (a *Archive) StoreBacked() bool { return a.store != nil }
 // Zero for local and progqoid-served archives (use RemoteStats for the
 // latter) and for stores that do not keep fetch statistics.
 func (a *Archive) StoreStats() StoreFetchStats {
-	if a.store == nil {
-		return StoreFetchStats{}
-	}
-	if fs, ok := a.store.st.(storage.FetchStatser); ok {
+	if fs, ok := a.store.(storage.FetchStatser); ok {
 		return fs.FetchStats()
 	}
 	return StoreFetchStats{}

@@ -103,26 +103,19 @@ func TestOpenRefGrammar(t *testing.T) {
 			if a.StoreBacked() != tc.store {
 				t.Fatalf("StoreBacked() = %v, want %v", a.StoreBacked(), tc.store)
 			}
+			if a.StoredBytes() != arch.StoredBytes() {
+				t.Fatalf("StoredBytes() = %d, want %d", a.StoredBytes(), arch.StoredBytes())
+			}
 			want := arch.Variables()
-			switch {
-			case tc.store:
-				// Metadata only: every payload is re-read at its range.
-				for vi, v := range a.store.vars {
-					for fi, f := range v.Ref.Fragments {
+			for vi, v := range a.vars {
+				for fi, f := range v.Ref.Fragments {
+					if a.fetch != nil {
+						// Metadata only: every payload is fetched on demand.
 						if len(f) != 0 {
 							t.Fatalf("%s fragment %d holds %d payload bytes after Open", v.Name, fi, len(f))
 						}
-						if got := a.store.ranges[vi][fi].Len; got != int64(len(want[vi].Ref.Fragments[fi])) {
-							t.Fatalf("%s fragment %d: range length %d, want %d", v.Name, fi, got, len(want[vi].Ref.Fragments[fi]))
-						}
-					}
-				}
-			case a.remote == nil:
-				for vi, v := range a.Variables() {
-					for fi, f := range v.Ref.Fragments {
-						if !bytes.Equal(f, want[vi].Ref.Fragments[fi]) {
-							t.Fatalf("%s fragment %d differs from the packed archive", v.Name, fi)
-						}
+					} else if !bytes.Equal(f, want[vi].Ref.Fragments[fi]) {
+						t.Fatalf("%s fragment %d differs from the packed archive", v.Name, fi)
 					}
 				}
 			}

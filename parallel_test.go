@@ -1,9 +1,9 @@
 package progqoi
 
-// parallel_test.go covers the PR's concurrency surface at the public API:
-// the WithWorkers determinism guarantee, the read-ahead fetch/decode
-// pipeline, and the shared-cache race of concurrent sessions while a third
-// session cancels mid-Do (run under -race in CI).
+// parallel_test.go covers the concurrency surface of the public API: the
+// WithWorkers determinism guarantee, the shared wire of concurrent remote
+// sessions, and the shared-cache race of concurrent sessions while a
+// third session cancels mid-Do (run under -race in CI).
 
 import (
 	"context"
@@ -169,47 +169,60 @@ func TestSharedCacheSessionsWithCancelMidDo(t *testing.T) {
 	}
 }
 
-func TestReadAheadPipeline(t *testing.T) {
+// TestConcurrentSessionsShareWire: sessions of one remote archive share
+// its fragment cache and coalesce duplicate in-flight fetches, so every
+// fragment crosses the wire at most once and N concurrent identical
+// sessions cost the wire exactly what one session retrieves.
+func TestConcurrentSessionsShareWire(t *testing.T) {
 	ds := parallelDataset()
 	arch, err := Refactor(ds.FieldNames, ds.Fields, ds.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := doVTOT(t, arch, 1e-4)
-
 	hs := serveArchive(t, arch, "ge")
-	rarch, err := Open(context.Background(), hs.URL+"/ge", WithReadAhead(4))
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := doVTOT(t, rarch, 1e-4)
-	if got.RetrievedBytes != want.RetrievedBytes || got.EstErrors[0] != want.EstErrors[0] {
-		t.Fatalf("read-ahead session certified (%d B, %g), local (%d B, %g)",
-			got.RetrievedBytes, got.EstErrors[0], want.RetrievedBytes, want.EstErrors[0])
+	defer rarch.Close()
+	const sessions = 4
+	var wg sync.WaitGroup
+	retrieved := make([]int64, sessions)
+	errs := make([]error, sessions)
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sess, err := rarch.Open()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res, err := sess.Do(context.Background(), Request{Targets: []Target{{QoI: TotalVelocity(0, 1, 2), Tolerance: 5e-3}}})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			retrieved[i] = res.RetrievedBytes
+		}(i)
 	}
-	for j := range want.Data[0] {
-		if math.Float64bits(got.Data[0][j]) != math.Float64bits(want.Data[0][j]) {
-			t.Fatalf("point %d: read-ahead reconstruction differs", j)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
 		}
 	}
-	rarch.WaitReadAhead()
+	for i := 1; i < sessions; i++ {
+		if retrieved[i] != retrieved[0] {
+			t.Fatalf("sessions disagree on RetrievedBytes: %v", retrieved)
+		}
+	}
 	st := rarch.RemoteStats()
-	if st.Speculated == 0 {
-		t.Fatal("pipeline never speculated: read-ahead is not overlapping fetch with decode")
+	if st.WireBytes != retrieved[0] {
+		t.Fatalf("wire bytes %d for %d sessions, want %d (one session's worth)",
+			st.WireBytes, sessions, retrieved[0])
 	}
-	// Speculation may over-fetch (that is its price) but never under-counts:
-	// the wire carried at least the logical bytes, and everything speculated
-	// landed in the shared cache for later sessions.
-	if st.WireBytes < want.RetrievedBytes {
-		t.Fatalf("wire bytes %d below logical %d", st.WireBytes, want.RetrievedBytes)
-	}
-	// A tighter follow-up on the same session consumes speculated fragments
-	// from the cache instead of the wire.
-	before := rarch.RemoteStats()
-	_ = doVTOT(t, rarch, 1e-5)
-	rarch.WaitReadAhead()
-	after := rarch.RemoteStats()
-	if after.CacheHits <= before.CacheHits {
-		t.Fatal("tighter retrieval hit the cache zero times despite read-ahead")
+	if st.CacheHits+st.Coalesced == 0 {
+		t.Fatal("no sharing observed across concurrent sessions")
 	}
 }

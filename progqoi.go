@@ -93,6 +93,7 @@ import (
 	"progqoi/internal/obs"
 	"progqoi/internal/progressive"
 	"progqoi/internal/qoi"
+	"progqoi/internal/storage"
 )
 
 // Method selects a progressive representation.
@@ -203,12 +204,19 @@ func WithRefactorWorkers(n int) Option { return func(o *options) { o.workers = n
 // s3 schemes return archives whose sessions fetch fragment payloads over
 // the wire as they need them.
 type Archive struct {
-	vars   []*core.Variable
-	names  []string
+	vars   []*core.Variable // meta-only when fetch is set
 	dims   []int
-	fields int
-	remote *client.Remote
-	store  *storeArchive
+	stored int64 // fragment bytes at rest
+
+	// fetch and wire are the transport of an http(s) or s3 archive, nil
+	// for a resident one: fetch brings a session the payloads its plan
+	// needs, and wire counts the bytes it moved for every session.
+	fetch core.LazyFetch
+	wire  func() int64
+	// client serves RemoteStats and Close on an http(s) archive, store
+	// serves StoreStats on an s3 one.
+	client *client.Client
+	store  storage.Store
 }
 
 // RemoteOption configures Open, in the same functional-options idiom
@@ -220,7 +228,6 @@ type RemoteOption func(*remoteOptions)
 type remoteOptions struct {
 	cacheBytes  int64
 	maxRetries  int
-	readAhead   int
 	httpClient  *http.Client
 	endpoints   []string
 	replication int
@@ -337,17 +344,6 @@ func WithTopologyRefresh(interval time.Duration) RemoteOption {
 	return func(o *remoteOptions) { o.topologyRefresh = interval }
 }
 
-// WithReadAhead pipelines the wire with the decoder: after each batched
-// fragment fetch, up to n further fragments per variable — the ones a
-// tightening iteration would request next — are fetched in the background
-// into the shared cache while the session's worker pool decodes the batch
-// it already has (default 0 = off). Speculative fragments count toward
-// RemoteStats.WireBytes even when a retrieval certifies before needing
-// them, so the wire total can exceed a session's RetrievedBytes.
-func WithReadAhead(n int) RemoteOption {
-	return func(o *remoteOptions) { o.readAhead = n }
-}
-
 // RemoteStats snapshots a remote archive's wire accounting: fragment
 // payload bytes fetched over HTTP (the same unit as RetrievedBytes:
 // fragments cross the wire as stored), cache hits (free), and coalesced
@@ -357,35 +353,25 @@ type RemoteStats = client.Stats
 
 // Remote reports whether the archive retrieves from a progqoid fragment
 // service (see StoreBacked for archives reading an object store directly).
-func (a *Archive) Remote() bool { return a.remote != nil }
+func (a *Archive) Remote() bool { return a.client != nil }
 
 // RemoteStats returns the wire accounting of a remote archive (zero for
 // local archives).
 func (a *Archive) RemoteStats() RemoteStats {
-	if a.remote == nil {
+	if a.client == nil {
 		return RemoteStats{}
 	}
-	return a.remote.Client().Stats()
+	return a.client.Stats()
 }
 
-// WaitReadAhead blocks until every background read-ahead fetch launched by
-// WithReadAhead sessions has finished — for orderly shutdown or stable
-// stats snapshots; retrieval itself never waits on speculation. No-op for
-// local archives.
-func (a *Archive) WaitReadAhead() {
-	if a.remote != nil {
-		a.remote.WaitReadAhead()
-	}
-}
-
-// Close releases the archive's background machinery: it waits for
-// in-flight read-ahead fetches and stops the topology refresher started
-// by WithTopologyRefresh. Idempotent; a no-op for local and store-backed
-// archives, and sessions already open keep working afterwards (the
-// routing view just stops following the cluster).
+// Close stops the topology refresher WithTopologyRefresh started and
+// drops the idle connections of the transport Open built. Idempotent; a
+// no-op for local and store-backed archives, and sessions already open
+// keep working afterwards (the routing view just stops following the
+// cluster).
 func (a *Archive) Close() {
-	if a.remote != nil {
-		a.remote.Close()
+	if a.client != nil {
+		a.client.Close()
 	}
 }
 
@@ -409,11 +395,17 @@ func Refactor(names []string, fields [][]float64, dims []int, opts ...Option) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Archive{vars: vars, names: append([]string(nil), names...), dims: append([]int(nil), dims...), fields: len(fields)}, nil
+	return &Archive{vars: vars, dims: append([]int(nil), dims...), stored: totalBytes(vars)}, nil
 }
 
 // FieldNames returns the archive's field names in variable order.
-func (a *Archive) FieldNames() []string { return append([]string(nil), a.names...) }
+func (a *Archive) FieldNames() []string {
+	names := make([]string, len(a.vars))
+	for i, v := range a.vars {
+		names[i] = v.Name
+	}
+	return names
+}
 
 // Dims returns the grid shape.
 func (a *Archive) Dims() []int { return append([]int(nil), a.dims...) }
@@ -421,24 +413,17 @@ func (a *Archive) Dims() []int { return append([]int(nil), a.dims...) }
 // StoredBytes returns the total fragment bytes across all variables (for
 // remote and store-backed archives: the bytes held at the storage site,
 // not yet fetched).
-func (a *Archive) StoredBytes() int64 {
-	if a.remote != nil {
-		return a.remote.StoredBytes()
-	}
-	if a.store != nil {
-		return a.store.stored
-	}
-	var n int64
-	for _, v := range a.vars {
-		n += v.Ref.TotalBytes()
-	}
-	return n
-}
+func (a *Archive) StoredBytes() int64 { return a.stored }
 
 // Variables exposes the underlying refactored variables (advanced use:
 // custom retrievers, storage layers, transfer simulation). Remote archives
 // hold no local variables and return nil.
-func (a *Archive) Variables() []*core.Variable { return a.vars }
+func (a *Archive) Variables() []*core.Variable {
+	if a.fetch != nil {
+		return nil
+	}
+	return a.vars
+}
 
 // FetchObserver sees every fragment fetch (index within its variable,
 // size in bytes); use it for byte accounting or transfer simulation.
@@ -500,9 +485,11 @@ type Session struct {
 }
 
 // Open starts a retrieval session over the archive. On a remote archive
-// the session's fragment fetches cross the wire, batched into one request
-// per retrieval iteration; concurrent sessions share the archive's
-// fragment cache and coalesce duplicate fetches.
+// the session fetches the fragments each retrieval iteration plans, on
+// its own WithWorkers budget: from a progqoid service in one batched
+// request per cluster node, sharing the archive's fragment cache and
+// coalescing duplicate fetches with concurrent sessions; from an object
+// store in one ranged read per run of consecutive fragments.
 func (a *Archive) Open(opts ...OpenOption) (*Session, error) {
 	var o openOptions
 	for _, fn := range opts {
@@ -514,12 +501,9 @@ func (a *Archive) Open(opts ...OpenOption) (*Session, error) {
 		rt  *core.Retriever
 		err error
 	)
-	switch {
-	case a.remote != nil:
-		rt, err = a.remote.NewSession(o.fetch, o.cfg)
-	case a.store != nil:
-		rt, err = a.store.newSession(o.fetch, o.cfg)
-	default:
+	if a.fetch != nil {
+		rt, err = core.NewLazyRetriever(a.vars, o.cfg, o.fetch, a.fetch, a.wire)
+	} else {
 		rt, err = core.NewRetriever(a.vars, o.cfg, o.fetch)
 	}
 	if err != nil {
