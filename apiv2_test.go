@@ -464,6 +464,18 @@ func TestErrBadRequest(t *testing.T) {
 			_, err := sess.Do(ctx, Request{Targets: []Target{{QoI: vtot, Tolerance: 1e-3, Relative: true}}})
 			return err
 		},
+		"relative tolerance × range underflows to 0": func() error {
+			_, err := sess.Do(ctx, Request{Targets: []Target{{QoI: vtot, Tolerance: 1e-200, Relative: true, Range: 1e-200}}})
+			return err
+		},
+		"relative target with a NaN range": func() error {
+			_, err := sess.Do(ctx, Request{Targets: []Target{{QoI: vtot, Tolerance: 1e-3, Relative: true, Range: math.NaN()}}})
+			return err
+		},
+		"NaN absolute tolerance": func() error {
+			_, err := sess.Do(ctx, Request{Targets: []Target{{QoI: vtot, Tolerance: math.NaN()}}})
+			return err
+		},
 		"inverted region": func() error {
 			_, err := sess.Do(ctx, Request{Targets: []Target{
 				{QoI: vtot, Tolerance: 1e-3, Region: Region{Lo: 400, Hi: 100}}}})

@@ -80,11 +80,9 @@ func retrieveVTOT(b *testing.B, vars []*core.Variable, cfg core.Config, rel floa
 	}
 	vtot := []qoi.QoI{ds.QoIs[0]}
 	ranges := core.QoIRanges(vtot, ds.Fields)
-	res, err := rt.Retrieve(context.Background(), core.Request{
-		QoIs:       vtot,
-		Tolerances: []float64{rel * ranges[0]},
-		InitRel:    []float64{rel},
-	})
+	res, err := rt.Retrieve(context.Background(), core.Request{Targets: []core.Target{
+		{QoI: vtot[0], Tolerance: rel, Relative: true, Range: ranges[0]},
+	}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -214,11 +212,9 @@ func BenchmarkAblationMaskOff(b *testing.B) {
 		}
 		vtot := []qoi.QoI{ds.QoIs[0]}
 		ranges := core.QoIRanges(vtot, ds.Fields)
-		res, _ := rt.Retrieve(context.Background(), core.Request{
-			QoIs:       vtot,
-			Tolerances: []float64{1e-3 * ranges[0]},
-			InitRel:    []float64{1e-3},
-		})
+		res, _ := rt.Retrieve(context.Background(), core.Request{Targets: []core.Target{
+			{QoI: vtot[0], Tolerance: 1e-3, Relative: true, Range: ranges[0]},
+		}})
 		if res != nil {
 			bytes = res.RetrievedBytes
 		}

@@ -16,7 +16,6 @@ import (
 	"progqoi/internal/datagen"
 	"progqoi/internal/encoding"
 	"progqoi/internal/progressive"
-	"progqoi/internal/qoi"
 	"progqoi/internal/storage"
 )
 
@@ -100,12 +99,12 @@ func TestStorageToRetrievalPipeline(t *testing.T) {
 	}
 	ranges := core.QoIRanges(ds.QoIs, ds.Fields)
 	tols := make([]float64, len(ds.QoIs))
-	rels := make([]float64, len(ds.QoIs))
+	targets := make([]core.Target, len(ds.QoIs))
 	for k := range tols {
-		rels[k] = 1e-6
-		tols[k] = rels[k] * ranges[k]
+		tols[k] = 1e-6 * ranges[k]
+		targets[k] = core.Target{QoI: ds.QoIs[k], Tolerance: 1e-6, Relative: true, Range: ranges[k]}
 	}
-	res, err := rt.Retrieve(context.Background(), core.Request{QoIs: ds.QoIs, Tolerances: tols, InitRel: rels})
+	res, err := rt.Retrieve(context.Background(), core.Request{Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +141,9 @@ func TestCorruptedFragmentFailsLoudly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vtot := []qoi.QoI{ds.QoIs[0]}
-		_, err = rt.Retrieve(context.Background(), core.Request{
-			QoIs:       vtot,
-			Tolerances: []float64{1e-6},
-			InitRel:    []float64{1e-6},
-		})
+		_, err = rt.Retrieve(context.Background(), core.Request{Targets: []core.Target{
+			{QoI: ds.QoIs[0], Tolerance: 1e-6, Relative: true, Range: 1},
+		}})
 		if err == nil || errors.Is(err, core.ErrExhausted) {
 			// Either a decode error or — if the corruption landed in a
 			// region the Huffman stream tolerates — a checksum-level error.

@@ -118,33 +118,48 @@ type Region struct{ Lo, Hi int }
 
 func (r Region) whole() bool { return r.Lo == 0 && r.Hi == 0 }
 
-// ErrBadRequest reports an invalid retrieval request (length mismatches,
-// non-positive tolerances, malformed regions, unknown variables). Every
+// ErrBadRequest reports an invalid retrieval request (no targets,
+// non-positive tolerances, relative targets without a range, malformed
+// regions, QoIs that do not compile or read unknown variables). Every
 // argument-validation failure of Retrieve wraps it, so callers can
 // distinguish caller bugs from transport or representation failures with
 // errors.Is(err, ErrBadRequest).
 var ErrBadRequest = errors.New("core: bad request")
 
-// Request asks for a set of QoIs within absolute error tolerances.
+// Target is one quantity of interest with its own error requirement: an
+// absolute tolerance, or a tolerance relative to the QoI's value range,
+// certified over the whole domain or just a Region. A Request mixes
+// targets freely — the same QoI may appear twice with different regions
+// and tolerances to express spatially varying fidelity.
+type Target struct {
+	// QoI is the derivable quantity to certify.
+	QoI qoi.QoI
+	// Tolerance is the requested max error: absolute by default, or a
+	// fraction of Range when Relative is set. Must be positive.
+	Tolerance float64
+	// Relative interprets Tolerance as Tolerance × Range (the paper's
+	// evaluation convention) and seeds Algorithm 3 with the relative
+	// value; an absolute target seeds it with 0.1 and Algorithm 4 tightens
+	// from there.
+	Relative bool
+	// Range is the QoI's value range (see QoIRanges); required when
+	// Relative is set, ignored otherwise.
+	Range float64
+	// Region restricts certification to a flat-index range; the zero
+	// Region means the whole domain.
+	Region Region
+}
+
+// Request asks one Retrieve call to certify a set of Targets.
 type Request struct {
-	QoIs       []qoi.QoI
-	Tolerances []float64
-	// InitRel optionally seeds Algorithm 3 with per-QoI relative tolerances
-	// (the paper's algorithm takes relative bounds); when empty, 0.1 is
-	// used and Algorithm 4 tightens from there.
-	InitRel []float64
-	// Regions optionally restricts each QoI's tolerance to a region of
-	// interest (RoI retrieval): QoI k is certified only over Regions[k].
-	// The same QoI may appear twice with different regions and tolerances
-	// to express spatially varying fidelity. Empty = whole domain for all.
-	Regions []Region
+	Targets []Target
 	// OnProgress, when set, fires after every certify-loop iteration with
-	// the current per-QoI estimated errors and cumulative byte counts. A
-	// warm request's aim pass fetches nothing and reports nothing, so a
+	// the current per-QoI estimated errors and cumulative byte counts — render
+	// convergence, or cancel the Retrieve context from inside the callback to
+	// stop early and receive the best-effort Result together with ctx.Err().
+	// A warm request's aim pass fetches nothing and reports nothing, so a
 	// warm request that certifies in one round reports once. It runs on the
-	// retrieving goroutine: a caller that wants to abort cancels the
-	// Retrieve context from inside the callback and receives the
-	// best-effort Result together with ctx.Err().
+	// retrieving goroutine.
 	OnProgress func(Iteration)
 }
 
@@ -430,13 +445,13 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 	}
 
 	// Algorithm 3: initial error bounds from relative tolerances.
-	rt.plan.seed(q.reads, q.InitRel)
+	rt.plan.seed(q.reads, q.seed)
 	if !rt.cfg.paperLoop {
 		rt.aim(q)
 	}
 
 	res := &Result{
-		EstErrors: make([]float64, len(q.QoIs)),
+		EstErrors: make([]float64, len(q.Targets)),
 		VarBounds: rt.achieved,
 	}
 	// finish snapshots the session state into res so every exit — certified,
@@ -477,8 +492,8 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 		copy(res.EstErrors, maxEst)
 
 		met := true
-		for k := range q.QoIs {
-			if !(maxEst[k] <= q.Tolerances[k]) {
+		for k := range q.Targets {
+			if !(maxEst[k] <= q.tol[k]) {
 				met = false
 			}
 		}
@@ -506,8 +521,8 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 
 		// Algorithm 4: tighten bounds for every unmet QoI at its worst point.
 		changed := false
-		for k := range q.QoIs {
-			if maxEst[k] <= q.Tolerances[k] {
+		for k := range q.Targets {
+			if maxEst[k] <= q.tol[k] {
 				continue
 			}
 			if rt.reassign(q, rt.achieved, k, argmax[k]) {
@@ -532,6 +547,8 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 // the certify loop reads it; none changes it.
 type request struct {
 	Request
+	tol    []float64    // each target's absolute tolerance
+	seed   []float64    // each target's relative tolerance for Algorithm 3
 	prog   *qoi.Program // the targets' compiled estimator
 	reads  [][]int      // reads[k] lists the variables target k reads, sorted
 	vars   []int        // the variables any target reads, sorted
@@ -539,27 +556,35 @@ type request struct {
 	lo, hi []int        // each target's region of interest [lo, hi)
 }
 
-// newRequest validates req against the session and compiles it. It leaves
-// the session untouched, so a refused request changes nothing.
+// newRequest validates req against the session and compiles it. It is the
+// one validation of a request, and every refusal wraps ErrBadRequest. It
+// leaves the session untouched, so a refused request changes nothing.
 func (rt *Retriever) newRequest(req Request) (*request, error) {
-	nq := len(req.QoIs)
+	nq := len(req.Targets)
 	if nq == 0 {
-		return nil, fmt.Errorf("%w: request has no QoIs", ErrBadRequest)
+		return nil, fmt.Errorf("%w: request has no targets", ErrBadRequest)
 	}
-	if len(req.Tolerances) != nq {
-		return nil, fmt.Errorf("%w: %d tolerances for %d QoIs", ErrBadRequest, len(req.Tolerances), nq)
-	}
-	for k, tol := range req.Tolerances {
-		if !(tol > 0) {
-			return nil, fmt.Errorf("%w: tolerance %d must be positive, got %g", ErrBadRequest, k, tol)
-		}
-	}
-	if len(req.Regions) != 0 && len(req.Regions) != nq {
-		return nil, fmt.Errorf("%w: %d regions for %d QoIs", ErrBadRequest, len(req.Regions), nq)
-	}
+	q := &request{Request: req, tol: make([]float64, nq), seed: make([]float64, nq),
+		reads: make([][]int, nq), keys: make([]memoKey, nq), lo: make([]int, nq), hi: make([]int, nq)}
 	exprs := make([]qoi.Expr, nq)
-	for k, q := range req.QoIs {
-		exprs[k] = q.Expr
+	for k, t := range req.Targets {
+		if !(t.Tolerance > 0) {
+			return nil, fmt.Errorf("%w: target %d (%s): tolerance must be positive, got %g",
+				ErrBadRequest, k, t.QoI.Name, t.Tolerance)
+		}
+		q.tol[k], q.seed[k] = t.Tolerance, 0.1
+		if t.Relative {
+			if !(t.Range > 0) {
+				return nil, fmt.Errorf("%w: target %d (%s): relative tolerance needs a positive Range, got %g",
+					ErrBadRequest, k, t.QoI.Name, t.Range)
+			}
+			q.tol[k], q.seed[k] = t.Tolerance*t.Range, t.Tolerance
+			if !(q.tol[k] > 0) {
+				return nil, fmt.Errorf("%w: target %d (%s): tolerance %g × range %g is not positive",
+					ErrBadRequest, k, t.QoI.Name, t.Tolerance, t.Range)
+			}
+		}
+		exprs[k] = t.QoI.Expr
 	}
 	// The paper's per-operator theorems, compiled once per request into a
 	// program that shares common subexpressions across the targets. Compile
@@ -568,31 +593,26 @@ func (rt *Retriever) newRequest(req Request) (*request, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	q := &request{Request: req, prog: prog, reads: make([][]int, nq), keys: make([]memoKey, nq), lo: make([]int, nq), hi: make([]int, nq)}
+	q.prog = prog
 	read := make([]bool, len(rt.vars))
 	for k, key := range prog.Keys() {
+		t := req.Targets[k]
 		vs := qoi.Vars(exprs[k])
 		for _, v := range vs {
 			if v < 0 || v >= len(rt.vars) {
-				return nil, fmt.Errorf("%w: QoI %s uses variable %d; only %d variables", ErrBadRequest, req.QoIs[k].Name, v, len(rt.vars))
+				return nil, fmt.Errorf("%w: QoI %s uses variable %d; only %d variables", ErrBadRequest, t.QoI.Name, v, len(rt.vars))
 			}
 			read[v] = true
 		}
 		q.reads[k] = vs
-		q.keys[k].expr = key
+		q.keys[k] = memoKey{expr: key, region: t.Region}
 		q.lo[k], q.hi[k] = 0, rt.ne
-		if len(req.Regions) == 0 {
-			continue
+		if r := t.Region; !r.whole() {
+			if r.Lo < 0 || r.Hi > rt.ne || r.Lo >= r.Hi {
+				return nil, fmt.Errorf("%w: region %d [%d,%d) invalid for %d elements", ErrBadRequest, k, r.Lo, r.Hi, rt.ne)
+			}
+			q.lo[k], q.hi[k] = r.Lo, r.Hi
 		}
-		r := req.Regions[k]
-		q.keys[k].region = r
-		if r.whole() {
-			continue
-		}
-		if r.Lo < 0 || r.Hi > rt.ne || r.Lo >= r.Hi {
-			return nil, fmt.Errorf("%w: region %d [%d,%d) invalid for %d elements", ErrBadRequest, k, r.Lo, r.Hi, rt.ne)
-		}
-		q.lo[k], q.hi[k] = r.Lo, r.Hi
 	}
 	for v, on := range read {
 		if on {
@@ -739,7 +759,7 @@ func (s *estScratch) load(rt *Retriever, vs []int, bounds []float64, blo, bhi in
 // The first estimate of a request on a session that has certified before
 // reuses every target whose variables Algorithm 3 did not tighten.
 func (rt *Retriever) estimate(q *request, bounds []float64) ([]float64, []int) {
-	nq := len(q.QoIs)
+	nq := len(q.Targets)
 	est, arg := make([]float64, nq), make([]int, nq)
 	stamps := make([]uint64, nq)
 	held := make([]bool, nq) // the target's variables sit at their achieved bounds
@@ -794,7 +814,7 @@ func (rt *Retriever) estimateAll(q *request, bounds []float64, todo []bool) ([]f
 			}
 		}
 	}
-	nq, ne := len(q.QoIs), rt.ne
+	nq, ne := len(q.Targets), rt.ne
 	// Fixed chunk grid over the point space, deliberately independent of the
 	// worker count: the tasks and their merge order are then identical for
 	// every Workers setting, so argmax tie-breaks (and the byte-fetch
@@ -891,8 +911,8 @@ func (rt *Retriever) aim(q *request) {
 		reach[v] = rt.readers[v].Reach(rt.plan.eps[v])
 	}
 	est, arg := rt.estimate(q, reach)
-	for k := range q.QoIs {
-		if !(est[k] <= q.Tolerances[k]) {
+	for k := range q.Targets {
+		if !(est[k] <= q.tol[k]) {
 			rt.reassign(q, reach, k, arg[k])
 		}
 	}
@@ -904,14 +924,14 @@ func (rt *Retriever) aim(q *request) {
 // point, the worst, on the first estimate scratch; a masked variable's
 // bound there is zero.
 func (rt *Retriever) reassign(q *request, bounds []float64, k, worst int) bool {
-	s := rt.scratch(1, len(q.QoIs))[0]
+	s := rt.scratch(1, len(q.Targets))[0]
 	clear(s.active)
 	s.active[k] = true
 	vs := q.reads[k]
 	for _, v := range vs {
 		s.x[v] = rt.data[v][worst : worst+1]
 	}
-	return rt.plan.tighten(vs, bounds, q.Tolerances[k], func(cand []float64) float64 {
+	return rt.plan.tighten(vs, bounds, q.tol[k], func(cand []float64) float64 {
 		for _, v := range vs {
 			eb := cand[v]
 			if mask := rt.vars[v].ZeroMask; mask != nil && mask[worst] {

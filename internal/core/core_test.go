@@ -40,13 +40,8 @@ func TestRetrieveMeetsQoITolerancesAllMethods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tols := make([]float64, len(ds.QoIs))
-		rels := make([]float64, len(ds.QoIs))
-		for k := range tols {
-			rels[k] = 1e-4
-			tols[k] = rels[k] * ranges[k]
-		}
-		res, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: tols, InitRel: rels})
+		targets := relTargets(ds.QoIs, 1e-4, ranges)
+		res, err := rt.Retrieve(context.Background(), Request{Targets: targets})
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -56,8 +51,8 @@ func TestRetrieveMeetsQoITolerancesAllMethods(t *testing.T) {
 		// The hard guarantee: actual ≤ estimated ≤ requested, per QoI.
 		actual := ActualQoIErrors(ds.QoIs, ds.Fields, res.Data)
 		for k, q := range ds.QoIs {
-			if res.EstErrors[k] > tols[k] {
-				t.Errorf("%v %s: estimated %g > tolerance %g", method, q.Name, res.EstErrors[k], tols[k])
+			if tol := 1e-4 * ranges[k]; res.EstErrors[k] > tol {
+				t.Errorf("%v %s: estimated %g > tolerance %g", method, q.Name, res.EstErrors[k], tol)
 			}
 			if actual[k] > res.EstErrors[k] {
 				t.Errorf("%v %s: actual %g > estimated %g", method, q.Name, actual[k], res.EstErrors[k])
@@ -79,11 +74,7 @@ func TestIncrementalSessionReusesBytes(t *testing.T) {
 	}
 	vtot := []qoi.QoI{ds.QoIs[0]}
 	run := func(rel float64) int64 {
-		res, err := rt.Retrieve(context.Background(), Request{
-			QoIs:       vtot,
-			Tolerances: []float64{rel * ranges[0]},
-			InitRel:    []float64{rel},
-		})
+		res, err := rt.Retrieve(context.Background(), Request{Targets: relTargets(vtot, rel, ranges)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +92,7 @@ func TestIncrementalSessionReusesBytes(t *testing.T) {
 	// A fresh session going straight to 1e-6 should cost no more than the
 	// incremental path's total (no redundancy for PMGARD-HB).
 	rt2, _ := NewRetriever(refactorDataset(t, ds, progressive.PMGARDHB), Config{}, nil)
-	res, err := rt2.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1e-6 * ranges[0]}, InitRel: []float64{1e-6}})
+	res, err := rt2.Retrieve(context.Background(), Request{Targets: relTargets(vtot, 1e-6, ranges)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +109,7 @@ func TestMaskKeepsSqrtEstimatesFinite(t *testing.T) {
 
 	// With the mask, a moderate tolerance must be reachable quickly.
 	rt, _ := NewRetriever(vars, Config{}, nil)
-	res, err := rt.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1e-3 * ranges[0]}, InitRel: []float64{1e-3}})
+	res, err := rt.Retrieve(context.Background(), Request{Targets: relTargets(vtot, 1e-3, ranges)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +124,7 @@ func TestMaskKeepsSqrtEstimatesFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt2, _ := NewRetriever(vars2, Config{}, nil)
-	res2, err := rt2.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1e-3 * ranges[0]}, InitRel: []float64{1e-3}})
+	res2, err := rt2.Retrieve(context.Background(), Request{Targets: relTargets(vtot, 1e-3, ranges)})
 	if err != nil && !errors.Is(err, ErrExhausted) {
 		t.Fatal(err)
 	}
@@ -187,10 +178,12 @@ func TestMultiQoIRequestSatisfiesAll(t *testing.T) {
 	// Mixed tolerances: tight on T, loose on PT.
 	rels := []float64{1e-3, 1e-6, 1e-4, 1e-3, 1e-2, 1e-5}
 	tols := make([]float64, len(rels))
+	targets := make([]Target, len(rels))
 	for k := range rels {
 		tols[k] = rels[k] * ranges[k]
+		targets[k] = Target{QoI: ds.QoIs[k], Tolerance: rels[k], Relative: true, Range: ranges[k]}
 	}
-	res, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: tols, InitRel: rels})
+	res, err := rt.Retrieve(context.Background(), Request{Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +202,14 @@ func TestRetrieveValidatesRequest(t *testing.T) {
 	if _, err := rt.Retrieve(context.Background(), Request{}); err == nil {
 		t.Error("empty request accepted")
 	}
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: []float64{1}}); err == nil {
-		t.Error("tolerance count mismatch accepted")
-	}
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs[:1], Tolerances: []float64{0}}); err == nil {
+	if _, err := rt.Retrieve(context.Background(), Request{Targets: []Target{{QoI: ds.QoIs[0]}}}); err == nil {
 		t.Error("zero tolerance accepted")
 	}
-	badQoI := []qoi.QoI{{Name: "bad", Expr: qoi.Var{Index: 99}}}
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: badQoI, Tolerances: []float64{1}}); err == nil {
+	if _, err := rt.Retrieve(context.Background(), Request{Targets: []Target{{QoI: ds.QoIs[0], Tolerance: 1e-3, Relative: true}}}); err == nil {
+		t.Error("relative target without a range accepted")
+	}
+	badQoI := qoi.QoI{Name: "bad", Expr: qoi.Var{Index: 99}}
+	if _, err := rt.Retrieve(context.Background(), Request{Targets: []Target{{QoI: badQoI, Tolerance: 1}}}); err == nil {
 		t.Error("out-of-range variable accepted")
 	}
 }
@@ -232,7 +225,7 @@ func TestRetrieveRejectsBeforeMutating(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range [][]qoi.QoI{constant, {{Name: "x", Expr: qoi.Var{Index: 0}}}} {
-		if _, err := empty.Retrieve(context.Background(), Request{QoIs: q, Tolerances: []float64{1}}); !errors.Is(err, ErrBadRequest) {
+		if _, err := empty.Retrieve(context.Background(), Request{Targets: []Target{{QoI: q[0], Tolerance: 1}}}); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s on a session without variables: %v, want ErrBadRequest", q[0].Name, err)
 		}
 	}
@@ -242,16 +235,16 @@ func TestRetrieveRejectsBeforeMutating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tols := relTols(1e-3, QoIRanges(ds.QoIs, ds.Fields))
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: tols}); err != nil {
+	ranges := QoIRanges(ds.QoIs, ds.Fields)
+	if _, err := rt.Retrieve(context.Background(), Request{Targets: absTargets(ds.QoIs, 1e-3, ranges)}); err != nil {
 		t.Fatal(err)
 	}
 	eps, memo := slices.Clone(rt.plan.eps), maps.Clone(rt.memo)
 	ne := ds.NumElements()
 	for name, req := range map[string]Request{
-		"constant QoI": {QoIs: constant, Tolerances: []float64{1}, InitRel: []float64{1e-9}},
-		"bad region": {QoIs: ds.QoIs[:1], Tolerances: tols[:1], InitRel: []float64{1e-9},
-			Regions: []Region{{Lo: 0, Hi: ne + 1}}},
+		"constant QoI": {Targets: []Target{{QoI: constant[0], Tolerance: 1e-9, Relative: true, Range: 1}}},
+		"bad region": {Targets: []Target{{QoI: ds.QoIs[0], Tolerance: 1e-9, Relative: true, Range: ranges[0],
+			Region: Region{Lo: 0, Hi: ne + 1}}}},
 	} {
 		if _, err := rt.Retrieve(context.Background(), req); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("%s: %v, want ErrBadRequest", name, err)
@@ -276,7 +269,7 @@ func TestUncompilableQoIIsBadRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: relTols(1e-2, ranges)}); err != nil {
+		if _, err := rt.Retrieve(context.Background(), Request{Targets: absTargets(ds.QoIs, 1e-2, ranges)}); err != nil {
 			t.Fatal(err)
 		}
 		sessions[i] = rt
@@ -285,14 +278,14 @@ func TestUncompilableQoIIsBadRequest(t *testing.T) {
 	eps, memo := slices.Clone(rt.plan.eps), maps.Clone(rt.memo)
 	for _, n := range []int{65, -3} {
 		bad := []qoi.QoI{ds.QoIs[0], {Name: "pow", Expr: qoi.Pow{N: n, X: qoi.Var{Index: qoi.GEP}}}}
-		if _, err := rt.Retrieve(context.Background(), Request{QoIs: bad, Tolerances: []float64{1, 1}, InitRel: []float64{1e-9, 1e-9}}); !errors.Is(err, ErrBadRequest) {
+		if _, err := rt.Retrieve(context.Background(), Request{Targets: relTargets(bad, 1e-9, []float64{1, 1})}); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("x^%d: %v, want ErrBadRequest", n, err)
 		}
 		if !slices.Equal(rt.plan.eps, eps) || !maps.Equal(rt.memo, memo) {
 			t.Fatalf("x^%d: the rejected request changed the session", n)
 		}
 	}
-	req := Request{QoIs: ds.QoIs, Tolerances: relTols(1e-4, ranges)}
+	req := Request{Targets: absTargets(ds.QoIs, 1e-4, ranges)}
 	got, err := rt.Retrieve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +320,7 @@ func TestAimTraced(t *testing.T) {
 		return n
 	}
 	for rung, rel := range []float64{1e-2, 1e-4} {
-		if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}); err != nil {
+		if _, err := rt.Retrieve(context.Background(), Request{Targets: absTargets(ds.QoIs, rel, ranges)}); err != nil {
 			t.Fatal(err)
 		}
 		if got := aims(); got != rung {
@@ -359,12 +352,11 @@ func TestS3DMultiplicationQoIs(t *testing.T) {
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
 	rt, _ := NewRetriever(vars, Config{}, nil)
-	rels := []float64{1e-5, 1e-5, 1e-5, 1e-5}
 	tols := make([]float64, 4)
 	for k := range tols {
-		tols[k] = rels[k] * ranges[k]
+		tols[k] = 1e-5 * ranges[k]
 	}
-	res, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: tols, InitRel: rels})
+	res, err := rt.Retrieve(context.Background(), Request{Targets: relTargets(ds.QoIs, 1e-5, ranges)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +373,7 @@ func TestTotalVelocityOn3D(t *testing.T) {
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
 	rt, _ := NewRetriever(vars, Config{}, nil)
-	res, err := rt.Retrieve(context.Background(), Request{
-		QoIs:       ds.QoIs,
-		Tolerances: []float64{1e-5 * ranges[0]},
-		InitRel:    []float64{1e-5},
-	})
+	res, err := rt.Retrieve(context.Background(), Request{Targets: relTargets(ds.QoIs, 1e-5, ranges)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +390,7 @@ func TestTightenFactorAblation(t *testing.T) {
 	for _, c := range []float64{1.1, 1.5, 4} {
 		vars := refactorDataset(t, ds, progressive.PMGARDHB)
 		rt, _ := NewRetriever(vars, Config{TightenFactor: c}, nil)
-		res, err := rt.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1e-4 * ranges[0]}, InitRel: []float64{1e-4}})
+		res, err := rt.Retrieve(context.Background(), Request{Targets: relTargets(vtot, 1e-4, ranges)})
 		if err != nil {
 			t.Fatalf("c=%g: %v", c, err)
 		}
@@ -422,12 +410,10 @@ func TestRegionOfInterestRetrieval(t *testing.T) {
 	// Same QoI requested twice: tight in the hot region, loose elsewhere.
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
 	rt, _ := NewRetriever(vars, Config{}, nil)
-	res, err := rt.Retrieve(context.Background(), Request{
-		QoIs:       []qoi.QoI{vtot, vtot},
-		Tolerances: []float64{1e-6 * ranges[0], 1e-2 * ranges[0]},
-		InitRel:    []float64{1e-6, 1e-2},
-		Regions:    []Region{hot, {}},
-	})
+	res, err := rt.Retrieve(context.Background(), Request{Targets: []Target{
+		{QoI: vtot, Tolerance: 1e-6, Relative: true, Range: ranges[0], Region: hot},
+		{QoI: vtot, Tolerance: 1e-2, Relative: true, Range: ranges[0]},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,11 +435,7 @@ func TestRegionOfInterestRetrieval(t *testing.T) {
 	// A uniformly tight request must cost at least as much as the RoI one.
 	vars2 := refactorDataset(t, ds, progressive.PMGARDHB)
 	rt2, _ := NewRetriever(vars2, Config{}, nil)
-	res2, err := rt2.Retrieve(context.Background(), Request{
-		QoIs:       []qoi.QoI{vtot},
-		Tolerances: []float64{1e-6 * ranges[0]},
-		InitRel:    []float64{1e-6},
-	})
+	res2, err := rt2.Retrieve(context.Background(), Request{Targets: relTargets([]qoi.QoI{vtot}, 1e-6, ranges)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,21 +448,15 @@ func TestRegionValidation(t *testing.T) {
 	ds := smallGE()
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
 	rt, _ := NewRetriever(vars, Config{}, nil)
-	vtot := []qoi.QoI{ds.QoIs[0]}
-	bad := []Region{{Lo: -1, Hi: 5}}
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1}, Regions: bad}); err == nil {
-		t.Error("negative region accepted")
-	}
-	bad = []Region{{Lo: 10, Hi: 5}}
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1}, Regions: bad}); err == nil {
-		t.Error("inverted region accepted")
-	}
-	bad = []Region{{Lo: 0, Hi: ds.NumElements() + 1}}
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1}, Regions: bad}); err == nil {
-		t.Error("oversized region accepted")
-	}
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: vtot, Tolerances: []float64{1}, Regions: []Region{{}, {}}}); err == nil {
-		t.Error("region count mismatch accepted")
+	for name, bad := range map[string]Region{
+		"negative":  {Lo: -1, Hi: 5},
+		"inverted":  {Lo: 10, Hi: 5},
+		"oversized": {Lo: 0, Hi: ds.NumElements() + 1},
+	} {
+		req := Request{Targets: []Target{{QoI: ds.QoIs[0], Tolerance: 1, Region: bad}}}
+		if _, err := rt.Retrieve(context.Background(), req); err == nil {
+			t.Errorf("%s region accepted", name)
+		}
 	}
 }
 

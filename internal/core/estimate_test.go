@@ -28,12 +28,6 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	varsMasked := refactorDataset(t, ds, progressive.PMGARDHB)
-	tols := make([]float64, len(ds.QoIs))
-	rels := make([]float64, len(ds.QoIs))
-	for k := range tols {
-		rels[k] = 1e-4
-		tols[k] = rels[k] * ranges[k]
-	}
 	// Regions that start mid-block, straddle a chunk boundary, hold one
 	// point, or are the whole domain.
 	regions := []Region{{Lo: 100, Hi: 4500}, {}, {Lo: 5000, Hi: 5001}, {Lo: 4096, Hi: ne}, {Lo: 0, Hi: 513}, {}}
@@ -41,9 +35,11 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, withRegions := range []bool{false, true} {
 			for _, masked := range []bool{true, false} {
-				req := Request{QoIs: ds.QoIs, Tolerances: tols, InitRel: rels}
+				req := Request{Targets: relTargets(ds.QoIs, 1e-4, ranges)}
 				if withRegions {
-					req.Regions = regions
+					for k := range req.Targets {
+						req.Targets[k].Region = regions[k]
+					}
 				}
 				vars := varsMasked
 				name := map[bool]string{false: "whole", true: "regions"}[withRegions]
@@ -63,7 +59,7 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 				iters := 0
 				req.OnProgress = func(it Iteration) {
 					iters++
-					est, arg := rt.estimateAll(q, rt.achieved, everyTarget(len(req.QoIs)))
+					est, arg := rt.estimateAll(q, rt.achieved, everyTarget(len(req.Targets)))
 					wantEst, wantArg := theoremEstimate(rt, req, ne)
 					for k := range est {
 						if math.Float64bits(est[k]) != math.Float64bits(wantEst[k]) || arg[k] != wantArg[k] {
@@ -96,11 +92,11 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 func theoremEstimate(rt *Retriever, req Request, ne int) ([]float64, []int) {
 	const chunk = 4096
 	vals, ebs := make([]float64, len(rt.vars)), make([]float64, len(rt.vars))
-	est, arg := make([]float64, len(req.QoIs)), make([]int, len(req.QoIs))
-	for k, q := range req.QoIs {
+	est, arg := make([]float64, len(req.Targets)), make([]int, len(req.Targets))
+	for k, t := range req.Targets {
 		lo, hi := 0, ne
-		if len(req.Regions) > 0 && !req.Regions[k].whole() {
-			lo, hi = req.Regions[k].Lo, req.Regions[k].Hi
+		if !t.Region.whole() {
+			lo, hi = t.Region.Lo, t.Region.Hi
 		}
 		arg[k] = lo
 		for c := 0; c < ne; c += chunk {
@@ -115,7 +111,7 @@ func theoremEstimate(rt *Retriever, req Request, ne int) ([]float64, []int) {
 						ebs[v] = 0
 					}
 				}
-				_, b := qoi.TheoremBound(q.Expr, vals, ebs)
+				_, b := qoi.TheoremBound(t.QoI.Expr, vals, ebs)
 				if math.IsNaN(b) {
 					b = math.Inf(1) // as qoi.Program.Bound reads it
 				}

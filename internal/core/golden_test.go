@@ -125,8 +125,8 @@ type rung struct {
 }
 
 // runLadder walks the relative tolerances ladder on one session of cfg
-// and records every rung. seeded also passes each rung's relative
-// tolerance as InitRel, so Algorithm 3's seed moves with the rung.
+// and records every rung. seeded asks for relative targets, so Algorithm
+// 3's seed moves with the rung; otherwise the targets are absolute.
 func runLadder(t *testing.T, ds *datagen.Dataset, vars []*Variable, cfg Config, ladder []float64, seeded bool) []rung {
 	t.Helper()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
@@ -136,9 +136,9 @@ func runLadder(t *testing.T, ds *datagen.Dataset, vars []*Variable, cfg Config, 
 	}
 	var out []rung
 	for _, rel := range ladder {
-		req := Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}
+		req := Request{Targets: absTargets(ds.QoIs, rel, ranges)}
 		if seeded {
-			req.InitRel = slices.Repeat([]float64{rel}, len(ds.QoIs))
+			req.Targets = relTargets(ds.QoIs, rel, ranges)
 		}
 		res, err := rt.Retrieve(context.Background(), req)
 		if err != nil && !errors.Is(err, ErrExhausted) {
@@ -223,10 +223,10 @@ func TestRetrieveGoldenHashes(t *testing.T) {
 
 // TestAimMatchesPaperLoop holds the default loop to the paper loop rung by
 // rung where Algorithm 3's seed moves with the rung: the golden ladder
-// with InitRel at Workers 1 and 2, and a ladder three times as fine, from
-// 3e-1 to 1e-5, seeded and absolute at Workers 1; each ladder must take
-// fewer iterations in all. The hashed ladders above set no InitRel, so
-// their seed stays at 0.1 of each range.
+// of relative targets at Workers 1 and 2, and a ladder three times as
+// fine, from 3e-1 to 1e-5, relative and absolute at Workers 1; each ladder
+// must take fewer iterations in all. The hashed ladders above ask for
+// absolute targets, so their seed stays at 0.1 of each range.
 func TestAimMatchesPaperLoop(t *testing.T) {
 	t.Parallel()
 	fine := []float64{3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5}

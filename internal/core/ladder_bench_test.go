@@ -31,7 +31,7 @@ func geLadder(tb testing.TB) (op func(), raw int) {
 			tb.Fatal(err)
 		}
 		for _, rel := range retrieveLadder[:5] {
-			if _, err := rt.Retrieve(context.Background(), Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}); err != nil {
+			if _, err := rt.Retrieve(context.Background(), Request{Targets: absTargets(ds.QoIs, rel, ranges)}); err != nil {
 				tb.Fatal(err)
 			}
 		}

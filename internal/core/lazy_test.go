@@ -154,7 +154,7 @@ func lazyRequest(t *testing.T) (Request, []*Variable, *Result) {
 	f.once.Do(func() {
 		ds := datagen.GE("GE-lazy", 4, 128, 7)
 		f.vars = refactorDataset(t, ds, progressive.PMGARDHB)
-		f.req = Request{QoIs: ds.QoIs[:1], Tolerances: []float64{1e-5 * QoIRanges(ds.QoIs, ds.Fields)[0]}, InitRel: []float64{1e-5}}
+		f.req = Request{Targets: relTargets(ds.QoIs[:1], 1e-5, QoIRanges(ds.QoIs, ds.Fields))}
 		var rt *Retriever
 		if rt, f.err = NewRetriever(f.vars, Config{}, nil); f.err == nil {
 			f.ref, f.err = rt.Retrieve(context.Background(), f.req)

@@ -11,13 +11,24 @@ import (
 	"progqoi/internal/qoi"
 )
 
-// relTols scales rel by every QoI's value range.
-func relTols(rel float64, ranges []float64) []float64 {
-	tols := make([]float64, len(ranges))
-	for k := range tols {
-		tols[k] = rel * ranges[k]
+// relTargets asks for every QoI at the relative tolerance rel of its
+// value range, the paper's convention: Algorithm 3 seeds with rel.
+func relTargets(qois []qoi.QoI, rel float64, ranges []float64) []Target {
+	ts := make([]Target, len(qois))
+	for k, q := range qois {
+		ts[k] = Target{QoI: q, Tolerance: rel, Relative: true, Range: ranges[k]}
 	}
-	return tols
+	return ts
+}
+
+// absTargets asks for every QoI at the absolute tolerance rel × its value
+// range, the same tolerance as relTargets, but Algorithm 3 seeds with 0.1.
+func absTargets(qois []qoi.QoI, rel float64, ranges []float64) []Target {
+	ts := make([]Target, len(qois))
+	for k, q := range qois {
+		ts[k] = Target{QoI: q, Tolerance: rel * ranges[k]}
+	}
+	return ts
 }
 
 // countTargets is an onEstimate seam that adds the targets of every
@@ -42,10 +53,10 @@ func checkAgainstFresh(t *testing.T, rt *Retriever, req *Request, label string) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := rt.estimateAll(q, rt.achieved, everyTarget(len(req.QoIs)))
+		want, _ := rt.estimateAll(q, rt.achieved, everyTarget(len(req.Targets)))
 		for k := range want {
 			if math.Float64bits(it.EstErrors[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("%s iteration %d, %s: reported %g, fresh estimate %g", label, it.N, req.QoIs[k].Name, it.EstErrors[k], want[k])
+				t.Fatalf("%s iteration %d, %s: reported %g, fresh estimate %g", label, it.N, req.Targets[k].QoI.Name, it.EstErrors[k], want[k])
 			}
 		}
 	}
@@ -74,7 +85,7 @@ func TestEstimateMemoOnTwoRungLadder(t *testing.T) {
 	total, iters := 0, 0
 	for rung, rel := range []float64{1e-2, 1e-4} {
 		gens := append([]uint64(nil), rt.gen...)
-		req := Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}
+		req := Request{Targets: absTargets(ds.QoIs, rel, ranges)}
 		req.OnProgress = func(it Iteration) {
 			iters++
 			want := 0
@@ -152,7 +163,11 @@ func TestEstimateMemoPerTarget(t *testing.T) {
 	ranges := QoIRanges(parse(), ds.Fields)
 	var first []float64
 	for rung, rels := range [][]float64{{1e-2, 1e-2}, {1e-5, 1e-2}} {
-		req := Request{QoIs: parse(), Tolerances: []float64{rels[0] * ranges[0], rels[1] * ranges[1]}}
+		qs := parse()
+		req := Request{Targets: []Target{
+			{QoI: qs[0], Tolerance: rels[0] * ranges[0]},
+			{QoI: qs[1], Tolerance: rels[1] * ranges[1]},
+		}}
 		estimated = 0
 		res, err := rt.Retrieve(context.Background(), req)
 		if err != nil {
@@ -199,9 +214,11 @@ func TestEstimateMemoMatchesFreshEstimates(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, rel := range []float64{1e-1, 1e-3, 1e-5} {
-					req := Request{QoIs: qois, Tolerances: relTols(rel, ranges)}
+					req := Request{Targets: absTargets(qois, rel, ranges)}
 					if withRegions {
-						req.Regions = regions
+						for k := range req.Targets {
+							req.Targets[k].Region = regions[k]
+						}
 					}
 					req.OnProgress = checkAgainstFresh(t, rt, &req, m.String())
 					if _, err := rt.Retrieve(context.Background(), req); err != nil && !errors.Is(err, ErrExhausted) {
@@ -233,11 +250,11 @@ func TestEstimateMemoAfterCancelledAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{QoIs: ds.QoIs, Tolerances: relTols(1e-2, ranges)}
+	req := Request{Targets: absTargets(ds.QoIs, 1e-2, ranges)}
 	if _, err := rt.Retrieve(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	req.Tolerances = relTols(1e-6, ranges)
+	req.Targets = absTargets(ds.QoIs, 1e-6, ranges)
 	armed = true
 	if _, err := rt.Retrieve(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled retrieval returned %v", err)
@@ -269,7 +286,6 @@ func TestEstimateMemoAimPass(t *testing.T) {
 	ds := smallGE()
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
 	vars := refactorDataset(t, ds, progressive.PMGARDHB)
-	nq := len(ds.QoIs)
 	ladder := []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5}
 	for _, seeded := range []bool{false, true} {
 		// targets[l][r] counts the targets loop l estimates on rung r.
@@ -281,9 +297,9 @@ func TestEstimateMemoAimPass(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rel := range ladder {
-				req := Request{QoIs: ds.QoIs, Tolerances: relTols(rel, ranges)}
+				req := Request{Targets: absTargets(ds.QoIs, rel, ranges)}
 				if seeded {
-					req.InitRel = slices.Repeat([]float64{rel}, nq)
+					req.Targets = relTargets(ds.QoIs, rel, ranges)
 				}
 				if _, err := rt.Retrieve(context.Background(), req); err != nil {
 					t.Fatalf("rung %g: %v", rel, err)
@@ -313,12 +329,16 @@ func TestEstimateMemoAimPass(t *testing.T) {
 	}
 	qois := disjointQoIs(t, ds.FieldNames)
 	ranges = QoIRanges(qois, ds.Fields)
-	if _, err := rt.Retrieve(context.Background(), Request{QoIs: qois, Tolerances: relTols(1e-2, ranges)}); err != nil {
+	if _, err := rt.Retrieve(context.Background(), Request{Targets: absTargets(qois, 1e-2, ranges)}); err != nil {
 		t.Fatal(err)
 	}
 	moved, still = 0, 0
 	// Seed only the first target's variables at its new tolerance.
-	req := Request{QoIs: disjointQoIs(t, ds.FieldNames), Tolerances: []float64{1e-5 * ranges[0], 1e-2 * ranges[1]}, InitRel: []float64{1e-5, 0}}
+	qois = disjointQoIs(t, ds.FieldNames)
+	req := Request{Targets: []Target{
+		{QoI: qois[0], Tolerance: 1e-5, Relative: true, Range: ranges[0]},
+		{QoI: qois[1], Tolerance: 1e-2 * ranges[1]},
+	}}
 	res, err := rt.Retrieve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

@@ -37,14 +37,12 @@ func TestRetrieveWorkersEquivalence(t *testing.T) {
 	qois := []qoi.QoI{ds.QoIs[0], ds.QoIs[1]}
 	ranges := QoIRanges(qois, ds.Fields)
 	ne := len(ds.Fields[0])
-	req := Request{
-		QoIs:       qois,
-		Tolerances: []float64{1e-3 * ranges[0], 1e-4 * ranges[1]},
-		InitRel:    []float64{1e-3, 1e-4},
-		// One whole-domain target, one region-restricted target: the
-		// (QoI, chunk) estimation grid must stay deterministic for both.
-		Regions: []Region{{}, {Lo: ne / 4, Hi: ne / 2}},
-	}
+	// One whole-domain target, one region-restricted target: the (QoI,
+	// chunk) estimation grid must stay deterministic for both.
+	req := Request{Targets: []Target{
+		{QoI: qois[0], Tolerance: 1e-3, Relative: true, Range: ranges[0]},
+		{QoI: qois[1], Tolerance: 1e-4, Relative: true, Range: ranges[1], Region: Region{Lo: ne / 4, Hi: ne / 2}},
+	}}
 	want := retrieveWith(t, 1, req)
 	for _, workers := range []int{2, 4, 16} {
 		got := retrieveWith(t, workers, req)
@@ -105,11 +103,7 @@ func TestFetchObserverSerialized(t *testing.T) {
 	}
 	qois := []qoi.QoI{ds.QoIs[0]}
 	ranges := QoIRanges(qois, ds.Fields)
-	res, err := rt.Retrieve(context.Background(), Request{
-		QoIs:       qois,
-		Tolerances: []float64{1e-3 * ranges[0]},
-		InitRel:    []float64{1e-3},
-	})
+	res, err := rt.Retrieve(context.Background(), Request{Targets: relTargets(qois, 1e-3, ranges)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,27 +39,22 @@ func newPlanner(ranges []float64, c float64) *planner {
 }
 
 // seed is Algorithm 3. Every variable a target reads gets the smallest
-// relative tolerance of the targets that read it (initRel[k], 0.1 where it
-// is absent or not positive, and never above 1) times its value range, or
-// the relative tolerance itself for a constant field. reads[k] lists the
-// variables target k reads.
-func (p *planner) seed(reads [][]int, initRel []float64) {
-	rel := make([]float64, len(p.eps)) // 0: no target reads the variable
+// relative tolerance of the targets that read it (rel[k], never above 1)
+// times its value range, or the relative tolerance itself for a constant
+// field. reads[k] lists the variables target k reads.
+func (p *planner) seed(reads [][]int, rel []float64) {
+	vrel := make([]float64, len(p.eps)) // 0: no target reads the variable
 	for k, vs := range reads {
-		r := 0.1
-		if k < len(initRel) && initRel[k] > 0 {
-			r = initRel[k]
-		}
 		for _, v := range vs {
-			if rel[v] == 0 {
-				rel[v] = 1
+			if vrel[v] == 0 {
+				vrel[v] = 1
 			}
-			if r < rel[v] {
-				rel[v] = r
+			if rel[k] < vrel[v] {
+				vrel[v] = rel[k]
 			}
 		}
 	}
-	for v, r := range rel {
+	for v, r := range vrel {
 		if r == 0 {
 			continue
 		}

@@ -4,43 +4,66 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"progqoi/internal/qoi"
 )
 
 // TestPlannerSeed holds Algorithm 3 to its rule on synthetic ranges, with
 // no data: each variable a target reads gets the smallest relative
-// tolerance among those targets times its range.
+// tolerance among those targets times its range, and an absolute target
+// counts as a relative tolerance of 0.1. The seeds come from newRequest,
+// the one place a request's targets are read.
 func TestPlannerSeed(t *testing.T) {
 	inf := math.Inf(1)
+	// rel reads the variables vs under a relative tolerance r; abs reads
+	// them under an absolute one.
+	rel := func(r float64, vs ...int) Target {
+		return Target{QoI: sumOf(vs), Tolerance: r, Relative: true, Range: 1}
+	}
+	abs := func(vs ...int) Target { return Target{QoI: sumOf(vs), Tolerance: 1} }
 	for _, c := range []struct {
 		name    string
 		ranges  []float64
 		eps     []float64 // before the seed; nil means a fresh planner
-		reads   [][]int
-		initRel []float64
+		targets []Target
 		want    []float64
 	}{
-		{"smallest InitRel per variable wins", []float64{10, 20, 30}, nil,
-			[][]int{{0, 1}, {1, 2}}, []float64{1e-2, 1e-3}, []float64{0.1, 0.02, 0.03}},
+		{"smallest relative tolerance per variable wins", []float64{10, 20, 30}, nil,
+			[]Target{rel(1e-2, 0, 1), rel(1e-3, 1, 2)}, []float64{0.1, 0.02, 0.03}},
 		{"constant field seeds with the relative value", []float64{0, 4}, nil,
-			[][]int{{0, 1}}, []float64{1e-3}, []float64{1e-3, 4e-3}},
+			[]Target{rel(1e-3, 0, 1)}, []float64{1e-3, 4e-3}},
 		{"unused variables stay unbounded", []float64{10, 20, 30, 40}, nil,
-			[][]int{{1}, {3}}, []float64{1e-2, 1e-2}, []float64{inf, 0.2, inf, 0.4}},
-		{"absent or non-positive InitRel is 0.1", []float64{10, 20, 30}, nil,
-			[][]int{{0}, {1}, {2}}, []float64{0, -1}, []float64{1, 2, 3}},
+			[]Target{rel(1e-2, 1), rel(1e-2, 3)}, []float64{inf, 0.2, inf, 0.4}},
+		{"an absolute target seeds as relative tolerance 0.1", []float64{10, 20, 30}, nil,
+			[]Target{abs(0), abs(1), rel(0.5, 2), abs(2)}, []float64{1, 2, 3}},
 		{"relative tolerance above 1 is 1", []float64{10}, nil,
-			[][]int{{0}}, []float64{5}, []float64{10}},
+			[]Target{rel(5, 0)}, []float64{10}},
 		{"ε only goes down", []float64{10, 20}, []float64{0.5, 5},
-			[][]int{{0, 1}}, []float64{1e-1}, []float64{0.5, 2}},
+			[]Target{rel(1e-1, 0, 1)}, []float64{0.5, 2}},
 	} {
+		rt := &Retriever{vars: make([]*Variable, len(c.ranges)), ne: 1}
+		q, err := rt.newRequest(Request{Targets: c.targets})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		p := newPlanner(c.ranges, 1.5)
 		if c.eps != nil {
 			copy(p.eps, c.eps)
 		}
-		p.seed(c.reads, c.initRel)
+		p.seed(q.reads, q.seed)
 		if !slices.Equal(p.eps, c.want) {
 			t.Errorf("%s: ε = %v, want %v", c.name, p.eps, c.want)
 		}
 	}
+}
+
+// sumOf is a QoI that reads the variables vs.
+func sumOf(vs []int) qoi.QoI {
+	terms := make([]qoi.Expr, len(vs))
+	for i, v := range vs {
+		terms[i] = qoi.Var{Index: v}
+	}
+	return qoi.QoI{Name: "sum", Expr: qoi.Add(terms...)}
 }
 
 // TestPlannerTighten holds Algorithm 4 to its rule on synthetic monotone

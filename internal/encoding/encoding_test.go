@@ -86,7 +86,7 @@ func TestHuffmanRoundTripBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := HuffmanDecode(enc)
+	dec, err := HuffmanDecode(enc, 1<<28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestHuffmanForgedHeader(t *testing.T) {
 	for name, data := range map[string][]byte{"count": count, "empty alphabet": empty} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := HuffmanDecode(data)
+		_, err := HuffmanDecode(data, 1<<28)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
@@ -166,7 +166,7 @@ func FuzzHuffmanDecode(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := HuffmanDecode(data)
+		out, err := HuffmanDecode(data, 1<<28)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("HuffmanDecode: %v is not ErrCorrupt", err)
@@ -180,7 +180,7 @@ func FuzzHuffmanDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded symbols do not encode: %v", err)
 		}
-		if back, err := HuffmanDecode(enc); err != nil || !slices.Equal(back, out) {
+		if back, err := HuffmanDecode(enc, 1<<28); err != nil || !slices.Equal(back, out) {
 			t.Fatalf("decoded symbols do not round-trip: %v", err)
 		}
 	})
@@ -191,7 +191,7 @@ func TestHuffmanEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := HuffmanDecode(enc)
+	dec, err := HuffmanDecode(enc, 1<<28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestHuffmanSingleSymbol(t *testing.T) {
 	if len(enc) > 8+16+150 {
 		t.Fatalf("single-symbol encoding too large: %d bytes", len(enc))
 	}
-	dec, err := HuffmanDecode(enc)
+	dec, err := HuffmanDecode(enc, 1<<28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +243,14 @@ func TestHuffmanDecodeCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 4, 7, len(enc) - 1} {
-		if _, err := HuffmanDecode(enc[:cut]); err == nil {
+		if _, err := HuffmanDecode(enc[:cut], 1<<28); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
 	}
 	// Header corruption: implausible alphabet.
 	bad := append([]byte(nil), enc...)
 	bad[3] = 0xff
-	if _, err := HuffmanDecode(bad); err == nil {
+	if _, err := HuffmanDecode(bad, 1<<28); err == nil {
 		t.Error("corrupt alphabet not detected")
 	}
 }
@@ -273,7 +273,7 @@ func TestHuffmanPropertyRandomStreams(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := HuffmanDecode(enc)
+		dec, err := HuffmanDecode(enc, 1<<28)
 		if err != nil || len(dec) != n {
 			return false
 		}

@@ -230,14 +230,18 @@ func (d *huffDecoder) decode(r *BitReader) (int, error) {
 	return 0, fmt.Errorf("%w: invalid huffman code", ErrCorrupt)
 }
 
-// HuffmanDecode reverses HuffmanEncode.
-func HuffmanDecode(data []byte) ([]int, error) {
+// HuffmanDecode reverses HuffmanEncode for a stream whose alphabet is at
+// most maxAlphabet symbols. The length table, and the decoder built from
+// it, are sized by the alphabet, so a caller whose format bounds its
+// alphabet passes that bound and a forged header cannot size them past
+// it.
+func HuffmanDecode(data []byte, maxAlphabet int) ([]int, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: huffman header truncated", ErrCorrupt)
 	}
 	alphabet := int(binary.LittleEndian.Uint32(data[0:]))
 	count := int(binary.LittleEndian.Uint32(data[4:]))
-	if alphabet <= 0 || alphabet > 1<<28 || count < 0 || count > 1<<31 {
+	if alphabet <= 0 || alphabet > maxAlphabet || count < 0 || count > 1<<31 {
 		return nil, fmt.Errorf("%w: implausible huffman header (A=%d N=%d)", ErrCorrupt, alphabet, count)
 	}
 	lengthsC, n, err := GetSection(data[8:])
@@ -253,17 +257,24 @@ func HuffmanDecode(data []byte) ([]int, error) {
 	}
 	lengths := make([]uint8, alphabet)
 	copy(lengths, lengthsRaw)
+	coded := 0
 	for _, l := range lengths {
 		if l > maxCodeLen {
 			return nil, fmt.Errorf("%w: code length %d too large", ErrCorrupt, l)
+		}
+		if l > 0 {
+			coded++
 		}
 	}
 	payloadOff := 8 + n
 	if count == 0 {
 		return []int{}, nil
 	}
-	if maxLen(lengths) == 0 {
-		return nil, fmt.Errorf("%w: nonzero count with empty code table", ErrCorrupt)
+	// HuffmanEncode codes only the symbols the stream holds, so a table
+	// that codes more than count symbols is forged; refusing it bounds the
+	// decoder's long-code map by the count.
+	if coded == 0 || coded > count {
+		return nil, fmt.Errorf("%w: %d coded symbols for %d in the stream", ErrCorrupt, coded, count)
 	}
 	// Every code is at least one bit long, so the payload bounds the count
 	// before it sizes anything.

@@ -219,11 +219,9 @@ func qoiSweep(ctx context.Context, ds *datagen.Dataset, o Opts, nTargets int) (s
 		}
 		t := &stats.Table{Header: []string{"req_rel_tol", "bitrate", "max_est_rel", "max_actual_rel"}}
 		for _, rel := range targets {
-			res, err := rt.Retrieve(ctx, core.Request{
-				QoIs:       []qoi.QoI{q},
-				Tolerances: []float64{rel * ranges[k]},
-				InitRel:    []float64{rel},
-			})
+			res, err := rt.Retrieve(ctx, core.Request{Targets: []core.Target{
+				{QoI: q, Tolerance: rel, Relative: true, Range: ranges[k]},
+			}})
 			if err != nil {
 				return "", fmt.Errorf("%s rel=%g: %w", q.Name, rel, err)
 			}
@@ -310,11 +308,9 @@ func retrievalEfficiency(ctx context.Context, ds *datagen.Dataset, o Opts, nTarg
 				if err != nil {
 					return "", err
 				}
-				res, err := rt.Retrieve(ctx, core.Request{
-					QoIs:       []qoi.QoI{q},
-					Tolerances: []float64{rel * ranges[k]},
-					InitRel:    []float64{rel},
-				})
+				res, err := rt.Retrieve(ctx, core.Request{Targets: []core.Target{
+					{QoI: q, Tolerance: rel, Relative: true, Range: ranges[k]},
+				}})
 				if err != nil {
 					return "", fmt.Errorf("%s %v rel=%g: %w", q.Name, m, rel, err)
 				}
@@ -370,11 +366,9 @@ func Table4(ctx context.Context, o Opts) string {
 				return "table4: " + err.Error()
 			}
 			start := time.Now()
-			if _, err := rt.Retrieve(ctx, core.Request{
-				QoIs:       vtot,
-				Tolerances: []float64{rel * ranges[0]},
-				InitRel:    []float64{rel},
-			}); err != nil {
+			if _, err := rt.Retrieve(ctx, core.Request{Targets: []core.Target{
+				{QoI: vtot[0], Tolerance: rel, Relative: true, Range: ranges[0]},
+			}}); err != nil {
 				return "table4: " + err.Error()
 			}
 			cells = append(cells, time.Since(start).Seconds())
@@ -435,11 +429,9 @@ func Fig9(ctx context.Context, o Opts) string {
 			if ranges[0] == 0 {
 				ranges[0] = 1
 			}
-			_, err = rt.Retrieve(ctx, core.Request{
-				QoIs:       []qoi.QoI{vtot},
-				Tolerances: []float64{rel * ranges[0]},
-				InitRel:    []float64{rel},
-			})
+			_, err = rt.Retrieve(ctx, core.Request{Targets: []core.Target{
+				{QoI: vtot, Tolerance: rel, Relative: true, Range: ranges[0]},
+			}})
 			return err
 		})
 		if err != nil {

@@ -11,6 +11,7 @@ package grid
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Grid describes the shape of a row-major N-d array.
@@ -23,15 +24,15 @@ type Grid struct {
 // ErrBadDims reports an invalid dimension specification.
 var ErrBadDims = errors.New("grid: dimensions must be positive")
 
-// New builds a Grid from dims. It returns ErrBadDims when dims is empty or
-// any extent is < 1.
+// New builds a Grid from dims. It returns ErrBadDims when dims is empty,
+// any extent is < 1, or the point count overflows an int.
 func New(dims ...int) (*Grid, error) {
 	if len(dims) == 0 {
 		return nil, ErrBadDims
 	}
 	size := 1
 	for _, d := range dims {
-		if d < 1 {
+		if d < 1 || size > math.MaxInt/d {
 			return nil, fmt.Errorf("%w: got %v", ErrBadDims, dims)
 		}
 		size *= d

@@ -6,7 +6,8 @@ import (
 )
 
 func TestNewRejectsBadDims(t *testing.T) {
-	cases := [][]int{{}, {0}, {-1}, {3, 0, 2}, {2, -5}}
+	// The last extents multiply past an int: 2^64 wraps to 0.
+	cases := [][]int{{}, {0}, {-1}, {3, 0, 2}, {2, -5}, {1 << 16, 1 << 16, 1 << 16, 1 << 16}}
 	for _, dims := range cases {
 		if _, err := New(dims...); err == nil {
 			t.Errorf("New(%v) should fail", dims)

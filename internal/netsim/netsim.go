@@ -13,8 +13,9 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 	"time"
+
+	"progqoi/internal/par"
 )
 
 // Link describes a wide-area link.
@@ -87,11 +88,11 @@ type RunResult struct {
 	Makespan time.Duration
 }
 
-// Run executes fn for blocks 0..nBlocks-1 on `workers` goroutines and
-// produces per-block and aggregate timings over the link. Fragments fetched
-// by a block are batched into one logical transfer per block (Globus-style
-// bulk movement), so each block pays one latency plus its bytes at the fair
-// bandwidth share.
+// Run executes fn for blocks 0..nBlocks-1 on a par.Budget of `workers`
+// workers and produces per-block and aggregate timings over the link.
+// Fragments fetched by a block are batched into one logical transfer per
+// block (Globus-style bulk movement), so each block pays one latency plus
+// its bytes at the fair bandwidth share.
 func Run(nBlocks, workers int, link Link, fn BlockFunc) (*RunResult, error) {
 	if nBlocks <= 0 {
 		return nil, fmt.Errorf("netsim: nBlocks must be positive, got %d", nBlocks)
@@ -103,32 +104,19 @@ func Run(nBlocks, workers int, link Link, fn BlockFunc) (*RunResult, error) {
 		workers = nBlocks
 	}
 	results := make([]BlockResult, nBlocks)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range next {
-				rec := &Recorder{}
-				start := time.Now()
-				err := fn(b, rec)
-				work := time.Since(start)
-				results[b] = BlockResult{
-					Block:    b,
-					Bytes:    rec.bytes,
-					Requests: rec.requests,
-					WorkTime: work,
-					Err:      err,
-				}
-			}
-		}()
-	}
-	for b := 0; b < nBlocks; b++ {
-		next <- b
-	}
-	close(next)
-	wg.Wait()
+	par.New(workers).For(nBlocks, func(_, b int) bool {
+		rec := &Recorder{}
+		start := time.Now()
+		err := fn(b, rec)
+		results[b] = BlockResult{
+			Block:    b,
+			Bytes:    rec.bytes,
+			Requests: rec.requests,
+			WorkTime: time.Since(start),
+			Err:      err,
+		}
+		return true
+	})
 
 	out := &RunResult{Blocks: results}
 	for i := range results {

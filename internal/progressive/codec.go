@@ -85,6 +85,12 @@ var errHeaderTruncated = fmt.Errorf("%w: refactored header truncated", encoding.
 // writes: every count is checked against the bytes left before anything
 // is allocated for it, and trailing bytes, in the header or after the
 // last fragment, are corruption.
+//
+// The fragments alias data: each payload is a subslice of data whose
+// capacity runs to the end of data's, so fragment i starts
+// cap(data) − cap(Fragments[i]) bytes into data. Callers rely on this to
+// locate payloads without a second parse, and must not modify data while
+// the result is in use.
 func Unmarshal(data []byte) (*Refactored, error) {
 	hdr, n, err := encoding.GetSection(data)
 	if err != nil {

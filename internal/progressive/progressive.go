@@ -84,8 +84,6 @@ type Options struct {
 	// methods, strictly decreasing. Empty selects 16 decades starting at
 	// 1/10 of the data range (the paper's ε_i = 10^-i relative ladder).
 	SnapshotEBs []float64
-	// Planes is the bit-plane count for PMGARD methods (default 60).
-	Planes int
 	// Order is the PMGARD fragment schedule (default greedy).
 	Order Order
 	// LosslessTail appends a bit-exact final fragment to snapshot methods
@@ -103,9 +101,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults(dataRange float64) Options {
-	if o.Planes == 0 {
-		o.Planes = bitplane.DefaultPlanes
-	}
 	if len(o.SnapshotEBs) == 0 {
 		base := dataRange
 		if base == 0 {
@@ -323,7 +318,7 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 		Method: opt.Method,
 		Dims:   g.Dims(),
 		Basis:  basis,
-		Planes: opt.Planes,
+		Planes: bitplane.DefaultPlanes,
 		Blocks: make([]*bitplane.Block, nGroups),
 	}
 	factors := dec.LevelFactors()
@@ -347,7 +342,7 @@ func refactorMultilevel(b *par.Budget, data []float64, g *grid.Grid, opt Options
 		all = dec.AppendGroup(all, gi)
 		groups[gi] = all[lo:len(all):len(all)]
 	}
-	blocks, err := bitplane.EncodeAllOn(b, groups, opt.Planes)
+	blocks, err := bitplane.EncodeAllOn(b, groups, bitplane.DefaultPlanes)
 	if err != nil {
 		return nil, err
 	}

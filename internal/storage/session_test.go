@@ -27,11 +27,11 @@ func hashSession(ds *datagen.Dataset, vars []*core.Variable, ladder []float64) (
 	h := sha256.New()
 	var buf []byte
 	for _, rel := range ladder {
-		tols := make([]float64, len(ranges))
-		for k := range tols {
-			tols[k] = rel * ranges[k]
+		targets := make([]core.Target, len(ranges))
+		for k := range targets {
+			targets[k] = core.Target{QoI: ds.QoIs[k], Tolerance: rel * ranges[k]}
 		}
-		res, err := rt.Retrieve(context.Background(), core.Request{QoIs: ds.QoIs, Tolerances: tols})
+		res, err := rt.Retrieve(context.Background(), core.Request{Targets: targets})
 		if err != nil && !errors.Is(err, core.ErrExhausted) {
 			return "", err
 		}

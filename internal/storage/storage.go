@@ -344,13 +344,12 @@ func ReadArchiveRanged(ctx context.Context, st Store, name string) (vars []*core
 		if v.Name != string(nameB) {
 			return nil, nil, fmt.Errorf("%w: variable blob name %q != manifest %q", encoding.ErrCorrupt, v.Name, nameB)
 		}
-		fr, err := fragmentRanges(blob)
-		if err != nil {
-			return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
-		}
-		if len(fr) != len(v.Ref.Fragments) {
-			return nil, nil, fmt.Errorf("%w: %s: %d payload ranges for %d fragments",
-				encoding.ErrCorrupt, key, len(fr), len(v.Ref.Fragments))
+		// DecodeVariable aliases every payload into blob, so a payload
+		// starts as many bytes into blob as its capacity falls short of
+		// blob's.
+		fr := make([]FragmentRange, len(v.Ref.Fragments))
+		for j, p := range v.Ref.Fragments {
+			fr[j] = FragmentRange{Off: int64(cap(blob) - cap(p)), Len: int64(len(p))}
 		}
 		vars[i], ranges[i] = v, fr
 	}
@@ -369,56 +368,6 @@ func VarKey(dataset, variable string) string {
 type FragmentRange struct {
 	Off int64
 	Len int64
-}
-
-// fragmentRanges walks a CRC-checked variable blob (an EncodeVariable
-// blob) and returns the byte range of every fragment payload within it,
-// in fragment order. The blob is a prefix of the raw store value, so the
-// offsets hold in both.
-func fragmentRanges(blob []byte) ([]FragmentRange, error) {
-	// EncodeVariable layout: sections name, range, mask, then the
-	// progressive.Refactored blob. Within that: one header section, a
-	// 4-byte fragment count, then one section per fragment.
-	off := 0
-	for i := 0; i < 3; i++ {
-		_, n, err := encoding.GetSection(blob[off:])
-		if err != nil {
-			return nil, fmt.Errorf("storage: fragment ranges: section %d: %w", i, err)
-		}
-		off += n
-	}
-	refStart := off + 4 // skip the ref section's own length prefix
-	if off+4 > len(blob) {
-		return nil, fmt.Errorf("%w: variable blob truncated before representation", encoding.ErrCorrupt)
-	}
-	ref, _, err := encoding.GetSection(blob[off:])
-	if err != nil {
-		return nil, fmt.Errorf("storage: fragment ranges: representation: %w", err)
-	}
-	roff := 0
-	_, n, err := encoding.GetSection(ref)
-	if err != nil {
-		return nil, fmt.Errorf("storage: fragment ranges: header: %w", err)
-	}
-	roff += n
-	if roff+4 > len(ref) {
-		return nil, fmt.Errorf("%w: representation truncated before fragment count", encoding.ErrCorrupt)
-	}
-	count := int(binary.LittleEndian.Uint32(ref[roff:]))
-	roff += 4
-	if count < 0 || count > len(ref)/4 {
-		return nil, fmt.Errorf("%w: %d fragments in %d-byte representation", encoding.ErrCorrupt, count, len(ref))
-	}
-	out := make([]FragmentRange, count)
-	for i := 0; i < count; i++ {
-		payload, n, err := encoding.GetSection(ref[roff:])
-		if err != nil {
-			return nil, fmt.Errorf("storage: fragment ranges: fragment %d: %w", i, err)
-		}
-		out[i] = FragmentRange{Off: int64(refStart + roff + 4), Len: int64(len(payload))}
-		roff += n
-	}
-	return out, nil
 }
 
 // EncodeVariable serializes one refactored variable — name, range, zero
@@ -445,7 +394,11 @@ func EncodeVariable(v *core.Variable) []byte {
 	return v.Ref.AppendMarshal(out)
 }
 
-// DecodeVariable parses an EncodeVariable blob.
+// DecodeVariable parses an EncodeVariable blob. Like progressive.Unmarshal,
+// it copies no payload: each of the variable's fragments is a subslice of
+// blob whose capacity runs to the end of blob's, so a fragment starts
+// cap(blob) − cap(fragment) bytes into blob. ReadArchiveRanged takes its
+// ranges from that.
 func DecodeVariable(blob []byte) (*core.Variable, error) {
 	nameB, n, err := encoding.GetSection(blob)
 	if err != nil {

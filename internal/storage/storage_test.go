@@ -120,11 +120,9 @@ func TestArchiveRoundTripMem(t *testing.T) {
 	}
 	vtot := []qoi.QoI{ds.QoIs[0]}
 	ranges := core.QoIRanges(vtot, ds.Fields)
-	res, err := rt.Retrieve(context.Background(), core.Request{
-		QoIs:       vtot,
-		Tolerances: []float64{1e-4 * ranges[0]},
-		InitRel:    []float64{1e-4},
-	})
+	res, err := rt.Retrieve(context.Background(), core.Request{Targets: []core.Target{
+		{QoI: vtot[0], Tolerance: 1e-4, Relative: true, Range: ranges[0]},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,10 @@ import (
 // residuals become outliers.
 const quantRadius = 1 << 15
 
+// maxAlphabet is the largest Huffman alphabet Compress writes: the zigzag
+// indices of |q| ≤ quantRadius, and the outlier marker past them.
+const maxAlphabet = 2*quantRadius + 2
+
 // noMarker is the header sentinel meaning "no outliers in this stream". When
 // outliers exist, the marker symbol is allocated just past the largest real
 // zigzag index so the Huffman alphabet stays as dense as the data allows.
@@ -151,7 +155,7 @@ func Decompress(buf []byte) ([]float64, *grid.Grid, float64, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	syms, err := encoding.HuffmanDecode(huff)
+	syms, err := encoding.HuffmanDecode(huff, maxAlphabet)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -1,11 +1,14 @@
 package sz
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"progqoi/internal/encoding"
 	"progqoi/internal/grid"
 )
 
@@ -193,6 +196,40 @@ func TestDecompressCorrupt(t *testing.T) {
 	bad[4] = 0xff // mangle rank
 	if _, _, _, err := Decompress(bad); err == nil {
 		t.Error("mangled header not detected")
+	}
+}
+
+// TestDecompressForgedAlphabet: a stream whose Huffman alphabet is wider
+// than any Compress writes is refused before its length table is
+// inflated or its decoder built, both of which the alphabet sizes. The
+// symbols are the real ones, so only the alphabet is forged.
+func TestDecompressForgedAlphabet(t *testing.T) {
+	g := grid.MustNew(30)
+	buf, err := Compress(smoothField(g), g, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, n, _ := encoding.GetSection(buf)
+	huff, m, _ := encoding.GetSection(buf[n:])
+	syms, err := encoding.HuffmanDecode(huff, maxAlphabet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := encoding.HuffmanEncode(syms, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := encoding.PutSection(encoding.PutSection(nil, hdr), wide)
+	forged = append(forged, buf[n+m:]...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = Decompress(forged)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, encoding.ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Errorf("allocated %d bytes", d)
 	}
 }
 

@@ -84,7 +84,6 @@ package progqoi
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -160,36 +159,28 @@ func TotalVelocity(vx, vy, vz int) QoI { return qoi.TotalVelocity(vx, vy, vz) }
 func GEQoIs() []QoI { return qoi.GEQoIs() }
 
 // Option configures Refactor.
-type Option func(*options)
-
-type options struct {
-	method    Method
-	maskZeros bool
-	planes    int
-	snapshots []float64
-	tail      bool
-	workers   int
-}
+type Option func(*core.RefactorOptions)
 
 // WithMethod selects the progressive representation (default PMGARDHB).
-func WithMethod(m Method) Option { return func(o *options) { o.method = m } }
+func WithMethod(m Method) Option {
+	return func(o *core.RefactorOptions) { o.Progressive.Method = m }
+}
 
 // WithZeroMask enables the outlier mask for exact-zero points, keeping
 // square-root QoI estimates finite at wall nodes (default on).
-func WithZeroMask(on bool) Option { return func(o *options) { o.maskZeros = on } }
-
-// WithPlanes sets the bit-plane count for PMGARD methods (default 60).
-func WithPlanes(n int) Option { return func(o *options) { o.planes = n } }
+func WithZeroMask(on bool) Option { return func(o *core.RefactorOptions) { o.MaskZeros = on } }
 
 // WithSnapshotBounds sets the preset absolute bounds for snapshot methods
 // (default: 16 decades from 1/10 of the field range).
 func WithSnapshotBounds(ebs []float64) Option {
-	return func(o *options) { o.snapshots = append([]float64(nil), ebs...) }
+	return func(o *core.RefactorOptions) { o.Progressive.SnapshotEBs = append([]float64(nil), ebs...) }
 }
 
 // WithLosslessTail appends a bit-exact final fragment to snapshot methods
 // so any tolerance is reachable (default on).
-func WithLosslessTail(on bool) Option { return func(o *options) { o.tail = on } }
+func WithLosslessTail(on bool) Option {
+	return func(o *core.RefactorOptions) { o.Progressive.LosslessTail = on }
+}
 
 // WithRefactorWorkers bounds Refactor's encode pool, the producer-side
 // mirror of WithWorkers: variables refactor concurrently and the
@@ -197,7 +188,7 @@ func WithLosslessTail(on bool) Option { return func(o *options) { o.tail = on } 
 // n = 1 selects the fully sequential path; the default (0) is GOMAXPROCS.
 // Parallel refactoring is deterministic — the archive is bit-identical to
 // the sequential path for every setting.
-func WithRefactorWorkers(n int) Option { return func(o *options) { o.workers = n } }
+func WithRefactorWorkers(n int) Option { return func(o *core.RefactorOptions) { o.Workers = n } }
 
 // Archive is a set of refactored variables sharing one grid. A local
 // Archive comes from Refactor or a file:// reference; Open's http(s) and
@@ -378,20 +369,14 @@ func (a *Archive) Close() {
 // Refactor transforms fields (row-major on dims, one slice per field) into
 // a progressive archive.
 func Refactor(names []string, fields [][]float64, dims []int, opts ...Option) (*Archive, error) {
-	o := options{method: PMGARDHB, maskZeros: true, tail: true}
+	o := core.RefactorOptions{
+		Progressive: progressive.Options{Method: PMGARDHB, LosslessTail: true},
+		MaskZeros:   true,
+	}
 	for _, fn := range opts {
 		fn(&o)
 	}
-	vars, err := core.RefactorVariables(names, fields, dims, core.RefactorOptions{
-		Progressive: progressive.Options{
-			Method:       o.method,
-			Planes:       o.planes,
-			SnapshotEBs:  o.snapshots,
-			LosslessTail: o.tail,
-		},
-		MaskZeros: o.maskZeros,
-		Workers:   o.workers,
-	})
+	vars, err := core.RefactorVariables(names, fields, dims, o)
 	if err != nil {
 		return nil, err
 	}
@@ -518,88 +503,12 @@ type Region = core.Region
 
 // Target is one quantity of interest with its own error requirement: an
 // absolute tolerance, or a tolerance relative to the QoI's value range,
-// certified over the whole domain or just a Region. A Request mixes
-// targets freely — the same QoI may appear twice with different regions
-// and tolerances to express spatially varying fidelity.
-type Target struct {
-	// QoI is the derivable quantity to certify.
-	QoI QoI
-	// Tolerance is the requested max error: absolute by default, or a
-	// fraction of Range when Relative is set. Must be positive.
-	Tolerance float64
-	// Relative interprets Tolerance as Tolerance × Range (the paper's
-	// evaluation convention) and seeds the error-bound assigner with the
-	// relative value.
-	Relative bool
-	// Range is the QoI's value range (see QoIRanges); required when
-	// Relative is set, ignored otherwise.
-	Range float64
-	// Region restricts certification to a flat-index range; the zero
-	// Region means the whole domain.
-	Region Region
-}
+// certified over the whole domain or just a Region.
+type Target = core.Target
 
-// Request asks one Do call to certify a set of Targets.
-type Request struct {
-	Targets []Target
-	// OnProgress, when set, fires after every certify-loop iteration with
-	// the current per-QoI estimated errors and cumulative byte counts —
-	// render convergence, or cancel the Do context from inside the
-	// callback to stop early and keep the best-effort Result. A Do on a
-	// session that holds data usually certifies in one iteration, and so
-	// reports once. It runs on the retrieving goroutine.
-	OnProgress func(Iteration)
-}
-
-// toCore validates the request and lowers it to the core representation.
-// Every validation failure wraps ErrBadRequest.
-func (r Request) toCore() (core.Request, error) {
-	if len(r.Targets) == 0 {
-		return core.Request{}, fmt.Errorf("%w: request has no targets", ErrBadRequest)
-	}
-	creq := core.Request{
-		QoIs:       make([]qoi.QoI, len(r.Targets)),
-		Tolerances: make([]float64, len(r.Targets)),
-		OnProgress: r.OnProgress,
-	}
-	regions := false
-	relative := false
-	for k, t := range r.Targets {
-		creq.QoIs[k] = t.QoI
-		if !(t.Tolerance > 0) {
-			return core.Request{}, fmt.Errorf("%w: target %d (%s): tolerance must be positive, got %g",
-				ErrBadRequest, k, t.QoI.Name, t.Tolerance)
-		}
-		if t.Relative {
-			if !(t.Range > 0) {
-				return core.Request{}, fmt.Errorf("%w: target %d (%s): relative tolerance needs a positive Range, got %g",
-					ErrBadRequest, k, t.QoI.Name, t.Range)
-			}
-			relative = true
-			creq.Tolerances[k] = t.Tolerance * t.Range
-		} else {
-			creq.Tolerances[k] = t.Tolerance
-		}
-		if t.Region != (Region{}) {
-			regions = true
-		}
-	}
-	if relative {
-		creq.InitRel = make([]float64, len(r.Targets))
-		for k, t := range r.Targets {
-			if t.Relative {
-				creq.InitRel[k] = t.Tolerance
-			}
-		}
-	}
-	if regions {
-		creq.Regions = make([]Region, len(r.Targets))
-		for k, t := range r.Targets {
-			creq.Regions[k] = t.Region
-		}
-	}
-	return creq, nil
-}
+// Request asks one Do call to certify a set of Targets. Its OnProgress,
+// when set, fires after every certify-loop iteration; see [Session.Do].
+type Request = core.Request
 
 // Do fetches just enough fragments to certify every target, returning the
 // reconstruction and the certified error estimates (EstErrors[k] belongs
@@ -618,11 +527,7 @@ func (r Request) toCore() (core.Request, error) {
 // the best-effort Result together with ErrExhausted. Invalid requests
 // return an error wrapping ErrBadRequest.
 func (s *Session) Do(ctx context.Context, req Request) (*Result, error) {
-	creq, err := req.toCore()
-	if err != nil {
-		return nil, err
-	}
-	return s.rt.Retrieve(ctx, creq)
+	return s.rt.Retrieve(ctx, req)
 }
 
 // RetrievedBytes returns the session's cumulative fetched bytes.
