@@ -280,10 +280,12 @@ func tagged(tag byte, payload []byte) []byte {
 }
 
 // GetTagged returns the payload of a tagged fragment, which must be exactly
-// size bytes. A raw payload aliases frag; a DEFLATE payload is inflated
-// into one new buffer of that size. Anything else, a negative size
-// included, is ErrCorrupt.
-func GetTagged(frag []byte, size int) ([]byte, error) {
+// size bytes. A raw payload aliases frag. A DEFLATE payload is inflated into
+// *scratch's storage, grown to size bytes when it is smaller, and *scratch
+// is left holding it, so a caller that passes the same scratch for its next
+// fragment reuses one buffer; a nil scratch inflates into one new buffer of
+// that size. Anything else, a negative size included, is ErrCorrupt.
+func GetTagged(frag []byte, size int, scratch *[]byte) ([]byte, error) {
 	if len(frag) == 0 {
 		return nil, fmt.Errorf("%w: empty fragment", ErrCorrupt)
 	}
@@ -295,16 +297,26 @@ func GetTagged(frag []byte, size int) ([]byte, error) {
 		if size < 0 {
 			return nil, fmt.Errorf("%w: negative fragment size %d", ErrCorrupt, size)
 		}
-		// A 258-byte match costs DEFLATE at least 2 bits, so the payload
-		// inflates to at most 1032 bytes per byte: reserve no more than
-		// that, whatever size claims.
-		reserve := size
-		if c := len(frag) - 1; c < size/1032 {
-			reserve = 1032 * c
+		var out []byte
+		if scratch != nil {
+			out = (*scratch)[:0]
+		}
+		if cap(out) < size {
+			// A 258-byte match costs DEFLATE at least 2 bits, so the
+			// payload inflates to at most 1032 bytes per byte: reserve no
+			// more than that, whatever size claims.
+			reserve := size
+			if c := len(frag) - 1; c < size/1032 {
+				reserve = 1032 * c
+			}
+			out = make([]byte, 0, reserve)
 		}
 		var err error
-		if raw, err = inflateAppend(make([]byte, 0, reserve), frag[1:], size); err != nil {
+		if raw, err = inflateAppend(out, frag[1:], size); err != nil {
 			return nil, err
+		}
+		if scratch != nil {
+			*scratch = raw
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown fragment tag %d", ErrCorrupt, frag[0])

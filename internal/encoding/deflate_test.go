@@ -119,7 +119,7 @@ func TestDeflateSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := GetTagged(frag, len(data)); err != nil {
+		if _, err := GetTagged(frag, len(data), nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 2 {
@@ -143,7 +143,7 @@ func TestTaggedRule(t *testing.T) {
 		if !bytes.Equal(frag, want) {
 			t.Fatalf("input %d: fragment is not tag+payload under the len(deflate) < len(raw) rule", i)
 		}
-		got, err := GetTagged(frag, len(raw))
+		got, err := GetTagged(frag, len(raw), nil)
 		if err != nil || !bytes.Equal(got, raw) {
 			t.Fatalf("input %d: round trip: %v", i, err)
 		}
@@ -213,7 +213,7 @@ func TestGetTaggedCorrupt(t *testing.T) {
 		"negative size":     {zeros, -1},
 	}
 	for name, c := range cases {
-		if _, err := GetTagged(c.frag, c.size); !errors.Is(err, ErrCorrupt) {
+		if _, err := GetTagged(c.frag, c.size, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestTaggedPeriodicPlane(t *testing.T) {
 	if !bytes.Equal(frag, append([]byte{1}, c...)) {
 		t.Fatalf("stored with tag %d in %d bytes, want tag 1 and the %d-byte DEFLATE stream", frag[0], len(frag), len(c))
 	}
-	got, err := GetTagged(frag, len(raw))
+	got, err := GetTagged(frag, len(raw), nil)
 	if err != nil || !bytes.Equal(got, raw) {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestTaggedPeriodicPlane(t *testing.T) {
 // frame, the periodic plane and a truncated DEFLATE stream.
 func FuzzTagged(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frag []byte, size int) {
-		got, err := GetTagged(frag, size)
+		got, err := GetTagged(frag, size, nil)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("GetTagged: %v is not ErrCorrupt", err)
 		}
@@ -303,7 +303,7 @@ func FuzzTagged(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := GetTagged(framed, len(frag))
+		back, err := GetTagged(framed, len(frag), nil)
 		if err != nil || !bytes.Equal(back, frag) {
 			t.Fatalf("PutTagged does not round-trip %d bytes: %v", len(frag), err)
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"progqoi/internal/encoding"
 )
 
 // TestDataRebuildDoesNotAllocate is the commit path's allocation contract:
@@ -65,4 +67,69 @@ func TestDataRebuildDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAdvanceReusesPlaneBitmaps: a reader inflates each DEFLATE plane
+// bitmap into a buffer of its group that the next Advance reuses. A buffer,
+// once made, is never replaced, and over a ladder of targets fewer buffers
+// are made than DEFLATE planes inflated.
+func TestAdvanceReusesPlaneBitmaps(t *testing.T) {
+	dims := []int{65, 65}
+	ref, err := Refactor(smoothField(dims), dims, Options{Method: PMGARDHB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(ref, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	made := map[*byte]bool{}
+	inflated := 0
+	for _, target := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6} {
+		for _, i := range rd.Plan(target) {
+			frag := ref.Fragments[i]
+			if ref.Schedule[i].Plane == 0 {
+				_, n, err := encoding.GetSection(frag)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frag = frag[n:]
+			}
+			plane, _, err := encoding.GetSection(frag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plane[0] == 1 {
+				inflated++
+			}
+		}
+		if _, err := rd.Advance(context.Background(), target); err != nil {
+			t.Fatal(err)
+		}
+		now := map[*byte]bool{}
+		for g, bufs := range rd.bitmaps {
+			for _, b := range bufs {
+				if b == nil {
+					continue
+				}
+				if len(b) != (rd.blocks[g].N+7)/8 {
+					t.Fatalf("group %d: a %d-byte bitmap buffer, want %d", g, len(b), (rd.blocks[g].N+7)/8)
+				}
+				now[&b[0]] = true
+			}
+		}
+		for p := range made {
+			if !now[p] {
+				t.Fatalf("target %g: a bitmap buffer was replaced", target)
+			}
+		}
+		made = now
+	}
+	if len(made) == 0 {
+		t.Fatalf("%d planes inflated, none into the reader's buffers", inflated)
+	}
+	if len(made) >= inflated {
+		t.Fatalf("%d buffers made for %d inflated planes: none was reused", len(made), inflated)
+	}
+	t.Logf("%d buffers for %d inflated planes", len(made), inflated)
 }

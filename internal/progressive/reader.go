@@ -66,6 +66,10 @@ type Reader struct {
 	// recomposed through, and slack the blocks' roundoffSlack.
 	blocks []*bitplane.Block
 	decs   []*bitplane.Decoder
+	// bitmaps[g] are the buffers group g's DEFLATE plane bitmaps inflate
+	// into, each of the group's bitmap size. A bitmap is dead once OrPlane
+	// has applied it, so every Advance reuses them (planeScratch).
+	bitmaps [][][]byte
 	shape  *mgard.Decomposition
 	slack  float64
 	grd    *grid.Grid
@@ -90,6 +94,7 @@ func NewReader(r *Refactored, fetch FetchFunc) (*Reader, error) {
 		rd.shape = shape
 		rd.blocks = r.Blocks
 		rd.decs = make([]*bitplane.Decoder, len(r.Blocks))
+		rd.bitmaps = make([][][]byte, len(r.Blocks))
 		for i, blk := range r.Blocks {
 			if blk.N != shape.GroupSize(i) {
 				return nil, fmt.Errorf("%w: block %d has %d coefficients, want %d", encoding.ErrCorrupt, i, blk.N, shape.GroupSize(i))
@@ -321,7 +326,7 @@ type decodedFrag struct {
 // (decode failure or ctx cancellation) that ended it, if any. Committing
 // only that prefix leaves the reader exactly as if the plan had stopped
 // before the failing fragment.
-func (rd *Reader) decode(ctx context.Context, plan []int) ([]decodedFrag, error) {
+func (rd *Reader) decode(ctx context.Context, plan []int, scratch []*[]byte) ([]decodedFrag, error) {
 	tasks := make([]decodedFrag, len(plan))
 	for t := range tasks {
 		tasks[t].frag = -1 // marks "not run"
@@ -335,7 +340,7 @@ func (rd *Reader) decode(ctx context.Context, plan []int) ([]decodedFrag, error)
 		case PSZ3, PSZ3Delta:
 			tasks[t] = rd.decodeSnapshot(plan[t])
 		default:
-			tasks[t] = rd.decodePlane(plan[t])
+			tasks[t] = rd.decodePlane(plan[t], scratch[t])
 		}
 		return tasks[t].err == nil
 	})
@@ -368,7 +373,7 @@ func (rd *Reader) decode(ctx context.Context, plan []int) ([]decodedFrag, error)
 // the commit walks plan order. Plane application only sets independent
 // bits, so any execution order yields the same magnitudes.
 func (rd *Reader) advancePlanes(ctx context.Context, plan []int) error {
-	ok, ferr := rd.decode(ctx, plan)
+	ok, ferr := rd.decode(ctx, plan, rd.planeScratch(plan))
 
 	// Validate plane contiguity before any decoder mutation: a schedule
 	// that skips a plane poisons everything after it, so the fragment that
@@ -438,9 +443,48 @@ func (rd *Reader) advancePlanes(ctx context.Context, plan []int) error {
 	return ferr
 }
 
+// planeScratch returns, for each fragment of plan, the buffer its plane
+// bitmap inflates into: the k-th fragment of group g in plan gets group
+// g's k-th buffer, so each buffer is only ever reused at its group's
+// bitmap size. A fragment without a valid schedule entry gets nil, and
+// decodePlane refuses it.
+func (rd *Reader) planeScratch(plan []int) []*[]byte {
+	group := func(i int) int {
+		if i < 0 || i >= len(rd.src.Schedule) {
+			return -1
+		}
+		if g := rd.src.Schedule[i].Group; g >= 0 && g < len(rd.bitmaps) {
+			return g
+		}
+		return -1
+	}
+	used := make([]int, len(rd.bitmaps))
+	for _, i := range plan {
+		if g := group(i); g >= 0 {
+			used[g]++
+		}
+	}
+	for g, n := range used {
+		if n > len(rd.bitmaps[g]) {
+			rd.bitmaps[g] = append(rd.bitmaps[g], make([][]byte, n-len(rd.bitmaps[g]))...)
+		}
+	}
+	clear(used)
+	out := make([]*[]byte, len(plan))
+	for t, i := range plan {
+		if g := group(i); g >= 0 {
+			out[t] = &rd.bitmaps[g][used[g]]
+			used[g]++
+		}
+	}
+	return out
+}
+
 // decodePlane does the decode stage's work for PMGARD fragment i: bounds
-// checks, section parsing, bitmap decompression.
-func (rd *Reader) decodePlane(i int) decodedFrag {
+// checks, section parsing, bitmap decompression. A DEFLATE plane bitmap is
+// inflated into *scratch; the sign bitmap, which the decoder keeps, into a
+// buffer of its own.
+func (rd *Reader) decodePlane(i int, scratch *[]byte) decodedFrag {
 	out := decodedFrag{frag: i}
 	buf, err := rd.fragment(i)
 	if err != nil {
@@ -475,7 +519,7 @@ func (rd *Reader) decodePlane(i int) decodedFrag {
 		out.err = err
 		return out
 	}
-	if out.rawPlane, err = blk.RawBitmap(plane); err != nil {
+	if out.rawPlane, err = encoding.GetTagged(plane, (blk.N+7)/8, scratch); err != nil {
 		out.err = fmt.Errorf("bitplane: plane %d: %w", ref.Plane, err)
 	}
 	return out
@@ -493,7 +537,7 @@ func (rd *Reader) advanceSnapshots(ctx context.Context, plan []int) error {
 	delta := rd.src.Method == PSZ3Delta
 	window := 2 * rd.Workers()
 	for start := 0; start < len(plan); start += window {
-		ok, ferr := rd.decode(ctx, plan[start:min(start+window, len(plan))])
+		ok, ferr := rd.decode(ctx, plan[start:min(start+window, len(plan))], nil)
 		if len(ok) > 0 {
 			n := len(rd.data)
 			size := max((n+rd.Workers()-1)/rd.Workers(), 4096)

@@ -192,6 +192,8 @@ func (d Div) self() Expr { return d }
 
 // divBound is Theorem 6: Δ(x₁/x₂) ≤ (|x₁|ε₂+|x₂|ε₁) / (|x₂|·min(|x₂−ε₂|,|x₂+ε₂|)),
 // valid only while ε₂ < |x₂|.
+// Four absolute values put it past the inlining budget, so divColumn
+// repeats it over a column.
 func divBound(vn, dn, vd, dd float64) (float64, float64) {
 	val := vn / vd
 	if dn == 0 && dd == 0 {
@@ -200,7 +202,7 @@ func divBound(vn, dn, vd, dd float64) (float64, float64) {
 	if !(dd < math.Abs(vd)) {
 		return val, math.Inf(1)
 	}
-	den := math.Abs(vd) * math.Min(math.Abs(vd-dd), math.Abs(vd+dd))
+	den := math.Abs(vd) * min(math.Abs(vd-dd), math.Abs(vd+dd))
 	return val, (math.Abs(vn)*dd + math.Abs(vd)*dn) / den
 }
 
@@ -363,22 +365,28 @@ func (s Sqrt) self() Expr { return s }
 
 // sqrtBound is Theorem 2: Δ(√x) ≤ ε/(√max(x−ε,0) + √x). The estimate blows
 // up as x→0 with ε>0 — the behaviour the paper's outlier mask exists for.
+// It is small enough to inline, so the program's Sqrt column is this
+// function in a loop: both roots are taken before the cases are told apart,
+// and the builtin max, unlike math.Max, is no call.
 func sqrtBound(v, d float64) (float64, float64) {
-	if v < 0 {
+	val := math.Sqrt(v)
+	den := math.Sqrt(max(v-d, 0)) + val
+	switch {
+	case v < 0:
 		// Reconstructed radicand negative: the true value cannot be
 		// certified until the bound shrinks.
-		return math.NaN(), math.Inf(1)
-	}
-	val := math.Sqrt(v)
-	if d == 0 {
+		return math.NaN(), math.Float64frombits(infBits)
+	case d == 0:
 		return val, 0
-	}
-	den := math.Sqrt(math.Max(v-d, 0)) + val
-	if den == 0 {
-		return val, math.Inf(1)
+	case den == 0:
+		return val, math.Float64frombits(infBits)
 	}
 	return val, d / den
 }
+
+// infBits is +Inf. math.Inf(1) tests its sign, which would cost sqrtBound
+// its inlining.
+const infBits = 0x7ff0000000000000
 
 // String implements Expr.
 func (s Sqrt) String() string { return fmt.Sprintf("sqrt(%s)", s.X) }
@@ -396,6 +404,8 @@ func (r Radical) self() Expr { return r }
 
 // radicalBound is Theorem 3: Δ(1/(x+c)) ≤ ε/(min(|x+c−ε|,|x+c+ε|)·|x+c|),
 // valid only while ε < |x+c|.
+// Like divBound, it is past the inlining budget, and radicalColumn repeats
+// it over a column.
 func radicalBound(c, v, d float64) (float64, float64) {
 	u := v + c
 	val := 1 / u
@@ -405,7 +415,7 @@ func radicalBound(c, v, d float64) (float64, float64) {
 	if !(d < math.Abs(u)) {
 		return val, math.Inf(1)
 	}
-	return val, d / (math.Min(math.Abs(u-d), math.Abs(u+d)) * math.Abs(u))
+	return val, d / (min(math.Abs(u-d), math.Abs(u+d)) * math.Abs(u))
 }
 
 // String implements Expr.

@@ -222,8 +222,9 @@ type Scratch struct {
 	val, bnd [][]float64
 	need     []bool
 	buf      []float64
-	m        int       // points in the current block
-	pw       []float64 // the Pow and Poly columns' scratch
+	m        int         // points in the current block
+	pw       []float64   // the Pow and Poly columns' scratch
+	tv, td   [][]float64 // a long Sum's term columns
 }
 
 func (s *Scratch) bind(p *Program) {
@@ -284,15 +285,7 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 				val[j], bnd[j] = c, 0
 			}
 		case opSum:
-			clear(val)
-			clear(bnd)
-			for t, a := range nd.args {
-				w := nd.w[t]
-				av, ad := s.col(a)
-				for j := range val {
-					val[j], bnd[j] = sumTerm(val[j], bnd[j], w, av[j], ad[j])
-				}
-			}
+			s.sum(val, bnd, nd)
 		case opMul:
 			av, ad := s.col(nd.args[0])
 			bv, bd := s.col(nd.args[1])
@@ -302,13 +295,10 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 		case opDiv:
 			av, ad := s.col(nd.args[0])
 			bv, bd := s.col(nd.args[1])
-			for j := range val {
-				val[j], bnd[j] = divBound(av[j], ad[j], bv[j], bd[j])
-			}
+			divColumn(val, bnd, av, ad, bv, bd)
 		case opPow:
 			xv, xd := s.col(nd.args[0])
-			powBoundColumn(bnd, xv, xd, nd.n, s.pw)
-			powValueColumn(val, xv, nd.n, s.pw)
+			powColumn(val, bnd, xv, xd, nd.n, s.pw)
 		case opPoly:
 			xv, xd := s.col(nd.args[0])
 			polyColumn(val, bnd, xv, xd, nd.w, s.pw)
@@ -318,11 +308,8 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 				val[j], bnd[j] = sqrtBound(xv[j], xd[j])
 			}
 		case opRadical:
-			c := nd.c
 			xv, xd := s.col(nd.args[0])
-			for j := range val {
-				val[j], bnd[j] = radicalBound(c, xv[j], xd[j])
-			}
+			radicalColumn(val, bnd, nd.c, xv, xd)
 		case opAbs:
 			xv, xd := s.col(nd.args[0])
 			for j := range val {
@@ -339,6 +326,169 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 				val[j], bnd[j] = logBound(xv[j], xd[j])
 			}
 		}
+	}
+}
+
+// sum is Theorems 4, 7 and 8 over a column, in one pass: per point, sumTerm
+// over the terms in their order from (0, 0), the running pair held in
+// registers. The library's 1- and 3-term sums read their columns directly;
+// any other reads them through s.tv and s.td.
+func (s *Scratch) sum(val, bnd []float64, nd *node) {
+	w := nd.w
+	switch len(nd.args) {
+	case 1:
+		av, ad := s.col(nd.args[0])
+		w0 := w[0]
+		for j := range val {
+			val[j], bnd[j] = sumTerm(0, 0, w0, av[j], ad[j])
+		}
+	case 3:
+		av, ad := s.col(nd.args[0])
+		bv, bd := s.col(nd.args[1])
+		cv, cd := s.col(nd.args[2])
+		w0, w1, w2 := w[0], w[1], w[2]
+		for j := range val {
+			v, d := sumTerm(0, 0, w0, av[j], ad[j])
+			v, d = sumTerm(v, d, w1, bv[j], bd[j])
+			val[j], bnd[j] = sumTerm(v, d, w2, cv[j], cd[j])
+		}
+	default:
+		tv, td := s.tv[:0], s.td[:0]
+		for _, a := range nd.args {
+			av, ad := s.col(a)
+			tv, td = append(tv, av), append(td, ad)
+		}
+		s.tv, s.td = tv, td
+		for j := range val {
+			v, d := 0.0, 0.0
+			for t, c := range w {
+				v, d = sumTerm(v, d, c, tv[t][j], td[t][j])
+			}
+			val[j], bnd[j] = v, d
+		}
+	}
+}
+
+// divColumn is divBound at every point, which is past the inlining budget:
+// the same cases in the same order and the same operations.
+func divColumn(val, bnd, nv, nd, dv, dd []float64) {
+	m := len(nv)
+	val, bnd, nd, dv, dd = val[:m], bnd[:m], nd[:m], dv[:m], dd[:m]
+	for j, vn := range nv {
+		dn, vd, e := nd[j], dv[j], dd[j]
+		b := 0.0
+		switch {
+		case dn == 0 && e == 0:
+		case !(e < math.Abs(vd)):
+			b = math.Inf(1)
+		default:
+			den := math.Abs(vd) * min(math.Abs(vd-e), math.Abs(vd+e))
+			b = (math.Abs(vn)*e + math.Abs(vd)*dn) / den
+		}
+		val[j], bnd[j] = vn/vd, b
+	}
+}
+
+// radicalColumn is radicalBound(c, ·, ·) at every point, which is past the
+// inlining budget: the same cases in the same order and the same
+// operations.
+func radicalColumn(val, bnd []float64, c float64, xv, xd []float64) {
+	m := len(xv)
+	val, bnd, xd = val[:m], bnd[:m], xd[:m]
+	for j, v := range xv {
+		d := xd[j]
+		u := v + c
+		b := 0.0
+		switch {
+		case d == 0:
+		case !(d < math.Abs(u)):
+			b = math.Inf(1)
+		default:
+			b = d / (min(math.Abs(u-d), math.Abs(u+d)) * math.Abs(u))
+		}
+		val[j], bnd[j] = 1/u, b
+	}
+}
+
+// powColumn writes intPow(xv[j], n) to val[j] and powBound(xv[j], xd[j], n)
+// to bnd[j] for every point, 0 ≤ n ≤ maxExponent. For the library's
+// exponents, 2, 3 and 7, it is one loop that holds each point's |x|ᵏ, εⁱ
+// and running sum in registers and makes powBound's products and sums in
+// powBound's order: |x|ᵏ⁺¹ = |x|ᵏ·|x|, εⁱ⁺¹ = εⁱ·ε, the terms C(n,i)·|x|ⁿ⁻ⁱ·εⁱ
+// added to 0 in increasing i, and 0 where ε = 0. C(n,n)·|x|⁰ is C(n,n)·1,
+// which is C(n,n). The value is |x|ⁿ⁻¹·|x| with x's sign when n is odd, as
+// powValueColumn makes it. Any other exponent takes powBoundColumn and
+// powValueColumn, with pw their scratch.
+func powColumn(val, bnd, xv, xd []float64, n int, pw []float64) {
+	m := len(xv)
+	val, bnd, xd = val[:m], bnd[:m], xd[:m]
+	switch n {
+	case 2:
+		c := binomials[2]
+		c1, c2 := c[0], c[1]
+		for j, x := range xv {
+			d := xd[j]
+			a := math.Abs(x)
+			b, di := 0.0, d
+			b += c1 * a * di
+			di *= d
+			b += c2 * di
+			if d == 0 {
+				b = 0
+			}
+			val[j], bnd[j] = a*a, b
+		}
+	case 3:
+		c := binomials[3]
+		c1, c2, c3 := c[0], c[1], c[2]
+		for j, x := range xv {
+			d := xd[j]
+			a := math.Abs(x)
+			a2 := a * a
+			b, di := 0.0, d
+			b += c1 * a2 * di
+			di *= d
+			b += c2 * a * di
+			di *= d
+			b += c3 * di
+			if d == 0 {
+				b = 0
+			}
+			val[j], bnd[j] = math.Copysign(a2*a, x), b
+		}
+	case 7:
+		c := binomials[7]
+		c1, c2, c3, c4, c5, c6, c7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
+		for j, x := range xv {
+			d := xd[j]
+			a := math.Abs(x)
+			a2 := a * a
+			a3 := a2 * a
+			a4 := a3 * a
+			a5 := a4 * a
+			a6 := a5 * a
+			b, di := 0.0, d
+			b += c1 * a6 * di
+			di *= d
+			b += c2 * a5 * di
+			di *= d
+			b += c3 * a4 * di
+			di *= d
+			b += c4 * a3 * di
+			di *= d
+			b += c5 * a2 * di
+			di *= d
+			b += c6 * a * di
+			di *= d
+			b += c7 * di
+			if d == 0 {
+				b = 0
+			}
+			val[j], bnd[j] = math.Copysign(a6*a, x), b
+		}
+	default:
+		powBoundColumn(bnd, xv, xd, n, pw)
+		powValueColumn(val, xv, n, pw)
 	}
 }
 

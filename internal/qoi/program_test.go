@@ -189,15 +189,19 @@ func kernelInputs() (xv, xd []float64) {
 // bitsEqual compares by Float64bits, NaN payloads included.
 func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestPowColumnMatchesScalar: powBoundColumn against the scalar powBound,
-// bit for bit, for every exponent through one past powBound's |x|ᵏ table
-// and the largest Compile accepts.
+// powExponents is every exponent through one past powBound's |x|ᵏ table,
+// and the largest Compile accepts: the kernels for 2, 3 and 7 and the
+// column path on either side of each.
+var powExponents = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, maxExponent}
+
+// TestPowColumnMatchesScalar: powColumn's bounds against the scalar
+// powBound, bit for bit, for every exponent in powExponents.
 func TestPowColumnMatchesScalar(t *testing.T) {
 	xv, xd := kernelInputs()
-	bnd := make([]float64, len(xv))
+	val, bnd := make([]float64, len(xv)), make([]float64, len(xv))
 	pw := make([]float64, maxExponent*len(xv))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, maxExponent} {
-		powBoundColumn(bnd, xv, xd, n, pw)
+	for _, n := range powExponents {
+		powColumn(val, bnd, xv, xd, n, pw)
 		for j := range xv {
 			if want := powBound(xv[j], xd[j], n); !bitsEqual(bnd[j], want) {
 				t.Fatalf("n=%d x=%v ε=%v: column %v, scalar %v", n, xv[j], xd[j], bnd[j], want)
@@ -206,20 +210,147 @@ func TestPowColumnMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPowValueColumnMatchesIntPow: powValueColumn, after the powBoundColumn
-// call it reads, against intPow, bit for bit. A NaN x only has to give a
-// NaN: its sign never reaches a bound, which takes |x|.
+// TestPowValueColumnMatchesIntPow: powColumn's values against intPow, bit
+// for bit, for every exponent in powExponents and one below the largest. A
+// NaN x only has to give a NaN: its sign never reaches a bound, which takes
+// |x|.
 func TestPowValueColumnMatchesIntPow(t *testing.T) {
 	xv, xd := kernelInputs()
 	xv[len(xv)-1] = math.Copysign(math.NaN(), -1)
 	val, bnd := make([]float64, len(xv)), make([]float64, len(xv))
 	pw := make([]float64, maxExponent*len(xv))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, maxExponent - 1, maxExponent} {
-		powBoundColumn(bnd, xv, xd, n, pw)
-		powValueColumn(val, xv, n, pw)
+	for _, n := range append(powExponents, maxExponent-1) {
+		powColumn(val, bnd, xv, xd, n, pw)
 		for j, x := range xv {
 			if want := intPow(x, n); !bitsEqual(val[j], want) && !(math.IsNaN(x) && math.IsNaN(val[j])) {
 				t.Fatalf("n=%d x=%v: column %v (%#x), intPow %v (%#x)", n, x, val[j], math.Float64bits(val[j]), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// Where two NaNs meet in one operation, which one's bits survive depends
+// on the operand order the compiler picks for that instruction, so the
+// two-operand kernels and the Sum are held to sameBits, which matches any
+// NaN with any NaN: a NaN bound reads as +Inf wherever it is used.
+
+// kernelPairs is every pairing of two kernelInputs points, for the
+// two-operand kernels: the first operand's (x, ε) in a and the second's in
+// b, the special values against each other first.
+func kernelPairs() (av, ad, bv, bd []float64) {
+	xv, xd := kernelInputs()
+	for i := range xv {
+		for k := range xv {
+			av, ad = append(av, xv[i]), append(ad, xd[i])
+			bv, bd = append(bv, xv[k]), append(bd, xd[k])
+		}
+	}
+	return av, ad, bv, bd
+}
+
+// TestDivColumnMatchesScalar: divColumn against divBound, bit for bit, at
+// every pairing of numerator and denominator points.
+func TestDivColumnMatchesScalar(t *testing.T) {
+	nv, nd, dv, dd := kernelPairs()
+	val, bnd := make([]float64, len(nv)), make([]float64, len(nv))
+	divColumn(val, bnd, nv, nd, dv, dd)
+	for j := range nv {
+		if wv, wb := divBound(nv[j], nd[j], dv[j], dd[j]); !sameBits(val[j], wv) || !sameBits(bnd[j], wb) {
+			t.Fatalf("(%v ± %v)/(%v ± %v): column (%v, %v), scalar (%v, %v)", nv[j], nd[j], dv[j], dd[j], val[j], bnd[j], wv, wb)
+		}
+	}
+}
+
+// TestRadicalColumnMatchesScalar: radicalColumn against radicalBound, bit
+// for bit, for offsets that cancel the special values and the library's.
+func TestRadicalColumnMatchesScalar(t *testing.T) {
+	xv, xd := kernelInputs()
+	val, bnd := make([]float64, len(xv)), make([]float64, len(xv))
+	for _, c := range []float64{0, math.Copysign(0, -1), 1, -1.5, 2.5, Sutherland, math.Inf(-1), math.NaN()} {
+		radicalColumn(val, bnd, c, xv, xd)
+		for j := range xv {
+			if wv, wb := radicalBound(c, xv[j], xd[j]); !sameBits(val[j], wv) || !sameBits(bnd[j], wb) {
+				t.Fatalf("1/(%v ± %v + %v): column (%v, %v), scalar (%v, %v)", xv[j], xd[j], c, val[j], bnd[j], wv, wb)
+			}
+		}
+	}
+}
+
+// evalColumns compiles e alone and evaluates it over the columns of x and
+// eb, a block at a time, returning its value and bound at every point as
+// the node's columns hold them, before Bound maps NaN to +Inf.
+func evalColumns(t *testing.T, e Expr, x, eb [][]float64) (val, bnd []float64) {
+	t.Helper()
+	p, err := Compile([]Expr{e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scratch
+	bx, beb := make([][]float64, len(x)), make([][]float64, len(x))
+	for lo := 0; lo < len(x[0]); lo += BlockSize {
+		m := min(BlockSize, len(x[0])-lo)
+		for v := range x {
+			bx[v], beb[v] = x[v][lo:lo+m], eb[v][lo:lo+m]
+		}
+		p.Eval(&s, []bool{true}, bx, beb, m)
+		v, b := s.col(p.roots[0])
+		val, bnd = append(val, v...), append(bnd, b...)
+	}
+	return val, bnd
+}
+
+// TestSqrtColumnMatchesScalar: the program's Sqrt column against
+// sqrtBound, bit for bit, on every kernelInputs point.
+func TestSqrtColumnMatchesScalar(t *testing.T) {
+	xv, xd := kernelInputs()
+	val, bnd := evalColumns(t, Sqrt{X: Var{0}}, [][]float64{xv}, [][]float64{xd})
+	for j := range xv {
+		if wv, wb := sqrtBound(xv[j], xd[j]); !bitsEqual(val[j], wv) || !bitsEqual(bnd[j], wb) {
+			t.Fatalf("sqrt(%v ± %v): column (%v, %v), scalar (%v, %v)", xv[j], xd[j], val[j], bnd[j], wv, wb)
+		}
+	}
+}
+
+// TestSumColumnMatchesScalar: the program's Sum columns of 1 to 4 terms
+// against sumTerm from (0, 0), bit for bit. Every term is drawn from
+// signed zeros, ±1 and kernelInputs, and the weights include −0 and −1, so
+// a sum whose every product is −0 must still read +0, as 0 + −0 does.
+func TestSumColumnMatchesScalar(t *testing.T) {
+	xv, xd := kernelInputs()
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, 1, -1}
+	rng := rand.New(rand.NewSource(37))
+	x, eb := make([][]float64, 4), make([][]float64, 4)
+	for v := range x {
+		x[v], eb[v] = make([]float64, 4*len(xv)), make([]float64, 4*len(xv))
+		for j := range x[v] {
+			if k := rng.Intn(len(xv) + 4); k < len(xv) {
+				x[v][j], eb[v][j] = xv[k], xd[k]
+			} else {
+				x[v][j], eb[v][j] = special[rng.Intn(4)], special[rng.Intn(2)]
+			}
+		}
+	}
+	weights := []float64{1, negZero, -1, 0.5}
+	for n := 1; n <= 4; n++ {
+		for r := range weights {
+			w := make([]float64, n)
+			for k := range w {
+				w[k] = weights[(r+k)%len(weights)]
+			}
+			terms := make([]Expr, n)
+			for k := range terms {
+				terms[k] = Var{k}
+			}
+			val, bnd := evalColumns(t, Sum{Weights: w, Terms: terms}, x, eb)
+			for j := range val {
+				wv, wb := 0.0, 0.0
+				for k := range terms {
+					wv, wb = sumTerm(wv, wb, w[k], x[k][j], eb[k][j])
+				}
+				if !sameBits(val[j], wv) || !sameBits(bnd[j], wb) {
+					t.Fatalf("%d terms, weights %v, point %d: column (%v, %v), scalar (%v, %v)", n, w, j, val[j], bnd[j], wv, wb)
+				}
 			}
 		}
 	}
