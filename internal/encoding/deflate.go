@@ -91,8 +91,9 @@ var inflaters = sync.Pool{New: func() any {
 // inflateAppend appends the inflation of data to out, reading straight into
 // out's spare capacity and growing it only once that is full, so a caller
 // that knows the decoded size pays one allocation and nobody allocates far
-// ahead of the bytes that actually inflate. More than maxSize bytes is
-// ErrCorrupt.
+// ahead of the bytes that actually inflate. It grows out by doubling, never
+// past maxSize, so what it allocates is out's capacity plus less than twice
+// maxSize. More than maxSize bytes is ErrCorrupt.
 func inflateAppend(out, data []byte, maxSize int) ([]byte, error) {
 	z := inflaters.Get().(*inflater)
 	defer func() {
@@ -107,7 +108,9 @@ func inflateAppend(out, data []byte, maxSize int) ([]byte, error) {
 		dst := z.probe[:] // at the limit: the stream has to end here
 		if len(out) < maxSize {
 			if len(out) == cap(out) {
-				out = append(out, 0)[:len(out)]
+				grown := make([]byte, len(out), min(max(2*cap(out), 512), maxSize))
+				copy(grown, out)
+				out = grown
 			}
 			dst = out[len(out):min(cap(out), maxSize)]
 		}

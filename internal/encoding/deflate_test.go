@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"errors"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -306,6 +307,34 @@ func FuzzTagged(f *testing.F) {
 		back, err := GetTagged(framed, len(frag), nil)
 		if err != nil || !bytes.Equal(back, frag) {
 			t.Fatalf("PutTagged does not round-trip %d bytes: %v", len(frag), err)
+		}
+	})
+}
+
+// FuzzInflate: on any bytes under any limit in [1, 1 MiB], Inflate
+// returns at most maxSize bytes or an error wrapping ErrCorrupt, and never
+// panics. What it allocates is bounded by its limit, not by what the
+// stream claims: less than twice maxSize, plus the 512-byte reserve, plus
+// 128 KiB for a decompressor when the pool has none. The seed corpus in
+// testdata/fuzz/FuzzInflate holds the DEFLATE stream of a real bit plane,
+// the stream of no bytes, and a bomb of 1 MiB of zeros under a 4 KiB
+// limit.
+func FuzzInflate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, maxSize int64) {
+		maxSize = 1 + int64(uint64(maxSize)%(1<<20))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Inflate(data, maxSize)
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Inflate: %v is not ErrCorrupt", err)
+		}
+		if err == nil && int64(len(got)) > maxSize {
+			t.Fatalf("Inflate returned %d bytes under a limit of %d", len(got), maxSize)
+		}
+		reserve := min(maxSize, 512)
+		if d := after.TotalAlloc - before.TotalAlloc; d > uint64(2*maxSize+reserve+128<<10) {
+			t.Fatalf("Inflate allocated %d bytes under a limit of %d", d, maxSize)
 		}
 	})
 }

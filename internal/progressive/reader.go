@@ -70,9 +70,9 @@ type Reader struct {
 	// into, each of the group's bitmap size. A bitmap is dead once OrPlane
 	// has applied it, so every Advance reuses them (planeScratch).
 	bitmaps [][][]byte
-	shape  *mgard.Decomposition
-	slack  float64
-	grd    *grid.Grid
+	shape   *mgard.Decomposition
+	slack   float64
+	grd     *grid.Grid
 }
 
 // NewReader opens a reader over r. No fragments are fetched yet; Bound()

@@ -9,17 +9,25 @@ import (
 // program.go is the compiled form of the theorem estimator. Compile lowers
 // the target expressions of one request into a single flat, post-order node
 // table, sharing every common subexpression; Program.Eval then runs one
-// pass per node over a block of points held as columns, with no per-point
-// interface dispatch. Every node calls the same scalar theorem helper as
-// TheoremBound, or for Pow and Poly repeats its terms in its order over a
-// column, so value and bound are bit-identical to TheoremBound at every
-// point.
+// loop per node over a block of points held as columns, with no per-point
+// interface dispatch, and holds each point's intermediates in registers.
+// Every loop makes, per point, the products and sums of the scalar theorem
+// helper TheoremBound calls, in the helper's order: Mul and Sqrt call
+// theirs, which inline; Div and Radical repeat theirs, which do not; Sum
+// folds sumTerm over its terms; and Pow, for the exponents the library
+// uses, unrolls powBound. Poly, and Pow at other exponents, still run
+// powBound a step at a time over the column. So value and bound are
+// bit-identical to TheoremBound at every point, and program_test.go holds
+// each kernel to its helper bit for bit.
 
 // BlockSize is the most points one Program.Eval call evaluates. A block's
 // scratch, a value and a bound column per node that is not a Var plus one
 // column per unit of the largest exponent and one more, then stays in L2:
 // the six GE QoIs compile to 25 nodes, 20 of them with columns, and x⁷ is
-// their largest power, (20 × 2 + 8) × 512 × 8 B = 192 KiB.
+// their largest power, (20 × 2 + 8) × 512 × 8 B = 192 KiB. Only Poly and a
+// Pow without a kernel of its own (powColumn) touch the last 8 columns, and
+// GE's one Poly, of degree 1, touches two: its block works in
+// (20 × 2 + 2) × 512 × 8 B = 168 KiB.
 const BlockSize = 512
 
 type opcode uint8
