@@ -66,13 +66,14 @@ type Reader struct {
 	// recomposed through, and slack the blocks' roundoffSlack.
 	blocks []*bitplane.Block
 	decs   []*bitplane.Decoder
+	shape  *mgard.Decomposition
+	slack  float64
+	grd    *grid.Grid
+
 	// bitmaps[g] are the buffers group g's DEFLATE plane bitmaps inflate
 	// into, each of the group's bitmap size. A bitmap is dead once OrPlane
 	// has applied it, so every Advance reuses them (planeScratch).
 	bitmaps [][][]byte
-	shape   *mgard.Decomposition
-	slack   float64
-	grd     *grid.Grid
 }
 
 // NewReader opens a reader over r. No fragments are fetched yet; Bound()
@@ -325,7 +326,8 @@ type decodedFrag struct {
 // budget and returns the contiguous prefix that decoded, with the error
 // (decode failure or ctx cancellation) that ended it, if any. Committing
 // only that prefix leaves the reader exactly as if the plan had stopped
-// before the failing fragment.
+// before the failing fragment. scratch[t] is the buffer plan[t]'s plane
+// bitmap inflates into (planeScratch); the snapshot path passes nil.
 func (rd *Reader) decode(ctx context.Context, plan []int, scratch []*[]byte) ([]decodedFrag, error) {
 	tasks := make([]decodedFrag, len(plan))
 	for t := range tasks {
