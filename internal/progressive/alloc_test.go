@@ -70,9 +70,9 @@ func TestDataRebuildDoesNotAllocate(t *testing.T) {
 }
 
 // TestAdvanceReusesPlaneBitmaps: a reader inflates each DEFLATE plane
-// bitmap into a buffer of its group that the next Advance reuses. A buffer,
-// once made, is never replaced, and over a ladder of targets fewer buffers
-// are made than DEFLATE planes inflated.
+// bitmap into a buffer of its group, which is free again for the next
+// Advance. A buffer, once made, is never dropped, and over a ladder of
+// targets fewer buffers are made than DEFLATE planes inflated.
 func TestAdvanceReusesPlaneBitmaps(t *testing.T) {
 	dims := []int{65, 65}
 	ref, err := Refactor(smoothField(dims), dims, Options{Method: PMGARDHB})
@@ -120,7 +120,7 @@ func TestAdvanceReusesPlaneBitmaps(t *testing.T) {
 		}
 		for p := range made {
 			if !now[p] {
-				t.Fatalf("target %g: a bitmap buffer was replaced", target)
+				t.Fatalf("target %g: a bitmap buffer was dropped", target)
 			}
 		}
 		made = now

@@ -70,9 +70,10 @@ type Reader struct {
 	slack  float64
 	grd    *grid.Grid
 
-	// bitmaps[g] are the buffers group g's DEFLATE plane bitmaps inflate
-	// into, each of the group's bitmap size. A bitmap is dead once OrPlane
-	// has applied it, so every Advance reuses them (planeScratch).
+	// bitmaps[g] are group g's free plane-bitmap buffers. A DEFLATE plane
+	// is inflated into one (takeBitmap), and a bitmap is dead once OrPlane
+	// has applied it, so advancePlanes frees its buffer for the next
+	// Advance.
 	bitmaps [][][]byte
 }
 
@@ -316,6 +317,7 @@ type decodedFrag struct {
 	ref      fragRef
 	rawPlane []byte // decompressed plane bitmap
 	rawSigns []byte // decompressed sign bitmap (plane 0 only)
+	bitmap   []byte // the rd.bitmaps buffer it holds, nil if none
 
 	// Snapshots.
 	vals  []float64
@@ -326,12 +328,14 @@ type decodedFrag struct {
 // budget and returns the contiguous prefix that decoded, with the error
 // (decode failure or ctx cancellation) that ended it, if any. Committing
 // only that prefix leaves the reader exactly as if the plan had stopped
-// before the failing fragment. scratch[t] is the buffer plan[t]'s plane
-// bitmap inflates into (planeScratch); the snapshot path passes nil.
-func (rd *Reader) decode(ctx context.Context, plan []int, scratch []*[]byte) ([]decodedFrag, error) {
+// before the failing fragment.
+func (rd *Reader) decode(ctx context.Context, plan []int) ([]decodedFrag, error) {
 	tasks := make([]decodedFrag, len(plan))
 	for t := range tasks {
 		tasks[t].frag = -1 // marks "not run"
+		if rd.bitmaps != nil {
+			tasks[t].bitmap = rd.takeBitmap(plan[t])
+		}
 	}
 	rd.budget.For(len(plan), func(_, t int) bool {
 		if err := ctx.Err(); err != nil {
@@ -342,7 +346,7 @@ func (rd *Reader) decode(ctx context.Context, plan []int, scratch []*[]byte) ([]
 		case PSZ3, PSZ3Delta:
 			tasks[t] = rd.decodeSnapshot(plan[t])
 		default:
-			tasks[t] = rd.decodePlane(plan[t], scratch[t])
+			tasks[t] = rd.decodePlane(plan[t], tasks[t].bitmap)
 		}
 		return tasks[t].err == nil
 	})
@@ -375,7 +379,7 @@ func (rd *Reader) decode(ctx context.Context, plan []int, scratch []*[]byte) ([]
 // the commit walks plan order. Plane application only sets independent
 // bits, so any execution order yields the same magnitudes.
 func (rd *Reader) advancePlanes(ctx context.Context, plan []int) error {
-	ok, ferr := rd.decode(ctx, plan, rd.planeScratch(plan))
+	ok, ferr := rd.decode(ctx, plan)
 
 	// Validate plane contiguity before any decoder mutation: a schedule
 	// that skips a plane poisons everything after it, so the fragment that
@@ -441,53 +445,36 @@ func (rd *Reader) advancePlanes(ctx context.Context, plan []int) error {
 		rd.account(p.frag, len(rd.src.Fragments[p.frag]))
 		rd.bound = rd.src.PrefixBounds[p.frag]
 		rd.dirty = true
+		if p.bitmap != nil {
+			rd.bitmaps[p.ref.Group] = append(rd.bitmaps[p.ref.Group], p.bitmap)
+		}
 	}
 	return ferr
 }
 
-// planeScratch returns, for each fragment of plan, the buffer its plane
-// bitmap inflates into: the k-th fragment of group g in plan gets group
-// g's k-th buffer, so each buffer is only ever reused at its group's
-// bitmap size. A fragment without a valid schedule entry gets nil, and
-// decodePlane refuses it.
-func (rd *Reader) planeScratch(plan []int) []*[]byte {
-	group := func(i int) int {
-		if i < 0 || i >= len(rd.src.Schedule) {
-			return -1
-		}
-		if g := rd.src.Schedule[i].Group; g >= 0 && g < len(rd.bitmaps) {
-			return g
-		}
-		return -1
+// takeBitmap returns a free buffer of fragment i's group for its plane
+// bitmap, or nil when the group has none or i has no valid schedule entry,
+// which decodePlane then refuses.
+func (rd *Reader) takeBitmap(i int) []byte {
+	if i < 0 || i >= len(rd.src.Schedule) {
+		return nil
 	}
-	used := make([]int, len(rd.bitmaps))
-	for _, i := range plan {
-		if g := group(i); g >= 0 {
-			used[g]++
-		}
+	g := rd.src.Schedule[i].Group
+	if g < 0 || g >= len(rd.bitmaps) || len(rd.bitmaps[g]) == 0 {
+		return nil
 	}
-	for g, n := range used {
-		if n > len(rd.bitmaps[g]) {
-			rd.bitmaps[g] = append(rd.bitmaps[g], make([][]byte, n-len(rd.bitmaps[g]))...)
-		}
-	}
-	clear(used)
-	out := make([]*[]byte, len(plan))
-	for t, i := range plan {
-		if g := group(i); g >= 0 {
-			out[t] = &rd.bitmaps[g][used[g]]
-			used[g]++
-		}
-	}
-	return out
+	free := rd.bitmaps[g]
+	rd.bitmaps[g] = free[:len(free)-1]
+	return free[len(free)-1]
 }
 
 // decodePlane does the decode stage's work for PMGARD fragment i: bounds
 // checks, section parsing, bitmap decompression. A DEFLATE plane bitmap is
-// inflated into *scratch; the sign bitmap, which the decoder keeps, into a
-// buffer of its own.
-func (rd *Reader) decodePlane(i int, scratch *[]byte) decodedFrag {
-	out := decodedFrag{frag: i}
+// inflated into bitmap, or into a new buffer when bitmap is too small, and
+// out.bitmap holds that buffer; the sign bitmap, which the decoder keeps,
+// is inflated into a buffer of its own.
+func (rd *Reader) decodePlane(i int, bitmap []byte) decodedFrag {
+	out := decodedFrag{frag: i, bitmap: bitmap}
 	buf, err := rd.fragment(i)
 	if err != nil {
 		out.err = err
@@ -521,7 +508,7 @@ func (rd *Reader) decodePlane(i int, scratch *[]byte) decodedFrag {
 		out.err = err
 		return out
 	}
-	if out.rawPlane, err = encoding.GetTagged(plane, (blk.N+7)/8, scratch); err != nil {
+	if out.rawPlane, err = encoding.GetTagged(plane, (blk.N+7)/8, &out.bitmap); err != nil {
 		out.err = fmt.Errorf("bitplane: plane %d: %w", ref.Plane, err)
 	}
 	return out
@@ -539,7 +526,7 @@ func (rd *Reader) advanceSnapshots(ctx context.Context, plan []int) error {
 	delta := rd.src.Method == PSZ3Delta
 	window := 2 * rd.Workers()
 	for start := 0; start < len(plan); start += window {
-		ok, ferr := rd.decode(ctx, plan[start:min(start+window, len(plan))], nil)
+		ok, ferr := rd.decode(ctx, plan[start:min(start+window, len(plan))])
 		if len(ok) > 0 {
 			n := len(rd.data)
 			size := max((n+rd.Workers()-1)/rd.Workers(), 4096)

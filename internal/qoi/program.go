@@ -230,9 +230,8 @@ type Scratch struct {
 	val, bnd [][]float64
 	need     []bool
 	buf      []float64
-	m        int         // points in the current block
-	pw       []float64   // the Pow and Poly columns' scratch
-	tv, td   [][]float64 // a long Sum's term columns
+	m        int       // points in the current block
+	pw       []float64 // the Pow and Poly columns' scratch
 }
 
 func (s *Scratch) bind(p *Program) {
@@ -339,8 +338,8 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 
 // sum is Theorems 4, 7 and 8 over a column, in one pass: per point, sumTerm
 // over the terms in their order from (0, 0), the running pair held in
-// registers. The library's 1- and 3-term sums read their columns directly;
-// any other reads them through s.tv and s.td.
+// registers. The library's 1- and 3-term sums read their columns through
+// locals; any other looks each term's up per point.
 func (s *Scratch) sum(val, bnd []float64, nd *node) {
 	w := nd.w
 	switch len(nd.args) {
@@ -361,16 +360,10 @@ func (s *Scratch) sum(val, bnd []float64, nd *node) {
 			val[j], bnd[j] = sumTerm(v, d, w2, cv[j], cd[j])
 		}
 	default:
-		tv, td := s.tv[:0], s.td[:0]
-		for _, a := range nd.args {
-			av, ad := s.col(a)
-			tv, td = append(tv, av), append(td, ad)
-		}
-		s.tv, s.td = tv, td
 		for j := range val {
 			v, d := 0.0, 0.0
-			for t, c := range w {
-				v, d = sumTerm(v, d, c, tv[t][j], td[t][j])
+			for t, a := range nd.args {
+				v, d = sumTerm(v, d, w[t], s.val[a][j], s.bnd[a][j])
 			}
 			val[j], bnd[j] = v, d
 		}
