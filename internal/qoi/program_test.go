@@ -171,7 +171,7 @@ func TestPowBoundTablesMatchIntPow(t *testing.T) {
 
 // kernelInputs is a column of every pairing of the special values (0, −0,
 // negatives, ±Inf, NaN, subnormals) for x and ε, followed by ordinary
-// random points: the inputs the Pow and Poly columns are held to the
+// random points: the inputs the program's kernels are held to the
 // scalar helpers on.
 func kernelInputs() (xv, xd []float64) {
 	sub := math.SmallestNonzeroFloat64
@@ -248,7 +248,7 @@ func kernelPairs() (av, ad, bv, bd []float64) {
 	return av, ad, bv, bd
 }
 
-// TestDivColumnMatchesScalar: divColumn against divBound, bit for bit, at
+// TestDivColumnMatchesScalar: divColumn against divBound, by sameBits, at
 // every pairing of numerator and denominator points.
 func TestDivColumnMatchesScalar(t *testing.T) {
 	nv, nd, dv, dd := kernelPairs()
@@ -312,7 +312,7 @@ func TestSqrtColumnMatchesScalar(t *testing.T) {
 }
 
 // TestSumColumnMatchesScalar: the program's Sum columns of 1 to 4 terms
-// against sumTerm from (0, 0), bit for bit. Every term is drawn from
+// against sumTerm from (0, 0), by sameBits. Every term is drawn from
 // signed zeros, ±1 and kernelInputs, and the weights include −0 and −1, so
 // a sum whose every product is −0 must still read +0, as 0 + −0 does.
 func TestSumColumnMatchesScalar(t *testing.T) {
