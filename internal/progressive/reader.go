@@ -333,9 +333,7 @@ func (rd *Reader) decode(ctx context.Context, plan []int) ([]decodedFrag, error)
 	tasks := make([]decodedFrag, len(plan))
 	for t := range tasks {
 		tasks[t].frag = -1 // marks "not run"
-		if rd.bitmaps != nil {
-			tasks[t].bitmap = rd.takeBitmap(plan[t])
-		}
+		tasks[t].bitmap = rd.takeBitmap(plan[t])
 	}
 	rd.budget.For(len(plan), func(_, t int) bool {
 		if err := ctx.Err(); err != nil {
@@ -453,8 +451,8 @@ func (rd *Reader) advancePlanes(ctx context.Context, plan []int) error {
 }
 
 // takeBitmap returns a free buffer of fragment i's group for its plane
-// bitmap, or nil when the group has none or i has no valid schedule entry,
-// which decodePlane then refuses.
+// bitmap, or nil when the group has none, the method has no planes, or i
+// has no valid schedule entry, which decodePlane then refuses.
 func (rd *Reader) takeBitmap(i int) []byte {
 	if i < 0 || i >= len(rd.src.Schedule) {
 		return nil
