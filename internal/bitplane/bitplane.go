@@ -450,7 +450,7 @@ func (d *Decoder) Bound() float64 { return d.blk.Bound(d.applied) }
 // ceil(N/8) bytes. It does not touch decoder state and is safe to call
 // concurrently.
 func (b *Block) RawBitmap(frag []byte) ([]byte, error) {
-	return encoding.GetTagged(frag, (b.N+7)/8, nil)
+	return encoding.GetTagged(frag, (b.N+7)/8)
 }
 
 // OrPlane ORs the raw bitmap of plane p into the decoder's magnitudes for

@@ -91,9 +91,11 @@ var inflaters = sync.Pool{New: func() any {
 // inflateAppend appends the inflation of data to out, reading straight into
 // out's spare capacity and growing it only once that is full, so a caller
 // that knows the decoded size pays one allocation and nobody allocates far
-// ahead of the bytes that actually inflate. It grows out by doubling, never
-// past maxSize, so what it allocates is out's capacity plus less than twice
-// maxSize. More than maxSize bytes is ErrCorrupt.
+// ahead of the bytes that actually inflate. It grows out by doubling, and
+// straight to maxSize once a doubling would pass half of it, so the
+// capacities it makes before the last sum to less than maxSize and what it
+// allocates is out's capacity plus less than twice maxSize. More than
+// maxSize bytes is ErrCorrupt.
 func inflateAppend(out, data []byte, maxSize int) ([]byte, error) {
 	z := inflaters.Get().(*inflater)
 	defer func() {
@@ -108,7 +110,11 @@ func inflateAppend(out, data []byte, maxSize int) ([]byte, error) {
 		dst := z.probe[:] // at the limit: the stream has to end here
 		if len(out) < maxSize {
 			if len(out) == cap(out) {
-				grown := make([]byte, len(out), min(max(2*cap(out), 512), maxSize))
+				size := max(2*cap(out), 512)
+				if 2*size > maxSize {
+					size = maxSize
+				}
+				grown := make([]byte, len(out), size)
 				copy(grown, out)
 				out = grown
 			}
@@ -283,12 +289,19 @@ func tagged(tag byte, payload []byte) []byte {
 }
 
 // GetTagged returns the payload of a tagged fragment, which must be exactly
-// size bytes. A raw payload aliases frag. A DEFLATE payload is inflated into
-// *scratch's storage, grown to size bytes when it is smaller, and *scratch
-// is left holding it, so a caller that passes the same scratch for its next
-// fragment reuses one buffer; a nil scratch inflates into one new buffer of
-// that size. Anything else, a negative size included, is ErrCorrupt.
-func GetTagged(frag []byte, size int, scratch *[]byte) ([]byte, error) {
+// size bytes. A raw payload aliases frag; a DEFLATE payload is inflated
+// into one new buffer of that size. Anything else, a negative size
+// included, is ErrCorrupt.
+func GetTagged(frag []byte, size int) ([]byte, error) {
+	return GetTaggedInto(frag, size, nil)
+}
+
+// GetTaggedInto is GetTagged for a caller that keeps a buffer: a DEFLATE
+// payload is inflated into *scratch's storage, grown to size bytes when it
+// is smaller, and *scratch is left holding it, so the same scratch passed
+// for the next fragment reuses one buffer. A raw payload still aliases
+// frag and leaves *scratch as it was.
+func GetTaggedInto(frag []byte, size int, scratch *[]byte) ([]byte, error) {
 	if len(frag) == 0 {
 		return nil, fmt.Errorf("%w: empty fragment", ErrCorrupt)
 	}

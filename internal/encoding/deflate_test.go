@@ -120,7 +120,7 @@ func TestDeflateSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := GetTagged(frag, len(data), nil); err != nil {
+		if _, err := GetTagged(frag, len(data)); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 2 {
@@ -144,7 +144,7 @@ func TestTaggedRule(t *testing.T) {
 		if !bytes.Equal(frag, want) {
 			t.Fatalf("input %d: fragment is not tag+payload under the len(deflate) < len(raw) rule", i)
 		}
-		got, err := GetTagged(frag, len(raw), nil)
+		got, err := GetTagged(frag, len(raw))
 		if err != nil || !bytes.Equal(got, raw) {
 			t.Fatalf("input %d: round trip: %v", i, err)
 		}
@@ -153,6 +153,58 @@ func TestTaggedRule(t *testing.T) {
 		}
 		if frag[0] == 1 && cap(got) != len(raw) {
 			t.Fatalf("input %d: inflated into cap %d, want one buffer of %d", i, cap(got), len(raw))
+		}
+	}
+}
+
+// TestGetTaggedIntoReusesScratch: GetTaggedInto inflates a DEFLATE payload
+// into the scratch it is given once that holds the payload, grows a scratch
+// that is too small, and leaves the scratch alone for a raw payload, which
+// aliases the fragment as GetTagged's does.
+func TestGetTaggedIntoReusesScratch(t *testing.T) {
+	var deflated, raw [][]byte
+	var frags [][]byte
+	for _, in := range deflateInputs() {
+		frag, err := PutTagged(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frag[0] == 1 {
+			deflated, frags = append(deflated, in), append(frags, frag)
+		} else if len(in) > 0 {
+			raw = append(raw, in)
+		}
+	}
+	if len(deflated) == 0 || len(raw) == 0 {
+		t.Fatal("deflateInputs has no DEFLATE fragment or no non-empty raw one")
+	}
+	for i, in := range deflated {
+		scratch := make([]byte, 1, len(in)/2+1)
+		got, err := GetTaggedInto(frags[i], len(in), &scratch)
+		if err != nil || !bytes.Equal(got, in) {
+			t.Fatalf("input %d: grown scratch: %v", i, err)
+		}
+		if &scratch[0] != &got[0] || len(scratch) != len(in) {
+			t.Fatalf("input %d: scratch does not hold the payload after growing", i)
+		}
+		kept := &scratch[0]
+		got, err = GetTaggedInto(frags[i], len(in), &scratch)
+		if err != nil || !bytes.Equal(got, in) {
+			t.Fatalf("input %d: reused scratch: %v", i, err)
+		}
+		if &got[0] != kept || &scratch[0] != kept {
+			t.Fatalf("input %d: a scratch that holds the payload was not reused", i)
+		}
+		frag, err := PutTagged(raw[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = GetTaggedInto(frag, len(raw[0]), &scratch)
+		if err != nil || &got[0] != &frag[1] {
+			t.Fatalf("input %d: a raw payload should alias the fragment: %v", i, err)
+		}
+		if &scratch[0] != kept || len(scratch) != len(in) {
+			t.Fatalf("input %d: a raw payload moved the scratch", i)
 		}
 	}
 }
@@ -214,7 +266,7 @@ func TestGetTaggedCorrupt(t *testing.T) {
 		"negative size":     {zeros, -1},
 	}
 	for name, c := range cases {
-		if _, err := GetTagged(c.frag, c.size, nil); !errors.Is(err, ErrCorrupt) {
+		if _, err := GetTagged(c.frag, c.size); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -281,7 +333,7 @@ func TestTaggedPeriodicPlane(t *testing.T) {
 	if !bytes.Equal(frag, append([]byte{1}, c...)) {
 		t.Fatalf("stored with tag %d in %d bytes, want tag 1 and the %d-byte DEFLATE stream", frag[0], len(frag), len(c))
 	}
-	got, err := GetTagged(frag, len(raw), nil)
+	got, err := GetTagged(frag, len(raw))
 	if err != nil || !bytes.Equal(got, raw) {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -293,7 +345,7 @@ func TestTaggedPeriodicPlane(t *testing.T) {
 // frame, the periodic plane and a truncated DEFLATE stream.
 func FuzzTagged(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frag []byte, size int) {
-		got, err := GetTagged(frag, size, nil)
+		got, err := GetTagged(frag, size)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("GetTagged: %v is not ErrCorrupt", err)
 		}
@@ -304,7 +356,7 @@ func FuzzTagged(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := GetTagged(framed, len(frag), nil)
+		back, err := GetTagged(framed, len(frag))
 		if err != nil || !bytes.Equal(back, frag) {
 			t.Fatalf("PutTagged does not round-trip %d bytes: %v", len(frag), err)
 		}
@@ -317,8 +369,10 @@ func FuzzTagged(f *testing.F) {
 // stream claims: less than twice maxSize, plus the 512-byte reserve, plus
 // 128 KiB for a decompressor when the pool has none. The seed corpus in
 // testdata/fuzz/FuzzInflate holds the DEFLATE stream of a real bit plane,
-// the stream of no bytes, and a bomb of 1 MiB of zeros under a 4 KiB
-// limit.
+// the stream of no bytes, and a bomb of 1 MiB of zeros under a 4 KiB limit
+// and under a 600,000-byte one: just past a power of two, where growing by
+// doubling up to 2^20 before clamping to the limit would allocate almost
+// three times the limit.
 func FuzzInflate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, maxSize int64) {
 		maxSize = 1 + int64(uint64(maxSize)%(1<<20))

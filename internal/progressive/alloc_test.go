@@ -3,9 +3,9 @@ package progressive
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
-
-	"progqoi/internal/encoding"
 )
 
 // TestDataRebuildDoesNotAllocate is the commit path's allocation contract:
@@ -70,66 +70,69 @@ func TestDataRebuildDoesNotAllocate(t *testing.T) {
 }
 
 // TestAdvanceReusesPlaneBitmaps: a reader inflates each DEFLATE plane
-// bitmap into a buffer of its group, which is free again for the next
-// Advance. A buffer, once made, is never dropped, and over a ladder of
-// targets fewer buffers are made than DEFLATE planes inflated.
+// bitmap into a free buffer of its group, and an Advance frees its buffers
+// for the next one, keeping at most keptBitmaps per group. Over a ladder of
+// targets such a reader allocates less than one whose free lists are
+// emptied after every Advance, by at least four bitmaps of the finest
+// group; after one deep Advance, no group keeps more than keptBitmaps
+// buffers.
 func TestAdvanceReusesPlaneBitmaps(t *testing.T) {
-	dims := []int{65, 65}
+	if raceEnabled {
+		t.Skip("allocation counts are not asserted under -race")
+	}
+	dims := []int{129, 129}
 	ref, err := Refactor(smoothField(dims), dims, Options{Method: PMGARDHB})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFree := func(rd *Reader, when string) {
+		for g, free := range rd.bitmaps {
+			if len(free) > keptBitmaps {
+				t.Fatalf("%s: group %d keeps %d bitmap buffers, at most %d", when, g, len(free), keptBitmaps)
+			}
+			for _, b := range free {
+				if len(b) != (rd.blocks[g].N+7)/8 {
+					t.Fatalf("%s: group %d: a %d-byte bitmap buffer, want %d", when, g, len(b), (rd.blocks[g].N+7)/8)
+				}
+			}
+		}
+	}
+	ladder := func(keep bool) uint64 {
+		least := uint64(math.MaxUint64)
+		for run := 0; run < 3; run++ {
+			rd, err := NewReader(ref, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, target := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6} {
+				if _, err := rd.Advance(context.Background(), target); err != nil {
+					t.Fatal(err)
+				}
+				checkFree(rd, fmt.Sprintf("target %g", target))
+				if !keep {
+					clear(rd.bitmaps)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	reused, fresh := ladder(true), ladder(false)
+	want := 4 * uint64(ref.Blocks[len(ref.Blocks)-1].N+7) / 8
+	if reused+want > fresh {
+		t.Fatalf("the ladder allocates %d B reusing bitmaps and %d B without, want a saving of at least %d B", reused, fresh, want)
+	}
+	t.Logf("the ladder allocates %d B reusing bitmaps and %d B without", reused, fresh)
+
 	rd, err := NewReader(ref, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	made := map[*byte]bool{}
-	inflated := 0
-	for _, target := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6} {
-		for _, i := range rd.Plan(target) {
-			frag := ref.Fragments[i]
-			if ref.Schedule[i].Plane == 0 {
-				_, n, err := encoding.GetSection(frag)
-				if err != nil {
-					t.Fatal(err)
-				}
-				frag = frag[n:]
-			}
-			plane, _, err := encoding.GetSection(frag)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plane[0] == 1 {
-				inflated++
-			}
-		}
-		if _, err := rd.Advance(context.Background(), target); err != nil {
-			t.Fatal(err)
-		}
-		now := map[*byte]bool{}
-		for g, bufs := range rd.bitmaps {
-			for _, b := range bufs {
-				if b == nil {
-					continue
-				}
-				if len(b) != (rd.blocks[g].N+7)/8 {
-					t.Fatalf("group %d: a %d-byte bitmap buffer, want %d", g, len(b), (rd.blocks[g].N+7)/8)
-				}
-				now[&b[0]] = true
-			}
-		}
-		for p := range made {
-			if !now[p] {
-				t.Fatalf("target %g: a bitmap buffer was dropped", target)
-			}
-		}
-		made = now
+	if _, err := rd.Advance(context.Background(), 0); err != nil {
+		t.Fatal(err)
 	}
-	if len(made) == 0 {
-		t.Fatalf("%d planes inflated, none into the reader's buffers", inflated)
-	}
-	if len(made) >= inflated {
-		t.Fatalf("%d buffers made for %d inflated planes: none was reused", len(made), inflated)
-	}
-	t.Logf("%d buffers for %d inflated planes", len(made), inflated)
+	checkFree(rd, "one deep Advance")
 }

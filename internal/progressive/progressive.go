@@ -284,7 +284,7 @@ func encodeLossless(data []float64) ([]byte, error) {
 }
 
 func decodeLossless(buf []byte, want int) ([]float64, error) {
-	raw, err := encoding.GetTagged(buf, 4+8*want, nil) // PutFloat64s: u32 count, then the values
+	raw, err := encoding.GetTagged(buf, 4+8*want) // PutFloat64s: u32 count, then the values
 	if err != nil {
 		return nil, fmt.Errorf("lossless fragment: %w", err)
 	}

@@ -73,7 +73,7 @@ type Reader struct {
 	// bitmaps[g] are group g's free plane-bitmap buffers. A DEFLATE plane
 	// is inflated into one (takeBitmap), and a bitmap is dead once OrPlane
 	// has applied it, so advancePlanes frees its buffer for the next
-	// Advance.
+	// Advance, up to keptBitmaps per group.
 	bitmaps [][][]byte
 }
 
@@ -443,12 +443,19 @@ func (rd *Reader) advancePlanes(ctx context.Context, plan []int) error {
 		rd.account(p.frag, len(rd.src.Fragments[p.frag]))
 		rd.bound = rd.src.PrefixBounds[p.frag]
 		rd.dirty = true
-		if p.bitmap != nil {
-			rd.bitmaps[p.ref.Group] = append(rd.bitmaps[p.ref.Group], p.bitmap)
+		if free := rd.bitmaps[p.ref.Group]; p.bitmap != nil && len(free) < keptBitmaps {
+			rd.bitmaps[p.ref.Group] = append(free, p.bitmap)
 		}
 	}
 	return ferr
 }
+
+// keptBitmaps is the most free plane-bitmap buffers a group keeps between
+// Advances: a step of a tolerance ladder inflates one to six planes of a
+// group (GE, relative 1e-1 to 1e-5), and an idle reader then pins at most
+// keptBitmaps·ceil(N/8) bytes of a group, an eighth of its 32-bit
+// magnitudes, however deep its deepest Advance went.
+const keptBitmaps = 4
 
 // takeBitmap returns a free buffer of fragment i's group for its plane
 // bitmap, or nil when the group has none, the method has no planes, or i
@@ -506,7 +513,7 @@ func (rd *Reader) decodePlane(i int, bitmap []byte) decodedFrag {
 		out.err = err
 		return out
 	}
-	if out.rawPlane, err = encoding.GetTagged(plane, (blk.N+7)/8, &out.bitmap); err != nil {
+	if out.rawPlane, err = encoding.GetTaggedInto(plane, (blk.N+7)/8, &out.bitmap); err != nil {
 		out.err = fmt.Errorf("bitplane: plane %d: %w", ref.Plane, err)
 	}
 	return out

@@ -338,35 +338,15 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 
 // sum is Theorems 4, 7 and 8 over a column, in one pass: per point, sumTerm
 // over the terms in their order from (0, 0), the running pair held in
-// registers. The library's 1- and 3-term sums read their columns through
-// locals; any other looks each term's up per point.
+// registers.
 func (s *Scratch) sum(val, bnd []float64, nd *node) {
 	w := nd.w
-	switch len(nd.args) {
-	case 1:
-		av, ad := s.col(nd.args[0])
-		w0 := w[0]
-		for j := range val {
-			val[j], bnd[j] = sumTerm(0, 0, w0, av[j], ad[j])
+	for j := range val {
+		v, d := 0.0, 0.0
+		for t, a := range nd.args {
+			v, d = sumTerm(v, d, w[t], s.val[a][j], s.bnd[a][j])
 		}
-	case 3:
-		av, ad := s.col(nd.args[0])
-		bv, bd := s.col(nd.args[1])
-		cv, cd := s.col(nd.args[2])
-		w0, w1, w2 := w[0], w[1], w[2]
-		for j := range val {
-			v, d := sumTerm(0, 0, w0, av[j], ad[j])
-			v, d = sumTerm(v, d, w1, bv[j], bd[j])
-			val[j], bnd[j] = sumTerm(v, d, w2, cv[j], cd[j])
-		}
-	default:
-		for j := range val {
-			v, d := 0.0, 0.0
-			for t, a := range nd.args {
-				v, d = sumTerm(v, d, w[t], s.val[a][j], s.bnd[a][j])
-			}
-			val[j], bnd[j] = v, d
-		}
+		val[j], bnd[j] = v, d
 	}
 }
 
