@@ -447,10 +447,18 @@ func (d *Decoder) Bound() float64 { return d.blk.Bound(d.applied) }
 
 // RawBitmap decompresses one of the block's compressed fragments (a
 // magnitude plane or the sign fragment) into its raw bitmap of
-// ceil(N/8) bytes. It does not touch decoder state and is safe to call
-// concurrently.
+// ceil(N/8) bytes, in a new buffer. It does not touch decoder state and is
+// safe to call concurrently.
 func (b *Block) RawBitmap(frag []byte) ([]byte, error) {
-	return encoding.GetTagged(frag, (b.N+7)/8)
+	return b.RawBitmapInto(frag, nil)
+}
+
+// RawBitmapInto is RawBitmap for a caller that keeps a buffer: a DEFLATE
+// fragment is inflated into *scratch, grown when it is too small, and
+// *scratch is left holding it (encoding.GetTaggedInto). A raw fragment's
+// bitmap is a view of frag and leaves *scratch alone.
+func (b *Block) RawBitmapInto(frag []byte, scratch *[]byte) ([]byte, error) {
+	return encoding.GetTaggedInto(frag, (b.N+7)/8, scratch)
 }
 
 // OrPlane ORs the raw bitmap of plane p into the decoder's magnitudes for

@@ -513,7 +513,7 @@ func (rd *Reader) decodePlane(i int, bitmap []byte) decodedFrag {
 		out.err = err
 		return out
 	}
-	if out.rawPlane, err = encoding.GetTaggedInto(plane, (blk.N+7)/8, &out.bitmap); err != nil {
+	if out.rawPlane, err = blk.RawBitmapInto(plane, &out.bitmap); err != nil {
 		out.err = fmt.Errorf("bitplane: plane %d: %w", ref.Plane, err)
 	}
 	return out

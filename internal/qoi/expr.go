@@ -12,10 +12,12 @@
 // (radical), 4 (addition), 5 (multiplication), 6 (division), 7–8 (additive /
 // multiplicative closure) and 9 with Lemmas 1–2 (composition) — composition
 // is simply the recursion over the tree, with each node receiving its
-// children's (value, bound) pairs. Each theorem is one scalar helper
-// (sumTerm, mulBound, divBound, powBound, polyBound, sqrtBound,
-// radicalBound); Program, the compiled form a retrieval runs, applies them
-// over blocks of points, and TheoremBound over one point.
+// children's (value, bound) pairs. A polynomial Σaᵢxⁱ is a Sum of weighted
+// Pow nodes: Theorem 1 bounds each monomial and Theorems 7–8 the weighted
+// sum. Each theorem is one scalar helper (sumTerm, mulBound, divBound,
+// powBound, sqrtBound, radicalBound); Program, the compiled form a
+// retrieval runs, applies them over blocks of points, and TheoremBound
+// over one point.
 //
 // A node whose theorem precondition fails (ε ≥ |x₂| in division, ε ≥ |x+c|
 // in the radical, or a negative radicand) reports a +Inf bound; the
@@ -53,7 +55,7 @@ func own(e Expr) (node Expr) {
 	switch e.(type) {
 	case nil:
 		return nil
-	case Var, Const, Sum, Mul, Div, Pow, Poly, Sqrt, Radical, Abs, Exp, Log:
+	case Var, Const, Sum, Mul, Div, Pow, Sqrt, Radical, Abs, Exp, Log:
 		return e
 	}
 	// self is promoted from the embedded node, and every node's self only
@@ -209,9 +211,10 @@ func divBound(vn, dn, vd, dd float64) (float64, float64) {
 // String implements Expr.
 func (d Div) String() string { return fmt.Sprintf("(%s / %s)", d.Num, d.Den) }
 
-// Pow is the integer power xⁿ, 0 ≤ n ≤ 64 (Theorem 1 for a monomial). Parse
-// builds no other exponent and Compile refuses any other. A negative N has
-// no derivable bound: Eval is NaN and TheoremBound +Inf.
+// Pow is the integer power xⁿ, 0 ≤ n ≤ 64 (Theorem 1 for a monomial; a
+// polynomial is a Sum of them). Parse builds no other exponent and Compile
+// refuses any other. A negative N has no derivable bound: Eval is NaN and
+// TheoremBound +Inf.
 type Pow struct {
 	N int
 	X Expr
@@ -227,14 +230,14 @@ func (p Pow) Eval(vals []float64) float64 {
 
 func (p Pow) self() Expr { return p }
 
-// maxExponent is the largest integer power Parse lowers a formula to, and
-// the largest Pow exponent or Poly degree Compile accepts.
+// maxExponent is the largest integer power Parse lowers a formula to, the
+// largest Pow exponent Compile accepts, and the size of powBound's |x|ᵏ
+// table.
 const maxExponent = 64
 
 // binomials[n][i-1] is C(n,i) for 1 ≤ i ≤ n ≤ maxExponent, computed once
-// by the float64 recurrence c = c·(n−i+1)/i, which powBound still runs
-// above powTable. A table read is the very value the recurrence gives
-// there.
+// by the float64 recurrence c = c·(n−i+1)/i, so powBound and the program's
+// Pow kernels read the very values that recurrence gives.
 var binomials = func() [][]float64 {
 	t := make([][]float64, maxExponent+1)
 	for n := range t {
@@ -248,36 +251,24 @@ var binomials = func() [][]float64 {
 	return t
 }()
 
-// powTable is the largest exponent powBound tabulates |x|ᵏ for.
-const powTable = 16
-
-// powBound is Theorem 1 for xⁿ, n ≥ 0: Δ(xⁿ) ≤ Σᵢ₌₁ⁿ C(n,i)|x|ⁿ⁻ⁱ εⁱ,
-// summed in increasing i. The compiled program's Pow and Poly columns
-// repeat these terms in this order, so both agree to the bit.
+// powBound is Theorem 1 for xⁿ, 0 ≤ n ≤ maxExponent: Δ(xⁿ) ≤
+// Σᵢ₌₁ⁿ C(n,i)|x|ⁿ⁻ⁱ εⁱ, summed in increasing i. |x|ᵏ is tabulated and εⁱ
+// built as i grows, by the products intPow makes, so each term is the one
+// C(n,i)·intPow(|x|, n−i)·intPow(ε, i) gives, in O(n). The compiled
+// program's Pow kernels repeat these terms in this order, so both agree to
+// the bit.
 func powBound(v, d float64, n int) float64 {
 	if d == 0 {
 		return 0
 	}
 	av := math.Abs(v)
-	bound := 0.0
-	if n > powTable {
-		c := 1.0 // C(n,i) built incrementally
-		for i := 1; i <= n; i++ {
-			c = c * float64(n-i+1) / float64(i)
-			bound += c * intPow(av, n-i) * intPow(d, i)
-		}
-		return bound
-	}
-	// The same terms, summed in the same order, in O(n) instead of O(n²):
-	// |x|ᵏ is tabulated and εⁱ built as i grows, by the products intPow
-	// makes.
-	var pa [powTable]float64
+	var pa [maxExponent]float64
 	pa[0] = 1
 	for k := 1; k < n; k++ {
 		pa[k] = pa[k-1] * av
 	}
 	binom := binomials[n]
-	di := 1.0
+	bound, di := 0.0, 1.0
 	for i := 1; i <= n; i++ {
 		di *= d
 		bound += binom[i-1] * pa[n-i] * di
@@ -295,65 +286,6 @@ func intPow(x float64, n int) float64 {
 
 // String implements Expr.
 func (p Pow) String() string { return fmt.Sprintf("%s^%d", p.X, p.N) }
-
-// Poly is the polynomial Σ aᵢ·xⁱ over one sub-expression (Theorem 1 with
-// the additive and multiplicative closures of Theorems 7–8), of degree at
-// most 64: Compile refuses a larger one.
-type Poly struct {
-	Coeffs []float64 // Coeffs[i] multiplies x^i
-	X      Expr
-}
-
-// Eval implements Expr (Horner form).
-func (p Poly) Eval(vals []float64) float64 {
-	x := p.X.Eval(vals)
-	acc := 0.0
-	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		acc = acc*x + p.Coeffs[i]
-	}
-	return acc
-}
-
-func (p Poly) self() Expr { return p }
-
-// polyBound is Theorem 1 with Theorems 7–8: Δ(Σaᵢxⁱ) ≤ Σ|aᵢ|·Δ(xⁱ), with
-// the value in Horner form.
-func polyBound(coeffs []float64, x, d float64) (float64, float64) {
-	acc := 0.0
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = acc*x + coeffs[i]
-	}
-	bound := 0.0
-	for i, a := range coeffs {
-		if i == 0 || a == 0 {
-			continue
-		}
-		bound += math.Abs(a) * powBound(x, d, i)
-	}
-	return acc, bound
-}
-
-// String implements Expr.
-func (p Poly) String() string {
-	parts := make([]string, 0, len(p.Coeffs))
-	for i, a := range p.Coeffs {
-		if a == 0 {
-			continue
-		}
-		switch i {
-		case 0:
-			parts = append(parts, trimFloat(a))
-		case 1:
-			parts = append(parts, fmt.Sprintf("%s*%s", trimFloat(a), p.X))
-		default:
-			parts = append(parts, fmt.Sprintf("%s*%s^%d", trimFloat(a), p.X, i))
-		}
-	}
-	if len(parts) == 0 {
-		return "0"
-	}
-	return "(" + strings.Join(parts, " + ") + ")"
-}
 
 // Sqrt is √x (Theorem 2).
 type Sqrt struct{ X Expr }
@@ -454,9 +386,6 @@ func TheoremBound(e Expr, vals, ebs []float64) (value, bound float64) {
 		}
 		v, d := TheoremBound(x.X, vals, ebs)
 		value, bound = noNaN(intPow(v, x.N), powBound(v, d, x.N))
-	case Poly:
-		v, d := TheoremBound(x.X, vals, ebs)
-		value, bound = noNaN(polyBound(x.Coeffs, v, d))
 	case Sqrt:
 		v, d := TheoremBound(x.X, vals, ebs)
 		value, bound = noNaN(sqrtBound(v, d))
@@ -500,8 +429,6 @@ func collectVars(e Expr, set map[int]bool) {
 		collectVars(n.Num, set)
 		collectVars(n.Den, set)
 	case Pow:
-		collectVars(n.X, set)
-	case Poly:
 		collectVars(n.X, set)
 	case Sqrt:
 		collectVars(n.X, set)

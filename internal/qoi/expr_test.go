@@ -74,7 +74,11 @@ func TestTheorem1Polynomial(t *testing.T) {
 		for n := 1; n <= 6; n++ {
 			checkSound(t, "pow", Pow{N: n, X: Var{0}}, []float64{x}, []float64{eb}, rng)
 		}
-		poly := Poly{Coeffs: []float64{2, -1, 0.5, 3}, X: Var{0}}
+		// 2 − x + 0.5x² + 3x³ (Theorems 1, 7 and 8).
+		poly := Sum{
+			Weights: []float64{2, -1, 0.5, 3},
+			Terms:   []Expr{Const{1}, Pow{N: 1, X: Var{0}}, Pow{N: 2, X: Var{0}}, Pow{N: 3, X: Var{0}}},
+		}
 		checkSound(t, "poly", poly, []float64{x}, []float64{eb}, rng)
 	}
 }

@@ -70,9 +70,11 @@ func MachNumber() QoI {
 
 // TotalPressure builds Equation (5), PT = P·(1 + γ/2·Mach²)^3.5. The 3.5
 // power decomposes into the derivable basis as √((1 + γ/2·Mach²)⁷) — the
-// square-root-of-polynomial composition the paper walks through in §III-A.
+// square-root-of-polynomial composition the paper walks through in §III-A —
+// with the polynomial a Sum of the constant 1 and γ/2·Mach² (Theorems 1, 7
+// and 8).
 func TotalPressure() QoI {
-	base := Poly{Coeffs: []float64{1, Gamma / 2}, X: Pow{N: 2, X: MachNumber().Expr}}
+	base := Sum{Weights: []float64{1, Gamma / 2}, Terms: []Expr{Const{1}, Pow{N: 2, X: MachNumber().Expr}}}
 	return QoI{
 		Name: "PT",
 		Expr: Mul{A: Var{GEP}, B: Sqrt{X: Pow{N: 7, X: base}}},

@@ -14,20 +14,15 @@ import (
 // Every loop makes, per point, the products and sums of the scalar theorem
 // helper TheoremBound calls, in the helper's order: Mul and Sqrt call
 // theirs, which inline; Div and Radical repeat theirs, which do not; Sum
-// folds sumTerm over its terms; and Pow, for the exponents the library
-// uses, unrolls powBound. Poly, and Pow at other exponents, still run
-// powBound a step at a time over the column. So value and bound are
-// bit-identical to TheoremBound at every point, and program_test.go holds
-// each kernel to its helper bit for bit.
+// folds sumTerm over its terms; and Pow unrolls powBound for the exponents
+// the library uses and calls it at every point for the rest. So value and
+// bound are bit-identical to TheoremBound at every point, and
+// program_test.go holds each kernel to its helper bit for bit.
 
 // BlockSize is the most points one Program.Eval call evaluates. A block's
-// scratch, a value and a bound column per node that is not a Var plus one
-// column per unit of the largest exponent and one more, then stays in L2:
-// the six GE QoIs compile to 25 nodes, 20 of them with columns, and x⁷ is
-// their largest power, (20 × 2 + 8) × 512 × 8 B = 192 KiB. Only Poly and a
-// Pow without a kernel of its own (powColumn) touch the last 8 columns, and
-// GE's one Poly, of degree 1, touches two: its block works in
-// (20 × 2 + 2) × 512 × 8 B = 168 KiB.
+// scratch, a value and a bound column per node that is not a Var, then
+// stays in L2: the six GE QoIs compile to 26 nodes, 21 of them with
+// columns, (21 × 2) × 512 × 8 B = 168 KiB.
 const BlockSize = 512
 
 type opcode uint8
@@ -39,7 +34,6 @@ const (
 	opMul
 	opDiv
 	opPow
-	opPoly
 	opSqrt
 	opRadical
 	opAbs
@@ -52,7 +46,7 @@ type node struct {
 	op   opcode
 	n    int       // Var index, Pow exponent
 	c    float64   // Const value, Radical offset
-	w    []float64 // Sum weights, Poly coefficients
+	w    []float64 // Sum weights
 	args []int     // children: the Sum terms, Mul's A and B, Div's Num and Den, or the operand
 }
 
@@ -60,17 +54,16 @@ type node struct {
 // It is immutable; any number of goroutines may evaluate it, each with its
 // own Scratch.
 type Program struct {
-	nodes  []node
-	roots  []int // node of each target
-	cols   int   // nodes that need scratch columns: all but the Vars
-	maxPow int   // largest Pow exponent or Poly degree: sizes Scratch.pw
+	nodes []node
+	roots []int // node of each target
+	cols  int   // nodes that need scratch columns: all but the Vars
 }
 
 // Compile lowers targets into one Program. Structurally equal subtrees,
-// down to the bits of every constant, weight and coefficient, become one
-// node. It refuses a nil node at any depth, a Sum whose weights and terms
-// differ in number, a Pow exponent outside [0, 64] and a Poly of degree
-// above 64, which only a node literal can hold: Parse builds none of them.
+// down to the bits of every constant and weight, become one node. It
+// refuses a nil node at any depth, a Sum whose weights and terms differ in
+// number and a Pow exponent outside [0, 64], which only a node literal can
+// hold: Parse builds none of them.
 func Compile(targets []Expr) (*Program, error) {
 	c := compiler{ids: map[string]int{}}
 	roots := make([]int, len(targets))
@@ -84,12 +77,6 @@ func Compile(targets []Expr) (*Program, error) {
 	for _, nd := range p.nodes {
 		if nd.op != opVar {
 			p.cols++
-		}
-		switch nd.op {
-		case opPow:
-			p.maxPow = max(p.maxPow, nd.n)
-		case opPoly:
-			p.maxPow = max(p.maxPow, len(nd.w)-1)
 		}
 	}
 	return p, nil
@@ -125,11 +112,6 @@ func (c *compiler) lower(e Expr) (int, error) {
 			return 0, fmt.Errorf("qoi: power x^%d: exponent outside [0, %d]", x.N, maxExponent)
 		}
 		nd, kids = node{op: opPow, n: x.N}, []Expr{x.X}
-	case Poly:
-		if len(x.Coeffs) > maxExponent+1 {
-			return 0, fmt.Errorf("qoi: polynomial of degree %d: above %d", len(x.Coeffs)-1, maxExponent)
-		}
-		nd, kids = node{op: opPoly, w: x.Coeffs}, []Expr{x.X}
 	case Sqrt:
 		nd, kids = node{op: opSqrt}, []Expr{x.X}
 	case Radical:
@@ -165,10 +147,9 @@ func (c *compiler) intern(nd node) int {
 }
 
 // appendKey appends the hash-cons key of nd with children args. The key
-// holds every field Eval reads, floats by their exact bits: String() would
-// not do, since it drops zero Poly coefficients that Horner still
-// multiplies through. It holds its child count too, so keys concatenate
-// without ambiguity.
+// holds every field Eval reads, floats by their exact bits, so a −0 and a
+// 0 weight or constant are different keys, and its child count, so keys
+// concatenate without ambiguity.
 func appendKey(k []byte, nd *node, args []int) []byte {
 	k = append(k, byte(nd.op))
 	k = binary.LittleEndian.AppendUint64(k, uint64(nd.n))
@@ -185,7 +166,7 @@ func appendKey(k []byte, nd *node, args []int) []byte {
 }
 
 // Keys returns a canonical encoding of each target's structure, down to
-// the bits of every constant, weight and coefficient: the keys of the nodes
+// the bits of every constant and weight: the keys of the nodes
 // it depends on, in post order, numbered as if it had been compiled alone.
 // Two targets, of this program or any other, have equal keys exactly when
 // they are the same tree however they were built, so equal keys mean
@@ -230,8 +211,7 @@ type Scratch struct {
 	val, bnd [][]float64
 	need     []bool
 	buf      []float64
-	m        int       // points in the current block
-	pw       []float64 // the Pow and Poly columns' scratch
+	m        int // points in the current block
 }
 
 func (s *Scratch) bind(p *Program) {
@@ -241,9 +221,6 @@ func (s *Scratch) bind(p *Program) {
 	}
 	if len(s.buf) < 2*p.cols*BlockSize {
 		s.buf = make([]float64, 2*p.cols*BlockSize)
-	}
-	if len(s.pw) < (p.maxPow+1)*BlockSize {
-		s.pw = make([]float64, (p.maxPow+1)*BlockSize)
 	}
 	s.val, s.bnd, s.need = s.val[:n], s.bnd[:n], s.need[:n]
 	off := 0
@@ -305,10 +282,7 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 			divColumn(val, bnd, av, ad, bv, bd)
 		case opPow:
 			xv, xd := s.col(nd.args[0])
-			powColumn(val, bnd, xv, xd, nd.n, s.pw)
-		case opPoly:
-			xv, xd := s.col(nd.args[0])
-			polyColumn(val, bnd, xv, xd, nd.w, s.pw)
+			powColumn(val, bnd, xv, xd, nd.n)
 		case opSqrt:
 			xv, xd := s.col(nd.args[0])
 			for j := range val {
@@ -397,10 +371,11 @@ func radicalColumn(val, bnd []float64, c float64, xv, xd []float64) {
 // and running sum in registers and makes powBound's products and sums in
 // powBound's order: |x|ᵏ⁺¹ = |x|ᵏ·|x|, εⁱ⁺¹ = εⁱ·ε, the terms C(n,i)·|x|ⁿ⁻ⁱ·εⁱ
 // added to 0 in increasing i, and 0 where ε = 0. C(n,n)·|x|⁰ is C(n,n)·1,
-// which is C(n,n). The value is |x|ⁿ⁻¹·|x| with x's sign when n is odd, as
-// powValueColumn makes it. Any other exponent takes powBoundColumn and
-// powValueColumn, with pw their scratch.
-func powColumn(val, bnd, xv, xd []float64, n int, pw []float64) {
+// which is C(n,n). The value is |x|ⁿ⁻¹·|x| with x's sign when n is odd:
+// that is the chain of products intPow makes, and round to nearest is
+// symmetric under negation, so it is intPow(x, n) bit for bit. Any other
+// exponent calls intPow and powBound at every point, as TheoremBound does.
+func powColumn(val, bnd, xv, xd []float64, n int) {
 	m := len(xv)
 	val, bnd, xd = val[:m], bnd[:m], xd[:m]
 	switch n {
@@ -468,112 +443,8 @@ func powColumn(val, bnd, xv, xd []float64, n int, pw []float64) {
 			val[j], bnd[j] = math.Copysign(a6*a, x), b
 		}
 	default:
-		powBoundColumn(bnd, xv, xd, n, pw)
-		powValueColumn(val, xv, n, pw)
-	}
-}
-
-// powBoundColumn writes powBound(xv[j], xd[j], n) to bnd[j] for every
-// point, 0 ≤ n ≤ maxExponent. Per point it makes the same products and sums
-// the same terms in the same order, with the binomials read from the
-// table; it runs each step over the whole column before the next, so no
-// step waits on the previous one at the same point. pw holds n columns of
-// scratch: |x|ᵏ for 1 ≤ k < n, and εⁱ.
-func powBoundColumn(bnd, xv, xd []float64, n int, pw []float64) {
-	m := len(xv)
-	bnd, xd = bnd[:m], xd[:m]
-	clear(bnd)
-	if n == 0 {
-		return
-	}
-	// Column k of pw is |x|ᵏ⁺¹ (pa[k+1] of powBound; pa[0] = 1 is implicit).
-	col := func(k int) []float64 { return pw[k*m : (k+1)*m][:m] }
-	if n > 1 {
-		av := col(0)
 		for j, x := range xv {
-			av[j] = math.Abs(x)
-		}
-		for k := 1; k < n-1; k++ {
-			prev, cur := col(k-1), col(k)
-			for j, a := range av {
-				cur[j] = prev[j] * a
-			}
-		}
-	}
-	di := col(n - 1)
-	for j := range di {
-		di[j] = 1
-	}
-	binom := binomials[n]
-	for i := 1; i < n; i++ {
-		c, pk := binom[i-1], col(n-i-1)
-		for j, d := range xd {
-			di[j] *= d
-			bnd[j] += c * pk[j] * di[j]
-		}
-	}
-	c := binom[n-1] // the i = n term, against |x|⁰ = 1
-	for j, d := range xd {
-		di[j] *= d
-		bnd[j] += c * 1 * di[j]
-		if d == 0 {
-			bnd[j] = 0
-		}
-	}
-}
-
-// powValueColumn writes intPow(xv[j], n) to val[j] for every point, from
-// the |x|ᵏ columns the powBoundColumn call of the same n and xv left in pw.
-// |x|ⁿ is one more product of the chain intPow makes, and round to nearest
-// is symmetric under negation, so intPow(x, n) is |x|ⁿ with x's sign when n
-// is odd, bit for bit.
-func powValueColumn(val, xv []float64, n int, pw []float64) {
-	m := len(xv)
-	val = val[:m]
-	switch n {
-	case 0:
-		for j := range val {
-			val[j] = 1
-		}
-		return
-	case 1:
-		copy(val, xv)
-		return
-	}
-	av, pk := pw[:m], pw[(n-2)*m : (n-1)*m][:m] // |x| and |x|ⁿ⁻¹
-	for j, a := range av {
-		val[j] = pk[j] * a
-	}
-	if n%2 == 1 {
-		for j, x := range xv {
-			val[j] = math.Copysign(val[j], x)
-		}
-	}
-}
-
-// polyColumn is polyBound over a column, of degree ≤ maxExponent: Horner a
-// step at a time, and each term's powBound from powBoundColumn. pw holds
-// degree + 1 columns of scratch.
-func polyColumn(val, bnd, xv, xd, coeffs, pw []float64) {
-	m := len(xv)
-	val, bnd = val[:m], bnd[:m]
-	clear(val)
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		c := coeffs[i]
-		for j, x := range xv {
-			val[j] = val[j]*x + c
-		}
-	}
-	clear(bnd)
-	p := pw[:m] // the term's powBound
-	for i, a := range coeffs {
-		if i == 0 || a == 0 {
-			continue
-		}
-		powBoundColumn(p, xv, xd, i, pw[m:])
-		w := math.Abs(a)
-		for j, b := range p {
-			bnd[j] += w * b
+			val[j], bnd[j] = intPow(x, n), powBound(x, xd[j], n)
 		}
 	}
 }

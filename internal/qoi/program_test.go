@@ -13,8 +13,8 @@ func sameBits(a, b float64) bool {
 }
 
 // differentialTargets is every expression the program must reproduce: the
-// paper's QoIs, parsed formulas over the extensions and constants, Pow up
-// to the exponent past powBound's tables, and Poly with zero coefficients.
+// paper's QoIs, parsed formulas over the extensions and constants, and
+// polynomials written as Sums of Const and Pow, with zero weights.
 func differentialTargets(t *testing.T) []Expr {
 	t.Helper()
 	var out []Expr
@@ -44,9 +44,9 @@ func differentialTargets(t *testing.T) []Expr {
 		out = append(out, e)
 	}
 	return append(out,
-		Poly{Coeffs: []float64{0, 0, 3, 0}, X: Var{0}},
-		Poly{Coeffs: []float64{1, -2, 0, 0.25}, X: Div{Num: Var{1}, Den: Var{2}}},
-		Poly{Coeffs: []float64{0}, X: Sqrt{X: Var{3}}},
+		Sum{Weights: []float64{0, 3, 0}, Terms: []Expr{Var{0}, Pow{N: 2, X: Var{0}}, Pow{N: 3, X: Var{0}}}},
+		Sum{Weights: []float64{1, -2, 0.25}, Terms: []Expr{Const{1}, Div{Num: Var{1}, Den: Var{2}}, Pow{N: 3, X: Div{Num: Var{1}, Den: Var{2}}}}},
+		Sum{Weights: []float64{0}, Terms: []Expr{Pow{N: 0, X: Sqrt{X: Var{3}}}}},
 		Radical{C: -1, X: Abs{X: Var{5}}},
 		Const{C: math.Pi},
 		Var{Index: 4},
@@ -160,7 +160,7 @@ func TestPowBoundTablesMatchIntPow(t *testing.T) {
 		return bound
 	}
 	x, eb := differentialInputs(rand.New(rand.NewSource(33)), 1, 2000)
-	for n := 0; n <= powTable+2; n++ {
+	for n := 0; n <= maxExponent; n++ {
 		for j := range x[0] {
 			if got, want := powBound(x[0][j], eb[0][j], n), ref(x[0][j], eb[0][j], n); !sameBits(got, want) {
 				t.Fatalf("powBound(%v, %v, %d) = %v, want %v", x[0][j], eb[0][j], n, got, want)
@@ -189,9 +189,9 @@ func kernelInputs() (xv, xd []float64) {
 // bitsEqual compares by Float64bits, NaN payloads included.
 func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// powExponents is every exponent through one past powBound's |x|ᵏ table,
-// and the largest Compile accepts: the kernels for 2, 3 and 7 and the
-// column path on either side of each.
+// powExponents is every exponent through 17 and the largest Compile
+// accepts: the kernels for 2, 3 and 7 and the per-point loop on either
+// side of each.
 var powExponents = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, maxExponent}
 
 // TestPowColumnMatchesScalar: powColumn's bounds against the scalar
@@ -199,9 +199,8 @@ var powExponents = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 1
 func TestPowColumnMatchesScalar(t *testing.T) {
 	xv, xd := kernelInputs()
 	val, bnd := make([]float64, len(xv)), make([]float64, len(xv))
-	pw := make([]float64, maxExponent*len(xv))
 	for _, n := range powExponents {
-		powColumn(val, bnd, xv, xd, n, pw)
+		powColumn(val, bnd, xv, xd, n)
 		for j := range xv {
 			if want := powBound(xv[j], xd[j], n); !bitsEqual(bnd[j], want) {
 				t.Fatalf("n=%d x=%v ε=%v: column %v, scalar %v", n, xv[j], xd[j], bnd[j], want)
@@ -218,9 +217,8 @@ func TestPowValueColumnMatchesIntPow(t *testing.T) {
 	xv, xd := kernelInputs()
 	xv[len(xv)-1] = math.Copysign(math.NaN(), -1)
 	val, bnd := make([]float64, len(xv)), make([]float64, len(xv))
-	pw := make([]float64, maxExponent*len(xv))
 	for _, n := range append(powExponents, maxExponent-1) {
-		powColumn(val, bnd, xv, xd, n, pw)
+		powColumn(val, bnd, xv, xd, n)
 		for j, x := range xv {
 			if want := intPow(x, n); !bitsEqual(val[j], want) && !(math.IsNaN(x) && math.IsNaN(val[j])) {
 				t.Fatalf("n=%d x=%v: column %v (%#x), intPow %v (%#x)", n, x, val[j], math.Float64bits(val[j]), want, math.Float64bits(want))
@@ -356,33 +354,6 @@ func TestSumColumnMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPolyColumnMatchesScalar: polyColumn against polyBound, bit for bit,
-// for degrees 0 through 17 and the largest, with zero, negative and
-// Horner-only (trailing zero) coefficients.
-func TestPolyColumnMatchesScalar(t *testing.T) {
-	xv, xd := kernelInputs()
-	val, bnd := make([]float64, len(xv)), make([]float64, len(xv))
-	pw := make([]float64, (maxExponent+1)*len(xv))
-	rng := rand.New(rand.NewSource(35))
-	for _, deg := range []int{-1, 0, 1, 2, 3, 5, 8, 16, 17, maxExponent} {
-		coeffs := make([]float64, deg+1)
-		for i := range coeffs {
-			if rng.Intn(4) > 0 {
-				coeffs[i] = rng.NormFloat64()
-			}
-		}
-		if deg > 1 {
-			coeffs[deg] = 0
-		}
-		polyColumn(val, bnd, xv, xd, coeffs, pw)
-		for j := range xv {
-			if wv, wb := polyBound(coeffs, xv[j], xd[j]); !bitsEqual(val[j], wv) || !bitsEqual(bnd[j], wb) {
-				t.Fatalf("%v at x=%v ε=%v: column (%v, %v), scalar (%v, %v)", coeffs, xv[j], xd[j], val[j], bnd[j], wv, wb)
-			}
-		}
-	}
-}
-
 // TestBinomialTableMatchesRecurrence: every table entry is the value the
 // running recurrence reaches at that step.
 func TestBinomialTableMatchesRecurrence(t *testing.T) {
@@ -398,8 +369,8 @@ func TestBinomialTableMatchesRecurrence(t *testing.T) {
 }
 
 // TestNegativeAndHugePowers: a negative exponent has no derivable bound,
-// so TheoremBound refuses it, and Compile refuses it and an exponent or
-// degree past the table with an error, while it accepts the largest.
+// so TheoremBound refuses it, and Compile refuses it and an exponent past
+// the table with an error, while it accepts the largest.
 func TestNegativeAndHugePowers(t *testing.T) {
 	neg := Pow{N: -3, X: Var{0}}
 	if v := neg.Eval([]float64{2}); !math.IsNaN(v) {
@@ -408,13 +379,13 @@ func TestNegativeAndHugePowers(t *testing.T) {
 	if _, b := TheoremBound(neg, []float64{2}, []float64{0}); !math.IsInf(b, 1) {
 		t.Fatalf("x^-3 bound %v, want +Inf", b)
 	}
-	for _, e := range []Expr{neg, Pow{N: maxExponent + 1, X: Var{0}}, Sqrt{X: Poly{Coeffs: make([]float64, maxExponent+2), X: Var{0}}}} {
+	for _, e := range []Expr{neg, Pow{N: maxExponent + 1, X: Var{0}}} {
 		if p, err := Compile([]Expr{Var{0}, e}); err == nil || p != nil {
 			t.Fatalf("Compile accepted %v", e)
 		}
 	}
-	if _, err := Compile([]Expr{Pow{N: maxExponent, X: Var{0}}, Poly{Coeffs: make([]float64, maxExponent+1), X: Var{0}}}); err != nil {
-		t.Fatalf("Compile refused the largest exponent and degree: %v", err)
+	if _, err := Compile([]Expr{Pow{N: maxExponent, X: Var{0}}}); err != nil {
+		t.Fatalf("Compile refused the largest exponent: %v", err)
 	}
 }
 
@@ -451,28 +422,30 @@ func TestCompileSharesSubexpressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 67 tree nodes; the five variables, Temperature, total velocity and
-	// the Mach number are each built once.
-	if len(p.nodes) > 25 {
-		t.Fatalf("GEQoIs compile to %d nodes, want at most 25", len(p.nodes))
+	// 68 tree nodes; the five variables, Temperature, total velocity and
+	// the Mach number are each built once, and PT's constant term, the 1
+	// of 1 + γ/2·Mach², is a Const node of its own.
+	if len(p.nodes) > 26 {
+		t.Fatalf("GEQoIs compile to %d nodes, want at most 26", len(p.nodes))
 	}
-	// The key is the exact bits: a Poly with a trailing zero coefficient
-	// (which Horner multiplies through), one with another coefficient, and
-	// a −0 constant are nodes of their own, while a repeated target shares
-	// its root.
+	// The key is the exact bits: Sums whose weights differ only in a 0
+	// against a −0, or in another weight, and a −0 constant are nodes of
+	// their own, while a repeated target shares its root.
+	negZero := math.Copysign(0, -1)
+	terms := []Expr{Var{0}, Pow{N: 2, X: Var{0}}}
 	p, err = Compile([]Expr{
-		Poly{Coeffs: []float64{1, 2}, X: Var{0}},
-		Poly{Coeffs: []float64{1, 2, 0}, X: Var{0}},
-		Poly{Coeffs: []float64{1, 3}, X: Var{0}},
+		Sum{Weights: []float64{1, 0}, Terms: terms},
+		Sum{Weights: []float64{1, negZero}, Terms: terms},
+		Sum{Weights: []float64{1, 3}, Terms: terms},
 		Const{C: 0},
-		Const{C: math.Copysign(0, -1)},
-		Poly{Coeffs: []float64{1, 2}, X: Var{0}},
+		Const{C: negZero},
+		Sum{Weights: []float64{1, 0}, Terms: terms},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.nodes) != 6 {
-		t.Fatalf("%d nodes, want 6 (x0, three polynomials, +0, −0)", len(p.nodes))
+	if len(p.nodes) != 7 {
+		t.Fatalf("%d nodes, want 7 (x0, x0^2, three sums, +0, −0)", len(p.nodes))
 	}
 	if p.roots[0] != p.roots[5] {
 		t.Fatal("equal targets compiled to different nodes")
@@ -515,8 +488,8 @@ func TestKeyIsCanonical(t *testing.T) {
 		parse("sqrt(b^2 + a^2) / (a^2 + 1)"),
 		parse("sqrt(a^2 + c^2) / (a^2 + 1)"),
 		parse("sqrt(a^3 + b^2) / (a^2 + 1)"),
-		Poly{Coeffs: []float64{1, 2}, X: Var{0}},
-		Poly{Coeffs: []float64{1, 2, 0}, X: Var{0}},
+		Sum{Weights: []float64{1, 0}, Terms: []Expr{Var{0}, Pow{N: 2, X: Var{0}}}},
+		Sum{Weights: []float64{1, math.Copysign(0, -1)}, Terms: []Expr{Var{0}, Pow{N: 2, X: Var{0}}}},
 		Const{C: 0},
 		Const{C: math.Copysign(0, -1)},
 		Sum{Weights: []float64{1, 1}, Terms: []Expr{Var{0}, Var{1}}},
