@@ -11,10 +11,12 @@ package progqoi
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -203,36 +205,60 @@ func TestClusterFailoverMidDoMatchesLocal(t *testing.T) {
 	}
 }
 
+// postGauge is a transport that counts batch POSTs in flight from the
+// start of their round trip until the client closes the response body: the
+// span in which the session holds the POST. The server cannot count it:
+// net/http may put a large body on the wire before the handler returns, so
+// the client can read it and send its next POST while that handler is
+// still unwinding.
+type postGauge struct {
+	base           http.RoundTripper
+	inflight, peak atomic.Int64
+}
+
+func (g *postGauge) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/frags") {
+		return g.base.RoundTrip(r)
+	}
+	n := g.inflight.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+	resp, err := g.base.RoundTrip(r)
+	if err != nil {
+		g.inflight.Add(-1)
+		return nil, err
+	}
+	resp.Body = &gaugedBody{ReadCloser: resp.Body, done: sync.OnceFunc(func() { g.inflight.Add(-1) })}
+	return resp, nil
+}
+
+type gaugedBody struct {
+	io.ReadCloser
+	done func()
+}
+
+func (b *gaugedBody) Close() error {
+	defer b.done()
+	return b.ReadCloser.Close()
+}
+
 // TestSessionWorkersBoundBatchPosts: a remote session's per-node batch
 // POSTs run as tasks on its WithWorkers budget, so a session opened with
 // WithWorkers(n) never has more than n of them in flight across the
-// cluster. One in-flight gauge spans all three nodes.
+// cluster. One client-side gauge spans all three nodes.
 func TestSessionWorkersBoundBatchPosts(t *testing.T) {
 	ds := datagen.GE("GE-cluster", 4, 220, 5)
 	arch, err := Refactor(ds.FieldNames, ds.Fields, ds.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inflight, peak atomic.Int64
-	urls := make([]string, 3)
-	for i := range urls {
-		srv := serveArchiveHandler(t, arch, "ge", server.Options{})
-		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/frags") {
-				n := inflight.Add(1)
-				defer inflight.Add(-1)
-				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-				}
-			}
-			srv.ServeHTTP(w, r)
-		}))
-		t.Cleanup(hs.Close)
-		urls[i] = hs.URL
-	}
+	nodes := startCluster(t, arch, "ge", 3, server.Options{})
 	req := clusterRequest(t, ds.FieldNames)
 	for _, workers := range []int{1, 2} {
-		peak.Store(0)
-		rarch, err := Open(context.Background(), urls[0]+"/ge", WithEndpoints(urls[1:]...), WithCache(-1))
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		gauge := &postGauge{base: tr}
+		rarch, err := Open(context.Background(), nodes[0].URL+"/ge",
+			WithEndpoints(nodes[1].URL, nodes[2].URL), WithCache(-1), WithHTTPClient(&http.Client{Transport: gauge}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,10 +276,11 @@ func TestSessionWorkersBoundBatchPosts(t *testing.T) {
 			}
 		}
 		rarch.Close()
+		tr.CloseIdleConnections()
 		if used < 2 {
 			t.Fatalf("workers %d: fetches used %d of 3 nodes", workers, used)
 		}
-		if got := peak.Load(); got < 1 || got > int64(workers) {
+		if got := gauge.peak.Load(); got < 1 || got > int64(workers) {
 			t.Fatalf("workers %d: %d batch POSTs in flight at once", workers, got)
 		}
 	}

@@ -1,6 +1,7 @@
 // Command experiments regenerates the paper's evaluation tables and figures
 // on the synthetic stand-in datasets and prints the same rows/series the
-// paper reports.
+// paper reports, one table per figure panel. An experiment that fails
+// prints its error to stderr and exits 1.
 //
 // Usage:
 //
@@ -16,9 +17,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"progqoi/internal/experiments"
+	"progqoi/internal/stats"
 )
 
 func main() {
@@ -28,7 +31,7 @@ func main() {
 
 	ctx := context.Background()
 	o := experiments.Opts{Quick: *quick}
-	runners := map[string]func(context.Context, experiments.Opts) string{
+	runners := map[string]func(context.Context, experiments.Opts) ([]*stats.Table, error){
 		"table3": experiments.Table3,
 		"fig2":   experiments.Fig2,
 		"fig3":   experiments.Fig3,
@@ -48,6 +51,22 @@ func main() {
 		os.Exit(2)
 	}
 	start := time.Now()
-	fmt.Println(fn(ctx, o))
+	tables, err := fn(ctx, o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	// A blank line parts the panels of one experiment and a rule parts
+	// experiments; a title names its experiment before the first colon.
+	for i, t := range tables {
+		if i > 0 {
+			prev, _, _ := strings.Cut(tables[i-1].Title, ":")
+			if cur, _, _ := strings.Cut(t.Title, ":"); cur != prev {
+				fmt.Print("\n" + strings.Repeat("=", 72) + "\n")
+			}
+			fmt.Println()
+		}
+		fmt.Print(t)
+	}
 	fmt.Printf("\n[%s completed in %.1f s]\n", *exp, time.Since(start).Seconds())
 }

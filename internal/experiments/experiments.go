@@ -1,10 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V-B exploration and §VI) on the synthetic stand-in datasets:
-// the same sweeps, the same series, printed as rows. cmd/experiments drives
-// it from the command line and the repository-root benchmarks time it.
+// the same sweeps and series, returned as stats.Tables with one panel of a
+// figure per table. An experiment that fails returns its error, not a
+// table. cmd/experiments prints the tables, and the root package's
+// bench_test.go times each experiment.
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
-// data); the shapes the paper argues from are asserted in EXPERIMENTS.md.
+// data). The shapes the paper argues from are asserted on the typed cells
+// by this package's tests (TestFig3EstimateDominatesReal,
+// TestFigs4to6Certified, TestFigs7and8PMGARDHBMonotone, TestFig9BeatsRaw).
 package experiments
 
 import (
@@ -85,9 +89,12 @@ var methodsFig7 = []progressive.Method{
 	progressive.PSZ3, progressive.PSZ3Delta, progressive.PMGARDHB,
 }
 
-// Table3 prints the dataset inventory (paper Table III, at stand-in scale).
-func Table3(ctx context.Context, o Opts) string {
-	t := &stats.Table{Header: []string{"Dataset", "Dimensions", "nv", "Type", "Size", "QoIs"}}
+// Table3 is the dataset inventory (paper Table III, at stand-in scale).
+func Table3(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	t := &stats.Table{
+		Title:  "Table III: Datasets and QoIs (synthetic stand-ins)",
+		Header: []string{"Dataset", "Dimensions", "nv", "Type", "Size", "QoIs"},
+	}
 	add := func(ds *datagen.Dataset, qoiDesc string) {
 		dims := make([]string, len(ds.Dims))
 		for i, d := range ds.Dims {
@@ -102,189 +109,152 @@ func Table3(ctx context.Context, o Opts) string {
 	add(o.s3d(), "Molar concentration multiplication")
 	gl, _ := o.geLarge()
 	add(gl, "Eq.(1)-(6)")
-	return "Table III: Datasets and QoIs (synthetic stand-ins)\n" + t.String()
+	return []*stats.Table{t}, nil
 }
 
 // fig2Fields are the fields the paper plots in Figs. 2–3.
 var fig2Fields = []string{"VelocityX", "VelocityZ", "Pressure", "Density"}
 
-// Fig2 sweeps successively tighter primary-data error bounds through a
-// single progressive session per compressor and reports the resulting
-// bitrate (paper Fig. 2).
-func Fig2(ctx context.Context, o Opts) string {
+// fieldSweep is the Figs. 2–3 protocol: on each GE-small field, one
+// progressive session per method advances through successively tighter
+// primary-data bounds. A field's table has a row per requested relative
+// bound: the bound, then per method the cells report gives for the session
+// at that point.
+func fieldSweep(ctx context.Context, o Opts, fig, title string, header []string,
+	methods []progressive.Method, tail bool,
+	report func(rd *progressive.Reader, data []float64, rng, bound float64) ([]any, error),
+) ([]*stats.Table, error) {
 	ds := o.geSmall()
-	var b strings.Builder
-	fmt.Fprintln(&b, "Fig. 2: requested PD relative error vs bitrate (bits/value), per compressor")
 	targets := o.sweep(20)
+	var tables []*stats.Table
 	for _, fname := range fig2Fields {
 		data := ds.Field(fname)
 		rng := stats.Range(data)
-		t := &stats.Table{Header: []string{"rel_eb", "PSZ3", "PSZ3-delta", "PMGARD", "PMGARD-HB"}}
-		rows := make([][]float64, len(targets))
-		for i := range rows {
-			rows[i] = make([]float64, len(methodsAll))
+		t := &stats.Table{Title: "Fig. " + fig + ": " + title + " [" + fname + "]", Header: header}
+		for _, rel := range targets {
+			t.AddRow(rel)
 		}
-		for mi, m := range methodsAll {
-			ref, err := progressive.Refactor(data, ds.Dims, progressive.Options{Method: m, LosslessTail: true})
+		for _, m := range methods {
+			ref, err := progressive.Refactor(data, ds.Dims, progressive.Options{Method: m, LosslessTail: tail})
 			if err != nil {
-				return "fig2: " + err.Error()
+				return nil, fmt.Errorf("fig%s: %w", fig, err)
 			}
 			rd, err := progressive.NewReader(ref, nil)
 			if err != nil {
-				return "fig2: " + err.Error()
+				return nil, fmt.Errorf("fig%s: %w", fig, err)
 			}
-			for ti, rel := range targets {
-				if _, err := rd.Advance(ctx, rel*rng); err != nil {
-					return "fig2: " + err.Error()
+			for i, rel := range targets {
+				bound, err := rd.Advance(ctx, rel*rng)
+				if err != nil {
+					return nil, fmt.Errorf("fig%s: %s %v rel=%g: %w", fig, fname, m, rel, err)
 				}
-				rows[ti][mi] = stats.Bitrate(rd.RetrievedBytes(), len(data))
+				cells, err := report(rd, data, rng, bound)
+				if err != nil {
+					return nil, fmt.Errorf("fig%s: %s %v rel=%g: %w", fig, fname, m, rel, err)
+				}
+				t.Rows[i] = append(t.Rows[i], cells...)
 			}
 		}
-		for ti, rel := range targets {
-			t.AddRow(rel, rows[ti][0], rows[ti][1], rows[ti][2], rows[ti][3])
-		}
-		fmt.Fprintf(&b, "\n[%s]\n%s", fname, t.String())
+		tables = append(tables, t)
 	}
-	return b.String()
+	return tables, nil
+}
+
+// Fig2 reports the bitrate each compressor needs for each requested
+// primary-data bound (paper Fig. 2).
+func Fig2(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	return fieldSweep(ctx, o, "2", "requested PD relative error vs bitrate (bits/value), per compressor",
+		[]string{"rel_eb", "PSZ3", "PSZ3-delta", "PMGARD", "PMGARD-HB"}, methodsAll, true,
+		func(rd *progressive.Reader, data []float64, _, _ float64) ([]any, error) {
+			return []any{stats.Bitrate(rd.RetrievedBytes(), len(data))}, nil
+		})
 }
 
 // Fig3 compares the orthogonal (OB) and hierarchical (HB) bases: requested
 // tolerance vs the estimated bound vs the real error (paper Fig. 3).
-func Fig3(ctx context.Context, o Opts) string {
-	ds := o.geSmall()
-	var b strings.Builder
-	fmt.Fprintln(&b, "Fig. 3: requested vs estimated vs real PD error, OB (PMGARD) vs HB (PMGARD-HB)")
-	targets := o.sweep(20)
-	for _, fname := range fig2Fields {
-		data := ds.Field(fname)
-		rng := stats.Range(data)
-		t := &stats.Table{Header: []string{
-			"rel_tol", "bitrate(OB)", "est(OB)", "real(OB)", "bitrate(HB)", "est(HB)", "real(HB)",
-		}}
-		type point struct{ bitrate, est, real float64 }
-		series := map[progressive.Method][]point{}
-		for _, m := range []progressive.Method{progressive.PMGARD, progressive.PMGARDHB} {
-			ref, err := progressive.Refactor(data, ds.Dims, progressive.Options{Method: m})
+func Fig3(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	return fieldSweep(ctx, o, "3", "requested vs estimated vs real PD error, OB (PMGARD) vs HB (PMGARD-HB)",
+		[]string{"rel_tol", "bitrate(OB)", "est(OB)", "real(OB)", "bitrate(HB)", "est(HB)", "real(HB)"},
+		[]progressive.Method{progressive.PMGARD, progressive.PMGARDHB}, false,
+		func(rd *progressive.Reader, data []float64, rng, bound float64) ([]any, error) {
+			rec, err := rd.Data()
 			if err != nil {
-				return "fig3: " + err.Error()
+				return nil, err
 			}
-			rd, err := progressive.NewReader(ref, nil)
-			if err != nil {
-				return "fig3: " + err.Error()
-			}
-			for _, rel := range targets {
-				bound, err := rd.Advance(ctx, rel*rng)
-				if err != nil {
-					return "fig3: " + err.Error()
-				}
-				rec, err := rd.Data()
-				if err != nil {
-					return "fig3: " + err.Error()
-				}
-				series[m] = append(series[m], point{
-					bitrate: stats.Bitrate(rd.RetrievedBytes(), len(data)),
-					est:     bound / rng,
-					real:    stats.MaxAbsError(data, rec) / rng,
-				})
-			}
-		}
-		ob, hb := series[progressive.PMGARD], series[progressive.PMGARDHB]
-		for i, rel := range targets {
-			t.AddRow(rel, ob[i].bitrate, ob[i].est, ob[i].real, hb[i].bitrate, hb[i].est, hb[i].real)
-		}
-		fmt.Fprintf(&b, "\n[%s]\n%s", fname, t.String())
-	}
-	return b.String()
+			return []any{stats.Bitrate(rd.RetrievedBytes(), len(data)), bound / rng,
+				stats.MaxAbsError(data, rec) / rng}, nil
+		})
 }
 
-// qoiSweep runs the Figs. 4–6 protocol on one dataset: a PMGARD-HB session
-// per QoI, sweeping requested relative QoI tolerances and reporting the max
-// estimated and max actual relative errors plus bitrate.
-func qoiSweep(ctx context.Context, ds *datagen.Dataset, o Opts, nTargets int) (string, error) {
-	ranges := core.QoIRanges(ds.QoIs, ds.Fields)
-	targets := o.sweep(nTargets)
-	vars, err := core.RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, core.RefactorOptions{
-		Progressive: progressive.Options{Method: progressive.PMGARDHB, LosslessTail: true},
-		MaskZeros:   true,
-	})
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	ne := ds.NumElements()
-	for k, q := range ds.QoIs {
-		rt, err := core.NewRetriever(vars, core.Config{}, nil)
+// qoiSweep is the Figs. 4–6 protocol: on each dataset, a PMGARD-HB session
+// per QoI sweeps requested relative QoI tolerances, and the QoI's table
+// reports bitrate and the max estimated and max actual relative errors.
+func qoiSweep(ctx context.Context, o Opts, fig string, dss ...*datagen.Dataset) ([]*stats.Table, error) {
+	var tables []*stats.Table
+	for _, ds := range dss {
+		ranges := core.QoIRanges(ds.QoIs, ds.Fields)
+		vars, err := core.RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, core.RefactorOptions{
+			Progressive: progressive.Options{Method: progressive.PMGARDHB, LosslessTail: true},
+			MaskZeros:   true,
+		})
 		if err != nil {
-			return "", err
+			return nil, fmt.Errorf("fig%s: %w", fig, err)
 		}
-		t := &stats.Table{Header: []string{"req_rel_tol", "bitrate", "max_est_rel", "max_actual_rel"}}
-		for _, rel := range targets {
-			res, err := rt.Retrieve(ctx, core.Request{Targets: []core.Target{
-				{QoI: q, Tolerance: rel, Relative: true, Range: ranges[k]},
-			}})
+		ne := ds.NumElements()
+		for k, q := range ds.QoIs {
+			rt, err := core.NewRetriever(vars, core.Config{}, nil)
 			if err != nil {
-				return "", fmt.Errorf("%s rel=%g: %w", q.Name, rel, err)
+				return nil, fmt.Errorf("fig%s: %w", fig, err)
 			}
-			actual := core.ActualQoIErrors([]qoi.QoI{q}, ds.Fields, res.Data)
-			t.AddRow(rel,
-				stats.Bitrate(res.RetrievedBytes, ne),
-				res.EstErrors[0]/ranges[k],
-				actual[0]/ranges[k])
+			t := &stats.Table{
+				Title: fmt.Sprintf("Fig. %s: max estimated / actual QoI errors vs requested (PMGARD-HB) [%s :: %s]",
+					fig, ds.Name, q.Name),
+				Header: []string{"req_rel_tol", "bitrate", "max_est_rel", "max_actual_rel"},
+			}
+			for _, rel := range o.sweep(20) {
+				res, err := rt.Retrieve(ctx, core.Request{Targets: []core.Target{
+					{QoI: q, Tolerance: rel, Relative: true, Range: ranges[k]},
+				}})
+				if err != nil {
+					return nil, fmt.Errorf("fig%s: %s %s rel=%g: %w", fig, ds.Name, q.Name, rel, err)
+				}
+				actual := core.ActualQoIErrors([]qoi.QoI{q}, ds.Fields, res.Data)
+				t.AddRow(rel, stats.Bitrate(res.RetrievedBytes, ne), res.EstErrors[0]/ranges[k], actual[0]/ranges[k])
+			}
+			tables = append(tables, t)
 		}
-		fmt.Fprintf(&b, "\n[%s :: %s]\n%s", ds.Name, q.Name, t.String())
 	}
-	return b.String(), nil
+	return tables, nil
 }
 
 // Fig4 is the GE-small QoI error-control experiment (paper Fig. 4).
-func Fig4(ctx context.Context, o Opts) string {
-	out, err := qoiSweep(ctx, o.geSmall(), o, 20)
-	if err != nil {
-		return "fig4: " + err.Error()
-	}
-	return "Fig. 4: max estimated / actual QoI errors vs requested (PMGARD-HB, GE-small)" + out
+func Fig4(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	return qoiSweep(ctx, o, "4", o.geSmall())
 }
 
 // Fig5 runs the same protocol for total velocity on NYX and Hurricane
 // (paper Fig. 5).
-func Fig5(ctx context.Context, o Opts) string {
-	var b strings.Builder
-	fmt.Fprint(&b, "Fig. 5: max estimated / actual QoI errors vs requested (PMGARD-HB, NYX & Hurricane)")
-	for _, ds := range []*datagen.Dataset{o.nyx(), o.hurricane()} {
-		out, err := qoiSweep(ctx, ds, o, 20)
-		if err != nil {
-			return "fig5: " + err.Error()
-		}
-		b.WriteString(out)
-	}
-	return b.String()
+func Fig5(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	return qoiSweep(ctx, o, "5", o.nyx(), o.hurricane())
 }
 
 // Fig6 runs the molar-concentration products on S3D (paper Fig. 6).
-func Fig6(ctx context.Context, o Opts) string {
-	out, err := qoiSweep(ctx, o.s3d(), o, 20)
-	if err != nil {
-		return "fig6: " + err.Error()
-	}
-	return "Fig. 6: max estimated / actual QoI errors vs requested (PMGARD-HB, S3D)" + out
+func Fig6(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	return qoiSweep(ctx, o, "6", o.s3d())
 }
 
 // retrievalEfficiency implements Figs. 7–8: for each QoI and each method, a
 // fresh session per requested tolerance (the paper's single-request
 // "generic case"), reporting bitrate.
-func retrievalEfficiency(ctx context.Context, ds *datagen.Dataset, o Opts, nTargets int) (string, error) {
+func retrievalEfficiency(ctx context.Context, o Opts, fig string, ds *datagen.Dataset) ([]*stats.Table, error) {
 	ranges := core.QoIRanges(ds.QoIs, ds.Fields)
-	targets := o.sweep(nTargets)
+	targets := o.sweep(20)
 	if !o.Quick {
 		// Fresh sessions per point are expensive; halve the sweep density.
-		targets = targets[:len(targets):len(targets)]
-		kept := targets[:0]
-		for i, v := range targets {
-			if i%2 == 0 {
-				kept = append(kept, v)
-			}
+		for i := range (len(targets) + 1) / 2 {
+			targets[i] = targets[2*i]
 		}
-		targets = kept
+		targets = targets[:(len(targets)+1)/2]
 	}
 	refs := map[progressive.Method][]*core.Variable{}
 	for _, m := range methodsFig7 {
@@ -293,62 +263,60 @@ func retrievalEfficiency(ctx context.Context, ds *datagen.Dataset, o Opts, nTarg
 			MaskZeros:   true,
 		})
 		if err != nil {
-			return "", err
+			return nil, fmt.Errorf("fig%s: %w", fig, err)
 		}
 		refs[m] = vars
 	}
 	ne := ds.NumElements()
-	var b strings.Builder
+	var tables []*stats.Table
 	for k, q := range ds.QoIs {
-		t := &stats.Table{Header: []string{"req_rel_tol", "PSZ3", "PSZ3-delta", "PMGARD-HB"}}
+		t := &stats.Table{
+			Title: fmt.Sprintf("Fig. %s: retrieval efficiency of progressive approaches, bitrate (bits/value) [%s :: %s]",
+				fig, ds.Name, q.Name),
+			Header: []string{"req_rel_tol", "PSZ3", "PSZ3-delta", "PMGARD-HB"},
+		}
 		for _, rel := range targets {
-			row := make([]float64, len(methodsFig7))
-			for mi, m := range methodsFig7 {
+			row := []any{rel}
+			for _, m := range methodsFig7 {
 				rt, err := core.NewRetriever(refs[m], core.Config{}, nil)
 				if err != nil {
-					return "", err
+					return nil, fmt.Errorf("fig%s: %w", fig, err)
 				}
 				res, err := rt.Retrieve(ctx, core.Request{Targets: []core.Target{
 					{QoI: q, Tolerance: rel, Relative: true, Range: ranges[k]},
 				}})
 				if err != nil {
-					return "", fmt.Errorf("%s %v rel=%g: %w", q.Name, m, rel, err)
+					return nil, fmt.Errorf("fig%s: %s %s %v rel=%g: %w", fig, ds.Name, q.Name, m, rel, err)
 				}
-				row[mi] = stats.Bitrate(res.RetrievedBytes, ne)
+				row = append(row, stats.Bitrate(res.RetrievedBytes, ne))
 			}
-			t.AddRow(rel, row[0], row[1], row[2])
+			t.AddRow(row...)
 		}
-		fmt.Fprintf(&b, "\n[%s :: %s] bitrate (bits/value)\n%s", ds.Name, q.Name, t.String())
+		tables = append(tables, t)
 	}
-	return b.String(), nil
+	return tables, nil
 }
 
 // Fig7 is retrieval efficiency on GE-small (paper Fig. 7).
-func Fig7(ctx context.Context, o Opts) string {
-	out, err := retrievalEfficiency(ctx, o.geSmall(), o, 20)
-	if err != nil {
-		return "fig7: " + err.Error()
-	}
-	return "Fig. 7: retrieval efficiency of progressive approaches (GE-small)" + out
+func Fig7(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	return retrievalEfficiency(ctx, o, "7", o.geSmall())
 }
 
 // Fig8 is retrieval efficiency on S3D (paper Fig. 8).
-func Fig8(ctx context.Context, o Opts) string {
-	out, err := retrievalEfficiency(ctx, o.s3d(), o, 20)
-	if err != nil {
-		return "fig8: " + err.Error()
-	}
-	return "Fig. 8: retrieval efficiency of progressive approaches (S3D)" + out
+func Fig8(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	return retrievalEfficiency(ctx, o, "8", o.s3d())
 }
 
 // Table4 measures refactor and retrieval wall time per method for the VTOT
 // QoI at tolerances 1e-1..1e-5 (paper Table IV).
-func Table4(ctx context.Context, o Opts) string {
+func Table4(ctx context.Context, o Opts) ([]*stats.Table, error) {
 	ds := o.geSmall()
-	vtot := []qoi.QoI{ds.QoIs[0]}
-	ranges := core.QoIRanges(vtot, ds.Fields)
-	rels := []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5}
-	t := &stats.Table{Header: []string{"Compressor", "Refactoring(s)", "1E-1", "1E-2", "1E-3", "1E-4", "1E-5"}}
+	vtot := ds.QoIs[0]
+	ranges := core.QoIRanges([]qoi.QoI{vtot}, ds.Fields)
+	t := &stats.Table{
+		Title:  "Table IV: refactor and retrieval time (seconds), VTOT on GE-small",
+		Header: []string{"Compressor", "Refactoring(s)", "1E-1", "1E-2", "1E-3", "1E-4", "1E-5"},
+	}
 	for _, m := range methodsFig7 {
 		start := time.Now()
 		vars, err := core.RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, core.RefactorOptions{
@@ -356,32 +324,31 @@ func Table4(ctx context.Context, o Opts) string {
 			MaskZeros:   true,
 		})
 		if err != nil {
-			return "table4: " + err.Error()
+			return nil, fmt.Errorf("table4: %w", err)
 		}
-		refactorTime := time.Since(start).Seconds()
-		cells := []interface{}{m.String(), refactorTime}
-		for _, rel := range rels {
+		row := []any{m.String(), time.Since(start).Seconds()}
+		for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5} {
 			rt, err := core.NewRetriever(vars, core.Config{}, nil)
 			if err != nil {
-				return "table4: " + err.Error()
+				return nil, fmt.Errorf("table4: %w", err)
 			}
 			start := time.Now()
 			if _, err := rt.Retrieve(ctx, core.Request{Targets: []core.Target{
-				{QoI: vtot[0], Tolerance: rel, Relative: true, Range: ranges[0]},
+				{QoI: vtot, Tolerance: rel, Relative: true, Range: ranges[0]},
 			}}); err != nil {
-				return "table4: " + err.Error()
+				return nil, fmt.Errorf("table4: %v rel=%g: %w", m, rel, err)
 			}
-			cells = append(cells, time.Since(start).Seconds())
+			row = append(row, time.Since(start).Seconds())
 		}
-		t.AddRow(cells...)
+		t.AddRow(row...)
 	}
-	return "Table IV: refactor and retrieval time (seconds), VTOT on GE-small\n" + t.String()
+	return []*stats.Table{t}, nil
 }
 
 // Fig9 runs the remote-transfer experiment: per-block QoI retrieval over a
 // simulated Globus-class link, versus shipping the raw velocity fields
-// (paper Fig. 9).
-func Fig9(ctx context.Context, o Opts) string {
+// (paper Fig. 9). The title carries the raw baseline and the refactor time.
+func Fig9(ctx context.Context, o Opts) ([]*stats.Table, error) {
 	ds, workers := o.geLarge()
 	blockSize := ds.NumElements() / workers
 	// VTOT uses the velocity components only: 3 of the 5 fields.
@@ -392,40 +359,39 @@ func Fig9(ctx context.Context, o Opts) string {
 	link.BandwidthBps = float64(rawBytes) / 11.7
 
 	// Refactor each block independently (one block per core, like the paper).
-	type blockVars struct{ vars []*core.Variable }
 	refactorStart := time.Now()
-	blocks := make([]blockVars, workers)
-	names := ds.FieldNames[:3]
-	for b := 0; b < workers; b++ {
-		fields := make([][]float64, 3)
-		for f := 0; f < 3; f++ {
-			fields[f] = ds.Fields[f][b*blockSize : (b+1)*blockSize]
+	fields := make([][][]float64, workers)
+	blocks := make([][]*core.Variable, workers)
+	for b := range workers {
+		for f := range 3 {
+			fields[b] = append(fields[b], ds.Fields[f][b*blockSize:(b+1)*blockSize])
 		}
-		vars, err := core.RefactorVariables(names, fields, []int{blockSize}, core.RefactorOptions{
+		vars, err := core.RefactorVariables(ds.FieldNames[:3], fields[b], []int{blockSize}, core.RefactorOptions{
 			Progressive: progressive.Options{Method: progressive.PMGARDHB, LosslessTail: true},
 			MaskZeros:   true,
 		})
 		if err != nil {
-			return "fig9: " + err.Error()
+			return nil, fmt.Errorf("fig9: %w", err)
 		}
-		blocks[b] = blockVars{vars: vars}
+		blocks[b] = vars
 	}
 	refactorTime := time.Since(refactorStart)
 
-	t := &stats.Table{Header: []string{"req_rel_tol(VTOT)", "retrieved_MB", "transfer_time(s)", "speedup_vs_raw"}}
 	rawTime := netsim.RawTransferTime(rawBytes, workers, link)
+	t := &stats.Table{
+		Title: fmt.Sprintf("Fig. 9: data transfer time over simulated Globus link (%d workers, PMGARD-HB)\n"+
+			"raw transfer baseline: %.2f s for %.2f MB; refactoring took %.2f s",
+			workers, rawTime.Seconds(), float64(rawBytes)/1e6, refactorTime.Seconds()),
+		Header: []string{"req_rel_tol(VTOT)", "retrieved_MB", "transfer_time(s)", "speedup_vs_raw"},
+	}
 	vtot := qoi.TotalVelocity(0, 1, 2)
 	for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5} {
 		res, err := netsim.Run(workers, workers, link, func(b int, rec *netsim.Recorder) error {
-			rt, err := core.NewRetriever(blocks[b].vars, core.Config{}, rec.Observe)
+			rt, err := core.NewRetriever(blocks[b], core.Config{}, rec.Observe)
 			if err != nil {
 				return err
 			}
-			fields := make([][]float64, 3)
-			for f := 0; f < 3; f++ {
-				fields[f] = ds.Fields[f][b*blockSize : (b+1)*blockSize]
-			}
-			ranges := core.QoIRanges([]qoi.QoI{vtot}, fields)
+			ranges := core.QoIRanges([]qoi.QoI{vtot}, fields[b])
 			if ranges[0] == 0 {
 				ranges[0] = 1
 			}
@@ -435,24 +401,25 @@ func Fig9(ctx context.Context, o Opts) string {
 			return err
 		})
 		if err != nil {
-			return "fig9: " + err.Error()
+			return nil, fmt.Errorf("fig9: rel=%g: %w", rel, err)
 		}
-		t.AddRow(rel,
-			float64(res.TotalBytes)/1e6,
-			res.Makespan.Seconds(),
-			rawTime.Seconds()/res.Makespan.Seconds())
+		t.AddRow(rel, float64(res.TotalBytes)/1e6, res.Makespan.Seconds(), rawTime.Seconds()/res.Makespan.Seconds())
 	}
-	return fmt.Sprintf(
-		"Fig. 9: data transfer time over simulated Globus link (%d workers, PMGARD-HB)\n"+
-			"raw transfer baseline: %.2f s for %.2f MB; refactoring took %.2f s\n%s",
-		workers, rawTime.Seconds(), float64(rawBytes)/1e6, refactorTime.Seconds(), t.String())
+	return []*stats.Table{t}, nil
 }
 
-// All runs every experiment in order.
-func All(ctx context.Context, o Opts) string {
-	parts := []string{
-		Table3(ctx, o), Fig2(ctx, o), Fig3(ctx, o), Fig4(ctx, o), Fig5(ctx, o),
-		Fig6(ctx, o), Fig7(ctx, o), Fig8(ctx, o), Table4(ctx, o), Fig9(ctx, o),
+// All runs every experiment in order and returns their tables, stopping at
+// the first error.
+func All(ctx context.Context, o Opts) ([]*stats.Table, error) {
+	var all []*stats.Table
+	for _, run := range []func(context.Context, Opts) ([]*stats.Table, error){
+		Table3, Fig2, Fig3, Fig4, Fig5, Fig6, Fig7, Fig8, Table4, Fig9,
+	} {
+		tables, err := run(ctx, o)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, tables...)
 	}
-	return strings.Join(parts, "\n\n"+strings.Repeat("=", 72)+"\n\n")
+	return all, nil
 }

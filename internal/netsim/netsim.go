@@ -58,8 +58,8 @@ type BlockResult struct {
 
 // BlockFunc performs the retrieval work of one block. It receives a
 // Session-scoped fetch recorder to install as the progressive.FetchFunc of
-// its readers, and returns the number of bytes it (separately) verified as
-// retrieved — used as a cross-check against the recorder.
+// its readers, and returns the error that ends its retrieval, if any; Run
+// charges the link for the bytes the recorder saw.
 type BlockFunc func(block int, rec *Recorder) error
 
 // Recorder tallies the fragment fetches of one block's retrieval. It is

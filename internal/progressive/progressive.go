@@ -87,7 +87,9 @@ type Options struct {
 	// Order is the PMGARD fragment schedule (default greedy).
 	Order Order
 	// LosslessTail appends a bit-exact final fragment to snapshot methods
-	// so any tolerance can be met (default true).
+	// so any tolerance can be met. It is off unless set: progqoi.Refactor
+	// sets it, and a caller of this package's Refactor that leaves it
+	// false gets no tail.
 	LosslessTail bool
 	// Workers bounds Refactor's encode workers (default GOMAXPROCS): PMGARD
 	// methods spread the chunked plane slicing and the per-(group, plane)

@@ -49,26 +49,16 @@ func Bitrate(bytes int64, elements int) float64 {
 	return float64(bytes) * 8 / float64(elements)
 }
 
-// Table is a minimal fixed-width text table used by cmd/experiments to print
-// the same rows the paper reports.
+// Table is a minimal fixed-width text table: the rows one experiment
+// reports, kept as the values it gave, rendered by String.
 type Table struct {
+	Title  string
 	Header []string
-	Rows   [][]string
+	Rows   [][]any
 }
 
-// AddRow appends a row of cells formatted with fmt.Sprint.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = FormatG(v)
-		default:
-			row[i] = fmt.Sprint(c)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
+// AddRow appends a row of cells.
+func (t *Table) AddRow(cells ...any) { t.Rows = append(t.Rows, cells) }
 
 // FormatG renders a float compactly (%.4g) with Inf/NaN spelled out.
 func FormatG(v float64) string {
@@ -84,20 +74,31 @@ func FormatG(v float64) string {
 	}
 }
 
-// String renders the table with aligned columns.
+// String renders the title, if any, then the table with aligned columns;
+// float64 cells are formatted with FormatG, others with fmt.Sprint.
 func (t *Table) String() string {
+	cells := make([][]string, len(t.Rows))
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)
 	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+	for r, row := range t.Rows {
+		cells[r] = make([]string, len(row))
+		for i, c := range row {
+			if v, ok := c.(float64); ok {
+				cells[r][i] = FormatG(v)
+			} else {
+				cells[r][i] = fmt.Sprint(c)
+			}
+			if i < len(widths) && len(cells[r][i]) > widths[i] {
+				widths[i] = len(cells[r][i])
 			}
 		}
 	}
 	var b strings.Builder
+	if t.Title != "" {
+		b.WriteString(t.Title + "\n")
+	}
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
@@ -113,7 +114,7 @@ func (t *Table) String() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
-	for _, r := range t.Rows {
+	for _, r := range cells {
 		writeRow(r)
 	}
 	return b.String()

@@ -57,6 +57,13 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("want 4 lines, got %d", len(lines))
 	}
+	if v, ok := tab.Rows[0][1].(float64); !ok || v != 1.5 {
+		t.Fatalf("cell kept as %T %v, want float64 1.5", tab.Rows[0][1], tab.Rows[0][1])
+	}
+	tab.Title = "Fig. 1: demo"
+	if got := tab.String(); got != tab.Title+"\n"+out {
+		t.Fatalf("titled table:\n%s", got)
+	}
 }
 
 func TestFormatG(t *testing.T) {
