@@ -37,8 +37,8 @@
 // Source order approximates execution order, which is exact for the
 // straight-line Lock/defer-Unlock and Lock/op/Unlock shapes this
 // codebase uses. The lock depth is clamped at zero so a branch that
-// unlocks early and returns (the lookup/fetch/store shape in
-// Client.Index) does not cancel out a later re-acquisition. A goroutine
+// unlocks early and returns (a memoised lookup/fetch/store) does not
+// cancel out a later re-acquisition. A goroutine
 // launched inside a critical section inherits the section's lexical
 // state (a known false-negative), and
 // //progqoivet:allow lockguard -- <reason> documents any genuinely
@@ -313,9 +313,9 @@ func held(evs []lockEvent, pos token.Pos, base string, g guard, write bool) bool
 			rdepth += e.delta
 		}
 		// Clamp at zero: an early-return branch that unlocks before the
-		// straight-line code re-acquires (the lookup/fetch/store shape in
-		// Client.Index) would otherwise leave the count negative and hide
-		// the later Lock.
+		// straight-line code re-acquires (a memoised lookup/fetch/store)
+		// would otherwise leave the count negative and hide the later
+		// Lock.
 		if wdepth < 0 {
 			wdepth = 0
 		}

@@ -75,7 +75,7 @@ func (c *cache) put(k string, v int) {
 	c.hits++
 }
 
-// lookupOrFill is the Client.Index shape: an early-return branch
+// lookupOrFill is the memoised-lookup shape: an early-return branch
 // unlocks, and the straight-line code re-acquires before writing. The
 // clamped depth count must not report the final write.
 func (c *cache) lookupOrFill(k string, fill func() int) int {

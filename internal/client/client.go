@@ -14,24 +14,22 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"progqoi/internal/encoding"
 	"progqoi/internal/lru"
 	"progqoi/internal/obs"
 	"progqoi/internal/par"
 	"progqoi/internal/retry"
-	"progqoi/internal/server"
 )
 
 // DefaultCacheBytes bounds the fragment cache when Options.CacheBytes is 0.
@@ -197,9 +195,6 @@ type Client struct {
 	mu       sync.Mutex
 	inflight map[string]*call // guarded by mu
 
-	idxMu   sync.Mutex
-	indexes map[string]*server.Index // guarded by idxMu
-
 	wireBytes    atomic.Int64
 	wireRequests atomic.Int64
 	fragsFetched atomic.Int64
@@ -221,7 +216,6 @@ func New(baseURL string, opt Options) (*Client, error) {
 		opts:        opt,
 		cache:       lru.New(opt.CacheBytes),
 		inflight:    map[string]*call{},
-		indexes:     map[string]*server.Index{},
 		epByURL:     map[string]*endpoint{},
 		refreshStop: make(chan struct{}),
 	}
@@ -354,208 +348,131 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, conte
 	return c.doKeyed(ctx, path, method, path, body, contentType)
 }
 
-// Index fetches (and memoizes — the archive is immutable) one dataset's
-// index.
-func (c *Client) Index(ctx context.Context, dataset string) (*server.Index, error) {
-	c.idxMu.Lock()
-	if idx, ok := c.indexes[dataset]; ok {
-		c.idxMu.Unlock()
-		return idx, nil
-	}
-	c.idxMu.Unlock()
-	b, err := c.do(ctx, "GET", "/v1/d/"+dataset+"/index", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	idx := &server.Index{}
-	if err := json.Unmarshal(b, idx); err != nil {
-		return nil, fmt.Errorf("client: index %s: %w", dataset, err)
-	}
-	c.idxMu.Lock()
-	c.indexes[dataset] = idx
-	c.idxMu.Unlock()
-	return idx, nil
-}
-
-// indexFragSize returns the index-declared size of one fragment, or -1
-// when the index does not know it.
-func indexFragSize(idx *server.Index, vr string, fi int) int64 {
-	for i := range idx.Variables {
-		if idx.Variables[i].Name == vr {
-			if fi >= 0 && fi < len(idx.Variables[i].FragmentSizes) {
-				return idx.Variables[i].FragmentSizes[fi]
-			}
-			return -1
-		}
-	}
-	return -1
-}
-
 func fragKey(dataset, vr string, fi int) string {
 	return dataset + "\x00" + vr + "\x00" + strconv.Itoa(fi)
 }
 
-// Fragments fetches a set of fragments in at most one HTTP round trip per
-// shard: cached fragments are returned directly, fragments already being
-// fetched by a concurrent session are awaited, and the rest split into
-// per-shard sub-batches (one batched POST per cluster node involved) that
-// run as tasks on b, so a session's Workers bound is also its bound on
-// concurrent POSTs. The result maps variable name → fragment index →
-// payload.
-func (c *Client) Fragments(ctx context.Context, b *par.Budget, dataset string, wants map[string][]int) (map[string]map[int][]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	idx, err := c.Index(ctx, dataset)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]map[int][]byte{}
-	put := func(vr string, fi int, v []byte) {
-		m := out[vr]
-		if m == nil {
-			m = map[int][]byte{}
-			out[vr] = m
+// item is one fragment of a Fetch, carried from the cache lookup through
+// coalescing and sharding to install: key is its cache and coalescing
+// key, cl the fetch it owns or waits on, primary whether its sub-batch
+// went to its rendezvous primary, and val its payload.
+type item struct {
+	v, fi   int
+	key     string
+	cl      *call
+	primary bool
+	val     []byte
+}
+
+// Fetch is the dataset's core.LazyFetch. It fetches want[v]'s fragments
+// of every variable v in at most one HTTP round trip per shard: cached
+// fragments are installed directly, fragments already being fetched by a
+// concurrent session are awaited, and the rest split into per-shard
+// sub-batches (one batched POST per cluster node involved) that run as
+// tasks on b, so a session's Workers bound is also its bound on
+// concurrent POSTs. A fragment listed twice is fetched and installed
+// once; one the index does not have fails the call before any request.
+func (d *Dataset) Fetch(ctx context.Context, b *par.Budget, want [][]int, install func(v, frag int, payload []byte)) error {
+	var items []item
+	for v, idxs := range want {
+		for _, fi := range idxs {
+			if v >= len(d.Vars) || fi < 0 || fi >= len(d.sizes[v]) {
+				return fmt.Errorf("client: dataset %s has no fragment %d of variable %d", d.name, fi, v)
+			}
+			items = append(items, item{v: v, fi: fi, key: fragKey(d.name, d.Vars[v].Name, fi)})
 		}
-		m[fi] = v
 	}
-	type pending struct {
-		vr  string
-		fi  int
-		key string
-		cl  *call
-	}
-	var owned, waited []pending
-	seen := map[string]bool{}
+	slices.SortFunc(items, byFragment)
+	return d.fetch(ctx, b, slices.CompactFunc(items, func(a, b item) bool { return byFragment(a, b) == 0 }), install)
+}
+
+// byFragment orders items by variable, then fragment index.
+func byFragment(a, b item) int { return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.fi, b.fi)) }
+
+// fetch is Fetch over distinct items in byFragment order.
+func (d *Dataset) fetch(ctx context.Context, b *par.Budget, items []item, install func(v, frag int, payload []byte)) error {
+	c := d.c
+	// Cache hits are compacted to the front of items, which the loop has
+	// already read past.
+	hits, owned, waited := items[:0], []item(nil), []item(nil)
 	c.mu.Lock()
-	for _, vr := range sortedKeys(wants) {
-		for _, fi := range wants[vr] {
-			key := fragKey(dataset, vr, fi)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			if v, ok := c.cache.Get(key); ok {
-				put(vr, fi, v)
-				continue
-			}
-			if cl := c.inflight[key]; cl != nil {
-				c.coalesced.Add(1)
-				waited = append(waited, pending{vr, fi, key, cl})
-				continue
-			}
-			cl := &call{done: make(chan struct{})}
-			c.inflight[key] = cl
-			owned = append(owned, pending{vr, fi, key, cl})
+	for _, it := range items {
+		if v, ok := c.cache.Get(it.key); ok {
+			it.val = v
+			hits = append(hits, it)
+		} else if it.cl = c.inflight[it.key]; it.cl != nil {
+			c.coalesced.Add(1)
+			waited = append(waited, it)
+		} else {
+			it.cl = &call{done: make(chan struct{})}
+			c.inflight[it.key] = it.cl
+			owned = append(owned, it)
 		}
 	}
 	c.mu.Unlock()
+	for _, it := range hits {
+		install(it.v, it.fi, it.val)
+	}
 
 	if len(owned) > 0 {
-		// Bytes mirror the per-fragment wireBytes increments in the install
-		// loop below, keeping traced fetch bytes equal to Stats.WireBytes.
+		// Bytes mirror the wireBytes increment below, keeping traced fetch
+		// bytes equal to Stats.WireBytes.
 		var mf obs.SpanMark
 		if tr := obs.TraceFrom(ctx); tr != nil {
-			mf = tr.Begin(obs.CatFetch, "frags "+dataset+" x"+strconv.Itoa(len(owned)))
+			mf = tr.Begin(obs.CatFetch, "frags "+d.name+" x"+strconv.Itoa(len(owned)))
 		}
-		byVar := map[string][]int{}
-		for _, p := range owned {
-			byVar[p.vr] = append(byVar[p.vr], p.fi)
-		}
-		got, ferr := c.fetchShards(ctx, b, dataset, byVar)
-		if ferr == nil {
-			for _, p := range owned {
-				payload, ok := got[p.key]
-				if !ok {
-					ferr = fmt.Errorf("client: batch response missing fragment %s/%d", p.vr, p.fi)
-					break
-				}
-				if want := indexFragSize(idx, p.vr, p.fi); want >= 0 && int64(len(payload)) != want {
-					ferr = fmt.Errorf("%w: fragment %s/%d is %d bytes, index says %d",
-						encoding.ErrCorrupt, p.vr, p.fi, len(payload), want)
-					break
-				}
-			}
-		}
+		ferr := d.fetchShards(ctx, b, owned)
 		var fetched int64
 		c.mu.Lock()
-		for _, p := range owned {
-			delete(c.inflight, p.key)
-			if ferr != nil {
-				p.cl.err = ferr
-			} else {
+		for _, it := range owned {
+			delete(c.inflight, it.key)
+			if it.cl.err = ferr; ferr == nil {
 				// Clone out of the decoded batch blob: DecodeBatch payloads
 				// are subslices of the whole response, and caching them by
 				// reference would pin the full blob in memory long after
 				// eviction shrank the accounted cache size.
-				p.cl.val = bytes.Clone(got[p.key])
-				c.cache.Add(p.key, p.cl.val)
-				c.wireBytes.Add(int64(len(p.cl.val)))
-				fetched += int64(len(p.cl.val))
+				it.cl.val = bytes.Clone(it.val)
+				c.cache.Add(it.key, it.cl.val)
+				fetched += int64(len(it.cl.val))
 				c.fragsFetched.Add(1)
 			}
-			close(p.cl.done)
+			close(it.cl.done)
 		}
+		c.wireBytes.Add(fetched)
 		c.mu.Unlock()
 		mf.EndBytes(fetched)
 		if ferr != nil {
-			return nil, ferr
+			return ferr
 		}
-		for _, p := range owned {
-			put(p.vr, p.fi, p.cl.val)
+		for _, it := range owned {
+			install(it.v, it.fi, it.cl.val)
 		}
 	}
-	var retry map[string][]int
-	for _, p := range waited {
+	var retry []item
+	for _, it := range waited {
 		select {
-		case <-p.cl.done:
+		case <-it.cl.done:
 		case <-ctx.Done():
 			// The owning session's fetch is still in flight; this caller
 			// stops waiting without disturbing it.
-			return nil, fmt.Errorf("client: coalesced fetch: %w", ctx.Err())
+			return fmt.Errorf("client: coalesced fetch: %w", ctx.Err())
 		}
-		if p.cl.err != nil {
+		if err := it.cl.err; err != nil {
 			// The owner's context died mid-fetch. That cancellation belongs
 			// to the owner, not to this caller: re-fetch under our own live
 			// context rather than inheriting an error nobody here caused.
-			if isContextErr(p.cl.err) && ctx.Err() == nil {
-				if retry == nil {
-					retry = map[string][]int{}
-				}
-				retry[p.vr] = append(retry[p.vr], p.fi)
+			if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
+				retry = append(retry, item{v: it.v, fi: it.fi, key: it.key})
 				continue
 			}
-			return nil, fmt.Errorf("client: coalesced fetch: %w", p.cl.err)
+			return fmt.Errorf("client: coalesced fetch: %w", err)
 		}
-		put(p.vr, p.fi, p.cl.val)
+		install(it.v, it.fi, it.cl.val)
 	}
 	if len(retry) > 0 {
 		// Either this call becomes the new owner, or it coalesces onto
 		// another live fetch; our own ctx now governs the wait.
-		got, err := c.Fragments(ctx, b, dataset, retry)
-		if err != nil {
-			return nil, err
-		}
-		for vr, m := range got {
-			for fi, v := range m {
-				put(vr, fi, v)
-			}
-		}
+		return d.fetch(ctx, b, retry, install)
 	}
-	return out, nil
-}
-
-// isContextErr reports whether err stems from a cancelled or expired
-// context.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func sortedKeys(m map[string][]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return nil
 }

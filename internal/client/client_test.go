@@ -1,10 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -138,7 +143,8 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}})
+	d := openGE(t, c)
+	got, err := collect(context.Background(), d, par.New(0), [][]int{{0}})
 	if err != nil {
 		t.Fatalf("fragment after transient 5xx: %v", err)
 	}
@@ -148,14 +154,14 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("%d attempts, want 3 (2 failures + 1 success)", got)
 	}
-	// The index GET plus three batch POSTs; each failed POST costs one
-	// retry pass on a single endpoint.
-	checkCounters(t, c.Stats(), 2, 0, 0, 4)
+	// The index and meta GETs plus three batch POSTs; each failed POST
+	// costs one retry pass on a single endpoint.
+	checkCounters(t, c.Stats(), 2, 0, 0, 5)
 }
 
 func TestRetryExhaustion(t *testing.T) {
 	var attempts atomic.Int64
-	hs, vars := testService(t, func(next http.Handler) http.Handler {
+	hs, _ := testService(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasSuffix(r.URL.Path, "/frags") {
 				attempts.Add(1)
@@ -169,7 +175,8 @@ func TestRetryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}}); err == nil {
+	d := openGE(t, c)
+	if _, err := collect(context.Background(), d, par.New(0), [][]int{{0}}); err == nil {
 		t.Fatal("persistent 5xx did not fail")
 	} else if !strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("error %v does not report retry exhaustion", err)
@@ -177,7 +184,7 @@ func TestRetryExhaustion(t *testing.T) {
 	if got := attempts.Load(); got != 4 {
 		t.Fatalf("%d attempts, want 4 (1 + 3 retries)", got)
 	}
-	checkCounters(t, c.Stats(), 3, 0, 0, 5)
+	checkCounters(t, c.Stats(), 3, 0, 0, 6)
 }
 
 func TestNoRetryOn404(t *testing.T) {
@@ -186,23 +193,19 @@ func TestNoRetryOn404(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Index(context.Background(), "ge"); err != nil {
-		t.Fatal(err)
-	}
-	before := c.Stats().WireRequests
-	_, err = c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{"NoSuchVar": {0}})
+	_, err = c.Dataset(context.Background(), "nosuch")
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != 404 {
 		t.Fatalf("want HTTPError 404, got %v", err)
 	}
-	if got := c.Stats().WireRequests - before; got != 1 {
+	if got := c.Stats().WireRequests; got != 1 {
 		t.Fatalf("404 issued %d requests, want 1 (no retry)", got)
 	}
 }
 
 func TestTruncatedBodyRetriesThenFails(t *testing.T) {
 	var attempts atomic.Int64
-	hs, vars := testService(t, func(next http.Handler) http.Handler {
+	hs, _ := testService(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasSuffix(r.URL.Path, "/frags") {
 				attempts.Add(1)
@@ -219,13 +222,14 @@ func TestTruncatedBodyRetriesThenFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}}); err == nil {
+	d := openGE(t, c)
+	if _, err := collect(context.Background(), d, par.New(0), [][]int{{0}}); err == nil {
 		t.Fatal("truncated body did not fail")
 	}
 	if got := attempts.Load(); got != 4 {
 		t.Fatalf("%d attempts, want 4 (truncation retried)", got)
 	}
-	checkCounters(t, c.Stats(), 3, 0, 0, 5)
+	checkCounters(t, c.Stats(), 3, 0, 0, 6)
 }
 
 func TestCorruptBatchDetected(t *testing.T) {
@@ -246,7 +250,8 @@ func TestCorruptBatchDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}})
+	d := openGE(t, c)
+	_, err = collect(context.Background(), d, par.New(0), [][]int{{0}})
 	if !errors.Is(err, encoding.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt for corrupted batch, got %v", err)
 	}
@@ -272,9 +277,139 @@ func TestShortFragmentAgainstIndexDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}})
+	d := openGE(t, c)
+	_, err = collect(context.Background(), d, par.New(0), [][]int{{0}})
 	if !errors.Is(err, encoding.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt for short fragment, got %v", err)
+	}
+}
+
+// TestFetchRepeatedIndexOnce: a fragment listed more than once in
+// want[v] is asked for once on the wire and installed once, and never
+// waits on its own fetch; on the next call it is one cache hit.
+func TestFetchRepeatedIndexOnce(t *testing.T) {
+	var bodies []server.BatchRequest
+	var mu sync.Mutex
+	hs, vars := testService(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/frags") {
+				var req server.BatchRequest
+				body, _ := io.ReadAll(r.Body)
+				if err := json.Unmarshal(body, &req); err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				bodies = append(bodies, req)
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	c, err := New(hs.URL, fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := openGE(t, c)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for call, wantHits := range []int64{0, 2} {
+		installs := map[int]int{}
+		err := d.Fetch(ctx, par.New(0), [][]int{{1, 0, 1, 1, 0}}, func(v, fi int, payload []byte) {
+			if v != 0 || string(payload) != string(vars[0].Ref.Fragments[fi]) {
+				t.Errorf("call %d: install %d/%d carries the wrong payload", call, v, fi)
+			}
+			installs[fi]++
+		})
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if len(installs) != 2 || installs[0] != 1 || installs[1] != 1 {
+			t.Fatalf("call %d: installs per fragment = %v, want one each of 0 and 1", call, installs)
+		}
+		st := c.Stats()
+		if st.CacheHits != wantHits || st.Coalesced != 0 || st.FragmentsFetched != 2 {
+			t.Fatalf("call %d: CacheHits/Coalesced/FragmentsFetched = %d/%d/%d, want %d/0/2",
+				call, st.CacheHits, st.Coalesced, st.FragmentsFetched, wantHits)
+		}
+	}
+	if len(bodies) != 1 || len(bodies[0].Wants) != 1 || fmt.Sprint(bodies[0].Wants[0].Indices) != "[0 1]" {
+		t.Fatalf("batch bodies = %+v, want one asking for %s [0 1]", bodies, vars[0].Name)
+	}
+}
+
+// TestFetchOutOfRangeRefusedLocally: a variable or fragment the index
+// does not have fails Fetch before any request and installs nothing.
+func TestFetchOutOfRangeRefusedLocally(t *testing.T) {
+	hs, vars := testService(t, nil)
+	c, err := New(hs.URL, fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := openGE(t, c)
+	n := len(vars[0].Ref.Fragments)
+	before := c.Stats().WireRequests
+	for _, want := range [][][]int{
+		append(make([][]int, len(vars)), []int{0}),
+		{{0, -1}},
+		{{0, n}},
+	} {
+		err := d.Fetch(context.Background(), par.New(0), want, func(v, fi int, _ []byte) {
+			t.Errorf("want %v: installed %d/%d", want, v, fi)
+		})
+		if err == nil {
+			t.Fatalf("want %v: no error", want)
+		}
+	}
+	if got := c.Stats().WireRequests - before; got != 0 {
+		t.Fatalf("refused fetches issued %d requests", got)
+	}
+}
+
+// TestBatchAnswerOrderIsFree: the response to a batch may list its
+// fragments in any order (FORMATS.md), and every payload still reaches the
+// fragment it belongs to; a response that repeats one fragment in place
+// of another is corruption.
+func TestBatchAnswerOrderIsFree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mangle  func([]server.BatchFragment)
+		corrupt bool
+	}{
+		{"reversed", slices.Reverse[[]server.BatchFragment], false},
+		{"repeated", func(f []server.BatchFragment) { f[1] = f[0] }, true},
+	} {
+		hs, vars := testService(t, func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !strings.HasSuffix(r.URL.Path, "/frags") {
+					next.ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				next.ServeHTTP(rec, r)
+				frags, err := server.DecodeBatch(rec.Body.Bytes())
+				if err != nil {
+					t.Error(err)
+				}
+				tc.mangle(frags)
+				w.Write(server.EncodeBatch(frags)) //nolint:errcheck
+			})
+		})
+		c, err := New(hs.URL, fastOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := collect(context.Background(), openGE(t, c), par.New(0), allWants(vars))
+		if tc.corrupt {
+			if !errors.Is(err, encoding.ErrCorrupt) {
+				t.Fatalf("%s: want ErrCorrupt, got %v", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkPayloads(t, vars, got)
 	}
 }
 
@@ -290,8 +425,9 @@ func TestCacheEvictionUnderBytePressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := openGE(t, c)
 	for i := 0; i < 4; i++ {
-		if _, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {i}}); err != nil {
+		if _, err := collect(context.Background(), d, par.New(0), [][]int{{i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,7 +440,7 @@ func TestCacheEvictionUnderBytePressure(t *testing.T) {
 	}
 	// Fragment 0 was evicted long ago: re-fetching it pays the wire again.
 	wire := c.Stats().WireBytes
-	if _, err := c.Fragments(context.Background(), par.New(0), "ge", map[string][]int{vars[0].Name: {0}}); err != nil {
+	if _, err := collect(context.Background(), d, par.New(0), [][]int{{0}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().WireBytes == wire {
@@ -328,7 +464,8 @@ func TestCoalescingConcurrentFetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][]int{vars[0].Name: {0, 1}}
+	d := openGE(t, c)
+	want := [][]int{{0, 1}}
 	var wg sync.WaitGroup
 	results := make([]map[string]map[int][]byte, 2)
 	errs := make([]error, 2)
@@ -336,7 +473,7 @@ func TestCoalescingConcurrentFetches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Fragments(context.Background(), par.New(0), "ge", want)
+			results[i], errs[i] = collect(context.Background(), d, par.New(0), want)
 		}(i)
 	}
 	// Wait until one goroutine owns the in-flight fetch and the other has
@@ -392,11 +529,12 @@ func TestCoalescedWaiterSurvivesOwnerCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][]int{vars[0].Name: {0, 1}}
+	d := openGE(t, c)
+	want := [][]int{{0, 1}}
 	ownerCtx, cancelOwner := context.WithCancel(context.Background())
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := c.Fragments(ownerCtx, par.New(0), "ge", want)
+		_, err := collect(ownerCtx, d, par.New(0), want)
 		ownerErr <- err
 	}()
 	// Wait until the owner's batch is parked on the server, then coalesce.
@@ -413,7 +551,7 @@ func TestCoalescedWaiterSurvivesOwnerCancellation(t *testing.T) {
 	var waiterErr error
 	go func() {
 		defer close(waiterDone)
-		waiterRes, waiterErr = c.Fragments(context.Background(), par.New(0), "ge", want)
+		waiterRes, waiterErr = collect(context.Background(), d, par.New(0), want)
 	}()
 	for c.Stats().Coalesced < 2 {
 		select {

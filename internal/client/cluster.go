@@ -15,6 +15,7 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,6 +31,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"progqoi/internal/core"
+	"progqoi/internal/encoding"
 	"progqoi/internal/obs"
 	"progqoi/internal/par"
 	"progqoi/internal/retry"
@@ -428,62 +432,43 @@ func (c *Client) ClusterInfo(ctx context.Context) (*server.ClusterInfo, error) {
 	return &info, nil
 }
 
-// shardItem is one fragment routed through the sharded batch fetch.
-type shardItem struct {
-	vr  string
-	fi  int
-	key string // fragKey (cache/result key)
-}
-
-// fetchShards fetches the given fragments from the cluster: each fragment
-// routes to the endpoint pick chooses from its rendezvous order, the
-// per-endpoint sub-batches travel as concurrent POSTs, tasks on b,
-// and a sub-batch that fails with a retryable error is re-sharded onto
-// the next replica of each of its fragments. Sub-batch outcomes are
-// handled in endpoint order, so which error a failed call returns does
-// not depend on which POST finished first. Routing state is per round:
-// every round loads the current topology view and re-ranks the remaining
-// fragments against it, so a view swap mid-call redirects only the
-// fragments not yet fetched. One retry.Do attempt is the rounds until
-// every fragment is fetched or every endpoint has failed it — plain
-// failover is free — and a failed attempt forces a view refresh in
-// elastic mode. A fragment served by an endpoint other than its round's
-// primary counts one failover; each fragment is fetched successfully
-// exactly once, so Failovers can never double-count a fragment across
-// passes or view swaps. The result maps fragKey to payload (payloads
-// alias the response blobs; callers clone before caching).
-func (c *Client) fetchShards(ctx context.Context, b *par.Budget, dataset string, wants map[string][]int) (map[string][]byte, error) {
-	var remaining []shardItem
-	for _, vr := range sortedKeys(wants) {
-		for _, fi := range wants[vr] {
-			remaining = append(remaining, shardItem{vr: vr, fi: fi, key: fragKey(dataset, vr, fi)})
-		}
+// fetchShards fetches items, in byFragment order, from the cluster and
+// stores each payload in its item's val: each fragment routes to the
+// endpoint pick chooses from its rendezvous order, the per-endpoint
+// sub-batches travel as concurrent POSTs, tasks on b, and a sub-batch
+// that fails with a retryable error is re-sharded onto the next replica
+// of each of its fragments. Sub-batch outcomes are handled in endpoint
+// order, so which error a failed call returns does not depend on which
+// POST finished first. Routing state is per round: every round loads the
+// current topology view and re-ranks the remaining fragments against it,
+// so a view swap mid-call redirects only the fragments not yet fetched.
+// One retry.Do attempt is the rounds until every fragment is fetched or
+// every endpoint has failed it — plain failover is free — and a failed
+// attempt forces a view refresh in elastic mode. A fragment served by an
+// endpoint other than its round's primary counts one failover; each
+// fragment is fetched successfully exactly once, so Failovers can never
+// double-count a fragment across passes or view swaps. Payloads alias the
+// response blobs; callers clone before caching.
+func (d *Dataset) fetchShards(ctx context.Context, b *par.Budget, items []item) error {
+	c := d.c
+	remaining := make([]*item, len(items))
+	for i := range items {
+		remaining[i] = &items[i]
 	}
-	got := map[string][]byte{}
-	err := c.retrying(ctx, func() (time.Duration, bool, error) {
+	return c.retrying(ctx, func() (time.Duration, bool, error) {
 		excluded := map[*endpoint]bool{}
 		var retryAfter time.Duration
 		var lastErr error
 		for len(remaining) > 0 {
 			v := c.view()
-			type assignment struct {
-				items   []shardItem
-				primary []bool // item's chosen endpoint was its rendezvous primary
-			}
-			groups := map[*endpoint]*assignment{}
+			groups := map[*endpoint][]*item{}
 			now := c.opts.clock.Now()
 			for _, it := range remaining {
-				ep, i := pick(rankEndpoints(v.eps, shardKey(it.vr, it.fi)), v.repl, excluded, now)
-				if ep == nil {
-					continue
+				ep, i := pick(rankEndpoints(v.eps, shardKey(d.Vars[it.v].Name, it.fi)), v.repl, excluded, now)
+				if ep != nil {
+					it.primary = i == 0
+					groups[ep] = append(groups[ep], it)
 				}
-				g := groups[ep]
-				if g == nil {
-					g = &assignment{}
-					groups[ep] = g
-				}
-				g.items = append(g.items, it)
-				g.primary = append(g.primary, i == 0)
 			}
 			if len(groups) == 0 {
 				// Every endpoint has failed this pass.
@@ -495,45 +480,19 @@ func (c *Client) fetchShards(ctx context.Context, b *par.Budget, dataset string,
 				eps = append(eps, ep)
 			}
 			sort.Slice(eps, func(i, j int) bool { return eps[i].base < eps[j].base })
-			type groupResult struct {
-				frags      []server.BatchFragment
-				err        error
-				retryable  bool
-				retryAfter time.Duration
-			}
-			results := make([]groupResult, len(eps))
+			results := make([]postResult, len(eps))
 			b.For(len(eps), func(_, gi int) bool {
-				byVar := map[string][]int{}
-				for _, it := range groups[eps[gi]].items {
-					byVar[it.vr] = append(byVar[it.vr], it.fi)
-				}
-				req := server.BatchRequest{}
-				for _, vr := range sortedKeys(byVar) {
-					req.Wants = append(req.Wants, server.BatchWant{Var: vr, Indices: byVar[vr]})
-				}
-				body, _ := json.Marshal(req)
-				blob, err, retryable, ra := c.attempt(ctx, eps[gi], "POST", "/v1/d/"+dataset+"/frags", body, "application/json")
-				res := groupResult{err: err, retryable: retryable, retryAfter: ra}
-				if err == nil {
-					res.frags, res.err = server.DecodeBatch(blob)
-					// A batch that decodes wrong is corruption, not an
-					// unhealthy endpoint: fail the call like the
-					// single-endpoint client did.
-				}
-				results[gi] = res
+				results[gi] = d.post(ctx, eps[gi], groups[eps[gi]])
 				return true
 			})
 
 			remaining = remaining[:0]
 			for gi, res := range results {
-				as := groups[eps[gi]]
+				group := groups[eps[gi]]
 				switch {
 				case res.err == nil:
-					for _, f := range res.frags {
-						got[fragKey(dataset, f.Var, f.Index)] = f.Payload
-					}
-					for i := range as.items {
-						if !as.primary[i] {
+					for _, it := range group {
+						if !it.primary {
 							c.failovers.Add(1)
 						}
 					}
@@ -544,16 +503,82 @@ func (c *Client) fetchShards(ctx context.Context, b *par.Budget, dataset string,
 					lastErr = res.err
 					retryAfter = max(retryAfter, res.retryAfter)
 					excluded[eps[gi]] = true
-					remaining = append(remaining, as.items...)
+					remaining = append(remaining, group...)
 				default:
 					return 0, false, res.err
 				}
 			}
+			// Back in byFragment order, so every sub-batch lists each of
+			// its variables once.
+			slices.SortFunc(remaining, func(a, b *item) int { return byFragment(*a, *b) })
 		}
 		return 0, false, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// postResult is the outcome of one sub-batch POST, classified as attempt
+// classifies it.
+type postResult struct {
+	err        error
+	retryable  bool
+	retryAfter time.Duration
+}
+
+// post fetches one sub-batch, items in byFragment order, from ep and
+// stores each payload in its item's val. A response that does not answer
+// exactly the fragments asked for, or a payload whose size differs from
+// the index's, is corruption, not an unhealthy endpoint, so it fails the
+// call without failover.
+func (d *Dataset) post(ctx context.Context, ep *endpoint, items []*item) postResult {
+	var req server.BatchRequest
+	for i, it := range items {
+		if i == 0 || it.v != items[i-1].v {
+			req.Wants = append(req.Wants, server.BatchWant{Var: d.Vars[it.v].Name})
+		}
+		w := &req.Wants[len(req.Wants)-1]
+		w.Indices = append(w.Indices, it.fi)
 	}
-	return got, nil
+	body, _ := json.Marshal(req)
+	blob, err, retryable, ra := d.c.attempt(ctx, ep, "POST", "/v1/d/"+d.name+"/frags", body, "application/json")
+	if err != nil {
+		return postResult{err, retryable, ra}
+	}
+	frags, err := server.DecodeBatch(blob)
+	if err != nil {
+		return postResult{err: err}
+	}
+	if !d.answers(frags, items) {
+		// The response order is the server's to choose (FORMATS.md); ours
+		// answers in request order, so this sort is the rare path.
+		vi := func(name string) int {
+			return slices.IndexFunc(d.Vars, func(v *core.Variable) bool { return v.Name == name })
+		}
+		slices.SortFunc(frags, func(a, b server.BatchFragment) int {
+			return cmp.Or(cmp.Compare(vi(a.Var), vi(b.Var)), cmp.Compare(a.Index, b.Index))
+		})
+		if !d.answers(frags, items) {
+			return postResult{err: fmt.Errorf("%w: batch does not answer the %d fragments asked for", encoding.ErrCorrupt, len(items))}
+		}
+	}
+	for i, it := range items {
+		if got, want := int64(len(frags[i].Payload)), d.sizes[it.v][it.fi]; got != want {
+			return postResult{err: fmt.Errorf("%w: fragment %s/%d is %d bytes, index says %d",
+				encoding.ErrCorrupt, d.Vars[it.v].Name, it.fi, got, want)}
+		}
+		it.val = frags[i].Payload
+	}
+	return postResult{}
+}
+
+// answers reports whether frags answers items position by position.
+func (d *Dataset) answers(frags []server.BatchFragment, items []*item) bool {
+	if len(frags) != len(items) {
+		return false
+	}
+	for i, it := range items {
+		if frags[i].Index != it.fi || frags[i].Var != d.Vars[it.v].Name {
+			return false
+		}
+	}
+	return true
 }

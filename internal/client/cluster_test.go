@@ -71,14 +71,38 @@ func clusterClient(t *testing.T, nodes []*clusterNode, opt Options) *Client {
 }
 
 // allWants asks for every fragment of every variable.
-func allWants(vars []*core.Variable) map[string][]int {
-	wants := map[string][]int{}
-	for _, v := range vars {
-		for fi := range v.Ref.Fragments {
-			wants[v.Name] = append(wants[v.Name], fi)
+func allWants(vars []*core.Variable) [][]int {
+	wants := make([][]int, len(vars))
+	for v := range vars {
+		for fi := range vars[v].Ref.Fragments {
+			wants[v] = append(wants[v], fi)
 		}
 	}
 	return wants
+}
+
+// openGE opens dataset "ge" through c.
+func openGE(t *testing.T, c *Client) *Dataset {
+	t.Helper()
+	d, err := c.Dataset(context.Background(), "ge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// collect runs d.Fetch and gathers what it installs by variable name and
+// fragment index, the shape checkPayloads reads.
+func collect(ctx context.Context, d *Dataset, b *par.Budget, want [][]int) (map[string]map[int][]byte, error) {
+	got := map[string]map[int][]byte{}
+	err := d.Fetch(ctx, b, want, func(v, fi int, payload []byte) {
+		name := d.Vars[v].Name
+		if got[name] == nil {
+			got[name] = map[int][]byte{}
+		}
+		got[name][fi] = payload
+	})
+	return got, err
 }
 
 func checkPayloads(t *testing.T, vars []*core.Variable, got map[string]map[int][]byte) {
@@ -154,7 +178,8 @@ func TestShardedBatchSplitsAcrossNodes(t *testing.T) {
 	vars := testVars(t)
 	nodes := testCluster(t, vars, 3)
 	c := clusterClient(t, nodes, fastOptions())
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+	d := openGE(t, c)
+	got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +246,7 @@ func TestShardErrorIndependentOfCompletionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := openGE(t, c)
 	want := http.StatusForbidden
 	if b.URL < a.URL {
 		want = http.StatusNotFound
@@ -228,7 +254,7 @@ func TestShardErrorIndependentOfCompletionOrder(t *testing.T) {
 	var first string
 	for i := int64(0); i < calls; i++ {
 		call.Store(i)
-		_, err := c.Fragments(context.Background(), par.New(2), "ge", allWants(vars))
+		_, err := collect(context.Background(), d, par.New(2), allWants(vars))
 		var he *HTTPError
 		if !errors.As(err, &he) {
 			t.Fatalf("call %d: want an HTTPError, got %v", i, err)
@@ -248,10 +274,11 @@ func TestFailoverOnDeadNode(t *testing.T) {
 	vars := testVars(t)
 	nodes := testCluster(t, vars, 3)
 	c := clusterClient(t, nodes, fastOptions())
+	d := openGE(t, c)
 	// Kill one node outright: connections refuse, fetches must fail over
 	// and every payload still arrive bit-identical.
 	nodes[1].hs.Close()
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+	got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch with a dead node: %v", err)
 	}
@@ -275,8 +302,9 @@ func TestFailoverOn5xxNode(t *testing.T) {
 	vars := testVars(t)
 	nodes := testCluster(t, vars, 3)
 	c := clusterClient(t, nodes, fastOptions())
+	d := openGE(t, c)
 	nodes[0].fail.Store(true)
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+	got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch with a 500ing node: %v", err)
 	}
@@ -288,11 +316,12 @@ func TestFailoverOn5xxNode(t *testing.T) {
 	checkCounters(t, c.Stats(), 0, failovers, 0, requests)
 }
 
-// failoverCounts predicts the counters of one Fragments call over
-// allWants when the endpoint sick rejects its sub-batch retryably and
-// every other endpoint serves: one failover per fragment sick is primary
-// for, and requests for the index GET, one POST per distinct primary, and
-// one POST per distinct second choice of sick's fragments.
+// failoverCounts predicts the counters of opening the dataset and one
+// Fetch over allWants when the endpoint sick rejects its sub-batch
+// retryably and every other endpoint serves: one failover per fragment
+// sick is primary for, and requests for the index and meta GETs, one
+// POST per distinct primary, and one POST per distinct second choice of
+// sick's fragments.
 func failoverCounts(c *Client, vars []*core.Variable, sick string) (failovers, requests int64) {
 	primaries, seconds := map[string]bool{}, map[string]bool{}
 	for _, v := range vars {
@@ -305,7 +334,7 @@ func failoverCounts(c *Client, vars []*core.Variable, sick string) (failovers, r
 			}
 		}
 	}
-	return failovers, int64(1 + len(primaries) + len(seconds))
+	return failovers, int64(2 + len(primaries) + len(seconds))
 }
 
 func TestBreakerStateMachine(t *testing.T) {
@@ -359,6 +388,7 @@ func TestBreakerRoutesAroundSickNodeThenRecovers(t *testing.T) {
 	opt.CacheBytes = -1 // every call exercises the wire
 	clk := opt.clock.(*fakeClock)
 	c := clusterClient(t, nodes, opt)
+	d := openGE(t, c)
 	ctx := context.Background()
 	wants := allWants(vars)
 
@@ -366,12 +396,12 @@ func TestBreakerRoutesAroundSickNodeThenRecovers(t *testing.T) {
 	// Enough failed calls to trip node 0's breaker (one health failure per
 	// call: the first sub-batch 500s, then everything reroutes to node 1).
 	for i := 0; i < breakerThreshold; i++ {
-		if _, err := c.Fragments(ctx, par.New(0), "ge", wants); err != nil {
+		if _, err := collect(ctx, d, par.New(0), wants); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
 	before := nodes[0].batchPosts.Load()
-	if _, err := c.Fragments(ctx, par.New(0), "ge", wants); err != nil {
+	if _, err := collect(ctx, d, par.New(0), wants); err != nil {
 		t.Fatal(err)
 	}
 	if after := nodes[0].batchPosts.Load(); after != before {
@@ -382,7 +412,7 @@ func TestBreakerRoutesAroundSickNodeThenRecovers(t *testing.T) {
 	// probe lets the node back in.
 	nodes[0].fail.Store(false)
 	clk.advance(breakerCooldown)
-	if _, err := c.Fragments(ctx, par.New(0), "ge", wants); err != nil {
+	if _, err := collect(ctx, d, par.New(0), wants); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].batchPosts.Load() == before {
@@ -462,6 +492,7 @@ func TestSpillPrefersHealthyNodeOverOpenReplicas(t *testing.T) {
 	opt := fastOptions()
 	opt.Replication = 2
 	c := clusterClient(t, nodes, opt)
+	d := openGE(t, c)
 	// Force-open two breakers with a far-future cooldown. Every shard
 	// whose whole replica set they cover must spill straight to the
 	// healthy third node without dialing the open ones.
@@ -473,7 +504,7 @@ func TestSpillPrefersHealthyNodeOverOpenReplicas(t *testing.T) {
 	}
 	before0, before1 := nodes[0].batchPosts.Load()+nodes[0].fragGets.Load(),
 		nodes[1].batchPosts.Load()+nodes[1].fragGets.Load()
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+	got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 	if err != nil {
 		t.Fatal(err)
 	}

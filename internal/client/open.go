@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"progqoi/internal/core"
@@ -35,35 +36,54 @@ func Open(ctx context.Context, baseURL string, opt Options) (*Client, error) {
 	return New(baseURL, opt)
 }
 
-// Meta fetches the dataset's index and metadata blob and returns its
-// variables, meta-only (fragment payloads absent, everything else
-// resident), with the total fragment bytes the service stores for them.
-// ctx scopes the two metadata fetches.
-func (c *Client) Meta(ctx context.Context, dataset string) (vars []*core.Variable, stored int64, err error) {
-	idx, err := c.Index(ctx, dataset)
+// Dataset is one dataset of the fragment service as read at open: its
+// variables meta-only (fragment payloads absent, everything else
+// resident), the fragment bytes the service stores for them, and the
+// index's fragment sizes every fetched payload is checked against. Fetch
+// is its transport; it is safe for concurrent sessions.
+type Dataset struct {
+	Vars   []*core.Variable
+	Stored int64
+
+	c     *Client
+	name  string
+	sizes [][]int64 // sizes[v][fi]: fragment fi of Vars[v], from the index
+}
+
+// Dataset fetches the dataset's index and metadata blob; ctx scopes the
+// two fetches.
+func (c *Client) Dataset(ctx context.Context, name string) (*Dataset, error) {
+	b, err := c.do(ctx, "GET", "/v1/d/"+name+"/index", nil, "")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	blob, err := c.do(ctx, "GET", "/v1/d/"+dataset+"/meta", nil, "")
+	var idx server.Index
+	if err := json.Unmarshal(b, &idx); err != nil {
+		return nil, fmt.Errorf("client: index %s: %w", name, err)
+	}
+	blob, err := c.do(ctx, "GET", "/v1/d/"+name+"/meta", nil, "")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if vars, err = server.DecodeMeta(blob); err != nil {
-		return nil, 0, err
+	vars, err := server.DecodeMeta(blob)
+	if err != nil {
+		return nil, err
 	}
 	if len(vars) != len(idx.Variables) {
-		return nil, 0, fmt.Errorf("client: dataset %s: meta has %d variables, index %d", dataset, len(vars), len(idx.Variables))
+		return nil, fmt.Errorf("client: dataset %s: meta has %d variables, index %d", name, len(vars), len(idx.Variables))
 	}
+	d := &Dataset{Vars: vars, c: c, name: name, sizes: make([][]int64, len(vars))}
 	for i, v := range vars {
 		iv := idx.Variables[i]
 		if v.Name != iv.Name {
-			return nil, 0, fmt.Errorf("client: dataset %s: meta variable %q != index %q", dataset, v.Name, iv.Name)
+			return nil, fmt.Errorf("client: dataset %s: meta variable %q != index %q", name, v.Name, iv.Name)
 		}
 		if len(v.Ref.Fragments) != len(iv.FragmentSizes) {
-			return nil, 0, fmt.Errorf("client: dataset %s: %s has %d fragments in meta, %d in index",
-				dataset, v.Name, len(v.Ref.Fragments), len(iv.FragmentSizes))
+			return nil, fmt.Errorf("client: dataset %s: %s has %d fragments in meta, %d in index",
+				name, v.Name, len(v.Ref.Fragments), len(iv.FragmentSizes))
 		}
-		stored += iv.TotalBytes
+		d.sizes[i] = iv.FragmentSizes
+		d.Stored += iv.TotalBytes
 	}
-	return vars, stored, nil
+	return d, nil
 }

@@ -46,7 +46,7 @@ func TestTokenAuthAgainstTenantServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Index(context.Background(), "ge"); !errors.Is(err, ErrUnauthorized) {
+		if _, err := c.Dataset(context.Background(), "ge"); !errors.Is(err, ErrUnauthorized) {
 			t.Fatalf("token %q: err = %v, want ErrUnauthorized", tok, err)
 		}
 	}
@@ -57,7 +57,8 @@ func TestTokenAuthAgainstTenantServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+	d := openGE(t, c)
+	got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 	if err != nil {
 		t.Fatalf("authenticated fetch: %v", err)
 	}
@@ -91,7 +92,8 @@ func TestRateLimit429FailsOverAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+	d := openGE(t, c)
+	got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch with a throttling node: %v", err)
 	}
@@ -146,7 +148,8 @@ func TestRetryAfterHonoredWhenAllReplicasLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+	d := openGE(t, c)
+	got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 	if err != nil {
 		t.Fatalf("fetch after throttle lifted: %v", err)
 	}
@@ -157,7 +160,7 @@ func TestRetryAfterHonoredWhenAllReplicasLimited(t *testing.T) {
 		t.Fatalf("waits = %v, want one of >= 1s (Retry-After honored over the %v backoff)",
 			waits, retry.Backoff)
 	}
-	checkCounters(t, c.Stats(), 1, 0, 1, 3)
+	checkCounters(t, c.Stats(), 1, 0, 1, 4)
 }
 
 func TestRateLimitExhaustionSurfacesErrRateLimited(t *testing.T) {
@@ -178,13 +181,14 @@ func TestRateLimitExhaustionSurfacesErrRateLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars)); !errors.Is(err, ErrRateLimited) {
+	d := openGE(t, c)
+	if _, err := collect(context.Background(), d, par.New(0), allWants(vars)); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
 	}
 	if waits := opt.clock.(*fakeClock).recorded(); len(waits) != 1 || waits[0] < time.Second {
 		t.Fatalf("waits = %v, want one of >= 1s", waits)
 	}
-	checkCounters(t, c.Stats(), 1, 0, 2, 3)
+	checkCounters(t, c.Stats(), 1, 0, 2, 4)
 }
 
 func TestParseRetryAfter(t *testing.T) {

@@ -175,12 +175,13 @@ func TestFailedPassForcesRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	d := openGE(t, c)
 
 	// Node 0's data plane dies, but its control plane still answers and
 	// advertises node 1 — exactly a node mid-restart handing off.
 	nodes[0].fail.Store(true)
 	info.set(aliveMembers(nodes[0].hs.URL, nodes[1].hs.URL))
-	got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+	got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,8 @@ func TestFailedPassForcesRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Fragments(context.Background(), par.New(0), "ge", allWants(vars)); err == nil {
+	sd := openGE(t, sc)
+	if _, err := collect(context.Background(), sd, par.New(0), allWants(vars)); err == nil {
 		t.Fatal("static client silently adopted elastic refresh")
 	}
 }
@@ -215,6 +217,7 @@ func TestViewSwapRace(t *testing.T) {
 	opt.Replication = 2
 	opt.CacheBytes = -1 // every call refetches, maximizing wire concurrency
 	c := clusterClient(t, nodes, opt)
+	d := openGE(t, c)
 
 	var frags int
 	for _, v := range vars {
@@ -268,7 +271,7 @@ func TestViewSwapRace(t *testing.T) {
 		go func() {
 			defer fetch.Done()
 			for r := 0; r < rounds; r++ {
-				got, err := c.Fragments(context.Background(), par.New(0), "ge", allWants(vars))
+				got, err := collect(context.Background(), d, par.New(0), allWants(vars))
 				if err != nil {
 					errs <- err
 					return

@@ -252,17 +252,17 @@ var binomials = func() [][]float64 {
 }()
 
 // powBound is Theorem 1 for xⁿ, 0 ≤ n ≤ maxExponent: Δ(xⁿ) ≤
-// Σᵢ₌₁ⁿ C(n,i)|x|ⁿ⁻ⁱ εⁱ, summed in increasing i. |x|ᵏ is tabulated and εⁱ
-// built as i grows, by the products intPow makes, so each term is the one
-// C(n,i)·intPow(|x|, n−i)·intPow(ε, i) gives, in O(n). The compiled
-// program's Pow kernels repeat these terms in this order, so both agree to
-// the bit.
-func powBound(v, d float64, n int) float64 {
+// Σᵢ₌₁ⁿ C(n,i)|x|ⁿ⁻ⁱ εⁱ, summed in increasing i. |x|ᵏ is tabulated in
+// pa[:n] and εⁱ built as i grows, by the products intPow makes, so each
+// term is the one C(n,i)·intPow(|x|, n−i)·intPow(ε, i) gives, in O(n).
+// Every entry read is written first, so a column of points shares one
+// table its caller zeroes once. The compiled program's Pow kernels repeat
+// these terms in this order, so both agree to the bit.
+func powBound(v, d float64, n int, pa *[maxExponent]float64) float64 {
 	if d == 0 {
 		return 0
 	}
 	av := math.Abs(v)
-	var pa [maxExponent]float64
 	pa[0] = 1
 	for k := 1; k < n; k++ {
 		pa[k] = pa[k-1] * av
@@ -385,7 +385,8 @@ func TheoremBound(e Expr, vals, ebs []float64) (value, bound float64) {
 			return math.NaN(), math.Inf(1)
 		}
 		v, d := TheoremBound(x.X, vals, ebs)
-		value, bound = noNaN(intPow(v, x.N), powBound(v, d, x.N))
+		var pa [maxExponent]float64
+		value, bound = noNaN(intPow(v, x.N), powBound(v, d, x.N, &pa))
 	case Sqrt:
 		v, d := TheoremBound(x.X, vals, ebs)
 		value, bound = noNaN(sqrtBound(v, d))

@@ -374,7 +374,8 @@ func radicalColumn(val, bnd []float64, c float64, xv, xd []float64) {
 // which is C(n,n). The value is |x|ⁿ⁻¹·|x| with x's sign when n is odd:
 // that is the chain of products intPow makes, and round to nearest is
 // symmetric under negation, so it is intPow(x, n) bit for bit. Any other
-// exponent calls intPow and powBound at every point, as TheoremBound does.
+// exponent calls intPow and powBound at every point, as TheoremBound does,
+// with one |x|ᵏ table for the whole column.
 func powColumn(val, bnd, xv, xd []float64, n int) {
 	m := len(xv)
 	val, bnd, xd = val[:m], bnd[:m], xd[:m]
@@ -443,8 +444,9 @@ func powColumn(val, bnd, xv, xd []float64, n int) {
 			val[j], bnd[j] = math.Copysign(a6*a, x), b
 		}
 	default:
+		var pa [maxExponent]float64
 		for j, x := range xv {
-			val[j], bnd[j] = intPow(x, n), powBound(x, xd[j], n)
+			val[j], bnd[j] = intPow(x, n), powBound(x, xd[j], n, &pa)
 		}
 	}
 }

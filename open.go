@@ -163,7 +163,7 @@ func s3Options(ro remoteOptions) objstore.Options {
 }
 
 // openRemoteArchive is Open's http(s) case: the dataset's metadata once,
-// and a fetch that asks the client for the fragments a session plans.
+// and the client's fetch for the fragments a session plans.
 func openRemoteArchive(ctx context.Context, baseURL, dataset string, ro remoteOptions) (*Archive, error) {
 	c, err := client.Open(ctx, baseURL, client.Options{
 		CacheBytes:      ro.cacheBytes,
@@ -178,31 +178,13 @@ func openRemoteArchive(ctx context.Context, baseURL, dataset string, ro remoteOp
 	if err != nil {
 		return nil, err
 	}
-	vars, stored, err := c.Meta(ctx, dataset)
+	ds, err := c.Dataset(ctx, dataset)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	a := archiveFromVars(vars, stored)
-	a.client, a.wire = c, c.WireBytes
-	a.fetch = func(ctx context.Context, b *par.Budget, want [][]int, install func(v, frag int, payload []byte)) error {
-		wants := map[string][]int{}
-		for vi, idxs := range want {
-			if len(idxs) > 0 {
-				wants[vars[vi].Name] = idxs
-			}
-		}
-		got, err := c.Fragments(ctx, b, dataset, wants)
-		if err != nil {
-			return err
-		}
-		for vi, v := range vars {
-			for fi, payload := range got[v.Name] {
-				install(vi, fi, payload)
-			}
-		}
-		return nil
-	}
+	a := archiveFromVars(ds.Vars, ds.Stored)
+	a.client, a.wire, a.fetch = c, c.WireBytes, ds.Fetch
 	return a, nil
 }
 
