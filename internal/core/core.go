@@ -704,13 +704,20 @@ func (rt *Retriever) advance(ctx context.Context, q *request, iter int) (bool, e
 // estScratch is the working memory of one estimateAll worker slot. It lives
 // on the Retriever, so iterations and requests reuse it.
 type estScratch struct {
-	prog   qoi.Scratch
-	x, eb  [][]float64 // per variable: the block's values (a view) and bounds
-	active []bool      // per target: its region meets the block
+	prog  qoi.Scratch
+	x, eb [][]float64 // per variable: the block's values (a view) and bounds
+	// loaded says that load has run since scratch last handed s out, last
+	// for the block [lo, hi): each bound column then holds its variable's
+	// bound everywhere but at that block's masked points.
+	loaded bool
+	lo, hi int
+	active []bool // per target: its region meets the block
 }
 
 // scratch returns the first n estimate scratches, made on first use and
-// sized for nq targets.
+// sized for nq targets. Each is handed out for one estimateAll pass or one
+// reassign, with its bound columns to be filled afresh: reassign writes
+// them, and a pass has bounds of its own.
 func (rt *Retriever) scratch(n, nq int) []*estScratch {
 	for len(rt.est) < n {
 		s := &estScratch{x: make([][]float64, len(rt.vars)), eb: make([][]float64, len(rt.vars))}
@@ -720,6 +727,7 @@ func (rt *Retriever) scratch(n, nq int) []*estScratch {
 		rt.est = append(rt.est, s)
 	}
 	for _, s := range rt.est[:n] {
+		s.loaded = false
 		if cap(s.active) < nq {
 			s.active = make([]bool, nq)
 		}
@@ -730,16 +738,27 @@ func (rt *Retriever) scratch(n, nq int) []*estScratch {
 
 // load points the block [blo, bhi) of each variable in vs into s: its
 // reconstructed values in place, and its bounds, which are bounds[v]
-// everywhere except at masked points, where they are zero.
+// everywhere except at masked points, where they are zero. vs and bounds
+// are the same for every load of one pass, so only its first load fills
+// the bound columns; a later one puts bounds[v] back at the masked points
+// of the block before and zeroes those of its own.
 func (s *estScratch) load(rt *Retriever, vs []int, bounds []float64, blo, bhi int) {
 	for _, v := range vs {
 		s.x[v] = rt.data[v][blo:bhi]
-		eb := s.eb[v][:bhi-blo]
-		b := bounds[v]
-		for i := range eb {
-			eb[i] = b
+		eb, b, mask := s.eb[v], bounds[v], rt.vars[v].ZeroMask
+		switch {
+		case !s.loaded:
+			for i := range eb {
+				eb[i] = b
+			}
+		case mask != nil:
+			for i, z := range mask[s.lo:s.hi] {
+				if z {
+					eb[i] = b
+				}
+			}
 		}
-		if mask := rt.vars[v].ZeroMask; mask != nil {
+		if mask != nil {
 			for i, z := range mask[blo:bhi] {
 				if z {
 					eb[i] = 0
@@ -747,6 +766,7 @@ func (s *estScratch) load(rt *Retriever, vs []int, bounds []float64, blo, bhi in
 			}
 		}
 	}
+	s.loaded, s.lo, s.hi = true, blo, bhi
 }
 
 // estimate returns every target's max estimate and argmax on the held data
@@ -805,7 +825,7 @@ func (rt *Retriever) estimateAll(q *request, bounds []float64, todo []bool) ([]f
 	if rt.cfg.onEstimate != nil {
 		rt.cfg.onEstimate(todo)
 	}
-	var reads []int
+	reads := make([]int, 0, len(q.vars))
 	for _, v := range q.vars {
 		for k, on := range todo {
 			if on && slices.Contains(q.reads[k], v) {
@@ -847,15 +867,10 @@ func (rt *Retriever) estimateAll(q *request, bounds []float64, todo []bool) ([]f
 				if !on {
 					continue
 				}
-				jlo := max(blo, q.lo[k])
-				m, arg := cmax[k], carg[k]
-				// Program.Bound hands over no NaN.
-				for j, b := range q.prog.Bound(&s.prog, k)[jlo-blo : min(bhi, q.hi[k])-blo] {
-					if b > m {
-						m, arg = b, jlo+j
-					}
+				jlo, jhi := max(blo, q.lo[k])-blo, min(bhi, q.hi[k])-blo
+				if m, j := q.prog.MaxBound(&s.prog, k, jlo, jhi, cmax[k]); j >= 0 {
+					cmax[k], carg[k] = m, blo+j
 				}
-				cmax[k], carg[k] = m, arg
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"progqoi/internal/datagen"
@@ -60,7 +61,7 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 				req.OnProgress = func(it Iteration) {
 					iters++
 					est, arg := rt.estimateAll(q, rt.achieved, everyTarget(len(req.Targets)))
-					wantEst, wantArg := theoremEstimate(rt, req, ne)
+					wantEst, wantArg := theoremEstimate(rt, req, ne, rt.achieved)
 					for k := range est {
 						if math.Float64bits(est[k]) != math.Float64bits(wantEst[k]) || arg[k] != wantArg[k] {
 							t.Errorf("workers=%d %s iteration %d, %s: compiled (%g at %d), tree walk (%g at %d)",
@@ -83,13 +84,73 @@ func TestCompiledEstimatorMatchesTreeWalk(t *testing.T) {
 	}
 }
 
+// TestEstimateScratchReuseAcrossPasses holds estimateAll passes that reuse
+// their scratches, and so their bound columns, to the tree walk at the same
+// bounds: passes at bounds A, B, B and A, each after the first preceded by
+// a reassign of T at its bounds, which writes the first scratch's columns
+// at the first point of a block, so a pass at the bounds its columns last
+// held follows a write. Two more targets are one point each: T at the
+// first point of a block, and VTOT just past a masked offset of the block
+// before, where GE blocks of 320 points put the zero mask at different
+// offsets in consecutive estimate blocks. A bound column left as reassign
+// or the block before wrote it shows in their bounds.
+func TestEstimateScratchReuseAcrossPasses(t *testing.T) {
+	// 10240 points: three 4096-point chunks, the last one partial.
+	ds := datagen.GE("GE-reuse", 32, 320, 5)
+	ne := ds.NumElements()
+	ranges := QoIRanges(ds.QoIs, ds.Fields)
+	vars := refactorDataset(t, ds, progressive.PMGARDHB)
+	if !vars[qoi.GEVx].ZeroMask[320] || vars[qoi.GEVx].ZeroMask[832] {
+		t.Fatal("the mask is not where the one-point targets expect it")
+	}
+	const vtot, temp = 0, 1
+	req := Request{Targets: relTargets(ds.QoIs, 1e-3, ranges)}
+	req.Targets = append(req.Targets, req.Targets[temp], req.Targets[vtot])
+	req.Targets[6].Region = Region{Lo: 4096, Hi: 4097}
+	req.Targets[7].Region = Region{Lo: 832, Hi: 833}
+	for _, workers := range []int{1, 3} {
+		rt, err := NewRetriever(vars, Config{Workers: workers}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Retrieve(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		q, err := rt.newRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		todo := everyTarget(len(req.Targets))
+		a := slices.Clone(rt.achieved)
+		b := slices.Clone(a)
+		for v := range b {
+			b[v] *= 64
+		}
+		var arg []int
+		for pass, bounds := range [][]float64{a, b, b, a} {
+			if pass > 0 {
+				rt.reassign(q, bounds, temp, arg[temp])
+			}
+			var est []float64
+			est, arg = rt.estimateAll(q, bounds, todo)
+			wantEst, wantArg := theoremEstimate(rt, req, ne, bounds)
+			for k := range est {
+				if math.Float64bits(est[k]) != math.Float64bits(wantEst[k]) || arg[k] != wantArg[k] {
+					t.Errorf("workers=%d pass %d, target %d: (%g at %d), tree walk (%g at %d)",
+						workers, pass, k, est[k], arg[k], wantEst[k], wantArg[k])
+				}
+			}
+		}
+	}
+}
+
 // theoremEstimate is estimateAll's answer rebuilt from qoi.TheoremBound,
-// one point at a time over the session's data and achieved bounds: per
+// one point at a time over the session's data at the given bounds: per
 // target, the largest bound over its region and where it is, found as
 // estimateAll finds it. Each fixed 4096-point chunk keeps its first
 // maximum, a later chunk that equals the running maximum takes over, and
 // the result carries the same 1e-12 guard.
-func theoremEstimate(rt *Retriever, req Request, ne int) ([]float64, []int) {
+func theoremEstimate(rt *Retriever, req Request, ne int, bounds []float64) ([]float64, []int) {
 	const chunk = 4096
 	vals, ebs := make([]float64, len(rt.vars)), make([]float64, len(rt.vars))
 	est, arg := make([]float64, len(req.Targets)), make([]int, len(req.Targets))
@@ -106,7 +167,7 @@ func theoremEstimate(rt *Retriever, req Request, ne int) ([]float64, []int) {
 					if rt.data[v] != nil {
 						vals[v] = rt.data[v][j]
 					}
-					ebs[v] = rt.achieved[v]
+					ebs[v] = bounds[v]
 					if mask := rt.vars[v].ZeroMask; mask != nil && mask[j] {
 						ebs[v] = 0
 					}

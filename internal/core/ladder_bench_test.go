@@ -16,14 +16,7 @@ import (
 // returns the raw bytes of the five fields the session reads.
 func geLadder(tb testing.TB) (op func(), raw int) {
 	tb.Helper()
-	ds := datagen.GE("ge", 200, 320, 1)
-	vars, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, RefactorOptions{
-		Progressive: progressive.Options{Method: progressive.PMGARDHB, LosslessTail: true},
-		MaskZeros:   true,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	ds, vars := benchGE(tb)
 	ranges := QoIRanges(ds.QoIs, ds.Fields)
 	op = func() {
 		rt, err := NewRetriever(vars, Config{}, nil)
@@ -37,6 +30,47 @@ func geLadder(tb testing.TB) (op func(), raw int) {
 		}
 	}
 	return op, 8 * len(ds.Fields) * ds.NumElements()
+}
+
+// benchGE is the do-local-ge workload's dataset, GE(200, 320), refactored
+// with PMGARD-HB and zero masks.
+func benchGE(tb testing.TB) (*datagen.Dataset, []*Variable) {
+	tb.Helper()
+	ds := datagen.GE("ge", 200, 320, 1)
+	vars, err := RefactorVariables(ds.FieldNames, ds.Fields, ds.Dims, RefactorOptions{
+		Progressive: progressive.Options{Method: progressive.PMGARDHB, LosslessTail: true},
+		MaskZeros:   true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds, vars
+}
+
+// BenchmarkEstimateAllGE times one estimateAll pass of all six GE QoIs over
+// benchGE's whole field, on the data and at the bounds a session holds
+// after certifying them at relative 1e-3: the block loads, Program.Eval
+// and the max reduction.
+func BenchmarkEstimateAllGE(b *testing.B) {
+	ds, vars := benchGE(b)
+	rt, err := NewRetriever(vars, Config{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := Request{Targets: absTargets(ds.QoIs, 1e-3, QoIRanges(ds.QoIs, ds.Fields))}
+	if _, err := rt.Retrieve(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	q, err := rt.newRequest(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	todo := everyTarget(len(req.Targets))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.estimateAll(q, rt.achieved, todo)
+	}
 }
 
 // BenchmarkGELadder runs geLadder's op.

@@ -14,10 +14,13 @@ import (
 // Every loop makes, per point, the products and sums of the scalar theorem
 // helper TheoremBound calls, in the helper's order: Mul and Sqrt call
 // theirs, which inline; Div and Radical repeat theirs, which do not; Sum
-// folds sumTerm over its terms; and Pow unrolls powBound for the exponents
-// the library uses and calls it at every point for the rest. So value and
-// bound are bit-identical to TheoremBound at every point, and
-// program_test.go holds each kernel to its helper bit for bit.
+// folds sumTerm over its terms, with a loop of its own for one, two and
+// three terms; and Pow unrolls powBound for the exponents the library uses
+// and calls it at every point for the rest. So value and bound are
+// bit-identical to TheoremBound at every point, and program_test.go holds
+// each kernel to its helper bit for bit. A target's bounds leave a block
+// through MaxBound, which folds them into a running maximum and leaves the
+// column as it is, or through Bound, which rewrites its NaNs to +Inf.
 
 // BlockSize is the most points one Program.Eval call evaluates. A block's
 // scratch, a value and a bound column per node that is not a Var, then
@@ -312,15 +315,45 @@ func (p *Program) Eval(s *Scratch, active []bool, x, eb [][]float64, m int) {
 
 // sum is Theorems 4, 7 and 8 over a column, in one pass: per point, sumTerm
 // over the terms in their order from (0, 0), the running pair held in
-// registers.
+// registers. Sums of one, two and three terms, all the library builds, have
+// their own loops, which read each term's columns through a local; more
+// terms fold through the node's argument list.
 func (s *Scratch) sum(val, bnd []float64, nd *node) {
-	w := nd.w
-	for j := range val {
-		v, d := 0.0, 0.0
-		for t, a := range nd.args {
-			v, d = sumTerm(v, d, w[t], s.val[a][j], s.bnd[a][j])
+	m, w := len(val), nd.w
+	bnd = bnd[:m]
+	switch len(nd.args) {
+	case 1:
+		w0 := w[0]
+		av, ad := s.val[nd.args[0]][:m], s.bnd[nd.args[0]][:m]
+		for j := range val {
+			val[j], bnd[j] = sumTerm(0, 0, w0, av[j], ad[j])
 		}
-		val[j], bnd[j] = v, d
+	case 2:
+		w0, w1 := w[0], w[1]
+		av, ad := s.val[nd.args[0]][:m], s.bnd[nd.args[0]][:m]
+		bv, bd := s.val[nd.args[1]][:m], s.bnd[nd.args[1]][:m]
+		for j := range val {
+			v, d := sumTerm(0, 0, w0, av[j], ad[j])
+			val[j], bnd[j] = sumTerm(v, d, w1, bv[j], bd[j])
+		}
+	case 3:
+		w0, w1, w2 := w[0], w[1], w[2]
+		av, ad := s.val[nd.args[0]][:m], s.bnd[nd.args[0]][:m]
+		bv, bd := s.val[nd.args[1]][:m], s.bnd[nd.args[1]][:m]
+		cv, cd := s.val[nd.args[2]][:m], s.bnd[nd.args[2]][:m]
+		for j := range val {
+			v, d := sumTerm(0, 0, w0, av[j], ad[j])
+			v, d = sumTerm(v, d, w1, bv[j], bd[j])
+			val[j], bnd[j] = sumTerm(v, d, w2, cv[j], cd[j])
+		}
+	default:
+		for j := range val {
+			v, d := 0.0, 0.0
+			for t, a := range nd.args {
+				v, d = sumTerm(v, d, w[t], s.val[a][j], s.bnd[a][j])
+			}
+			val[j], bnd[j] = v, d
+		}
 	}
 }
 
@@ -466,4 +499,27 @@ func (p *Program) Bound(s *Scratch, k int) []float64 {
 		}
 	}
 	return bnd
+}
+
+// MaxBound folds target k's bounds at points [lo, hi) of the block of the
+// last Eval that had it active into a running maximum m, which is not NaN.
+// It reads a NaN bound as +Inf, as Bound does, but leaves the column as it
+// is. It returns the new maximum and the first point of [lo, hi) that
+// holds it, or m and -1 when no bound there exceeds m: of equal maxima, the
+// earliest wins.
+func (p *Program) MaxBound(s *Scratch, k, lo, hi int, m float64) (float64, int) {
+	_, bnd := s.col(p.roots[k])
+	arg := -1
+	for j, b := range bnd[lo:hi] {
+		if !(b <= m) { // b > m, or b is NaN
+			if b != b {
+				if m == math.Inf(1) {
+					continue
+				}
+				b = math.Inf(1)
+			}
+			m, arg = b, lo+j
+		}
+	}
+	return m, arg
 }

@@ -535,6 +535,69 @@ func TestEmbeddedExprIsWhatItEmbeds(t *testing.T) {
 	}
 }
 
+// TestMaxBoundMatchesBoundScan: MaxBound against Bound followed by a strict
+// > scan, the fold it replaces, over every target of a program whose roots
+// are its inputs, so a column can hold any bits. Each sub-range, from
+// every running maximum, must give the same maximum, bit for bit, and the
+// same first point. The columns put NaN first, NaN after +Inf, ties, ±0
+// and subnormals, and the ranges start and end mid-block.
+func TestMaxBoundMatchesBoundScan(t *testing.T) {
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	rng := rand.New(rand.NewSource(38))
+	draw := []float64{0, negZero, sub, 2 * sub, 0x1p-1030, 1, 1, 2.5, 2.5, 7, inf, nan}
+	random := make([]float64, BlockSize)
+	for j := range random {
+		random[j] = draw[rng.Intn(len(draw))]
+	}
+	columns := [][]float64{
+		{nan, 1, inf, 2},
+		{1, inf, nan, 3, inf},
+		{2, 5, 5, 1, 5},
+		{negZero, 0, negZero},
+		{sub, 2 * sub, sub, 0, 2 * sub},
+		{nan, nan},
+		{3},
+		random,
+	}
+	p, err := Compile([]Expr{Var{1}, Var{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := []float64{0, negZero, sub, 1, 5, inf}
+	var folded, scanned Scratch
+	for c, col := range columns {
+		m := len(col)
+		rev := slices.Clone(col)
+		slices.Reverse(rev)
+		x := [][]float64{make([]float64, m), make([]float64, m)}
+		p.Eval(&folded, []bool{true, true}, x, [][]float64{slices.Clone(col), slices.Clone(rev)}, m)
+		p.Eval(&scanned, []bool{true, true}, x, [][]float64{slices.Clone(col), rev}, m)
+		for k := range 2 {
+			bnd := p.Bound(&scanned, k)
+			for _, lo := range []int{0, 1, m / 3, m / 2, m - 1} {
+				for _, hi := range []int{lo, lo + 1, m / 2, m - 1, m} {
+					if hi < lo || hi > m {
+						continue
+					}
+					for _, m0 := range starts {
+						want, wantArg := m0, -1
+						for j := lo; j < hi; j++ {
+							if bnd[j] > want {
+								want, wantArg = bnd[j], j
+							}
+						}
+						if got, arg := p.MaxBound(&folded, k, lo, hi, m0); !bitsEqual(got, want) || arg != wantArg {
+							t.Fatalf("column %d, target %d, [%d, %d) from %v: MaxBound (%v at %d), scan (%v at %d)",
+								c, k, lo, hi, m0, got, arg, want, wantArg)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestScratchReuseDoesNotAllocate(t *testing.T) {
 	var ge []Expr
 	for _, q := range GEQoIs() {
